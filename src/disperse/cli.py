@@ -21,7 +21,6 @@ import configparser
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,13 @@ from .root_solver import DispersionResult, SolverConfig, check_branch_species, s
 CSV_HEADER = "k,omega,eta,v_phase,r,epsilon,residual,iterations,converged,branch"
 COMPARE_HEADER = "k,omega_solver,eta_solver,omega_oracle,eta_oracle,rel_err_omega,abs_err_eta"
 
-# a fitted or solved eta below this fraction of omega is treated as zero
-# when checking sign agreement (an undamped root's sign is noise)
+# compare gate, criterion 06's bounds: omega to 2 percent, and eta to 15
+# percent once the solver's |eta| exceeds 1 percent of omega; below that only
+# the signs must agree, and an eta below ETA_SIGN_DEADBAND of omega counts as
+# zero (an undamped root's sign is noise)
+OMEGA_RTOL = 0.02
+ETA_RTOL = 0.15
+ETA_RESOLVED = 0.01
 ETA_SIGN_DEADBAND = 1e-6
 
 
@@ -259,20 +263,6 @@ def resolved_config_text(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def _thread_count(n_tasks: int) -> int:
-    raw = os.environ.get("DISPERSE_THREADS", "").strip()
-    if raw in ("", "0"):
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"DISPERSE_THREADS: not an integer: {raw!r}")
-        if cap < 1:
-            raise ConfigError("DISPERSE_THREADS: must be positive or 0 for auto")
-    return max(1, min(cap, n_tasks))
-
-
 def _k_grid(cfg: RunConfig) -> np.ndarray:
     if cfg.spacing == "log":
         return np.geomspace(cfg.k_min, cfg.k_max, cfg.n_points)
@@ -335,14 +325,10 @@ def _branch_stats_line(branch: BranchId, results, error: str | None) -> str:
 def cmd_run(cfg: RunConfig, quiet: bool) -> int:
     os.makedirs(cfg.out_path, exist_ok=True)
     k_grid = _k_grid(cfg)
-    workers = _thread_count(len(cfg.branches))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_branch, cfg, branch, k_grid) for branch in cfg.branches]
-        outcomes = [future.result() for future in futures]
-
     stats = []
     all_ok = True
-    for branch, (results, error) in zip(cfg.branches, outcomes):
+    for branch in cfg.branches:
+        results, error = _sweep_branch(cfg, branch, k_grid)
         path = _write_branch_csv(cfg, branch, results)
         stats.append(_branch_stats_line(branch, results, error))
         ok = error is None and all(r.converged for r in results)
@@ -362,15 +348,18 @@ def cmd_run(cfg: RunConfig, quiet: bool) -> int:
     return 0 if all_ok else 2
 
 
-def _eta_sign(eta: float, omega: float) -> int:
-    if abs(eta) < ETA_SIGN_DEADBAND * omega:
-        return 0
-    return 1 if eta > 0 else -1
-
-
-def _oracle_point(cfg: RunConfig, k: float):
-    alpha = None if cfg.species.fully_degenerate else cfg.scales.alpha
-    return evolve_mode(k, cfg.species, alpha, cfg.oracle, bohm_term=cfg.bohm_term)
+def oracle_agrees(omega_solver: float, eta_solver: float,
+                  omega_oracle: float, eta_oracle: float) -> bool:
+    """Compare gate for one mode: omega within OMEGA_RTOL; eta within ETA_RTOL
+    when the solver's |eta| exceeds ETA_RESOLVED of omega, else no damping
+    sign disagreement outside the dead band."""
+    if not abs(omega_oracle - omega_solver) < OMEGA_RTOL * omega_solver:
+        return False
+    if abs(eta_solver) > ETA_RESOLVED * omega_solver:
+        return abs(eta_oracle - eta_solver) <= ETA_RTOL * abs(eta_solver)
+    return (eta_solver * eta_oracle >= 0.0
+            or abs(eta_solver) < ETA_SIGN_DEADBAND * omega_solver
+            or abs(eta_oracle) < ETA_SIGN_DEADBAND * omega_oracle)
 
 
 def cmd_compare(cfg: RunConfig, quiet: bool) -> int:
@@ -389,46 +378,31 @@ def cmd_compare(cfg: RunConfig, quiet: bool) -> int:
     if error is not None:
         print(f"solver sweep failed: {error}", file=sys.stderr)
         return 2
-    picked = results[:: cfg.subsample]
 
-    workers = _thread_count(len(picked))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_oracle_point, cfg, res.k) for res in picked]
-        runs = []
-        for res, future in zip(picked, futures):
-            try:
-                runs.append(future.result())
-            except (DisperseError, ValueError) as exc:
-                runs.append(f"{type(exc).__name__}: {exc}")
-
+    alpha = None if cfg.species.fully_degenerate else cfg.scales.alpha
     fmt = f"{{:.{cfg.precision - 1}e}}"
     scale = cfg.scales.omega_p if cfg.units == "reduced" else 1.0
     unit_k = cfg.scales.omega_p / cfg.scales.v_ch if cfg.units == "reduced" else 1.0
     all_ok = True
     lines = [COMPARE_HEADER]
-    for res, run in zip(picked, runs):
-        if isinstance(run, str):
-            all_ok = False
+    for res in results[:: cfg.subsample]:
+        try:
+            run = evolve_mode(res.k, cfg.species, alpha, cfg.oracle, bohm_term=cfg.bohm_term)
+        except (DisperseError, ValueError) as exc:
+            run = None
             if not quiet:
-                print(f"oracle failed at k = {res.k:.6e}: {run}", file=sys.stderr)
-            row = [fmt.format(res.k / unit_k), fmt.format(res.rate.omega / scale),
-                   fmt.format(res.rate.eta / scale), "nan", "nan", "nan", "nan"]
-            lines.append(",".join(row))
-            continue
-        rel_om = abs(run.omega_fit - res.rate.omega) / res.rate.omega
-        abs_eta = abs(run.eta_fit - res.rate.eta)
-        sign_ok = 0 in (_eta_sign(res.rate.eta, res.rate.omega), _eta_sign(run.eta_fit, run.omega_fit)) \
-            or _eta_sign(res.rate.eta, res.rate.omega) == _eta_sign(run.eta_fit, run.omega_fit)
-        ok = res.converged and rel_om < 0.02 and sign_ok
+                print(f"oracle failed at k = {res.k:.6e}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        omega, eta = (math.nan, math.nan) if run is None else (run.omega_fit, run.eta_fit)
+        ok = run is not None and res.converged and oracle_agrees(res.rate.omega, res.rate.eta, omega, eta)
         all_ok = all_ok and ok
-        row = [fmt.format(res.k / unit_k), fmt.format(res.rate.omega / scale),
-               fmt.format(res.rate.eta / scale), fmt.format(run.omega_fit / scale),
-               fmt.format(run.eta_fit / scale), fmt.format(rel_om), fmt.format(abs_eta / scale)]
-        lines.append(",".join(row))
-        if not quiet:
+        rel_om = abs(omega - res.rate.omega) / res.rate.omega
+        cells = (res.k / unit_k, res.rate.omega / scale, res.rate.eta / scale,
+                 omega / scale, eta / scale, rel_om, abs(eta - res.rate.eta) / scale)
+        lines.append(",".join(fmt.format(cell) for cell in cells))
+        if not quiet and run is not None:
             verdict = "ok" if ok else "MISMATCH"
             print(f"k = {res.k:.6e}: rel_err_omega = {rel_om:.3e}, "
-                  f"eta solver {res.rate.eta / scale:.3e} oracle {run.eta_fit / scale:.3e}  [{verdict}]")
+                  f"eta solver {res.rate.eta / scale:.3e} oracle {eta / scale:.3e}  [{verdict}]")
 
     path = os.path.join(cfg.out_path, "compare.csv")
     with open(path, "w", encoding="utf-8") as handle:

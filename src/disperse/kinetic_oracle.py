@@ -12,7 +12,8 @@ sign; they are the two pieces of the restoring coefficient C1.  The fitted
 with the residual evaluations: no occupation sums, no error functions, no
 contour bookkeeping.
 
-The scheme is classic RK4 at fixed step.  For the fully degenerate gas the
+The scheme is classic RK4 at fixed step, applied as the one diagonal plus
+rank-4 map it amounts to (_propagate).  For the fully degenerate gas the
 step edge of the distribution is smoothed by a sigmoid of width
 delta_v = v_F/200 so its derivative is grid-representable; the pair
 (f0_smooth, f0'_smooth) below is an exact antiderivative/derivative pair.
@@ -103,6 +104,45 @@ def _degenerate_pair(v: np.ndarray, v_f: float, a_w: float, delta: float):
     f0 = 2.0 * math.pi * a_w * v_f * delta * soft
     fp = -2.0 * math.pi * a_w * v * sig
     return f0, fp
+
+
+def _propagate(phi, stream, coupling, weights, dt, n_steps):
+    """Take n_steps RK4 steps of phi' = A phi, A = diag(stream) + coupling w^T;
+    returns the density trace w^T phi at every step and the final phi.
+
+    One step is exactly P(hA), P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24.  With
+    z = h stream and a = h coupling, expanding the powers of hA gives
+    P(hA) = diag(P(z)) + U C W^T, U = [z^p a], W = [z^q w] (p, q < 4), where
+    the 4x4 C mixes the moments mu_j = w^T z^j a.  A step is then
+    phi -> P(z) phi + (W^T phi) (U C)^T, and (W^T phi)[0] is the density.
+    """
+    z = dt * stream
+    zp = np.cumprod([np.ones_like(z), z, z, z], axis=0)  # rows z^0 .. z^3
+    ut = zp * (dt * coupling)
+    wt = zp * weights
+    # (diag(z) + a w^T)^n - diag(z^n) = U C_n W^T with C_{n+1} = C_n T + e_n e_0^T,
+    # where T shifts q up (one more factor z) and feeds the moments into q = 0
+    t = np.eye(4, k=1, dtype=complex)
+    t[:, 0] = wt @ ut[0]
+    power = np.zeros((4, 4), dtype=complex)
+    c = np.zeros((4, 4), dtype=complex)
+    for n in range(4):
+        power = power @ t
+        power[n, 0] += 1.0
+        c += power / math.factorial(n + 1)
+    cu = c.T @ ut
+    g = 1.0 + z * (1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0)))
+
+    density = np.empty(n_steps + 1, dtype=complex)
+    n0_abs = abs(np.dot(phi, weights))
+    for step in range(n_steps + 1):
+        moments = wt @ phi
+        density[step] = moments[0]
+        if n0_abs > 0.0 and abs(moments[0]) > 1e6 * n0_abs:
+            raise NumericalBlowup(f"density grew by {abs(moments[0]) / n0_abs:.3e} at step {step}")
+        if step < n_steps:
+            phi = g * phi + moments @ cu
+    return density, phi
 
 
 def evolve_mode(
@@ -212,27 +252,7 @@ def evolve_mode(
     hook = 1.0 if bohm_term else 0.0
     c1 = omega_p**2 + hook * lam_q * k_abs**4
     lam = c1 / (k * species.density)  # odd in k: conjugate-mode symmetry
-    stream = -1j * k * v
-
-    def rhs(state):
-        n_t = np.dot(state, weights)
-        return stream * state + (1j * lam * n_t) * fprime
-
-    density = np.empty(n_steps + 1, dtype=complex)
-    density[0] = np.dot(phi, weights)
-    n0_abs = abs(density[0])
-    sixth = dt / 6.0
-    half = 0.5 * dt
-    for step in range(1, n_steps + 1):
-        k1 = rhs(phi)
-        k2 = rhs(phi + half * k1)
-        k3 = rhs(phi + half * k2)
-        k4 = rhs(phi + dt * k3)
-        phi = phi + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        n_now = np.dot(phi, weights)
-        density[step] = n_now
-        if n0_abs > 0.0 and abs(n_now) > 1e6 * n0_abs:
-            raise NumericalBlowup(f"density grew by {abs(n_now) / n0_abs:.3e} at step {step}")
+    density, phi = _propagate(phi, -1j * k * v, (1j * lam) * fprime, weights, dt, n_steps)
 
     run = OracleRun(
         k=k,
@@ -242,7 +262,7 @@ def evolve_mode(
         density=density,
         snapshot=phi,
     )
-    if fit and n0_abs > 0.0:
+    if fit and density[0] != 0.0:
         run.omega_fit, run.eta_fit, run.fit_residual = fit_omega_eta(run)
     return run
 

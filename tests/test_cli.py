@@ -5,13 +5,15 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 import _refs as R
-from disperse.cli import COMPARE_HEADER, CSV_HEADER, main
+from disperse.cli import COMPARE_HEADER, CSV_HEADER, main, oracle_agrees
 
 VTH_F02 = math.sqrt(R.VTH2_FERMI_02)
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 WEAK_SPECIES = f"""\
 [species]
@@ -218,25 +220,13 @@ def test_no_subcommand_is_usage_error():
 
 
 # ---------------------------------------------------------------------------
-# worker pool knob
+# shipped configs
 # ---------------------------------------------------------------------------
 
-def test_thread_env_accepts_explicit_count(tmp_path, monkeypatch):
-    monkeypatch.setenv("DISPERSE_THREADS", "1")
-    cfg = weak_sweep_ini(tmp_path, branches="WeakSimple")
-    assert main(["run", "--config", cfg, "--output-dir",
-                 str(tmp_path / "o"), "--quiet"]) == 0
-
-
-@pytest.mark.parametrize("raw, fragment", [
-    ("abc", "not an integer"),
-    ("-2", "must be positive or 0 for auto"),
-])
-def test_thread_env_rejects_garbage(tmp_path, capsys, monkeypatch, raw, fragment):
-    monkeypatch.setenv("DISPERSE_THREADS", raw)
-    cfg = weak_sweep_ini(tmp_path, branches="WeakSimple")
-    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 1
-    assert fragment in capsys.readouterr().err
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+def test_shipped_config_runs_clean(tmp_path, config):
+    assert main(["run", "--config", str(config), "--output-dir",
+                 str(tmp_path / "out"), "--quiet"]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +247,27 @@ enabled = true
 """, branches="WeakSimple, WeakBiquadratic")
     assert main(["compare", "--config", cfg]) == 1
     assert "compare requires an exact branch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega_oracle, eta_oracle, agrees", [
+    (1.0, -0.05 * 1.14, True),     # eta 14 percent off: inside the 15 percent bound
+    (1.0, -0.05 * 0.86, True),
+    (1.0, -0.05 * 1.16, False),    # 16 percent off: outside
+    (1.0, -0.05 * 0.84, False),
+    (1.0, 0.05, False),            # sign disagreement
+    (1.021, -0.05, False),         # omega 2.1 percent off
+    (1.019, -0.05, True),
+])
+def test_compare_gate_resolved_damping(omega_oracle, eta_oracle, agrees):
+    assert oracle_agrees(1.0, -0.05, omega_oracle, eta_oracle) is agrees
+
+
+def test_compare_gate_skips_eta_magnitude_below_resolution():
+    # solver |eta| below 1 percent of omega: only omega and the sign count
+    assert oracle_agrees(1.0, -0.009, 1.0, -0.009 * 3.0)
+    assert oracle_agrees(1.0, -0.009, 1.0, -1e-9)
+    assert not oracle_agrees(1.0, -0.009, 1.0, 0.009)
+    assert oracle_agrees(1.0, 0.0, 1.0, 0.004)     # undamped root: sign is noise
 
 
 def test_compare_happy_path(tmp_path, capsys):

@@ -28,6 +28,7 @@ from disperse import (
     fugacity_from_density,
     solve_at_k,
 )
+from disperse import kinetic_oracle
 from disperse.kinetic_oracle import OracleRun
 
 
@@ -53,6 +54,23 @@ def synthetic_run(omega, eta, n=4096, dt=0.01, real=False):
         z = z.real.astype(complex)
     return OracleRun(k=1.0, omega_guess=omega, v=np.zeros(2), times=t,
                      density=z, snapshot=np.zeros(2, dtype=complex))
+
+
+def plain_rk4(phi, stream, coupling, weights, dt, n_steps):
+    """Four-stage RK4 on the oracle's linear system, stage by stage: the
+    reference the oracle's one-map step is pinned against."""
+    def rhs(state):
+        return stream * state + np.dot(state, weights) * coupling
+
+    density = [np.dot(phi, weights)]
+    for _ in range(n_steps):
+        k1 = rhs(phi)
+        k2 = rhs(phi + 0.5 * dt * k1)
+        k3 = rhs(phi + 0.5 * dt * k2)
+        k4 = rhs(phi + dt * k3)
+        phi = phi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        density.append(np.dot(phi, weights))
+    return np.array(density), phi
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +177,28 @@ def test_conjugate_mode_bitwise(weak_fermion, weak_fermion_scales):
     plus = evolve_mode(k, weak_fermion, sc.alpha, cfg, fit=False)
     minus = evolve_mode(-k, weak_fermion, sc.alpha, cfg, fit=False)
     assert np.array_equal(minus.density, np.conj(plus.density))
+
+
+@pytest.mark.parametrize("case", ["thermal", "degenerate", "uniform_kick"])
+def test_step_matches_plain_rk4(case, monkeypatch, weak_fermion, weak_fermion_scales,
+                                electron_degenerate):
+    sc = weak_fermion_scales
+    k_thermal = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    k, species, alpha, cfg = {
+        "thermal": (k_thermal, weak_fermion, sc.alpha,
+                    OracleConfig(n_v=512, dt=0.005, t_end=20.0)),
+        # the smoothed Fermi edge needs dv <= v_F / 800, so no 512-point grid
+        "degenerate": (R.K_REF, electron_degenerate, None,
+                       OracleConfig(n_v=2560, dt=0.005, t_end=20.0)),
+        "uniform_kick": (k_thermal, weak_fermion, sc.alpha,
+                         OracleConfig(n_v=512, dt=0.005, t_end=20.0,
+                                      init_shape=InitShape.UniformDensityKick)),
+    }[case]
+    run = evolve_mode(k, species, alpha, cfg, fit=False)
+    monkeypatch.setattr(kinetic_oracle, "_propagate", plain_rk4)
+    ref = evolve_mode(k, species, alpha, cfg, fit=False)
+    assert np.abs(run.density - ref.density).max() <= 1e-12 * np.abs(ref.density).max()
+    assert np.abs(run.snapshot - ref.snapshot).max() <= 1e-12 * np.abs(ref.snapshot).max()
 
 
 def test_zero_amplitude_gives_zero_trace(weak_fermion, weak_fermion_scales):
