@@ -149,6 +149,12 @@ def residual_degenerate(
     return ResidualValue(real_part=real_part, imag_part=imag_part, region_flag=bool(step))
 
 
+# residual_weak series: tail tolerance, which also sizes the first block, and
+# the term budget
+_WEAK_TOL = 1e-14
+_WEAK_MAX_TERMS = 10_000
+
+
 def residual_weak(
     k: float,
     s: complex,
@@ -157,8 +163,6 @@ def residual_weak(
     scales: DerivedScales,
     *,
     bohm_term: bool = True,
-    tol: float = 1e-14,
-    max_terms: int = 10_000,
 ) -> complex:
     """Thermal-gas residual as a fugacity series over scaled complementary
     error functions, plus the occupation-pole term, normalized by the
@@ -179,11 +183,15 @@ def residual_weak(
     fermi = species.statistics is Statistics.FERMI
 
     # sum_j (-+1)^(j-1) (alpha^j / sqrt(j)) (G(sqrt(j) theta) - 1), truncated
-    # by the same coefficient tail bound as the occupation sums
+    # by the same coefficient tail bound as the occupation sums.  The block is
+    # sized so that the bound passes after one block when |G - 1| <= 1; a
+    # larger |G - 1|, from the reflection term at Re theta < 0, falls through
+    # to further blocks.
     total = 0.0 + 0.0j
     slack = 1.0 if fermi else 1.0 / (1.0 - alpha)
     g_sup = 1.0
-    block = 64
+    block = int(math.log(_WEAK_TOL / slack) / math.log(alpha)) + 2
+    block = min(max(block, 8), _WEAK_MAX_TERMS)
     j0 = 1
     while True:
         j = np.arange(j0, j0 + block, dtype=float)
@@ -195,11 +203,11 @@ def residual_weak(
         g_sup = max(1.0, float(np.max(np.abs(g - 1.0))))
         j_next = j0 + block
         bound = alpha**j_next / math.sqrt(j_next) * slack * g_sup
-        if bound < tol:
+        if bound < _WEAK_TOL:
             break
         j0 = j_next
-        if j0 > max_terms:
-            raise NonConvergent(f"response series passed {max_terms} terms (alpha = {alpha})")
+        if j0 > _WEAK_MAX_TERMS:
+            raise NonConvergent(f"response series passed {_WEAK_MAX_TERMS} terms (alpha = {alpha})")
 
     # pole of the occupation denominator at w = i s / k
     x = theta * theta

@@ -10,6 +10,7 @@ Units are SI throughout.  Temperatures in K, densities in 1/m^3.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -73,14 +74,16 @@ class SpeciesParams:
     fully_degenerate: bool = False
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
-        if not self.density > 0:
-            raise ValueError("density must be positive")
-        if self.spin_degeneracy < 1 or int(self.spin_degeneracy) != self.spin_degeneracy:
+        if not 0 < self.mass < math.inf:
+            raise ValueError("mass must be positive and finite")
+        if not math.isfinite(self.charge):
+            raise ValueError("charge must be finite")
+        if not 0 < self.density < math.inf:
+            raise ValueError("density must be positive and finite")
+        if not isinstance(self.spin_degeneracy, numbers.Integral) or self.spin_degeneracy < 1:
             raise ValueError("spin_degeneracy must be a positive integer")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be non-negative and finite")
         if not isinstance(self.statistics, Statistics):
             raise ValueError("statistics must be a Statistics member")
         if self.temperature == 0:
@@ -309,22 +312,33 @@ def _g_rational(z: np.ndarray) -> np.ndarray:
     return _SQRT_PI * z * w_iz
 
 
+# Coefficients (-1)^k (2k-1)!! of the asymptotic series
+# G = sum_k (-1)^k (2k-1)!! / (2 z^2)^k, k = 0..; for |z| > 6 the series is
+# cut at k <= 36 (the smallest term at |z|^2 = 36), so 40 entries suffice.
+_ASYM_COEFS = np.cumprod(np.concatenate(([1.0], 1.0 - 2.0 * np.arange(1, 40))))
+
+
+def _asymptotic_order(r2: float) -> int:
+    # last index kept at |z|^2 = r2: the smallest term, or the first term
+    # below 1e-17, whichever comes first.  A larger |z| in the same batch
+    # only sees terms that are still shrinking, so it loses nothing.
+    term = 1.0
+    for k in range(1, len(_ASYM_COEFS)):
+        ratio = (2.0 * k - 1.0) / (2.0 * r2)
+        if ratio >= 1.0:
+            return k - 1
+        term *= ratio
+        if term < 1e-17:
+            return k
+    return len(_ASYM_COEFS) - 1
+
+
 def _g_asymptotic(z: np.ndarray) -> np.ndarray:
-    # G = 1 - 1/(2 z^2) + 3/(4 z^4) - ..., truncated at the smallest term.
-    # Entered only for |z| > 6 where the smallest term is ~1e-15.
-    z2 = z * z
-    out = np.ones_like(z)
-    term = np.ones_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, 80):
-        nxt = term * (-(2.0 * k - 1.0)) / (2.0 * z2)
-        grow = np.abs(nxt) >= np.abs(term)
-        active &= ~grow
-        if not active.any():
-            break
-        out[active] += nxt[active]
-        term = nxt
-    return out
+    # One Horner pass in 1/(2 z^2) with a term count sized from the smallest
+    # |z| of the batch.  Entered only for |z| > 6, where the smallest term is
+    # ~1e-16.
+    n = _asymptotic_order(float(np.min(z.real * z.real + z.imag * z.imag)))
+    return np.polyval(_ASYM_COEFS[n::-1], 0.5 / (z * z))
 
 
 def scaled_erfc(z):

@@ -30,6 +30,7 @@ iterative branches only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +73,10 @@ class SolverConfig:
     continuation: bool = True
 
     def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not 0 < self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be positive and finite")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
         if not 0 < self.fd_step < 1e-3:
             raise ValueError("fd_step must lie in (0, 1e-3)")
 

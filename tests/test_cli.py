@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: config parsing, sweep output, compare gate."""
 
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import _refs as R
 from disperse.cli import COMPARE_HEADER, CSV_HEADER, main, oracle_agrees
 
 VTH_F02 = math.sqrt(R.VTH2_FERMI_02)
-CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "scripts" / "configs"
 
 WEAK_SPECIES = f"""\
 [species]
@@ -167,6 +169,19 @@ branches = WeakSimple
     assert "species.mass: cannot interpret 'heavy'" in capsys.readouterr().err
 
 
+def test_config_error_nan_charge(tmp_path, capsys):
+    cfg = write_ini(tmp_path, WEAK_SPECIES.replace(repr(-R.Q_E), "nan") + """
+[sweep]
+k_min = 1e8
+k_max = 1e9
+n_points = 4
+branches = WeakSimple
+""")
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: species:") and "charge" in err
+
+
 def test_config_error_neutral_without_restoring_force(tmp_path, capsys):
     cfg = write_ini(tmp_path, WEAK_SPECIES.replace(repr(-R.Q_E), "0.0") + """
 [sweep]
@@ -315,3 +330,31 @@ branches = QuantumLangmuir
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (out / "QuantumLangmuir.csv").exists()
+
+
+@pytest.mark.parametrize("charge, code", [(repr(-R.Q_E), 0), ("nan", 1)])
+def test_module_entry_point_exit_code(tmp_path, charge, code):
+    # runs main() behind `python -m disperse.cli` in a fresh interpreter, so
+    # the exit status reaches the shell even where the console script is
+    # not installed
+    cfg = write_ini(tmp_path, DEGENERATE_SPECIES.replace(repr(-R.Q_E), charge) + """
+[sweep]
+k_min = 0.1
+k_max = 0.5
+n_points = 3
+units = reduced
+branches = QuantumLangmuir
+""")
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "disperse.cli", "run", "--config", cfg,
+         "--output-dir", str(out), "--quiet"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert (out / "QuantumLangmuir.csv").exists()
+    else:
+        assert proc.stderr.startswith("config error: species:")

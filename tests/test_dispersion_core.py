@@ -32,6 +32,7 @@ from disperse import (
     residual_degenerate,
     residual_quadrature,
     residual_weak,
+    scaled_erfc,
     zeta_pm,
 )
 from disperse.quantum_stats import DerivedScales, K_B
@@ -249,6 +250,41 @@ def test_weak_reconciliation_identity(which, weak_fermion, weak_fermion_scales,
         pred = _pole_term(k, s, sp, sc.alpha, sc)
         scale = max(1.0, abs(rw), abs(rq), abs(pred))
         assert abs(rw + rq - pred) < 1e-12 * scale
+
+
+def _weak_fixed_sum(k, s, species, alpha, scales, n_terms=1024):
+    """residual_weak with its fugacity series summed over a fixed n_terms."""
+    beta = species.mass / (2.0 * K_B * species.temperature)
+    theta = math.sqrt(beta) * s / k
+    fermi = species.statistics is Statistics.FERMI
+    j = np.arange(1, n_terms + 1, dtype=float)
+    coef = alpha**j / np.sqrt(j)
+    if fermi:
+        coef = coef * np.where(j % 2.0 == 1.0, 1.0, -1.0)
+    total = np.sum(coef * (scaled_erfc(np.sqrt(j) * theta) - 1.0))
+    t = alpha * cmath.exp(theta * theta)
+    pole = 2.0 * math.sqrt(math.pi) * theta * t / (1.0 + t if fermi else 1.0 - t)
+    norm = (2.0 / 3.0) * scales.v_ch**3
+    return (coefficient_C1(k, scales) / k**2) * math.sqrt(math.pi / beta) * (total + pole) / norm - 1.0
+
+
+@pytest.mark.parametrize("statistics", [Statistics.FERMI, Statistics.BOSE])
+@pytest.mark.parametrize("temperature, alpha", [
+    (R.T_FERMI_02, 0.2), (R.T_FERMI_02, 0.9), (R.T_CLASSICAL, 1e-6)])
+def test_weak_series_truncation_matches_fixed_sum(statistics, temperature, alpha):
+    # residual_weak sizes its blocks from alpha; a 1024-term sum leaves a
+    # tail below 0.9^1024 ~ 1e-47.  The fugacity is an argument of
+    # residual_weak, so one temperature serves several alphas.
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    sc = derive_scales(sp)
+    vth = math.sqrt(sc.v_th_sq)
+    for y, s_frac in ((0.2, 1.08j), (0.35, -0.05 + 1.05j), (0.45, -0.3 + 0.9j)):
+        k = y * sc.omega_p / vth
+        s = s_frac * sc.omega_p
+        got = residual_weak(k, s, sp, alpha, sc)
+        want = _weak_fixed_sum(k, s, sp, alpha, sc)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_weak_and_quadrature_conjugate_symmetry(weak_fermion, weak_fermion_scales):

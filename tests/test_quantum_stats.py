@@ -132,6 +132,22 @@ def test_species_rejects_bad_inputs():
         SpeciesParams(**{**good, "statistics": "fermi"})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mass", math.inf), ("mass", math.nan),
+    ("charge", math.nan), ("charge", math.inf), ("charge", -math.inf),
+    ("density", math.inf), ("density", math.nan),
+    ("temperature", math.nan), ("temperature", math.inf),
+    ("spin_degeneracy", 2.0), ("spin_degeneracy", 1.5),
+])
+def test_species_rejects_non_finite_and_non_integer_fields(field, value):
+    # left through, these give a NaN or zero omega_p, a NaN fugacity target
+    # or a float degeneracy further down; the message names the field
+    good = dict(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                temperature=300.0, statistics=Statistics.FERMI)
+    with pytest.raises(ValueError, match=field):
+        SpeciesParams(**{**good, field: value})
+
+
 def test_species_zero_temperature_rules():
     deg = SpeciesParams(mass=R.M_E, charge=0.0, spin_degeneracy=2, density=R.N0,
                         temperature=0.0, statistics=Statistics.FERMI)
@@ -305,6 +321,33 @@ def test_scaled_erfc_shapes_and_types():
     assert out.shape == (2, 2)
     assert out[0, 0] == scaled_erfc(0.5)
     assert out[1, 1] == scaled_erfc(5.0j)
+
+
+def test_scaled_erfc_batch_independent():
+    # the large-|z| branch sizes its series from the smallest |z| of a
+    # batch; every element must still get its own value.  Left half-plane
+    # angles keep Re(z^2) <= 0, so the reflection term stays finite.
+    radii = np.geomspace(6.01, 50.0, 40)
+    angles = np.array([0.1, 0.7, 1.3, -0.4, -1.0, -1.5, 1.7, 2.2, -1.8, -2.3])
+    z = radii * np.exp(1j * np.resize(angles, radii.size))
+    batch = scaled_erfc(z)
+    single = np.array([scaled_erfc(complex(v)) for v in z])
+    assert np.all(np.abs(batch - single) <= 1e-15 * np.abs(single))
+
+
+def test_scaled_erfc_just_past_series_switch_matches_mpmath():
+    # 6 < |z| < 6.6 is where the asymptotic series has its largest smallest
+    # term.  Only Re z >= 0: the left half-plane reads these values back
+    # through the reflection formula.
+    mp = pytest.importorskip("mpmath")
+    radii = np.linspace(6.001, 6.599, 5)
+    angles = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 73)
+    z = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+    got = scaled_erfc(z)
+    with mp.workdps(30):
+        want = np.array([complex(mp.sqrt(mp.pi) * mp.mpc(v) * mp.exp(mp.mpc(v) ** 2)
+                                 * mp.erfc(mp.mpc(v))) for v in z])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 # ---------------------------------------------------------------------------

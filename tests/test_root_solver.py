@@ -48,8 +48,16 @@ def test_solver_config_validation():
         SolverConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(abs_tol=-1e-10)
+    with pytest.raises(ValueError, match="abs_tol"):
+        SolverConfig(abs_tol=math.inf)
+    with pytest.raises(ValueError, match="abs_tol"):
+        SolverConfig(abs_tol=math.nan)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig(max_iter=2.5)
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig(max_iter=10.0)
     with pytest.raises(ValueError):
         SolverConfig(fd_step=0.0)
     with pytest.raises(ValueError):
