@@ -46,7 +46,6 @@ from .kinetic_oracle import (
     InitShape,
     OracleConfig,
     OracleRun,
-    dump_density_csv,
     evolve_mode,
     fit_omega_eta,
 )
@@ -56,8 +55,6 @@ from .quantum_stats import (
     Statistics,
     characteristic_velocity,
     degeneracy_parameter,
-    degenerate_fz,
-    degenerate_fz_derivative,
     derive_scales,
     fugacity_from_density,
     plasma_frequency,
@@ -110,11 +107,8 @@ __all__ = [
     "check_branch_species",
     "coefficient_C1",
     "degeneracy_parameter",
-    "degenerate_fz",
-    "degenerate_fz_derivative",
     "derive_scales",
     "dominant_root",
-    "dump_density_csv",
     "evolve_mode",
     "first_point_seeds",
     "fit_omega_eta",

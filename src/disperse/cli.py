@@ -52,7 +52,7 @@ _SCHEMA = {
     "species": {"mass", "charge", "density", "temperature", "statistics",
                 "spin_degeneracy", "fully_degenerate"},
     "sweep": {"k_min", "k_max", "n_points", "spacing", "units", "branches"},
-    "solver": {"abs_tol", "max_iter", "fd_step", "continuation"},
+    "solver": {"abs_tol", "max_iter", "continuation"},
     "oracle": {"enabled", "subsample", "n_v", "v_max", "dt", "t_end", "init_shape"},
     "hooks": {"bohm_term"},
     "output": {"path", "precision"},
@@ -173,7 +173,6 @@ def load_config(path: str, output_dir: str | None = None) -> RunConfig:
         solver = SolverConfig(
             abs_tol=_get(cp, "solver", "abs_tol", float, default=1e-10),
             max_iter=_get(cp, "solver", "max_iter", int, default=100),
-            fd_step=_get(cp, "solver", "fd_step", float, default=1e-7),
             continuation=_get(cp, "solver", "continuation", _as_bool, default=True),
         )
     except ValueError as exc:
@@ -240,7 +239,6 @@ def resolved_config_text(cfg: RunConfig) -> str:
         "[solver]",
         f"abs_tol = {cfg.solver.abs_tol!r}",
         f"max_iter = {cfg.solver.max_iter}",
-        f"fd_step = {cfg.solver.fd_step!r}",
         f"continuation = {str(cfg.solver.continuation).lower()}",
         "",
         "[oracle]",

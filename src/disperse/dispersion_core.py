@@ -199,7 +199,11 @@ def residual_weak(
         coef = np.power(alpha, j) / np.sqrt(j)
         if fermi:
             coef = coef * np.where(j % 2.0 == 1.0, 1.0, -1.0)
-        total += complex(np.sum(coef * (g - 1.0)))
+        part = complex(np.sum(coef * (g - 1.0)))
+        if not cmath.isfinite(part):
+            # alpha exp(Re theta^2) > 1: the terms grow, so no later block helps
+            raise NonConvergent(f"response series diverges at theta = {theta:.6g} (alpha = {alpha})")
+        total += part
         g_sup = max(1.0, float(np.max(np.abs(g - 1.0))))
         j_next = j0 + block
         bound = alpha**j_next / math.sqrt(j_next) * slack * g_sup

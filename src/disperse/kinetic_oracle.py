@@ -342,11 +342,3 @@ def fit_omega_eta(run: OracleRun):
     coef = np.vdot(model, z_fit) / np.vdot(model, model)
     resid = float(np.linalg.norm(z_fit - coef * model) / np.linalg.norm(z_fit))
     return abs(omega_signed), eta_fit, resid
-
-
-def dump_density_csv(run: OracleRun, path) -> None:
-    """Write the recorded density trace as CSV: t, Re N, Im N, |N|."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("t,re_N,im_N,abs_N\n")
-        for t, n in zip(run.times, run.density):
-            handle.write(f"{t:.16e},{n.real:.16e},{n.imag:.16e},{abs(n):.16e}\n")

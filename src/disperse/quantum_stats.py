@@ -433,33 +433,3 @@ def reduced_fz_derivative(w, species: SpeciesParams, alpha: float):
             raise NonConvergent("distribution series exceeded 100000 terms")
     out = -2.0 * math.pi * a_w * w_arr * acc
     return float(out) if np.ndim(w) == 0 else out
-
-
-def degenerate_fz(v, species: SpeciesParams):
-    """Ground-state 1d distribution pi a (v_F^2 - v^2) inside |v| <= v_F.
-
-    The edge |v| = v_F belongs to the support (the step convention is
-    U(0) = 1), though the parabola vanishes there anyway.
-    """
-    if species.statistics is not Statistics.FERMI:
-        raise ValueError("ground-state distribution requires Fermi statistics")
-    v_arr = np.asarray(v, dtype=float)
-    v_f = characteristic_velocity(species)
-    a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
-    out = np.where(v_arr * v_arr <= v_f * v_f, math.pi * a_w * (v_f * v_f - v_arr * v_arr), 0.0)
-    return float(out) if np.ndim(v) == 0 else out
-
-
-def degenerate_fz_derivative(v, species: SpeciesParams):
-    """d/dv of degenerate_fz: -2 pi a v on |v| <= v_F, zero outside.
-
-    Nonzero at the edge itself (U(0) = 1), which is what the response
-    integrals assume.
-    """
-    if species.statistics is not Statistics.FERMI:
-        raise ValueError("ground-state distribution requires Fermi statistics")
-    v_arr = np.asarray(v, dtype=float)
-    v_f = characteristic_velocity(species)
-    a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
-    out = np.where(v_arr * v_arr <= v_f * v_f, -2.0 * math.pi * a_w * v_arr, 0.0)
-    return float(out) if np.ndim(v) == 0 else out

@@ -1,25 +1,27 @@
 """Damped Newton iteration on the dispersion residuals, plus k sweeps.
 
-Coordinates are chosen per branch family so the iteration is well scaled:
+Every exact branch is solved in one frame, the scaled complex rate
+z = s / omega_ref with s = eta + i*omega and omega_ref = Omega_p for charged
+gases, k v_ch for neutral ones.  All three residuals are holomorphic in s
+away from their branch cuts: residual_weak and residual_quadrature as they
+stand, and residual_degenerate once its printed (r, epsilon) split is
+recombined as real_part - i*pref*imag_part with pref = 3 C1/(k^2 v_ch^2 r).
+By Cauchy-Riemann one forward difference along omega therefore gives the
+complex derivative f'(z), and each Newton iteration costs two residual
+calls plus line-search trials.
 
-* ExactDegenerate works in (r, epsilon) = (k v_F/omega, eta/omega).  The
-  residual's imaginary part is identically zero along epsilon = 0 inside the
-  resonance-free region, and the finite-difference Jacobian preserves an
-  exactly-zero epsilon through the update, so undamped roots keep eta = 0.0
-  bitwise.
-* ExactWeak and ExactQuadrature work in (omega, eta)/omega_ref with
-  omega_ref = Omega_p for charged gases and k v_ch for neutral ones.
-
-On the eta = 0 slice the imaginary residual component can vanish over an
-open neighborhood (resonance-free degenerate region) or sit many orders
-below the real component (thermal Landau terms underflowing at small k).
-Either way the 2-vector Jacobian row carries no usable information, so
-when the seed's imaginary residual is within half the solver tolerance
-the solver first runs damped Newton on the surviving scalar equation in
-the frequency coordinate with eta pinned, falling back to the 2-vector
-iteration if that fails.  The full residual vector still gates
-convergence, so a root that actually needs eta != 0 cannot converge
-falsely through the scalar path.
+On the eta = 0 axis the residual is real up to roundoff or underflow: the
+resonance-free degenerate interior has an exactly zero imaginary part, and
+thermal Landau terms underflow at small k.  When Re z is exactly 0.0 and the
+imaginary residual is within half the tolerance, the step is taken along
+omega only, which keeps eta == +0.0 bitwise on undamped roots.  If that step
+is rejected 20 times the full complex step is tried from the same iterate.
+Off the axis the order is reversed: when the full step is rejected 20 times,
+the step along omega that zeroes the real residual is tried.  That takes a
+damped seed inside the degenerate continuum, where the printed residual
+jumps across eta = 0, back to the undamped root.
+Convergence is always judged on the full complex residual, so a root that
+needs eta != 0 cannot converge falsely on the axis.
 
 Closed-form branches skip the iteration entirely; their residual_norm is a
 back-substitution diagnostic into the matching exact residual, so the
@@ -29,11 +31,10 @@ iterative branches only.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dispersion_core import (
     CLOSED_FORM_BRANCHES,
@@ -42,7 +43,6 @@ from .dispersion_core import (
     BranchId,
     ComplexRate,
     DerivedScales,
-    ResidualValue,
     coefficient_C1,
     omega_c1_corrected,
     omega_degenerate_bohm_gross,
@@ -64,12 +64,14 @@ from .errors import (
 )
 from .quantum_stats import SpeciesParams
 
+# forward-difference step along omega, relative to max(|Im z|, 0.1)
+_FD_STEP = 1e-7
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     abs_tol: float = 1e-10
     max_iter: int = 100
-    fd_step: float = 1e-7
     continuation: bool = True
 
     def __post_init__(self):
@@ -77,8 +79,6 @@ class SolverConfig:
             raise ValueError("abs_tol must be positive and finite")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
-        if not 0 < self.fd_step < 1e-3:
-            raise ValueError("fd_step must lie in (0, 1e-3)")
 
 
 @dataclass(frozen=True)
@@ -107,169 +107,81 @@ def _resonance_gap(r: float, epsilon: float) -> bool:
     return abs(r - 1.0) < 1e-6 and abs(epsilon) < 1e-6
 
 
-def _newton(fun, x0, config: SolverConfig, reject):
-    """Damped Newton on a 2-vector residual with forward-difference Jacobian.
-
-    Returns (x, norm, iterations).  Raises NoConvergence/SingularJacobian
-    with (x, norm, iterations) attached as the .partial attribute.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    f = np.asarray(fun(x), dtype=float)
-    norm = float(np.max(np.abs(f)))
-    iterations = 0
-    while norm > config.abs_tol:
-        if iterations >= config.max_iter:
-            err = NoConvergence(f"no convergence after {iterations} iterations, residual {norm:.3e}")
-            err.partial = (x, norm, iterations)
-            raise err
-        jac = np.empty((2, 2))
-        for i in range(2):
-            h = config.fd_step * max(abs(x[i]), 0.1)
-            xp = x.copy()
-            xp[i] += h
-            try:
-                fp = np.asarray(fun(xp), dtype=float)
-            except SingularInput:
-                xp[i] = x[i] - h
-                fp = np.asarray(fun(xp), dtype=float)
-                h = -h
-            jac[:, i] = (fp - f) / h
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        norm_j = float(np.max(np.abs(jac).sum(axis=1)))
-        if det == 0.0 or not math.isfinite(det) or norm_j * norm_j / abs(det) > 1e12:
-            err = SingularJacobian(f"Jacobian condition beyond 1e12 at iterate {x.tolist()}")
-            err.partial = (x, norm, iterations)
-            raise err
-        dx = np.array(
-            [
-                (f[0] * jac[1, 1] - f[1] * jac[0, 1]) / det,
-                (jac[0, 0] * f[1] - jac[1, 0] * f[0]) / det,
-            ]
-        )
-        step = 1.0
-        accepted = False
-        for _ in range(20):
-            xn = x - step * dx
-            if reject is not None and reject(xn):
-                step *= 0.5
-                continue
-            try:
-                fn = np.asarray(fun(xn), dtype=float)
-            except (SingularInput, NonConvergent):
-                step *= 0.5
-                continue
-            nn = float(np.max(np.abs(fn)))
-            if math.isfinite(nn) and nn < norm:
-                x, f, norm = xn, fn, nn
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            err = NoConvergence(f"step rejected 20 times at residual {norm:.3e}")
-            err.partial = (x, norm, iterations)
-            raise err
-        iterations += 1
-    return x, norm, iterations
+def _max_abs(f: complex) -> float:
+    return max(abs(f.real), abs(f.imag))
 
 
-def _newton_scalar(fun, x0, config: SolverConfig, reject):
-    """Damped Newton in the first coordinate with the second held fixed.
+def _stalled(err, z: complex, norm: float, iterations: int):
+    err.partial = ((z.imag, z.real), norm, iterations)
+    return err
 
-    Used when the imaginary residual component is negligible at an
-    eta = 0 seed: the 2-vector Jacobian row is all but zero, while the
-    real equation alone is well posed.  Convergence is still measured on
-    the full residual vector.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    f = np.asarray(fun(x), dtype=float)
-    norm = float(np.max(np.abs(f)))
-    iterations = 0
-    while norm > config.abs_tol:
-        if iterations >= config.max_iter:
-            err = NoConvergence(f"no convergence after {iterations} iterations, residual {norm:.3e}")
-            err.partial = (x, norm, iterations)
-            raise err
-        h = config.fd_step * max(abs(x[0]), 0.1)
-        xp = x.copy()
-        xp[0] += h
+
+def _line_search(fun, reject, z: complex, dz: complex, norm: float):
+    """Try z - dz, halving the step up to 20 times until the residual norm
+    falls; returns (z, f) or None."""
+    step = 1.0
+    for _ in range(20):
+        zn = complex(z.real - step * dz.real, z.imag - step * dz.imag)
+        step *= 0.5
+        if reject(zn):
+            continue
         try:
-            fp = np.asarray(fun(xp), dtype=float)
-        except SingularInput:
-            xp[0] = x[0] - h
-            fp = np.asarray(fun(xp), dtype=float)
-            h = -h
-        slope = (fp[0] - f[0]) / h
-        if slope == 0.0 or not math.isfinite(slope):
-            err = SingularJacobian(f"flat real residual at iterate {x.tolist()}")
-            err.partial = (x, norm, iterations)
-            raise err
-        dx = f[0] / slope
-        step = 1.0
-        accepted = False
-        for _ in range(20):
-            xn = x.copy()
-            xn[0] = x[0] - step * dx
-            if reject is not None and reject(xn):
-                step *= 0.5
-                continue
-            try:
-                fn = np.asarray(fun(xn), dtype=float)
-            except (SingularInput, NonConvergent):
-                step *= 0.5
-                continue
-            nn = float(np.max(np.abs(fn)))
-            if math.isfinite(nn) and nn < norm:
-                x, f, norm = xn, fn, nn
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            err = NoConvergence(f"step rejected 20 times at residual {norm:.3e}")
-            err.partial = (x, norm, iterations)
-            raise err
-        iterations += 1
-    return x, norm, iterations
-
-
-def _solve_exact(fun, x0, config: SolverConfig, reject):
-    # detect the undamped slice where the 2-vector system degenerates: the
-    # imaginary component is exactly zero (resonance-free degenerate region)
-    # or beneath the tolerance (Landau terms underflowed at small k), so the
-    # Jacobian row carries no usable information either way
-    scalar_err = None
-    if x0[1] == 0.0:
-        try:
-            f0 = fun(x0)
+            fn = fun(zn)
         except (SingularInput, NonConvergent):
-            f0 = None
-        if f0 is not None and abs(f0[1]) <= 0.5 * config.abs_tol:
-            try:
-                return _newton_scalar(fun, x0, config, reject)
-            except (NoConvergence, SingularJacobian) as err:
-                scalar_err = err
-    try:
-        return _newton(fun, x0, config, reject)
-    except (NoConvergence, SingularJacobian) as err:
-        # keep whichever attempt got closest
-        if scalar_err is not None and scalar_err.partial[1] < err.partial[1]:
-            raise scalar_err
-        raise err
+            continue
+        if _max_abs(fn) < norm:
+            return zn, fn
+    return None
 
 
-def _closed_form_value(branch: BranchId, k, species, scales, bohm_term) -> float:
-    if branch is BranchId.QuantumLangmuir:
-        return omega_quantum_langmuir(k, scales, bohm_term=bohm_term)
-    if branch is BranchId.C1Corrected:
-        return omega_c1_corrected(k, scales, bohm_term=bohm_term)
-    if branch is BranchId.DegenerateBohmGross:
-        return omega_degenerate_bohm_gross(k, scales, bohm_term=bohm_term)
-    if branch is BranchId.ZeroSound:
-        return omega_zero_sound(k, scales, bohm_term=bohm_term)
-    if branch is BranchId.WeakBiquadratic:
-        return omega_weak_biquadratic(k, species, scales, bohm_term=bohm_term)
-    if branch is BranchId.WeakSimple:
-        return omega_weak_simple(k, species, scales, bohm_term=bohm_term)
-    raise ValueError(f"{branch.name} is not a closed-form branch")
+def _newton(fun, z: complex, config: SolverConfig, reject):
+    """Damped Newton on a residual holomorphic in the scaled rate z.
+
+    Returns (z, norm, iterations).  Raises NoConvergence/SingularJacobian
+    with ((Im z, Re z), norm, iterations) attached as the .partial attribute.
+    """
+    f = fun(z)
+    norm = _max_abs(f)
+    iterations = 0
+    while not norm <= config.abs_tol:
+        if iterations >= config.max_iter:
+            raise _stalled(NoConvergence(f"no convergence after {iterations} iterations, residual {norm:.3e}"),
+                           z, norm, iterations)
+        h = _FD_STEP * max(abs(z.imag), 0.1)
+        try:
+            fp = fun(complex(z.real, z.imag + h))
+        except SingularInput:
+            h = -h
+            fp = fun(complex(z.real, z.imag + h))
+        df = (fp - f) / h  # df/d(Im z) = i f'(z)
+        if df == 0 or not cmath.isfinite(df):
+            raise _stalled(SingularJacobian(f"vanishing or non-finite derivative at iterate {z}"),
+                           z, norm, iterations)
+        # the Newton step f / f'(z) and the step along omega that zeroes Re f,
+        # each the other's fallback; on the axis with a real residual the
+        # latter goes first, which keeps eta == +0.0 bitwise
+        newton = 1j * f / df
+        along = complex(0.0, f.real / df.real) if df.real != 0.0 else newton
+        pinned = z.real == 0.0 and abs(f.imag) <= 0.5 * config.abs_tol
+        first, second = (along, newton) if pinned else (newton, along)
+        trial = _line_search(fun, reject, z, first, norm) or _line_search(fun, reject, z, second, norm)
+        if trial is None:
+            raise _stalled(NoConvergence(f"step rejected 20 times at residual {norm:.3e}"), z, norm, iterations)
+        z, f = trial
+        norm = _max_abs(f)
+        iterations += 1
+    return z, norm, iterations
+
+
+# every closed form under one call shape (k, species, scales, bohm_term)
+_CLOSED_FORMS = {
+    BranchId.QuantumLangmuir: lambda k, sp, sc, bt: omega_quantum_langmuir(k, sc, bohm_term=bt),
+    BranchId.C1Corrected: lambda k, sp, sc, bt: omega_c1_corrected(k, sc, bohm_term=bt),
+    BranchId.DegenerateBohmGross: lambda k, sp, sc, bt: omega_degenerate_bohm_gross(k, sc, bohm_term=bt),
+    BranchId.ZeroSound: lambda k, sp, sc, bt: omega_zero_sound(k, sc, bohm_term=bt),
+    BranchId.WeakBiquadratic: lambda k, sp, sc, bt: omega_weak_biquadratic(k, sp, sc, bohm_term=bt),
+    BranchId.WeakSimple: lambda k, sp, sc, bt: omega_weak_simple(k, sp, sc, bohm_term=bt),
+}
 
 
 def _region_flag(k: float, rate: ComplexRate, scales: DerivedScales) -> bool:
@@ -294,7 +206,7 @@ def solve_at_k(
     check_branch_species(branch, species, scales)
 
     if branch in CLOSED_FORM_BRANCHES:
-        omega = _closed_form_value(branch, k, species, scales, bohm_term)
+        omega = _CLOSED_FORMS[branch](k, species, scales, bohm_term)
         rate = ComplexRate(eta=0.0, omega=omega)
         try:
             if branch in DEGENERATE_BRANCHES:
@@ -316,58 +228,38 @@ def solve_at_k(
             region_flag=_region_flag(k, rate, scales),
         )
 
+    omega_ref = scales.omega_p if species.charge != 0.0 else k * scales.v_ch
+    r_ref = k * scales.v_ch / omega_ref  # r = k v_ch / omega = r_ref / Im z
+
     if branch is BranchId.ExactDegenerate:
-        v_ch = scales.v_ch
+        # pref = 3 C1 / (k^2 v_ch^2 r) = pref_r / r, with C1 evaluated once
+        pref_r = 3.0 * coefficient_C1(k, scales, bohm_term=bohm_term) / (k * k * scales.v_ch**2)
 
-        def fun(x):
-            res = residual_degenerate(x[0], x[1], k, scales, bohm_term=bohm_term)
-            return (res.real_part, res.imag_part)
+        def fun(z):
+            r = r_ref / z.imag
+            res = residual_degenerate(r, z.real / z.imag, k, scales, bohm_term=bohm_term)
+            return complex(res.real_part, -pref_r / r * res.imag_part)
 
-        def reject(x):
-            return x[0] <= 0.0 or _resonance_gap(x[0], x[1])
+    elif branch is BranchId.ExactWeak:
 
-        x0 = (seed.r(k, v_ch), seed.epsilon)
+        def fun(z):
+            s = complex(z.real * omega_ref, z.imag * omega_ref)
+            return residual_weak(k, s, species, scales.alpha, scales, bohm_term=bohm_term)
 
-        def decode(x):
-            omega = k * v_ch / x[0]
-            return ComplexRate(eta=x[1] * omega, omega=omega)
+    else:  # ExactQuadrature
+        q_alpha = None if species.fully_degenerate else scales.alpha
 
-    else:
-        omega_ref = scales.omega_p if species.charge != 0.0 else k * scales.v_ch
-        if branch is BranchId.ExactWeak:
+        def fun(z):
+            s = complex(z.real * omega_ref, z.imag * omega_ref)
+            return residual_quadrature(k, s, species, q_alpha, scales, bohm_term=bohm_term)
 
-            def fun(x):
-                val = residual_weak(
-                    k, complex(x[1] * omega_ref, x[0] * omega_ref), species, scales.alpha, scales,
-                    bohm_term=bohm_term,
-                )
-                return (val.real, val.imag)
+    def reject(z):
+        if z.imag <= 0.0:
+            return True
+        return species.fully_degenerate and _resonance_gap(r_ref / z.imag, z.real / z.imag)
 
-        else:  # ExactQuadrature
-            q_alpha = None if species.fully_degenerate else scales.alpha
-
-            def fun(x):
-                val = residual_quadrature(
-                    k, complex(x[1] * omega_ref, x[0] * omega_ref), species, q_alpha, scales,
-                    bohm_term=bohm_term,
-                )
-                return (val.real, val.imag)
-
-        def reject(x):
-            if x[0] <= 0.0:
-                return True
-            if species.fully_degenerate:
-                omega = x[0] * omega_ref
-                return _resonance_gap(k * scales.v_ch / omega, x[1] / x[0])
-            return False
-
-        x0 = (seed.omega / omega_ref, seed.eta / omega_ref)
-
-        def decode(x):
-            return ComplexRate(eta=x[1] * omega_ref, omega=x[0] * omega_ref)
-
-    def build(x, norm, iterations, converged):
-        rate = decode(x)
+    def build(z, norm, iterations, converged):
+        rate = ComplexRate(eta=z.real * omega_ref, omega=z.imag * omega_ref)
         return DispersionResult(
             k=k,
             branch=branch,
@@ -379,16 +271,14 @@ def solve_at_k(
             region_flag=_region_flag(k, rate, scales),
         )
 
+    z0 = complex(seed.eta / omega_ref, seed.omega / omega_ref)
     try:
-        x, norm, iterations = _solve_exact(fun, x0, config, reject)
+        z, norm, iterations = _newton(fun, z0, config, reject)
     except (NoConvergence, SingularJacobian) as err:
-        x, norm, iterations = err.partial
-        try:
-            err.result = build(x, norm, iterations, converged=False)
-        except ValueError:
-            err.result = None  # last iterate not even decodable (omega <= 0)
+        (omega, eta), norm, iterations = err.partial
+        err.result = build(complex(eta, omega), norm, iterations, converged=False)
         raise
-    return build(x, norm, iterations, converged=True)
+    return build(z, norm, iterations, converged=True)
 
 
 def _matched_closed(

@@ -149,6 +149,8 @@ max_iter = 1
      "branches = WeakSimple\n[grids]\nn = 2\n", "grids: unknown section"),
     ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
      "branches = ExactDegenerate\n", "requires a fully degenerate species"),
+    ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
+     "branches = WeakSimple\n[solver]\nfd_step = 1e-7\n", "solver.fd_step: unknown field"),
 ])
 def test_config_errors(tmp_path, capsys, mutation, fragment):
     cfg = write_ini(tmp_path, WEAK_SPECIES + mutation)

@@ -17,6 +17,7 @@ import _refs as R
 from disperse import (
     BranchId,
     ComplexRate,
+    NonConvergent,
     ResidualValue,
     SingularInput,
     SpeciesParams,
@@ -35,6 +36,7 @@ from disperse import (
     scaled_erfc,
     zeta_pm,
 )
+from disperse import dispersion_core
 from disperse.quantum_stats import DerivedScales, K_B
 
 
@@ -307,6 +309,25 @@ def test_weak_overflow_guard_stays_finite(weak_fermion, weak_fermion_scales):
     s = complex(40.0 * k / math.sqrt(beta), 0.0)
     z = residual_weak(k, s, sp, sc.alpha, sc)
     assert np.isfinite(z.real) and np.isfinite(z.imag)
+
+
+def test_weak_divergent_series_fails_fast(monkeypatch, weak_fermion, weak_fermion_scales):
+    # s = (-3 + i) omega_p at k v_th / omega_p = 0.4: alpha exp(Re theta^2)
+    # far above 1, so the first block already overflows; the series must give
+    # up there instead of running on to its term budget
+    sp, sc = weak_fermion, weak_fermion_scales
+    k = 0.4 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    calls = []
+
+    def counted(z):
+        calls.append(len(z))
+        return scaled_erfc(z)
+
+    monkeypatch.setattr(dispersion_core, "scaled_erfc", counted)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NonConvergent, match="diverges"):
+            residual_weak(k, complex(-3.0, 1.0) * sc.omega_p, sp, sc.alpha, sc)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

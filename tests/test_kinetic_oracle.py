@@ -21,7 +21,6 @@ from disperse import (
     OracleConfig,
     SpeciesParams,
     Statistics,
-    dump_density_csv,
     evolve_mode,
     first_point_seeds,
     fit_omega_eta,
@@ -335,23 +334,3 @@ def test_fit_independent_of_omega_guess(weak_fermion, weak_fermion_scales):
     lo = evolve_mode(k, sp, sc.alpha, cfg, omega_guess=0.8 * mid.omega_fit)
     hi = evolve_mode(k, sp, sc.alpha, cfg, omega_guess=1.2 * mid.omega_fit)
     assert rel(lo.omega_fit, hi.omega_fit) < 1e-3
-
-
-# ---------------------------------------------------------------------------
-# output
-# ---------------------------------------------------------------------------
-
-def test_dump_density_csv(tmp_path, weak_fermion, weak_fermion_scales):
-    sc = weak_fermion_scales
-    k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    run = evolve_mode(k, weak_fermion, sc.alpha,
-                      OracleConfig(n_v=512, dt=0.01, t_end=20.0), fit=False)
-    path = tmp_path / "trace.csv"
-    dump_density_csv(run, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,re_N,im_N,abs_N"
-    assert len(lines) == len(run.density) + 1
-    t0, re0, im0, mag0 = (float(cell) for cell in lines[1].split(","))
-    assert t0 == 0.0
-    assert complex(re0, im0) == run.density[0]
-    assert mag0 == abs(run.density[0])

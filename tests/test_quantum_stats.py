@@ -19,8 +19,6 @@ from disperse import (
     Statistics,
     characteristic_velocity,
     degeneracy_parameter,
-    degenerate_fz,
-    degenerate_fz_derivative,
     derive_scales,
     fugacity_from_density,
     plasma_frequency,
@@ -376,39 +374,3 @@ def test_reduced_fz_validation(weak_fermion, electron_degenerate):
         reduced_fz(0.0, weak_fermion, 1.0)
     with pytest.raises(ValueError):
         reduced_fz(0.0, electron_degenerate, 0.5)
-
-
-def test_degenerate_fz_parabola(electron_degenerate):
-    sp = electron_degenerate
-    a_w = sp.spin_degeneracy * sp.mass**3 / PLANCK_H**3
-    v_f = characteristic_velocity(sp)
-    v = np.linspace(-v_f, v_f, 101)
-    expected = math.pi * a_w * (v_f * v_f - v * v)
-    assert np.allclose(degenerate_fz(v, sp), expected, rtol=1e-14, atol=0.0)
-    # nothing outside the support
-    assert degenerate_fz(1.0001 * v_f, sp) == 0.0
-    assert degenerate_fz(-2.0 * v_f, sp) == 0.0
-
-
-def test_degenerate_fz_normalization(electron_degenerate):
-    v_f = characteristic_velocity(electron_degenerate)
-    v = np.linspace(-v_f, v_f, 100001)
-    total = np.trapezoid(degenerate_fz(v, electron_degenerate), v)
-    assert rel(total, R.N0) < 1e-9
-
-
-def test_degenerate_fz_derivative_antisymmetric(electron_degenerate):
-    sp = electron_degenerate
-    v_f = characteristic_velocity(sp)
-    v = np.linspace(0.01 * v_f, v_f, 200)
-    plus = degenerate_fz_derivative(v, sp)
-    minus = degenerate_fz_derivative(-v, sp)
-    assert np.array_equal(minus, -plus)
-    # the edge belongs to the support: the slope is nonzero right at v_F
-    assert degenerate_fz_derivative(v_f, sp) != 0.0
-    assert degenerate_fz_derivative(1.0001 * v_f, sp) == 0.0
-
-
-def test_degenerate_fz_requires_fermions(weak_boson):
-    with pytest.raises(ValueError):
-        degenerate_fz(0.0, weak_boson)

@@ -20,6 +20,7 @@ from disperse import (
     solve_at_k,
     sweep,
 )
+from disperse import root_solver
 from disperse.errors import NoConvergence
 
 
@@ -43,7 +44,7 @@ def converged_root(k, branch, species, scales, config=SolverConfig()):
 # ---------------------------------------------------------------------------
 
 def test_solver_config_validation():
-    SolverConfig(abs_tol=1e-12, max_iter=10, fd_step=9e-4)  # fine
+    SolverConfig(abs_tol=1e-12, max_iter=10)  # fine
     with pytest.raises(ValueError):
         SolverConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
@@ -58,12 +59,6 @@ def test_solver_config_validation():
         SolverConfig(max_iter=2.5)
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=10.0)
-    with pytest.raises(ValueError):
-        SolverConfig(fd_step=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(fd_step=1e-3)  # bound is exclusive
-    with pytest.raises(ValueError):
-        SolverConfig(fd_step=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +124,62 @@ def test_back_substitution_into_quadrature(
         res = converged_root(k, branch, sp, sc)
         s = complex(res.rate.eta, res.rate.omega)
         assert abs(residual_quadrature(k, s, sp, alpha, sc)) < budget, branch.name
+
+
+def test_newton_costs_two_residual_calls_per_iteration(
+    monkeypatch, weak_fermion, weak_fermion_scales
+):
+    # one call at the seed, then per iteration one derivative probe along
+    # omega and one accepted trial (no step is halved from this seed)
+    sc = weak_fermion_scales
+    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    seed = first_point_seeds(k, BranchId.ExactWeak, weak_fermion, sc)[0]
+    calls = []
+    original = root_solver.residual_weak
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(root_solver, "residual_weak", counted)
+    res = solve_at_k(k, BranchId.ExactWeak, weak_fermion, sc, seed)
+    assert res.converged and res.iterations >= 2
+    assert res.rate.eta < 0.0  # the iteration left the axis
+    assert len(calls) == 1 + 2 * res.iterations
+
+
+@pytest.mark.parametrize("gas", ["weak_fermion", "weak_boson"])
+@pytest.mark.parametrize("branch", [BranchId.ExactWeak, BranchId.ExactQuadrature])
+def test_thermal_small_k_roots_stay_on_axis(request, gas, branch):
+    # the Landau term underflows at k v_th / omega_p = 0.1, so the residual is
+    # real on the axis up to roundoff and eta must come back as +0.0
+    sp = request.getfixturevalue(gas)
+    sc = request.getfixturevalue(gas + "_scales")
+    k = 0.1 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    res = converged_root(k, branch, sp, sc)
+    assert res.residual_norm < 1e-10
+    assert res.rate.eta == 0.0 and math.copysign(1.0, res.rate.eta) == 1.0
+    assert not res.damped
+
+
+def test_degenerate_from_damped_continuum_seed_matches_quadrature(
+    electron_degenerate, electron_degenerate_scales
+):
+    # The printed degenerate residual has no damped root for this gas, so the
+    # recombined complex residual is exercised off the axis instead: from a
+    # damped seed inside the continuum (r = 2, epsilon = -0.1, region flag
+    # set), where the residual jumps across eta = 0, both exact routes must
+    # come back to the same undamped root.
+    sp, sc = electron_degenerate, electron_degenerate_scales
+    omega = R.K_REF * sc.v_ch / 2.0
+    seed = ComplexRate(eta=-0.1 * omega, omega=omega)
+    assert (R.K_REF * sc.v_ch) ** 2 + seed.eta**2 - seed.omega**2 >= 0.0
+    deg = solve_at_k(R.K_REF, BranchId.ExactDegenerate, sp, sc, seed)
+    quad = solve_at_k(R.K_REF, BranchId.ExactQuadrature, sp, sc, seed)
+    assert deg.converged and quad.converged
+    assert deg.residual_norm < 1e-10
+    assert abs(deg.rate.s - quad.rate.s) < 1e-9 * abs(quad.rate.s)
+    assert rel(deg.rate.omega, R.DEG_ROOT_OMEGA) < 1e-9
 
 
 # ---------------------------------------------------------------------------
