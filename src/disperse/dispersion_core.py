@@ -75,11 +75,21 @@ class ComplexRate:
 @dataclass(frozen=True)
 class ResidualValue:
     """Real and imaginary residual components plus the resonance-region flag
-    (True when r^2 + epsilon^2 >= 1, i.e. the step term is active)."""
+    (True when r^2 + epsilon^2 >= 1, i.e. the step term is active).
+
+    imag_part has the common prefactor pref = 3 C1 / (k^2 v_ch^2 r) divided
+    out; `analytic` puts it back.
+    """
 
     real_part: float
     imag_part: float
     region_flag: bool
+    pref: float = math.nan
+
+    @property
+    def analytic(self) -> complex:
+        """The residual as a function holomorphic in s = eta + i omega."""
+        return complex(self.real_part, -self.pref * self.imag_part)
 
 
 class BranchId(Enum):
@@ -146,7 +156,7 @@ def residual_degenerate(
     pref = 3.0 * c1 / (k * k * v_f * v_f * r)
     real_part = 1.0 - pref * (0.5 * epsilon * big_a - 0.25 * lg - r + math.pi * epsilon * step)
     imag_part = 0.5 * big_a + 0.25 * epsilon * lg + math.pi * step
-    return ResidualValue(real_part=real_part, imag_part=imag_part, region_flag=bool(step))
+    return ResidualValue(real_part=real_part, imag_part=imag_part, region_flag=bool(step), pref=pref)
 
 
 # residual_weak series: tail tolerance, which also sizes the first block, and

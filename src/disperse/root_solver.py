@@ -23,6 +23,11 @@ jumps across eta = 0, back to the undamped root.
 Convergence is always judged on the full complex residual, so a root that
 needs eta != 0 cannot converge falsely on the axis.
 
+For a fully degenerate species trial points with eta > 0 are rejected.  The
+T = 0 Fermi sphere has no growing mode, but both degenerate residuals add
+the resonance residue on the growing side too, and that gives them a
+spurious purely growing root as omega -> 0.
+
 Closed-form branches skip the iteration entirely; their residual_norm is a
 back-substitution diagnostic into the matching exact residual, so the
 "converged implies residual_norm < abs_tol" reading applies to the
@@ -43,7 +48,6 @@ from .dispersion_core import (
     BranchId,
     ComplexRate,
     DerivedScales,
-    coefficient_C1,
     omega_c1_corrected,
     omega_degenerate_bohm_gross,
     omega_quantum_langmuir,
@@ -161,11 +165,16 @@ def _newton(fun, z: complex, config: SolverConfig, reject):
         # each the other's fallback; on the axis with a real residual the
         # latter goes first, which keeps eta == +0.0 bitwise
         newton = 1j * f / df
-        along = complex(0.0, f.real / df.real) if df.real != 0.0 else newton
-        pinned = z.real == 0.0 and abs(f.imag) <= 0.5 * config.abs_tol
-        first, second = (along, newton) if pinned else (newton, along)
-        trial = _line_search(fun, reject, z, first, norm) or _line_search(fun, reject, z, second, norm)
-        if trial is None:
+        steps = [newton]
+        if df.real != 0.0:
+            along = complex(0.0, f.real / df.real)
+            pinned = z.real == 0.0 and abs(f.imag) <= 0.5 * config.abs_tol
+            steps = [along, newton] if pinned else [newton, along]
+        for dz in steps:
+            trial = _line_search(fun, reject, z, dz, norm)
+            if trial is not None:
+                break
+        else:
             raise _stalled(NoConvergence(f"step rejected 20 times at residual {norm:.3e}"), z, norm, iterations)
         z, f = trial
         norm = _max_abs(f)
@@ -232,13 +241,9 @@ def solve_at_k(
     r_ref = k * scales.v_ch / omega_ref  # r = k v_ch / omega = r_ref / Im z
 
     if branch is BranchId.ExactDegenerate:
-        # pref = 3 C1 / (k^2 v_ch^2 r) = pref_r / r, with C1 evaluated once
-        pref_r = 3.0 * coefficient_C1(k, scales, bohm_term=bohm_term) / (k * k * scales.v_ch**2)
 
         def fun(z):
-            r = r_ref / z.imag
-            res = residual_degenerate(r, z.real / z.imag, k, scales, bohm_term=bohm_term)
-            return complex(res.real_part, -pref_r / r * res.imag_part)
+            return residual_degenerate(r_ref / z.imag, z.real / z.imag, k, scales, bohm_term=bohm_term).analytic
 
     elif branch is BranchId.ExactWeak:
 
@@ -256,7 +261,10 @@ def solve_at_k(
     def reject(z):
         if z.imag <= 0.0:
             return True
-        return species.fully_degenerate and _resonance_gap(r_ref / z.imag, z.real / z.imag)
+        # the T = 0 Fermi sphere is stable, but both degenerate residuals add
+        # the resonance residue on the growing side too, which gives them
+        # spurious purely growing roots as omega -> 0: keep eta <= 0
+        return species.fully_degenerate and (z.real > 0.0 or _resonance_gap(r_ref / z.imag, z.real / z.imag))
 
     def build(z, norm, iterations, converged):
         rate = ComplexRate(eta=z.real * omega_ref, omega=z.imag * omega_ref)
@@ -365,6 +373,12 @@ def sweep(
                 seed = ComplexRate(eta=prev.eta * ratio, omega=prev.omega * ratio)
             except (ValueError, ZeroDivisionError):
                 pass
+            # an undamped degenerate root has r < 1; a seed pushed across r = 1
+            # starts beyond the jump of the residue term and cannot step back
+            # without eta > 0, so start halfway between the last r and 1
+            r_prev = prev.r(k_prev, scales.v_ch)
+            if species.fully_degenerate and prev.eta == 0.0 and r_prev < 1.0 <= seed.r(k, scales.v_ch):
+                seed = ComplexRate(eta=0.0, omega=2.0 * k * scales.v_ch / (1.0 + r_prev))
             try:
                 res = solve_at_k(k, branch, species, scales, seed, config, bohm_term=bohm_term)
             except _SWEEP_POINT_ERRORS as err:

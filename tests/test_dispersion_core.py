@@ -84,6 +84,13 @@ def test_complex_rate_and_residual_value_fields():
     assert rv.region_flag is True
 
 
+def test_degenerate_analytic_is_the_recombined_split(electron_degenerate_scales):
+    sc = electron_degenerate_scales
+    for r, eps in ((0.5, 0.0), (0.9, -0.05), (2.0, -0.1), (1.5, 0.2)):
+        want = complexified(r, eps, R.K_REF, sc)
+        assert abs(residual_degenerate(r, eps, R.K_REF, sc).analytic - want) <= 1e-14 * abs(want)
+
+
 def test_branch_ids_are_stable():
     names = {b.name for b in BranchId}
     assert names == {

@@ -182,6 +182,40 @@ def test_degenerate_from_damped_continuum_seed_matches_quadrature(
     assert rel(deg.rate.omega, R.DEG_ROOT_OMEGA) < 1e-9
 
 
+@pytest.mark.parametrize("branch", [BranchId.ExactDegenerate, BranchId.ExactQuadrature])
+def test_degenerate_bohm_off_sweep_finds_no_growing_root(
+    branch, electron_degenerate, electron_degenerate_scales
+):
+    # Past k v_F / Omega_p ~ 2.9 both degenerate residuals, which add the
+    # resonance residue on the growing side too, have a spurious purely
+    # growing root as omega -> 0, and continuation seeds that overshoot r = 1
+    # used to settle there.  The T = 0 gas has no growing mode: every point
+    # is the undamped root inside r < 1.
+    sp, sc = electron_degenerate, electron_degenerate_scales
+    ks = np.linspace(0.01, 4.0, 60) * sc.omega_p / sc.v_ch
+    converged = [res for res in sweep(ks, branch, sp, sc, bohm_term=False) if res.converged]
+    assert len(converged) >= 59
+    for res in converged:
+        assert res.rate.eta <= 0.0
+        assert abs(res.rate.eta) <= 1e-12 * res.rate.omega
+        assert res.rate.r(res.k, sc.v_ch) < 1.0
+
+
+@pytest.mark.parametrize("branch", [BranchId.ExactDegenerate, BranchId.ExactQuadrature])
+def test_degenerate_seed_past_resonance_stays_off_growing_side(
+    branch, electron_degenerate, electron_degenerate_scales
+):
+    # from an undamped seed at r = 1.05 the unrestricted iteration walked
+    # into eta > 0 and settled on the spurious growing root at omega -> 0
+    sp, sc = electron_degenerate, electron_degenerate_scales
+    for kk in (3.0, 3.5):
+        k = kk * sc.omega_p / sc.v_ch
+        seed = ComplexRate(eta=0.0, omega=k * sc.v_ch / 1.05)
+        res = solve_at_k(k, branch, sp, sc, seed, bohm_term=False)
+        assert res.converged and res.rate.eta == 0.0
+        assert res.rate.r(k, sc.v_ch) < 1.0
+
+
 # ---------------------------------------------------------------------------
 # seed ladder
 # ---------------------------------------------------------------------------
