@@ -171,26 +171,27 @@ def load_config(path: str, output_dir: str | None = None) -> RunConfig:
 
     try:
         solver = SolverConfig(
-            abs_tol=_get(cp, "solver", "abs_tol", float, default=1e-10),
-            max_iter=_get(cp, "solver", "max_iter", int, default=100),
-            continuation=_get(cp, "solver", "continuation", _as_bool, default=True),
+            abs_tol=_get(cp, "solver", "abs_tol", float, default=SolverConfig.abs_tol),
+            max_iter=_get(cp, "solver", "max_iter", int, default=SolverConfig.max_iter),
+            continuation=_get(cp, "solver", "continuation", _as_bool,
+                              default=SolverConfig.continuation),
         )
     except ValueError as exc:
         _fail("solver", str(exc))
 
     v_max_raw = _get(cp, "oracle", "v_max", str, default="auto")
     v_max = None if v_max_raw.lower() in ("auto", "") else float(v_max_raw)
-    shape_raw = _get(cp, "oracle", "init_shape", str, default="MaxwellianShaped")
+    shape_raw = _get(cp, "oracle", "init_shape", str, default=OracleConfig.init_shape.name)
     try:
         shape = InitShape[shape_raw]
     except KeyError:
         _fail("oracle.init_shape", f"unknown shape {shape_raw!r}")
     try:
         oracle = OracleConfig(
-            n_v=_get(cp, "oracle", "n_v", int, default=4096),
+            n_v=_get(cp, "oracle", "n_v", int, default=OracleConfig.n_v),
             v_max=v_max,
-            dt=_get(cp, "oracle", "dt", float, default=0.005),
-            t_end=_get(cp, "oracle", "t_end", float, default=50.0),
+            dt=_get(cp, "oracle", "dt", float, default=OracleConfig.dt),
+            t_end=_get(cp, "oracle", "t_end", float, default=OracleConfig.t_end),
             init_shape=shape,
         )
     except ValueError as exc:

@@ -12,11 +12,20 @@ sign; they are the two pieces of the restoring coefficient C1.  The fitted
 with the residual evaluations: no occupation sums, no error functions, no
 contour bookkeeping.
 
-The scheme is classic RK4 at fixed step, applied as the one diagonal plus
-rank-4 map it amounts to (_propagate).  For the fully degenerate gas the
-step edge of the distribution is smoothed by a sigmoid of width
-delta_v = v_F/200 so its derivative is grid-representable; the pair
-(f0_smooth, f0'_smooth) below is an exact antiderivative/derivative pair.
+Streaming is diagonal and the coupling is rank one, so N obeys exactly the
+convolution Volterra equation N = F + K * N, Landau's initial-value problem
+on the grid: F streams phi(0) freely and K streams i Lambda f0'.  On the
+uniform grid both are chirp-z transforms.  The history integral is sampled
+at t_m = m dt with sixth-order Gregory end weights after a nine-sample
+starting block, which leaves one lower-triangular Toeplitz system, solved
+as a power-series quotient with FFT products in O(n_t log n_t)
+(_volterra).  A mode at k < 0 is solved at |k| and conjugated, since FFT
+products are not bitwise conjugation-symmetric.
+
+For the fully degenerate gas the step edge of the distribution is smoothed
+by a sigmoid of width delta_v = v_F/200 so its derivative is
+grid-representable; the pair (f0_smooth, f0'_smooth) below is an exact
+antiderivative/derivative pair.
 """
 
 from __future__ import annotations
@@ -57,8 +66,8 @@ class OracleConfig:
 
     v_max is a multiple of the gas velocity scale (max(v_ch, v_th) thermal,
     v_F degenerate); None selects 8 for thermal gases and 1.5 for full
-    degeneracy.  dt is a fraction of one oscillation period 2 pi/omega_guess;
-    t_end counts periods.
+    degeneracy.  dt, the spacing of the recorded density samples, is a
+    fraction of one oscillation period 2 pi/omega_guess; t_end counts periods.
     """
 
     n_v: int = 4096
@@ -106,43 +115,138 @@ def _degenerate_pair(v: np.ndarray, v_f: float, a_w: float, delta: float):
     return f0, fp
 
 
-def _propagate(phi, stream, coupling, weights, dt, n_steps):
-    """Take n_steps RK4 steps of phi' = A phi, A = diag(stream) + coupling w^T;
-    returns the density trace w^T phi at every step and the final phi.
+# sixth-order Gregory end weights: the trapezoid rule with these at both ends
+# is exact through degree 5 once a row has 10 or more nodes
+_GREGORY = (95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160)
 
-    One step is exactly P(hA), P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24.  With
-    z = h stream and a = h coupling, expanding the powers of hA gives
-    P(hA) = diag(P(z)) + U C W^T, U = [z^p a], W = [z^q w] (p, q < 4), where
-    the 4x4 C mixes the moments mu_j = w^T z^j a.  A step is then
-    phi -> P(z) phi + (W^T phi) (U C)^T, and (W^T phi)[0] is the density.
+# starting block: row m - 1 holds 3628800 * integral over [0, m] of the
+# Lagrange basis on nodes 0..8, m = 1..8 (degree-8 interpolatory weights)
+_START = (
+    (1070017, 4467094, -4604594, 5595358, -5033120, 3146338, -1291214, 312874, -33953),
+    (1036064, 5842688, -1359808, 3842816, -3715840, 2391296, -996928, 243968, -26656),
+    (1043361, 5743062, 278478, 6474654, -4548960, 2789154, -1139022, 275562, -29889),
+    (1040128, 5779456, 62464, 8384512, -2324480, 2363392, -1012736, 249856, -27392),
+    (1042625, 5753750, 188750, 7958750, -100000, 4273250, -1228750, 286250, -30625),
+    (1039392, 5785344, 46656, 8356608, -933120, 6905088, 409536, 186624, -23328),
+    (1046689, 5716438, 340942, 7601566, 384160, 5152546, 3654322, 1562218, -57281),
+    (1012736, 6029312, -950272, 10747904, -4648960, 10747904, -950272, 6029312, 1012736),
+)
+
+
+def _fft_size(n):
+    """Smallest 2^a 3^b 5^c >= n: a length the FFT handles at full speed."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _cyclic(x, y, n):
+    """Cyclic convolution of x and y at the FFT size >= n."""
+    size = _fft_size(n)
+    out = np.fft.fft(x, size)
+    out *= np.fft.fft(y, size)
+    return np.fft.ifft(out)
+
+
+def _chirp_z(x, theta, m):
+    """X_q = sum_j x_j exp(-i theta j q), q = 0..m-1 (Bluestein: jq =
+    (j^2 + q^2 - (q - j)^2)/2 turns the sum into one convolution with the
+    chirp c_n = exp(-i theta n^2/2))."""
+    n = len(x)
+    chirp = np.exp((-0.5j * theta) * np.arange(max(n, m)) ** 2)
+    gap = _fft_size(n + m - 1) - m - n + 1
+    spec = np.fft.fft(np.concatenate((chirp[:m], np.zeros(gap), chirp[n - 1:0:-1])).conj())
+    spec *= np.fft.fft(x * chirp[:n], len(spec))
+    spec = np.fft.ifft(spec)
+    return spec[:m] * chirp[:m]
+
+
+def _series_quotient(r, a):
+    """First len(r) coefficients of the power series r(z)/a(z).
+
+    Newton doubling builds 1/a (each step doubles the exact prefix); the last
+    step folds r in instead (Karp-Markstein), so no product needs more than
+    len(r) coefficients: where a cyclic product wraps, it wraps onto
+    coefficients the step already knows.
     """
-    z = dt * stream
-    zp = np.cumprod([np.ones_like(z), z, z, z], axis=0)  # rows z^0 .. z^3
-    ut = zp * (dt * coupling)
-    wt = zp * weights
-    # (diag(z) + a w^T)^n - diag(z^n) = U C_n W^T with C_{n+1} = C_n T + e_n e_0^T,
-    # where T shifts q up (one more factor z) and feeds the moments into q = 0
-    t = np.eye(4, k=1, dtype=complex)
-    t[:, 0] = wt @ ut[0]
-    power = np.zeros((4, 4), dtype=complex)
-    c = np.zeros((4, 4), dtype=complex)
-    for n in range(4):
-        power = power @ t
-        power[n, 0] += 1.0
-        c += power / math.factorial(n + 1)
-    cu = c.T @ ut
-    g = 1.0 + z * (1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0)))
+    n = len(r)
+    sizes = [n]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] + 1) // 2)
+    sizes.reverse()  # 1, 2, ..., ceil(n/2), n
+    inv = np.array([1.0 / a[0]])
+    for lo, hi in zip(sizes[:-2], sizes[1:-1]):
+        err = _cyclic(a[:hi], inv, hi)[lo:hi]  # a * inv - 1 vanishes below lo
+        inv = np.concatenate((inv, -_cyclic(inv, err, hi)[:hi - lo]))
+    half = sizes[-2]
+    head = _cyclic(inv, r[:half], n)[:half].copy()
+    tail = r[half:] - _cyclic(a, head, n)[half:n]
+    return np.concatenate((head, _cyclic(inv, tail, n)[:n - half]))
 
-    density = np.empty(n_steps + 1, dtype=complex)
-    n0_abs = abs(np.dot(phi, weights))
-    for step in range(n_steps + 1):
-        moments = wt @ phi
-        density[step] = moments[0]
-        if n0_abs > 0.0 and abs(moments[0]) > 1e6 * n0_abs:
-            raise NumericalBlowup(f"density grew by {abs(moments[0]) / n0_abs:.3e} at step {step}")
-        if step < n_steps:
-            phi = g * phi + moments @ cu
-    return density, phi
+
+def _volterra(phi0, v, k, coupling, weights, h, n_steps):
+    """Density N(t_m), t_m = m h, m = 0..n_steps, and phi(t_end) of
+    phi_j' = -i k v_j phi_j + coupling_j N, N = weights . phi, for k > 0.
+
+    Streaming is exact, so N = F + K * N with F(t) = sum_j w_j phi_j(0)
+    e^{-i k v_j t} and K(t) = sum_j w_j coupling_j e^{-i k v_j t}.  In the
+    frame of the grid's first velocity, u_j = v_j - v_0 = j dv, both are
+    chirp-z transforms.  Rows 1..8 solve together with degree-8
+    interpolatory weights.  Every later row m integrates with the Gregory
+    weights, which factor as sigma_l gamma_{m-l}: the end weights at node l
+    from the start and at lag m - l from the end, both 1 past the fifth.
+    That makes the rest one lower-triangular Toeplitz system, a power-series
+    quotient.
+    """
+    n_t = n_steps + 1
+    dv = v[1] - v[0]
+    theta = k * dv * h
+    wc = weights * coupling
+    free = _chirp_z(weights * phi0, theta, n_t)
+    kernel = _chirp_z(wc, theta, n_t)
+
+    u = dv * np.arange(len(v))
+    lag = np.subtract.outer(np.arange(1, 9), np.arange(9))  # m - l
+    k_near = np.exp((-1j * k * h) * np.outer(np.arange(-7, 9), u)) @ wc  # K at lags -7..8
+    block = (-h / 3628800.0) * np.array(_START) * k_near[lag + 7]
+    block[:, 1:] += np.eye(8)
+    rows = np.linalg.solve(block[:, 1:], free[1:9] - block[:, 0] * free[0])
+    start = np.concatenate((free[:1], rows))
+
+    # rows m >= 9 read (a * sigma N)_m = F_m with a = 1 - h gamma K, and sigma N
+    # = N past node 4; rows 0..8 of the right side are (a * sigma N)_m of the
+    # starting values, so one quotient reproduces them and carries on
+    kernel *= -h
+    kernel[:5] *= _GREGORY
+    kernel[0] += 1.0
+    free[:9] = np.convolve(kernel[:9], np.array(_GREGORY + (1.0,) * 4) * start)[:9]
+    density = _series_quotient(free, kernel)
+    density[:9] = start
+    del free, kernel  # only the trace feeds the snapshot
+
+    # phi(t_end) = e^{-i k u t_end} phi(0)
+    #              + coupling * h sum_m gregory_m e^{-i k u (t_end - t_m)} N_m
+    history = h * density[::-1]
+    history[:5] *= _GREGORY
+    history[-5:] *= _GREGORY[::-1]
+    snapshot = coupling * _chirp_z(history, theta, len(v))
+    snapshot += np.exp((-1j * k * h * n_steps) * u) * phi0
+    # back to the lab frame, a phase e^{-i k v_0 t}
+    snapshot *= np.exp(-1j * k * v[0] * h * n_steps)
+    density *= np.exp((-1j * k * v[0] * h) * np.arange(n_t))
+    return density, snapshot
+
+
+def _first_breach(density):
+    """Index of the first sample with |N| > 1e6 |N_0| (NaN included), or None."""
+    over = np.flatnonzero(~(np.abs(density) <= 1e6 * abs(density[0])))
+    return int(over[0]) if over.size else None
 
 
 def evolve_mode(
@@ -161,7 +265,9 @@ def evolve_mode(
     alpha = None selects the fully degenerate gas.  k may be negative; the
     conjugate-mode identity N_{-k}(t) = conj(N_k(t)) holds bitwise for real
     initial data.  amplitude scales the initial density perturbation
-    relative to n0; 0 gives the trivial zero run (fit skipped).
+    relative to n0; 0 gives the trivial zero run (fit skipped).  A trace
+    that grows past 1e6 |N_0| raises NumericalBlowup naming the first
+    sample over.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
@@ -239,20 +345,24 @@ def evolve_mode(
     f0 = f0 / norm
     fprime = fprime / norm
 
-    if config.init_shape is InitShape.MaxwellianShaped:
-        shape = f0.astype(complex)
-    else:
-        shape = np.ones(n_v, dtype=complex)
-    raw = np.dot(shape, weights).real
-    if amplitude == 0.0 or raw == 0.0:
-        phi = np.zeros(n_v, dtype=complex)
-    else:
-        phi = (amplitude * species.density / raw) * shape
+    shape = f0 if config.init_shape is InitShape.MaxwellianShaped else np.ones(n_v)
+    raw = np.dot(shape, weights)
+    phi0 = (0.0 if raw == 0.0 else amplitude * species.density / raw) * shape
 
     hook = 1.0 if bohm_term else 0.0
     c1 = omega_p**2 + hook * lam_q * k_abs**4
-    lam = c1 / (k * species.density)  # odd in k: conjugate-mode symmetry
-    density, phi = _propagate(phi, -1j * k * v, (1j * lam) * fprime, weights, dt, n_steps)
+    coupling = (1j * c1 / (k_abs * species.density)) * fprime
+    density, snapshot = _volterra(phi0, v, k_abs, coupling, weights, dt, n_steps)
+    if _first_breach(density) is not None:
+        # the solve is causal: a shorter run is a prefix of this one that keeps
+        # the roundoff of a huge late tail out of the early samples
+        steps, breach = 16, None
+        while breach is None:
+            breach = _first_breach(_volterra(phi0, v, k_abs, coupling, weights, dt, steps)[0])
+            steps = min(2 * steps, n_steps)
+        raise NumericalBlowup(f"density grew past 1e6 times its start at sample {breach}")
+    if k < 0:  # real initial data: the system at -k is the conjugate of the one at |k|
+        density, snapshot = density.conj(), snapshot.conj()
 
     run = OracleRun(
         k=k,
@@ -260,7 +370,7 @@ def evolve_mode(
         v=v,
         times=np.arange(n_steps + 1) * dt,
         density=density,
-        snapshot=phi,
+        snapshot=snapshot,
     )
     if fit and density[0] != 0.0:
         run.omega_fit, run.eta_fit, run.fit_residual = fit_omega_eta(run)

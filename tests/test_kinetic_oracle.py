@@ -10,10 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _refs as R
 from disperse import (
     BranchId,
+    DisperseError,
     FitAmbiguous,
     GridResonanceUnderresolved,
     InitShape,
@@ -56,8 +59,7 @@ def synthetic_run(omega, eta, n=4096, dt=0.01, real=False):
 
 
 def plain_rk4(phi, stream, coupling, weights, dt, n_steps):
-    """Four-stage RK4 on the oracle's linear system, stage by stage: the
-    reference the oracle's one-map step is pinned against."""
+    """Four-stage RK4 on the oracle's linear system, stage by stage."""
     def rhs(state):
         return stream * state + np.dot(state, weights) * coupling
 
@@ -70,6 +72,14 @@ def plain_rk4(phi, stream, coupling, weights, dt, n_steps):
         phi = phi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         density.append(np.dot(phi, weights))
     return np.array(density), phi
+
+
+def rk4_at_quarter_step(phi0, v, k, coupling, weights, h, n_steps):
+    """Stand-in for the oracle's Volterra solve: plain RK4 at h/4, sampled
+    at the oracle's own times."""
+    density, phi = plain_rk4(phi0.astype(complex), -1j * k * v, coupling, weights,
+                             h / 4.0, 4 * n_steps)
+    return density[::4], phi
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +189,8 @@ def test_conjugate_mode_bitwise(weak_fermion, weak_fermion_scales):
 
 
 @pytest.mark.parametrize("case", ["thermal", "degenerate", "uniform_kick"])
-def test_step_matches_plain_rk4(case, monkeypatch, weak_fermion, weak_fermion_scales,
-                                electron_degenerate):
+def test_volterra_matches_plain_rk4(case, monkeypatch, weak_fermion, weak_fermion_scales,
+                                    electron_degenerate):
     sc = weak_fermion_scales
     k_thermal = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
     k, species, alpha, cfg = {
@@ -194,10 +204,24 @@ def test_step_matches_plain_rk4(case, monkeypatch, weak_fermion, weak_fermion_sc
                                       init_shape=InitShape.UniformDensityKick)),
     }[case]
     run = evolve_mode(k, species, alpha, cfg, fit=False)
-    monkeypatch.setattr(kinetic_oracle, "_propagate", plain_rk4)
+    monkeypatch.setattr(kinetic_oracle, "_volterra", rk4_at_quarter_step)
     ref = evolve_mode(k, species, alpha, cfg, fit=False)
-    assert np.abs(run.density - ref.density).max() <= 1e-12 * np.abs(ref.density).max()
-    assert np.abs(run.snapshot - ref.snapshot).max() <= 1e-12 * np.abs(ref.snapshot).max()
+    assert np.abs(run.density - ref.density).max() <= 1e-7 * np.abs(ref.density).max()
+    assert np.abs(run.snapshot - ref.snapshot).max() <= 1e-6 * np.abs(ref.snapshot).max()
+
+
+def test_volterra_sixth_order(weak_fermion, weak_fermion_scales):
+    # halving the sample spacing must cut the trace error by about 2^6
+    sc = weak_fermion_scales
+    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    traces = [
+        evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(n_v=512, dt=dt, t_end=20.0),
+                    omega_guess=1.2 * sc.omega_p, fit=False).density
+        for dt in (0.01, 0.005, 0.0025)
+    ]
+    err_coarse = np.abs(traces[0] - traces[2][::4]).max()
+    err_fine = np.abs(traces[1] - traces[2][::2]).max()
+    assert err_coarse >= 30.0 * err_fine
 
 
 def test_zero_amplitude_gives_zero_trace(weak_fermion, weak_fermion_scales):
@@ -244,15 +268,61 @@ def test_recurrence_guard_fires(weak_fermion, weak_fermion_scales):
                     OracleConfig(n_v=256, dt=0.01, t_end=400.0))
 
 
-def test_blowup_guard_fires(weak_fermion, weak_fermion_scales):
-    # a 400 v_th window makes the streaming rotation per step exceed the
-    # integrator's stability arc; the uniform kick seeds those edge cells
+def test_blowup_guard_fires(monkeypatch, weak_fermion, weak_fermion_scales):
+    # a negated f0' reverses the restoring force, so the mode grows; plain RK4
+    # at the same spacing first passes the bound at the same sample
     sc = weak_fermion_scales
     k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    with pytest.raises(NumericalBlowup, match="grew"):
-        evolve_mode(k, weak_fermion, sc.alpha,
-                    OracleConfig(n_v=16384, dt=0.005, t_end=20.0, v_max=400.0,
-                                 init_shape=InitShape.UniformDensityKick))
+    derivative = kinetic_oracle.reduced_fz_derivative
+    monkeypatch.setattr(kinetic_oracle, "reduced_fz_derivative",
+                        lambda *args: -derivative(*args))
+    with pytest.raises(NumericalBlowup, match="grew past 1e6 times its start at sample 526$"):
+        evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(n_v=512, dt=0.005, t_end=20.0))
+
+
+@pytest.fixture(scope="session")
+def fixture_gases(electron_degenerate, neutral_degenerate, weak_fermion, weak_boson,
+                  classical_electron, weak_fermion_scales, weak_boson_scales,
+                  classical_electron_scales):
+    """(species, alpha, k unit) per fixture gas: alpha None is full degeneracy,
+    and the unit is omega_p over the gas's velocity scale."""
+    thermal = [(weak_fermion, weak_fermion_scales), (weak_boson, weak_boson_scales),
+               (classical_electron, classical_electron_scales)]
+    return [(electron_degenerate, None, R.K_REF), (neutral_degenerate, None, R.K_REF)] + [
+        (species, sc.alpha, R.OMEGA_P / math.sqrt(sc.v_th_sq)) for species, sc in thermal
+    ]
+
+
+@settings(max_examples=150, derandomize=True)
+@given(
+    gas=st.integers(0, 4),
+    y=st.floats(0.2, 1.5),
+    sign=st.sampled_from([1.0, -1.0]),
+    n_v=st.integers(128, 2048).map(lambda half: 2 * half),
+    # 0.002 keeps a t_end = 80 trace at 40 001 samples
+    dt=st.floats(0.002, 0.1 / (2.0 * math.pi), exclude_max=True),
+    t_end=st.floats(20.0, 80.0),
+    v_max=st.none() | st.floats(1.0, 20.0),
+    init_shape=st.sampled_from(InitShape),
+    bohm_term=st.booleans(),
+    amplitude=st.sampled_from([0.0, 1e-6, 1.0]),
+    fit=st.booleans(),
+)
+def test_evolve_mode_refuses_or_stays_finite(fixture_gases, gas, y, sign, n_v, dt, t_end,
+                                             v_max, init_shape, bohm_term, amplitude, fit):
+    species, alpha, k_unit = fixture_gases[gas]
+    cfg = OracleConfig(n_v=n_v, dt=dt, t_end=t_end, v_max=v_max, init_shape=init_shape)
+    try:
+        run = evolve_mode(sign * y * k_unit, species, alpha, cfg, bohm_term=bohm_term,
+                          amplitude=amplitude, fit=fit)
+    except (DisperseError, ValueError):
+        return
+    assert np.all(np.isfinite(run.density)) and np.all(np.isfinite(run.snapshot))
+    fitted = (run.omega_fit, run.eta_fit, run.fit_residual)
+    if fit and amplitude != 0.0:
+        assert all(math.isfinite(value) for value in fitted)
+    else:
+        assert fitted == (None, None, None)
 
 
 # ---------------------------------------------------------------------------
