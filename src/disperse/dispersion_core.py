@@ -8,9 +8,10 @@ Landau damping rate.  Three residual evaluations are provided:
   variables r = k v_F / omega and epsilon = eta / omega.
 * residual_weak: the thermal gas above degeneracy, as a fugacity series over
   scaled complementary error functions plus an explicit pole term.
-* residual_quadrature: direct adaptive integration of the velocity-space
-  response with pole subtraction.  Shares no special functions with the
-  other two, so it serves as the independent cross-check path.
+* residual_quadrature: direct integration of the velocity-space response
+  with pole subtraction, by Gauss-Legendre rules (closed form at full
+  degeneracy).  Shares no special functions with the other two, so it
+  serves as the independent cross-check path.
 
 Sign conventions differ between the printed forms these follow:
 residual_degenerate and residual_quadrature vanish where the normalized
@@ -23,6 +24,7 @@ sign; tests pin the exact relation including the pole term.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -60,13 +62,6 @@ class ComplexRate:
     @property
     def s(self) -> complex:
         return complex(self.eta, self.omega)
-
-    @property
-    def epsilon(self) -> float:
-        return self.eta / self.omega
-
-    def v_phi(self, k: float) -> float:
-        return self.omega / k
 
     def r(self, k: float, v_ch: float) -> float:
         return k * v_ch / self.omega
@@ -245,7 +240,28 @@ def residual_weak(
 # direct quadrature of the velocity-space response
 # ---------------------------------------------------------------------------
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(15)
+# Gauss-Legendre sizes per panel.  The subtracted integrand is analytic on
+# [-1, 1], so the error falls geometrically and squares at each doubling:
+# two sizes that agree to _GL_TOL leave the larger one good to ~_GL_TOL^2.
+_GL_SIZES = (64, 128, 256, 512)
+_GL_TOL = 1e-7
+
+
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Newton on P_n (three-term recurrence) from Tricomi's guesses: rounding
+    # level after four steps at every size used.  Not numpy's leggauss: its
+    # weights are good to only 1e-12..1e-10 here, ~1e-13 in the residual.
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(5):
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        slope = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / slope
+    w = 2.0 / ((1.0 - x * x) * slope * slope)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _occupation_slope(u: np.ndarray, s_beta_w2: float, inv_alpha: float, fermi: bool) -> np.ndarray:
@@ -256,10 +272,11 @@ def _occupation_slope(u: np.ndarray, s_beta_w2: float, inv_alpha: float, fermi: 
 
 
 def _occupation_slope_at(p: complex, s_beta_w2: float, inv_alpha: float, fermi: bool) -> complex:
-    # same function continued to a complex point, with overflow guards
+    # same function continued to a complex point; past the first guard
+    # (1/alpha) exp(arg) would overflow, and the slope is below |p| e^-700
     pm = 1.0 if fermi else -1.0
     arg = s_beta_w2 * p * p
-    if arg.real > 700.0:
+    if arg.real > 700.0 - math.log(inv_alpha):
         return 0.0 + 0.0j
     if arg.real < -700.0:
         return -p / pm
@@ -269,27 +286,23 @@ def _occupation_slope_at(p: complex, s_beta_w2: float, inv_alpha: float, fermi: 
     return -p / den
 
 
-def _adaptive_segment(f, a: float, b: float, whole: complex, tol: float, depth: int) -> complex:
-    mid = 0.5 * (a + b)
-    left = _panel(f, a, mid)
-    right = _panel(f, mid, b)
-    err = abs(left + right - whole)
-    if err <= tol:
-        return left + right
-    if depth >= 30:
-        if err <= 1e-9:
-            return left + right
-        raise QuadratureFailure(f"refinement depth 30 reached with panel error {err:.3e} above 1e-9")
-    half_tol = 0.5 * tol
-    return _adaptive_segment(f, a, mid, left, half_tol, depth + 1) + _adaptive_segment(
-        f, mid, b, right, half_tol, depth + 1
-    )
-
-
-def _panel(f, a: float, b: float) -> complex:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * complex(np.dot(f(mid + half * _GAUSS_X), _GAUSS_W))
+def _gauss_legendre(f, cuts: np.ndarray) -> complex:
+    # integral of f over [cuts[0], cuts[-1]], one panel between each pair of
+    # cuts; every panel goes through one vectorised call of f per rule size
+    mid = 0.5 * (cuts[1:] + cuts[:-1])[:, None]
+    half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
+    previous = None
+    for n in _GL_SIZES:
+        x, w = _legendre_rule(n)
+        weighted = (half * w) * f(mid + half * x)
+        estimate = complex(weighted.sum())
+        if previous is not None:
+            # relative to the integral of |f|, which cancellation cannot zero
+            gap = abs(estimate - previous)
+            if gap <= _GL_TOL * float(np.abs(weighted).sum()):
+                return estimate
+        previous = estimate
+    raise QuadratureFailure(f"Gauss-Legendre rules of 256 and 512 nodes per panel differ by {gap:.3e}")
 
 
 def _principal_log_ratio(p_hat: complex, eta_is_zero: bool) -> complex:
@@ -315,14 +328,16 @@ def residual_quadrature(
     scales: DerivedScales,
     *,
     bohm_term: bool = True,
-    tol: float = 1e-12,
 ) -> complex:
     """Velocity-space response integrated directly, with the pole handled by
     subtraction: integrate (g(u) - g(p))/(u - p) plus g(p) times the closed
     log of the end-point ratio.  Returns 1 - (C1/k^2 n0) * integral, so it
     shares the orientation of residual_degenerate.
 
-    alpha = None selects the fully degenerate path.  Contour bookkeeping:
+    alpha = None selects the fully degenerate path, integrated in closed
+    form.  A thermal gas takes Gauss-Legendre rules of doubling size, with
+    [-1, 1] cut at the Bose occupation poles when they come close to it.
+    Contour bookkeeping:
 
     * fully degenerate: a full residue term 2 pi i g(p) is added whenever
       k^2 v_F^2 + eta^2 - omega^2 >= 0 (step convention U(0) = 1), matching
@@ -349,9 +364,6 @@ def residual_quadrature(
             raise SingularInput("phase velocity exactly at the edge velocity with no damping")
         # scaled slope g(u) = W^2 f'(W u)/n0 = -(3/2) u exactly, by the
         # density normalization of the ground-state parabola
-        def g_of_u(u):
-            return -1.5 * u + 0.0j
-
         g_at_p = -1.5 * p_hat
         add_residue = (k * v_f) ** 2 + eta * eta - s.imag**2 >= 0.0
         if abs(p_hat) >= 2.0:
@@ -369,10 +381,9 @@ def residual_quadrature(
                 if abs(contrib) < 1e-18 * abs(integral):
                     break
                 term *= q2
-            if add_residue:
-                integral += 2.0j * math.pi * g_at_p
-            c1 = coefficient_C1(k, scales, bohm_term=bohm_term)
-            return 1.0 - (c1 / (k * k * w_scale * w_scale)) * integral
+        else:
+            # (g(u) - g(p))/(u - p) = -3/2 on all of [-1, 1]
+            integral = -3.0 + g_at_p * _principal_log_ratio(p_hat, eta == 0.0)
     else:
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
@@ -386,28 +397,27 @@ def residual_quadrature(
         a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
         c_g = 2.0 * math.pi * a_w * w_scale**3 / species.density
         p_hat = p / w_scale
-
-        def g_of_u(u):
-            return c_g * _occupation_slope(u, s_beta_w2, inv_alpha, fermi)
-
         g_at_p = c_g * _occupation_slope_at(p_hat, s_beta_w2, inv_alpha, fermi)
         add_residue = eta < 0.0
 
-    def integrand(u):
-        d = u - p_hat
-        # a quadrature node can only collide with a real pole; the subtracted
-        # numerator vanishes there too, so 0 is the removable-limit value
-        vals = g_of_u(u) - g_at_p
-        safe = np.where(d == 0, 1.0, d)
-        out = vals / safe
-        return np.where(d == 0, 0.0, out)
+        def integrand(u):
+            d = u - p_hat
+            # a quadrature node can only collide with a real pole; the subtracted
+            # numerator vanishes there too, so 0 is the removable-limit value
+            vals = c_g * _occupation_slope(u, s_beta_w2, inv_alpha, fermi) - g_at_p
+            safe = np.where(d == 0, 1.0, d)
+            out = vals / safe
+            return np.where(d == 0, 0.0, out)
 
-    whole = _panel(integrand, -1.0, 1.0)
-    integral = _adaptive_segment(integrand, -1.0, 1.0, whole, tol, 0)
-    integral += g_at_p * _principal_log_ratio(p_hat, eta == 0.0)
+        # Bose occupation poles sit at u = +-i sqrt(-ln alpha / (beta W^2));
+        # Fermi poles stay beyond |u| ~ sqrt(pi)/8 for every fugacity
+        pole = math.sqrt(-math.log(alpha) / s_beta_w2)
+        cuts = [-1.0, -pole, pole, 1.0] if not fermi and 2.0 * pole < 0.5 else [-1.0, 1.0]
+        integral = _gauss_legendre(integrand, np.array(cuts))
+        integral += g_at_p * _principal_log_ratio(p_hat, eta == 0.0)
+
     if add_residue:
         integral += 2.0j * math.pi * g_at_p
-
     c1 = coefficient_C1(k, scales, bohm_term=bohm_term)
     # (1/n0) integral over w of f'(w)/(w - p) = integral(u) / w_scale^2 here
     return 1.0 - (c1 / (k * k * w_scale * w_scale)) * integral

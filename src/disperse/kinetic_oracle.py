@@ -83,6 +83,9 @@ class OracleConfig:
             raise ValueError("dt (fraction of a period) must keep dt*omega below 0.1")
         if not self.t_end >= 20.0:
             raise ValueError("t_end must cover at least 20 periods")
+        # 10^6 samples: 25x a t_end = 200 run at the default dt, 16 MB a trace
+        if not self.t_end / self.dt < 1_000_000.5:
+            raise ValueError("dt too small: t_end / dt must round to at most 10^6 samples")
         if self.v_max is not None and not self.v_max > 0:
             raise ValueError("v_max multiple must be positive")
 

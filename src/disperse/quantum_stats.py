@@ -50,11 +50,6 @@ class Statistics(Enum):
     FERMI = "fermi"
     BOSE = "bose"
 
-    @property
-    def sign(self) -> float:
-        """+1 for Fermi-Dirac, -1 for Bose-Einstein occupation denominators."""
-        return 1.0 if self is Statistics.FERMI else -1.0
-
 
 @dataclass(frozen=True)
 class SpeciesParams:
@@ -381,55 +376,45 @@ def _series_signs(fermi: bool, j: int) -> float:
     return 1.0 if (not fermi or j % 2 == 1) else -1.0
 
 
-def reduced_fz(w, species: SpeciesParams, alpha: float):
-    """1d velocity distribution of a thermal quantum gas, normalized so that
-    its integral over w is the number density."""
+def _fz_series(w, species: SpeciesParams, alpha: float, *, integrated: bool):
+    # (w as floats, beta, sum_j (-+1)^(j-1) c_j exp(-j beta w^2)) with
+    # c_j = alpha^j / j for the distribution (integrated), alpha^j for its slope
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1) for the thermal series")
     if species.temperature <= 0:
         raise ValueError("thermal distribution needs temperature > 0")
     w_arr = np.asarray(w, dtype=float)
     beta = species.mass / (2.0 * K_B * species.temperature)
-    a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
-    pref = a_w * math.pi / beta  # = g (m^3/h^3) * (2 pi k_B T / m)
     fermi = species.statistics is Statistics.FERMI
     acc = np.zeros_like(w_arr)
     aj = alpha
     j = 1
     w2 = w_arr * w_arr
     while True:
-        acc += _series_signs(fermi, j) * (aj / j) * np.exp(-j * beta * w2)
+        c_j = aj / j if integrated else aj
+        acc += _series_signs(fermi, j) * c_j * np.exp(-j * beta * w2)
         if aj / (1.0 - alpha) < 1e-16:
             break
         j += 1
         aj *= alpha
         if j > 100_000:
             raise NonConvergent("distribution series exceeded 100000 terms")
+    return w_arr, beta, acc
+
+
+def reduced_fz(w, species: SpeciesParams, alpha: float):
+    """1d velocity distribution of a thermal quantum gas, normalized so that
+    its integral over w is the number density."""
+    _, beta, acc = _fz_series(w, species, alpha, integrated=True)
+    a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
+    pref = a_w * math.pi / beta  # = g (m^3/h^3) * (2 pi k_B T / m)
     out = pref * acc
     return float(out) if np.ndim(w) == 0 else out
 
 
 def reduced_fz_derivative(w, species: SpeciesParams, alpha: float):
     """d/dw of reduced_fz; the kernel of the longitudinal response."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1) for the thermal series")
-    if species.temperature <= 0:
-        raise ValueError("thermal distribution needs temperature > 0")
-    w_arr = np.asarray(w, dtype=float)
-    beta = species.mass / (2.0 * K_B * species.temperature)
+    w_arr, _, acc = _fz_series(w, species, alpha, integrated=False)
     a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
-    fermi = species.statistics is Statistics.FERMI
-    acc = np.zeros_like(w_arr)
-    aj = alpha
-    j = 1
-    w2 = w_arr * w_arr
-    while True:
-        acc += _series_signs(fermi, j) * aj * np.exp(-j * beta * w2)
-        if aj / (1.0 - alpha) < 1e-16:
-            break
-        j += 1
-        aj *= alpha
-        if j > 100_000:
-            raise NonConvergent("distribution series exceeded 100000 terms")
     out = -2.0 * math.pi * a_w * w_arr * acc
     return float(out) if np.ndim(w) == 0 else out

@@ -47,6 +47,10 @@ T_BOSE_09 = 11804.807409179758
 T_BOSE_01 = 73582.018855082497
 T_BOSE_05 = 22227.745369362777
 T_CLASSICAL = 1.63e8     # fugacity ~ 1e-6: Maxwell-Boltzmann territory
+# near condensation, from the closed-form inversion
+# T = (h^2 / (2 pi m k_B)) (n0 / (g Li_3/2(alpha)))^(2/3) in 40-digit arithmetic
+T_BOSE_099 = 9401.0786203965646
+T_BOSE_0999 = 8815.5372118998176
 
 # mean-square thermal speeds at fugacity 0.2 (both statistics)
 VTH2_FERMI_02 = 2331540422472.241
@@ -70,3 +74,17 @@ G_COMPLEX = {
 # frozen from runs at abs_tol = 1e-13
 DEG_ROOT_OMEGA = 7877971635950275.0
 QUAD_ROOT_OMEGA = 7877971635946057.0
+
+# residual_quadrature for the Bose gas at T_BOSE_0999, evaluated at
+# alpha = 0.999 exactly, keyed by (k, s).  References integrate f'(w)/(w - p)
+# over the whole real line in 45-digit arithmetic (mpmath tanh-sinh, split at
+# the occupation-pole scale and at the velocity pole), with the residue
+# 2 pi i f'(p) added for eta < 0; 35 digits agree to 1e-35.
+BOSE_0999_RESIDUALS = {
+    (4567485627.360553, -56414602311806.26 + 6036362447363270j):
+        -0.1023151296777266750869949 - 0.005812926617556878537241626j,
+    (3653988501.888442, 112829204623612.52 + 5923533242739658j):
+        -0.02443416473191578942575087 - 0.04676861328031013115827075j,
+    (5480982752.832664, -282073011559031.3 + 6205606254298689j):
+        -0.2042000831021031456709201 + 0.02265943373116749203680665j,
+}

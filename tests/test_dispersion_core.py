@@ -9,14 +9,17 @@ tautology.
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _refs as R
 from disperse import (
     BranchId,
     ComplexRate,
+    DisperseError,
     NonConvergent,
     ResidualValue,
     SingularInput,
@@ -240,16 +243,21 @@ def _pole_term(k, s, species, alpha, scales):
     return (coefficient_C1(k, scales) / k**2) * (2.0 * beta / z32) * pole
 
 
-@pytest.mark.parametrize("which", ["fermion", "boson"])
-def test_weak_reconciliation_identity(which, weak_fermion, weak_fermion_scales,
-                                      weak_boson, weak_boson_scales):
+@pytest.mark.parametrize("statistics, temperature", [
+    (Statistics.FERMI, R.T_FERMI_02), (Statistics.BOSE, R.T_BOSE_02),
+    (Statistics.FERMI, R.T_FERMI_09), (Statistics.BOSE, R.T_BOSE_09),
+    (Statistics.FERMI, R.T_CLASSICAL), (Statistics.BOSE, R.T_BOSE_099),
+], ids=["fermion", "boson", "fermion_0.9", "boson_0.9", "classical", "boson_0.99"])
+def test_weak_reconciliation_identity(statistics, temperature):
     """The series residual counts the occupation-pole contribution with the
     opposite sign from the contour route, and the mismatch has a closed form:
     residual_weak + residual_quadrature equals the pole term exactly.  This
     pins both routes at once; the solver-facing consequence (series damping
-    roughly 3x the contour damping at moderate k) is documented behavior."""
-    sp, sc = (weak_fermion, weak_fermion_scales) if which == "fermion" \
-        else (weak_boson, weak_boson_scales)
+    roughly 3x the contour damping at moderate k) is documented behavior.
+    The gases run from the Maxwellian limit to a Bose gas at fugacity 0.99."""
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    sc = derive_scales(sp)
     vth = math.sqrt(sc.v_th_sq)
     for y, om_frac, eta_frac in ((0.375, 1.07, -5e-4), (0.3, 1.05, 0.02), (0.42, 1.1, -0.01)):
         k = y * sc.omega_p / vth
@@ -259,6 +267,45 @@ def test_weak_reconciliation_identity(which, weak_fermion, weak_fermion_scales,
         pred = _pole_term(k, s, sp, sc.alpha, sc)
         scale = max(1.0, abs(rw), abs(rq), abs(pred))
         assert abs(rw + rq - pred) < 1e-12 * scale
+
+
+def test_quadrature_near_condensation_against_references():
+    """Bose gas at fugacity 0.999, where the fugacity series runs out of
+    terms and the contour route is the only exact one.  The occupation poles
+    sit 0.004 W from the real axis; the wall budget catches a rule that
+    refines around them without bound."""
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=R.T_BOSE_0999, statistics=Statistics.BOSE)
+    sc = derive_scales(sp)
+    assert abs(sc.alpha - 0.999) < 1e-9
+    start = time.perf_counter()
+    for (k, s), want in R.BOSE_0999_RESIDUALS.items():
+        got = residual_quadrature(k, s, sp, 0.999, sc)
+        assert abs(got - want) < 1e-12 * abs(want)
+    assert time.perf_counter() - start < 3.0
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    statistics=st.sampled_from(Statistics),
+    alpha=st.floats(1e-6, 0.9999),
+    y=st.floats(0.05, 1.0),
+    eta_frac=st.just(0.0) | st.floats(-0.5, 0.1),
+    om_frac=st.floats(0.3, 2.0),
+)
+def test_quadrature_refuses_or_stays_finite(weak_fermion, weak_fermion_scales, weak_boson,
+                                            weak_boson_scales, statistics, alpha, y, eta_frac,
+                                            om_frac):
+    # the fugacity is an argument of residual_quadrature, so one temperature
+    # per statistics covers the whole range
+    sp, sc = (weak_fermion, weak_fermion_scales) if statistics is Statistics.FERMI \
+        else (weak_boson, weak_boson_scales)
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    try:
+        z = residual_quadrature(k, complex(eta_frac, om_frac) * sc.omega_p, sp, alpha, sc)
+    except DisperseError:
+        return
+    assert cmath.isfinite(z)
 
 
 def _weak_fixed_sum(k, s, species, alpha, scales, n_terms=1024):
@@ -316,6 +363,16 @@ def test_weak_overflow_guard_stays_finite(weak_fermion, weak_fermion_scales):
     s = complex(40.0 * k / math.sqrt(beta), 0.0)
     z = residual_weak(k, s, sp, sc.alpha, sc)
     assert np.isfinite(z.real) and np.isfinite(z.imag)
+
+
+def test_quadrature_overflow_guard_counts_the_fugacity(weak_boson, weak_boson_scales):
+    # beta p^2 ~ 698 at alpha = 1e-6: exp(beta p^2) alone is finite, but the
+    # occupation denominator (1/alpha) exp(beta p^2) overflows, and the slope
+    # at the pole must come out ~0, not NaN
+    sp, sc = weak_boson, weak_boson_scales
+    k = 0.05 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    z = residual_quadrature(k, complex(0.02, 1.1) * sc.omega_p, sp, 1e-6, sc)
+    assert cmath.isfinite(z)
 
 
 def test_weak_divergent_series_fails_fast(monkeypatch, weak_fermion, weak_fermion_scales):

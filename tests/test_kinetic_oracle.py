@@ -96,6 +96,9 @@ def test_oracle_config_validation():
         OracleConfig(dt=0.02)
     with pytest.raises(ValueError, match="dt"):
         OracleConfig(dt=0.0)
+    OracleConfig(dt=1e-4, t_end=100.0)  # 10^6 samples: the cap itself
+    with pytest.raises(ValueError, match="dt"):
+        OracleConfig(dt=1e-9)  # 5e10 samples
     with pytest.raises(ValueError, match="20 periods"):
         OracleConfig(t_end=15.0)
     with pytest.raises(ValueError, match="v_max"):
