@@ -30,6 +30,7 @@ antiderivative/derivative pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -136,6 +137,7 @@ _START = (
 )
 
 
+@functools.lru_cache(maxsize=256)
 def _fft_size(n):
     """Smallest 2^a 3^b 5^c >= n: a length the FFT handles at full speed."""
     best = 1 << (n - 1).bit_length()
@@ -149,25 +151,32 @@ def _fft_size(n):
     return best
 
 
-def _cyclic(x, y, n):
-    """Cyclic convolution of x and y at the FFT size >= n."""
-    size = _fft_size(n)
-    out = np.fft.fft(x, size)
-    out *= np.fft.fft(y, size)
-    return np.fft.ifft(out)
+def _smooth_floor(n):
+    """Largest 2^a 3^b 5^c <= n (n >= 1)."""
+    best = p5 = 1
+    while p5 <= n:
+        p35 = p5
+        while p35 <= n:
+            best = max(best, p35 << (n // p35).bit_length() - 1)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
-def _chirp_z(x, theta, m):
-    """X_q = sum_j x_j exp(-i theta j q), q = 0..m-1 (Bluestein: jq =
-    (j^2 + q^2 - (q - j)^2)/2 turns the sum into one convolution with the
-    chirp c_n = exp(-i theta n^2/2))."""
-    n = len(x)
-    chirp = np.exp((-0.5j * theta) * np.arange(max(n, m)) ** 2)
+def _times(spec, y):
+    """Cyclic product, at len(spec), of y with the series whose FFT is spec."""
+    return np.fft.ifft(spec * np.fft.fft(y, len(spec)))
+
+
+def _chirp_z(x, chirp, m):
+    """X_q = sum_j x_j exp(-i theta j q), q = 0..m-1, for each row x of length
+    n, given the chirp c_l = exp(-i theta l^2/2) for l = 0..max(n, m) - 1 at
+    least (Bluestein: jq = (j^2 + q^2 - (q - j)^2)/2 turns the sum into one
+    convolution with c)."""
+    n = x.shape[-1]
     gap = _fft_size(n + m - 1) - m - n + 1
     spec = np.fft.fft(np.concatenate((chirp[:m], np.zeros(gap), chirp[n - 1:0:-1])).conj())
-    spec *= np.fft.fft(x * chirp[:n], len(spec))
-    spec = np.fft.ifft(spec)
-    return spec[:m] * chirp[:m]
+    return _times(spec, x * chirp[:n])[..., :m] * chirp[:m]
 
 
 def _series_quotient(r, a):
@@ -176,21 +185,24 @@ def _series_quotient(r, a):
     Newton doubling builds 1/a (each step doubles the exact prefix); the last
     step folds r in instead (Karp-Markstein), so no product needs more than
     len(r) coefficients: where a cyclic product wraps, it wraps onto
-    coefficients the step already knows.
+    coefficients the step already knows.  Each step transforms inv once for
+    both of its products.
     """
     n = len(r)
-    sizes = [n]
+    sizes = [n, (n + 1) // 2]
     while sizes[-1] > 1:
         sizes.append((sizes[-1] + 1) // 2)
     sizes.reverse()  # 1, 2, ..., ceil(n/2), n
     inv = np.array([1.0 / a[0]])
     for lo, hi in zip(sizes[:-2], sizes[1:-1]):
-        err = _cyclic(a[:hi], inv, hi)[lo:hi]  # a * inv - 1 vanishes below lo
-        inv = np.concatenate((inv, -_cyclic(inv, err, hi)[:hi - lo]))
+        inv_spec = np.fft.fft(inv, _fft_size(hi))
+        err = _times(inv_spec, a[:hi])[lo:hi]  # a * inv - 1 vanishes below lo
+        inv = np.concatenate((inv, -_times(inv_spec, err)[:hi - lo]))
     half = sizes[-2]
-    head = _cyclic(inv, r[:half], n)[:half].copy()
-    tail = r[half:] - _cyclic(a, head, n)[half:n]
-    return np.concatenate((head, _cyclic(inv, tail, n)[:n - half]))
+    inv_spec = np.fft.fft(inv, _fft_size(n))
+    head = _times(inv_spec, r[:half])[:half]
+    tail = r[half:] - _times(np.fft.fft(a, len(inv_spec)), head)[half:n]
+    return np.concatenate((head, _times(inv_spec, tail)[:n - half]))
 
 
 def _volterra(phi0, v, k, coupling, weights, h, n_steps):
@@ -211,8 +223,8 @@ def _volterra(phi0, v, k, coupling, weights, h, n_steps):
     dv = v[1] - v[0]
     theta = k * dv * h
     wc = weights * coupling
-    free = _chirp_z(weights * phi0, theta, n_t)
-    kernel = _chirp_z(wc, theta, n_t)
+    chirp = np.exp((-0.5j * theta) * np.arange(max(len(v), n_t)) ** 2)
+    free, kernel = _chirp_z(np.stack((weights * phi0, wc)), chirp, n_t)
 
     u = dv * np.arange(len(v))
     lag = np.subtract.outer(np.arange(1, 9), np.arange(9))  # m - l
@@ -238,7 +250,7 @@ def _volterra(phi0, v, k, coupling, weights, h, n_steps):
     history = h * density[::-1]
     history[:5] *= _GREGORY
     history[-5:] *= _GREGORY[::-1]
-    snapshot = coupling * _chirp_z(history, theta, len(v))
+    snapshot = coupling * _chirp_z(history, chirp, len(v))
     snapshot += np.exp((-1j * k * h * n_steps) * u) * phi0
     # back to the lab frame, a phase e^{-i k v_0 t}
     snapshot *= np.exp(-1j * k * v[0] * h * n_steps)
@@ -383,17 +395,20 @@ def evolve_mode(
 def fit_omega_eta(run: OracleRun):
     """Extract (omega_fit, eta_fit, fit_residual) from the density trace.
 
-    Discards the first 20% (transient from subdominant roots), locates the
-    spectral peak with quadratic interpolation on log magnitudes, converts a
-    two-sided trace to its analytic signal when the mirror line is present,
-    then reads eta from a linear fit of ln|envelope| and refines omega by a
-    phase-slope regression.  fit_residual is the relative RMS misfit of the
-    single damped-exponential model.
+    Keeps the last L samples, L the largest 2^a 3^b 5^c within the final 80%
+    (the first 20% or a little more holds the transient from subdominant
+    roots; L keeps the FFTs fast and is at least 75% of a trace of 1000
+    samples or more), locates the spectral peak with quadratic interpolation
+    on log magnitudes, converts a two-sided trace to its analytic signal when
+    the mirror line is present, then reads eta from a linear fit of
+    ln|envelope| and refines omega by a phase-slope regression.
+    fit_residual is the relative RMS misfit of the single damped-exponential
+    model.
     """
     n_total = len(run.density)
     if n_total < 16:
         raise ValueError("density trace too short to fit")
-    i0 = n_total // 5
+    i0 = n_total - _smooth_floor(n_total - n_total // 5)
     t = np.asarray(run.times[i0:], dtype=float)
     z = np.asarray(run.density[i0:], dtype=complex)
     n = len(z)
@@ -447,9 +462,11 @@ def fit_omega_eta(run: OracleRun):
     env = np.abs(z_fit)
     env = np.maximum(env, env.max() * 1e-300)
     tau = t - t[0]
-    eta_fit = float(np.polyfit(tau, np.log(env), 1)[0])
+    lever = tau - tau.mean()
+    lever /= np.dot(lever, lever)  # dot(lever, y): least-squares slope of y on tau
+    eta_fit = float(np.dot(lever, np.log(env)))
     phase = np.unwrap(np.angle(z_fit * np.exp(-1j * omega0 * tau)))
-    omega_signed = omega0 + float(np.polyfit(tau, phase, 1)[0])
+    omega_signed = omega0 + float(np.dot(lever, phase))
 
     model = np.exp((eta_fit + 1j * omega_signed) * tau)
     coef = np.vdot(model, z_fit) / np.vdot(model, model)

@@ -222,7 +222,7 @@ def test_criterion_06_oracle_solver_agreement(weak_fermion, weak_fermion_scales,
     report(6, "oracle vs solver",
            f"10 modes, worst rel omega {worst_om:.3e} < 2e-2, "
            f"worst rel eta {worst_eta:.3e}",
-           time.monotonic() - start, budget=600.0)
+           time.monotonic() - start, budget=60.0)
 
 
 def test_criterion_07_dual_path_residual_equivalence(

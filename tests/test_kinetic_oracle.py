@@ -168,6 +168,84 @@ def test_fit_trace_length_requirements():
         fit_omega_eta(synthetic_run(7.3, 0.0, n=1000, dt=0.001))
 
 
+def smooth_lengths(limit):
+    """Every 2^a 3^b 5^c up to limit (at most 2^20), sorted."""
+    powers = (2**a * 3**b * 5**c for a in range(21) for b in range(13) for c in range(9))
+    return sorted(p for p in powers if p <= limit)
+
+
+# 4003 - 4003 // 5 = 3203 is prime: the old cut fed the FFT a prime length
+PRIME_CUT = 4003
+
+
+@pytest.mark.parametrize("n_total", [16, 4001, 8001, 10001, 40001, PRIME_CUT])
+def test_fit_window_is_largest_smooth_length(n_total):
+    cut = n_total - n_total // 5
+    kept = kinetic_oracle._smooth_floor(cut)
+    smooth = smooth_lengths(cut)
+    assert kept == smooth[-1] <= cut  # the largest 5-smooth length in the last 80%
+    if n_total > 16:  # 13 samples hold only 12: no 5-smooth length is closer
+        assert kept >= 0.97 * cut
+
+
+def test_smooth_floor_matches_enumeration():
+    smooth = smooth_lengths(6000)
+    for n in range(1, 5000):
+        assert kinetic_oracle._smooth_floor(n) == smooth[np.searchsorted(smooth, n, "right") - 1]
+
+
+@pytest.mark.parametrize("eta", [-0.02, 0.015, 0.0])
+def test_fit_recovers_mode_on_prime_cut_trace(eta):
+    omega, eta_fit, resid = fit_omega_eta(synthetic_run(7.3, eta, n=PRIME_CUT))
+    assert rel(omega, 7.3) < 1e-10
+    assert abs(eta_fit - eta) < 1e-10
+    assert resid < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Volterra building blocks against their direct sums
+# ---------------------------------------------------------------------------
+
+def forward_substitution(r, a):
+    """r(z)/a(z) to len(r) terms by the O(n^2) recurrence."""
+    q = np.zeros(len(r), dtype=complex)
+    for m in range(len(r)):
+        q[m] = (r[m] - np.dot(a[m:0:-1], q[:m])) / a[0]
+    return q
+
+
+def test_series_quotient_matches_forward_substitution():
+    rng = np.random.default_rng(20)
+    for n in range(1, 131):
+        r = rng.normal(size=n) + 1j * rng.normal(size=n)
+        a = (rng.normal(size=n) + 1j * rng.normal(size=n)) / n
+        a[0] = 1.0 + rng.normal() + 1j * rng.normal()
+        ref = forward_substitution(r, a)
+        got = kinetic_oracle._series_quotient(r, a)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), n
+
+
+def direct_chirp_z(x, theta, m):
+    return x @ np.exp(-1j * theta * np.outer(np.arange(x.shape[-1]), np.arange(m)))
+
+
+@pytest.mark.parametrize("n, m", [(37, 11), (64, 64), (25, 101), (1, 7), (9, 1)])
+def test_chirp_z_matches_direct_sum(n, m):
+    rng = np.random.default_rng(n * 1000 + m)
+    theta = 0.37
+    x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    ref = direct_chirp_z(x, theta, m)
+    # the exact-length chirp, and a longer shared one as the snapshot uses it
+    for length in (max(n, m), max(n, m) + 250):
+        chirp = np.exp((-0.5j * theta) * np.arange(length) ** 2)
+        rows = kinetic_oracle._chirp_z(x, chirp, m)
+        single = kinetic_oracle._chirp_z(x[1], chirp, m)
+        scale = np.abs(ref).max()
+        assert rows.shape == (2, m) and single.shape == (m,)
+        assert np.abs(rows - ref).max() <= 1e-12 * scale
+        assert np.abs(single - ref[1]).max() <= 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # integration invariants
 # ---------------------------------------------------------------------------
