@@ -24,7 +24,7 @@ class SingularInput(DisperseError):
 
 
 class QuadratureFailure(DisperseError):
-    """Adaptive integration could not reach its error target at max depth."""
+    """Gauss-Legendre rules of 256 and 512 nodes per panel still disagree."""
 
 
 class NoConvergence(DisperseError):
@@ -32,7 +32,7 @@ class NoConvergence(DisperseError):
 
 
 class SingularJacobian(DisperseError):
-    """Finite-difference Jacobian numerically singular at the current iterate."""
+    """Complex derivative of the residual zero or non-finite at the current iterate."""
 
 
 class SeedFailure(DisperseError):

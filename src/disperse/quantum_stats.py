@@ -1,8 +1,13 @@
-"""Equilibrium statistics of an ideal quantum gas, reduced to what the
-dispersion solver needs: derived scales (plasma frequency, characteristic
-velocity, fugacity, thermal speed) and the special functions that appear in
-the longitudinal response (polylog-type sums, the scaled complementary error
-function, reduced 1d velocity distributions).
+"""Equilibrium statistics of an ideal quantum gas: the species description,
+the scales the solvers consume (plasma frequency, characteristic velocity,
+fugacity, thermal speed) and three special functions:
+
+* zeta_pm, the occupation sums sum_j (-+1)^(j-1) alpha^j / j^s: a series,
+  or near alpha = 1 Robinson's expansion;
+* scaled_erfc, G(z) = sqrt(pi) z exp(z^2) erfc(z), the kernel of
+  residual_weak;
+* reduced_fz and its derivative, the 1d velocity distribution in closed
+  form, which the kinetic oracle samples.
 
 Units are SI throughout.  Temperatures in K, densities in 1/m^3.
 """
@@ -144,34 +149,56 @@ def _zeta_euler_maclaurin(r: float) -> float:
     return head + tail
 
 
-def zeta_pm_info(order: float, alpha: float, statistics: Statistics, *, tol: float = _SERIES_TOL):
-    """Polylog-type sum sum_j (-+1)^(j-1) alpha^j / j^order and the number of
-    terms it took.  Upper sign (alternating) for fermions, lower for bosons.
+def _bose_near_one(order: float, mu: float) -> float:
+    # Robinson's expansion of Li_s(e^-mu) about mu = 0 for non-integer s:
+    # Gamma(1 - s) mu^(s-1) + sum_k zeta(s - k) (-mu)^k / k!.  Ten terms
+    # reach double precision for mu < 0.1 (the series converges for
+    # mu < 2 pi).  The Euler-Maclaurin zeta loses digits for s - k < -3,
+    # where mu^k / k! keeps that error below 1e-15 of the sum.
+    total = math.gamma(1.0 - order) * mu ** (order - 1.0)
+    term = 1.0
+    for k in range(10):
+        total += _zeta_euler_maclaurin(order - k) * term
+        term *= -mu / (k + 1)
+    return total
 
-    Closed forms at alpha = 1 report 0 terms.  Raises NonConvergent for the
-    boson series at alpha = 1 with order <= 1 (divergent) or when the term
-    budget runs out.
+
+def zeta_pm(order: float, alpha: float, statistics: Statistics) -> float:
+    """Polylog-type sum sum_j (-+1)^(j-1) alpha^j / j^order.  Upper sign
+    (alternating) for fermions, lower for bosons.
+
+    Closed forms at alpha = 1.  For -ln alpha < 0.05 and an order at least
+    0.01 from an integer the boson sum is Robinson's expansion about
+    alpha = 1 and the fermion sum Li_s(alpha) - 2^(1-s) Li_s(alpha^2), so
+    the series, which needs ~-ln(1e-14 (1 - alpha))/(1 - alpha) terms, never
+    runs there.  Raises NonConvergent for the boson sum at alpha = 1 with
+    order <= 1 (divergent) or when the series' term budget runs out.
     """
     if order < 1.0:
         raise ValueError("order must be >= 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if alpha == 0.0:
-        return 0.0, 0
+        return 0.0
     fermi = statistics is Statistics.FERMI
     if alpha == 1.0:
         if fermi:
             if order == 1.0:
-                return math.log(2.0), 0
-            return (1.0 - 2.0 ** (1.0 - order)) * _zeta_euler_maclaurin(order), 0
+                return math.log(2.0)
+            return (1.0 - 2.0 ** (1.0 - order)) * _zeta_euler_maclaurin(order)
         if order <= 1.0:
             raise NonConvergent("boson sum diverges at alpha = 1 for order <= 1")
-        return _zeta_euler_maclaurin(order), 0
+        return _zeta_euler_maclaurin(order)
 
     log_a = math.log(alpha)
+    # near an integer order Gamma(1 - s) and one zeta(s - k) both blow up
+    # and cancel, so the expansion is kept to orders clear of it
+    if log_a > -0.05 and abs(order - round(order)) >= 0.01:
+        near = _bose_near_one(order, -log_a)
+        return near - 2.0 ** (1.0 - order) * _bose_near_one(order, -2.0 * log_a) if fermi else near
     # crude coefficient-only bound on the terms needed, to size the first block
     slack = 1.0 if fermi else 1.0 - alpha
-    est = math.log(tol * slack) / log_a if log_a < 0 else float(_SERIES_BLOCK)
+    est = math.log(_SERIES_TOL * slack) / log_a
     block = int(min(_SERIES_BLOCK, max(16.0, est + 8.0)))
     total = 0.0
     j0 = 1
@@ -189,29 +216,28 @@ def zeta_pm_info(order: float, alpha: float, statistics: Statistics, *, tol: flo
         nxt = math.exp(j_next * log_a - order * math.log(j_next))
         # tail bound: next term alone (alternating) or geometric majorant
         bound = nxt if fermi else nxt / (1.0 - alpha)
-        if bound < tol:
-            return total, j1 - 1
+        if bound < _SERIES_TOL:
+            return total
         j0 = j1
     raise NonConvergent(f"series for order {order}, alpha {alpha} exceeded {_SERIES_MAX_TERMS} terms")
-
-
-def zeta_pm(order: float, alpha: float, statistics: Statistics, *, tol: float = _SERIES_TOL) -> float:
-    return zeta_pm_info(order, alpha, statistics, tol=tol)[0]
 
 
 # value of the boson sum at the condensation boundary, quoted in errors
 _BOSE_CRITICAL = 2.6123753486854883
 
 
-def fugacity_from_density(species: SpeciesParams, *, tol: float = 1e-12) -> float:
+def fugacity_from_density(species: SpeciesParams) -> float:
     """Invert zeta_pm(3/2, alpha) = degeneracy parameter for alpha in (0, 1].
 
-    Bisection on (0, 1); the sum is strictly increasing in alpha.  For bosons
-    a target at the condensation boundary (within 1e-8 relative; finer is not
-    resolvable in double precision near alpha = 1) returns exactly 1.0, and a
-    target beyond it raises DegeneracyOutOfRange.  For fermions a target at or
-    above the alpha = 1 value of the alternating sum means the gas is too
-    degenerate for this parametrization; use the fully degenerate branch.
+    Bisection on (0, 1) to 1e-12 relative; the sum is strictly increasing in
+    alpha.  Within ~1e-4 of the boson boundary one ulp of alpha moves the
+    sum by more than that, and the nearer of two adjacent alphas is
+    returned.  For bosons a target at the condensation boundary (within 1e-8
+    relative; finer is not resolvable in double precision near alpha = 1)
+    returns exactly 1.0, and a target beyond it raises DegeneracyOutOfRange.
+    For fermions a target at or above the alpha = 1 value of the alternating
+    sum means the gas is too degenerate for this parametrization; use the
+    fully degenerate branch.
     """
     target = degeneracy_parameter(species)
     stats = species.statistics
@@ -238,9 +264,9 @@ def fugacity_from_density(species: SpeciesParams, *, tol: float = 1e-12) -> floa
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
+            return min((lo, hi), key=lambda a: abs(zeta_pm(1.5, a, stats) - target))
         val = zeta_pm(1.5, mid, stats)
-        if abs(val - target) <= tol * target:
+        if abs(val - target) <= 1e-12 * target:
             return mid
         if val < target:
             lo = mid
@@ -372,49 +398,34 @@ def scaled_erfc(z):
 # reduced 1d velocity distributions f_z(w) and their derivatives
 # ---------------------------------------------------------------------------
 
-def _series_signs(fermi: bool, j: int) -> float:
-    return 1.0 if (not fermi or j % 2 == 1) else -1.0
-
-
-def _fz_series(w, species: SpeciesParams, alpha: float, *, integrated: bool):
-    # (w as floats, beta, sum_j (-+1)^(j-1) c_j exp(-j beta w^2)) with
-    # c_j = alpha^j / j for the distribution (integrated), alpha^j for its slope
+def _occupation(w, species: SpeciesParams, alpha: float):
+    # (w as floats, beta, x = alpha exp(-beta w^2)), x even in w
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1) for the thermal series")
+        raise ValueError("alpha must lie in (0, 1) for the thermal distribution")
     if species.temperature <= 0:
         raise ValueError("thermal distribution needs temperature > 0")
     w_arr = np.asarray(w, dtype=float)
     beta = species.mass / (2.0 * K_B * species.temperature)
-    fermi = species.statistics is Statistics.FERMI
-    acc = np.zeros_like(w_arr)
-    aj = alpha
-    j = 1
-    w2 = w_arr * w_arr
-    while True:
-        c_j = aj / j if integrated else aj
-        acc += _series_signs(fermi, j) * c_j * np.exp(-j * beta * w2)
-        if aj / (1.0 - alpha) < 1e-16:
-            break
-        j += 1
-        aj *= alpha
-        if j > 100_000:
-            raise NonConvergent("distribution series exceeded 100000 terms")
-    return w_arr, beta, acc
+    return w_arr, beta, alpha * np.exp(-beta * (w_arr * w_arr))
 
 
 def reduced_fz(w, species: SpeciesParams, alpha: float):
     """1d velocity distribution of a thermal quantum gas, normalized so that
-    its integral over w is the number density."""
-    _, beta, acc = _fz_series(w, species, alpha, integrated=True)
+    its integral over w is the number density:
+    (pi a_w / beta) log(1 + x) for fermions, -(pi a_w / beta) log(1 - x) for
+    bosons, with x = alpha exp(-beta w^2) and a_w = g m^3 / h^3."""
+    _, beta, x = _occupation(w, species, alpha)
     a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
     pref = a_w * math.pi / beta  # = g (m^3/h^3) * (2 pi k_B T / m)
-    out = pref * acc
+    out = pref * np.log1p(x) if species.statistics is Statistics.FERMI else -pref * np.log1p(-x)
     return float(out) if np.ndim(w) == 0 else out
 
 
 def reduced_fz_derivative(w, species: SpeciesParams, alpha: float):
-    """d/dw of reduced_fz; the kernel of the longitudinal response."""
-    w_arr, _, acc = _fz_series(w, species, alpha, integrated=False)
+    """d/dw of reduced_fz, -2 pi a_w w x / (1 +- x); the kernel of the
+    longitudinal response.  w times an even factor, so it is odd bitwise."""
+    w_arr, _, x = _occupation(w, species, alpha)
     a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
-    out = -2.0 * math.pi * a_w * w_arr * acc
+    sign = 1.0 if species.statistics is Statistics.FERMI else -1.0
+    out = w_arr * (-2.0 * math.pi * a_w * x / (1.0 + sign * x))
     return float(out) if np.ndim(w) == 0 else out

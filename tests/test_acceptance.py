@@ -18,25 +18,25 @@ from disperse import (
     SolverConfig,
     SpeciesParams,
     Statistics,
-    coefficient_C1,
     derive_scales,
     evolve_mode,
     first_point_seeds,
-    omega_c1_corrected,
     omega_degenerate_bohm_gross,
     omega_quantum_langmuir,
+    omega_zero_sound,
+    solve_at_k,
+    sweep,
+)
+from disperse.dispersion_core import (
+    coefficient_C1,
+    omega_c1_corrected,
     omega_weak_biquadratic,
     omega_weak_simple,
-    omega_zero_sound,
     residual_degenerate,
     residual_quadrature,
     residual_weak,
-    scaled_erfc,
-    solve_at_k,
-    sweep,
-    zeta_pm,
 )
-from disperse.quantum_stats import K_B
+from disperse.quantum_stats import K_B, scaled_erfc, zeta_pm
 
 
 def rel(a, b):

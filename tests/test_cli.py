@@ -2,6 +2,7 @@
 
 import math
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -360,3 +361,16 @@ branches = QuantumLangmuir
         assert (out / "QuantumLangmuir.csv").exists()
     else:
         assert proc.stderr.startswith("config error: species:")
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_example_script_runs(script, monkeypatch, capsys):
+    # the worked examples import from the package namespace, so this also
+    # guards the public names they use
+    path = ROOT / "scripts" / script
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    try:
+        runpy.run_path(str(path), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (None, 0)
+    assert capsys.readouterr().out

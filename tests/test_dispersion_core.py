@@ -18,29 +18,28 @@ from hypothesis import given, settings, strategies as st
 import _refs as R
 from disperse import (
     BranchId,
-    ComplexRate,
     DisperseError,
-    NonConvergent,
-    ResidualValue,
-    SingularInput,
     SpeciesParams,
     Statistics,
-    coefficient_C1,
     derive_scales,
-    omega_c1_corrected,
     omega_degenerate_bohm_gross,
     omega_quantum_langmuir,
+    omega_zero_sound,
+)
+from disperse import dispersion_core
+from disperse.dispersion_core import (
+    ComplexRate,
+    ResidualValue,
+    coefficient_C1,
+    omega_c1_corrected,
     omega_weak_biquadratic,
     omega_weak_simple,
-    omega_zero_sound,
     residual_degenerate,
     residual_quadrature,
     residual_weak,
-    scaled_erfc,
-    zeta_pm,
 )
-from disperse import dispersion_core
-from disperse.quantum_stats import DerivedScales, K_B
+from disperse.errors import NonConvergent, SingularInput
+from disperse.quantum_stats import DerivedScales, K_B, scaled_erfc, zeta_pm
 
 
 def rel(a, b):
@@ -83,8 +82,8 @@ def test_coefficient_c1_hook_off_is_plasma_term(electron_degenerate_scales):
 def test_complex_rate_and_residual_value_fields():
     rate = ComplexRate(eta=-1.0, omega=2.0)
     assert rate.eta == -1.0 and rate.omega == 2.0
-    rv = ResidualValue(real_part=0.5, imag_part=-0.25, region_flag=True)
-    assert rv.region_flag is True
+    rv = ResidualValue(real_part=0.5, imag_part=-0.25, pref=2.0)
+    assert rv.analytic == complex(0.5, 0.5)
 
 
 def test_degenerate_analytic_is_the_recombined_split(electron_degenerate_scales):
@@ -112,7 +111,6 @@ def test_degenerate_undamped_interior_imag_is_bitwise_zero(electron_degenerate_s
     for r in np.linspace(0.05, 0.95, 19):
         rv = residual_degenerate(float(r), 0.0, R.K_REF, sc)
         assert rv.imag_part == 0.0
-        assert rv.region_flag is False
 
 
 def test_degenerate_gapped_slice_imag_is_three_half_pi(electron_degenerate_scales):
@@ -122,7 +120,6 @@ def test_degenerate_gapped_slice_imag_is_three_half_pi(electron_degenerate_scale
     for r in (1.2, 1.7, 2.1):
         rv = residual_degenerate(r, 0.0, R.K_REF, sc)
         assert rv.imag_part == 1.5 * math.pi
-        assert rv.region_flag is True
 
 
 def test_degenerate_input_validation(electron_degenerate_scales):

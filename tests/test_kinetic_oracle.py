@@ -7,6 +7,7 @@ genuine two-route check, and the tests here freeze the rehearsed margins.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,19 +20,18 @@ from disperse import (
     DisperseError,
     FitAmbiguous,
     GridResonanceUnderresolved,
-    InitShape,
     NumericalBlowup,
     OracleConfig,
     SpeciesParams,
     Statistics,
+    derive_scales,
     evolve_mode,
     first_point_seeds,
-    fit_omega_eta,
-    fugacity_from_density,
     solve_at_k,
 )
 from disperse import kinetic_oracle
-from disperse.kinetic_oracle import OracleRun
+from disperse.kinetic_oracle import InitShape, OracleRun, fit_omega_eta
+from disperse.quantum_stats import fugacity_from_density
 
 
 def rel(a, b):
@@ -453,6 +453,23 @@ def test_weak_mode_matches_roots(weak_fermion, weak_fermion_scales):
     assert rel(run.eta_fit, quad.rate.eta) < 0.05
     assert rel(run.omega_fit, series.rate.omega) < 0.02
     assert series.rate.eta < 0.0 and run.eta_fit < 0.0
+
+
+def test_bose_near_condensation_mode_matches_quadrature_root():
+    """Bose gas at fugacity 0.999: the occupation is one closed form at any
+    fugacity, so the oracle's set-up costs no more here than at 0.2; the wall
+    budget catches a distribution summed term by term."""
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=R.T_BOSE_0999, statistics=Statistics.BOSE)
+    sc = derive_scales(sp)
+    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    quad = converged_root(k, BranchId.ExactQuadrature, sp, sc)
+    start = time.perf_counter()
+    run = evolve_mode(k, sp, sc.alpha, OracleConfig(n_v=4096, dt=0.005, t_end=20.0),
+                      omega_guess=quad.rate.omega)
+    assert time.perf_counter() - start < 1.0
+    assert rel(run.omega_fit, quad.rate.omega) < 0.02
+    assert rel(run.eta_fit, quad.rate.eta) < 0.15
 
 
 def test_degenerate_mode_has_no_damping(electron_degenerate,

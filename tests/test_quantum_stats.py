@@ -9,25 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import _refs as R
-from disperse import (
-    DegeneracyOutOfRange,
-    NonConvergent,
-    SpeciesParams,
-    Statistics,
-    characteristic_velocity,
-    degeneracy_parameter,
-    derive_scales,
-    fugacity_from_density,
-    plasma_frequency,
-    reduced_fz,
-    reduced_fz_derivative,
-    scaled_erfc,
-    thermal_velocity_sq,
-    zeta_pm,
-)
+from disperse import DisperseError, SpeciesParams, Statistics, derive_scales, dominant_root
+from disperse.errors import DegeneracyOutOfRange, NonConvergent
 from disperse.quantum_stats import (
     CODATA,
     ELECTRON_MASS,
@@ -36,7 +22,15 @@ from disperse.quantum_stats import (
     HBAR,
     K_B,
     PLANCK_H,
-    zeta_pm_info,
+    characteristic_velocity,
+    degeneracy_parameter,
+    fugacity_from_density,
+    plasma_frequency,
+    reduced_fz,
+    reduced_fz_derivative,
+    scaled_erfc,
+    thermal_velocity_sq,
+    zeta_pm,
 )
 
 
@@ -164,6 +158,7 @@ def test_species_zero_temperature_rules():
 # ---------------------------------------------------------------------------
 
 def test_zeta_closed_forms_at_alpha_one():
+    assert zeta_pm(1.5, 0.0, Statistics.BOSE) == 0.0
     assert abs(zeta_pm(1.5, 1.0, Statistics.BOSE) - R.ZETA_32) < 1e-9
     assert abs(zeta_pm(2.5, 1.0, Statistics.BOSE) - R.ZETA_52) < 1e-9
     assert abs(zeta_pm(1.0, 1.0, Statistics.FERMI) - R.LN_2) < 1e-12
@@ -180,8 +175,9 @@ def test_zeta_frozen_polylogs_at_fugacity_02():
 def test_zeta_matches_high_precision_polylog():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
+    # from 0.96 on the sums come from the expansion about alpha = 1
     for order in (1.5, 2.5):
-        for alpha in (0.05, 0.3, 0.7, 0.95):
+        for alpha in (0.05, 0.3, 0.7, 0.95, 0.96, 0.999, 1.0 - 1e-6, 1.0 - 1e-12):
             bose_ref = float(mp.polylog(order, alpha))
             # polylog of a negative argument comes back as mpc with a zero
             # imaginary part; keep the real part
@@ -199,14 +195,6 @@ def test_zeta_boson_divergence_and_validation():
         zeta_pm(1.5, 1.2, Statistics.BOSE)
     with pytest.raises(ValueError):
         zeta_pm(1.5, -0.1, Statistics.FERMI)
-
-
-def test_zeta_info_term_counts():
-    assert zeta_pm_info(1.5, 0.0, Statistics.BOSE) == (0.0, 0)
-    val, n_terms = zeta_pm_info(1.5, 1.0, Statistics.BOSE)
-    assert n_terms == 0  # closed form, no series
-    _, n_terms = zeta_pm_info(1.5, 0.2, Statistics.FERMI)
-    assert n_terms > 0
 
 
 @given(
@@ -240,6 +228,67 @@ def test_fugacity_round_trips(temperature, target, stats):
     sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2,
                        density=R.N0, temperature=temperature, statistics=stats)
     assert rel(fugacity_from_density(sp), target) < 1e-10
+
+
+def _boundary_temperature(mass, density, spin, statistics):
+    """Temperature at which the degeneracy target reaches the fugacity-1
+    value of the 3/2 sum: T_c for bosons, the Fermi-series bound otherwise."""
+    bound = R.ZETA_32 if statistics is Statistics.BOSE else R.FERMI_32_AT_1
+    return PLANCK_H**2 / (2.0 * math.pi * mass * K_B) * (density / (spin * bound)) ** (2.0 / 3.0)
+
+
+@pytest.mark.parametrize("statistics, excess", [
+    (Statistics.BOSE, 5e-4), (Statistics.BOSE, 1e-6), (Statistics.FERMI, 1e-7),
+])
+def test_fugacity_just_inside_the_boundary(statistics, excess):
+    # the series needs ~1e6-1e13 terms at these fugacities
+    t_edge = _boundary_temperature(R.M_E, R.N0, 2, statistics)
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=t_edge * (1.0 + excess), statistics=statistics)
+    target = degeneracy_parameter(sp)
+    sc = derive_scales(sp)
+    assert 0.99 < sc.alpha < 1.0
+    assert abs(zeta_pm(1.5, sc.alpha, statistics) - target) <= 1e-10 * target
+
+
+@settings(max_examples=60, derandomize=True)
+@given(
+    statistics=st.sampled_from(Statistics),
+    log_mass=st.floats(-31.0, -25.0),
+    charge=st.sampled_from([0.0, -R.Q_E, R.Q_E, 2.0 * R.Q_E]),
+    spin=st.integers(1, 4),
+    log_density=st.floats(10.0, 32.0),
+    # half the draws within 1e-3 of the boundary, where the series ran out
+    log_excess=st.floats(-6.0, -3.0) | st.floats(-3.0, 4.0),
+    below=st.sampled_from([False, False, False, True]),
+    y=st.floats(0.05, 1.0),
+)
+def test_derive_scales_resolves_or_refuses_near_the_boundary(statistics, log_mass, charge, spin,
+                                                             log_density, log_excess, below, y):
+    # temperatures from 1e-6 to 1e4 relative above (or below) the boundary
+    # temperature; never NonConvergent, and the solved fugacity meets its target
+    mass, density = 10.0**log_mass, 10.0**log_density
+    excess = 10.0**log_excess
+    factor = 1.0 / (1.0 + excess) if below else 1.0 + excess
+    try:
+        sp = SpeciesParams(mass=mass, charge=charge, spin_degeneracy=spin, density=density,
+                           temperature=_boundary_temperature(mass, density, spin, statistics) * factor,
+                           statistics=statistics)
+        sc = derive_scales(sp)
+    except (DegeneracyOutOfRange, ValueError):
+        return
+    assert all(math.isfinite(v) for v in (sc.omega_p, sc.v_ch, sc.alpha, sc.v_th_sq, sc.lambda_quantum))
+    target = degeneracy_parameter(sp)
+    assert abs(zeta_pm(1.5, sc.alpha, statistics) - target) <= 1e-10 * target
+    if charge != 0.0:
+        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    else:
+        k = y * math.sqrt(sc.v_th_sq / sc.lambda_quantum)
+    try:
+        res = dominant_root(k, sp, sc)
+    except DisperseError:
+        return
+    assert math.isfinite(res.rate.omega) and math.isfinite(res.rate.eta)
 
 
 def test_fermion_too_degenerate_message():
@@ -374,3 +423,25 @@ def test_reduced_fz_validation(weak_fermion, electron_degenerate):
         reduced_fz(0.0, weak_fermion, 1.0)
     with pytest.raises(ValueError):
         reduced_fz(0.0, electron_degenerate, 0.5)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("alpha", [0.2, 0.9, 0.999])
+def test_reduced_fz_matches_polylog_reference(weak_fermion, weak_boson, statistics, alpha):
+    # reference: -+(pi a_w / beta) Li_1(-+x) and -2 pi a_w w (-+Li_0(-+x)),
+    # x = alpha exp(-beta w^2), in 40-digit arithmetic from the same doubles
+    mp = pytest.importorskip("mpmath")
+    sp = weak_fermion if statistics is Statistics.FERMI else weak_boson
+    beta = sp.mass / (2.0 * K_B * sp.temperature)
+    a_w = sp.spin_degeneracy * sp.mass**3 / PLANCK_H**3
+    sign = 1 if statistics is Statistics.FERMI else -1
+    w = np.linspace(-5.0, 5.0, 41) / math.sqrt(beta)
+    got_f = reduced_fz(w, sp, alpha)
+    got_d = reduced_fz_derivative(w, sp, alpha)
+    with mp.workdps(40):
+        for wi, f, d in zip(w, got_f, got_d):
+            x = mp.mpf(alpha) * mp.exp(-mp.mpf(beta) * mp.mpf(wi) ** 2)
+            want_f = -sign * mp.pi * mp.mpf(a_w) / mp.mpf(beta) * mp.polylog(1, -sign * x)
+            want_d = 2 * sign * mp.pi * mp.mpf(a_w) * mp.mpf(wi) * mp.polylog(0, -sign * x)
+            assert abs(f - want_f) <= 1e-14 * abs(want_f)
+            assert abs(d - want_d) <= 1e-14 * abs(want_d)

@@ -7,21 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _refs as R
-from disperse import (
-    BranchId,
-    ComplexRate,
-    SeedFailure,
-    SingularInput,
-    SolverConfig,
-    check_branch_species,
-    dominant_root,
-    first_point_seeds,
-    residual_quadrature,
-    solve_at_k,
-    sweep,
-)
+from disperse import BranchId, SolverConfig, dominant_root, first_point_seeds, solve_at_k, sweep
 from disperse import root_solver
-from disperse.errors import NoConvergence
+from disperse.dispersion_core import ComplexRate, residual_quadrature
+from disperse.errors import NoConvergence, SeedFailure, SingularInput
+from disperse.root_solver import check_branch_species
 
 
 def rel(a, b):
