@@ -48,4 +48,4 @@ class NumericalBlowup(DisperseError):
 
 
 class FitAmbiguous(DisperseError):
-    """Recorded density trace holds more than one comparable spectral line."""
+    """Recorded density trace holds no single clear damped mode near the guess."""

@@ -7,10 +7,11 @@ Evolves the linearized single-mode kinetic system on a velocity grid,
     N(t) = trapezoid(phi),
 
 where both force terms (Coulomb and quantum pressure) enter with the same
-sign; they are the two pieces of the restoring coefficient C1.  The fitted
-(omega, eta) of the recorded N(t) provide a root check that shares nothing
-with the residual evaluations: no occupation sums, no error functions, no
-contour bookkeeping.
+sign; they are the two pieces of the restoring coefficient C1.  The
+(omega, eta) that a matrix pencil reads off the recorded N(t)
+(fit_omega_eta) provide a root check that shares nothing with the residual
+evaluations: no occupation sums, no error functions, no contour
+bookkeeping.
 
 Streaming is diagonal and the coupling is rank one, so N obeys exactly the
 convolution Volterra equation N = F + K * N, Landau's initial-value problem
@@ -93,8 +94,9 @@ class OracleConfig:
 
 @dataclass
 class OracleRun:
-    """Recorded density trace of one mode plus fit results (filled in by
-    fit_omega_eta unless the run was started from a zero perturbation)."""
+    """Recorded density trace of one mode plus its dominant pole near
+    omega_guess and the pencil's relative misfit (filled in by fit_omega_eta
+    unless the run was started from a zero perturbation)."""
 
     k: float
     omega_guess: float
@@ -146,18 +148,6 @@ def _fft_size(n):
         p35 = p5
         while p35 < best:
             best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _smooth_floor(n):
-    """Largest 2^a 3^b 5^c <= n (n >= 1)."""
-    best = p5 = 1
-    while p5 <= n:
-        p35 = p5
-        while p35 <= n:
-            best = max(best, p35 << (n // p35).bit_length() - 1)
             p35 *= 3
         p5 *= 5
     return best
@@ -392,83 +382,71 @@ def evolve_mode(
     return run
 
 
+# Hankel columns of the pencil: a tall, thin matrix keeps the SVD cheap (a
+# pencil near N/3 makes it about N/3 square); the order of the fitted model;
+# the largest misfit the fit accepts, as a share of the mode's own amplitude
+_PENCIL = 33
+_ORDER = 12
+_MAX_MISFIT = 1e-2
+
+
 def fit_omega_eta(run: OracleRun):
     """Extract (omega_fit, eta_fit, fit_residual) from the density trace.
 
-    Keeps the last L samples, L the largest 2^a 3^b 5^c within the final 80%
-    (the first 20% or a little more holds the transient from subdominant
-    roots; L keeps the FFTs fast and is at least 75% of a trace of 1000
-    samples or more), locates the spectral peak with quadratic interpolation
-    on log magnitudes, converts a two-sided trace to its analytic signal when
-    the mirror line is present, then reads eta from a linear fit of
-    ln|envelope| and refines omega by a phase-slope regression.
-    fit_residual is the relative RMS misfit of the single damped-exponential
-    model.
+    A matrix pencil (Hua and Sarkar, IEEE Trans. ASSP 38 (1990) 814) fits
+    _ORDER damped exponentials to the trace past its first 5%, decimated to
+    about 8 samples per period of omega_guess (spacing h): the poles are
+    s = log(eig(V1^+ V2))/h, V the leading right singular vectors of a Hankel
+    matrix with _PENCIL columns and V1, V2 its rows but the last or the
+    first; least squares gives each term's amplitude, its norm over the
+    window.  The mode
+    is the largest-amplitude pole with |Im s| within 30% of omega_guess.  A
+    pole and its conjugate mirror (a real trace holds both) count once, and
+    the fit reports the Im s > 0 member.  fit_residual is the relative misfit
+    of the whole model.  FitAmbiguous: a second pole near the guess within
+    3 dB of the mode, a misfit above _MAX_MISFIT of the mode's amplitude, no
+    pole near the guess, or a failed decomposition.
     """
-    n_total = len(run.density)
-    if n_total < 16:
-        raise ValueError("density trace too short to fit")
-    i0 = n_total - _smooth_floor(n_total - n_total // 5)
-    t = np.asarray(run.times[i0:], dtype=float)
-    z = np.asarray(run.density[i0:], dtype=complex)
-    n = len(z)
-    dt = t[1] - t[0]
-    periods_kept = (t[-1] - t[0]) * run.omega_guess / (2.0 * math.pi)
-    if periods_kept < 10.0:
-        raise ValueError(f"only {periods_kept:.1f} periods retained after the transient cut; need 10")
-
-    spec = np.fft.fft(z)
-    freq = np.fft.fftfreq(n, dt)
-    mag = np.abs(spec)
-    i_pk = int(np.argmax(mag))
-    if mag[i_pk] == 0.0:
-        raise ValueError("empty spectrum: cannot fit a zero trace")
-
-    # quadratic refinement of the peak position on log magnitude
-    i_m = (i_pk - 1) % n
-    i_p = (i_pk + 1) % n
-    if mag[i_m] > 0 and mag[i_p] > 0:
-        lm, l0, lp = math.log(mag[i_m]), math.log(mag[i_pk]), math.log(mag[i_p])
-        denom = lm - 2.0 * l0 + lp
-        delta = 0.5 * (lm - lp) / denom if denom != 0 else 0.0
-    else:
-        delta = 0.0
-    omega0 = 2.0 * math.pi * (freq[i_pk] + delta / (n * dt))
-
-    # second-line detection outside the peak and its mirror neighborhoods
-    width = max(3, n // 200)
-    i_mirror = int(np.argmin(np.abs(freq + freq[i_pk])))
-    masked = mag.copy()
-    for center in {i_pk, i_mirror}:
-        lo = center - width
-        hi = center + width + 1
-        idx = np.arange(lo, hi) % n
-        masked[idx] = 0.0
-    second = float(masked.max())
-    if second > mag[i_pk] / math.sqrt(2.0):  # within 3 dB of the main line
-        raise FitAmbiguous(
-            f"second spectral line at {second / mag[i_pk]:.2f} of the main peak; "
-            "trace is not a single damped mode"
+    dt = run.times[1] - run.times[0]
+    step = max(1, int(2.0 * math.pi / (8.0 * run.omega_guess * dt)))
+    z = np.asarray(run.density[len(run.density) // 20::step], dtype=complex)
+    periods = (len(z) - 1) * step * dt * run.omega_guess / (2.0 * math.pi)
+    if periods < 10.0 or len(z) < 3 * _PENCIL:
+        raise ValueError(
+            f"density trace too short to fit: {len(z)} samples over {periods:.1f} periods "
+            f"after the transient cut; need {3 * _PENCIL} samples and 10 periods"
         )
-
-    # real-valued input shows the conjugate mirror line; keep the analytic part
-    if i_mirror != i_pk and mag[i_mirror] > 0.5 * mag[i_pk]:
-        side = np.sign(freq[i_pk]) if freq[i_pk] != 0 else 1.0
-        analytic = np.where(freq * side >= 0, spec, 0.0)
-        z_fit = np.fft.ifft(analytic) * 2.0
-    else:
-        z_fit = z
-
-    env = np.abs(z_fit)
-    env = np.maximum(env, env.max() * 1e-300)
-    tau = t - t[0]
-    lever = tau - tau.mean()
-    lever /= np.dot(lever, lever)  # dot(lever, y): least-squares slope of y on tau
-    eta_fit = float(np.dot(lever, np.log(env)))
-    phase = np.unwrap(np.angle(z_fit * np.exp(-1j * omega0 * tau)))
-    omega_signed = omega0 + float(np.dot(lever, phase))
-
-    model = np.exp((eta_fit + 1j * omega_signed) * tau)
-    coef = np.vdot(model, z_fit) / np.vdot(model, model)
-    resid = float(np.linalg.norm(z_fit - coef * model) / np.linalg.norm(z_fit))
-    return abs(omega_signed), eta_fit, resid
+    try:
+        # a zero pole or a singular pencil is left to the checks below
+        with np.errstate(all="ignore"):
+            # the triangle of a QR has the Hankel matrix's right singular vectors
+            hankel = np.lib.stride_tricks.sliding_window_view(z, _PENCIL)
+            v = np.linalg.svd(np.linalg.qr(hankel, mode="r"))[2][:_ORDER].T
+            log_z = np.log(np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:]))
+            # each term is scaled to 1 at its largest sample, so none overflows
+            powers = np.arange(len(z))[:, None] * log_z
+            terms = np.exp(powers - np.maximum(powers.real[-1], 0.0))
+            terms /= np.linalg.norm(terms, axis=0)
+            coef = np.linalg.lstsq(terms, z, rcond=None)[0]
+            misfit = np.linalg.norm(z - terms @ coef)
+    except np.linalg.LinAlgError as exc:
+        raise FitAmbiguous(f"matrix pencil failed: {exc}") from exc
+    s, amp = log_z / (step * dt), np.abs(coef)
+    near = np.flatnonzero(np.abs(np.abs(s.imag) - run.omega_guess) <= 0.3 * run.omega_guess)
+    if not near.size:
+        raise FitAmbiguous("no pole within 30% of omega_guess")
+    best = near[np.argmax(amp[near])]
+    twin = near[np.argmin(np.abs(s[near] - s[best].conjugate()))]
+    pair = (best, twin) if abs(s[twin] - s[best].conjugate()) <= 1e-6 * abs(s[best]) else (best,)
+    rival = amp[np.setdiff1d(near, pair)]
+    if rival.size and rival.max() > amp[best] / math.sqrt(2.0):
+        raise FitAmbiguous(
+            f"second pole at {rival.max() / amp[best]:.2f} of the mode's amplitude within "
+            "30% of omega_guess; trace is not a single damped mode"
+        )
+    if not misfit <= _MAX_MISFIT * amp[best]:
+        raise FitAmbiguous(
+            f"misfit {misfit / amp[best]:.3g} of the mode's amplitude, above {_MAX_MISFIT:g}"
+        )
+    mode = s[max(pair, key=lambda i: s[i].imag)]
+    return abs(float(mode.imag)), float(mode.real), float(misfit / np.linalg.norm(z))

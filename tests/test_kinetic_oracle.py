@@ -140,24 +140,41 @@ def test_fit_recovers_growing_mode():
 
 
 def test_fit_splits_real_trace_mirror():
-    # a real cosine trace carries the conjugate line; the fit keeps the
-    # analytic half and still lands on the underlying mode
+    # a real cosine trace holds the mode and its conjugate mirror, which
+    # count as one pole
     omega, eta, _ = fit_omega_eta(synthetic_run(7.3, -0.02, real=True))
-    assert rel(omega, 7.3) < 1e-4
-    assert abs(eta + 0.02) < 1e-3
+    assert rel(omega, 7.3) < 1e-10
+    assert abs(eta + 0.02) < 1e-10
 
 
 def test_fit_undamped_mode_reads_zero_eta():
     omega, eta, _ = fit_omega_eta(synthetic_run(7.3, 0.0))
-    assert abs(eta) < 1e-6 * omega
+    assert abs(eta) < 1e-12 * omega
+
+
+def two_tone_run(omega_other):
+    t = np.arange(4096) * 0.01
+    z = np.exp(1j * 7.3 * t) + 0.8 * np.exp(1j * omega_other * t)
+    return OracleRun(k=1.0, omega_guess=7.3, v=np.zeros(2), times=t,
+                     density=z, snapshot=np.zeros(2, dtype=complex))
 
 
 def test_fit_rejects_two_tone_trace():
-    t = np.arange(4096) * 0.01
-    z = np.exp(1j * 7.3 * t) + 0.8 * np.exp(1j * 3.1 * t)
-    run = OracleRun(k=1.0, omega_guess=7.3, v=np.zeros(2), times=t,
-                    density=z, snapshot=np.zeros(2, dtype=complex))
-    with pytest.raises(FitAmbiguous, match="second spectral line"):
+    # a second tone within 30% of the guess and 3 dB of the mode is ambiguous
+    with pytest.raises(FitAmbiguous, match="second pole at 0.80"):
+        fit_omega_eta(two_tone_run(6.6))
+    # a far one is a separate pole the pencil resolves
+    omega, eta, _ = fit_omega_eta(two_tone_run(3.1))
+    assert rel(omega, 7.3) < 1e-10
+    assert abs(eta) < 1e-10
+
+
+def test_fit_refuses_trace_without_mode_near_guess():
+    # the only pole near a guess of 5 is a roundoff pole of a pure tone at
+    # 7.3: a misfit far above its amplitude refuses it
+    run = synthetic_run(7.3, 0.0)
+    run.omega_guess = 5.0
+    with pytest.raises(FitAmbiguous, match="misfit"):
         fit_omega_eta(run)
 
 
@@ -168,30 +185,9 @@ def test_fit_trace_length_requirements():
         fit_omega_eta(synthetic_run(7.3, 0.0, n=1000, dt=0.001))
 
 
-def smooth_lengths(limit):
-    """Every 2^a 3^b 5^c up to limit (at most 2^20), sorted."""
-    powers = (2**a * 3**b * 5**c for a in range(21) for b in range(13) for c in range(9))
-    return sorted(p for p in powers if p <= limit)
-
-
-# 4003 - 4003 // 5 = 3203 is prime: the old cut fed the FFT a prime length
+# a prime trace length whose last 80% (3203 samples) is prime too: no length
+# the fit reads may need to suit a fast transform
 PRIME_CUT = 4003
-
-
-@pytest.mark.parametrize("n_total", [16, 4001, 8001, 10001, 40001, PRIME_CUT])
-def test_fit_window_is_largest_smooth_length(n_total):
-    cut = n_total - n_total // 5
-    kept = kinetic_oracle._smooth_floor(cut)
-    smooth = smooth_lengths(cut)
-    assert kept == smooth[-1] <= cut  # the largest 5-smooth length in the last 80%
-    if n_total > 16:  # 13 samples hold only 12: no 5-smooth length is closer
-        assert kept >= 0.97 * cut
-
-
-def test_smooth_floor_matches_enumeration():
-    smooth = smooth_lengths(6000)
-    for n in range(1, 5000):
-        assert kinetic_oracle._smooth_floor(n) == smooth[np.searchsorted(smooth, n, "right") - 1]
 
 
 @pytest.mark.parametrize("eta", [-0.02, 0.015, 0.0])
@@ -417,15 +413,15 @@ def test_classical_damping_matches_quadrature_root(classical_electron,
     root = converged_root(k, BranchId.ExactQuadrature, sp, sc)
     run = evolve_mode(k, sp, sc.alpha, OracleConfig(n_v=4096, dt=0.005, t_end=60.0),
                       omega_guess=root.rate.omega)
-    assert rel(run.omega_fit, root.rate.omega) < 1e-4
+    assert rel(run.omega_fit, root.rate.omega) < 1e-8
     assert root.rate.eta < 0.0 and run.eta_fit < 0.0
-    assert rel(run.eta_fit, root.rate.eta) < 0.05
+    assert rel(run.eta_fit, root.rate.eta) < 1e-4
 
 
 def test_classical_refinement_is_converged(classical_electron,
                                            classical_electron_scales):
     # guess pinned to the root so both runs sample the same window; the
-    # damping here is ~1e-6 of omega and drifts with the fit alignment
+    # damping here is ~1e-6 of omega, and the coarse grid moves it by ~2e-4
     sp, sc = classical_electron, classical_electron_scales
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
     guess = converged_root(k, BranchId.ExactQuadrature, sp, sc).rate.omega
@@ -435,13 +431,13 @@ def test_classical_refinement_is_converged(classical_electron,
     fine = evolve_mode(k, sp, sc.alpha,
                        OracleConfig(n_v=4096, dt=0.005, t_end=40.0),
                        omega_guess=guess)
-    assert rel(coarse.omega_fit, fine.omega_fit) < 1e-5
-    assert rel(coarse.eta_fit, fine.eta_fit) < 1e-2
+    assert rel(coarse.omega_fit, fine.omega_fit) < 1e-7
+    assert rel(coarse.eta_fit, fine.eta_fit) < 1e-3
 
 
 def test_weak_mode_matches_roots(weak_fermion, weak_fermion_scales):
-    """The oracle lands on the contour root: frequency to 1e-3, damping to
-    5 percent.  The series root's frequency agrees too; its damping is the
+    """The oracle lands on the contour root: frequency to 1e-8, damping to
+    1e-6.  The series root's frequency agrees too; its damping is the
     documented outlier (roughly 3x) and is asserted only by sign."""
     sp, sc = weak_fermion, weak_fermion_scales
     k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
@@ -449,8 +445,8 @@ def test_weak_mode_matches_roots(weak_fermion, weak_fermion_scales):
     series = converged_root(k, BranchId.ExactWeak, sp, sc)
     run = evolve_mode(k, sp, sc.alpha, OracleConfig(n_v=4096, dt=0.005, t_end=80.0),
                       omega_guess=quad.rate.omega)
-    assert rel(run.omega_fit, quad.rate.omega) < 1e-3
-    assert rel(run.eta_fit, quad.rate.eta) < 0.05
+    assert rel(run.omega_fit, quad.rate.omega) < 1e-8
+    assert rel(run.eta_fit, quad.rate.eta) < 1e-6
     assert rel(run.omega_fit, series.rate.omega) < 0.02
     assert series.rate.eta < 0.0 and run.eta_fit < 0.0
 
@@ -468,8 +464,35 @@ def test_bose_near_condensation_mode_matches_quadrature_root():
     run = evolve_mode(k, sp, sc.alpha, OracleConfig(n_v=4096, dt=0.005, t_end=20.0),
                       omega_guess=quad.rate.omega)
     assert time.perf_counter() - start < 1.0
-    assert rel(run.omega_fit, quad.rate.omega) < 0.02
-    assert rel(run.eta_fit, quad.rate.eta) < 0.15
+    assert rel(run.omega_fit, quad.rate.omega) < 1e-8
+    assert rel(run.eta_fit, quad.rate.eta) < 1e-6
+
+
+@pytest.mark.parametrize("gas, y", [("fermi_0.2", 0.6), ("fermi_0.2", 0.7), ("fermi_0.2", 0.9),
+                                    ("bose_0.9", 0.45), ("bose_0.9", 0.6)])
+def test_strongly_damped_mode_matches_quadrature_root(gas, y, weak_fermion):
+    """Modes that decay below the free-streaming remainder well inside the
+    trace (eta/omega from 1e-2 to 0.11) still read to the quadrature root."""
+    sp = weak_fermion if gas == "fermi_0.2" else SpeciesParams(
+        mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+        temperature=R.T_BOSE_09, statistics=Statistics.BOSE)
+    sc = derive_scales(sp)
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    quad = converged_root(k, BranchId.ExactQuadrature, sp, sc)
+    run = evolve_mode(k, sp, sc.alpha, OracleConfig(t_end=50.0), omega_guess=quad.rate.omega)
+    assert rel(run.omega_fit, quad.rate.omega) < 1e-8
+    assert rel(run.eta_fit, quad.rate.eta) < 1e-6
+
+
+def test_fit_same_on_conjugate_mode(weak_boson, weak_boson_scales):
+    # the traces at k and -k are conjugates, and a real trace holds both
+    # mirror poles: each fit reports the Im s > 0 one
+    sc = weak_boson_scales
+    k = 0.36 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    plus = evolve_mode(k, weak_boson, sc.alpha, OracleConfig(t_end=200.0))
+    minus = evolve_mode(-k, weak_boson, sc.alpha, OracleConfig(t_end=200.0))
+    assert rel(minus.omega_fit, plus.omega_fit) < 1e-11
+    assert abs(minus.eta_fit - plus.eta_fit) < 1e-12 * plus.omega_fit
 
 
 def test_degenerate_mode_has_no_damping(electron_degenerate,
@@ -480,7 +503,14 @@ def test_degenerate_mode_has_no_damping(electron_degenerate,
     run = evolve_mode(k, sp, None,
                       OracleConfig(n_v=8192, dt=0.005, t_end=100.0, v_max=3.5))
     assert rel(run.omega_fit, root.rate.omega) < 1e-3
-    assert abs(run.eta_fit) < 3e-6 * run.omega_fit
+    assert abs(run.eta_fit) < 1e-8 * run.omega_fit
+
+
+@pytest.mark.parametrize("x", [1.0, 1.15])
+def test_degenerate_mode_reads_no_growth_at_default_grid(x, electron_degenerate):
+    # the T = 0 modes of the benchmark's compare window, on the default grid
+    run = evolve_mode(x * R.K_REF, electron_degenerate, None, OracleConfig(t_end=200.0))
+    assert abs(run.eta_fit) <= 1e-8 * run.omega_fit
 
 
 def test_uniform_kick_agrees_with_shaped_init(weak_fermion, weak_fermion_scales):
@@ -491,7 +521,8 @@ def test_uniform_kick_agrees_with_shaped_init(weak_fermion, weak_fermion_scales)
     kicked = evolve_mode(k, sp, sc.alpha,
                          OracleConfig(n_v=2048, dt=0.005, t_end=60.0,
                                       init_shape=InitShape.UniformDensityKick))
-    assert rel(kicked.omega_fit, shaped.omega_fit) < 0.03
+    assert rel(kicked.omega_fit, shaped.omega_fit) < 1e-7
+    assert rel(kicked.eta_fit, shaped.eta_fit) < 1e-4
 
 
 def test_fit_independent_of_omega_guess(weak_fermion, weak_fermion_scales):
@@ -501,4 +532,5 @@ def test_fit_independent_of_omega_guess(weak_fermion, weak_fermion_scales):
     mid = evolve_mode(k, sp, sc.alpha, cfg)
     lo = evolve_mode(k, sp, sc.alpha, cfg, omega_guess=0.8 * mid.omega_fit)
     hi = evolve_mode(k, sp, sc.alpha, cfg, omega_guess=1.2 * mid.omega_fit)
-    assert rel(lo.omega_fit, hi.omega_fit) < 1e-3
+    assert rel(lo.omega_fit, hi.omega_fit) < 1e-8
+    assert rel(lo.eta_fit, hi.eta_fit) < 1e-5
