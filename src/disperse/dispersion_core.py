@@ -13,12 +13,10 @@ Landau damping rate.  Three residual evaluations are provided:
   degeneracy).  Shares no special functions with the other two, so it
   serves as the independent cross-check path.
 
-Sign conventions differ between the printed forms these follow:
-residual_degenerate and residual_quadrature vanish where the normalized
-response F equals 1 and are oriented as 1 - (response terms), while
-residual_weak returns (response terms) - 1.  Where the pole term is
-negligible the weak and quadrature values therefore agree up to an overall
-sign; tests pin the exact relation including the pole term.
+All three return one complex value, holomorphic in s away from their branch
+cuts, oriented as 1 - (normalized response).  Where the pole term is
+negligible the weak and quadrature values agree; tests pin the exact
+relation including the pole term.
 """
 
 from __future__ import annotations
@@ -33,12 +31,12 @@ import numpy as np
 
 from .errors import NonConvergent, QuadratureFailure, SingularInput
 from .quantum_stats import (
-    K_B,
     PLANCK_H,
     DerivedScales,
     SpeciesParams,
     Statistics,
     scaled_erfc,
+    thermal_beta,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -65,24 +63,6 @@ class ComplexRate:
 
     def r(self, k: float, v_ch: float) -> float:
         return k * v_ch / self.omega
-
-
-@dataclass(frozen=True)
-class ResidualValue:
-    """Real and imaginary residual components of the printed degenerate form.
-
-    imag_part has the common prefactor pref = 3 C1 / (k^2 v_ch^2 r) divided
-    out; `analytic` puts it back.
-    """
-
-    real_part: float
-    imag_part: float
-    pref: float
-
-    @property
-    def analytic(self) -> complex:
-        """The residual as a function holomorphic in s = eta + i omega."""
-        return complex(self.real_part, -self.pref * self.imag_part)
 
 
 class BranchId(Enum):
@@ -125,14 +105,16 @@ def coefficient_C1(k: float, scales: DerivedScales, *, bohm_term: bool = True) -
 
 def residual_degenerate(
     r: float, epsilon: float, k: float, scales: DerivedScales, *, bohm_term: bool = True
-) -> ResidualValue:
+) -> complex:
     """Fully degenerate residual in the scaled variables r = k v_F/omega and
     epsilon = eta/omega.
 
-    real_part vanishes on a branch; imag_part must vanish simultaneously.
-    imag_part is identically zero for epsilon = 0 inside r^2 < 1 (all three
-    of its terms vanish there), which is why the undamped branch can be
-    followed with epsilon pinned at exactly 0.0.
+    The printed form splits into a real part and an imaginary part with the
+    common prefactor pref = 3 C1 / (k^2 v_F^2 r) divided out; the value
+    returned is real_part - i pref imag_part, holomorphic in s.  Its
+    imaginary part is identically zero for epsilon = 0 inside r^2 < 1 (all
+    three terms of imag_part vanish there), which is why the undamped branch
+    can be followed with epsilon pinned at exactly 0.0.
     """
     if not r > 0:
         raise ValueError("r must be positive")
@@ -149,7 +131,7 @@ def residual_degenerate(
     pref = 3.0 * c1 / (k * k * v_f * v_f * r)
     real_part = 1.0 - pref * (0.5 * epsilon * big_a - 0.25 * lg - r + math.pi * epsilon * step)
     imag_part = 0.5 * big_a + 0.25 * epsilon * lg + math.pi * step
-    return ResidualValue(real_part=real_part, imag_part=imag_part, pref=pref)
+    return complex(real_part, -pref * imag_part)
 
 
 # residual_weak series: tail tolerance, which also sizes the first block, and
@@ -169,19 +151,15 @@ def residual_weak(
 ) -> complex:
     """Thermal-gas residual as a fugacity series over scaled complementary
     error functions, plus the occupation-pole term, normalized by the
-    density moment (2/3) v_ch^3.  Returns (response)/(normalization) - 1.
+    density moment (2/3) v_ch^3.  Returns 1 - (response)/(normalization).
 
     The pole term enters unconditionally, matching the analytic form this
     implements; see residual_quadrature for the contour-tracking variant.
     """
     if not k > 0:
         raise ValueError("k must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if species.temperature <= 0:
-        raise ValueError("thermal residual needs temperature > 0")
+    beta = thermal_beta(species, alpha)
     s = complex(s)
-    beta = species.mass / (2.0 * K_B * species.temperature)
     theta = math.sqrt(beta) * s / k
     fermi = species.statistics is Statistics.FERMI
 
@@ -231,7 +209,7 @@ def residual_weak(
     c1 = coefficient_C1(k, scales, bohm_term=bohm_term)
     norm = (2.0 / 3.0) * scales.v_ch**3
     response = (c1 / (k * k)) * math.sqrt(math.pi / beta) * (total + pole)
-    return response / norm - 1.0
+    return 1.0 - response / norm
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +361,7 @@ def residual_quadrature(
             # (g(u) - g(p))/(u - p) = -3/2 on all of [-1, 1]
             integral = -3.0 + g_at_p * _principal_log_ratio(p_hat, eta == 0.0)
     else:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if species.temperature <= 0:
-            raise ValueError("thermal quadrature needs temperature > 0")
-        beta = species.mass / (2.0 * K_B * species.temperature)
+        beta = thermal_beta(species, alpha)
         w_scale = 8.0 / math.sqrt(beta)  # exp(-beta W^2) ~ 1e-28: tail negligible
         s_beta_w2 = beta * w_scale * w_scale
         inv_alpha = 1.0 / alpha

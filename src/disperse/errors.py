@@ -1,9 +1,12 @@
 """Exception hierarchy shared across the package.
 
 Everything raised on purpose derives from DisperseError so callers can
-catch one base type at the CLI boundary.  Solver exceptions may carry a
-``result`` attribute holding the last iterate as a partial DispersionResult;
-it is attached at raise time by the solver, not declared here.
+catch one base type at the CLI boundary.  NoConvergence and
+SingularJacobian from the Newton iteration carry two attributes, attached at
+raise time by the solver and not declared here: ``partial``, the tuple
+(z, residual_norm, iterations) of the last iterate with z = s / omega_ref
+the scaled complex rate, and ``result``, that iterate as a non-converged
+DispersionResult.
 """
 
 

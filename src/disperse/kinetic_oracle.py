@@ -39,22 +39,13 @@ from enum import Enum
 import numpy as np
 
 from .dispersion_core import (
+    coefficient_C1,
     omega_degenerate_bohm_gross,
     omega_weak_simple,
     omega_zero_sound,
 )
 from .errors import FitAmbiguous, GridResonanceUnderresolved, NumericalBlowup
-from .quantum_stats import (
-    HBAR,
-    PLANCK_H,
-    DerivedScales,
-    SpeciesParams,
-    characteristic_velocity,
-    plasma_frequency,
-    reduced_fz,
-    reduced_fz_derivative,
-    thermal_velocity_sq,
-)
+from .quantum_stats import PLANCK_H, SpeciesParams, reduced_fz, reduced_fz_derivative, scales_at
 
 
 class InitShape(Enum):
@@ -70,6 +61,13 @@ class OracleConfig:
     v_F degenerate); None selects 8 for thermal gases and 1.5 for full
     degeneracy.  dt, the spacing of the recorded density samples, is a
     fraction of one oscillation period 2 pi/omega_guess; t_end counts periods.
+
+    Known limits: a UniformDensityKick start leaves a free-streaming
+    remainder from its edges at +-v_max, so strongly damped thermal modes
+    (eta/omega from about 0.15-0.25) raise FitAmbiguous; and on the neutral
+    T = 0 gas a zero-sound phase velocity within a few edge widths of v_F
+    reads damping (eta/omega down to -1e-2) that the sharp Fermi sphere
+    does not have.
     """
 
     n_v: int = 4096
@@ -278,19 +276,8 @@ def evolve_mode(
         raise ValueError("k must be nonzero")
     k_abs = abs(k)
     degenerate = alpha is None
-    if degenerate and not species.fully_degenerate:
-        raise ValueError("alpha = None requires a fully degenerate species")
-    if not degenerate and not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-
-    omega_p = plasma_frequency(species)
-    v_ch = characteristic_velocity(species)
-    lam_q = HBAR**2 / (4.0 * species.mass**2)
-    v_th_sq = 0.0 if degenerate else thermal_velocity_sq(species, alpha)
-    scales = DerivedScales(
-        omega_p=omega_p, v_ch=v_ch, alpha=1.0 if degenerate else alpha,
-        v_th_sq=v_th_sq, lambda_quantum=lam_q,
-    )
+    scales = scales_at(species, alpha)
+    v_ch = scales.v_ch
 
     if omega_guess is None:
         if degenerate:
@@ -303,12 +290,9 @@ def evolve_mode(
     if not omega_guess > 0:
         raise ValueError("omega_guess must be positive")
 
-    if degenerate:
-        v_scale = v_ch
-        v_max = (config.v_max if config.v_max is not None else 1.5) * v_scale
-    else:
-        v_scale = max(v_ch, math.sqrt(v_th_sq))
-        v_max = (config.v_max if config.v_max is not None else 8.0) * v_scale
+    # v_th_sq is 0.0 for the degenerate gas, so the scale is v_F there
+    multiple = config.v_max if config.v_max is not None else (1.5 if degenerate else 8.0)
+    v_max = multiple * max(v_ch, math.sqrt(scales.v_th_sq))
     if v_max < omega_guess / k_abs:
         raise ValueError(
             f"velocity grid to {v_max:.4g} m/s does not cover the resonant velocity "
@@ -354,8 +338,7 @@ def evolve_mode(
     raw = np.dot(shape, weights)
     phi0 = (0.0 if raw == 0.0 else amplitude * species.density / raw) * shape
 
-    hook = 1.0 if bohm_term else 0.0
-    c1 = omega_p**2 + hook * lam_q * k_abs**4
+    c1 = coefficient_C1(k_abs, scales, bohm_term=bohm_term)
     coupling = (1j * c1 / (k_abs * species.density)) * fprime
     density, snapshot = _volterra(phi0, v, k_abs, coupling, weights, dt, n_steps)
     if _first_breach(density) is not None:

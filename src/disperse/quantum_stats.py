@@ -100,6 +100,7 @@ class DerivedScales:
 
     alpha == 1.0 together with v_th_sq == 0.0 marks the fully degenerate
     branch; for a thermal gas alpha is the solved fugacity in (0, 1).
+    Built by scales_at.
     """
 
     omega_p: float
@@ -227,38 +228,36 @@ _BOSE_CRITICAL = 2.6123753486854883
 
 
 def fugacity_from_density(species: SpeciesParams) -> float:
-    """Invert zeta_pm(3/2, alpha) = degeneracy parameter for alpha in (0, 1].
+    """Invert zeta_pm(3/2, alpha) = degeneracy parameter for alpha in (0, 1).
 
     Bisection on (0, 1) to 1e-12 relative; the sum is strictly increasing in
     alpha.  Within ~1e-4 of the boson boundary one ulp of alpha moves the
     sum by more than that, and the nearer of two adjacent alphas is
-    returned.  For bosons a target at the condensation boundary (within 1e-8
-    relative; finer is not resolvable in double precision near alpha = 1)
-    returns exactly 1.0, and a target beyond it raises DegeneracyOutOfRange.
-    For fermions a target at or above the alpha = 1 value of the alternating
-    sum means the gas is too degenerate for this parametrization; use the
-    fully degenerate branch.
+    returned.  A target at or above the alpha = 1 value of the sum raises
+    DegeneracyOutOfRange naming the temperature: for bosons the gas
+    condenses there, and a target within 1e-8 relative of the boundary
+    counts as on it (finer is not resolvable in double precision near
+    alpha = 1); for fermions the gas is too degenerate for this
+    parametrization, so use the fully degenerate branch.
     """
     target = degeneracy_parameter(species)
     stats = species.statistics
+    at = f"at T = {species.temperature:.9g} K the degeneracy target {target:.6g}"
     if stats is Statistics.FERMI:
         bound = (1.0 - 2.0**-0.5) * _BOSE_CRITICAL
         if target >= bound * (1.0 - 1e-12):
             raise DegeneracyOutOfRange(
-                f"degeneracy target {target:.6g} is at or above the fugacity-1 "
-                f"value {bound:.16g} of the alternating 3/2 sum; "
-                "treat the gas as fully degenerate instead"
+                f"{at} is at or above the fugacity-1 value {bound:.16g} of the "
+                "alternating 3/2 sum; treat the gas as fully degenerate instead"
             )
     else:
         bound = _BOSE_CRITICAL
-        if target >= bound * (1.0 + 1e-12):
-            raise DegeneracyOutOfRange(
-                f"degeneracy target {target:.6g} exceeds the condensation value "
-                f"{bound:.16g} of the 3/2 sum; the gas condenses at this "
-                "density and temperature, which is outside this model"
-            )
         if target >= bound * (1.0 - 1e-8):
-            return 1.0  # at the boundary within double-precision resolution
+            raise DegeneracyOutOfRange(
+                f"{at} reaches the condensation value {bound:.16g} of the 3/2 sum "
+                "(to within 1e-8, the resolution near fugacity 1); the gas condenses "
+                "at this density and temperature, which is outside this model"
+            )
 
     lo, hi = 0.0, 1.0
     for _ in range(200):
@@ -275,28 +274,41 @@ def fugacity_from_density(species: SpeciesParams) -> float:
     raise NonConvergent(f"fugacity bisection stalled for target {target:.6g}")
 
 
+def thermal_beta(species: SpeciesParams, alpha: float) -> float:
+    """m / (2 k_B T) of a thermal gas at fugacity alpha; refuses an alpha
+    outside (0, 1) or a temperature that is not positive."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1) for a thermal gas")
+    if species.temperature <= 0:
+        raise ValueError("a thermal gas needs temperature > 0")
+    return species.mass / (2.0 * K_B * species.temperature)
+
+
 def thermal_velocity_sq(species: SpeciesParams, alpha: float) -> float:
     """Mean-square velocity scale (3 k_B T / m) weighted by the ratio of the
     5/2 and 3/2 occupation sums.  Tends to 3 k_B T / m in the classical limit."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if species.temperature <= 0:
-        raise ValueError("thermal velocity needs temperature > 0")
+    thermal_beta(species, alpha)  # refuses a gas that is not thermal
     num = zeta_pm(2.5, alpha, species.statistics)
     den = zeta_pm(1.5, alpha, species.statistics)
     return 3.0 * K_B * species.temperature / species.mass * num / den
 
 
+def scales_at(species: SpeciesParams, alpha: float | None) -> DerivedScales:
+    """The scales of the species at fugacity alpha; alpha = None selects the
+    fully degenerate gas."""
+    if alpha is None:
+        if not species.fully_degenerate:
+            raise ValueError("alpha = None requires a fully degenerate species")
+        alpha, v_th_sq = 1.0, 0.0
+    else:
+        v_th_sq = thermal_velocity_sq(species, alpha)
+    return DerivedScales(omega_p=plasma_frequency(species), v_ch=characteristic_velocity(species),
+                         alpha=alpha, v_th_sq=v_th_sq, lambda_quantum=HBAR**2 / (4.0 * species.mass**2))
+
+
 def derive_scales(species: SpeciesParams) -> DerivedScales:
     """One-stop derivation of every scale the solvers consume."""
-    omega_p = plasma_frequency(species)
-    v_ch = characteristic_velocity(species)
-    lam_q = HBAR**2 / (4.0 * species.mass**2)
-    if species.fully_degenerate:
-        return DerivedScales(omega_p=omega_p, v_ch=v_ch, alpha=1.0, v_th_sq=0.0, lambda_quantum=lam_q)
-    alpha = fugacity_from_density(species)
-    v_th_sq = thermal_velocity_sq(species, alpha)
-    return DerivedScales(omega_p=omega_p, v_ch=v_ch, alpha=alpha, v_th_sq=v_th_sq, lambda_quantum=lam_q)
+    return scales_at(species, None if species.fully_degenerate else fugacity_from_density(species))
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +412,8 @@ def scaled_erfc(z):
 
 def _occupation(w, species: SpeciesParams, alpha: float):
     # (w as floats, beta, x = alpha exp(-beta w^2)), x even in w
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1) for the thermal distribution")
-    if species.temperature <= 0:
-        raise ValueError("thermal distribution needs temperature > 0")
+    beta = thermal_beta(species, alpha)
     w_arr = np.asarray(w, dtype=float)
-    beta = species.mass / (2.0 * K_B * species.temperature)
     return w_arr, beta, alpha * np.exp(-beta * (w_arr * w_arr))
 
 

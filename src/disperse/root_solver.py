@@ -3,12 +3,10 @@
 Every exact branch is solved in one frame, the scaled complex rate
 z = s / omega_ref with s = eta + i*omega and omega_ref = Omega_p for charged
 gases, k v_ch for neutral ones.  All three residuals are holomorphic in s
-away from their branch cuts: residual_weak and residual_quadrature as they
-stand, and residual_degenerate once its printed (r, epsilon) split is
-recombined as real_part - i*pref*imag_part with pref = 3 C1/(k^2 v_ch^2 r).
-By Cauchy-Riemann one forward difference along omega therefore gives the
-complex derivative f'(z), and each Newton iteration costs two residual
-calls plus line-search trials.
+away from their branch cuts and oriented as 1 - (normalized response); the
+solver looks them up as module globals at call time.  By Cauchy-Riemann one
+forward difference along omega therefore gives the complex derivative f'(z),
+and each Newton iteration costs two residual calls plus line-search trials.
 
 On the eta = 0 axis the residual is real up to roundoff or underflow: the
 resonance-free degenerate interior has an exactly zero imaginary part, and
@@ -93,8 +91,11 @@ class DispersionResult:
     residual_norm: float
     converged: bool
     iterations: int
-    damped: bool
-    region_flag: bool
+    region_flag: bool  # k^2 v_ch^2 + eta^2 >= omega^2, where the degenerate residue term is on
+
+    @property
+    def damped(self) -> bool:
+        return self.rate.eta < 0.0
 
 
 def check_branch_species(branch: BranchId, species: SpeciesParams, scales: DerivedScales) -> None:
@@ -116,7 +117,7 @@ def _max_abs(f: complex) -> float:
 
 
 def _stalled(err, z: complex, norm: float, iterations: int):
-    err.partial = ((z.imag, z.real), norm, iterations)
+    err.partial = (z, norm, iterations)
     return err
 
 
@@ -142,7 +143,7 @@ def _newton(fun, z: complex, config: SolverConfig, reject):
     """Damped Newton on a residual holomorphic in the scaled rate z.
 
     Returns (z, norm, iterations).  Raises NoConvergence/SingularJacobian
-    with ((Im z, Re z), norm, iterations) attached as the .partial attribute.
+    with (z, norm, iterations) of the last iterate attached as .partial.
     """
     f = fun(z)
     norm = _max_abs(f)
@@ -193,8 +194,12 @@ _CLOSED_FORMS = {
 }
 
 
-def _region_flag(k: float, rate: ComplexRate, scales: DerivedScales) -> bool:
-    return (k * scales.v_ch) ** 2 + rate.eta**2 - rate.omega**2 >= 0.0
+def _result(k: float, branch: BranchId, rate: ComplexRate, scales: DerivedScales,
+            residual_norm: float, converged: bool, iterations: int = 0) -> DispersionResult:
+    return DispersionResult(
+        k=k, branch=branch, rate=rate, residual_norm=residual_norm, converged=converged,
+        iterations=iterations, region_flag=(k * scales.v_ch) ** 2 + rate.eta**2 - rate.omega**2 >= 0.0,
+    )
 
 
 def solve_at_k(
@@ -219,23 +224,12 @@ def solve_at_k(
         rate = ComplexRate(eta=0.0, omega=omega)
         try:
             if branch in DEGENERATE_BRANCHES:
-                res = residual_degenerate(rate.r(k, scales.v_ch), 0.0, k, scales, bohm_term=bohm_term)
-                diag = abs(res.real_part)
+                diag = abs(residual_degenerate(rate.r(k, scales.v_ch), 0.0, k, scales, bohm_term=bohm_term).real)
             else:
-                val = residual_weak(k, rate.s, species, scales.alpha, scales, bohm_term=bohm_term)
-                diag = abs(val)
+                diag = abs(residual_weak(k, rate.s, species, scales.alpha, scales, bohm_term=bohm_term))
         except (SingularInput, NonConvergent):
             diag = math.inf
-        return DispersionResult(
-            k=k,
-            branch=branch,
-            rate=rate,
-            residual_norm=diag,
-            converged=True,
-            iterations=0,
-            damped=False,
-            region_flag=_region_flag(k, rate, scales),
-        )
+        return _result(k, branch, rate, scales, diag, converged=True)
 
     omega_ref = scales.omega_p if species.charge != 0.0 else k * scales.v_ch
     r_ref = k * scales.v_ch / omega_ref  # r = k v_ch / omega = r_ref / Im z
@@ -243,7 +237,7 @@ def solve_at_k(
     if branch is BranchId.ExactDegenerate:
 
         def fun(z):
-            return residual_degenerate(r_ref / z.imag, z.real / z.imag, k, scales, bohm_term=bohm_term).analytic
+            return residual_degenerate(r_ref / z.imag, z.real / z.imag, k, scales, bohm_term=bohm_term)
 
     elif branch is BranchId.ExactWeak:
 
@@ -268,23 +262,13 @@ def solve_at_k(
 
     def build(z, norm, iterations, converged):
         rate = ComplexRate(eta=z.real * omega_ref, omega=z.imag * omega_ref)
-        return DispersionResult(
-            k=k,
-            branch=branch,
-            rate=rate,
-            residual_norm=norm,
-            converged=converged,
-            iterations=iterations,
-            damped=rate.eta < 0.0,
-            region_flag=_region_flag(k, rate, scales),
-        )
+        return _result(k, branch, rate, scales, norm, converged, iterations)
 
     z0 = complex(seed.eta / omega_ref, seed.omega / omega_ref)
     try:
         z, norm, iterations = _newton(fun, z0, config, reject)
     except (NoConvergence, SingularJacobian) as err:
-        (omega, eta), norm, iterations = err.partial
-        err.result = build(complex(eta, omega), norm, iterations, converged=False)
+        err.result = build(*err.partial, converged=False)
         raise
     return build(z, norm, iterations, converged=True)
 
@@ -382,13 +366,7 @@ def sweep(
             try:
                 res = solve_at_k(k, branch, species, scales, seed, config, bohm_term=bohm_term)
             except _SWEEP_POINT_ERRORS as err:
-                res = getattr(err, "result", None)
-                if res is None:
-                    res = DispersionResult(
-                        k=k, branch=branch, rate=seed, residual_norm=math.inf,
-                        converged=False, iterations=0, damped=seed.eta < 0.0,
-                        region_flag=_region_flag(k, seed, scales),
-                    )
+                res = getattr(err, "result", None) or _result(k, branch, seed, scales, math.inf, False)
         else:
             res = None
             last = None
@@ -401,11 +379,8 @@ def sweep(
             else:
                 if index == 0:
                     raise SeedFailure(f"no seed converged at the first point k = {k:.6e}")
-                res = last if last is not None else DispersionResult(
-                    k=k, branch=branch, rate=ComplexRate(0.0, omega_quantum_langmuir(k, scales, bohm_term=bohm_term)),
-                    residual_norm=math.inf, converged=False, iterations=0, damped=False,
-                    region_flag=False,
-                )
+                fallback = ComplexRate(0.0, omega_quantum_langmuir(k, scales, bohm_term=bohm_term))
+                res = last or _result(k, branch, fallback, scales, math.inf, False)
         results.append(res)
         if res.converged:
             prev = res.rate

@@ -179,8 +179,8 @@ def test_criterion_05_zero_sound_window(neutral_degenerate,
         k = float(kappa) * unit
         omega = omega_zero_sound(k, sc)
         ratios.append(omega / (k * sc.v_ch))
-        rv = residual_degenerate(k * sc.v_ch / omega, 0.0, k, sc)
-        worst_back = max(worst_back, abs(rv.real_part))
+        zd = residual_degenerate(k * sc.v_ch / omega, 0.0, k, sc)
+        worst_back = max(worst_back, abs(zd.real))
     assert all(1.0 < ratio <= 1.3 for ratio in ratios)
     assert all(b > a for a, b in zip(ratios, ratios[1:]))  # falls as k -> 0
     assert worst_back < 1e-2
@@ -230,8 +230,9 @@ def test_criterion_07_dual_path_residual_equivalence(
 ):
     """Quadrature vs printed degenerate form at 50 random complex rates, and
     quadrature vs fugacity series at 50 random rates chosen where the
-    occupation-pole term is below 1e-12 relative (the two conventions differ
-    by an overall sign, so the comparison is rw + rq against zero)."""
+    occupation-pole term is below 1e-12 relative (all three residuals share
+    the orientation 1 - response, so the comparison is rw - rq against
+    zero)."""
     start = time.monotonic()
     dsp, dsc = electron_degenerate, electron_degenerate_scales
     rng = np.random.default_rng(20260816)
@@ -247,9 +248,7 @@ def test_criterion_07_dual_path_residual_equivalence(
         k = float(rng.uniform(0.3, 1.5)) * R.K_REF
         omega = k * dsc.v_ch / r
         zq = residual_quadrature(k, complex(eps * omega, omega), dsp, None, dsc)
-        rv = residual_degenerate(r, eps, k, dsc)
-        pref = 3.0 * coefficient_C1(k, dsc) / (k * k * dsc.v_ch**2 * r)
-        zd = complex(rv.real_part, -pref * rv.imag_part)
+        zd = residual_degenerate(r, eps, k, dsc)
         worst_deg = max(worst_deg, abs(zq - zd) / abs(zd))
         count += 1
     assert worst_deg < 1e-6
@@ -267,7 +266,7 @@ def test_criterion_07_dual_path_residual_equivalence(
         s = theta * k / math.sqrt(beta)
         rw = residual_weak(k, s, wsp, wsc.alpha, wsc)
         zq = residual_quadrature(k, s, wsp, wsc.alpha, wsc)
-        worst_weak = max(worst_weak, abs(rw + zq) / max(abs(rw), abs(zq)))
+        worst_weak = max(worst_weak, abs(rw - zq) / max(abs(rw), abs(zq)))
     assert worst_weak < 1e-6
     report(7, "dual-path residual equivalence",
            f"degenerate worst {worst_deg:.3e}, series worst {worst_weak:.3e}, "

@@ -13,6 +13,7 @@ import pytest
 
 import _refs as R
 from disperse.cli import COMPARE_HEADER, CSV_HEADER, main, oracle_agrees
+from disperse.quantum_stats import K_B, PLANCK_H
 
 VTH_F02 = math.sqrt(R.VTH2_FERMI_02)
 ROOT = Path(__file__).resolve().parent.parent
@@ -361,6 +362,30 @@ branches = QuantumLangmuir
         assert (out / "QuantumLangmuir.csv").exists()
     else:
         assert proc.stderr.startswith("config error: species:")
+
+
+def test_boson_at_condensation_exits_1_without_traceback(tmp_path):
+    # T = T_c (1 + 1e-10): the fugacity solve refuses the gas, and the CLI
+    # reports it as a validation error instead of dying in the sweep
+    t_c = PLANCK_H**2 / (2.0 * math.pi * R.M_E * K_B) * (R.N0 / (2 * R.ZETA_32)) ** (2.0 / 3.0)
+    species = WEAK_SPECIES.replace(repr(R.T_FERMI_02), repr(t_c * (1.0 + 1e-10))).replace("fermi", "bose")
+    cfg = write_ini(tmp_path, species + """
+[sweep]
+k_min = 1e9
+k_max = 2e9
+n_points = 3
+branches = ExactQuadrature
+""")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "disperse.cli", "run", "--config", cfg,
+         "--output-dir", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("validation error: at T = ")
+    assert "condens" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))

@@ -29,7 +29,6 @@ from disperse import (
 from disperse import dispersion_core
 from disperse.dispersion_core import (
     ComplexRate,
-    ResidualValue,
     coefficient_C1,
     omega_c1_corrected,
     omega_weak_biquadratic,
@@ -44,18 +43,6 @@ from disperse.quantum_stats import DerivedScales, K_B, scaled_erfc, zeta_pm
 
 def rel(a, b):
     return abs(a - b) / abs(b)
-
-
-def complexified(r, eps, k, scales):
-    """Assemble the full complex residual from the printed split form.
-
-    The printed imaginary component has the common prefactor divided out
-    (it multiplies a zero right-hand side), so the true analytic residual is
-    real_part - i * pref * imag_part with pref = 3 C1 / (k^2 v_ch^2 r).
-    """
-    rv = residual_degenerate(r, eps, k, scales)
-    pref = 3.0 * coefficient_C1(k, scales) / (k * k * scales.v_ch**2 * r)
-    return complex(rv.real_part, -pref * rv.imag_part)
 
 
 # ---------------------------------------------------------------------------
@@ -79,18 +66,9 @@ def test_coefficient_c1_hook_off_is_plasma_term(electron_degenerate_scales):
 # small API contracts
 # ---------------------------------------------------------------------------
 
-def test_complex_rate_and_residual_value_fields():
+def test_complex_rate_fields():
     rate = ComplexRate(eta=-1.0, omega=2.0)
     assert rate.eta == -1.0 and rate.omega == 2.0
-    rv = ResidualValue(real_part=0.5, imag_part=-0.25, pref=2.0)
-    assert rv.analytic == complex(0.5, 0.5)
-
-
-def test_degenerate_analytic_is_the_recombined_split(electron_degenerate_scales):
-    sc = electron_degenerate_scales
-    for r, eps in ((0.5, 0.0), (0.9, -0.05), (2.0, -0.1), (1.5, 0.2)):
-        want = complexified(r, eps, R.K_REF, sc)
-        assert abs(residual_degenerate(r, eps, R.K_REF, sc).analytic - want) <= 1e-14 * abs(want)
 
 
 def test_branch_ids_are_stable():
@@ -109,17 +87,17 @@ def test_branch_ids_are_stable():
 def test_degenerate_undamped_interior_imag_is_bitwise_zero(electron_degenerate_scales):
     sc = electron_degenerate_scales
     for r in np.linspace(0.05, 0.95, 19):
-        rv = residual_degenerate(float(r), 0.0, R.K_REF, sc)
-        assert rv.imag_part == 0.0
+        assert residual_degenerate(float(r), 0.0, R.K_REF, sc).imag == 0.0
 
 
 def test_degenerate_gapped_slice_imag_is_three_half_pi(electron_degenerate_scales):
     # outside the resonance circle on the undamped axis the arctangent sits
-    # at pi and the step contributes another pi/2-free full pi
+    # at pi and the step contributes another pi/2-free full pi: the printed
+    # imaginary part is 3 pi/2, times -pref = -3 C1 / (k^2 v_F^2 r)
     sc = electron_degenerate_scales
     for r in (1.2, 1.7, 2.1):
-        rv = residual_degenerate(r, 0.0, R.K_REF, sc)
-        assert rv.imag_part == 1.5 * math.pi
+        pref = 3.0 * coefficient_C1(R.K_REF, sc) / (R.K_REF * R.K_REF * sc.v_ch * sc.v_ch * r)
+        assert residual_degenerate(r, 0.0, R.K_REF, sc).imag == -pref * (1.5 * math.pi)
 
 
 def test_degenerate_input_validation(electron_degenerate_scales):
@@ -138,8 +116,8 @@ def test_degenerate_continuous_across_arctangent_midplane(electron_degenerate_sc
     sc = electron_degenerate_scales
     below = residual_degenerate(math.sqrt(1.01) * (1 - 1e-9), 0.1, R.K_REF, sc)
     above = residual_degenerate(math.sqrt(1.01) * (1 + 1e-9), 0.1, R.K_REF, sc)
-    assert rel(below.real_part, above.real_part) < 1e-6
-    assert rel(below.imag_part, above.imag_part) < 1e-6
+    assert rel(below.real, above.real) < 1e-6
+    assert rel(below.imag, above.imag) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +133,9 @@ def test_quadrature_matches_printed_on_undamped_interior(
     for r in (0.3, 0.6, 0.9):
         omega = R.K_REF * sc.v_ch / r
         zq = residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)
-        rv = residual_degenerate(r, 0.0, R.K_REF, sc)
+        zd = residual_degenerate(r, 0.0, R.K_REF, sc)
         assert zq.imag == 0.0
-        assert abs(zq.real - rv.real_part) < 1e-7
+        assert abs(zq.real - zd.real) < 1e-7
 
 
 def test_quadrature_matches_printed_on_gapped_slice(
@@ -169,7 +147,7 @@ def test_quadrature_matches_printed_on_gapped_slice(
         k = 0.9 * sc.omega_p / sc.v_ch
         omega = k * sc.v_ch / r
         zq = residual_quadrature(k, complex(0.0, omega), sp, None, sc)
-        zd = complexified(r, 0.0, k, sc)
+        zd = residual_degenerate(r, 0.0, k, sc)
         assert abs(zq - zd) / abs(zd) < 1e-12
 
 
@@ -192,7 +170,7 @@ def test_quadrature_matches_printed_at_complex_rates(
         omega = k * sc.v_ch / r
         s = complex(eps * omega, omega)
         zq = residual_quadrature(k, s, sp, None, sc)
-        zd = complexified(r, eps, k, sc)
+        zd = residual_degenerate(r, eps, k, sc)
         assert abs(zq - zd) / abs(zd) < 1e-9, (r, eps, k / R.K_REF)
         count += 1
 
@@ -206,7 +184,7 @@ def test_quadrature_continuous_across_far_pole_switch(
     for r in (0.5 - 1e-5, 0.5 + 1e-5):
         omega = R.K_REF * sc.v_ch / r
         zq = residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)
-        zd = complexified(r, 0.0, R.K_REF, sc)
+        zd = residual_degenerate(r, 0.0, R.K_REF, sc)
         assert abs(zq - zd) / abs(zd) < 1e-9
 
 
@@ -246,9 +224,9 @@ def _pole_term(k, s, species, alpha, scales):
     (Statistics.FERMI, R.T_CLASSICAL), (Statistics.BOSE, R.T_BOSE_099),
 ], ids=["fermion", "boson", "fermion_0.9", "boson_0.9", "classical", "boson_0.99"])
 def test_weak_reconciliation_identity(statistics, temperature):
-    """The series residual counts the occupation-pole contribution with the
-    opposite sign from the contour route, and the mismatch has a closed form:
-    residual_weak + residual_quadrature equals the pole term exactly.  This
+    """The series residual counts the occupation-pole contribution on top of
+    the contour route, and the mismatch has a closed form:
+    residual_quadrature - residual_weak equals the pole term exactly.  This
     pins both routes at once; the solver-facing consequence (series damping
     roughly 3x the contour damping at moderate k) is documented behavior.
     The gases run from the Maxwellian limit to a Bose gas at fugacity 0.99."""
@@ -263,7 +241,7 @@ def test_weak_reconciliation_identity(statistics, temperature):
         rq = residual_quadrature(k, s, sp, sc.alpha, sc)
         pred = _pole_term(k, s, sp, sc.alpha, sc)
         scale = max(1.0, abs(rw), abs(rq), abs(pred))
-        assert abs(rw + rq - pred) < 1e-12 * scale
+        assert abs(rq - rw - pred) < 1e-12 * scale
 
 
 def test_quadrature_near_condensation_against_references():
@@ -318,7 +296,7 @@ def _weak_fixed_sum(k, s, species, alpha, scales, n_terms=1024):
     t = alpha * cmath.exp(theta * theta)
     pole = 2.0 * math.sqrt(math.pi) * theta * t / (1.0 + t if fermi else 1.0 - t)
     norm = (2.0 / 3.0) * scales.v_ch**3
-    return (coefficient_C1(k, scales) / k**2) * math.sqrt(math.pi / beta) * (total + pole) / norm - 1.0
+    return 1.0 - (coefficient_C1(k, scales) / k**2) * math.sqrt(math.pi / beta) * (total + pole) / norm
 
 
 @pytest.mark.parametrize("statistics", [Statistics.FERMI, Statistics.BOSE])
@@ -450,9 +428,9 @@ def test_zero_sound_neutral_back_substitution(neutral_degenerate_scales):
     k = kappa * sc.v_ch / math.sqrt(sc.lambda_quantum)
     omega = omega_zero_sound(k, sc)
     r = k * sc.v_ch / omega
-    rv = residual_degenerate(r, 0.0, k, sc)
-    assert abs(rv.real_part) < 1e-3
-    assert rv.imag_part == 0.0
+    zd = residual_degenerate(r, 0.0, k, sc)
+    assert abs(zd.real) < 1e-3
+    assert zd.imag == 0.0
 
 
 def test_zero_sound_neutral_needs_restoring_force(neutral_degenerate_scales):

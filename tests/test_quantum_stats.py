@@ -309,6 +309,18 @@ def test_boson_condensation_message():
     assert "2.612375" in str(err.value)
 
 
+def test_boson_at_condensation_is_refused_naming_the_temperature():
+    # within 1e-8 of the boundary the fugacity is not resolvable in double
+    # precision, so the gas is refused where its scales are derived instead
+    # of handing alpha = 1 to routes that cannot take it
+    t = _boundary_temperature(R.M_E, R.N0, 2, Statistics.BOSE) * (1.0 + 1e-10)
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=t, statistics=Statistics.BOSE)
+    with pytest.raises(DegeneracyOutOfRange, match="condens") as err:
+        derive_scales(sp)
+    assert f"T = {t:.9g} K" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # thermal speed
 # ---------------------------------------------------------------------------

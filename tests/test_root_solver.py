@@ -1,6 +1,7 @@
 """Newton iteration, seed ladder, sweeps, and result semantics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import _refs as R
 from disperse import BranchId, SolverConfig, dominant_root, first_point_seeds, solve_at_k, sweep
 from disperse import root_solver
 from disperse.dispersion_core import ComplexRate, residual_quadrature
-from disperse.errors import NoConvergence, SeedFailure, SingularInput
+from disperse.errors import DisperseError, NoConvergence, SeedFailure, SingularInput
 from disperse.root_solver import check_branch_species
 
 
@@ -138,6 +139,37 @@ def test_newton_costs_two_residual_calls_per_iteration(
     assert len(calls) == 1 + 2 * res.iterations
 
 
+_RESIDUALS = {BranchId.ExactDegenerate: "residual_degenerate", BranchId.ExactWeak: "residual_weak",
+              BranchId.ExactQuadrature: "residual_quadrature"}
+
+
+@pytest.mark.parametrize("branch, gas", [
+    (BranchId.ExactDegenerate, "electron_degenerate"),
+    (BranchId.ExactQuadrature, "electron_degenerate"),
+    (BranchId.ExactWeak, "weak_fermion"),
+    (BranchId.ExactQuadrature, "weak_fermion"),
+    (BranchId.ExactQuadrature, "weak_boson"),
+])
+def test_exact_branches_call_residuals_through_module_globals(monkeypatch, request, branch, gas):
+    # profilers wrap root_solver.residual_*, so every exact root must reach
+    # its residual through those names, and residual_quadrature's fourth
+    # positional argument must tell a degenerate call (None) from a thermal one
+    sp = request.getfixturevalue(gas)
+    sc = request.getfixturevalue(gas + "_scales")
+    calls = {name: [] for name in _RESIDUALS.values()}
+    for name, seen in calls.items():
+        def counted(*args, _original=getattr(root_solver, name), _seen=seen, **kwargs):
+            _seen.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(root_solver, name, counted)
+    k = 0.5 * R.K_REF if sp.fully_degenerate else 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    res = solve_at_k(k, branch, sp, sc, first_point_seeds(k, branch, sp, sc)[0])
+    assert res.converged
+    assert len(calls[_RESIDUALS[branch]]) >= 1 + 2 * res.iterations
+    assert all(not seen for name, seen in calls.items() if name != _RESIDUALS[branch])
+    assert all((args[3] is None) == sp.fully_degenerate for args in calls["residual_quadrature"])
+
+
 @pytest.mark.parametrize("gas", ["weak_fermion", "weak_boson"])
 @pytest.mark.parametrize("branch", [BranchId.ExactWeak, BranchId.ExactQuadrature])
 def test_thermal_small_k_roots_stay_on_axis(request, gas, branch):
@@ -237,12 +269,14 @@ def test_no_convergence_carries_partial_state(weak_fermion, weak_fermion_scales)
     cfg = SolverConfig(abs_tol=1e-16, max_iter=2)
     with pytest.raises(NoConvergence) as err:
         solve_at_k(k, BranchId.ExactWeak, weak_fermion, sc, seed, cfg)
-    x, norm, iterations = err.value.partial
-    assert len(x) == 2 and math.isfinite(norm) and iterations == 2
+    z, norm, iterations = err.value.partial
+    assert isinstance(z, complex) and math.isfinite(norm) and iterations == 2
     res = err.value.result
     assert res is not None
     assert res.converged is False
     assert res.iterations == 2
+    assert res.residual_norm == norm
+    assert res.rate.s == z * sc.omega_p  # the scaled rate z = s / Omega_p
 
 
 def test_singular_input_at_exact_resonance_seed(
@@ -370,3 +404,45 @@ def test_degenerate_branch_converges_at_random_k(
     assert res.converged
     assert res.rate.omega >= electron_degenerate_scales.omega_p
     assert res.rate.eta == 0.0
+
+
+# ---------------------------------------------------------------------------
+# property: any solver configuration gives finite rates or a deliberate error
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, derandomize=True)
+@given(
+    gas=st.sampled_from(["electron_degenerate", "weak_fermion", "weak_boson"]),
+    quadrature=st.booleans(),
+    log_tol=st.floats(-14.0, -4.0),
+    max_iter=st.integers(1, 60),
+    continuation=st.booleans(),
+    y=st.floats(0.05, 1.2),
+    use_sweep=st.booleans(),
+)
+def test_solver_config_and_k_give_finite_rates_or_refuse(request, gas, quadrature, log_tol, max_iter,
+                                                          continuation, y, use_sweep):
+    # y is k over Omega_p / v_F (degenerate) or Omega_p / v_th (thermal); a
+    # sweep runs three points up to 1.2 y.  Wall budget: 5 s an example,
+    # against 1-12 ms typical on a shared 2-vCPU box.
+    sp = request.getfixturevalue(gas)
+    sc = request.getfixturevalue(gas + "_scales")
+    if quadrature:
+        branch = BranchId.ExactQuadrature
+    else:
+        branch = BranchId.ExactDegenerate if sp.fully_degenerate else BranchId.ExactWeak
+    config = SolverConfig(abs_tol=10.0**log_tol, max_iter=max_iter, continuation=continuation)
+    k = y * sc.omega_p / (sc.v_ch if sp.fully_degenerate else math.sqrt(sc.v_th_sq))
+    start = time.perf_counter()
+    try:
+        if use_sweep:
+            results = sweep([k, 1.1 * k, 1.2 * k], branch, sp, sc, config)
+        else:
+            results = [solve_at_k(k, branch, sp, sc, first_point_seeds(k, branch, sp, sc)[0], config)]
+    except DisperseError:
+        results = []
+    assert time.perf_counter() - start < 5.0
+    for res in results:
+        assert math.isfinite(res.rate.omega) and math.isfinite(res.rate.eta)
+        if res.converged:
+            assert res.residual_norm < config.abs_tol
