@@ -27,7 +27,7 @@ import numpy as np
 
 from .dispersion_core import EXACT_BRANCHES, BranchId
 from .errors import DisperseError, SeedFailure
-from .kinetic_oracle import InitShape, OracleConfig, evolve_mode
+from .kinetic_oracle import OracleConfig, evolve_mode
 from .quantum_stats import DerivedScales, SpeciesParams, Statistics, derive_scales
 from .root_solver import DispersionResult, SolverConfig, check_branch_species, sweep
 
@@ -52,8 +52,8 @@ _SCHEMA = {
     "species": {"mass", "charge", "density", "temperature", "statistics",
                 "spin_degeneracy", "fully_degenerate"},
     "sweep": {"k_min", "k_max", "n_points", "spacing", "units", "branches"},
-    "solver": {"abs_tol", "max_iter", "continuation"},
-    "oracle": {"enabled", "subsample", "n_v", "v_max", "dt", "t_end", "init_shape"},
+    "solver": {"abs_tol", "max_iter"},
+    "oracle": {"enabled", "subsample", "n_v", "v_max", "dt", "t_end"},
     "hooks": {"bohm_term"},
     "output": {"path", "precision"},
 }
@@ -173,26 +173,18 @@ def load_config(path: str, output_dir: str | None = None) -> RunConfig:
         solver = SolverConfig(
             abs_tol=_get(cp, "solver", "abs_tol", float, default=SolverConfig.abs_tol),
             max_iter=_get(cp, "solver", "max_iter", int, default=SolverConfig.max_iter),
-            continuation=_get(cp, "solver", "continuation", _as_bool,
-                              default=SolverConfig.continuation),
         )
     except ValueError as exc:
         _fail("solver", str(exc))
 
     v_max_raw = _get(cp, "oracle", "v_max", str, default="auto")
     v_max = None if v_max_raw.lower() in ("auto", "") else float(v_max_raw)
-    shape_raw = _get(cp, "oracle", "init_shape", str, default=OracleConfig.init_shape.name)
-    try:
-        shape = InitShape[shape_raw]
-    except KeyError:
-        _fail("oracle.init_shape", f"unknown shape {shape_raw!r}")
     try:
         oracle = OracleConfig(
             n_v=_get(cp, "oracle", "n_v", int, default=OracleConfig.n_v),
             v_max=v_max,
             dt=_get(cp, "oracle", "dt", float, default=OracleConfig.dt),
             t_end=_get(cp, "oracle", "t_end", float, default=OracleConfig.t_end),
-            init_shape=shape,
         )
     except ValueError as exc:
         _fail("oracle", str(exc))
@@ -240,7 +232,6 @@ def resolved_config_text(cfg: RunConfig) -> str:
         "[solver]",
         f"abs_tol = {cfg.solver.abs_tol!r}",
         f"max_iter = {cfg.solver.max_iter}",
-        f"continuation = {str(cfg.solver.continuation).lower()}",
         "",
         "[oracle]",
         f"enabled = {str(cfg.oracle_enabled).lower()}",
@@ -249,7 +240,6 @@ def resolved_config_text(cfg: RunConfig) -> str:
         "v_max = " + ("auto" if cfg.oracle.v_max is None else repr(cfg.oracle.v_max)),
         f"dt = {cfg.oracle.dt!r}",
         f"t_end = {cfg.oracle.t_end!r}",
-        f"init_shape = {cfg.oracle.init_shape.name}",
         "",
         "[hooks]",
         f"bohm_term = {'on' if cfg.bohm_term else 'off'}",

@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -48,11 +47,6 @@ from .errors import FitAmbiguous, GridResonanceUnderresolved, NumericalBlowup
 from .quantum_stats import PLANCK_H, SpeciesParams, reduced_fz, reduced_fz_derivative, scales_at
 
 
-class InitShape(Enum):
-    UniformDensityKick = "UniformDensityKick"
-    MaxwellianShaped = "MaxwellianShaped"
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     """Grid and integration controls.
@@ -61,20 +55,17 @@ class OracleConfig:
     v_F degenerate); None selects 8 for thermal gases and 1.5 for full
     degeneracy.  dt, the spacing of the recorded density samples, is a
     fraction of one oscillation period 2 pi/omega_guess; t_end counts periods.
+    Every run starts from a density kick shaped like f0.
 
-    Known limits: a UniformDensityKick start leaves a free-streaming
-    remainder from its edges at +-v_max, so strongly damped thermal modes
-    (eta/omega from about 0.15-0.25) raise FitAmbiguous; and on the neutral
-    T = 0 gas a zero-sound phase velocity within a few edge widths of v_F
-    reads damping (eta/omega down to -1e-2) that the sharp Fermi sphere
-    does not have.
+    Known limit: on the neutral T = 0 gas a zero-sound phase velocity within
+    a few edge widths of v_F reads damping (eta/omega down to -1e-2) that the
+    sharp Fermi sphere does not have.
     """
 
     n_v: int = 4096
     v_max: float | None = None
     dt: float = 0.005
     t_end: float = 50.0
-    init_shape: InitShape = InitShape.MaxwellianShaped
 
     def __post_init__(self):
         if self.n_v < 256 or self.n_v % 2 != 0:
@@ -98,10 +89,8 @@ class OracleRun:
 
     k: float
     omega_guess: float
-    v: np.ndarray
     times: np.ndarray
     density: np.ndarray
-    snapshot: np.ndarray
     omega_fit: float | None = None
     eta_fit: float | None = None
     fit_residual: float | None = None
@@ -194,7 +183,7 @@ def _series_quotient(r, a):
 
 
 def _volterra(phi0, v, k, coupling, weights, h, n_steps):
-    """Density N(t_m), t_m = m h, m = 0..n_steps, and phi(t_end) of
+    """Density N(t_m), t_m = m h, m = 0..n_steps, of
     phi_j' = -i k v_j phi_j + coupling_j N, N = weights . phi, for k > 0.
 
     Streaming is exact, so N = F + K * N with F(t) = sum_j w_j phi_j(0)
@@ -231,19 +220,9 @@ def _volterra(phi0, v, k, coupling, weights, h, n_steps):
     free[:9] = np.convolve(kernel[:9], np.array(_GREGORY + (1.0,) * 4) * start)[:9]
     density = _series_quotient(free, kernel)
     density[:9] = start
-    del free, kernel  # only the trace feeds the snapshot
-
-    # phi(t_end) = e^{-i k u t_end} phi(0)
-    #              + coupling * h sum_m gregory_m e^{-i k u (t_end - t_m)} N_m
-    history = h * density[::-1]
-    history[:5] *= _GREGORY
-    history[-5:] *= _GREGORY[::-1]
-    snapshot = coupling * _chirp_z(history, chirp, len(v))
-    snapshot += np.exp((-1j * k * h * n_steps) * u) * phi0
     # back to the lab frame, a phase e^{-i k v_0 t}
-    snapshot *= np.exp(-1j * k * v[0] * h * n_steps)
     density *= np.exp((-1j * k * v[0] * h) * np.arange(n_t))
-    return density, snapshot
+    return density
 
 
 def _first_breach(density):
@@ -334,32 +313,23 @@ def evolve_mode(
     f0 = f0 / norm
     fprime = fprime / norm
 
-    shape = f0 if config.init_shape is InitShape.MaxwellianShaped else np.ones(n_v)
-    raw = np.dot(shape, weights)
-    phi0 = (0.0 if raw == 0.0 else amplitude * species.density / raw) * shape
+    phi0 = (amplitude * species.density / np.dot(f0, weights)) * f0
 
     c1 = coefficient_C1(k_abs, scales, bohm_term=bohm_term)
     coupling = (1j * c1 / (k_abs * species.density)) * fprime
-    density, snapshot = _volterra(phi0, v, k_abs, coupling, weights, dt, n_steps)
+    density = _volterra(phi0, v, k_abs, coupling, weights, dt, n_steps)
     if _first_breach(density) is not None:
         # the solve is causal: a shorter run is a prefix of this one that keeps
         # the roundoff of a huge late tail out of the early samples
         steps, breach = 16, None
         while breach is None:
-            breach = _first_breach(_volterra(phi0, v, k_abs, coupling, weights, dt, steps)[0])
+            breach = _first_breach(_volterra(phi0, v, k_abs, coupling, weights, dt, steps))
             steps = min(2 * steps, n_steps)
         raise NumericalBlowup(f"density grew past 1e6 times its start at sample {breach}")
     if k < 0:  # real initial data: the system at -k is the conjugate of the one at |k|
-        density, snapshot = density.conj(), snapshot.conj()
+        density = density.conj()
 
-    run = OracleRun(
-        k=k,
-        omega_guess=omega_guess,
-        v=v,
-        times=np.arange(n_steps + 1) * dt,
-        density=density,
-        snapshot=snapshot,
-    )
+    run = OracleRun(k=k, omega_guess=omega_guess, times=np.arange(n_steps + 1) * dt, density=density)
     if fit and density[0] != 0.0:
         run.omega_fit, run.eta_fit, run.fit_residual = fit_omega_eta(run)
     return run

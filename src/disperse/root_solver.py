@@ -74,7 +74,6 @@ _FD_STEP = 1e-7
 class SolverConfig:
     abs_tol: float = 1e-10
     max_iter: int = 100
-    continuation: bool = True
 
     def __post_init__(self):
         if not 0 < self.abs_tol < math.inf:
@@ -326,9 +325,9 @@ def sweep(
     """Solve the branch over an increasing k grid with continuation.
 
     The first point tries the whole seed ladder and raises SeedFailure if
-    nothing converges.  Later points seed from the last converged rate (or
-    re-run the ladder when continuation is off) and record non-converged
-    results instead of raising.
+    nothing converges.  Later points seed from the last converged rate, or
+    re-run the ladder while no point has converged yet, and record
+    non-converged results instead of raising.
     """
     ks = [float(k) for k in k_grid]
     if any(k <= 0 for k in ks):
@@ -346,7 +345,7 @@ def sweep(
     prev: ComplexRate | None = None
     k_prev = 0.0
     for index, k in enumerate(ks):
-        if prev is not None and config.continuation:
+        if prev is not None:
             # rescale the previous rate by the closed-form ratio between the
             # two k points; plain omega continuation pushes r = k v_ch/omega
             # across the r = 1 wall for branches that hug the resonance
@@ -396,10 +395,11 @@ def dominant_root(
     *,
     bohm_term: bool = True,
 ) -> DispersionResult:
-    """Library-side helper: launch the species' exact branch from every seed
-    in the ladder and return the distinct root with the largest eta (least
+    """Library-side helper: launch the species' exact branch (ExactDegenerate
+    at full degeneracy, ExactQuadrature for a thermal gas) from every seed in
+    the ladder and return the distinct root with the largest eta (least
     damped).  Raises SeedFailure when nothing converges."""
-    branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactWeak
+    branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactQuadrature
     roots: list[DispersionResult] = []
     for seed in first_point_seeds(k, branch, species, scales, bohm_term=bohm_term):
         try:

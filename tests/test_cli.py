@@ -153,10 +153,16 @@ max_iter = 1
      "branches = ExactDegenerate\n", "requires a fully degenerate species"),
     ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
      "branches = WeakSimple\n[solver]\nfd_step = 1e-7\n", "solver.fd_step: unknown field"),
+    ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
+     "branches = WeakSimple\n[solver]\ncontinuation = true\n", "solver.continuation: unknown field"),
+    ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
+     "branches = WeakSimple\n[oracle]\ninit_shape = MaxwellianShaped\n",
+     "oracle.init_shape: unknown field"),
 ])
 def test_config_errors(tmp_path, capsys, mutation, fragment):
     cfg = write_ini(tmp_path, WEAK_SPECIES + mutation)
-    assert main(["run", "--config", cfg]) == 1
+    # a mutation that loads anyway must not write into the working directory
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and fragment in err
 

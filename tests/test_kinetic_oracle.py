@@ -30,7 +30,7 @@ from disperse import (
     solve_at_k,
 )
 from disperse import kinetic_oracle
-from disperse.kinetic_oracle import InitShape, OracleRun, fit_omega_eta
+from disperse.kinetic_oracle import OracleRun, fit_omega_eta
 from disperse.quantum_stats import fugacity_from_density
 
 
@@ -54,8 +54,7 @@ def synthetic_run(omega, eta, n=4096, dt=0.01, real=False):
     z = np.exp((eta + 1j * omega) * t)
     if real:
         z = z.real.astype(complex)
-    return OracleRun(k=1.0, omega_guess=omega, v=np.zeros(2), times=t,
-                     density=z, snapshot=np.zeros(2, dtype=complex))
+    return OracleRun(k=1.0, omega_guess=omega, times=t, density=z)
 
 
 def plain_rk4(phi, stream, coupling, weights, dt, n_steps):
@@ -71,15 +70,14 @@ def plain_rk4(phi, stream, coupling, weights, dt, n_steps):
         k4 = rhs(phi + dt * k3)
         phi = phi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         density.append(np.dot(phi, weights))
-    return np.array(density), phi
+    return np.array(density)
 
 
 def rk4_at_quarter_step(phi0, v, k, coupling, weights, h, n_steps):
     """Stand-in for the oracle's Volterra solve: plain RK4 at h/4, sampled
     at the oracle's own times."""
-    density, phi = plain_rk4(phi0.astype(complex), -1j * k * v, coupling, weights,
-                             h / 4.0, 4 * n_steps)
-    return density[::4], phi
+    density = plain_rk4(phi0.astype(complex), -1j * k * v, coupling, weights, h / 4.0, 4 * n_steps)
+    return density[::4]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +153,7 @@ def test_fit_undamped_mode_reads_zero_eta():
 def two_tone_run(omega_other):
     t = np.arange(4096) * 0.01
     z = np.exp(1j * 7.3 * t) + 0.8 * np.exp(1j * omega_other * t)
-    return OracleRun(k=1.0, omega_guess=7.3, v=np.zeros(2), times=t,
-                     density=z, snapshot=np.zeros(2, dtype=complex))
+    return OracleRun(k=1.0, omega_guess=7.3, times=t, density=z)
 
 
 def test_fit_rejects_two_tone_trace():
@@ -231,7 +228,8 @@ def test_chirp_z_matches_direct_sum(n, m):
     theta = 0.37
     x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
     ref = direct_chirp_z(x, theta, m)
-    # the exact-length chirp, and a longer shared one as the snapshot uses it
+    # the exact-length chirp _volterra builds, and a longer one, which the
+    # contract ("at least max(n, m)") allows
     for length in (max(n, m), max(n, m) + 250):
         chirp = np.exp((-0.5j * theta) * np.arange(length) ** 2)
         rows = kinetic_oracle._chirp_z(x, chirp, m)
@@ -265,7 +263,7 @@ def test_conjugate_mode_bitwise(weak_fermion, weak_fermion_scales):
     assert np.array_equal(minus.density, np.conj(plus.density))
 
 
-@pytest.mark.parametrize("case", ["thermal", "degenerate", "uniform_kick"])
+@pytest.mark.parametrize("case", ["thermal", "degenerate"])
 def test_volterra_matches_plain_rk4(case, monkeypatch, weak_fermion, weak_fermion_scales,
                                     electron_degenerate):
     sc = weak_fermion_scales
@@ -276,15 +274,11 @@ def test_volterra_matches_plain_rk4(case, monkeypatch, weak_fermion, weak_fermio
         # the smoothed Fermi edge needs dv <= v_F / 800, so no 512-point grid
         "degenerate": (R.K_REF, electron_degenerate, None,
                        OracleConfig(n_v=2560, dt=0.005, t_end=20.0)),
-        "uniform_kick": (k_thermal, weak_fermion, sc.alpha,
-                         OracleConfig(n_v=512, dt=0.005, t_end=20.0,
-                                      init_shape=InitShape.UniformDensityKick)),
     }[case]
     run = evolve_mode(k, species, alpha, cfg, fit=False)
     monkeypatch.setattr(kinetic_oracle, "_volterra", rk4_at_quarter_step)
     ref = evolve_mode(k, species, alpha, cfg, fit=False)
     assert np.abs(run.density - ref.density).max() <= 1e-7 * np.abs(ref.density).max()
-    assert np.abs(run.snapshot - ref.snapshot).max() <= 1e-6 * np.abs(ref.snapshot).max()
 
 
 def test_volterra_sixth_order(weak_fermion, weak_fermion_scales):
@@ -380,21 +374,20 @@ def fixture_gases(electron_degenerate, neutral_degenerate, weak_fermion, weak_bo
     dt=st.floats(0.002, 0.1 / (2.0 * math.pi), exclude_max=True),
     t_end=st.floats(20.0, 80.0),
     v_max=st.none() | st.floats(1.0, 20.0),
-    init_shape=st.sampled_from(InitShape),
     bohm_term=st.booleans(),
     amplitude=st.sampled_from([0.0, 1e-6, 1.0]),
     fit=st.booleans(),
 )
 def test_evolve_mode_refuses_or_stays_finite(fixture_gases, gas, y, sign, n_v, dt, t_end,
-                                             v_max, init_shape, bohm_term, amplitude, fit):
+                                             v_max, bohm_term, amplitude, fit):
     species, alpha, k_unit = fixture_gases[gas]
-    cfg = OracleConfig(n_v=n_v, dt=dt, t_end=t_end, v_max=v_max, init_shape=init_shape)
+    cfg = OracleConfig(n_v=n_v, dt=dt, t_end=t_end, v_max=v_max)
     try:
         run = evolve_mode(sign * y * k_unit, species, alpha, cfg, bohm_term=bohm_term,
                           amplitude=amplitude, fit=fit)
     except (DisperseError, ValueError):
         return
-    assert np.all(np.isfinite(run.density)) and np.all(np.isfinite(run.snapshot))
+    assert np.all(np.isfinite(run.density))
     fitted = (run.omega_fit, run.eta_fit, run.fit_residual)
     if fit and amplitude != 0.0:
         assert all(math.isfinite(value) for value in fitted)
@@ -511,18 +504,6 @@ def test_degenerate_mode_reads_no_growth_at_default_grid(x, electron_degenerate)
     # the T = 0 modes of the benchmark's compare window, on the default grid
     run = evolve_mode(x * R.K_REF, electron_degenerate, None, OracleConfig(t_end=200.0))
     assert abs(run.eta_fit) <= 1e-8 * run.omega_fit
-
-
-def test_uniform_kick_agrees_with_shaped_init(weak_fermion, weak_fermion_scales):
-    sp, sc = weak_fermion, weak_fermion_scales
-    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    cfg = OracleConfig(n_v=2048, dt=0.005, t_end=60.0)
-    shaped = evolve_mode(k, sp, sc.alpha, cfg)
-    kicked = evolve_mode(k, sp, sc.alpha,
-                         OracleConfig(n_v=2048, dt=0.005, t_end=60.0,
-                                      init_shape=InitShape.UniformDensityKick))
-    assert rel(kicked.omega_fit, shaped.omega_fit) < 1e-7
-    assert rel(kicked.eta_fit, shaped.eta_fit) < 1e-4
 
 
 def test_fit_independent_of_omega_guess(weak_fermion, weak_fermion_scales):

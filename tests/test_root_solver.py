@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _refs as R
-from disperse import BranchId, SolverConfig, dominant_root, first_point_seeds, solve_at_k, sweep
+from disperse import (
+    BranchId,
+    SolverConfig,
+    SpeciesParams,
+    Statistics,
+    derive_scales,
+    dominant_root,
+    first_point_seeds,
+    solve_at_k,
+    sweep,
+)
 from disperse import root_solver
 from disperse.dispersion_core import ComplexRate, residual_quadrature
 from disperse.errors import DisperseError, NoConvergence, SeedFailure, SingularInput
@@ -320,15 +330,13 @@ def test_neutral_zero_sound_exact_sweep(neutral_degenerate, neutral_degenerate_s
 def test_sweep_continuation_matches_ladder_restart(
     electron_degenerate, electron_degenerate_scales
 ):
+    # continuation lands on the root the seed ladder finds from scratch
     sp, sc = electron_degenerate, electron_degenerate_scales
     ks = np.array([0.4, 0.7, 1.0]) * R.K_REF
-    with_cont = sweep(ks, BranchId.ExactDegenerate, sp, sc,
-                      SolverConfig(continuation=True))
-    without = sweep(ks, BranchId.ExactDegenerate, sp, sc,
-                    SolverConfig(continuation=False))
-    for a, b in zip(with_cont, without):
-        assert a.converged and b.converged
-        assert rel(a.rate.omega, b.rate.omega) < 1e-10
+    for res, k in zip(sweep(ks, BranchId.ExactDegenerate, sp, sc), ks):
+        ladder = converged_root(k, BranchId.ExactDegenerate, sp, sc)
+        assert res.converged
+        assert rel(res.rate.omega, ladder.rate.omega) < 1e-10
 
 
 def test_closed_form_result_semantics(electron_degenerate, electron_degenerate_scales):
@@ -374,13 +382,24 @@ def test_dominant_root_degenerate(electron_degenerate, electron_degenerate_scale
     assert res.rate.eta == 0.0
 
 
-def test_dominant_root_weak_is_least_damped(weak_fermion, weak_fermion_scales):
-    sc = weak_fermion_scales
-    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    res = dominant_root(k, weak_fermion, sc)
-    assert res.branch is BranchId.ExactWeak
+# the Bose gas sits near condensation, where every ExactWeak seed exhausts
+# its series
+@pytest.mark.parametrize("gas, y", [("fermi_0.2", 0.375), ("bose_0.999", 0.3),
+                                    ("bose_0.999", 0.375), ("bose_0.999", 0.45)])
+def test_dominant_root_thermal_is_quadrature_root(gas, y):
+    temperature, statistics = {"fermi_0.2": (R.T_FERMI_02, Statistics.FERMI),
+                               "bose_0.999": (R.T_BOSE_0999, Statistics.BOSE)}[gas]
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    sc = derive_scales(sp)
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    res = dominant_root(k, sp, sc)
+    seeded = converged_root(k, BranchId.ExactQuadrature, sp, sc)
+    assert res.branch is BranchId.ExactQuadrature
     assert res.converged
-    assert res.rate.eta <= 0.0
+    assert res.rate.eta < 0.0
+    assert rel(res.rate.omega, seeded.rate.omega) < 1e-10
+    assert rel(res.rate.eta, seeded.rate.eta) < 1e-10
 
 
 def test_dominant_root_seed_failure(weak_fermion, weak_fermion_scales):
@@ -416,12 +435,11 @@ def test_degenerate_branch_converges_at_random_k(
     quadrature=st.booleans(),
     log_tol=st.floats(-14.0, -4.0),
     max_iter=st.integers(1, 60),
-    continuation=st.booleans(),
     y=st.floats(0.05, 1.2),
     use_sweep=st.booleans(),
 )
 def test_solver_config_and_k_give_finite_rates_or_refuse(request, gas, quadrature, log_tol, max_iter,
-                                                          continuation, y, use_sweep):
+                                                          y, use_sweep):
     # y is k over Omega_p / v_F (degenerate) or Omega_p / v_th (thermal); a
     # sweep runs three points up to 1.2 y.  Wall budget: 5 s an example,
     # against 1-12 ms typical on a shared 2-vCPU box.
@@ -431,7 +449,7 @@ def test_solver_config_and_k_give_finite_rates_or_refuse(request, gas, quadratur
         branch = BranchId.ExactQuadrature
     else:
         branch = BranchId.ExactDegenerate if sp.fully_degenerate else BranchId.ExactWeak
-    config = SolverConfig(abs_tol=10.0**log_tol, max_iter=max_iter, continuation=continuation)
+    config = SolverConfig(abs_tol=10.0**log_tol, max_iter=max_iter)
     k = y * sc.omega_p / (sc.v_ch if sp.fully_degenerate else math.sqrt(sc.v_th_sq))
     start = time.perf_counter()
     try:
