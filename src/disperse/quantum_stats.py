@@ -47,8 +47,7 @@ ELEMENTARY_CHARGE = CODATA["q_e"]
 _SQRT_PI = math.sqrt(math.pi)
 
 _SERIES_TOL = 1e-14
-_SERIES_BLOCK = 65536
-_SERIES_MAX_TERMS = 10_000_000
+_SERIES_MAX_TERMS = 1_000_000
 
 
 class Statistics(Enum):
@@ -173,7 +172,8 @@ def zeta_pm(order: float, alpha: float, statistics: Statistics) -> float:
     alpha = 1 and the fermion sum Li_s(alpha) - 2^(1-s) Li_s(alpha^2), so
     the series, which needs ~-ln(1e-14 (1 - alpha))/(1 - alpha) terms, never
     runs there.  Raises NonConvergent for the boson sum at alpha = 1 with
-    order <= 1 (divergent) or when the series' term budget runs out.
+    order <= 1 (divergent) or when the series would need more than
+    _SERIES_MAX_TERMS terms.
     """
     if order < 1.0:
         raise ValueError("order must be >= 1")
@@ -197,30 +197,18 @@ def zeta_pm(order: float, alpha: float, statistics: Statistics) -> float:
     if log_a > -0.05 and abs(order - round(order)) >= 0.01:
         near = _bose_near_one(order, -log_a)
         return near - 2.0 ** (1.0 - order) * _bose_near_one(order, -2.0 * log_a) if fermi else near
-    # crude coefficient-only bound on the terms needed, to size the first block
+    # alpha^j bounds the j-th term, so past j = est the next term (fermions,
+    # alternating) or the geometric tail (bosons) is below _SERIES_TOL
     slack = 1.0 if fermi else 1.0 - alpha
     est = math.log(_SERIES_TOL * slack) / log_a
-    block = int(min(_SERIES_BLOCK, max(16.0, est + 8.0)))
-    total = 0.0
-    j0 = 1
-    while j0 <= _SERIES_MAX_TERMS:
-        j1 = min(j0 + block, _SERIES_MAX_TERMS + 1)
-        block = _SERIES_BLOCK
-        j = np.arange(j0, j1, dtype=float)
-        terms = np.exp(j * log_a - order * np.log(j))
-        if fermi:
-            signs = np.where(j % 2.0 == 1.0, 1.0, -1.0)
-            total += float(np.dot(signs, terms))
-        else:
-            total += float(terms.sum())
-        j_next = float(j1)
-        nxt = math.exp(j_next * log_a - order * math.log(j_next))
-        # tail bound: next term alone (alternating) or geometric majorant
-        bound = nxt if fermi else nxt / (1.0 - alpha)
-        if bound < _SERIES_TOL:
-            return total
-        j0 = j1
-    raise NonConvergent(f"series for order {order}, alpha {alpha} exceeded {_SERIES_MAX_TERMS} terms")
+    n_terms = int(max(16.0, est + 8.0))
+    if n_terms > _SERIES_MAX_TERMS:
+        raise NonConvergent(f"series for order {order}, alpha {alpha} needs more than {_SERIES_MAX_TERMS} terms")
+    j = np.arange(1, n_terms + 1, dtype=float)
+    terms = np.exp(j * log_a - order * np.log(j))
+    if fermi:
+        return float(np.dot(np.where(j % 2.0 == 1.0, 1.0, -1.0), terms))
+    return float(terms.sum())
 
 
 # value of the boson sum at the condensation boundary, quoted in errors

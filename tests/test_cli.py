@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import _refs as R
-from disperse.cli import COMPARE_HEADER, CSV_HEADER, main, oracle_agrees
+from disperse.cli import COMPARE_HEADER, CSV_HEADER, load_config, main, oracle_agrees
 from disperse.quantum_stats import K_B, PLANCK_H
 
 VTH_F02 = math.sqrt(R.VTH2_FERMI_02)
@@ -60,6 +60,19 @@ def read_rows(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
+def run_module(cfg, out):
+    """`python -m disperse.cli run` in a fresh interpreter, so the exit
+    status and any traceback reach the caller even where the console script
+    is not installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "disperse.cli", "run", "--config", str(cfg),
+         "--output-dir", str(out), "--quiet"],
+        capture_output=True, text=True, timeout=120, env=env)
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -83,15 +96,68 @@ def test_run_happy_path(tmp_path, capsys):
     assert "summary ->" in capsys.readouterr().out
 
 
-def test_summary_reruns_byte_identical(tmp_path):
-    cfg = weak_sweep_ini(tmp_path)
-    out_a = tmp_path / "runA"
-    out_b = tmp_path / "runB"
-    assert main(["run", "--config", cfg, "--output-dir", str(out_a)]) == 0
-    assert main(["run", "--config", str(out_a / "summary.txt"),
-                 "--output-dir", str(out_b)]) == 0
-    for name in ("ExactQuadrature.csv", "WeakSimple.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+# sets every config field to a value other than its default, with a
+# reduced-unit bound that does not survive a unit round trip, a multi-line
+# value and an output path holding a percent sign and a space
+EVERY_FIELD = DEGENERATE_SPECIES.replace("fully_degenerate = true", """\
+spin_degeneracy = 1
+fully_degenerate = true""") + """
+[sweep]
+k_min = 0.02
+k_max = 0.9
+n_points = 7
+spacing = log
+units = reduced
+branches = ExactDegenerate,
+    QuantumLangmuir,
+    C1Corrected
+
+[solver]
+abs_tol = 1e-9
+max_iter = 50
+
+[oracle]
+enabled = true
+subsample = 2
+n_v = 2048
+v_max = 2.5
+dt = 0.01
+t_end = 30
+
+[hooks]
+bohm_term = off
+
+[output]
+path = out %d dir
+"""
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")) + ["every_field"],
+                         ids=lambda p: getattr(p, "name", p))
+def test_summary_reruns_byte_identical(tmp_path, monkeypatch, config):
+    # both runs write to the config's own [output] path, so the rerun's
+    # summary must repeat the first one exactly
+    monkeypatch.chdir(tmp_path)
+    if config == "every_field":
+        config = write_ini(tmp_path, EVERY_FIELD)
+    out = tmp_path / load_config(str(config)).out_path
+    first = tmp_path / "first"
+    assert main(["run", "--config", str(config), "--quiet"]) == 0
+    out.rename(first)
+    assert main(["run", "--config", str(first / "summary.txt"), "--quiet"]) == 0
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in out.iterdir()) and "summary.txt" in names
+    for name in names:
+        assert (first / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_summary_echoes_config_text(tmp_path):
+    cfg = write_ini(tmp_path, EVERY_FIELD)
+    text = load_config(cfg).text
+    assert "k_max = 0.9\n" in text and "path = out %d dir\n" in text
+    assert "branches = ExactDegenerate,\n\tQuantumLangmuir,\n\tC1Corrected\n" in text
+    defaults = load_config(weak_sweep_ini(tmp_path)).text
+    assert "spacing = linear\n" in defaults and "dt = 0.005\n" in defaults
 
 
 def test_run_quiet_silences_stdout(tmp_path, capsys):
@@ -165,6 +231,27 @@ def test_config_errors(tmp_path, capsys, mutation, fragment):
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and fragment in err
+
+
+SWEEP = "[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\nbranches = WeakSimple\n"
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (WEAK_SPECIES + "mass = 1.0\n" + SWEEP, "option 'mass' in section 'species' already exists"),
+    (WEAK_SPECIES + SWEEP + "[sweep]\nn_points = 5\n", "section 'sweep' already exists"),
+    (WEAK_SPECIES + "heavy electrons\n" + SWEEP, "parsing errors"),
+    ("mass = 1.0\n" + WEAK_SPECIES + SWEEP, "no section headers"),
+    (WEAK_SPECIES.replace("density = 1e28", "density = 1e28 %") + SWEEP,
+     "species.density: cannot interpret '1e28 %'"),
+    ("# caf\u00e9\n" + WEAK_SPECIES + SWEEP, "can't decode byte 0xe9"),
+], ids=["duplicate_key", "duplicate_section", "no_delimiter", "no_section", "percent", "latin1"])
+def test_malformed_config_one_line_error(tmp_path, text, fragment):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_bytes(text.encode("latin-1"))  # configs are read as UTF-8
+    proc = run_module(cfg, tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and fragment in proc.stderr
 
 
 def test_config_error_bad_float(tmp_path, capsys):
@@ -275,24 +362,31 @@ enabled = true
 
 
 @pytest.mark.parametrize("omega_oracle, eta_oracle, agrees", [
-    (1.0, -0.05 * 1.14, True),     # eta 14 percent off: inside the 15 percent bound
-    (1.0, -0.05 * 0.86, True),
-    (1.0, -0.05 * 1.16, False),    # 16 percent off: outside
-    (1.0, -0.05 * 0.84, False),
+    (1.0, -0.05 + 0.9e-6, True),   # eta off by 0.9e-6 omega: inside the 1e-6 bound
+    (1.0, -0.05 - 0.9e-6, True),
+    (1.0, -0.05 + 1.1e-6, False),  # 1.1e-6 omega off: outside
+    (1.0, -0.05 - 1.1e-6, False),
+    (1.0, -0.05 * 1.14, False),    # 14 percent off, inside the old 15 percent bound
     (1.0, 0.05, False),            # sign disagreement
-    (1.021, -0.05, False),         # omega 2.1 percent off
-    (1.019, -0.05, True),
+    (1.0011, -0.05, False),        # omega 1.1e-3 off
+    (0.9989, -0.05, False),
+    (1.0009, -0.05, True),
+    (math.nan, math.nan, False),   # a failed oracle run
 ])
 def test_compare_gate_resolved_damping(omega_oracle, eta_oracle, agrees):
     assert oracle_agrees(1.0, -0.05, omega_oracle, eta_oracle) is agrees
 
 
-def test_compare_gate_skips_eta_magnitude_below_resolution():
-    # solver |eta| below 1 percent of omega: only omega and the sign count
-    assert oracle_agrees(1.0, -0.009, 1.0, -0.009 * 3.0)
-    assert oracle_agrees(1.0, -0.009, 1.0, -1e-9)
-    assert not oracle_agrees(1.0, -0.009, 1.0, 0.009)
-    assert oracle_agrees(1.0, 0.0, 1.0, 0.004)     # undamped root: sign is noise
+def test_compare_gate_checks_eta_on_weak_and_zero_damping():
+    # a small or zero solver eta gets the same absolute bound, 1e-6 omega:
+    # neither a spurious damping nor a growth on an undamped root passes
+    assert not oracle_agrees(1.0, -0.009, 1.0, -0.009 * 3.0)
+    assert oracle_agrees(1.0, -0.009, 1.0, -0.009 + 5e-7)
+    assert not oracle_agrees(1.0, -0.009, 1.0, -1e-9)
+    assert oracle_agrees(1.0, 0.0, 1.0, -5e-7)
+    assert oracle_agrees(1.0, 0.0, 1.0, 5e-7)
+    assert oracle_agrees(1.0, 0.0, 1.0, 0.004) is False    # growing
+    assert oracle_agrees(1.0, 0.0, 1.0, -1e-2) is False    # spurious damping
 
 
 def test_compare_happy_path(tmp_path, capsys):
@@ -317,6 +411,33 @@ t_end = 200.0
     assert rel_om < 0.02
     assert float(rows[0][2]) < 0.0 and float(rows[0][4]) < 0.0
     assert "[ok]" in capsys.readouterr().out
+
+
+def test_compare_shipped_config_passes(tmp_path):
+    cfg = CONFIGS / "weak_fermion_compare.ini"
+    assert main(["compare", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+    _, rows = read_rows(tmp_path / "compare.csv")
+    assert len(rows) == 4  # ten sweep points, every third
+
+
+def test_compare_neutral_degenerate_mismatch(tmp_path, capsys):
+    # the oracle's smoothed Fermi edge damps the zero-sound mode at
+    # kappa = 0.3-0.4, where the exact T = 0 root is undamped
+    species = DEGENERATE_SPECIES.replace(repr(-R.Q_E), "0.0")
+    unit = 2.0 * R.M_E * R.V_F / R.HBAR  # kappa = hbar k / (2 m v_F)
+    cfg = write_ini(tmp_path, species + f"""
+[sweep]
+k_min = {0.3 * unit!r}
+k_max = {0.4 * unit!r}
+n_points = 2
+branches = ExactDegenerate
+
+[oracle]
+enabled = true
+subsample = 1
+""")
+    assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    assert "MISMATCH" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +465,6 @@ branches = QuantumLangmuir
 
 @pytest.mark.parametrize("charge, code", [(repr(-R.Q_E), 0), ("nan", 1)])
 def test_module_entry_point_exit_code(tmp_path, charge, code):
-    # runs main() behind `python -m disperse.cli` in a fresh interpreter, so
-    # the exit status reaches the shell even where the console script is
-    # not installed
     cfg = write_ini(tmp_path, DEGENERATE_SPECIES.replace(repr(-R.Q_E), charge) + """
 [sweep]
 k_min = 0.1
@@ -356,13 +474,7 @@ units = reduced
 branches = QuantumLangmuir
 """)
     out = tmp_path / "out"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "disperse.cli", "run", "--config", cfg,
-         "--output-dir", str(out), "--quiet"],
-        capture_output=True, text=True, timeout=120, env=env)
+    proc = run_module(cfg, out)
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert (out / "QuantumLangmuir.csv").exists()
@@ -382,13 +494,7 @@ k_max = 2e9
 n_points = 3
 branches = ExactQuadrature
 """)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "disperse.cli", "run", "--config", cfg,
-         "--output-dir", str(tmp_path / "out"), "--quiet"],
-        capture_output=True, text=True, timeout=120, env=env)
+    proc = run_module(cfg, tmp_path / "out")
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("validation error: at T = ")
     assert "condens" in proc.stderr and "Traceback" not in proc.stderr
