@@ -9,7 +9,7 @@ run writes one CSV per requested branch and a summary file that echoes the
 config as read, with defaults filled in, so re-running from the summary
 reproduces the output byte for byte.  compare re-solves the first exact
 branch, integrates the kinetic oracle at subsampled k, and reports both.
-_FIELDS lists every config field once, with its default.
+_FIELDS lists every config field once, with its default and its parser.
 
 Exit codes: 0 clean, 1 config or validation error, 2 at least one point
 failed (a non-converged root, a seed failure, or an oracle mismatch).
@@ -22,7 +22,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,18 +41,52 @@ class ConfigError(Exception):
     """Raised for any config parse or validation problem; exits with code 1."""
 
 
+def _as_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def _one_of(*choices: str):
+    def parse(raw: str) -> str:
+        low = raw.lower()
+        if low not in choices:
+            raise ValueError(raw)
+        return low
+    return parse
+
+
+def _as_statistics(raw: str) -> Statistics:
+    return Statistics(raw.lower())
+
+
+def _as_branches(raw: str) -> list:
+    names = [part.strip() for part in raw.split(",") if part.strip()]
+    return [BranchId[name] for name in names]
+
+
+def _as_v_max(raw: str) -> float | None:
+    return None if raw.lower() in ("auto", "") else float(raw)
+
+
 # every config field in summary order, with its default as config text
-# (None: required)
+# (None: required) and the parser of its text
 _FIELDS = {
-    "species": {"mass": None, "charge": None, "spin_degeneracy": "2", "density": None,
-                "temperature": None, "statistics": None, "fully_degenerate": "false"},
-    "sweep": {"k_min": None, "k_max": None, "n_points": None, "spacing": "linear",
-              "units": "si", "branches": None},
-    "solver": {"abs_tol": repr(SolverConfig.abs_tol), "max_iter": repr(SolverConfig.max_iter)},
-    "oracle": {"enabled": "false", "subsample": "10", "n_v": repr(OracleConfig.n_v),
-               "v_max": "auto", "dt": repr(OracleConfig.dt), "t_end": repr(OracleConfig.t_end)},
-    "hooks": {"bohm_term": "on"},
-    "output": {"path": "."},
+    "species": {"mass": (None, float), "charge": (None, float), "spin_degeneracy": ("2", int),
+                "density": (None, float), "temperature": (None, float),
+                "statistics": (None, _as_statistics), "fully_degenerate": ("false", _as_bool)},
+    "sweep": {"k_min": (None, float), "k_max": (None, float), "n_points": (None, int),
+              "spacing": ("linear", _one_of("linear", "log")), "units": ("si", _one_of("si", "reduced")),
+              "branches": (None, _as_branches)},
+    "solver": {"abs_tol": (repr(SolverConfig.abs_tol), float), "max_iter": (repr(SolverConfig.max_iter), int)},
+    "oracle": {"enabled": ("false", _as_bool), "subsample": ("10", int), "n_v": (repr(OracleConfig.n_v), int),
+               "v_max": ("auto", _as_v_max), "dt": (repr(OracleConfig.dt), float),
+               "t_end": (repr(OracleConfig.t_end), float)},
+    "hooks": {"bohm_term": ("on", _as_bool)},
+    "output": {"path": (".", str)},
 }
 
 
@@ -80,35 +114,12 @@ def _fail(where: str, what: str):
     raise ConfigError(f"{where}: {what}")
 
 
-def _get(values: dict, section: str, key: str, conv):
-    raw = values[section][key]
-    try:
-        return conv(raw)
-    except (ValueError, KeyError):
-        _fail(f"{section}.{key}", f"cannot interpret {raw!r}")
-
-
-def _as_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
-def _as_branches(raw: str) -> list:
-    names = [part.strip() for part in raw.split(",") if part.strip()]
-    return [BranchId[name] for name in names]
-
-
-def _as_v_max(raw: str) -> float | None:
-    return None if raw.lower() in ("auto", "") else float(raw)
-
-
-def _read_values(path: str, output_dir: str | None) -> dict:
-    """Raw text of every _FIELDS entry: the file's value, else the default."""
-    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+def _read_values(path: str, output_dir: str | None) -> tuple[dict, dict]:
+    """Text and parsed value of every _FIELDS entry: the file's, else the
+    default."""
+    # no section header can name the empty string, so a [DEFAULT] section is
+    # read as an ordinary one and refused as unknown
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"), default_section="")
     cp.optionxform = str
     try:
         read = cp.read(path, encoding="utf-8")
@@ -122,107 +133,80 @@ def _read_values(path: str, output_dir: str | None) -> dict:
         for key in cp.options(section):
             if key not in _FIELDS[section]:
                 _fail(f"{section}.{key}", "unknown field")
-    values = {}
-    for section, fields in _FIELDS.items():
-        values[section] = {}
-        for key, default in fields.items():
-            value = cp.get(section, key, fallback=default)
-            if value is None:
-                _fail(f"{section}.{key}", "missing required field")
-            values[section][key] = value
     if output_dir is not None:
-        values["output"]["path"] = output_dir
-    return values
+        cp.read_dict({"output": {"path": output_dir}})
+    texts, values = {}, {}
+    for section, table in _FIELDS.items():
+        texts[section], values[section] = {}, {}
+        for key, (default, parse) in table.items():
+            text = cp.get(section, key, fallback=default)
+            if text is None:
+                _fail(f"{section}.{key}", "missing required field")
+            try:
+                values[section][key] = parse(text)
+            except (ValueError, KeyError):
+                _fail(f"{section}.{key}", f"cannot interpret {text!r}")
+            texts[section][key] = text
+    return texts, values
 
 
-def _config_text(values: dict) -> str:
+def _config_text(texts: dict) -> str:
     """INI text of the values; a multi-line value continues on indented lines."""
     lines = []
-    for section, fields in values.items():
+    for section, table in texts.items():
         lines.append(f"[{section}]")
-        lines += [f"{key} = " + value.replace("\n", "\n\t") for key, value in fields.items()]
+        lines += [f"{key} = " + value.replace("\n", "\n\t") for key, value in table.items()]
         lines.append("")
     return "\n".join(lines)
 
 
 def load_config(path: str, output_dir: str | None = None) -> RunConfig:
-    values = _read_values(path, output_dir)
-
-    stats_raw = values["species"]["statistics"].lower()
-    if stats_raw not in ("fermi", "bose"):
-        _fail("species.statistics", f"must be fermi or bose, got {stats_raw!r}")
+    texts, values = _read_values(path, output_dir)
+    sweep_values, oracle_values = values["sweep"], values["oracle"]
     try:
-        species = SpeciesParams(
-            mass=_get(values, "species", "mass", float),
-            charge=_get(values, "species", "charge", float),
-            spin_degeneracy=_get(values, "species", "spin_degeneracy", int),
-            density=_get(values, "species", "density", float),
-            temperature=_get(values, "species", "temperature", float),
-            statistics=Statistics(stats_raw),
-            fully_degenerate=_get(values, "species", "fully_degenerate", _as_bool),
-        )
+        species = SpeciesParams(**values["species"])
     except ValueError as exc:
         _fail("species", str(exc))
     scales = derive_scales(species)  # DegeneracyOutOfRange propagates to exit 1
 
-    spacing = values["sweep"]["spacing"].lower()
-    if spacing not in ("linear", "log"):
-        _fail("sweep.spacing", f"unknown spacing {spacing!r}")
-    units = values["sweep"]["units"].lower()
-    if units not in ("si", "reduced"):
-        _fail("sweep.units", f"must be si or reduced, got {units!r}")
-    if units == "reduced" and scales.omega_p == 0.0:
+    if sweep_values["units"] == "reduced" and scales.omega_p == 0.0:
         _fail("sweep.units", "reduced units need a charged species (omega_p > 0)")
-    unit_omega, unit_v = (scales.omega_p, scales.v_ch) if units == "reduced" else (1.0, 1.0)
-    k_min = _get(values, "sweep", "k_min", float)
-    k_max = _get(values, "sweep", "k_max", float)
-    n_points = _get(values, "sweep", "n_points", int)
-    if not 0 < k_min < k_max:
+    unit_omega, unit_v = (scales.omega_p, scales.v_ch) if sweep_values["units"] == "reduced" else (1.0, 1.0)
+    if not 0 < sweep_values["k_min"] < sweep_values["k_max"]:
         _fail("sweep.k_min", "need 0 < k_min < k_max")
-    if n_points < 2:
+    if sweep_values["n_points"] < 2:
         _fail("sweep.n_points", "need at least 2 points")
-    branches = _get(values, "sweep", "branches", _as_branches)
-    if not branches:
+    if not sweep_values["branches"]:
         _fail("sweep.branches", "at least one branch required")
 
-    bohm = _get(values, "hooks", "bohm_term", _as_bool)
+    bohm = values["hooks"]["bohm_term"]
     if not bohm and species.charge == 0.0:
         _fail("hooks.bohm_term", "off with a neutral species leaves no restoring force")
-    for branch in branches:
+    for branch in sweep_values["branches"]:
         try:
             check_branch_species(branch, species, scales)
         except ValueError as exc:
             _fail("sweep.branches", f"{branch.name}: {exc}")
 
     try:
-        solver = SolverConfig(
-            abs_tol=_get(values, "solver", "abs_tol", float),
-            max_iter=_get(values, "solver", "max_iter", int),
-        )
+        solver = SolverConfig(**values["solver"])
     except ValueError as exc:
         _fail("solver", str(exc))
-
     try:
-        oracle = OracleConfig(
-            n_v=_get(values, "oracle", "n_v", int),
-            v_max=_get(values, "oracle", "v_max", _as_v_max),
-            dt=_get(values, "oracle", "dt", float),
-            t_end=_get(values, "oracle", "t_end", float),
-        )
+        oracle = OracleConfig(**{field.name: oracle_values[field.name] for field in fields(OracleConfig)})
     except ValueError as exc:
         _fail("oracle", str(exc))
-    subsample = _get(values, "oracle", "subsample", int)
-    if subsample < 1:
+    if oracle_values["subsample"] < 1:
         _fail("oracle.subsample", "subsample must be >= 1")
 
     unit_k = unit_omega / unit_v
     return RunConfig(
-        species=species, scales=scales, k_min=k_min * unit_k, k_max=k_max * unit_k,
-        n_points=n_points, spacing=spacing, branches=branches, solver=solver,
-        oracle_enabled=_get(values, "oracle", "enabled", _as_bool),
-        oracle=oracle, subsample=subsample, bohm_term=bohm,
-        out_path=values["output"]["path"], unit_omega=unit_omega, unit_v=unit_v,
-        text=_config_text(values),
+        species=species, scales=scales, k_min=sweep_values["k_min"] * unit_k,
+        k_max=sweep_values["k_max"] * unit_k, n_points=sweep_values["n_points"],
+        spacing=sweep_values["spacing"], branches=sweep_values["branches"], solver=solver,
+        oracle_enabled=oracle_values["enabled"], oracle=oracle, subsample=oracle_values["subsample"],
+        bohm_term=bohm, out_path=values["output"]["path"], unit_omega=unit_omega, unit_v=unit_v,
+        text=_config_text(texts),
     )
 
 

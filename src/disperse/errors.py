@@ -1,11 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Everything raised on purpose derives from DisperseError so callers can
-catch one base type at the CLI boundary.  NoConvergence and
-SingularJacobian from the Newton iteration carry two attributes, attached at
-raise time by the solver and not declared here: ``partial``, the tuple
-(z, residual_norm, iterations) of the last iterate with z = s / omega_ref
-the scaled complex rate, and ``result``, that iterate as a non-converged
+catch one base type at the CLI boundary.  NoConvergence from the Newton
+iteration carries ``result``, its last iterate as a non-converged
 DispersionResult.
 """
 
@@ -31,11 +28,12 @@ class QuadratureFailure(DisperseError):
 
 
 class NoConvergence(DisperseError):
-    """Root iteration exhausted max_iter or stalled (step rejected 20 times)."""
+    """Root iteration exhausted max_iter, stalled (step rejected 20 times),
+    or met a zero or non-finite derivative."""
 
-
-class SingularJacobian(DisperseError):
-    """Complex derivative of the residual zero or non-finite at the current iterate."""
+    def __init__(self, message: str, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 class SeedFailure(DisperseError):

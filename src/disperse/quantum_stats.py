@@ -18,31 +18,19 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DegeneracyOutOfRange, NonConvergent
 
 # CODATA 2018 values, 10 significant digits where more are defined.
-# Fixed table on purpose: these are not tunable inputs.
-CODATA = MappingProxyType(
-    {
-        "eps0": 8.8541878128e-12,  # vacuum permittivity, F/m
-        "hbar": 1.054571817e-34,  # reduced Planck constant, J s
-        "h": 6.62607015e-34,  # Planck constant, J s
-        "k_B": 1.380649e-23,  # Boltzmann constant, J/K
-        "m_e": 9.1093837015e-31,  # electron mass, kg
-        "q_e": 1.602176634e-19,  # elementary charge, C
-    }
-)
-
-EPS0 = CODATA["eps0"]
-HBAR = CODATA["hbar"]
-PLANCK_H = CODATA["h"]
-K_B = CODATA["k_B"]
-ELECTRON_MASS = CODATA["m_e"]
-ELEMENTARY_CHARGE = CODATA["q_e"]
+# Fixed on purpose: these are not tunable inputs.
+EPS0 = 8.8541878128e-12  # vacuum permittivity, F/m
+HBAR = 1.054571817e-34  # reduced Planck constant, J s
+PLANCK_H = 6.62607015e-34  # Planck constant, J s
+K_B = 1.380649e-23  # Boltzmann constant, J/K
+ELECTRON_MASS = 9.1093837015e-31  # electron mass, kg
+ELEMENTARY_CHARGE = 1.602176634e-19  # elementary charge, C
 
 _SQRT_PI = math.sqrt(math.pi)
 

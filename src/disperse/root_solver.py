@@ -56,14 +56,7 @@ from .dispersion_core import (
     residual_quadrature,
     residual_weak,
 )
-from .errors import (
-    NoConvergence,
-    NonConvergent,
-    QuadratureFailure,
-    SeedFailure,
-    SingularInput,
-    SingularJacobian,
-)
+from .errors import NoConvergence, NonConvergent, QuadratureFailure, SeedFailure, SingularInput
 from .quantum_stats import SpeciesParams
 
 # forward-difference step along omega, relative to max(|Im z|, 0.1)
@@ -115,11 +108,6 @@ def _max_abs(f: complex) -> float:
     return max(abs(f.real), abs(f.imag))
 
 
-def _stalled(err, z: complex, norm: float, iterations: int):
-    err.partial = (z, norm, iterations)
-    return err
-
-
 def _line_search(fun, reject, z: complex, dz: complex, norm: float):
     """Try z - dz, halving the step up to 20 times until the residual norm
     falls; returns (z, f) or None."""
@@ -141,16 +129,15 @@ def _line_search(fun, reject, z: complex, dz: complex, norm: float):
 def _newton(fun, z: complex, config: SolverConfig, reject):
     """Damped Newton on a residual holomorphic in the scaled rate z.
 
-    Returns (z, norm, iterations).  Raises NoConvergence/SingularJacobian
-    with (z, norm, iterations) of the last iterate attached as .partial.
+    Returns (z, norm, iterations, failure) of the last iterate; failure is
+    None on convergence, else why the iteration stopped.
     """
     f = fun(z)
     norm = _max_abs(f)
     iterations = 0
     while not norm <= config.abs_tol:
         if iterations >= config.max_iter:
-            raise _stalled(NoConvergence(f"no convergence after {iterations} iterations, residual {norm:.3e}"),
-                           z, norm, iterations)
+            return z, norm, iterations, f"no convergence after {iterations} iterations, residual {norm:.3e}"
         h = _FD_STEP * max(abs(z.imag), 0.1)
         try:
             fp = fun(complex(z.real, z.imag + h))
@@ -159,8 +146,7 @@ def _newton(fun, z: complex, config: SolverConfig, reject):
             fp = fun(complex(z.real, z.imag + h))
         df = (fp - f) / h  # df/d(Im z) = i f'(z)
         if df == 0 or not cmath.isfinite(df):
-            raise _stalled(SingularJacobian(f"vanishing or non-finite derivative at iterate {z}"),
-                           z, norm, iterations)
+            return z, norm, iterations, f"vanishing or non-finite derivative at iterate {z}"
         # the Newton step f / f'(z) and the step along omega that zeroes Re f,
         # each the other's fallback; on the axis with a real residual the
         # latter goes first, which keeps eta == +0.0 bitwise
@@ -175,11 +161,11 @@ def _newton(fun, z: complex, config: SolverConfig, reject):
             if trial is not None:
                 break
         else:
-            raise _stalled(NoConvergence(f"step rejected 20 times at residual {norm:.3e}"), z, norm, iterations)
+            return z, norm, iterations, f"step rejected 20 times at residual {norm:.3e}"
         z, f = trial
         norm = _max_abs(f)
         iterations += 1
-    return z, norm, iterations
+    return z, norm, iterations, None
 
 
 # every closed form under one call shape (k, species, scales, bohm_term)
@@ -259,17 +245,13 @@ def solve_at_k(
         # spurious purely growing roots as omega -> 0: keep eta <= 0
         return species.fully_degenerate and (z.real > 0.0 or _resonance_gap(r_ref / z.imag, z.real / z.imag))
 
-    def build(z, norm, iterations, converged):
-        rate = ComplexRate(eta=z.real * omega_ref, omega=z.imag * omega_ref)
-        return _result(k, branch, rate, scales, norm, converged, iterations)
-
     z0 = complex(seed.eta / omega_ref, seed.omega / omega_ref)
-    try:
-        z, norm, iterations = _newton(fun, z0, config, reject)
-    except (NoConvergence, SingularJacobian) as err:
-        err.result = build(*err.partial, converged=False)
-        raise
-    return build(z, norm, iterations, converged=True)
+    z, norm, iterations, failure = _newton(fun, z0, config, reject)
+    rate = ComplexRate(eta=z.real * omega_ref, omega=z.imag * omega_ref)
+    result = _result(k, branch, rate, scales, norm, failure is None, iterations)
+    if failure is not None:
+        raise NoConvergence(failure, result)
+    return result
 
 
 def _matched_closed(
@@ -310,7 +292,7 @@ def first_point_seeds(
     return out
 
 
-_SWEEP_POINT_ERRORS = (NoConvergence, SingularJacobian, SingularInput, QuadratureFailure, NonConvergent)
+_SWEEP_POINT_ERRORS = (NoConvergence, SingularInput, QuadratureFailure, NonConvergent)
 
 
 def sweep(
@@ -325,9 +307,8 @@ def sweep(
     """Solve the branch over an increasing k grid with continuation.
 
     The first point tries the whole seed ladder and raises SeedFailure if
-    nothing converges.  Later points seed from the last converged rate, or
-    re-run the ladder while no point has converged yet, and record
-    non-converged results instead of raising.
+    nothing converges.  Later points seed from the last converged rate and
+    record non-converged results instead of raising.
     """
     ks = [float(k) for k in k_grid]
     if any(k <= 0 for k in ks):
@@ -336,54 +317,42 @@ def sweep(
         raise ValueError("k grid must be strictly increasing")
     check_branch_species(branch, species, scales)
 
-    results: list[DispersionResult] = []
     if branch in CLOSED_FORM_BRANCHES:
-        for k in ks:
-            results.append(solve_at_k(k, branch, species, scales, ComplexRate(0.0, 1.0), config, bohm_term=bohm_term))
-        return results
+        return [solve_at_k(k, branch, species, scales, ComplexRate(0.0, 1.0), config, bohm_term=bohm_term)
+                for k in ks]
+    if not ks:
+        return []
 
-    prev: ComplexRate | None = None
-    k_prev = 0.0
-    for index, k in enumerate(ks):
-        if prev is not None:
-            # rescale the previous rate by the closed-form ratio between the
-            # two k points; plain omega continuation pushes r = k v_ch/omega
-            # across the r = 1 wall for branches that hug the resonance
-            seed = prev
-            try:
-                ratio = (_matched_closed(k, branch, species, scales, bohm_term)
-                         / _matched_closed(k_prev, branch, species, scales, bohm_term))
-                seed = ComplexRate(eta=prev.eta * ratio, omega=prev.omega * ratio)
-            except (ValueError, ZeroDivisionError):
-                pass
-            # an undamped degenerate root has r < 1; a seed pushed across r = 1
-            # starts beyond the jump of the residue term and cannot step back
-            # without eta > 0, so start halfway between the last r and 1
-            r_prev = prev.r(k_prev, scales.v_ch)
-            if species.fully_degenerate and prev.eta == 0.0 and r_prev < 1.0 <= seed.r(k, scales.v_ch):
-                seed = ComplexRate(eta=0.0, omega=2.0 * k * scales.v_ch / (1.0 + r_prev))
-            try:
-                res = solve_at_k(k, branch, species, scales, seed, config, bohm_term=bohm_term)
-            except _SWEEP_POINT_ERRORS as err:
-                res = getattr(err, "result", None) or _result(k, branch, seed, scales, math.inf, False)
-        else:
-            res = None
-            last = None
-            for seed in first_point_seeds(k, branch, species, scales, bohm_term=bohm_term):
-                try:
-                    res = solve_at_k(k, branch, species, scales, seed, config, bohm_term=bohm_term)
-                    break
-                except _SWEEP_POINT_ERRORS as err:
-                    last = getattr(err, "result", None)
-            else:
-                if index == 0:
-                    raise SeedFailure(f"no seed converged at the first point k = {k:.6e}")
-                fallback = ComplexRate(0.0, omega_quantum_langmuir(k, scales, bohm_term=bohm_term))
-                res = last or _result(k, branch, fallback, scales, math.inf, False)
+    for seed in first_point_seeds(ks[0], branch, species, scales, bohm_term=bohm_term):
+        try:
+            first = solve_at_k(ks[0], branch, species, scales, seed, config, bohm_term=bohm_term)
+            break
+        except _SWEEP_POINT_ERRORS:
+            continue
+    else:
+        raise SeedFailure(f"no seed converged at the first point k = {ks[0]:.6e}")
+    results = [first]
+    prev, k_prev = first.rate, ks[0]
+    for k in ks[1:]:
+        # rescale the previous rate by the closed-form ratio between the
+        # two k points; plain omega continuation pushes r = k v_ch/omega
+        # across the r = 1 wall for branches that hug the resonance
+        ratio = (_matched_closed(k, branch, species, scales, bohm_term)
+                 / _matched_closed(k_prev, branch, species, scales, bohm_term))
+        seed = ComplexRate(eta=prev.eta * ratio, omega=prev.omega * ratio)
+        # an undamped degenerate root has r < 1; a seed pushed across r = 1
+        # starts beyond the jump of the residue term and cannot step back
+        # without eta > 0, so start halfway between the last r and 1
+        r_prev = prev.r(k_prev, scales.v_ch)
+        if species.fully_degenerate and prev.eta == 0.0 and r_prev < 1.0 <= seed.r(k, scales.v_ch):
+            seed = ComplexRate(eta=0.0, omega=2.0 * k * scales.v_ch / (1.0 + r_prev))
+        try:
+            res = solve_at_k(k, branch, species, scales, seed, config, bohm_term=bohm_term)
+        except _SWEEP_POINT_ERRORS as err:
+            res = getattr(err, "result", None) or _result(k, branch, seed, scales, math.inf, False)
         results.append(res)
         if res.converged:
-            prev = res.rate
-            k_prev = k
+            prev, k_prev = res.rate, k
     return results
 
 

@@ -208,7 +208,7 @@ max_iter = 1
 
 @pytest.mark.parametrize("mutation, fragment", [
     ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\nspacing = cubic\n"
-     "branches = WeakSimple\n", "unknown spacing"),
+     "branches = WeakSimple\n", "sweep.spacing: cannot interpret 'cubic'"),
     ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\nwobble = 3\n"
      "branches = WeakSimple\n", "sweep.wobble: unknown field"),
     ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 1\n"
@@ -244,7 +244,10 @@ SWEEP = "[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\nbranches = WeakSimple\
     (WEAK_SPECIES.replace("density = 1e28", "density = 1e28 %") + SWEEP,
      "species.density: cannot interpret '1e28 %'"),
     ("# caf\u00e9\n" + WEAK_SPECIES + SWEEP, "can't decode byte 0xe9"),
-], ids=["duplicate_key", "duplicate_section", "no_delimiter", "no_section", "percent", "latin1"])
+    (WEAK_SPECIES + SWEEP + "[DEFAULT]\nn_points = 5\n", "DEFAULT: unknown section"),
+    (WEAK_SPECIES + SWEEP + "[DEFAULT]\n", "DEFAULT: unknown section"),
+], ids=["duplicate_key", "duplicate_section", "no_delimiter", "no_section", "percent", "latin1",
+        "default_section", "empty_default_section"])
 def test_malformed_config_one_line_error(tmp_path, text, fragment):
     cfg = tmp_path / "cfg.ini"
     cfg.write_bytes(text.encode("latin-1"))  # configs are read as UTF-8

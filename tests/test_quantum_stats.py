@@ -15,7 +15,6 @@ import _refs as R
 from disperse import DisperseError, SpeciesParams, Statistics, derive_scales, dominant_root
 from disperse.errors import DegeneracyOutOfRange, NonConvergent
 from disperse.quantum_stats import (
-    CODATA,
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
     EPS0,
@@ -43,23 +42,12 @@ def rel(a, b):
 # ---------------------------------------------------------------------------
 
 def test_codata_spot_values():
-    assert CODATA["m_e"] == 9.1093837015e-31
-    assert CODATA["q_e"] == 1.602176634e-19
-    assert CODATA["k_B"] == 1.380649e-23
-    assert CODATA["hbar"] == 1.054571817e-34
-    assert CODATA["h"] == 6.62607015e-34
-    assert CODATA["eps0"] == 8.8541878128e-12
-    assert ELECTRON_MASS == CODATA["m_e"]
-    assert ELEMENTARY_CHARGE == CODATA["q_e"]
-    assert K_B == CODATA["k_B"]
-    assert HBAR == CODATA["hbar"]
-    assert PLANCK_H == CODATA["h"]
-    assert EPS0 == CODATA["eps0"]
-
-
-def test_codata_table_is_read_only():
-    with pytest.raises(TypeError):
-        CODATA["m_e"] = 1.0
+    assert ELECTRON_MASS == 9.1093837015e-31
+    assert ELEMENTARY_CHARGE == 1.602176634e-19
+    assert K_B == 1.380649e-23
+    assert HBAR == 1.054571817e-34
+    assert PLANCK_H == 6.62607015e-34
+    assert EPS0 == 8.8541878128e-12
 
 
 def test_plasma_frequency_frozen(electron_degenerate):

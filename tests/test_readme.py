@@ -18,7 +18,7 @@ def test_config_reference_lists_every_field_with_its_default():
             documented[key] = None if default == "required" else default
     assert documented == {f"{section}.{key}": default
                           for section, fields in _FIELDS.items()
-                          for key, default in fields.items()}
+                          for key, (default, _) in fields.items()}
 
 
 def test_python_examples_run(capsys):

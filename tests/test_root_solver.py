@@ -279,14 +279,11 @@ def test_no_convergence_carries_partial_state(weak_fermion, weak_fermion_scales)
     cfg = SolverConfig(abs_tol=1e-16, max_iter=2)
     with pytest.raises(NoConvergence) as err:
         solve_at_k(k, BranchId.ExactWeak, weak_fermion, sc, seed, cfg)
-    z, norm, iterations = err.value.partial
-    assert isinstance(z, complex) and math.isfinite(norm) and iterations == 2
-    res = err.value.result
-    assert res is not None
+    res = err.value.result  # the last iterate
     assert res.converged is False
     assert res.iterations == 2
-    assert res.residual_norm == norm
-    assert res.rate.s == z * sc.omega_p  # the scaled rate z = s / Omega_p
+    assert math.isfinite(res.residual_norm) and res.residual_norm > 0.0
+    assert math.isfinite(res.rate.eta) and math.isfinite(res.rate.omega)
 
 
 def test_singular_input_at_exact_resonance_seed(
@@ -337,6 +334,20 @@ def test_sweep_continuation_matches_ladder_restart(
         ladder = converged_root(k, BranchId.ExactDegenerate, sp, sc)
         assert res.converged
         assert rel(res.rate.omega, ladder.rate.omega) < 1e-10
+
+
+def test_sweep_keeps_stopped_points_at_their_last_iterate(weak_fermion, weak_fermion_scales):
+    # points past the first that run out of iterations are recorded as their
+    # last Newton iterate instead of raising
+    sc = weak_fermion_scales
+    ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in (0.3, 0.45, 0.6, 0.75)]
+    results = sweep(ks, BranchId.ExactQuadrature, weak_fermion, sc, SolverConfig(max_iter=3))
+    assert [res.converged for res in results] == [True, True, False, False]
+    for res in results[2:]:
+        assert res.iterations == 3
+        assert SolverConfig().abs_tol < res.residual_norm < math.inf
+        assert res.rate.eta < 0.0
+    assert sweep([], BranchId.ExactQuadrature, weak_fermion, sc) == []
 
 
 def test_closed_form_result_semantics(electron_degenerate, electron_degenerate_scales):
