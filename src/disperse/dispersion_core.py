@@ -140,6 +140,19 @@ _WEAK_TOL = 1e-14
 _WEAK_MAX_TERMS = 10_000
 
 
+@functools.lru_cache(maxsize=64)
+def _weak_block(alpha: float, fermi: bool, j0: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+    # sqrt(j) and the signed coefficients (-+1)^(j-1) alpha^j / sqrt(j) for
+    # j = j0 .. j0 + block - 1; they do not depend on the rate
+    j = np.arange(j0, j0 + block, dtype=float)
+    sqrt_j = np.sqrt(j)
+    coef = np.power(alpha, j) / sqrt_j
+    if fermi:
+        coef = coef * np.where(j % 2.0 == 1.0, 1.0, -1.0)
+    sqrt_j.flags.writeable = coef.flags.writeable = False
+    return sqrt_j, coef
+
+
 def residual_weak(
     k: float,
     s: complex,
@@ -175,11 +188,8 @@ def residual_weak(
     block = min(max(block, 8), _WEAK_MAX_TERMS)
     j0 = 1
     while True:
-        j = np.arange(j0, j0 + block, dtype=float)
-        g = scaled_erfc(np.sqrt(j) * theta)
-        coef = np.power(alpha, j) / np.sqrt(j)
-        if fermi:
-            coef = coef * np.where(j % 2.0 == 1.0, 1.0, -1.0)
+        sqrt_j, coef = _weak_block(alpha, fermi, j0, block)
+        g = scaled_erfc(sqrt_j * theta)
         part = complex(np.sum(coef * (g - 1.0)))
         if not cmath.isfinite(part):
             # alpha exp(Re theta^2) > 1: the terms grow, so no later block helps
@@ -262,18 +272,42 @@ def _occupation_slope_at(p: complex, s_beta_w2: float, inv_alpha: float, fermi: 
     return -p / den
 
 
-def _gauss_legendre(f, cuts: np.ndarray) -> complex:
-    # integral of f over [cuts[0], cuts[-1]], one panel between each pair of
-    # cuts; every panel goes through one vectorised call of f per rule size
-    mid = 0.5 * (cuts[1:] + cuts[:-1])[:, None]
-    half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
+@functools.lru_cache(maxsize=64)
+def _panel_nodes(
+    n: int, cuts: tuple[float, ...], c_g: float, s_beta_w2: float, inv_alpha: float, fermi: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the n-point rule on every panel between cuts: nodes, weights and the
+    # scaled occupation slope at the nodes, none of which depends on the rate
+    edges = np.array(cuts)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    x, w = _legendre_rule(n)
+    u = mid + half * x
+    out = (u, half * w, c_g * _occupation_slope(u, s_beta_w2, inv_alpha, fermi))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _gauss_legendre(p_hat: complex, g_at_p: complex, gas: tuple) -> complex:
+    # integral of (g(u) - g(p))/(u - p) over [cuts[0], cuts[-1]], gas being
+    # _panel_nodes' arguments after n; every panel goes through one
+    # vectorised evaluation per rule size
     previous = None
     for n in _GL_SIZES:
-        x, w = _legendre_rule(n)
-        weighted = (half * w) * f(mid + half * x)
+        u, weights, g = _panel_nodes(n, *gas)
+        d = u - p_hat
+        if p_hat.imag == 0.0:
+            # only a real pole can sit on a node; the subtracted numerator
+            # vanishes there too, so 0 is the removable-limit value
+            quotient = np.where(d == 0, 0.0, (g - g_at_p) / np.where(d == 0, 1.0, d))
+        else:
+            quotient = (g - g_at_p) / d
+        weighted = weights * quotient
         estimate = complex(weighted.sum())
         if previous is not None:
-            # relative to the integral of |f|, which cancellation cannot zero
+            # relative to the integral of |integrand|, which cancellation
+            # cannot zero
             gap = abs(estimate - previous)
             if gap <= _GL_TOL * float(np.abs(weighted).sum()):
                 return estimate
@@ -372,20 +406,11 @@ def residual_quadrature(
         g_at_p = c_g * _occupation_slope_at(p_hat, s_beta_w2, inv_alpha, fermi)
         add_residue = eta < 0.0
 
-        def integrand(u):
-            d = u - p_hat
-            # a quadrature node can only collide with a real pole; the subtracted
-            # numerator vanishes there too, so 0 is the removable-limit value
-            vals = c_g * _occupation_slope(u, s_beta_w2, inv_alpha, fermi) - g_at_p
-            safe = np.where(d == 0, 1.0, d)
-            out = vals / safe
-            return np.where(d == 0, 0.0, out)
-
         # Bose occupation poles sit at u = +-i sqrt(-ln alpha / (beta W^2));
         # Fermi poles stay beyond |u| ~ sqrt(pi)/8 for every fugacity
         pole = math.sqrt(-math.log(alpha) / s_beta_w2)
-        cuts = [-1.0, -pole, pole, 1.0] if not fermi and 2.0 * pole < 0.5 else [-1.0, 1.0]
-        integral = _gauss_legendre(integrand, np.array(cuts))
+        cuts = (-1.0, -pole, pole, 1.0) if not fermi and 2.0 * pole < 0.5 else (-1.0, 1.0)
+        integral = _gauss_legendre(p_hat, g_at_p, (cuts, c_g, s_beta_w2, inv_alpha, fermi))
         integral += g_at_p * _principal_log_ratio(p_hat, eta == 0.0)
 
     if add_residue:

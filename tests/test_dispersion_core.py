@@ -260,6 +260,80 @@ def test_quadrature_near_condensation_against_references():
     assert time.perf_counter() - start < 3.0
 
 
+def _gauss_legendre_uncached(p_hat, g_at_p, gas):
+    """The thermal quadrature with every node, weight and occupation slope
+    computed on each call, in the order of operations the cached node data
+    must keep."""
+    cuts, c_g, s_beta_w2, inv_alpha, fermi = gas
+    cuts = np.array(cuts)
+    mid = 0.5 * (cuts[1:] + cuts[:-1])[:, None]
+    half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
+    previous = None
+    for n in dispersion_core._GL_SIZES:
+        x, w = dispersion_core._legendre_rule(n)
+        u = mid + half * x
+        d = u - p_hat
+        vals = c_g * dispersion_core._occupation_slope(u, s_beta_w2, inv_alpha, fermi) - g_at_p
+        weighted = (half * w) * np.where(d == 0, 0.0, vals / np.where(d == 0, 1.0, d))
+        estimate = complex(weighted.sum())
+        if previous is not None and abs(estimate - previous) <= dispersion_core._GL_TOL * float(np.abs(weighted).sum()):
+            return estimate
+        previous = estimate
+    raise AssertionError("reference rules did not agree")
+
+
+@pytest.mark.parametrize("temperature, statistics", [
+    (R.T_FERMI_02, Statistics.FERMI), (R.T_BOSE_02, Statistics.BOSE), (R.T_BOSE_09, Statistics.BOSE),
+    (R.T_CLASSICAL, Statistics.FERMI), (R.T_BOSE_0999, Statistics.BOSE)])
+def test_quadrature_matches_uncached_rule_bitwise(monkeypatch, temperature, statistics):
+    # on and off the real-s axis, damped and growing
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    sc = derive_scales(sp)
+    rng = np.random.default_rng(31)
+    points = [(float(rng.uniform(0.1, 0.6)) * sc.omega_p / math.sqrt(sc.v_th_sq),
+               complex(float(rng.choice([0.0, rng.uniform(-0.3, 0.05)])), float(rng.uniform(0.8, 1.6)))
+               * sc.omega_p) for _ in range(40)]
+    got = [residual_quadrature(k, s, sp, sc.alpha, sc) for k, s in points]
+    monkeypatch.setattr(dispersion_core, "_gauss_legendre", _gauss_legendre_uncached)
+    assert got == [residual_quadrature(k, s, sp, sc.alpha, sc) for k, s in points]
+
+
+def _clear_residual_caches():
+    dispersion_core._panel_nodes.cache_clear()
+    dispersion_core._weak_block.cache_clear()
+
+
+def test_thermal_residual_caches_are_keyed_on_every_input():
+    # Both residuals cache rate-independent work per gas.  These gases take
+    # the same fugacity arguments but differ in temperature or statistics,
+    # and fugacities 0.2 and 0.21 give residual_weak the same block size, so
+    # a cache key that leaves out a field hands one call another's nodes or
+    # coefficients; every interleaved call must match the same call made
+    # with empty caches, bit for bit.
+    gases = []
+    for temperature, statistics in ((R.T_FERMI_02, Statistics.FERMI), (R.T_CLASSICAL, Statistics.FERMI),
+                                    (R.T_FERMI_02, Statistics.BOSE)):
+        sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                           temperature=temperature, statistics=statistics)
+        gases.append((sp, derive_scales(sp)))
+    calls = []
+    for y, s_frac in ((0.3, -0.01 + 1.05j), (0.45, -0.2 + 1.2j)):
+        for alpha in (0.2, 0.21, 0.9):
+            for sp, sc in gases:
+                for fn in (residual_quadrature, residual_weak):
+                    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+                    calls.append((fn, k, s_frac * sc.omega_p, sp, alpha, sc))
+    cold = []
+    for fn, *args in calls:
+        _clear_residual_caches()
+        cold.append(fn(*args))
+    _clear_residual_caches()
+    for _ in range(2):
+        warm = [fn(*args) for fn, *args in calls]
+        assert warm == cold
+
+
 @settings(max_examples=200, derandomize=True)
 @given(
     statistics=st.sampled_from(Statistics),

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import _refs as R
 from disperse import DisperseError, SpeciesParams, Statistics, derive_scales, dominant_root
+from disperse import quantum_stats
 from disperse.errors import DegeneracyOutOfRange, NonConvergent
 from disperse.quantum_stats import (
     ELECTRON_MASS,
@@ -380,6 +381,30 @@ def test_scaled_erfc_batch_independent():
     batch = scaled_erfc(z)
     single = np.array([scaled_erfc(complex(v)) for v in z])
     assert np.all(np.abs(batch - single) <= 1e-15 * np.abs(single))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 300])
+def test_scaled_erfc_rational_fit_batch_independent_bitwise(size):
+    # |z| <= 6 in both half-planes goes through the rational fit, which
+    # builds a row of powers per element; each element's bits must not
+    # depend on the batch around it
+    rng = np.random.default_rng(size)
+    z = 6.0 * np.sqrt(rng.random(size)) * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+    batch = scaled_erfc(z)
+    single = np.array([scaled_erfc(complex(v)) for v in z])
+    assert np.array_equal(batch, single)
+
+
+def test_scaled_erfc_rational_fit_matches_horner():
+    # the fit's polynomial is summed from a row of powers; Horner's rule on
+    # the same coefficients is the reference, to a few ulp of G
+    rng = np.random.default_rng(1994)
+    z = 6.0 * np.sqrt(rng.random(4000)) * np.exp(1j * rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 4000))
+    big_l = quantum_stats._WEIDEMAN_L
+    d = big_l + z
+    poly = np.polyval(quantum_stats._WEIDEMAN_COEFS, (big_l - z) / d)
+    want = math.sqrt(math.pi) * z * (2.0 * poly / (d * d) + (1.0 / math.sqrt(math.pi)) / d)
+    assert np.all(np.abs(scaled_erfc(z) - want) <= 2e-15 * np.abs(want))
 
 
 def test_scaled_erfc_just_past_series_switch_matches_mpmath():

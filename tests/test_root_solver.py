@@ -183,8 +183,9 @@ def test_exact_branches_call_residuals_through_module_globals(monkeypatch, reque
 @pytest.mark.parametrize("gas", ["weak_fermion", "weak_boson"])
 @pytest.mark.parametrize("branch", [BranchId.ExactWeak, BranchId.ExactQuadrature])
 def test_thermal_small_k_roots_stay_on_axis(request, gas, branch):
-    # the Landau term underflows at k v_th / omega_p = 0.1, so the residual is
-    # real on the axis up to roundoff and eta must come back as +0.0
+    # at k v_th / omega_p = 0.1 the residual's imaginary part on the axis is
+    # below abs_tol/2, so Newton steps along omega only and eta comes back as
+    # +0.0, although the Landau damping there is representable
     sp = request.getfixturevalue(gas)
     sc = request.getfixturevalue(gas + "_scales")
     k = 0.1 * sc.omega_p / math.sqrt(sc.v_th_sq)
