@@ -297,13 +297,9 @@ def _gauss_legendre(p_hat: complex, g_at_p: complex, gas: tuple) -> complex:
     for n in _GL_SIZES:
         u, weights, g = _panel_nodes(n, *gas)
         d = u - p_hat
-        if p_hat.imag == 0.0:
-            # only a real pole can sit on a node; the subtracted numerator
-            # vanishes there too, so 0 is the removable-limit value
-            quotient = np.where(d == 0, 0.0, (g - g_at_p) / np.where(d == 0, 1.0, d))
-        else:
-            quotient = (g - g_at_p) / d
-        weighted = weights * quotient
+        # a node can only collide with a real pole; the subtracted numerator
+        # vanishes there too, so 0 is the removable-limit value
+        weighted = weights * np.divide(g - g_at_p, d, out=np.zeros_like(d), where=d != 0)
         estimate = complex(weighted.sum())
         if previous is not None:
             # relative to the integral of |integrand|, which cancellation

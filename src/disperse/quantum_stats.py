@@ -316,20 +316,11 @@ def _g_rational(z: np.ndarray) -> np.ndarray:
     big_l = _WEIDEMAN_L
     d = big_l + z  # = L - i*(i z)
     ratio = (big_l - z) / d
-    # one row of powers ratio^(n-1), ..., ratio, 1 per element, filled from
-    # the right by doubling, then one sum along each row, highest power first
-    # as in Horner (|ratio| <= 1 here).  Summing along an element's own row
-    # keeps its bits independent of the batch, which a BLAS product would not.
-    n = _WEIDEMAN_COEFS.size
-    powers = np.empty((ratio.size, n), dtype=complex)
-    powers[:, n - 1] = 1.0
-    powers[:, n - 2] = ratio
-    filled = 2
-    while filled < n:
-        step = min(filled, n - filled)
-        top = powers[:, n - 1 - filled // 2] ** 2  # ratio^filled
-        powers[:, n - filled - step : n - filled] = powers[:, n - step :] * top[:, None]
-        filled += step
+    # one row of powers ratio^(n-1), ..., ratio, 1 per element (numpy raises
+    # a complex to a small integer power by repeated squaring), then each
+    # row is reduced on its own by numpy's pairwise sum.  That keeps each
+    # element's bits independent of the batch, which a BLAS product would not.
+    powers = ratio[:, None] ** np.arange(_WEIDEMAN_COEFS.size - 1, -1, -1)
     poly = (powers * _WEIDEMAN_COEFS).sum(axis=1)
     w_iz = 2.0 * poly / (d * d) + (1.0 / _SQRT_PI) / d
     return _SQRT_PI * z * w_iz

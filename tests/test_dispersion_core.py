@@ -299,6 +299,21 @@ def test_quadrature_matches_uncached_rule_bitwise(monkeypatch, temperature, stat
     assert got == [residual_quadrature(k, s, sp, sc.alpha, sc) for k, s in points]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fermi", [True, False])
+def test_quadrature_rate_on_a_node_takes_the_removable_limit(fermi):
+    # a real phase velocity exactly on a node of the first rule: that node's
+    # quotient is 0/0, must not be evaluated, and counts as 0, as in the
+    # uncached rule
+    gas = ((-1.0, 1.0), 1.0, 64.0, 5.0, fermi)
+    u = dispersion_core._panel_nodes(dispersion_core._GL_SIZES[0], *gas)[0]
+    p_hat = complex(u[0, np.argmin(abs(u[0] - 0.2))])
+    g_at_p = dispersion_core._occupation_slope_at(p_hat, *gas[2:])
+    got = dispersion_core._gauss_legendre(p_hat, g_at_p, gas)
+    assert cmath.isfinite(got)
+    assert got == _gauss_legendre_uncached(p_hat, g_at_p, gas)
+
+
 def _clear_residual_caches():
     dispersion_core._panel_nodes.cache_clear()
     dispersion_core._weak_block.cache_clear()
