@@ -15,13 +15,14 @@ bookkeeping.
 
 Streaming is diagonal and the coupling is rank one, so N obeys exactly the
 convolution Volterra equation N = F + K * N, Landau's initial-value problem
-on the grid: F streams phi(0) freely and K streams i Lambda f0'.  On the
-uniform grid both are chirp-z transforms.  The history integral is sampled
-at t_m = m dt with sixth-order Gregory end weights after a nine-sample
-starting block, which leaves one lower-triangular Toeplitz system, solved
-as a power-series quotient with FFT products in O(n_t log n_t)
-(_volterra).  A mode at k < 0 is solved at |k| and conjugated, since FFT
-products are not bitwise conjugation-symmetric.
+on the grid: F streams phi(0) freely and K streams i Lambda f0'.  The grid
+is symmetric with n_v even, f0 is even in v and the kick is shaped like f0,
+so F is a cosine sum and K a sine sum over the positive half-grid (one
+chirp-z transform), and N is real: the same at k and -k.  The history
+integral is sampled at t_m = m dt with sixth-order Gregory end weights after
+a nine-sample starting block, which leaves one lower-triangular Toeplitz
+system, solved as a real power-series quotient with real FFT products in
+O(n_t log n_t) (_volterra).
 
 For the fully degenerate gas the step edge of the distribution is smoothed
 by a sigmoid of width delta_v = v_F/200 so its derivative is
@@ -83,9 +84,9 @@ class OracleConfig:
 
 @dataclass
 class OracleRun:
-    """Recorded density trace of one mode plus its dominant pole near
-    omega_guess and the pencil's relative misfit (filled in by fit_omega_eta
-    unless the run was started from a zero perturbation)."""
+    """Recorded density trace of one mode (real floats from evolve_mode) plus
+    its dominant pole near omega_guess and the pencil's relative misfit
+    (fit_omega_eta fills them in unless the run started from zero)."""
 
     k: float
     omega_guess: float
@@ -128,21 +129,15 @@ _START = (
 
 @functools.lru_cache(maxsize=256)
 def _fft_size(n):
-    """Smallest 2^a 3^b 5^c >= n: a length the FFT handles at full speed."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    """Smallest 2^a 3^b 5^c >= n with b + c <= 3: a length the FFT handles at
+    full speed (a longer odd part saves less length than the speed it costs)."""
+    odd_parts = (3**b * 5**c for b in range(4) for c in range(4 - b))
+    return min(q << (-(-n // q) - 1).bit_length() for q in odd_parts)
 
 
-def _times(spec, y):
-    """Cyclic product, at len(spec), of y with the series whose FFT is spec."""
-    return np.fft.ifft(spec * np.fft.fft(y, len(spec)))
+def _times(spec, y, n):
+    """Cyclic product, at length n, of real y with the real series whose rfft is spec."""
+    return np.fft.irfft(spec * np.fft.rfft(y, n), n)
 
 
 def _chirp_z(x, chirp, m):
@@ -153,11 +148,11 @@ def _chirp_z(x, chirp, m):
     n = x.shape[-1]
     gap = _fft_size(n + m - 1) - m - n + 1
     spec = np.fft.fft(np.concatenate((chirp[:m], np.zeros(gap), chirp[n - 1:0:-1])).conj())
-    return _times(spec, x * chirp[:n])[..., :m] * chirp[:m]
+    return np.fft.ifft(spec * np.fft.fft(x * chirp[:n], len(spec)))[..., :m] * chirp[:m]
 
 
 def _series_quotient(r, a):
-    """First len(r) coefficients of the power series r(z)/a(z).
+    """First len(r) coefficients of the real power series r(z)/a(z).
 
     Newton doubling builds 1/a (each step doubles the exact prefix); the last
     step folds r in instead (Karp-Markstein), so no product needs more than
@@ -172,14 +167,14 @@ def _series_quotient(r, a):
     sizes.reverse()  # 1, 2, ..., ceil(n/2), n
     inv = np.array([1.0 / a[0]])
     for lo, hi in zip(sizes[:-2], sizes[1:-1]):
-        inv_spec = np.fft.fft(inv, _fft_size(hi))
-        err = _times(inv_spec, a[:hi])[lo:hi]  # a * inv - 1 vanishes below lo
-        inv = np.concatenate((inv, -_times(inv_spec, err)[:hi - lo]))
-    half = sizes[-2]
-    inv_spec = np.fft.fft(inv, _fft_size(n))
-    head = _times(inv_spec, r[:half])[:half]
-    tail = r[half:] - _times(np.fft.fft(a, len(inv_spec)), head)[half:n]
-    return np.concatenate((head, _times(inv_spec, tail)[:n - half]))
+        inv_spec = np.fft.rfft(inv, size := _fft_size(hi))
+        err = _times(inv_spec, a[:hi], size)[lo:hi]  # a * inv - 1 vanishes below lo
+        inv = np.concatenate((inv, -_times(inv_spec, err, size)[:hi - lo]))
+    half, size = sizes[-2], _fft_size(n)
+    inv_spec = np.fft.rfft(inv, size)
+    head = _times(inv_spec, r[:half], size)[:half]
+    tail = r[half:] - _times(np.fft.rfft(a, size), head, size)[half:n]
+    return np.concatenate((head, _times(inv_spec, tail, size)[:n - half]))
 
 
 def _volterra(phi0, v, k, coupling, weights, h, n_steps):
@@ -187,25 +182,28 @@ def _volterra(phi0, v, k, coupling, weights, h, n_steps):
     phi_j' = -i k v_j phi_j + coupling_j N, N = weights . phi, for k > 0.
 
     Streaming is exact, so N = F + K * N with F(t) = sum_j w_j phi_j(0)
-    e^{-i k v_j t} and K(t) = sum_j w_j coupling_j e^{-i k v_j t}.  In the
-    frame of the grid's first velocity, u_j = v_j - v_0 = j dv, both are
-    chirp-z transforms.  Rows 1..8 solve together with degree-8
+    e^{-i k v_j t} and K(t) = sum_j w_j coupling_j e^{-i k v_j t}.  The grid
+    is symmetric (n_v even), phi(0) is even in v and coupling is i times an
+    odd real function, so F is the cosine sum of 2 w phi(0) and K the sine
+    sum of 2 Im(w coupling) over the positive half-grid: both real, and one
+    chirp-z transform there.  Rows 1..8 solve together with degree-8
     interpolatory weights.  Every later row m integrates with the Gregory
     weights, which factor as sigma_l gamma_{m-l}: the end weights at node l
     from the start and at lag m - l from the end, both 1 past the fifth.
-    That makes the rest one lower-triangular Toeplitz system, a power-series
-    quotient.
+    That makes the rest one lower-triangular Toeplitz system, a real
+    power-series quotient.
     """
     n_t = n_steps + 1
-    dv = v[1] - v[0]
-    theta = k * dv * h
-    wc = weights * coupling
-    chirp = np.exp((-0.5j * theta) * np.arange(max(len(v), n_t)) ** 2)
-    free, kernel = _chirp_z(np.stack((weights * phi0, wc)), chirp, n_t)
+    v_half = v[len(v) // 2:]
+    parts = (2.0 * weights * np.stack((phi0, coupling.imag)))[:, len(v) // 2:]  # cos, sin sums
+    theta = k * (v[1] - v[0]) * h
+    chirp = np.exp((-0.5j * theta) * np.arange(max(len(v_half), n_t)) ** 2)
+    sums = _chirp_z(parts, chirp, n_t) * np.exp((-1j * k * v_half[0] * h) * np.arange(n_t))
+    free, kernel = sums[0].real, -sums[1].imag
 
-    u = dv * np.arange(len(v))
+    k_pos = np.sin((k * h) * np.outer(np.arange(1, 9), v_half)) @ parts[1]  # K at lags 1..8
+    k_near = np.concatenate((-k_pos[6::-1], [0.0], k_pos))  # lags -7..8: K is odd in t
     lag = np.subtract.outer(np.arange(1, 9), np.arange(9))  # m - l
-    k_near = np.exp((-1j * k * h) * np.outer(np.arange(-7, 9), u)) @ wc  # K at lags -7..8
     block = (-h / 3628800.0) * np.array(_START) * k_near[lag + 7]
     block[:, 1:] += np.eye(8)
     rows = np.linalg.solve(block[:, 1:], free[1:9] - block[:, 0] * free[0])
@@ -220,8 +218,6 @@ def _volterra(phi0, v, k, coupling, weights, h, n_steps):
     free[:9] = np.convolve(kernel[:9], np.array(_GREGORY + (1.0,) * 4) * start)[:9]
     density = _series_quotient(free, kernel)
     density[:9] = start
-    # back to the lab frame, a phase e^{-i k v_0 t}
-    density *= np.exp((-1j * k * v[0] * h) * np.arange(n_t))
     return density
 
 
@@ -244,12 +240,11 @@ def evolve_mode(
 ) -> OracleRun:
     """Integrate one Fourier mode and (optionally) fit its density trace.
 
-    alpha = None selects the fully degenerate gas.  k may be negative; the
-    conjugate-mode identity N_{-k}(t) = conj(N_k(t)) holds bitwise for real
-    initial data.  amplitude scales the initial density perturbation
-    relative to n0; 0 gives the trivial zero run (fit skipped).  A trace
-    that grows past 1e6 |N_0| raises NumericalBlowup naming the first
-    sample over.
+    alpha = None selects the fully degenerate gas.  k may be negative: the
+    trace is real, so it is the same at k and -k.  amplitude scales the
+    initial density perturbation relative to n0; 0 gives the trivial zero
+    run (fit skipped).  A trace that grows past 1e6 |N_0| raises
+    NumericalBlowup naming the first sample over.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
@@ -326,8 +321,6 @@ def evolve_mode(
             breach = _first_breach(_volterra(phi0, v, k_abs, coupling, weights, dt, steps))
             steps = min(2 * steps, n_steps)
         raise NumericalBlowup(f"density grew past 1e6 times its start at sample {breach}")
-    if k < 0:  # real initial data: the system at -k is the conjugate of the one at |k|
-        density = density.conj()
 
     run = OracleRun(k=k, omega_guess=omega_guess, times=np.arange(n_steps + 1) * dt, density=density)
     if fit and density[0] != 0.0:
@@ -362,7 +355,7 @@ def fit_omega_eta(run: OracleRun):
     """
     dt = run.times[1] - run.times[0]
     step = max(1, int(2.0 * math.pi / (8.0 * run.omega_guess * dt)))
-    z = np.asarray(run.density[len(run.density) // 20::step], dtype=complex)
+    z = run.density[len(run.density) // 20::step]
     periods = (len(z) - 1) * step * dt * run.omega_guess / (2.0 * math.pi)
     if periods < 10.0 or len(z) < 3 * _PENCIL:
         raise ValueError(
@@ -375,7 +368,8 @@ def fit_omega_eta(run: OracleRun):
             # the triangle of a QR has the Hankel matrix's right singular vectors
             hankel = np.lib.stride_tricks.sliding_window_view(z, _PENCIL)
             v = np.linalg.svd(np.linalg.qr(hankel, mode="r"))[2][:_ORDER].T
-            log_z = np.log(np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:]))
+            # complex, or a negative real eigenvalue of a real pencil logs to NaN
+            log_z = np.log(np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:]).astype(complex))
             # each term is scaled to 1 at its largest sample, so none overflows
             powers = np.arange(len(z))[:, None] * log_z
             terms = np.exp(powers - np.maximum(powers.real[-1], 0.0))

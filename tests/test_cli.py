@@ -423,6 +423,14 @@ def test_compare_shipped_config_passes(tmp_path):
     assert len(rows) == 4  # ten sweep points, every third
 
 
+def test_compare_shipped_degenerate_config_passes(tmp_path):
+    # the undamped T = 0 mode: the oracle must read no growth and no damping
+    cfg = CONFIGS / "degenerate_compare.ini"
+    assert main(["compare", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+    _, rows = read_rows(tmp_path / "compare.csv")
+    assert len(rows) == 4 and all(float(row[2]) == 0.0 for row in rows)
+
+
 def test_compare_neutral_degenerate_mismatch(tmp_path, capsys):
     # the oracle's smoothed Fermi edge damps the zero-sound mode at
     # kappa = 0.3-0.4, where the exact T = 0 root is undamped

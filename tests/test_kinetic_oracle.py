@@ -53,7 +53,7 @@ def synthetic_run(omega, eta, n=4096, dt=0.01, real=False):
     t = np.arange(n) * dt
     z = np.exp((eta + 1j * omega) * t)
     if real:
-        z = z.real.astype(complex)
+        z = z.real
     return OracleRun(k=1.0, omega_guess=omega, times=t, density=z)
 
 
@@ -71,6 +71,54 @@ def plain_rk4(phi, stream, coupling, weights, dt, n_steps):
         phi = phi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         density.append(np.dot(phi, weights))
     return np.array(density)
+
+
+def complex_times(spec, y):
+    return np.fft.ifft(spec * np.fft.fft(y, len(spec)))
+
+
+def complex_series_quotient(r, a):
+    """Complex r(z)/a(z) to len(r) terms by Newton doubling on full FFTs."""
+    n = len(r)
+    sizes = [n, (n + 1) // 2]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] + 1) // 2)
+    sizes.reverse()
+    inv = np.array([1.0 / a[0]])
+    for lo, hi in zip(sizes[:-2], sizes[1:-1]):
+        inv_spec = np.fft.fft(inv, kinetic_oracle._fft_size(hi))
+        err = complex_times(inv_spec, a[:hi])[lo:hi]
+        inv = np.concatenate((inv, -complex_times(inv_spec, err)[:hi - lo]))
+    half = sizes[-2]
+    inv_spec = np.fft.fft(inv, kinetic_oracle._fft_size(n))
+    head = complex_times(inv_spec, r[:half])[:half]
+    tail = r[half:] - complex_times(np.fft.fft(a, len(inv_spec)), head)[half:n]
+    return np.concatenate((head, complex_times(inv_spec, tail)[:n - half]))
+
+
+def complex_volterra(phi0, v, k, coupling, weights, h, n_steps):
+    """The same Volterra solve on the full grid in complex arithmetic: F and K
+    as chirp-z transforms in the frame of v_0, rotated back at the end."""
+    n_t = n_steps + 1
+    dv = v[1] - v[0]
+    wc = weights * coupling
+    chirp = np.exp((-0.5j * k * dv * h) * np.arange(max(len(v), n_t)) ** 2)
+    free, kernel = kinetic_oracle._chirp_z(np.stack((weights * phi0, wc)), chirp, n_t)
+    u = dv * np.arange(len(v))
+    lag = np.subtract.outer(np.arange(1, 9), np.arange(9))
+    k_near = np.exp((-1j * k * h) * np.outer(np.arange(-7, 9), u)) @ wc
+    block = (-h / 3628800.0) * np.array(kinetic_oracle._START) * k_near[lag + 7]
+    block[:, 1:] += np.eye(8)
+    rows = np.linalg.solve(block[:, 1:], free[1:9] - block[:, 0] * free[0])
+    start = np.concatenate((free[:1], rows))
+    gregory = kinetic_oracle._GREGORY
+    kernel *= -h
+    kernel[:5] *= gregory
+    kernel[0] += 1.0
+    free[:9] = np.convolve(kernel[:9], np.array(gregory + (1.0,) * 4) * start)[:9]
+    density = complex_series_quotient(free, kernel)
+    density[:9] = start
+    return density * np.exp((-1j * k * v[0] * h) * np.arange(n_t))
 
 
 def rk4_at_quarter_step(phi0, v, k, coupling, weights, h, n_steps):
@@ -145,6 +193,17 @@ def test_fit_splits_real_trace_mirror():
     assert abs(eta + 0.02) < 1e-10
 
 
+def test_fit_same_on_real_trace_and_its_complex_cast():
+    # a real trace is fitted in real arithmetic; its complex cast must read
+    # the same pole
+    trace = synthetic_run(7.3, -0.02, real=True)
+    cast = OracleRun(k=1.0, omega_guess=7.3, times=trace.times,
+                     density=trace.density.astype(complex))
+    assert np.isrealobj(trace.density)
+    for got, ref in zip(fit_omega_eta(trace), fit_omega_eta(cast)):
+        assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
 def test_fit_undamped_mode_reads_zero_eta():
     omega, eta, _ = fit_omega_eta(synthetic_run(7.3, 0.0))
     assert abs(eta) < 1e-12 * omega
@@ -201,7 +260,7 @@ def test_fit_recovers_mode_on_prime_cut_trace(eta):
 
 def forward_substitution(r, a):
     """r(z)/a(z) to len(r) terms by the O(n^2) recurrence."""
-    q = np.zeros(len(r), dtype=complex)
+    q = np.zeros(len(r))
     for m in range(len(r)):
         q[m] = (r[m] - np.dot(a[m:0:-1], q[:m])) / a[0]
     return q
@@ -210,9 +269,9 @@ def forward_substitution(r, a):
 def test_series_quotient_matches_forward_substitution():
     rng = np.random.default_rng(20)
     for n in range(1, 131):
-        r = rng.normal(size=n) + 1j * rng.normal(size=n)
-        a = (rng.normal(size=n) + 1j * rng.normal(size=n)) / n
-        a[0] = 1.0 + rng.normal() + 1j * rng.normal()
+        r = rng.normal(size=n)
+        a = rng.normal(size=n) / n
+        a[0] = 1.0 + rng.normal()
         ref = forward_substitution(r, a)
         got = kinetic_oracle._series_quotient(r, a)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), n
@@ -260,7 +319,8 @@ def test_conjugate_mode_bitwise(weak_fermion, weak_fermion_scales):
     cfg = OracleConfig(n_v=512, dt=0.01, t_end=20.0)
     plus = evolve_mode(k, weak_fermion, sc.alpha, cfg, fit=False)
     minus = evolve_mode(-k, weak_fermion, sc.alpha, cfg, fit=False)
-    assert np.array_equal(minus.density, np.conj(plus.density))
+    assert np.isrealobj(plus.density)
+    assert np.array_equal(minus.density, plus.density)
 
 
 @pytest.mark.parametrize("case", ["thermal", "degenerate"])
@@ -279,6 +339,23 @@ def test_volterra_matches_plain_rk4(case, monkeypatch, weak_fermion, weak_fermio
     monkeypatch.setattr(kinetic_oracle, "_volterra", rk4_at_quarter_step)
     ref = evolve_mode(k, species, alpha, cfg, fit=False)
     assert np.abs(run.density - ref.density).max() <= 1e-7 * np.abs(ref.density).max()
+
+
+@pytest.mark.parametrize("case", ["fermi_0.2", "degenerate"])
+def test_folded_volterra_matches_complex_full_grid(case, monkeypatch, weak_fermion,
+                                                   weak_fermion_scales, electron_degenerate):
+    # the t_end = 200 modes of criterion 06 and of the compare window's T = 0 gas
+    sc = weak_fermion_scales
+    k, species, alpha = {
+        "fermi_0.2": (0.38 * sc.omega_p / math.sqrt(sc.v_th_sq), weak_fermion, sc.alpha),
+        "degenerate": (R.K_REF, electron_degenerate, None),
+    }[case]
+    cfg = OracleConfig(t_end=200.0)
+    run = evolve_mode(k, species, alpha, cfg, fit=False)
+    monkeypatch.setattr(kinetic_oracle, "_volterra", complex_volterra)
+    ref = evolve_mode(k, species, alpha, cfg, fit=False)
+    assert np.isrealobj(run.density)
+    assert np.abs(run.density - ref.density).max() <= 1e-9 * np.abs(ref.density).max()
 
 
 def test_volterra_sixth_order(weak_fermion, weak_fermion_scales):
@@ -478,7 +555,7 @@ def test_strongly_damped_mode_matches_quadrature_root(gas, y, weak_fermion):
 
 
 def test_fit_same_on_conjugate_mode(weak_boson, weak_boson_scales):
-    # the traces at k and -k are conjugates, and a real trace holds both
+    # the traces at k and -k are the same real trace, which holds both
     # mirror poles: each fit reports the Im s > 0 one
     sc = weak_boson_scales
     k = 0.36 * sc.omega_p / math.sqrt(sc.v_th_sq)
