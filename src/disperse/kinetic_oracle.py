@@ -17,12 +17,13 @@ Streaming is diagonal and the coupling is rank one, so N obeys exactly the
 convolution Volterra equation N = F + K * N, Landau's initial-value problem
 on the grid: F streams phi(0) freely and K streams i Lambda f0'.  The grid
 is symmetric with n_v even, f0 is even in v and the kick is shaped like f0,
-so F is a cosine sum and K a sine sum over the positive half-grid (one
-chirp-z transform), and N is real: the same at k and -k.  The history
-integral is sampled at t_m = m dt with sixth-order Gregory end weights after
-a nine-sample starting block, which leaves one lower-triangular Toeplitz
-system, solved as a real power-series quotient with real FFT products in
-O(n_t log n_t) (_volterra).
+so F is a cosine sum and K a sine sum over the positive half-grid, and N is
+real: the same at k and -k.  Both sums come from one blocked chirp-z
+transform (_chirp_z): batched FFTs of about 3 n_v/2 points, O(n_t log n_v).
+The history integral is sampled at t_m = m dt with sixth-order Gregory end
+weights after a nine-sample starting block, which leaves one lower-triangular
+Toeplitz system, solved as a real power-series quotient with real FFT
+products in O(n_t log n_t) (_volterra).
 
 For the fully degenerate gas the step edge of the distribution is smoothed
 by a sigmoid of width delta_v = v_F/200 so its derivative is
@@ -140,15 +141,25 @@ def _times(spec, y, n):
     return np.fft.irfft(spec * np.fft.rfft(y, n), n)
 
 
-def _chirp_z(x, chirp, m):
-    """X_q = sum_j x_j exp(-i theta j q), q = 0..m-1, for each row x of length
-    n, given the chirp c_l = exp(-i theta l^2/2) for l = 0..max(n, m) - 1 at
-    least (Bluestein: jq = (j^2 + q^2 - (q - j)^2)/2 turns the sum into one
-    convolution with c)."""
+def _chirp_z(x, theta, m, shift=0.0):
+    """X_q = sum_j x_j exp(-i theta (j + shift) q), q = 0..m-1, for each row x
+    of length n.  The outputs go in blocks of width 2n, q = b width + r, and
+    block b is one Bluestein transform of x_j exp(-i theta width (j + shift) b):
+    jr = (j^2 + r^2 - (r - j)^2)/2 turns its sum over j into one convolution
+    with the chirp c_l = exp(-i theta l^2/2), l < width, which every block
+    shares, so all of them go through one batched FFT of about 3n points.
+    The shift leaves exp(-i theta shift r) on the outputs, folded into c_r."""
     n = x.shape[-1]
-    gap = _fft_size(n + m - 1) - m - n + 1
-    spec = np.fft.fft(np.concatenate((chirp[:m], np.zeros(gap), chirp[n - 1:0:-1])).conj())
-    return np.fft.ifft(spec * np.fft.fft(x * chirp[:n], len(spec)))[..., :m] * chirp[:m]
+    width = 2 * n
+    chirp = np.exp((-0.5j * theta) * np.arange(width) ** 2)
+    size = _fft_size(n + width - 1)
+    spec = np.fft.fft(np.concatenate((chirp, np.zeros(size - width - n + 1), chirp[n - 1:0:-1])).conj())
+    twiddle = np.ones((-(-m // width), n), complex)
+    twiddle[1:] = np.exp((-1j * theta * width) * (np.arange(n) + shift))
+    twiddle = np.cumprod(twiddle, axis=0) * chirp[:n]  # row b: exp(-i theta width (j + shift) b) c_j
+    blocks = np.fft.ifft(spec * np.fft.fft(x[..., None, :] * twiddle, size))[..., :width]
+    blocks *= chirp * np.exp((-1j * theta * shift) * np.arange(width))
+    return blocks.reshape(x.shape[:-1] + (-1,))[..., :m]
 
 
 def _series_quotient(r, a):
@@ -185,24 +196,22 @@ def _volterra(phi0, v, k, coupling, weights, h, n_steps):
     e^{-i k v_j t} and K(t) = sum_j w_j coupling_j e^{-i k v_j t}.  The grid
     is symmetric (n_v even), phi(0) is even in v and coupling is i times an
     odd real function, so F is the cosine sum of 2 w phi(0) and K the sine
-    sum of 2 Im(w coupling) over the positive half-grid: both real, and one
-    chirp-z transform there.  Rows 1..8 solve together with degree-8
-    interpolatory weights.  Every later row m integrates with the Gregory
+    sum of 2 Im(w coupling) over the positive half-grid: both real, and two
+    rows of one blocked chirp-z transform there.  Rows 1..8 solve together
+    with degree-8 interpolatory weights; K at their lags -7..8 comes from the
+    same transform (K is odd).  Every later row m integrates with the Gregory
     weights, which factor as sigma_l gamma_{m-l}: the end weights at node l
     from the start and at lag m - l from the end, both 1 past the fifth.
     That makes the rest one lower-triangular Toeplitz system, a real
     power-series quotient.
     """
-    n_t = n_steps + 1
-    v_half = v[len(v) // 2:]
-    parts = (2.0 * weights * np.stack((phi0, coupling.imag)))[:, len(v) // 2:]  # cos, sin sums
-    theta = k * (v[1] - v[0]) * h
-    chirp = np.exp((-0.5j * theta) * np.arange(max(len(v_half), n_t)) ** 2)
-    sums = _chirp_z(parts, chirp, n_t) * np.exp((-1j * k * v_half[0] * h) * np.arange(n_t))
+    half = len(v) // 2
+    dv = v[1] - v[0]
+    parts = (2.0 * weights * np.stack((phi0, coupling.imag)))[:, half:]  # cos, sin sums
+    sums = _chirp_z(parts, k * dv * h, n_steps + 1, v[half] / dv)
     free, kernel = sums[0].real, -sums[1].imag
 
-    k_pos = np.sin((k * h) * np.outer(np.arange(1, 9), v_half)) @ parts[1]  # K at lags 1..8
-    k_near = np.concatenate((-k_pos[6::-1], [0.0], k_pos))  # lags -7..8: K is odd in t
+    k_near = np.concatenate((-kernel[7:0:-1], [0.0], kernel[1:9]))  # lags -7..8: K is odd in t
     lag = np.subtract.outer(np.arange(1, 9), np.arange(9))  # m - l
     block = (-h / 3628800.0) * np.array(_START) * k_near[lag + 7]
     block[:, 1:] += np.eye(8)

@@ -96,14 +96,25 @@ def complex_series_quotient(r, a):
     return np.concatenate((head, complex_times(inv_spec, tail)[:n - half]))
 
 
+def single_chirp_z(x, chirp, m):
+    """X_q = sum_j x_j exp(-i theta j q), q = 0..m-1, for each row x of length
+    n, given the chirp c_l = exp(-i theta l^2/2) for l = 0..max(n, m) - 1:
+    Bluestein's transform as one convolution of length about n + m."""
+    n = x.shape[-1]
+    gap = kinetic_oracle._fft_size(n + m - 1) - m - n + 1
+    spec = np.fft.fft(np.concatenate((chirp[:m], np.zeros(gap), chirp[n - 1:0:-1])).conj())
+    return np.fft.ifft(spec * np.fft.fft(x * chirp[:n], len(spec)))[..., :m] * chirp[:m]
+
+
 def complex_volterra(phi0, v, k, coupling, weights, h, n_steps):
     """The same Volterra solve on the full grid in complex arithmetic: F and K
-    as chirp-z transforms in the frame of v_0, rotated back at the end."""
+    as one single-chirp transform in the frame of v_0, rotated back at the
+    end.  It shares no transform code with the oracle."""
     n_t = n_steps + 1
     dv = v[1] - v[0]
     wc = weights * coupling
     chirp = np.exp((-0.5j * k * dv * h) * np.arange(max(len(v), n_t)) ** 2)
-    free, kernel = kinetic_oracle._chirp_z(np.stack((weights * phi0, wc)), chirp, n_t)
+    free, kernel = single_chirp_z(np.stack((weights * phi0, wc)), chirp, n_t)
     u = dv * np.arange(len(v))
     lag = np.subtract.outer(np.arange(1, 9), np.arange(9))
     k_near = np.exp((-1j * k * h) * np.outer(np.arange(-7, 9), u)) @ wc
@@ -277,26 +288,40 @@ def test_series_quotient_matches_forward_substitution():
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), n
 
 
-def direct_chirp_z(x, theta, m):
-    return x @ np.exp(-1j * theta * np.outer(np.arange(x.shape[-1]), np.arange(m)))
+def direct_chirp_z(x, theta, m, shift):
+    return x @ np.exp(-1j * theta * np.outer(np.arange(x.shape[-1]) + shift, np.arange(m)))
 
 
-@pytest.mark.parametrize("n, m", [(37, 11), (64, 64), (25, 101), (1, 7), (9, 1)])
-def test_chirp_z_matches_direct_sum(n, m):
+# blocks are 2n outputs wide: one short block, one exact block, one block and
+# a sample, several blocks, and the one-node and one-output edges
+@pytest.mark.parametrize("n, m", [(37, 11), (32, 64), (32, 65), (25, 101), (1, 7), (9, 1)])
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_chirp_z_matches_direct_sum(n, m, shift):
     rng = np.random.default_rng(n * 1000 + m)
     theta = 0.37
     x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-    ref = direct_chirp_z(x, theta, m)
-    # the exact-length chirp _volterra builds, and a longer one, which the
-    # contract ("at least max(n, m)") allows
-    for length in (max(n, m), max(n, m) + 250):
-        chirp = np.exp((-0.5j * theta) * np.arange(length) ** 2)
-        rows = kinetic_oracle._chirp_z(x, chirp, m)
-        single = kinetic_oracle._chirp_z(x[1], chirp, m)
-        scale = np.abs(ref).max()
-        assert rows.shape == (2, m) and single.shape == (m,)
-        assert np.abs(rows - ref).max() <= 1e-12 * scale
-        assert np.abs(single - ref[1]).max() <= 1e-12 * scale
+    ref = direct_chirp_z(x, theta, m, shift)
+    rows = kinetic_oracle._chirp_z(x, theta, m, shift)
+    single = kinetic_oracle._chirp_z(x[1], theta, m, shift)
+    scale = np.abs(ref).max()
+    assert rows.shape == (2, m) and single.shape == (m,)
+    assert np.abs(rows - ref).max() <= 1e-12 * scale
+    assert np.abs(single - ref[1]).max() <= 1e-12 * scale
+
+
+def test_chirp_z_long_transform():
+    # the oracle's own shape: n_v = 4096 folds to 2048 nodes, a t_end = 200
+    # run records 40 001 samples, and the half-grid starts half a step out
+    n, m, periods = 2048, 40_001, 41_000
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    got = kinetic_oracle._chirp_z(x, 2.0 * math.pi / periods, m, 0.5)
+    q = np.arange(0, m, 97)
+    # theta (j + 1/2) q = pi ((2j + 1) q mod 2 periods) / periods, reduced in
+    # integers so the reference carries no argument roundoff
+    turns = np.outer(2 * np.arange(n) + 1, q) % (2 * periods)
+    ref = x @ np.exp((-1j * math.pi / periods) * turns)
+    assert np.abs(got[q] - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
