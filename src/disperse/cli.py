@@ -286,12 +286,11 @@ def cmd_run(cfg: RunConfig, quiet: bool) -> int:
 
 def oracle_agrees(omega_solver: float, eta_solver: float,
                   omega_oracle: float, eta_oracle: float) -> bool:
-    """Compare gate for one mode: omega within 1e-3 of the solver's and eta
-    within 1e-6 omega, damped or not.  The matrix pencil reads thermal modes
-    to ~1e-10 and the charged T = 0 mode to ~1.5e-4 in omega (the oracle's
-    smoothed Fermi edge), so the bounds leave margin but catch a spurious
-    damping or growth on an undamped root."""
-    return (abs(omega_oracle - omega_solver) <= 1e-3 * omega_solver
+    """Compare gate for one mode: omega within 1e-6 of the solver's and eta
+    within 1e-6 omega, damped or not.  The matrix pencil reads thermal and
+    T = 0 modes to ~1e-10 in omega, so the bounds leave margin but catch a
+    spurious damping or growth on an undamped root."""
+    return (abs(omega_oracle - omega_solver) <= 1e-6 * omega_solver
             and abs(eta_oracle - eta_solver) <= 1e-6 * omega_solver)
 
 

@@ -1,10 +1,10 @@
 """Time-domain kinetic cross-check for the dispersion solver.
 
-Evolves the linearized single-mode kinetic system on a velocity grid,
+Evolves the linearized single-mode kinetic system
 
-    d phi_j / dt = -i k v_j phi_j + i Lambda N(t) f0'(v_j),
+    d phi(v) / dt = -i k v phi(v) + i Lambda N(t) f0'(v),
     Lambda = (Omega_p^2 + hbar^2 k^4 / 4 m^2) / (k n0),
-    N(t) = trapezoid(phi),
+    N(t) = integral of phi over v,
 
 where both force terms (Coulomb and quantum pressure) enter with the same
 sign; they are the two pieces of the restoring coefficient C1.  The
@@ -14,21 +14,18 @@ evaluations: no occupation sums, no error functions, no contour
 bookkeeping.
 
 Streaming is diagonal and the coupling is rank one, so N obeys exactly the
-convolution Volterra equation N = F + K * N, Landau's initial-value problem
-on the grid: F streams phi(0) freely and K streams i Lambda f0'.  The grid
-is symmetric with n_v even, f0 is even in v and the kick is shaped like f0,
-so F is a cosine sum and K a sine sum over the positive half-grid, and N is
-real: the same at k and -k.  Both sums come from one blocked chirp-z
+convolution Volterra equation N = F + K * N, Landau's initial-value problem:
+F streams phi(0) freely and K streams i Lambda f0'.  f0 is even in v and the
+kick is shaped like f0, so F is a cosine and K a sine transform, and N is
+real: the same at k and -k.  For a thermal gas both are sums over the
+positive half of a symmetric grid (n_v even), from one blocked chirp-z
 transform (_chirp_z): batched FFTs of about 3 n_v/2 points, O(n_t log n_v).
-The history integral is sampled at t_m = m dt with sixth-order Gregory end
-weights after a nine-sample starting block, which leaves one lower-triangular
-Toeplitz system, solved as a real power-series quotient with real FFT
-products in O(n_t log n_t) (_volterra).
-
-For the fully degenerate gas the step edge of the distribution is smoothed
-by a sigmoid of width delta_v = v_F/200 so its derivative is
-grid-representable; the pair (f0_smooth, f0'_smooth) below is an exact
-antiderivative/derivative pair.
+For the fully degenerate gas f0 is the sharp parabola, so no grid is
+needed: F and K are closed forms (_parabola_transform).  The history
+integral is sampled at t_m = m dt with sixth-order Gregory end weights after
+a nine-sample starting block, which leaves one lower-triangular Toeplitz
+system, solved as a real power-series quotient with real FFT products in
+O(n_t log n_t) (_volterra).
 """
 
 from __future__ import annotations
@@ -46,22 +43,18 @@ from .dispersion_core import (
     omega_zero_sound,
 )
 from .errors import FitAmbiguous, GridResonanceUnderresolved, NumericalBlowup
-from .quantum_stats import PLANCK_H, SpeciesParams, reduced_fz, reduced_fz_derivative, scales_at
+from .quantum_stats import SpeciesParams, reduced_fz, reduced_fz_derivative, scales_at
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Grid and integration controls.
 
-    v_max is a multiple of the gas velocity scale (max(v_ch, v_th) thermal,
-    v_F degenerate); None selects 8 for thermal gases and 1.5 for full
-    degeneracy.  dt, the spacing of the recorded density samples, is a
-    fraction of one oscillation period 2 pi/omega_guess; t_end counts periods.
-    Every run starts from a density kick shaped like f0.
-
-    Known limit: on the neutral T = 0 gas a zero-sound phase velocity within
-    a few edge widths of v_F reads damping (eta/omega down to -1e-2) that the
-    sharp Fermi sphere does not have.
+    n_v and v_max set the velocity grid of a thermal gas: v_max is a multiple
+    of max(v_ch, v_th), and None selects 8.  The fully degenerate gas needs
+    no grid and ignores both.  dt, the spacing of the recorded density
+    samples, is a fraction of one oscillation period 2 pi/omega_guess; t_end
+    counts periods.  Every run starts from a density kick shaped like f0.
     """
 
     n_v: int = 4096
@@ -98,16 +91,19 @@ class OracleRun:
     fit_residual: float | None = None
 
 
-def _degenerate_pair(v: np.ndarray, v_f: float, a_w: float, delta: float):
-    # smoothed ground-state parabola and its exact derivative:
-    #   f0  = 2 pi a v_F delta * log(1 + exp(u)),  u = (v_F^2 - v^2)/(2 v_F delta)
-    #   f0' = -2 pi a v * sigmoid(u)
-    u = (v_f * v_f - v * v) / (2.0 * v_f * delta)
-    sig = np.where(u >= 0, 1.0 / (1.0 + np.exp(-np.abs(u))), np.exp(-np.abs(u)) / (1.0 + np.exp(-np.abs(u))))
-    soft = np.where(u > 36.0, u, np.log1p(np.exp(np.minimum(u, 36.0))))
-    f0 = 2.0 * math.pi * a_w * v_f * delta * soft
-    fp = -2.0 * math.pi * a_w * v * sig
-    return f0, fp
+# Taylor coefficients of g(x) in x^2, highest first: (-1)^m 6 (m + 1)/(2m + 3)!
+# for m = 0..9; the first one left out is below 3e-21 at x < 1
+_PARABOLA_SERIES = [(-1) ** m * 6 * (m + 1) / math.factorial(2 * m + 3) for m in range(9, -1, -1)]
+
+
+def _parabola_transform(x):
+    """g(x) = 3 (sin x - x cos x)/x^3 = (3/4) int_{-1}^{1} (1 - u^2) cos(x u) du,
+    the transform of the normalized T = 0 parabola, for ascending x >= 0.
+    The closed form cancels to a relative 1e-15/x^2, so the leading samples
+    below x = 1 take the Taylor series instead."""
+    small, big = np.split(x, [np.searchsorted(x, 1.0)])
+    return np.concatenate((np.polyval(_PARABOLA_SERIES, small * small),
+                           3.0 * (np.sin(big) - big * np.cos(big)) / big**3))
 
 
 # sixth-order Gregory end weights: the trapezoid rule with these at both ends
@@ -188,30 +184,18 @@ def _series_quotient(r, a):
     return np.concatenate((head, _times(inv_spec, tail, size)[:n - half]))
 
 
-def _volterra(phi0, v, k, coupling, weights, h, n_steps):
-    """Density N(t_m), t_m = m h, m = 0..n_steps, of
-    phi_j' = -i k v_j phi_j + coupling_j N, N = weights . phi, for k > 0.
+def _volterra(free, kernel, h):
+    """Density N(t_m), t_m = m h, of N = F + K * N from the sampled free
+    streaming F(t_m) and kernel K(t_m), K odd in t; neither is changed.
 
-    Streaming is exact, so N = F + K * N with F(t) = sum_j w_j phi_j(0)
-    e^{-i k v_j t} and K(t) = sum_j w_j coupling_j e^{-i k v_j t}.  The grid
-    is symmetric (n_v even), phi(0) is even in v and coupling is i times an
-    odd real function, so F is the cosine sum of 2 w phi(0) and K the sine
-    sum of 2 Im(w coupling) over the positive half-grid: both real, and two
-    rows of one blocked chirp-z transform there.  Rows 1..8 solve together
-    with degree-8 interpolatory weights; K at their lags -7..8 comes from the
-    same transform (K is odd).  Every later row m integrates with the Gregory
-    weights, which factor as sigma_l gamma_{m-l}: the end weights at node l
-    from the start and at lag m - l from the end, both 1 past the fifth.
-    That makes the rest one lower-triangular Toeplitz system, a real
-    power-series quotient.
+    Rows 1..8 solve together with degree-8 interpolatory weights; K at their
+    lags -7..8 comes from the samples by oddness.  Every later row m
+    integrates with the Gregory weights, which factor as sigma_l gamma_{m-l}:
+    the end weights at node l from the start and at lag m - l from the end,
+    both 1 past the fifth.  That makes the rest one lower-triangular Toeplitz
+    system, a real power-series quotient.
     """
-    half = len(v) // 2
-    dv = v[1] - v[0]
-    parts = (2.0 * weights * np.stack((phi0, coupling.imag)))[:, half:]  # cos, sin sums
-    sums = _chirp_z(parts, k * dv * h, n_steps + 1, v[half] / dv)
-    free, kernel = sums[0].real, -sums[1].imag
-
-    k_near = np.concatenate((-kernel[7:0:-1], [0.0], kernel[1:9]))  # lags -7..8: K is odd in t
+    k_near = np.concatenate((-kernel[7:0:-1], [0.0], kernel[1:9]))  # lags -7..8
     lag = np.subtract.outer(np.arange(1, 9), np.arange(9))  # m - l
     block = (-h / 3628800.0) * np.array(_START) * k_near[lag + 7]
     block[:, 1:] += np.eye(8)
@@ -221,11 +205,11 @@ def _volterra(phi0, v, k, coupling, weights, h, n_steps):
     # rows m >= 9 read (a * sigma N)_m = F_m with a = 1 - h gamma K, and sigma N
     # = N past node 4; rows 0..8 of the right side are (a * sigma N)_m of the
     # starting values, so one quotient reproduces them and carries on
-    kernel *= -h
-    kernel[:5] *= _GREGORY
-    kernel[0] += 1.0
-    free[:9] = np.convolve(kernel[:9], np.array(_GREGORY + (1.0,) * 4) * start)[:9]
-    density = _series_quotient(free, kernel)
+    a = -h * kernel
+    a[:5] *= _GREGORY
+    a[0] += 1.0
+    r = np.concatenate((np.convolve(a[:9], np.array(_GREGORY + (1.0,) * 4) * start)[:9], free[9:]))
+    density = _series_quotient(r, a)
     density[:9] = start
     return density
 
@@ -273,65 +257,57 @@ def evolve_mode(
     if not omega_guess > 0:
         raise ValueError("omega_guess must be positive")
 
-    # v_th_sq is 0.0 for the degenerate gas, so the scale is v_F there
-    multiple = config.v_max if config.v_max is not None else (1.5 if degenerate else 8.0)
-    v_max = multiple * max(v_ch, math.sqrt(scales.v_th_sq))
-    if v_max < omega_guess / k_abs:
-        raise ValueError(
-            f"velocity grid to {v_max:.4g} m/s does not cover the resonant velocity "
-            f"{omega_guess / k_abs:.4g} m/s; raise v_max"
-        )
-
-    n_v = config.n_v
-    v = np.linspace(-v_max, v_max, n_v)
-    dv = v[1] - v[0]
     dt = config.dt * 2.0 * math.pi / omega_guess
     n_steps = int(round(config.t_end / config.dt))
-    t_end_abs = n_steps * dt
-    if k_abs * v_max * t_end_abs > n_v * math.pi:
-        raise GridResonanceUnderresolved(
-            f"phase-mixing scale k*v_max*t_end = {k_abs * v_max * t_end_abs:.4g} exceeds "
-            f"n_v*pi = {n_v * math.pi:.4g}; refine n_v or shorten t_end"
-        )
-
-    a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
-    if degenerate:
-        delta = v_ch / 200.0
-        if dv > delta / 4.0:
-            raise ValueError(
-                f"grid spacing {dv:.4g} m/s cannot resolve the smoothed edge width "
-                f"{delta:.4g} m/s; raise n_v"
-            )
-        f0, fprime = _degenerate_pair(v, v_ch, a_w, delta)
-    else:
-        f0 = reduced_fz(v, species, alpha)
-        fprime = reduced_fz_derivative(v, species, alpha)
-
-    weights = np.full(n_v, dv)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-
-    # pin the grid's density to n0 so the restoring term sees the same
-    # normalization the residuals use (edge smoothing adds O((delta/v_F)^2))
-    norm = np.dot(f0, weights) / species.density
-    f0 = f0 / norm
-    fprime = fprime / norm
-
-    phi0 = (amplitude * species.density / np.dot(f0, weights)) * f0
-
+    times = np.arange(n_steps + 1) * dt
     c1 = coefficient_C1(k_abs, scales, bohm_term=bohm_term)
-    coupling = (1j * c1 / (k_abs * species.density)) * fprime
-    density = _volterra(phi0, v, k_abs, coupling, weights, dt, n_steps)
+    if degenerate:
+        # exact streaming of the sharp parabola; K by parts from the coupling
+        g = _parabola_transform(k_abs * v_ch * times)
+        free, kernel = amplitude * species.density * g, -c1 * times * g
+    else:
+        v_max = (config.v_max or 8.0) * max(v_ch, math.sqrt(scales.v_th_sq))
+        if v_max < omega_guess / k_abs:
+            raise ValueError(
+                f"velocity grid to {v_max:.4g} m/s does not cover the resonant velocity "
+                f"{omega_guess / k_abs:.4g} m/s; raise v_max"
+            )
+        n_v = config.n_v
+        if k_abs * v_max * times[-1] > n_v * math.pi:
+            raise GridResonanceUnderresolved(
+                f"phase-mixing scale k*v_max*t_end = {k_abs * v_max * times[-1]:.4g} exceeds "
+                f"n_v*pi = {n_v * math.pi:.4g}; refine n_v or shorten t_end"
+            )
+        v = np.linspace(-v_max, v_max, n_v)
+        dv = v[1] - v[0]
+        weights = np.full(n_v, dv)
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        # pin the grid's density to n0 so the restoring term sees the same
+        # normalization the residuals use
+        f0 = reduced_fz(v, species, alpha)
+        norm = np.dot(f0, weights) / species.density
+        f0 = f0 / norm
+        fprime = reduced_fz_derivative(v, species, alpha) / norm
+        phi0 = (amplitude * species.density / np.dot(f0, weights)) * f0
+        # the coupling i Lambda f0' is odd: F is the cosine sum of 2 w phi0
+        # and K the sine sum of 2 w Lambda f0', over the half-grid v[n_v/2:]
+        lam = c1 / (k_abs * species.density)
+        parts = (2.0 * weights * np.stack((phi0, lam * fprime)))[:, n_v // 2:]
+        sums = _chirp_z(parts, k_abs * dv * dt, n_steps + 1, v[n_v // 2] / dv)
+        free, kernel = sums[0].real, -sums[1].imag
+
+    density = _volterra(free, kernel, dt)
     if _first_breach(density) is not None:
         # the solve is causal: a shorter run is a prefix of this one that keeps
         # the roundoff of a huge late tail out of the early samples
         steps, breach = 16, None
         while breach is None:
-            breach = _first_breach(_volterra(phi0, v, k_abs, coupling, weights, dt, steps))
+            breach = _first_breach(_volterra(free[:steps + 1], kernel[:steps + 1], dt))
             steps = min(2 * steps, n_steps)
         raise NumericalBlowup(f"density grew past 1e6 times its start at sample {breach}")
 
-    run = OracleRun(k=k, omega_guess=omega_guess, times=np.arange(n_steps + 1) * dt, density=density)
+    run = OracleRun(k=k, omega_guess=omega_guess, times=times, density=density)
     if fit and density[0] != 0.0:
         run.omega_fit, run.eta_fit, run.fit_residual = fit_omega_eta(run)
     return run

@@ -199,7 +199,8 @@ def test_criterion_05_zero_sound_window(neutral_degenerate,
 
 
 def test_criterion_06_oracle_solver_agreement(weak_fermion, weak_fermion_scales,
-                                              weak_boson, weak_boson_scales):
+                                              weak_boson, weak_boson_scales,
+                                              electron_degenerate, electron_degenerate_scales):
     start = time.monotonic()
     worst_om = 0.0
     worst_eta = 0.0
@@ -218,9 +219,23 @@ def test_criterion_06_oracle_solver_agreement(weak_fermion, weak_fermion_scales,
             err_eta = rel(run.eta_fit, root.rate.eta)
             worst_eta = max(worst_eta, err_eta)
             assert err_eta < 1e-4
+    # the charged T = 0 gas at k v_F/Omega_p = x, default config: undamped
+    worst_t0_om = 0.0
+    worst_t0_eta = 0.0
+    sp, sc = electron_degenerate, electron_degenerate_scales
+    for x in (0.3, 0.6, 1.0, 1.5, 2.0):
+        k = x * sc.omega_p / sc.v_ch
+        root = converged_root(k, BranchId.ExactDegenerate, sp, sc)
+        assert root.rate.eta == 0.0
+        run = evolve_mode(k, sp, None)
+        worst_t0_om = max(worst_t0_om, rel(run.omega_fit, root.rate.omega))
+        worst_t0_eta = max(worst_t0_eta, abs(run.eta_fit) / root.rate.omega)
+    assert worst_t0_om <= 1e-8
+    assert worst_t0_eta <= 1e-8
     report(6, "oracle vs solver",
-           f"10 modes, worst rel omega {worst_om:.3e} < 1e-6, "
-           f"worst rel eta {worst_eta:.3e} < 1e-4",
+           f"10 thermal modes, worst rel omega {worst_om:.3e} < 1e-6, "
+           f"worst rel eta {worst_eta:.3e} < 1e-4; 5 T = 0 modes, worst rel "
+           f"omega {worst_t0_om:.3e}, worst |eta|/omega {worst_t0_eta:.3e}, both <= 1e-8",
            time.monotonic() - start, budget=60.0)
 
 

@@ -30,8 +30,9 @@ from disperse import (
     solve_at_k,
 )
 from disperse import kinetic_oracle
+from disperse.dispersion_core import coefficient_C1
 from disperse.kinetic_oracle import OracleRun, fit_omega_eta
-from disperse.quantum_stats import fugacity_from_density
+from disperse.quantum_stats import fugacity_from_density, reduced_fz, reduced_fz_derivative
 
 
 def rel(a, b):
@@ -133,10 +134,46 @@ def complex_volterra(phi0, v, k, coupling, weights, h, n_steps):
 
 
 def rk4_at_quarter_step(phi0, v, k, coupling, weights, h, n_steps):
-    """Stand-in for the oracle's Volterra solve: plain RK4 at h/4, sampled
-    at the oracle's own times."""
+    """The oracle's grid system by plain RK4 at h/4, sampled at the oracle's
+    own times."""
     density = plain_rk4(phi0.astype(complex), -1j * k * v, coupling, weights, h / 4.0, 4 * n_steps)
     return density[::4]
+
+
+def thermal_grid(run, species, scales, cfg):
+    """The velocity grid that evolve_mode built for the thermal run at the
+    default amplitude, rebuilt from its documented recipe: (phi0, v, k,
+    coupling, weights, h, n_steps)."""
+    v_max = (cfg.v_max or 8.0) * max(scales.v_ch, math.sqrt(scales.v_th_sq))
+    v = np.linspace(-v_max, v_max, cfg.n_v)
+    weights = np.full(cfg.n_v, v[1] - v[0])
+    weights[[0, -1]] *= 0.5
+    f0 = reduced_fz(v, species, scales.alpha)
+    norm = np.dot(f0, weights) / species.density
+    f0 = f0 / norm
+    phi0 = (1e-6 * species.density / np.dot(f0, weights)) * f0
+    k = abs(run.k)
+    coupling = (1j * coefficient_C1(k, scales) / (k * species.density)
+                * reduced_fz_derivative(v, species, scales.alpha) / norm)
+    return phi0, v, k, coupling, weights, run.times[1], len(run.times) - 1
+
+
+def sharp_parabola_sums(k, v_f, times, amplitude_n0, c1):
+    """F and K of the sharp T = 0 parabola by direct Gauss-Legendre sums over
+    u = v/v_F on 128 panels of 32 nodes (each panel spans under 8 radians at
+    k v_F t = 1e3): F the cosine transform of the kick, K the sine transform
+    of the coupling's f0', with no integration by parts."""
+    nodes, wts = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(-1.0, 1.0, 129)
+    mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    u = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * wts).ravel()
+    phase = np.outer(k * v_f * times, u)
+    f0 = 0.75 * (1.0 - u * u) / v_f  # normalized to 1 over [-v_F, v_F]
+    f0_slope = -1.5 * u / v_f**2
+    free = amplitude_n0 * (np.cos(phase) @ (w * f0 * v_f))
+    kernel = c1 / k * (np.sin(phase) @ (w * f0_slope * v_f))
+    return free, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +210,12 @@ def test_evolve_mode_input_validation(weak_fermion, electron_degenerate):
         evolve_mode(1e9, weak_fermion, 0.2, omega_guess=-1.0)
 
 
-def test_resonant_velocity_coverage_guard(electron_degenerate):
-    # small k pushes the phase velocity far above the default 1.5 v_F window
+def test_resonant_velocity_coverage_guard(weak_fermion, weak_fermion_scales):
+    # omega/k is about 3.2 thermal widths at y = 0.375: a 2-width window misses it
+    sc = weak_fermion_scales
+    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
     with pytest.raises(ValueError, match="raise v_max"):
-        evolve_mode(0.2 * R.K_REF, electron_degenerate, None, OracleConfig())
+        evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(v_max=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -348,39 +387,65 @@ def test_conjugate_mode_bitwise(weak_fermion, weak_fermion_scales):
     assert np.array_equal(minus.density, plus.density)
 
 
-@pytest.mark.parametrize("case", ["thermal", "degenerate"])
-def test_volterra_matches_plain_rk4(case, monkeypatch, weak_fermion, weak_fermion_scales,
-                                    electron_degenerate):
+def test_volterra_matches_plain_rk4(weak_fermion, weak_fermion_scales):
     sc = weak_fermion_scales
-    k_thermal = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    k, species, alpha, cfg = {
-        "thermal": (k_thermal, weak_fermion, sc.alpha,
-                    OracleConfig(n_v=512, dt=0.005, t_end=20.0)),
-        # the smoothed Fermi edge needs dv <= v_F / 800, so no 512-point grid
-        "degenerate": (R.K_REF, electron_degenerate, None,
-                       OracleConfig(n_v=2560, dt=0.005, t_end=20.0)),
-    }[case]
-    run = evolve_mode(k, species, alpha, cfg, fit=False)
-    monkeypatch.setattr(kinetic_oracle, "_volterra", rk4_at_quarter_step)
-    ref = evolve_mode(k, species, alpha, cfg, fit=False)
-    assert np.abs(run.density - ref.density).max() <= 1e-7 * np.abs(ref.density).max()
+    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    cfg = OracleConfig(n_v=512, dt=0.005, t_end=20.0)
+    run = evolve_mode(k, weak_fermion, sc.alpha, cfg, fit=False)
+    ref = rk4_at_quarter_step(*thermal_grid(run, weak_fermion, sc, cfg))
+    assert np.abs(run.density - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("case", ["fermi_0.2", "degenerate"])
-def test_folded_volterra_matches_complex_full_grid(case, monkeypatch, weak_fermion,
-                                                   weak_fermion_scales, electron_degenerate):
-    # the t_end = 200 modes of criterion 06 and of the compare window's T = 0 gas
+def test_folded_volterra_matches_complex_full_grid(weak_fermion, weak_fermion_scales):
+    # the t_end = 200 mode of criterion 06 at y = 0.38
     sc = weak_fermion_scales
-    k, species, alpha = {
-        "fermi_0.2": (0.38 * sc.omega_p / math.sqrt(sc.v_th_sq), weak_fermion, sc.alpha),
-        "degenerate": (R.K_REF, electron_degenerate, None),
-    }[case]
+    k = 0.38 * sc.omega_p / math.sqrt(sc.v_th_sq)
     cfg = OracleConfig(t_end=200.0)
-    run = evolve_mode(k, species, alpha, cfg, fit=False)
-    monkeypatch.setattr(kinetic_oracle, "_volterra", complex_volterra)
-    ref = evolve_mode(k, species, alpha, cfg, fit=False)
+    run = evolve_mode(k, weak_fermion, sc.alpha, cfg, fit=False)
+    ref = complex_volterra(*thermal_grid(run, weak_fermion, sc, cfg))
     assert np.isrealobj(run.density)
-    assert np.abs(run.density - ref.density).max() <= 1e-9 * np.abs(ref.density).max()
+    assert np.abs(run.density - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+# both sides of the series/closed-form switch at x = 1, and out to x = 1e3
+PARABOLA_X = np.concatenate(([0.0, 1e-8, 1e-4, 0.01, 0.1, 0.5], np.linspace(0.99, 1.01, 41),
+                             [1.5, 2.0, math.pi, 4.4934, 10.0, 77.7, 100.0, 500.0, 1e3]))
+
+
+def test_parabola_transform_matches_quadrature():
+    got = kinetic_oracle._parabola_transform(PARABOLA_X)
+    ref, _ = sharp_parabola_sums(1.0, 1.0, PARABOLA_X, 1.0, 1.0)
+    assert np.abs(got - ref).max() <= 1e-13
+    assert got[0] == 1.0
+
+
+@pytest.mark.parametrize("case", ["charged", "neutral"])
+def test_degenerate_free_and_kernel_match_quadrature(case, monkeypatch, electron_degenerate,
+                                                      neutral_degenerate):
+    # k v_F t reaches about 680 (charged) and 1160 (neutral) at t_end = 200;
+    # the spy checks that the solve leaves its sampled F and K unchanged
+    species, k = {
+        "charged": (electron_degenerate, 3.0 * R.K_REF),
+        "neutral": (neutral_degenerate, 0.67 * 2.0 * R.M_E * R.V_F / R.HBAR),
+    }[case]
+    seen = {}
+    solve = kinetic_oracle._volterra
+
+    def spy(free, kernel, h):
+        seen.update(free=free.copy(), kernel=kernel.copy())
+        density = solve(free, kernel, h)
+        assert np.array_equal(free, seen["free"]) and np.array_equal(kernel, seen["kernel"])
+        return density
+
+    monkeypatch.setattr(kinetic_oracle, "_volterra", spy)
+    run = evolve_mode(k, species, None, OracleConfig(t_end=200.0), fit=False)
+    sc = derive_scales(species)
+    picks = np.concatenate((np.arange(200), np.arange(200, len(run.times), 97)))
+    free, kernel = sharp_parabola_sums(k, sc.v_ch, run.times[picks], 1e-6 * species.density,
+                                       coefficient_C1(k, sc))
+    assert k * sc.v_ch * run.times[1] < 0.1 and k * sc.v_ch * run.times[-1] > 500.0
+    assert np.abs(seen["free"][picks] - free).max() <= 1e-13 * np.abs(free).max()
+    assert np.abs(seen["kernel"][picks] - kernel).max() <= 1e-13 * np.abs(kernel).max()
 
 
 def test_volterra_sixth_order(weak_fermion, weak_fermion_scales):
@@ -595,17 +660,43 @@ def test_degenerate_mode_has_no_damping(electron_degenerate,
     sp, sc = electron_degenerate, electron_degenerate_scales
     k = 0.35 * R.K_REF
     root = converged_root(k, BranchId.ExactDegenerate, sp, sc)
-    run = evolve_mode(k, sp, None,
-                      OracleConfig(n_v=8192, dt=0.005, t_end=100.0, v_max=3.5))
-    assert rel(run.omega_fit, root.rate.omega) < 1e-3
+    run = evolve_mode(k, sp, None, OracleConfig(t_end=100.0))
+    assert rel(run.omega_fit, root.rate.omega) < 1e-8
     assert abs(run.eta_fit) < 1e-8 * run.omega_fit
 
 
 @pytest.mark.parametrize("x", [1.0, 1.15])
 def test_degenerate_mode_reads_no_growth_at_default_grid(x, electron_degenerate):
-    # the T = 0 modes of the benchmark's compare window, on the default grid
+    # the T = 0 modes of the benchmark's compare window, at its t_end
     run = evolve_mode(x * R.K_REF, electron_degenerate, None, OracleConfig(t_end=200.0))
     assert abs(run.eta_fit) <= 1e-8 * run.omega_fit
+
+
+def test_zero_sound_mode_is_undamped(neutral_degenerate, neutral_degenerate_scales):
+    # kappa = hbar k/(2 m v_F) = 0.67: the phase velocity is 1.084 v_F, outside
+    # the sharp Fermi sphere, so the exact T = 0 root has no damping
+    sp, sc = neutral_degenerate, neutral_degenerate_scales
+    k = 0.67 * 2.0 * R.M_E * R.V_F / R.HBAR
+    root = converged_root(k, BranchId.ExactDegenerate, sp, sc)
+    assert root.rate.eta == 0.0
+    run = evolve_mode(k, sp, None, OracleConfig(t_end=200.0), omega_guess=root.rate.omega)
+    assert rel(run.omega_fit, root.rate.omega) <= 1e-8
+    assert abs(run.eta_fit) <= 1e-8 * root.rate.omega
+
+
+@settings(max_examples=40, derandomize=True)
+@given(x=st.floats(0.05, 3.0))
+def test_degenerate_mode_matches_root_or_refuses(electron_degenerate, electron_degenerate_scales, x):
+    # charged T = 0 gas at k v_F/Omega_p = x, default config: no velocity grid
+    # to miss the resonance, so the oracle reads the root or names its refusal
+    sp, sc = electron_degenerate, electron_degenerate_scales
+    root = converged_root(x * R.K_REF, BranchId.ExactDegenerate, sp, sc)
+    try:
+        run = evolve_mode(x * R.K_REF, sp, None)
+    except DisperseError:
+        return
+    assert rel(run.omega_fit, root.rate.omega) <= 1e-8
+    assert abs(run.eta_fit) <= 1e-8 * root.rate.omega
 
 
 def test_fit_independent_of_omega_guess(weak_fermion, weak_fermion_scales):
