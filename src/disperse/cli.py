@@ -68,10 +68,6 @@ def _as_branches(raw: str) -> list:
     return [BranchId[name] for name in names]
 
 
-def _as_v_max(raw: str) -> float | None:
-    return None if raw.lower() in ("auto", "") else float(raw)
-
-
 # every config field in summary order, with its default as config text
 # (None: required) and the parser of its text
 _FIELDS = {
@@ -83,8 +79,7 @@ _FIELDS = {
               "branches": (None, _as_branches)},
     "solver": {"abs_tol": (repr(SolverConfig.abs_tol), float), "max_iter": (repr(SolverConfig.max_iter), int)},
     "oracle": {"enabled": ("false", _as_bool), "subsample": ("10", int), "n_v": (repr(OracleConfig.n_v), int),
-               "v_max": ("auto", _as_v_max), "dt": (repr(OracleConfig.dt), float),
-               "t_end": (repr(OracleConfig.t_end), float)},
+               "dt": (repr(OracleConfig.dt), float), "t_end": (repr(OracleConfig.t_end), float)},
     "hooks": {"bohm_term": ("on", _as_bool)},
     "output": {"path": (".", str)},
 }

@@ -47,15 +47,17 @@ class ComplexRate:
     """One complex root s = eta + i*omega with omega > 0.
 
     eta < 0 means damping.  The propagating-frequency convention omega > 0
-    is enforced here; the conjugate root is implied.
+    is enforced here; the conjugate root is implied.  Both parts are finite.
     """
 
     eta: float
     omega: float
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("omega must be positive (conjugate roots are implied)")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite (conjugate roots are implied)")
+        if not math.isfinite(self.eta):
+            raise ValueError("eta must be finite")
 
     @property
     def s(self) -> complex:

@@ -16,22 +16,24 @@ bookkeeping.
 Streaming is diagonal and the coupling is rank one, so N obeys exactly the
 convolution Volterra equation N = F + K * N, Landau's initial-value problem:
 F streams phi(0) freely and K streams i Lambda f0'.  f0 is even in v and the
-kick is shaped like f0, so F is a cosine and K a sine transform, and N is
-real: the same at k and -k.  For a thermal gas both are sums over the
-positive half of a symmetric grid (n_v even), from one blocked chirp-z
-transform (_chirp_z): batched FFTs of about 3 n_v/2 points, O(n_t log n_v).
-For the fully degenerate gas f0 is the sharp parabola, so no grid is
-needed: F and K are closed forms (_parabola_transform).  The history
-integral is sampled at t_m = m dt with sixth-order Gregory end weights after
-a nine-sample starting block, which leaves one lower-triangular Toeplitz
-system, solved as a real power-series quotient with real FFT products in
-O(n_t log n_t) (_volterra).
+kick is shaped like f0, so both come from one cosine transform g(t) of f0,
+normalised to g(0) = 1: F = amplitude n0 g and, by parts (the edge term
+vanishes with f0), K = -C1 t g.  N is real: the same at k and -k.  For a
+thermal gas g is a sum over the positive half of a symmetric grid (n_v
+even), from one blocked chirp-z transform (_chirp_z): batched FFTs of about
+3 n_v/2 points, O(n_t log n_v).  For the fully degenerate gas f0 is the
+sharp parabola, so no grid is needed: g is closed (_parabola_transform).
+The history integral is sampled at t_m = m dt with sixth-order Gregory end
+weights after a nine-sample starting block, which leaves one
+lower-triangular Toeplitz system, solved as a real power-series quotient
+with real FFT products in O(n_t log n_t) (_volterra).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,28 +45,28 @@ from .dispersion_core import (
     omega_zero_sound,
 )
 from .errors import FitAmbiguous, GridResonanceUnderresolved, NumericalBlowup
-from .quantum_stats import SpeciesParams, reduced_fz, reduced_fz_derivative, scales_at
+# unused here, reduced_fz_derivative stays importable: the benchmark's tracer patches it by this name
+from .quantum_stats import SpeciesParams, reduced_fz, reduced_fz_derivative, scales_at  # noqa: F401
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Grid and integration controls.
 
-    n_v and v_max set the velocity grid of a thermal gas: v_max is a multiple
-    of max(v_ch, v_th), and None selects 8.  The fully degenerate gas needs
-    no grid and ignores both.  dt, the spacing of the recorded density
-    samples, is a fraction of one oscillation period 2 pi/omega_guess; t_end
-    counts periods.  Every run starts from a density kick shaped like f0.
+    n_v is the size of a thermal gas's velocity grid, which spans 8
+    max(v_ch, v_th) either side of v = 0; the fully degenerate gas needs no
+    grid and ignores it.  dt, the spacing of the recorded density samples, is
+    a fraction of one oscillation period 2 pi/omega_guess; t_end counts
+    periods.  Every run starts from a density kick shaped like f0.
     """
 
     n_v: int = 4096
-    v_max: float | None = None
     dt: float = 0.005
     t_end: float = 50.0
 
     def __post_init__(self):
-        if self.n_v < 256 or self.n_v % 2 != 0:
-            raise ValueError("n_v must be even and at least 256")
+        if not isinstance(self.n_v, numbers.Integral) or self.n_v < 256 or self.n_v % 2 != 0:
+            raise ValueError("n_v must be an even integer of at least 256")
         if not 0.0 < 2.0 * math.pi * self.dt < 0.1:
             raise ValueError("dt (fraction of a period) must keep dt*omega below 0.1")
         if not self.t_end >= 20.0:
@@ -72,8 +74,6 @@ class OracleConfig:
         # 10^6 samples: 25x a t_end = 200 run at the default dt, 16 MB a trace
         if not self.t_end / self.dt < 1_000_000.5:
             raise ValueError("dt too small: t_end / dt must round to at most 10^6 samples")
-        if self.v_max is not None and not self.v_max > 0:
-            raise ValueError("v_max multiple must be positive")
 
 
 @dataclass
@@ -138,14 +138,14 @@ def _times(spec, y, n):
 
 
 def _chirp_z(x, theta, m, shift=0.0):
-    """X_q = sum_j x_j exp(-i theta (j + shift) q), q = 0..m-1, for each row x
-    of length n.  The outputs go in blocks of width 2n, q = b width + r, and
+    """X_q = sum_j x_j exp(-i theta (j + shift) q), q = 0..m-1, for x of
+    length n.  The outputs go in blocks of width 2n, q = b width + r, and
     block b is one Bluestein transform of x_j exp(-i theta width (j + shift) b):
     jr = (j^2 + r^2 - (r - j)^2)/2 turns its sum over j into one convolution
     with the chirp c_l = exp(-i theta l^2/2), l < width, which every block
     shares, so all of them go through one batched FFT of about 3n points.
     The shift leaves exp(-i theta shift r) on the outputs, folded into c_r."""
-    n = x.shape[-1]
+    n = len(x)
     width = 2 * n
     chirp = np.exp((-0.5j * theta) * np.arange(width) ** 2)
     size = _fft_size(n + width - 1)
@@ -153,9 +153,9 @@ def _chirp_z(x, theta, m, shift=0.0):
     twiddle = np.ones((-(-m // width), n), complex)
     twiddle[1:] = np.exp((-1j * theta * width) * (np.arange(n) + shift))
     twiddle = np.cumprod(twiddle, axis=0) * chirp[:n]  # row b: exp(-i theta width (j + shift) b) c_j
-    blocks = np.fft.ifft(spec * np.fft.fft(x[..., None, :] * twiddle, size))[..., :width]
+    blocks = np.fft.ifft(spec * np.fft.fft(x * twiddle, size))[:, :width]
     blocks *= chirp * np.exp((-1j * theta * shift) * np.arange(width))
-    return blocks.reshape(x.shape[:-1] + (-1,))[..., :m]
+    return blocks.ravel()[:m]
 
 
 def _series_quotient(r, a):
@@ -236,11 +236,14 @@ def evolve_mode(
     alpha = None selects the fully degenerate gas.  k may be negative: the
     trace is real, so it is the same at k and -k.  amplitude scales the
     initial density perturbation relative to n0; 0 gives the trivial zero
-    run (fit skipped).  A trace that grows past 1e6 |N_0| raises
+    run (fit skipped).  A non-finite k, omega_guess or amplitude raises
+    ValueError naming it.  A trace that grows past 1e6 |N_0| raises
     NumericalBlowup naming the first sample over.
     """
-    if k == 0:
-        raise ValueError("k must be nonzero")
+    if not math.isfinite(k) or k == 0:
+        raise ValueError("k must be finite and nonzero")
+    if not math.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
     k_abs = abs(k)
     degenerate = alpha is None
     scales = scales_at(species, alpha)
@@ -254,24 +257,18 @@ def evolve_mode(
                 omega_guess = omega_zero_sound(k_abs, scales, bohm_term=bohm_term)
         else:
             omega_guess = omega_weak_simple(k_abs, species, scales, bohm_term=bohm_term)
-    if not omega_guess > 0:
-        raise ValueError("omega_guess must be positive")
+    if not 0 < omega_guess < math.inf:
+        raise ValueError("omega_guess must be positive and finite")
 
     dt = config.dt * 2.0 * math.pi / omega_guess
     n_steps = int(round(config.t_end / config.dt))
     times = np.arange(n_steps + 1) * dt
     c1 = coefficient_C1(k_abs, scales, bohm_term=bohm_term)
     if degenerate:
-        # exact streaming of the sharp parabola; K by parts from the coupling
+        # exact streaming of the sharp parabola
         g = _parabola_transform(k_abs * v_ch * times)
-        free, kernel = amplitude * species.density * g, -c1 * times * g
     else:
-        v_max = (config.v_max or 8.0) * max(v_ch, math.sqrt(scales.v_th_sq))
-        if v_max < omega_guess / k_abs:
-            raise ValueError(
-                f"velocity grid to {v_max:.4g} m/s does not cover the resonant velocity "
-                f"{omega_guess / k_abs:.4g} m/s; raise v_max"
-            )
+        v_max = 8.0 * max(v_ch, math.sqrt(scales.v_th_sq))
         n_v = config.n_v
         if k_abs * v_max * times[-1] > n_v * math.pi:
             raise GridResonanceUnderresolved(
@@ -283,19 +280,12 @@ def evolve_mode(
         weights = np.full(n_v, dv)
         weights[0] *= 0.5
         weights[-1] *= 0.5
-        # pin the grid's density to n0 so the restoring term sees the same
-        # normalization the residuals use
+        # f0 is even: its cosine sum is the sum of 2 w f0 over the half-grid v[n_v/2:]
         f0 = reduced_fz(v, species, alpha)
-        norm = np.dot(f0, weights) / species.density
-        f0 = f0 / norm
-        fprime = reduced_fz_derivative(v, species, alpha) / norm
-        phi0 = (amplitude * species.density / np.dot(f0, weights)) * f0
-        # the coupling i Lambda f0' is odd: F is the cosine sum of 2 w phi0
-        # and K the sine sum of 2 w Lambda f0', over the half-grid v[n_v/2:]
-        lam = c1 / (k_abs * species.density)
-        parts = (2.0 * weights * np.stack((phi0, lam * fprime)))[:, n_v // 2:]
-        sums = _chirp_z(parts, k_abs * dv * dt, n_steps + 1, v[n_v // 2] / dv)
-        free, kernel = sums[0].real, -sums[1].imag
+        half = (2.0 * weights * f0)[n_v // 2:]
+        g = _chirp_z(half, k_abs * dv * dt, n_steps + 1, v[n_v // 2] / dv).real / np.dot(f0, weights)
+    # K by parts from the coupling i Lambda f0', Lambda = C1/(k n0)
+    free, kernel = amplitude * species.density * g, -c1 * times * g
 
     density = _volterra(free, kernel, dt)
     if _first_breach(density) is not None:

@@ -6,8 +6,9 @@ fugacity, thermal speed) and three special functions:
   or near alpha = 1 Robinson's expansion;
 * scaled_erfc, G(z) = sqrt(pi) z exp(z^2) erfc(z), the kernel of
   residual_weak;
-* reduced_fz and its derivative, the 1d velocity distribution in closed
-  form, which the kinetic oracle samples.
+* reduced_fz, the 1d velocity distribution in closed form, which the
+  kinetic oracle samples, and its derivative f0', the coupling that the
+  oracle's kernel takes by parts.
 
 Units are SI throughout.  Temperatures in K, densities in 1/m^3.
 """

@@ -200,8 +200,8 @@ def solve_at_k(
     """One root at one wavenumber.  Closed-form branches evaluate their
     formula and report a back-substitution diagnostic; exact branches run
     damped Newton from the seed."""
-    if not k > 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < math.inf:
+        raise ValueError("k must be positive and finite")
     check_branch_species(branch, species, scales)
 
     if branch in CLOSED_FORM_BRANCHES:
@@ -311,8 +311,8 @@ def sweep(
     record non-converged results instead of raising.
     """
     ks = [float(k) for k in k_grid]
-    if any(k <= 0 for k in ks):
-        raise ValueError("k grid must be positive")
+    if not all(0 < k < math.inf for k in ks):
+        raise ValueError("k grid must be positive and finite")
     if any(b >= a for a, b in zip(ks[1:], ks)):
         raise ValueError("k grid must be strictly increasing")
     check_branch_species(branch, species, scales)
@@ -368,6 +368,8 @@ def dominant_root(
     at full degeneracy, ExactQuadrature for a thermal gas) from every seed in
     the ladder and return the distinct root with the largest eta (least
     damped).  Raises SeedFailure when nothing converges."""
+    if not 0 < k < math.inf:
+        raise ValueError("k must be positive and finite")
     branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactQuadrature
     roots: list[DispersionResult] = []
     for seed in first_point_seeds(k, branch, species, scales, bohm_term=bohm_term):

@@ -120,7 +120,6 @@ max_iter = 50
 enabled = true
 subsample = 2
 n_v = 2048
-v_max = 2.5
 dt = 0.01
 t_end = 30
 
@@ -439,6 +438,15 @@ def test_compare_shipped_zero_sound_config_passes(tmp_path):
     assert main(["compare", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
     _, rows = read_rows(tmp_path / "compare.csv")
     assert len(rows) == 4 and all(float(row[2]) == 0.0 for row in rows)
+
+
+def test_compare_shipped_small_k_config_passes(tmp_path):
+    # Bose 0.2 at k v_th/Omega_p = 0.1-0.2: phase velocities up to 10 thermal
+    # widths, past the oracle's velocity grid, still read to the solver
+    cfg = CONFIGS / "weak_boson_small_k_compare.ini"
+    assert main(["compare", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+    _, rows = read_rows(tmp_path / "compare.csv")
+    assert len(rows) == 3 and all(float(row[5]) <= 1e-9 for row in rows)
 
 
 def test_compare_neutral_degenerate_mismatch(tmp_path, capsys):

@@ -25,6 +25,7 @@ from disperse import (
     SpeciesParams,
     Statistics,
     derive_scales,
+    dominant_root,
     evolve_mode,
     first_point_seeds,
     solve_at_k,
@@ -141,10 +142,10 @@ def rk4_at_quarter_step(phi0, v, k, coupling, weights, h, n_steps):
 
 
 def thermal_grid(run, species, scales, cfg):
-    """The velocity grid that evolve_mode built for the thermal run at the
-    default amplitude, rebuilt from its documented recipe: (phi0, v, k,
-    coupling, weights, h, n_steps)."""
-    v_max = (cfg.v_max or 8.0) * max(scales.v_ch, math.sqrt(scales.v_th_sq))
+    """The velocity grid of a thermal run at the default amplitude, with the
+    coupling i Lambda f0' sampled from the slope itself, which evolve_mode
+    takes by parts instead: (phi0, v, k, coupling, weights, h, n_steps)."""
+    v_max = 8.0 * max(scales.v_ch, math.sqrt(scales.v_th_sq))
     v = np.linspace(-v_max, v_max, cfg.n_v)
     weights = np.full(cfg.n_v, v[1] - v[0])
     weights[[0, -1]] *= 0.5
@@ -181,11 +182,14 @@ def sharp_parabola_sums(k, v_f, times, amplitude_n0, c1):
 # ---------------------------------------------------------------------------
 
 def test_oracle_config_validation():
-    OracleConfig(n_v=256, dt=0.01, t_end=20.0, v_max=3.0)  # fine
+    OracleConfig(n_v=256, dt=0.01, t_end=20.0)  # fine
+    OracleConfig(n_v=np.int64(512))  # any integer type
     with pytest.raises(ValueError, match="even"):
         OracleConfig(n_v=255)
     with pytest.raises(ValueError, match="even"):
         OracleConfig(n_v=128)
+    with pytest.raises(ValueError, match="integer"):
+        OracleConfig(n_v=4096.0)
     with pytest.raises(ValueError, match="dt"):
         OracleConfig(dt=0.02)
     with pytest.raises(ValueError, match="dt"):
@@ -195,8 +199,6 @@ def test_oracle_config_validation():
         OracleConfig(dt=1e-9)  # 5e10 samples
     with pytest.raises(ValueError, match="20 periods"):
         OracleConfig(t_end=15.0)
-    with pytest.raises(ValueError, match="v_max"):
-        OracleConfig(v_max=0.0)
 
 
 def test_evolve_mode_input_validation(weak_fermion, electron_degenerate):
@@ -208,14 +210,30 @@ def test_evolve_mode_input_validation(weak_fermion, electron_degenerate):
         evolve_mode(1e9, weak_fermion, 1.2)
     with pytest.raises(ValueError, match="omega_guess"):
         evolve_mode(1e9, weak_fermion, 0.2, omega_guess=-1.0)
+    # non-finite inputs are refused by name on either kind of gas, before
+    # they can reach the transform
+    for species, alpha in ((weak_fermion, 0.2), (electron_degenerate, None)):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^k must"):
+                evolve_mode(bad, species, alpha)
+            with pytest.raises(ValueError, match="^omega_guess"):
+                evolve_mode(1e9, species, alpha, omega_guess=bad)
+            with pytest.raises(ValueError, match="^amplitude"):
+                evolve_mode(1e9, species, alpha, amplitude=bad)
 
 
-def test_resonant_velocity_coverage_guard(weak_fermion, weak_fermion_scales):
-    # omega/k is about 3.2 thermal widths at y = 0.375: a 2-width window misses it
-    sc = weak_fermion_scales
-    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    with pytest.raises(ValueError, match="raise v_max"):
-        evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(v_max=2.0))
+@pytest.mark.parametrize("gas", ["fermi_0.2", "bose_0.2"])
+def test_slow_thermal_mode_matches_dominant_root(gas, weak_fermion, weak_boson):
+    # y = 0.1: omega/k is about 10 thermal widths, past the 8-width velocity
+    # window, yet the transform of f0 reads the mode at the default config
+    sp = weak_fermion if gas == "fermi_0.2" else weak_boson
+    sc = derive_scales(sp)
+    k = 0.1 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    root = dominant_root(k, sp, sc)
+    assert root.rate.omega / k > 8.0 * math.sqrt(sc.v_th_sq)
+    run = evolve_mode(k, sp, sc.alpha)
+    assert rel(run.omega_fit, root.rate.omega) <= 1e-9
+    assert abs(run.eta_fit) <= 1e-10 * root.rate.omega
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +356,11 @@ def direct_chirp_z(x, theta, m, shift):
 def test_chirp_z_matches_direct_sum(n, m, shift):
     rng = np.random.default_rng(n * 1000 + m)
     theta = 0.37
-    x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
     ref = direct_chirp_z(x, theta, m, shift)
-    rows = kinetic_oracle._chirp_z(x, theta, m, shift)
-    single = kinetic_oracle._chirp_z(x[1], theta, m, shift)
-    scale = np.abs(ref).max()
-    assert rows.shape == (2, m) and single.shape == (m,)
-    assert np.abs(rows - ref).max() <= 1e-12 * scale
-    assert np.abs(single - ref[1]).max() <= 1e-12 * scale
+    got = kinetic_oracle._chirp_z(x, theta, m, shift)
+    assert got.shape == (m,)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_chirp_z_long_transform():
@@ -507,13 +522,12 @@ def test_recurrence_guard_fires(weak_fermion, weak_fermion_scales):
 
 
 def test_blowup_guard_fires(monkeypatch, weak_fermion, weak_fermion_scales):
-    # a negated f0' reverses the restoring force, so the mode grows; plain RK4
+    # a negated C1 reverses the restoring force, so the mode grows; plain RK4
     # at the same spacing first passes the bound at the same sample
     sc = weak_fermion_scales
     k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    derivative = kinetic_oracle.reduced_fz_derivative
-    monkeypatch.setattr(kinetic_oracle, "reduced_fz_derivative",
-                        lambda *args: -derivative(*args))
+    c1 = kinetic_oracle.coefficient_C1
+    monkeypatch.setattr(kinetic_oracle, "coefficient_C1", lambda *args, **kwargs: -c1(*args, **kwargs))
     with pytest.raises(NumericalBlowup, match="grew past 1e6 times its start at sample 526$"):
         evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(n_v=512, dt=0.005, t_end=20.0))
 
@@ -540,15 +554,14 @@ def fixture_gases(electron_degenerate, neutral_degenerate, weak_fermion, weak_bo
     # 0.002 keeps a t_end = 80 trace at 40 001 samples
     dt=st.floats(0.002, 0.1 / (2.0 * math.pi), exclude_max=True),
     t_end=st.floats(20.0, 80.0),
-    v_max=st.none() | st.floats(1.0, 20.0),
     bohm_term=st.booleans(),
     amplitude=st.sampled_from([0.0, 1e-6, 1.0]),
     fit=st.booleans(),
 )
 def test_evolve_mode_refuses_or_stays_finite(fixture_gases, gas, y, sign, n_v, dt, t_end,
-                                             v_max, bohm_term, amplitude, fit):
+                                             bohm_term, amplitude, fit):
     species, alpha, k_unit = fixture_gases[gas]
-    cfg = OracleConfig(n_v=n_v, dt=dt, t_end=t_end, v_max=v_max)
+    cfg = OracleConfig(n_v=n_v, dt=dt, t_end=t_end)
     try:
         run = evolve_mode(sign * y * k_unit, species, alpha, cfg, bohm_term=bohm_term,
                           amplitude=amplitude, fit=fit)

@@ -62,6 +62,28 @@ def test_solver_config_validation():
         SolverConfig(max_iter=10.0)
 
 
+def test_complex_rate_refuses_non_finite_parts():
+    ComplexRate(eta=-1e300, omega=1e300)  # fine
+    for omega in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^omega must be positive and finite"):
+            ComplexRate(eta=0.0, omega=omega)
+    for eta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^eta must be finite"):
+            ComplexRate(eta=eta, omega=1.0)
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan, -math.inf])
+def test_solver_entry_points_refuse_non_finite_k(k, weak_fermion, weak_fermion_scales):
+    sp, sc = weak_fermion, weak_fermion_scales
+    seed = ComplexRate(eta=0.0, omega=sc.omega_p)
+    with pytest.raises(ValueError, match="^k must be positive and finite"):
+        solve_at_k(k, BranchId.ExactQuadrature, sp, sc, seed)
+    with pytest.raises(ValueError, match="^k must be positive and finite"):
+        dominant_root(k, sp, sc)
+    with pytest.raises(ValueError, match="^k grid must be positive and finite"):
+        sweep([1e9, 2e9, k], BranchId.ExactWeak, sp, sc)
+
+
 # ---------------------------------------------------------------------------
 # frozen roots
 # ---------------------------------------------------------------------------
