@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dispersion_core import EXACT_BRANCHES, BranchId
+from .dispersion_core import EXACT_BRANCHES, BranchId, check_wavenumber
 from .errors import DisperseError, SeedFailure
 from .kinetic_oracle import OracleConfig, evolve_mode
 from .quantum_stats import DerivedScales, SpeciesParams, Statistics, derive_scales
@@ -72,8 +72,7 @@ def _as_branches(raw: str) -> list:
 # (None: required) and the parser of its text
 _FIELDS = {
     "species": {"mass": (None, float), "charge": (None, float), "spin_degeneracy": ("2", int),
-                "density": (None, float), "temperature": (None, float),
-                "statistics": (None, _as_statistics), "fully_degenerate": ("false", _as_bool)},
+                "density": (None, float), "temperature": (None, float), "statistics": (None, _as_statistics)},
     "sweep": {"k_min": (None, float), "k_max": (None, float), "n_points": (None, int),
               "spacing": ("linear", _one_of("linear", "log")), "units": ("si", _one_of("si", "reduced")),
               "branches": (None, _as_branches)},
@@ -177,6 +176,11 @@ def load_config(path: str, output_dir: str | None = None) -> RunConfig:
     bohm = values["hooks"]["bohm_term"]
     if not bohm and species.charge == 0.0:
         _fail("hooks.bohm_term", "off with a neutral species leaves no restoring force")
+    unit_k = unit_omega / unit_v
+    try:
+        check_wavenumber(sweep_values["k_max"] * unit_k, scales, bohm_term=bohm)
+    except ValueError as exc:
+        _fail("sweep.k_max", str(exc))
     for branch in sweep_values["branches"]:
         try:
             check_branch_species(branch, species, scales)
@@ -194,7 +198,6 @@ def load_config(path: str, output_dir: str | None = None) -> RunConfig:
     if oracle_values["subsample"] < 1:
         _fail("oracle.subsample", "subsample must be >= 1")
 
-    unit_k = unit_omega / unit_v
     return RunConfig(
         species=species, scales=scales, k_min=sweep_values["k_min"] * unit_k,
         k_max=sweep_values["k_max"] * unit_k, n_points=sweep_values["n_points"],

@@ -7,16 +7,16 @@ Landau damping rate.  Three residual evaluations are provided:
 * residual_degenerate: the fully degenerate gas, written in the scaled
   variables r = k v_F / omega and epsilon = eta / omega.
 * residual_weak: the thermal gas above degeneracy, as a fugacity series over
-  scaled complementary error functions plus an explicit pole term.
+  scaled complementary error functions on Re theta >= 0 plus the closed-form
+  occupation-pole term, which also stands in for the reflection terms.
 * residual_quadrature: direct integration of the velocity-space response
   with pole subtraction, by Gauss-Legendre rules (closed form at full
   degeneracy).  Shares no special functions with the other two, so it
   serves as the independent cross-check path.
 
 All three return one complex value, holomorphic in s away from their branch
-cuts, oriented as 1 - (normalized response).  Where the pole term is
-negligible the weak and quadrature values agree; tests pin the exact
-relation including the pole term.
+cuts, oriented as 1 - (normalized response).  The weak and quadrature
+values differ by the pole term alone; tests pin that relation.
 """
 
 from __future__ import annotations
@@ -105,6 +105,19 @@ def coefficient_C1(k: float, scales: DerivedScales, *, bohm_term: bool = True) -
     return scales.omega_p**2 + hook * scales.lambda_quantum * k**4
 
 
+def check_wavenumber(k: float, scales: DerivedScales, *, bohm_term: bool = True) -> None:
+    """Raise ValueError unless k is positive and finite and k^4 and the square
+    of C1(k) + 2 k^2 max(v_ch^2, v_th^2), which bounds what the closed forms
+    and seeds square, are finite doubles."""
+    if not 0 < k < math.inf:
+        raise ValueError("k must be positive and finite")
+    k2 = k * k
+    hook = 1.0 if bohm_term else 0.0
+    scale = scales.omega_p**2 + hook * scales.lambda_quantum * k2 * k2 + 2.0 * k2 * max(scales.v_ch**2, scales.v_th_sq)
+    if not (k2 * k2 < math.inf and scale * scale < math.inf):
+        raise ValueError(f"k = {k:.6g} is too large: k^4 or the squared frequency scale overflows a double")
+
+
 def residual_degenerate(
     r: float, epsilon: float, k: float, scales: DerivedScales, *, bohm_term: bool = True
 ) -> complex:
@@ -136,17 +149,21 @@ def residual_degenerate(
     return complex(real_part, -pref * imag_part)
 
 
-# residual_weak series: tail tolerance, which also sizes the first block, and
-# the term budget
+# residual_weak series: tail tolerance, which sizes the block, and term budget
 _WEAK_TOL = 1e-14
 _WEAK_MAX_TERMS = 10_000
 
 
 @functools.lru_cache(maxsize=64)
-def _weak_block(alpha: float, fermi: bool, j0: int, block: int) -> tuple[np.ndarray, np.ndarray]:
-    # sqrt(j) and the signed coefficients (-+1)^(j-1) alpha^j / sqrt(j) for
-    # j = j0 .. j0 + block - 1; they do not depend on the rate
-    j = np.arange(j0, j0 + block, dtype=float)
+def _weak_block(alpha: float, fermi: bool) -> tuple[np.ndarray, np.ndarray]:
+    # sqrt(j) and the signed coefficients (-+1)^(j-1) alpha^j / sqrt(j),
+    # j = 1 .. J.  |G(z) - 1| <= 1 on Re z >= 0, so the occupation sums' tail
+    # bound on the coefficients sizes J for every rate.
+    slack = 1.0 if fermi else 1.0 / (1.0 - alpha)
+    n_terms = max(int(math.log(_WEAK_TOL / slack) / math.log(alpha)) + 2, 8)
+    if n_terms > _WEAK_MAX_TERMS:
+        raise NonConvergent(f"response series needs {n_terms} terms, more than {_WEAK_MAX_TERMS} (alpha = {alpha})")
+    j = np.arange(1, n_terms + 1, dtype=float)
     sqrt_j = np.sqrt(j)
     coef = np.power(alpha, j) / sqrt_j
     if fermi:
@@ -168,8 +185,13 @@ def residual_weak(
     error functions, plus the occupation-pole term, normalized by the
     density moment (2/3) v_ch^3.  Returns 1 - (response)/(normalization).
 
-    The pole term enters unconditionally, matching the analytic form this
-    implements; see residual_quadrature for the contour-tracking variant.
+    The series sum_j (-+1)^(j-1) (alpha^j / sqrt(j)) (G(sqrt(j) theta) - 1)
+    runs on Re theta >= 0.  On Re theta < 0, G(z) = G(-z) + 2 sqrt(pi) z
+    e^(z^2), and the reflection parts sum, continued where they diverge, to
+    the pole term, which stands in for them.  The pole term also enters
+    unconditionally, matching the analytic form this implements; see
+    residual_quadrature for the contour-tracking variant.  NonConvergent
+    comes only from the term budget (fugacity about 0.997 and up).
     """
     if not k > 0:
         raise ValueError("k must be positive")
@@ -177,34 +199,7 @@ def residual_weak(
     s = complex(s)
     theta = math.sqrt(beta) * s / k
     fermi = species.statistics is Statistics.FERMI
-
-    # sum_j (-+1)^(j-1) (alpha^j / sqrt(j)) (G(sqrt(j) theta) - 1), truncated
-    # by the same coefficient tail bound as the occupation sums.  The block is
-    # sized so that the bound passes after one block when |G - 1| <= 1; a
-    # larger |G - 1|, from the reflection term at Re theta < 0, falls through
-    # to further blocks.
-    total = 0.0 + 0.0j
-    slack = 1.0 if fermi else 1.0 / (1.0 - alpha)
-    g_sup = 1.0
-    block = int(math.log(_WEAK_TOL / slack) / math.log(alpha)) + 2
-    block = min(max(block, 8), _WEAK_MAX_TERMS)
-    j0 = 1
-    while True:
-        sqrt_j, coef = _weak_block(alpha, fermi, j0, block)
-        g = scaled_erfc(sqrt_j * theta)
-        part = complex(np.sum(coef * (g - 1.0)))
-        if not cmath.isfinite(part):
-            # alpha exp(Re theta^2) > 1: the terms grow, so no later block helps
-            raise NonConvergent(f"response series diverges at theta = {theta:.6g} (alpha = {alpha})")
-        total += part
-        g_sup = max(1.0, float(np.max(np.abs(g - 1.0))))
-        j_next = j0 + block
-        bound = alpha**j_next / math.sqrt(j_next) * slack * g_sup
-        if bound < _WEAK_TOL:
-            break
-        j0 = j_next
-        if j0 > _WEAK_MAX_TERMS:
-            raise NonConvergent(f"response series passed {_WEAK_MAX_TERMS} terms (alpha = {alpha})")
+    sqrt_j, coef = _weak_block(alpha, fermi)
 
     # pole of the occupation denominator at w = i s / k
     x = theta * theta
@@ -217,6 +212,10 @@ def residual_weak(
         if den == 0:
             raise SingularInput("rate sits exactly on an occupation pole")
         pole = 2.0 * _SQRT_PI * theta * t / den
+
+    reflect = theta.real < 0.0
+    g = scaled_erfc(sqrt_j * (-theta if reflect else theta))
+    total = complex(np.sum(coef * (g - 1.0))) + (pole if reflect else 0.0)
 
     c1 = coefficient_C1(k, scales, bohm_term=bohm_term)
     norm = (2.0 / 3.0) * scales.v_ch**3

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion_core import (
+    check_wavenumber,
     coefficient_C1,
     omega_degenerate_bohm_gross,
     omega_weak_simple,
@@ -236,9 +237,9 @@ def evolve_mode(
     alpha = None selects the fully degenerate gas.  k may be negative: the
     trace is real, so it is the same at k and -k.  amplitude scales the
     initial density perturbation relative to n0; 0 gives the trivial zero
-    run (fit skipped).  A non-finite k, omega_guess or amplitude raises
-    ValueError naming it.  A trace that grows past 1e6 |N_0| raises
-    NumericalBlowup naming the first sample over.
+    run (fit skipped).  A non-finite or too large k (check_wavenumber),
+    omega_guess or amplitude raises ValueError naming it.  A trace that
+    grows past 1e6 |N_0| raises NumericalBlowup naming the first sample.
     """
     if not math.isfinite(k) or k == 0:
         raise ValueError("k must be finite and nonzero")
@@ -247,6 +248,7 @@ def evolve_mode(
     k_abs = abs(k)
     degenerate = alpha is None
     scales = scales_at(species, alpha)
+    check_wavenumber(k_abs, scales, bohm_term=bohm_term)
     v_ch = scales.v_ch
 
     if omega_guess is None:

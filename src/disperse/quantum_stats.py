@@ -46,12 +46,8 @@ class Statistics(Enum):
 
 @dataclass(frozen=True)
 class SpeciesParams:
-    """Physical description of one gas species.
-
-    temperature == 0 is allowed only for fermions and forces the fully
-    degenerate ground-state branch.  fully_degenerate may also be set
-    explicitly at T > 0 to request the step-distribution idealization.
-    """
+    """Physical description of one gas species.  temperature == 0, allowed
+    only for fermions, is the fully degenerate ground state."""
 
     mass: float
     charge: float
@@ -59,7 +55,6 @@ class SpeciesParams:
     density: float
     temperature: float
     statistics: Statistics
-    fully_degenerate: bool = False
 
     def __post_init__(self):
         if not 0 < self.mass < math.inf:
@@ -74,12 +69,12 @@ class SpeciesParams:
             raise ValueError("temperature must be non-negative and finite")
         if not isinstance(self.statistics, Statistics):
             raise ValueError("statistics must be a Statistics member")
-        if self.temperature == 0:
-            if self.statistics is not Statistics.FERMI:
-                raise ValueError("temperature 0 makes sense only for fermions")
-            object.__setattr__(self, "fully_degenerate", True)
-        if self.fully_degenerate and self.statistics is not Statistics.FERMI:
-            raise ValueError("fully_degenerate requires Fermi statistics")
+        if self.temperature == 0 and self.statistics is not Statistics.FERMI:
+            raise ValueError("temperature 0 makes sense only for fermions")
+
+    @property
+    def fully_degenerate(self) -> bool:
+        return self.temperature == 0
 
 
 @dataclass(frozen=True)

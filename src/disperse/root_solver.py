@@ -46,6 +46,7 @@ from .dispersion_core import (
     BranchId,
     ComplexRate,
     DerivedScales,
+    check_wavenumber,
     omega_c1_corrected,
     omega_degenerate_bohm_gross,
     omega_quantum_langmuir,
@@ -200,8 +201,7 @@ def solve_at_k(
     """One root at one wavenumber.  Closed-form branches evaluate their
     formula and report a back-substitution diagnostic; exact branches run
     damped Newton from the seed."""
-    if not 0 < k < math.inf:
-        raise ValueError("k must be positive and finite")
+    check_wavenumber(k, scales, bohm_term=bohm_term)
     check_branch_species(branch, species, scales)
 
     if branch in CLOSED_FORM_BRANCHES:
@@ -322,6 +322,7 @@ def sweep(
                 for k in ks]
     if not ks:
         return []
+    check_wavenumber(ks[-1], scales, bohm_term=bohm_term)
 
     for seed in first_point_seeds(ks[0], branch, species, scales, bohm_term=bohm_term):
         try:
@@ -368,8 +369,7 @@ def dominant_root(
     at full degeneracy, ExactQuadrature for a thermal gas) from every seed in
     the ladder and return the distinct root with the largest eta (least
     damped).  Raises SeedFailure when nothing converges."""
-    if not 0 < k < math.inf:
-        raise ValueError("k must be positive and finite")
+    check_wavenumber(k, scales, bohm_term=bohm_term)
     branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactQuadrature
     roots: list[DispersionResult] = []
     for seed in first_point_seeds(k, branch, species, scales, bohm_term=bohm_term):

@@ -35,7 +35,6 @@ charge = {-R.Q_E!r}
 density = 1e28
 temperature = 0.0
 statistics = fermi
-fully_degenerate = true
 """
 
 
@@ -99,9 +98,9 @@ def test_run_happy_path(tmp_path, capsys):
 # sets every config field to a value other than its default, with a
 # reduced-unit bound that does not survive a unit round trip, a multi-line
 # value and an output path holding a percent sign and a space
-EVERY_FIELD = DEGENERATE_SPECIES.replace("fully_degenerate = true", """\
-spin_degeneracy = 1
-fully_degenerate = true""") + """
+EVERY_FIELD = DEGENERATE_SPECIES.replace("statistics = fermi", """\
+statistics = fermi
+spin_degeneracy = 1""") + """
 [sweep]
 k_min = 0.02
 k_max = 0.9
@@ -223,6 +222,10 @@ max_iter = 1
     ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
      "branches = WeakSimple\n[oracle]\ninit_shape = MaxwellianShaped\n",
      "oracle.init_shape: unknown field"),
+    ("[sweep]\nk_min = 1e8\nk_max = 1e80\nn_points = 4\n"
+     "branches = WeakSimple\n", "sweep.k_max: k = 1e+80 is too large"),
+    ("[sweep]\nk_min = 1e8\nk_max = inf\nn_points = 4\n"
+     "branches = WeakSimple\n", "sweep.k_max: k must be positive and finite"),
 ])
 def test_config_errors(tmp_path, capsys, mutation, fragment):
     cfg = write_ini(tmp_path, WEAK_SPECIES + mutation)

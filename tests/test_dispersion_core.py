@@ -229,12 +229,16 @@ def test_weak_reconciliation_identity(statistics, temperature):
     residual_quadrature - residual_weak equals the pole term exactly.  This
     pins both routes at once; the solver-facing consequence (series damping
     roughly 3x the contour damping at moderate k) is documented behavior.
-    The gases run from the Maxwellian limit to a Bose gas at fugacity 0.99."""
+    The gases run from the Maxwellian limit to a Bose gas at fugacity 0.99.
+    The last rate, s = (-3 + i) Omega_p at y = 0.4, is deep in the damped
+    half-plane, where alpha e^(Re theta^2) > 1 and the reflection terms of G
+    summed one by one diverge."""
     sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
                        temperature=temperature, statistics=statistics)
     sc = derive_scales(sp)
     vth = math.sqrt(sc.v_th_sq)
-    for y, om_frac, eta_frac in ((0.375, 1.07, -5e-4), (0.3, 1.05, 0.02), (0.42, 1.1, -0.01)):
+    for y, om_frac, eta_frac in ((0.375, 1.07, -5e-4), (0.3, 1.05, 0.02), (0.42, 1.1, -0.01),
+                                 (0.4, 1.0, -3.0)):
         k = y * sc.omega_p / vth
         s = complex(eta_frac * sc.omega_p, om_frac * sc.omega_p)
         rw = residual_weak(k, s, sp, sc.alpha, sc)
@@ -372,29 +376,82 @@ def test_quadrature_refuses_or_stays_finite(weak_fermion, weak_fermion_scales, w
     assert cmath.isfinite(z)
 
 
-def _weak_fixed_sum(k, s, species, alpha, scales, n_terms=1024):
-    """residual_weak with its fugacity series summed over a fixed n_terms."""
+def _weak_parts(k, s, species, alpha, scales):
+    """(theta, the occupation pole 2 sqrt(pi) theta t/(1 +- t) with
+    t = alpha e^(theta^2), and the factor that turns a response sum into
+    residual_weak's normalized response).  Where Re theta^2 > 0 the pole is
+    written in 1/t, which underflows where t would overflow."""
     beta = species.mass / (2.0 * K_B * species.temperature)
     theta = math.sqrt(beta) * s / k
-    fermi = species.statistics is Statistics.FERMI
+    x = theta * theta
+    pm = 1.0 if species.statistics is Statistics.FERMI else -1.0
+    if x.real > 0.0:
+        fraction = 1.0 / (cmath.exp(-x) / alpha + pm)
+    else:
+        t = alpha * cmath.exp(x)
+        fraction = t / (1.0 + pm * t)
+    pole = 2.0 * math.sqrt(math.pi) * theta * fraction
+    norm = (2.0 / 3.0) * scales.v_ch**3
+    return theta, pole, (coefficient_C1(k, scales) / k**2) * math.sqrt(math.pi / beta) / norm
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    statistics=st.sampled_from(Statistics),
+    alpha=st.floats(1e-6, 0.9999),
+    y=st.floats(0.05, 1.0),
+    eta_frac=st.just(0.0) | st.floats(-3.0, 0.1),
+    om_frac=st.floats(0.3, 2.0),
+)
+def test_weak_refuses_or_matches_quadrature(weak_fermion, weak_fermion_scales, weak_boson,
+                                            weak_boson_scales, statistics, alpha, y, eta_frac,
+                                            om_frac):
+    # down to eta = -3 Omega_p, far past where the reflection terms of G
+    # summed one by one diverge: residual_weak is finite (or refuses at its
+    # term budget) without a numpy warning (the suite makes a RuntimeWarning
+    # an error), and wherever the quadrature is finite too the two differ by
+    # the pole term alone
+    sp, sc = (weak_fermion, weak_fermion_scales) if statistics is Statistics.FERMI \
+        else (weak_boson, weak_boson_scales)
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    s = complex(eta_frac, om_frac) * sc.omega_p
+    try:
+        rw = residual_weak(k, s, sp, alpha, sc)
+    except DisperseError:
+        return
+    assert cmath.isfinite(rw)
+    try:
+        rq = residual_quadrature(k, s, sp, alpha, sc)
+    except DisperseError:
+        return
+    _, pole, factor = _weak_parts(k, s, sp, alpha, sc)
+    pred = factor * pole
+    assert abs(rq - rw - pred) <= 1e-12 * max(1.0, abs(rw), abs(rq), abs(pred))
+
+
+def _weak_fixed_sum(k, s, species, alpha, scales, n_terms=1024):
+    """residual_weak with its fugacity series summed over a fixed n_terms,
+    G taken on the whole plane: on Re theta < 0 that sums the reflection
+    terms of G one by one."""
+    theta, pole, factor = _weak_parts(k, s, species, alpha, scales)
     j = np.arange(1, n_terms + 1, dtype=float)
     coef = alpha**j / np.sqrt(j)
-    if fermi:
+    if species.statistics is Statistics.FERMI:
         coef = coef * np.where(j % 2.0 == 1.0, 1.0, -1.0)
     total = np.sum(coef * (scaled_erfc(np.sqrt(j) * theta) - 1.0))
-    t = alpha * cmath.exp(theta * theta)
-    pole = 2.0 * math.sqrt(math.pi) * theta * t / (1.0 + t if fermi else 1.0 - t)
-    norm = (2.0 / 3.0) * scales.v_ch**3
-    return 1.0 - (coefficient_C1(k, scales) / k**2) * math.sqrt(math.pi / beta) * (total + pole) / norm
+    return 1.0 - factor * (total + pole)
 
 
 @pytest.mark.parametrize("statistics", [Statistics.FERMI, Statistics.BOSE])
 @pytest.mark.parametrize("temperature, alpha", [
     (R.T_FERMI_02, 0.2), (R.T_FERMI_02, 0.9), (R.T_CLASSICAL, 1e-6)])
 def test_weak_series_truncation_matches_fixed_sum(statistics, temperature, alpha):
-    # residual_weak sizes its blocks from alpha; a 1024-term sum leaves a
+    # residual_weak sizes its block from alpha; a 1024-term sum leaves a
     # tail below 0.9^1024 ~ 1e-47.  The fugacity is an argument of
-    # residual_weak, so one temperature serves several alphas.
+    # residual_weak, so one temperature serves several alphas.  The two
+    # damped rates have Re theta < 0, where the fixed sum adds G's
+    # reflection terms one by one and residual_weak adds their closed form,
+    # the pole term, once: this pins that closed form.
     sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
                        temperature=temperature, statistics=statistics)
     sc = derive_scales(sp)
@@ -439,22 +496,26 @@ def test_quadrature_overflow_guard_counts_the_fugacity(weak_boson, weak_boson_sc
     assert cmath.isfinite(z)
 
 
-def test_weak_divergent_series_fails_fast(monkeypatch, weak_fermion, weak_fermion_scales):
+def test_weak_series_stays_on_the_right_half_plane(monkeypatch, weak_fermion, weak_fermion_scales):
     # s = (-3 + i) omega_p at k v_th / omega_p = 0.4: alpha exp(Re theta^2)
-    # far above 1, so the first block already overflows; the series must give
-    # up there instead of running on to its term budget
+    # far above 1, where the reflection terms of G summed one by one
+    # overflow.  One scaled_erfc call takes the whole series, every argument
+    # on Re z >= 0, and the residual is finite.  Near fugacity 1 the term
+    # budget refuses before any call.
     sp, sc = weak_fermion, weak_fermion_scales
     k = 0.4 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    s = complex(-3.0, 1.0) * sc.omega_p
     calls = []
 
     def counted(z):
-        calls.append(len(z))
+        calls.append(z)
         return scaled_erfc(z)
 
     monkeypatch.setattr(dispersion_core, "scaled_erfc", counted)
-    with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NonConvergent, match="diverges"):
-            residual_weak(k, complex(-3.0, 1.0) * sc.omega_p, sp, sc.alpha, sc)
+    assert cmath.isfinite(residual_weak(k, s, sp, sc.alpha, sc))
+    assert len(calls) == 1 and np.all(calls[0].real >= 0.0)
+    with pytest.raises(NonConvergent, match="terms"):
+        residual_weak(k, s, sp, 0.998, sc)
     assert len(calls) == 1
 
 

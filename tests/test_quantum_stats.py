@@ -136,9 +136,12 @@ def test_species_zero_temperature_rules():
     with pytest.raises(ValueError, match="only for fermions"):
         SpeciesParams(mass=R.M_E, charge=0.0, spin_degeneracy=2, density=R.N0,
                       temperature=0.0, statistics=Statistics.BOSE)
-    with pytest.raises(ValueError, match="requires Fermi"):
+    warm = SpeciesParams(mass=R.M_E, charge=0.0, spin_degeneracy=2, density=R.N0,
+                         temperature=300.0, statistics=Statistics.FERMI)
+    assert not warm.fully_degenerate  # read from the temperature, not set
+    with pytest.raises(TypeError):
         SpeciesParams(mass=R.M_E, charge=0.0, spin_degeneracy=2, density=R.N0,
-                      temperature=300.0, statistics=Statistics.BOSE,
+                      temperature=300.0, statistics=Statistics.FERMI,
                       fully_degenerate=True)
 
 

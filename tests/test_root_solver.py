@@ -1,6 +1,7 @@
 """Newton iteration, seed ladder, sweeps, and result semantics."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from disperse import (
     Statistics,
     derive_scales,
     dominant_root,
+    evolve_mode,
     first_point_seeds,
     solve_at_k,
     sweep,
@@ -82,6 +84,30 @@ def test_solver_entry_points_refuse_non_finite_k(k, weak_fermion, weak_fermion_s
         dominant_root(k, sp, sc)
     with pytest.raises(ValueError, match="^k grid must be positive and finite"):
         sweep([1e9, 2e9, k], BranchId.ExactWeak, sp, sc)
+
+
+@pytest.mark.parametrize("k", [1e60, 1e80, 1e100, 1e300])
+@pytest.mark.parametrize("gas", ["degenerate", "thermal"])
+def test_entry_points_refuse_huge_k_by_name(request, gas, k):
+    # past k ~ 4e40 1/m the closed forms and seeds overflow: k^4 raised a
+    # bare OverflowError from 1e80 on, and the thermal seed's C1^2 gave an
+    # infinite omega from 1e50 on
+    sp = request.getfixturevalue("electron_degenerate" if gas == "degenerate" else "weak_fermion")
+    sc = derive_scales(sp)
+    alpha = None if gas == "degenerate" else sc.alpha
+    exact = BranchId.ExactDegenerate if gas == "degenerate" else BranchId.ExactWeak
+    closed = BranchId.QuantumLangmuir if gas == "degenerate" else BranchId.WeakSimple
+    named = "^" + re.escape(f"k = {k:.6g} is too large")
+    for branch in (exact, closed, BranchId.ExactQuadrature):
+        with pytest.raises(ValueError, match=named):
+            solve_at_k(k, branch, sp, sc, ComplexRate(eta=0.0, omega=sc.omega_p))
+        with pytest.raises(ValueError, match=named):
+            sweep([1e9, k], branch, sp, sc)
+    with pytest.raises(ValueError, match=named):
+        dominant_root(k, sp, sc)
+    for signed in (k, -k):
+        with pytest.raises(ValueError, match=named):
+            evolve_mode(signed, sp, alpha)
 
 
 # ---------------------------------------------------------------------------
