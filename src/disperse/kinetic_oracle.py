@@ -21,12 +21,15 @@ normalised to g(0) = 1: F = amplitude n0 g and, by parts (the edge term
 vanishes with f0), K = -C1 t g.  N is real: the same at k and -k.  For a
 thermal gas g is a sum over the positive half of a symmetric grid (n_v
 even), from one blocked chirp-z transform (_chirp_z): batched FFTs of about
-3 n_v/2 points, O(n_t log n_v).  For the fully degenerate gas f0 is the
-sharp parabola, so no grid is needed: g is closed (_parabola_transform).
-The history integral is sampled at t_m = m dt with sixth-order Gregory end
-weights after a nine-sample starting block, which leaves one
-lower-triangular Toeplitz system, solved as a real power-series quotient
-with real FFT products in O(n_t log n_t) (_volterra).
+3 n_v/2 points, taken only over the L samples where an a-priori bound
+leaves g above rounding (_support), O(L log n_v); F is zero past them and K
+ends there.  For the fully degenerate gas f0 is the sharp parabola, so no
+grid is needed: g is closed (_parabola_transform).  The history integral is
+sampled at t_m = m dt with sixth-order Gregory end weights after a
+nine-sample starting block, which leaves one lower-triangular Toeplitz
+system, solved as a real power-series quotient with real FFT products
+(_volterra): in O(n_t log n_t) against a kernel longer than a quarter of
+the trace, and in blocks no shorter than the kernel against a shorter one.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .dispersion_core import (
 from .errors import FitAmbiguous, GridResonanceUnderresolved, NumericalBlowup
 # unused here, reduced_fz_derivative stays importable: the benchmark's tracer patches it by this name
 from .quantum_stats import SpeciesParams, reduced_fz, reduced_fz_derivative, scales_at  # noqa: F401
+from .quantum_stats import thermal_beta, zeta_pm
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,12 @@ class OracleConfig:
     """Grid and integration controls.
 
     n_v is the size of a thermal gas's velocity grid, which spans 8
-    max(v_ch, v_th) either side of v = 0; the fully degenerate gas needs no
-    grid and ignores it.  dt, the spacing of the recorded density samples, is
-    a fraction of one oscillation period 2 pi/omega_guess; t_end counts
-    periods.  Every run starts from a density kick shaped like f0.
+    max(v_ch, v_th) either side of v = 0; its transform, and the Volterra
+    kernel, run only over the samples where g is above rounding (the run's
+    support).  The fully degenerate gas needs no grid and ignores it.  dt,
+    the spacing of the recorded density samples, is a fraction of one
+    oscillation period 2 pi/omega_guess; t_end counts periods.  Every run
+    starts from a density kick shaped like f0.
     """
 
     n_v: int = 4096
@@ -81,7 +87,8 @@ class OracleConfig:
 class OracleRun:
     """Recorded density trace of one mode (real floats from evolve_mode) plus
     its dominant pole near omega_guess and the pencil's relative misfit
-    (fit_omega_eta fills them in unless the run started from zero)."""
+    (fit_omega_eta fills them in unless the run started from zero).  support
+    is the number of F and K samples a thermal run used (None at T = 0)."""
 
     k: float
     omega_guess: float
@@ -90,6 +97,7 @@ class OracleRun:
     omega_fit: float | None = None
     eta_fit: float | None = None
     fit_residual: float | None = None
+    support: int | None = None
 
 
 # Taylor coefficients of g(x) in x^2, highest first: (-1)^m 6 (m + 1)/(2m + 3)!
@@ -159,35 +167,99 @@ def _chirp_z(x, theta, m, shift=0.0):
     return blocks.ravel()[:m]
 
 
-def _series_quotient(r, a):
-    """First len(r) coefficients of the real power series r(z)/a(z).
-
-    Newton doubling builds 1/a (each step doubles the exact prefix); the last
-    step folds r in instead (Karp-Markstein), so no product needs more than
-    len(r) coefficients: where a cyclic product wraps, it wraps onto
-    coefficients the step already knows.  Each step transforms inv once for
-    both of its products.
-    """
-    n = len(r)
-    sizes = [n, (n + 1) // 2]
+def _reciprocal(a, n):
+    """First n coefficients of the real power series 1/a(z), a zero past its
+    samples, by Newton doubling: each step doubles the exact prefix and
+    transforms inv once for both of its products."""
+    sizes = [n]
     while sizes[-1] > 1:
         sizes.append((sizes[-1] + 1) // 2)
-    sizes.reverse()  # 1, 2, ..., ceil(n/2), n
     inv = np.array([1.0 / a[0]])
-    for lo, hi in zip(sizes[:-2], sizes[1:-1]):
+    for lo, hi in zip(sizes[:0:-1], sizes[-2::-1]):  # (1, 2), ..., (ceil(n/2), n)
         inv_spec = np.fft.rfft(inv, size := _fft_size(hi))
         err = _times(inv_spec, a[:hi], size)[lo:hi]  # a * inv - 1 vanishes below lo
         inv = np.concatenate((inv, -_times(inv_spec, err, size)[:hi - lo]))
-    half, size = sizes[-2], _fft_size(n)
-    inv_spec = np.fft.rfft(inv, size)
-    head = _times(inv_spec, r[:half], size)[:half]
-    tail = r[half:] - _times(np.fft.rfft(a, size), head, size)[half:n]
-    return np.concatenate((head, _times(inv_spec, tail, size)[:n - half]))
+    return inv
+
+
+def _series_quotient(r, a):
+    """First len(r) coefficients of the real power series r(z)/a(z), for
+    len(a) <= len(r) (a is zero past its samples).
+
+    An a longer than a quarter of r is padded to len(r): 1/a to half the
+    length folds r in on the last step (Karp-Markstein), so no product needs
+    more than len(r) coefficients: where a cyclic product wraps, it wraps
+    onto coefficients the step already knows.  A shorter a fills blocks of
+    w = max(len(a), 1024) coefficients in turn (shorter blocks cost more in
+    calls than in FFT length, longer ones than the padded path): 1/a to w
+    terms, transformed once, times the block of r less the carry of a
+    against the block before.  One Newton step over all of 1/a first takes
+    the doubling's accumulated error (a * inv - 1 up to 1e-12 on a resonant
+    kernel, which would feed the undamped mode) down to one product's
+    rounding.
+    """
+    n, m = len(r), len(a)
+    if 4 * m > n:
+        a = np.concatenate((a, np.zeros(n - m)))
+        half, size = (n + 1) // 2, _fft_size(n)
+        inv_spec = np.fft.rfft(_reciprocal(a, half), size)
+        head = _times(inv_spec, r[:half], size)[:half]
+        tail = r[half:] - _times(np.fft.rfft(a, size), head, size)[half:n]
+        return np.concatenate((head, _times(inv_spec, tail, size)[:n - half]))
+    w = min(max(m, 1024), n)
+    size = _fft_size(2 * w)
+    a_spec, inv = np.fft.rfft(a, size), _reciprocal(a, w)
+    err = _times(a_spec, inv, size)[:w]
+    err[0] -= 1.0
+    inv_spec = np.fft.rfft(inv - _times(np.fft.rfft(inv, size), err, size)[:w], size)
+    out = np.empty(n)
+    for lo in range(0, n, w):
+        block = r[lo:lo + w]
+        if lo:
+            block = block - _times(a_spec, out[lo - w:lo], size)[w:w + len(block)]
+        out[lo:lo + w] = _times(inv_spec, block, size)[:len(block)]
+    return out
+
+
+# |g(t)| below this share of g(0) is double rounding: a thermal F and K end there
+_SUPPORT_TOL = 2.0**-53
+# the most fugacity-series terms a support bound sums (each bisection step
+# takes one exponential a term)
+_SUPPORT_TERMS = 8192
+
+
+def _support(species, alpha, k, dt, n_t):
+    """Samples t_m = m dt that a thermal g needs: the first m >= 9 (past the
+    starting block) where an a-priori bound puts |g(t_m)| below _SUPPORT_TOL
+    g(0), or n_t.  f0 is the fugacity series sum_j (-+1)^(j-1) alpha^j
+    exp(-j beta v^2)/j, whose terms transform to Gaussians in t, so
+    |g(t)| |zeta_pm(1.5, alpha)| is at most
+    sum_j alpha^j j^-1.5 exp(-(k t)^2/(4 j beta)), which falls with t:
+    n_terms of it, and at most alpha^(n_terms + 1)/(1 - alpha) for the rest.
+    From fugacity about 0.995 on, the sum would need more than
+    _SUPPORT_TERMS terms (about 40/(1 - alpha)), and the run is not cut.
+    """
+    tol = _SUPPORT_TOL * abs(zeta_pm(1.5, alpha, species.statistics))
+    n_terms = math.ceil(math.log(0.5 * tol * (1.0 - alpha)) / math.log(alpha))
+    if n_terms > _SUPPORT_TERMS:
+        return n_t
+    j = np.arange(1.0, n_terms + 1.0)
+    weights, rate = alpha**j * j**-1.5, (k * dt) ** 2 / (4.0 * thermal_beta(species, alpha)) / j
+    tol -= alpha ** (n_terms + 1) / (1.0 - alpha)  # at most half of it
+    lo, hi = 9, n_t  # bisect for the first m in [lo, hi) below tol, else hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if np.dot(weights, np.exp(-rate * float(mid * mid))) >= tol:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _volterra(free, kernel, h):
     """Density N(t_m), t_m = m h, of N = F + K * N from the sampled free
     streaming F(t_m) and kernel K(t_m), K odd in t; neither is changed.
+    kernel may stop short of free (at least nine samples): K is zero past it.
 
     Rows 1..8 solve together with degree-8 interpolatory weights; K at their
     lags -7..8 comes from the samples by oddness.  Every later row m
@@ -266,6 +338,7 @@ def evolve_mode(
     n_steps = int(round(config.t_end / config.dt))
     times = np.arange(n_steps + 1) * dt
     c1 = coefficient_C1(k_abs, scales, bohm_term=bohm_term)
+    support = None
     if degenerate:
         # exact streaming of the sharp parabola
         g = _parabola_transform(k_abs * v_ch * times)
@@ -285,9 +358,13 @@ def evolve_mode(
         # f0 is even: its cosine sum is the sum of 2 w f0 over the half-grid v[n_v/2:]
         f0 = reduced_fz(v, species, alpha)
         half = (2.0 * weights * f0)[n_v // 2:]
-        g = _chirp_z(half, k_abs * dv * dt, n_steps + 1, v[n_v // 2] / dv).real / np.dot(f0, weights)
-    # K by parts from the coupling i Lambda f0', Lambda = C1/(k n0)
-    free, kernel = amplitude * species.density * g, -c1 * times * g
+        support = _support(species, alpha, k_abs, dt, n_steps + 1)
+        g = _chirp_z(half, k_abs * dv * dt, support, v[n_v // 2] / dv).real / np.dot(f0, weights)
+    # K by parts from the coupling i Lambda f0', Lambda = C1/(k n0); F is
+    # zero and K ends past the support
+    free = np.zeros(n_steps + 1)
+    free[:len(g)] = amplitude * species.density * g
+    kernel = -c1 * times[:len(g)] * g
 
     density = _volterra(free, kernel, dt)
     if _first_breach(density) is not None:
@@ -299,7 +376,7 @@ def evolve_mode(
             steps = min(2 * steps, n_steps)
         raise NumericalBlowup(f"density grew past 1e6 times its start at sample {breach}")
 
-    run = OracleRun(k=k, omega_guess=omega_guess, times=times, density=density)
+    run = OracleRun(k=k, omega_guess=omega_guess, times=times, density=density, support=support)
     if fit and density[0] != 0.0:
         run.omega_fit, run.eta_fit, run.fit_residual = fit_omega_eta(run)
     return run

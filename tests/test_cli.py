@@ -420,11 +420,13 @@ t_end = 200.0
     assert "[ok]" in capsys.readouterr().out
 
 
-def test_compare_shipped_config_passes(tmp_path):
-    cfg = CONFIGS / "weak_fermion_compare.ini"
+# Fermi and Bose 0.2 at y = 0.36-0.40: ten sweep points, every third, all damped
+@pytest.mark.parametrize("name", ["weak_fermion_compare.ini", "weak_boson_compare.ini"])
+def test_compare_shipped_config_passes(tmp_path, name):
+    cfg = CONFIGS / name
     assert main(["compare", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
     _, rows = read_rows(tmp_path / "compare.csv")
-    assert len(rows) == 4  # ten sweep points, every third
+    assert len(rows) == 4 and all(float(row[2]) < 0.0 for row in rows)
 
 
 def test_compare_shipped_degenerate_config_passes(tmp_path):

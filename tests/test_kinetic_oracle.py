@@ -33,7 +33,13 @@ from disperse import (
 from disperse import kinetic_oracle
 from disperse.dispersion_core import coefficient_C1
 from disperse.kinetic_oracle import OracleRun, fit_omega_eta
-from disperse.quantum_stats import fugacity_from_density, reduced_fz, reduced_fz_derivative
+from disperse.quantum_stats import (
+    fugacity_from_density,
+    reduced_fz,
+    reduced_fz_derivative,
+    thermal_beta,
+    zeta_pm,
+)
 
 
 def rel(a, b):
@@ -345,6 +351,22 @@ def test_series_quotient_matches_forward_substitution():
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), n
 
 
+# an a of at most a quarter of r runs in blocks at least 1024 wide: a
+# one-term a with blocks that do not divide r, one block and a sample,
+# blocks of len(a) that do and do not divide r, and single blocks of all of
+# a short r; a longer a is padded, just past a quarter and one short of r
+@pytest.mark.parametrize("n, m", [(2500, 1), (1025, 1), (4400, 1100), (4500, 1100),
+                                  (130, 1), (130, 32), (2500, 626), (2500, 2499), (130, 129)])
+def test_blocked_series_quotient_matches_forward_substitution(n, m):
+    rng = np.random.default_rng(n + m)
+    r = rng.normal(size=n)
+    a = rng.normal(size=m) / m
+    a[0] = 1.0 + abs(rng.normal())
+    ref = forward_substitution(r, np.concatenate((a, np.zeros(n - m))))
+    got = kinetic_oracle._series_quotient(r, a)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def direct_chirp_z(x, theta, m, shift):
     return x @ np.exp(-1j * theta * np.outer(np.arange(x.shape[-1]) + shift, np.arange(m)))
 
@@ -411,15 +433,101 @@ def test_volterra_matches_plain_rk4(weak_fermion, weak_fermion_scales):
     assert np.abs(run.density - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
-def test_folded_volterra_matches_complex_full_grid(weak_fermion, weak_fermion_scales):
-    # the t_end = 200 mode of criterion 06 at y = 0.38
-    sc = weak_fermion_scales
-    k = 0.38 * sc.omega_p / math.sqrt(sc.v_th_sq)
+@pytest.mark.parametrize("gas", ["fermi", "bose"])
+@pytest.mark.parametrize("y", [0.3, 0.38])
+def test_folded_volterra_matches_complex_full_grid(gas, y, weak_fermion, weak_fermion_scales,
+                                                   weak_boson, weak_boson_scales):
+    # the t_end = 200 modes of criterion 06 at y = 0.38, and y = 0.3: the
+    # reference takes F and K over every sample, the oracle only over the
+    # support of g, which the record says is under a quarter of the trace
+    species, sc = {"fermi": (weak_fermion, weak_fermion_scales),
+                   "bose": (weak_boson, weak_boson_scales)}[gas]
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
     cfg = OracleConfig(t_end=200.0)
-    run = evolve_mode(k, weak_fermion, sc.alpha, cfg, fit=False)
-    ref = complex_volterra(*thermal_grid(run, weak_fermion, sc, cfg))
+    run = evolve_mode(k, species, sc.alpha, cfg, fit=False)
+    ref = complex_volterra(*thermal_grid(run, species, sc, cfg))
     assert np.isrealobj(run.density)
     assert np.abs(run.density - ref).max() <= 1e-9 * np.abs(ref).max()
+    if y == 0.38:
+        assert 9 <= run.support < len(run.times) / 4
+
+
+THERMAL_GASES = {
+    "fermi_0.2": (R.T_FERMI_02, Statistics.FERMI), "bose_0.2": (R.T_BOSE_02, Statistics.BOSE),
+    "fermi_0.9": (R.T_FERMI_09, Statistics.FERMI), "bose_0.9": (R.T_BOSE_09, Statistics.BOSE),
+    "classical": (R.T_CLASSICAL, Statistics.FERMI),
+}
+
+
+@pytest.mark.parametrize("gas", sorted(THERMAL_GASES))
+@pytest.mark.parametrize("y", [0.1, 0.3, 0.45, 0.6])
+def test_support_bound_holds(gas, y):
+    """The fugacity-series bound on |g(t)|/g(0) lies above the full-length
+    transform wherever that is above rounding, and past the support the
+    transform is at its rounding floor."""
+    temperature, stats = THERMAL_GASES[gas]
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=stats)
+    sc = derive_scales(sp)
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    cfg = OracleConfig(t_end=200.0)
+    run = evolve_mode(k, sp, sc.alpha, cfg, fit=False)
+    # the transform evolve_mode takes, over every sample (phi0 is f0 scaled)
+    phi0, v, _, _, weights, h, _ = thermal_grid(run, sp, sc, cfg)
+    dv, half = v[1] - v[0], cfg.n_v // 2
+    g = kinetic_oracle._chirp_z((2.0 * weights * phi0)[half:], k * dv * h, len(run.times), v[half] / dv).real
+    g /= np.dot(phi0, weights)
+    assert 9 <= run.support <= len(run.times)
+    assert np.abs(g[run.support:]).max(initial=0.0) <= 1e-14
+    # the sum stops where the terms left, below about 1e-20 in all, could
+    # only raise the bound
+    j = np.arange(1.0, math.log(1e-20 * (1.0 - sc.alpha)) / math.log(sc.alpha) + 1.0)
+    seen = np.flatnonzero(np.abs(g) > 1e-14)
+    decay = (k * run.times[seen]) ** 2 / (4.0 * thermal_beta(sp, sc.alpha))
+    bound = np.exp(-np.outer(decay, 1.0 / j)) @ (sc.alpha**j * j**-1.5)
+    bound /= abs(zeta_pm(1.5, sc.alpha, stats))
+    # for bosons the bound is the series itself, so the slack is the
+    # transform's own error: up to 3e-13 relative near g = 0.4, and rounding
+    assert np.all(np.abs(g[seen]) <= (1.0 + 1e-12) * bound + 1e-14)
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-12])
+def test_support_uncut_near_condensation(gap):
+    # a Bose gas within gap of fugacity 1 would need about 1/gap terms of the
+    # bound (6e13 at 1e-12, past any memory): the run is not cut instead
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=R.T_BOSE_0999, statistics=Statistics.BOSE)
+    sc = derive_scales(sp)
+    k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    start = time.perf_counter()
+    run = evolve_mode(k, sp, 1.0 - gap, OracleConfig(t_end=200.0), fit=False)
+    assert time.perf_counter() - start < 1.0
+    assert run.support == len(run.times) and np.all(np.isfinite(run.density))
+
+
+def test_volterra_takes_a_short_kernel(monkeypatch, weak_fermion, weak_fermion_scales):
+    # a thermal run's kernel ends at its support: the solve matches the same
+    # kernel padded with zeros, and a replayed prefix longer than the kernel
+    # (the blow-up guard's) is a prefix of the whole solve
+    sc = weak_fermion_scales
+    k = 0.38 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    seen = {}
+    solve = kinetic_oracle._volterra
+
+    def spy(free, kernel, h):
+        seen.update(free=free, kernel=kernel, h=h)
+        return solve(free, kernel, h)
+
+    monkeypatch.setattr(kinetic_oracle, "_volterra", spy)
+    run = evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(t_end=50.0), fit=False)
+    free, kernel, h = seen["free"], seen["kernel"], seen["h"]
+    assert len(kernel) == run.support < len(free) and not free[run.support:].any()
+    padded = solve(free, np.concatenate((kernel, np.zeros(len(free) - len(kernel)))), h)
+    scale = np.abs(padded).max()
+    assert np.abs(run.density - padded).max() <= 1e-12 * scale
+    steps = run.support + 700
+    prefix = solve(free[:steps + 1], kernel[:steps + 1], h)
+    assert np.abs(prefix - run.density[:steps + 1]).max() <= 1e-12 * scale
 
 
 # both sides of the series/closed-form switch at x = 1, and out to x = 1e3
@@ -454,6 +562,7 @@ def test_degenerate_free_and_kernel_match_quadrature(case, monkeypatch, electron
 
     monkeypatch.setattr(kinetic_oracle, "_volterra", spy)
     run = evolve_mode(k, species, None, OracleConfig(t_end=200.0), fit=False)
+    assert run.support is None  # the closed g needs no cut
     sc = derive_scales(species)
     picks = np.concatenate((np.arange(200), np.arange(200, len(run.times), 97)))
     free, kernel = sharp_parabola_sums(k, sc.v_ch, run.times[picks], 1e-6 * species.density,
