@@ -28,8 +28,8 @@ grid is needed: g is closed (_parabola_transform).  The history integral is
 sampled at t_m = m dt with sixth-order Gregory end weights after a
 nine-sample starting block, which leaves one lower-triangular Toeplitz
 system, solved as a real power-series quotient with real FFT products
-(_volterra): in O(n_t log n_t) against a kernel longer than a quarter of
-the trace, and in blocks no shorter than the kernel against a shorter one.
+(_volterra), in blocks of w samples, w the kernel's length or at most half
+the trace: O(n_t log w).
 """
 
 from __future__ import annotations
@@ -186,32 +186,25 @@ def _series_quotient(r, a):
     """First len(r) coefficients of the real power series r(z)/a(z), for
     len(a) <= len(r) (a is zero past its samples).
 
-    An a longer than a quarter of r is padded to len(r): 1/a to half the
-    length folds r in on the last step (Karp-Markstein), so no product needs
-    more than len(r) coefficients: where a cyclic product wraps, it wraps
-    onto coefficients the step already knows.  A shorter a fills blocks of
-    w = max(len(a), 1024) coefficients in turn (shorter blocks cost more in
-    calls than in FFT length, longer ones than the padded path): 1/a to w
-    terms, transformed once, times the block of r less the carry of a
-    against the block before.  One Newton step over all of 1/a first takes
-    the doubling's accumulated error (a * inv - 1 up to 1e-12 on a resonant
-    kernel, which would feed the undamped mode) down to one product's
-    rounding.
+    The quotient fills blocks of w = min(max(len(a), 1024), ceil(len(r)/2))
+    coefficients in turn (shorter blocks cost more in calls than in FFT
+    length): 1/a to w terms, transformed once, times the block of r less the
+    carry of a against the block before.  An a longer than w makes exactly
+    two blocks, whose carry holds all of a against the first.  Products run
+    at length 2w or more, so where one wraps, it wraps onto coefficients
+    below the block.  One Newton step over all of 1/a, against a[:w], first
+    takes the doubling's accumulated error (a * inv - 1 up to 1e-12 on a
+    resonant kernel, which would feed the undamped mode) down to one
+    product's rounding.
     """
     n, m = len(r), len(a)
-    if 4 * m > n:
-        a = np.concatenate((a, np.zeros(n - m)))
-        half, size = (n + 1) // 2, _fft_size(n)
-        inv_spec = np.fft.rfft(_reciprocal(a, half), size)
-        head = _times(inv_spec, r[:half], size)[:half]
-        tail = r[half:] - _times(np.fft.rfft(a, size), head, size)[half:n]
-        return np.concatenate((head, _times(inv_spec, tail, size)[:n - half]))
-    w = min(max(m, 1024), n)
+    w = min(max(m, 1024), (n + 1) // 2)
     size = _fft_size(2 * w)
     a_spec, inv = np.fft.rfft(a, size), _reciprocal(a, w)
-    err = _times(a_spec, inv, size)[:w]
+    inv_spec = np.fft.rfft(inv, size)
+    err = np.fft.irfft((a_spec if m <= w else np.fft.rfft(a[:w], size)) * inv_spec, size)[:w]
     err[0] -= 1.0
-    inv_spec = np.fft.rfft(inv - _times(np.fft.rfft(inv, size), err, size)[:w], size)
+    inv_spec = np.fft.rfft(inv - _times(inv_spec, err, size)[:w], size)
     out = np.empty(n)
     for lo in range(0, n, w):
         block = r[lo:lo + w]
@@ -345,10 +338,14 @@ def evolve_mode(
     else:
         v_max = 8.0 * max(v_ch, math.sqrt(scales.v_th_sq))
         n_v = config.n_v
-        if k_abs * v_max * times[-1] > n_v * math.pi:
+        support = _support(species, alpha, k_abs, dt, n_steps + 1)
+        # the grid recurs at 2 pi/(k dv) = (n_v - 1) pi/(k v_max): the first
+        # alias g(2 pi/(k dv) - t) must stay past t_L, the support's end
+        mixing = 2.0 * k_abs * v_max * times[support - 1]
+        if mixing > (n_v - 1) * math.pi:
             raise GridResonanceUnderresolved(
-                f"phase-mixing scale k*v_max*t_end = {k_abs * v_max * times[-1]:.4g} exceeds "
-                f"n_v*pi = {n_v * math.pi:.4g}; refine n_v or shorten t_end"
+                f"phase-mixing scale 2*k*v_max*t_L = {mixing:.4g} (t_L: end of g's support) exceeds "
+                f"(n_v - 1)*pi = {(n_v - 1) * math.pi:.4g}; refine n_v or shorten t_end"
             )
         v = np.linspace(-v_max, v_max, n_v)
         dv = v[1] - v[0]
@@ -358,7 +355,6 @@ def evolve_mode(
         # f0 is even: its cosine sum is the sum of 2 w f0 over the half-grid v[n_v/2:]
         f0 = reduced_fz(v, species, alpha)
         half = (2.0 * weights * f0)[n_v // 2:]
-        support = _support(species, alpha, k_abs, dt, n_steps + 1)
         g = _chirp_z(half, k_abs * dv * dt, support, v[n_v // 2] / dv).real / np.dot(f0, weights)
     # K by parts from the coupling i Lambda f0', Lambda = C1/(k n0); F is
     # zero and K ends past the support

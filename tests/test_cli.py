@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import _refs as R
+from disperse import SpeciesParams, Statistics, derive_scales
 from disperse.cli import COMPARE_HEADER, CSV_HEADER, load_config, main, oracle_agrees
 from disperse.quantum_stats import K_B, PLANCK_H
 
@@ -226,6 +227,10 @@ max_iter = 1
      "branches = WeakSimple\n", "sweep.k_max: k = 1e+80 is too large"),
     ("[sweep]\nk_min = 1e8\nk_max = inf\nn_points = 4\n"
      "branches = WeakSimple\n", "sweep.k_max: k must be positive and finite"),
+    ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
+     "branches = WeakSimple\n[oracle]\nn_v = 255\n", "oracle: n_v must be an even integer"),
+    ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
+     "branches = WeakSimple\n[oracle]\nsubsample = 0\n", "oracle.subsample"),
 ])
 def test_config_errors(tmp_path, capsys, mutation, fragment):
     cfg = write_ini(tmp_path, WEAK_SPECIES + mutation)
@@ -429,12 +434,16 @@ def test_compare_shipped_config_passes(tmp_path, name):
     assert len(rows) == 4 and all(float(row[2]) < 0.0 for row in rows)
 
 
-def test_compare_shipped_degenerate_config_passes(tmp_path):
-    # the undamped T = 0 mode: the oracle must read no growth and no damping
-    cfg = CONFIGS / "degenerate_compare.ini"
+# the undamped T = 0 mode at k v_F/Omega_p = 0.9-1.2 and, where the t_end = 200
+# trace runs against a kernel as long as itself, 0.05-0.15: the oracle must
+# read no growth and no damping
+@pytest.mark.parametrize("name", ["degenerate_compare.ini", "degenerate_small_k_compare.ini"])
+def test_compare_shipped_degenerate_config_passes(tmp_path, name):
+    cfg = CONFIGS / name
     assert main(["compare", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
     _, rows = read_rows(tmp_path / "compare.csv")
     assert len(rows) == 4 and all(float(row[2]) == 0.0 for row in rows)
+    assert all(float(row[5]) <= 1e-10 and float(row[6]) <= 1e-11 * float(row[1]) for row in rows)
 
 
 def test_compare_shipped_zero_sound_config_passes(tmp_path):
@@ -474,6 +483,33 @@ subsample = 1
 """)
     assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_compare_oracle_refusal_exits_two(tmp_path, capsys):
+    # Bose gas at fugacity 0.999: its g is never cut, and a 512-point grid
+    # recurs inside twice the trace, so the oracle refuses; the solver's row
+    # stays, with NaN oracle cells
+    species = WEAK_SPECIES.replace(repr(R.T_FERMI_02), repr(R.T_BOSE_0999)).replace("fermi", "bose")
+    sc = derive_scales(SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                                     temperature=R.T_BOSE_0999, statistics=Statistics.BOSE))
+    unit = sc.omega_p / math.sqrt(sc.v_th_sq)
+    cfg = write_ini(tmp_path, species + f"""
+[sweep]
+k_min = {0.3 * unit!r}
+k_max = {0.32 * unit!r}
+n_points = 2
+branches = ExactQuadrature
+
+[oracle]
+enabled = true
+subsample = 2
+n_v = 512
+""")
+    assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    assert "GridResonanceUnderresolved: phase-mixing" in capsys.readouterr().err
+    _, rows = read_rows(tmp_path / "out" / "compare.csv")
+    assert len(rows) == 1 and math.isfinite(float(rows[0][1]))
+    assert all(math.isnan(float(cell)) for cell in rows[0][3:])
 
 
 # ---------------------------------------------------------------------------

@@ -229,17 +229,19 @@ def test_evolve_mode_input_validation(weak_fermion, electron_degenerate):
 
 
 @pytest.mark.parametrize("gas", ["fermi_0.2", "bose_0.2"])
-def test_slow_thermal_mode_matches_dominant_root(gas, weak_fermion, weak_boson):
-    # y = 0.1: omega/k is about 10 thermal widths, past the 8-width velocity
-    # window, yet the transform of f0 reads the mode at the default config
+@pytest.mark.parametrize("y, t_end", [(0.1, 50.0), (0.1, 200.0), (0.05, 200.0)])
+def test_slow_thermal_mode_matches_dominant_root(gas, y, t_end, weak_fermion, weak_boson):
+    # y = 0.05-0.1: omega/k is 10-20 thermal widths, past the 8-width velocity
+    # window, yet the transform of f0 reads the mode; over t_end = 200 the
+    # kernel's support is 0.27-0.57 of the trace
     sp = weak_fermion if gas == "fermi_0.2" else weak_boson
     sc = derive_scales(sp)
-    k = 0.1 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
     root = dominant_root(k, sp, sc)
     assert root.rate.omega / k > 8.0 * math.sqrt(sc.v_th_sq)
-    run = evolve_mode(k, sp, sc.alpha)
-    assert rel(run.omega_fit, root.rate.omega) <= 1e-9
-    assert abs(run.eta_fit) <= 1e-10 * root.rate.omega
+    run = evolve_mode(k, sp, sc.alpha, OracleConfig(t_end=t_end))
+    assert rel(run.omega_fit, root.rate.omega) <= 1e-10
+    assert abs(run.eta_fit - root.rate.eta) <= 1e-11 * root.rate.omega
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +353,14 @@ def test_series_quotient_matches_forward_substitution():
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), n
 
 
-# an a of at most a quarter of r runs in blocks at least 1024 wide: a
-# one-term a with blocks that do not divide r, one block and a sample,
-# blocks of len(a) that do and do not divide r, and single blocks of all of
-# a short r; a longer a is padded, just past a quarter and one short of r
+# blocks are max(len(a), 1024) wide, or half of a shorter r: a one-term a
+# with blocks that do not divide r, blocks of len(a) that do and do not
+# divide r, halves of a short r (w under 1024), and two halves against an a
+# longer than one of them, at odd and even len(r), past a quarter of r and
+# one short of it
 @pytest.mark.parametrize("n, m", [(2500, 1), (1025, 1), (4400, 1100), (4500, 1100),
-                                  (130, 1), (130, 32), (2500, 626), (2500, 2499), (130, 129)])
+                                  (130, 1), (130, 32), (1500, 800), (2049, 2049), (2048, 1025),
+                                  (2500, 626), (2500, 2499), (130, 129)])
 def test_blocked_series_quotient_matches_forward_substitution(n, m):
     rng = np.random.default_rng(n + m)
     r = rng.normal(size=n)
@@ -622,12 +626,30 @@ def test_neutral_boson_free_streaming_decays():
 # guards
 # ---------------------------------------------------------------------------
 
-def test_recurrence_guard_fires(weak_fermion, weak_fermion_scales):
+def test_recurrence_guard_reads_the_support(weak_fermion, weak_fermion_scales):
+    # the grid's first alias of g sits at 2 pi/(k dv) less t: the guard asks
+    # it to stay past twice the support's end, not past t_end.  Fermi 0.2
+    # keeps 1618 of 40 001 samples, so a 256-point grid (recurrence 2.8 t_L)
+    # runs and reads the 4096-point trace
     sc = weak_fermion_scales
     k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    coarse, fine = (evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(n_v=n_v, dt=0.01, t_end=400.0))
+                    for n_v in (256, 4096))
+    assert coarse.support == fine.support < len(fine.times) / 20
+    assert np.abs(coarse.density - fine.density).max() <= 1e-9 * abs(fine.density[0])
+    assert rel(coarse.omega_fit, fine.omega_fit) < 1e-12
+    assert abs(coarse.eta_fit - fine.eta_fit) < 1e-12 * fine.omega_fit
+
+
+def test_recurrence_guard_fires():
+    # Bose 0.999 is never cut: at n_v = 2048 the grid recurs at 1.35 t_end,
+    # and its alias would move the trace by 6e-5 N_0
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=R.T_BOSE_0999, statistics=Statistics.BOSE)
+    sc = derive_scales(sp)
+    k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
     with pytest.raises(GridResonanceUnderresolved, match="phase-mixing"):
-        evolve_mode(k, weak_fermion, sc.alpha,
-                    OracleConfig(n_v=256, dt=0.01, t_end=400.0))
+        evolve_mode(k, sp, sc.alpha, OracleConfig(n_v=2048, t_end=200.0))
 
 
 def test_blowup_guard_fires(monkeypatch, weak_fermion, weak_fermion_scales):
@@ -787,11 +809,16 @@ def test_degenerate_mode_has_no_damping(electron_degenerate,
     assert abs(run.eta_fit) < 1e-8 * run.omega_fit
 
 
-@pytest.mark.parametrize("x", [1.0, 1.15])
-def test_degenerate_mode_reads_no_growth_at_default_grid(x, electron_degenerate):
-    # the T = 0 modes of the benchmark's compare window, at its t_end
+@pytest.mark.parametrize("x", [0.05, 0.1, 0.15, 1.0, 1.15])
+def test_degenerate_mode_reads_no_growth_at_default_grid(x, electron_degenerate,
+                                                         electron_degenerate_scales):
+    # the T = 0 modes of the benchmark's compare window at its t_end, and the
+    # resonant small-k end, where the kernel is as long as the trace
+    root = converged_root(x * R.K_REF, BranchId.ExactDegenerate, electron_degenerate,
+                          electron_degenerate_scales)
     run = evolve_mode(x * R.K_REF, electron_degenerate, None, OracleConfig(t_end=200.0))
-    assert abs(run.eta_fit) <= 1e-8 * run.omega_fit
+    assert rel(run.omega_fit, root.rate.omega) <= 1e-10
+    assert abs(run.eta_fit - root.rate.eta) <= 1e-11 * root.rate.omega
 
 
 def test_zero_sound_mode_is_undamped(neutral_degenerate, neutral_degenerate_scales):
