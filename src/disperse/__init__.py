@@ -22,7 +22,6 @@ from .dispersion_core import (
 from .errors import (
     DisperseError,
     FitAmbiguous,
-    GridResonanceUnderresolved,
     NumericalBlowup,
     QuadratureFailure,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "BranchId",
     "DisperseError",
     "FitAmbiguous",
-    "GridResonanceUnderresolved",
     "NumericalBlowup",
     "OracleConfig",
     "QuadratureFailure",

@@ -69,7 +69,8 @@ def _as_branches(raw: str) -> list:
 
 
 # every config field in summary order, with its default as config text
-# (None: required) and the parser of its text
+# (None: required) and the parser of its text; [oracle] n_v is read and
+# ignored, since the oracle sizes its velocity grid itself
 _FIELDS = {
     "species": {"mass": (None, float), "charge": (None, float), "spin_degeneracy": ("2", int),
                 "density": (None, float), "temperature": (None, float), "statistics": (None, _as_statistics)},
@@ -77,7 +78,7 @@ _FIELDS = {
               "spacing": ("linear", _one_of("linear", "log")), "units": ("si", _one_of("si", "reduced")),
               "branches": (None, _as_branches)},
     "solver": {"abs_tol": (repr(SolverConfig.abs_tol), float), "max_iter": (repr(SolverConfig.max_iter), int)},
-    "oracle": {"enabled": ("false", _as_bool), "subsample": ("10", int), "n_v": (repr(OracleConfig.n_v), int),
+    "oracle": {"enabled": ("false", _as_bool), "subsample": ("10", int), "n_v": ("4096", int),
                "dt": (repr(OracleConfig.dt), float), "t_end": (repr(OracleConfig.t_end), float)},
     "hooks": {"bohm_term": ("on", _as_bool)},
     "output": {"path": (".", str)},

@@ -40,10 +40,6 @@ class SeedFailure(DisperseError):
     """No initial guess converged at the first point of a sweep."""
 
 
-class GridResonanceUnderresolved(DisperseError):
-    """Velocity grid too coarse for the requested integration time."""
-
-
 class NumericalBlowup(DisperseError):
     """Time integration left the linear regime (density grew by > 1e6)."""
 

@@ -19,14 +19,14 @@ F streams phi(0) freely and K streams i Lambda f0'.  f0 is even in v and the
 kick is shaped like f0, so both come from one cosine transform g(t) of f0,
 normalised to g(0) = 1: F = amplitude n0 g and, by parts (the edge term
 vanishes with f0), K = -C1 t g.  N is real: the same at k and -k.  For a
-thermal gas g is a sum over the positive half of a symmetric grid (n_v
-even), from one blocked chirp-z transform (_chirp_z): batched FFTs of about
-3 n_v/2 points, taken only over the L samples where an a-priori bound
-leaves g above rounding (_support), O(L log n_v); F is zero past them and K
-ends there.  For the fully degenerate gas f0 is the sharp parabola, so no
-grid is needed: g is closed (_parabola_transform).  The history integral is
-sampled at t_m = m dt with sixth-order Gregory end weights after a
-nine-sample starting block, which leaves one lower-triangular Toeplitz
+thermal gas g is a midpoint sum over the positive half of a symmetric
+velocity grid, one blocked chirp-z transform (_chirp_z) over the samples
+where an a-priori bound leaves g above rounding (_support); F is zero past
+them and K ends there.  dv keeps the sum's first alias, g(2 pi/(k dv) - t),
+past that support.  For the fully degenerate gas f0 is the sharp parabola,
+so no grid is needed: g is closed (_parabola_transform).  The history
+integral is sampled at t_m = m dt with sixth-order Gregory end weights after
+a nine-sample starting block, which leaves one lower-triangular Toeplitz
 system, solved as a real power-series quotient with real FFT products
 (_volterra), in blocks of w samples, w the kernel's length or at most half
 the trace: O(n_t log w).
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,32 +47,26 @@ from .dispersion_core import (
     omega_weak_simple,
     omega_zero_sound,
 )
-from .errors import FitAmbiguous, GridResonanceUnderresolved, NumericalBlowup
+from .errors import DegeneracyOutOfRange, FitAmbiguous, NumericalBlowup
 # unused here, reduced_fz_derivative stays importable: the benchmark's tracer patches it by this name
 from .quantum_stats import SpeciesParams, reduced_fz, reduced_fz_derivative, scales_at  # noqa: F401
-from .quantum_stats import thermal_beta, zeta_pm
+from .quantum_stats import Statistics, thermal_beta, zeta_pm
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid and integration controls.
+    """Integration controls.
 
-    n_v is the size of a thermal gas's velocity grid, which spans 8
-    max(v_ch, v_th) either side of v = 0; its transform, and the Volterra
-    kernel, run only over the samples where g is above rounding (the run's
-    support).  The fully degenerate gas needs no grid and ignores it.  dt,
-    the spacing of the recorded density samples, is a fraction of one
+    dt, the spacing of the recorded density samples, is a fraction of one
     oscillation period 2 pi/omega_guess; t_end counts periods.  Every run
-    starts from a density kick shaped like f0.
+    starts from a density kick shaped like f0.  A thermal gas's velocity
+    grid is sized from its kernel's support, so it takes no control.
     """
 
-    n_v: int = 4096
     dt: float = 0.005
     t_end: float = 50.0
 
     def __post_init__(self):
-        if not isinstance(self.n_v, numbers.Integral) or self.n_v < 256 or self.n_v % 2 != 0:
-            raise ValueError("n_v must be an even integer of at least 256")
         if not 0.0 < 2.0 * math.pi * self.dt < 0.1:
             raise ValueError("dt (fraction of a period) must keep dt*omega below 0.1")
         if not self.t_end >= 20.0:
@@ -219,27 +212,39 @@ _SUPPORT_TOL = 2.0**-53
 # the most fugacity-series terms a support bound sums (each bisection step
 # takes one exponential a term)
 _SUPPORT_TERMS = 8192
+# the most half-grid velocity nodes a thermal run takes (fugacity within
+# about 3e-7 of 1)
+_MAX_NODES = 2**17
 
 
-def _support(species, alpha, k, dt, n_t):
-    """Samples t_m = m dt that a thermal g needs: the first m >= 9 (past the
-    starting block) where an a-priori bound puts |g(t_m)| below _SUPPORT_TOL
-    g(0), or n_t.  f0 is the fugacity series sum_j (-+1)^(j-1) alpha^j
-    exp(-j beta v^2)/j, whose terms transform to Gaussians in t, so
-    |g(t)| |zeta_pm(1.5, alpha)| is at most
-    sum_j alpha^j j^-1.5 exp(-(k t)^2/(4 j beta)), which falls with t:
-    n_terms of it, and at most alpha^(n_terms + 1)/(1 - alpha) for the rest.
-    From fugacity about 0.995 on, the sum would need more than
-    _SUPPORT_TERMS terms (about 40/(1 - alpha)), and the run is not cut.
+def _support(species, alpha, k, dt):
+    """Samples t_m = m dt that a thermal g needs, which may pass the trace:
+    the first m >= 9 (past the starting block) where an a-priori bound puts
+    |g(t_m)| below _SUPPORT_TOL g(0).  f0 is the fugacity series
+    sum_j (-+1)^(j-1) alpha^j exp(-j beta v^2)/j, whose terms transform to
+    Gaussians in t, so |g(t)| |zeta_pm(1.5, alpha)| is at most
+    sum_j alpha^j j^-1.5 exp(-(k t)^2/(4 j beta)), which falls with t: n_terms
+    of it, and at most alpha^(n_terms + 1)/(1 - alpha) for the rest.  By
+    AM-GM each term is at most j^-1.5 exp(-k t sqrt(-ln alpha/beta)), which
+    ends the bisection; past _SUPPORT_TERMS terms (fugacity above about
+    0.995) that envelope gives the support itself.
     """
     tol = _SUPPORT_TOL * abs(zeta_pm(1.5, alpha, species.statistics))
+    beta = thermal_beta(species, alpha)
     n_terms = math.ceil(math.log(0.5 * tol * (1.0 - alpha)) / math.log(alpha))
+    if n_terms <= _SUPPORT_TERMS:
+        tol -= alpha ** (n_terms + 1) / (1.0 - alpha)  # at most half of it
+    # the envelope's crossing; up to 2^500 the bisection's m^2 is a finite double
+    decay = k * dt * math.sqrt(-math.log(alpha) / beta)
+    span = math.log(zeta_pm(1.5, 1.0, Statistics.BOSE) / tol)
+    if not span < decay * 2.0**500:
+        raise ValueError(f"k = {k!r} is too small: the support of g would pass 2^500 samples")
+    hi = max(9, math.floor(span / decay) + 1)
     if n_terms > _SUPPORT_TERMS:
-        return n_t
+        return hi
     j = np.arange(1.0, n_terms + 1.0)
-    weights, rate = alpha**j * j**-1.5, (k * dt) ** 2 / (4.0 * thermal_beta(species, alpha)) / j
-    tol -= alpha ** (n_terms + 1) / (1.0 - alpha)  # at most half of it
-    lo, hi = 9, n_t  # bisect for the first m in [lo, hi) below tol, else hi
+    weights, rate = alpha**j * j**-1.5, (k * dt) ** 2 / (4.0 * beta) / j
+    lo = 9  # bisect for the first m in [lo, hi) below tol, else hi
     while lo < hi:
         mid = (lo + hi) // 2
         if np.dot(weights, np.exp(-rate * float(mid * mid))) >= tol:
@@ -302,9 +307,11 @@ def evolve_mode(
     alpha = None selects the fully degenerate gas.  k may be negative: the
     trace is real, so it is the same at k and -k.  amplitude scales the
     initial density perturbation relative to n0; 0 gives the trivial zero
-    run (fit skipped).  A non-finite or too large k (check_wavenumber),
-    omega_guess or amplitude raises ValueError naming it.  A trace that
-    grows past 1e6 |N_0| raises NumericalBlowup naming the first sample.
+    run (fit skipped).  A non-finite, too large (check_wavenumber) or, for a
+    thermal gas, vanishingly small k (_support), omega_guess or amplitude
+    raises ValueError naming it; a grid past _MAX_NODES nodes raises
+    DegeneracyOutOfRange, and a trace that grows past 1e6 |N_0|
+    NumericalBlowup naming the first sample.
     """
     if not math.isfinite(k) or k == 0:
         raise ValueError("k must be finite and nonzero")
@@ -337,25 +344,20 @@ def evolve_mode(
         g = _parabola_transform(k_abs * v_ch * times)
     else:
         v_max = 8.0 * max(v_ch, math.sqrt(scales.v_th_sq))
-        n_v = config.n_v
-        support = _support(species, alpha, k_abs, dt, n_steps + 1)
-        # the grid recurs at 2 pi/(k dv) = (n_v - 1) pi/(k v_max): the first
-        # alias g(2 pi/(k dv) - t) must stay past t_L, the support's end
-        mixing = 2.0 * k_abs * v_max * times[support - 1]
-        if mixing > (n_v - 1) * math.pi:
-            raise GridResonanceUnderresolved(
-                f"phase-mixing scale 2*k*v_max*t_L = {mixing:.4g} (t_L: end of g's support) exceeds "
-                f"(n_v - 1)*pi = {(n_v - 1) * math.pi:.4g}; refine n_v or shorten t_end"
+        reach = _support(species, alpha, k_abs, dt)
+        support = min(reach, n_steps + 1)
+        # midpoint grid v_j = (j + 1/2) dv: the sum's first alias,
+        # g(2 pi/(k dv) - t), stays past sample reach for every kept sample
+        dv = 2.0 * math.pi / (k_abs * dt * (support + reach))
+        n_half = math.ceil(v_max / dv)
+        if n_half > _MAX_NODES:
+            raise DegeneracyOutOfRange(
+                f"fugacity {alpha!r} needs {n_half} velocity nodes to resolve its kernel's support, "
+                f"more than {_MAX_NODES}"
             )
-        v = np.linspace(-v_max, v_max, n_v)
-        dv = v[1] - v[0]
-        weights = np.full(n_v, dv)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        # f0 is even: its cosine sum is the sum of 2 w f0 over the half-grid v[n_v/2:]
-        f0 = reduced_fz(v, species, alpha)
-        half = (2.0 * weights * f0)[n_v // 2:]
-        g = _chirp_z(half, k_abs * dv * dt, support, v[n_v // 2] / dv).real / np.dot(f0, weights)
+        # f0 is even: its cosine sum is the sum over the positive half
+        f0 = reduced_fz((np.arange(n_half) + 0.5) * dv, species, alpha)
+        g = _chirp_z(f0, k_abs * dv * dt, support, 0.5).real / f0.sum()
     # K by parts from the coupling i Lambda f0', Lambda = C1/(k n0); F is
     # zero and K ends past the support
     free = np.zeros(n_steps + 1)

@@ -228,8 +228,6 @@ max_iter = 1
     ("[sweep]\nk_min = 1e8\nk_max = inf\nn_points = 4\n"
      "branches = WeakSimple\n", "sweep.k_max: k must be positive and finite"),
     ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
-     "branches = WeakSimple\n[oracle]\nn_v = 255\n", "oracle: n_v must be an even integer"),
-    ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
      "branches = WeakSimple\n[oracle]\nsubsample = 0\n", "oracle.subsample"),
 ])
 def test_config_errors(tmp_path, capsys, mutation, fragment):
@@ -463,6 +461,15 @@ def test_compare_shipped_small_k_config_passes(tmp_path):
     assert len(rows) == 3 and all(float(row[5]) <= 1e-9 for row in rows)
 
 
+def test_compare_shipped_condensation_config_passes(tmp_path):
+    # Bose 0.999 at k v_th/Omega_p = 0.45-0.60 over t_end = 200, past the end
+    # of g's support bound: the damped modes read to the solver
+    cfg = CONFIGS / "bose_condensation_compare.ini"
+    assert main(["compare", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+    _, rows = read_rows(tmp_path / "compare.csv")
+    assert len(rows) == 3 and all(float(row[2]) < 0.0 and float(row[5]) <= 1e-9 for row in rows)
+
+
 def test_compare_neutral_degenerate_mismatch(tmp_path, capsys):
     # at kappa = 0.3-0.4 the zero-sound phase velocity is within 1.6e-4 to
     # 4.3e-3 of v_F, and a t_end = 50 trace cannot part the mode from the
@@ -486,12 +493,14 @@ subsample = 1
 
 
 def test_compare_oracle_refusal_exits_two(tmp_path, capsys):
-    # Bose gas at fugacity 0.999: its g is never cut, and a 512-point grid
-    # recurs inside twice the trace, so the oracle refuses; the solver's row
-    # stays, with NaN oracle cells
-    species = WEAK_SPECIES.replace(repr(R.T_FERMI_02), repr(R.T_BOSE_0999)).replace("fermi", "bose")
+    # Bose gas at fugacity 1 - 5.4e-15: the solver converges, but the grid
+    # that would keep the oracle's alias past its kernel's support needs ~1e9
+    # velocity nodes, so the oracle refuses; the solver's row stays, with NaN
+    # oracle cells
+    temperature = 8564.780279696417
+    species = WEAK_SPECIES.replace(repr(R.T_FERMI_02), repr(temperature)).replace("fermi", "bose")
     sc = derive_scales(SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
-                                     temperature=R.T_BOSE_0999, statistics=Statistics.BOSE))
+                                     temperature=temperature, statistics=Statistics.BOSE))
     unit = sc.omega_p / math.sqrt(sc.v_th_sq)
     cfg = write_ini(tmp_path, species + f"""
 [sweep]
@@ -503,10 +512,9 @@ branches = ExactQuadrature
 [oracle]
 enabled = true
 subsample = 2
-n_v = 512
 """)
     assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
-    assert "GridResonanceUnderresolved: phase-mixing" in capsys.readouterr().err
+    assert "DegeneracyOutOfRange: fugacity 0.99999999999999" in capsys.readouterr().err
     _, rows = read_rows(tmp_path / "out" / "compare.csv")
     assert len(rows) == 1 and math.isfinite(float(rows[0][1]))
     assert all(math.isnan(float(cell)) for cell in rows[0][3:])

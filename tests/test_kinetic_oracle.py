@@ -19,7 +19,6 @@ from disperse import (
     BranchId,
     DisperseError,
     FitAmbiguous,
-    GridResonanceUnderresolved,
     NumericalBlowup,
     OracleConfig,
     SpeciesParams,
@@ -31,9 +30,13 @@ from disperse import (
     solve_at_k,
 )
 from disperse import kinetic_oracle
+from disperse.cli import oracle_agrees
 from disperse.dispersion_core import coefficient_C1
+from disperse.errors import DegeneracyOutOfRange
 from disperse.kinetic_oracle import OracleRun, fit_omega_eta
 from disperse.quantum_stats import (
+    K_B,
+    PLANCK_H,
     fugacity_from_density,
     reduced_fz,
     reduced_fz_derivative,
@@ -147,13 +150,19 @@ def rk4_at_quarter_step(phi0, v, k, coupling, weights, h, n_steps):
     return density[::4]
 
 
-def thermal_grid(run, species, scales, cfg):
-    """The velocity grid of a thermal run at the default amplitude, with the
+# the reference grid: at 4096 points its aliases of g stay below the
+# tolerances of every trace these tests build on it (2048 do not)
+REF_N_V = 4096
+
+
+def thermal_grid(run, species, scales):
+    """A fixed trapezoid grid of REF_N_V points over 8 max(v_ch, v_th) either
+    side of v = 0 for a thermal run at the default amplitude, with the
     coupling i Lambda f0' sampled from the slope itself, which evolve_mode
     takes by parts instead: (phi0, v, k, coupling, weights, h, n_steps)."""
     v_max = 8.0 * max(scales.v_ch, math.sqrt(scales.v_th_sq))
-    v = np.linspace(-v_max, v_max, cfg.n_v)
-    weights = np.full(cfg.n_v, v[1] - v[0])
+    v = np.linspace(-v_max, v_max, REF_N_V)
+    weights = np.full(REF_N_V, v[1] - v[0])
     weights[[0, -1]] *= 0.5
     f0 = reduced_fz(v, species, scales.alpha)
     norm = np.dot(f0, weights) / species.density
@@ -188,14 +197,7 @@ def sharp_parabola_sums(k, v_f, times, amplitude_n0, c1):
 # ---------------------------------------------------------------------------
 
 def test_oracle_config_validation():
-    OracleConfig(n_v=256, dt=0.01, t_end=20.0)  # fine
-    OracleConfig(n_v=np.int64(512))  # any integer type
-    with pytest.raises(ValueError, match="even"):
-        OracleConfig(n_v=255)
-    with pytest.raises(ValueError, match="even"):
-        OracleConfig(n_v=128)
-    with pytest.raises(ValueError, match="integer"):
-        OracleConfig(n_v=4096.0)
+    OracleConfig(dt=0.01, t_end=20.0)  # fine
     with pytest.raises(ValueError, match="dt"):
         OracleConfig(dt=0.02)
     with pytest.raises(ValueError, match="dt"):
@@ -216,6 +218,11 @@ def test_evolve_mode_input_validation(weak_fermion, electron_degenerate):
         evolve_mode(1e9, weak_fermion, 1.2)
     with pytest.raises(ValueError, match="omega_guess"):
         evolve_mode(1e9, weak_fermion, 0.2, omega_guess=-1.0)
+    # g would stay above rounding past 2^500 samples: the support search
+    # refuses k by name before its bisection could overflow
+    for tiny in (1e-200, 5e-324):
+        with pytest.raises(ValueError, match="^k = .* is too small"):
+            evolve_mode(tiny, weak_fermion, 0.2)
     # non-finite inputs are refused by name on either kind of gas, before
     # they can reach the transform
     for species, alpha in ((weak_fermion, 0.2), (electron_degenerate, None)):
@@ -390,8 +397,8 @@ def test_chirp_z_matches_direct_sum(n, m, shift):
 
 
 def test_chirp_z_long_transform():
-    # the oracle's own shape: n_v = 4096 folds to 2048 nodes, a t_end = 200
-    # run records 40 001 samples, and the half-grid starts half a step out
+    # a 2048-node half-grid, a t_end = 200 run's 40 001 samples, and the
+    # half-grid starting half a step out
     n, m, periods = 2048, 40_001, 41_000
     rng = np.random.default_rng(7)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -411,7 +418,7 @@ def test_chirp_z_long_transform():
 def test_linearity_in_amplitude_bitwise(weak_fermion, weak_fermion_scales):
     sc = weak_fermion_scales
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    cfg = OracleConfig(n_v=512, dt=0.01, t_end=20.0)
+    cfg = OracleConfig(dt=0.01, t_end=20.0)
     one = evolve_mode(k, weak_fermion, sc.alpha, cfg, amplitude=1e-6, fit=False)
     two = evolve_mode(k, weak_fermion, sc.alpha, cfg, amplitude=2e-6, fit=False)
     # the doubled run scales every float by an exact power of two
@@ -421,7 +428,7 @@ def test_linearity_in_amplitude_bitwise(weak_fermion, weak_fermion_scales):
 def test_conjugate_mode_bitwise(weak_fermion, weak_fermion_scales):
     sc = weak_fermion_scales
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    cfg = OracleConfig(n_v=512, dt=0.01, t_end=20.0)
+    cfg = OracleConfig(dt=0.01, t_end=20.0)
     plus = evolve_mode(k, weak_fermion, sc.alpha, cfg, fit=False)
     minus = evolve_mode(-k, weak_fermion, sc.alpha, cfg, fit=False)
     assert np.isrealobj(plus.density)
@@ -431,9 +438,9 @@ def test_conjugate_mode_bitwise(weak_fermion, weak_fermion_scales):
 def test_volterra_matches_plain_rk4(weak_fermion, weak_fermion_scales):
     sc = weak_fermion_scales
     k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    cfg = OracleConfig(n_v=512, dt=0.005, t_end=20.0)
+    cfg = OracleConfig(dt=0.005, t_end=20.0)
     run = evolve_mode(k, weak_fermion, sc.alpha, cfg, fit=False)
-    ref = rk4_at_quarter_step(*thermal_grid(run, weak_fermion, sc, cfg))
+    ref = rk4_at_quarter_step(*thermal_grid(run, weak_fermion, sc))
     assert np.abs(run.density - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
@@ -449,7 +456,7 @@ def test_folded_volterra_matches_complex_full_grid(gas, y, weak_fermion, weak_fe
     k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
     cfg = OracleConfig(t_end=200.0)
     run = evolve_mode(k, species, sc.alpha, cfg, fit=False)
-    ref = complex_volterra(*thermal_grid(run, species, sc, cfg))
+    ref = complex_volterra(*thermal_grid(run, species, sc))
     assert np.isrealobj(run.density)
     assert np.abs(run.density - ref).max() <= 1e-9 * np.abs(ref).max()
     if y == 0.38:
@@ -476,9 +483,9 @@ def test_support_bound_holds(gas, y):
     k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
     cfg = OracleConfig(t_end=200.0)
     run = evolve_mode(k, sp, sc.alpha, cfg, fit=False)
-    # the transform evolve_mode takes, over every sample (phi0 is f0 scaled)
-    phi0, v, _, _, weights, h, _ = thermal_grid(run, sp, sc, cfg)
-    dv, half = v[1] - v[0], cfg.n_v // 2
+    # f0's transform on the reference grid, over every sample (phi0 is f0 scaled)
+    phi0, v, _, _, weights, h, _ = thermal_grid(run, sp, sc)
+    dv, half = v[1] - v[0], REF_N_V // 2
     g = kinetic_oracle._chirp_z((2.0 * weights * phi0)[half:], k * dv * h, len(run.times), v[half] / dv).real
     g /= np.dot(phi0, weights)
     assert 9 <= run.support <= len(run.times)
@@ -498,15 +505,59 @@ def test_support_bound_holds(gas, y):
 @pytest.mark.parametrize("gap", [1e-6, 1e-12])
 def test_support_uncut_near_condensation(gap):
     # a Bose gas within gap of fugacity 1 would need about 1/gap terms of the
-    # bound (6e13 at 1e-12, past any memory): the run is not cut instead
+    # bound (6e13 at 1e-12, past any memory): its AM-GM envelope is the
+    # support instead, which passes the trace, and the grid that keeps its
+    # alias past it has ~7e4 half-grid nodes at 1e-6 and is refused at 1e-12
     sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
                        temperature=R.T_BOSE_0999, statistics=Statistics.BOSE)
     sc = derive_scales(sp)
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    if gap < 1e-9:
+        with pytest.raises(DegeneracyOutOfRange, match=r"^fugacity 0\.999999999999 needs \d+ velocity nodes"):
+            evolve_mode(k, sp, 1.0 - gap, OracleConfig(t_end=200.0), fit=False)
+        return
     start = time.perf_counter()
     run = evolve_mode(k, sp, 1.0 - gap, OracleConfig(t_end=200.0), fit=False)
     assert time.perf_counter() - start < 1.0
     assert run.support == len(run.times) and np.all(np.isfinite(run.density))
+
+
+def fugacity_series_g(species, alpha, k, times):
+    """g(t) from f0's fugacity series, sum_j (-+1)^(j-1) alpha^j j^-1.5
+    exp(-(k t)^2/(4 j beta)), over its value at t = 0; the terms left out
+    are below 1e-17 in all."""
+    fermi = species.statistics is Statistics.FERMI
+    j = np.arange(1.0, math.log(1e-17 * (1.0 if fermi else 1.0 - alpha)) / math.log(alpha) + 1.0)
+    terms = alpha**j * j**-1.5 * (np.where(j % 2.0 == 1.0, 1.0, -1.0) if fermi else 1.0)
+    decay = (k * times) ** 2 / (4.0 * thermal_beta(species, alpha))
+    return np.exp(-np.outer(decay, 1.0 / j)) @ terms / terms.sum()
+
+
+@pytest.mark.parametrize("t_end", [50.0, 200.0])
+@pytest.mark.parametrize("y", [1e-3, 0.05, 0.38, 1.5])
+@pytest.mark.parametrize("gas", sorted(THERMAL_GASES) + ["bose_0.999"])
+def test_thermal_g_matches_fugacity_series(gas, y, t_end, monkeypatch):
+    """The support-sized midpoint grid reads g to rounding over the whole
+    trace, cut or not: from a kernel that never decays inside it (y = 1e-3)
+    to one that ends within a period (y = 1.5), at fugacity up to 0.999."""
+    temperature, stats = (R.T_BOSE_0999, Statistics.BOSE) if gas == "bose_0.999" else THERMAL_GASES[gas]
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=stats)
+    sc = derive_scales(sp)
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    seen = {}
+    solve = kinetic_oracle._volterra
+
+    def spy(free, kernel, h):
+        seen.update(free=free)
+        return solve(free, kernel, h)
+
+    monkeypatch.setattr(kinetic_oracle, "_volterra", spy)
+    run = evolve_mode(k, sp, sc.alpha, OracleConfig(t_end=t_end), fit=False)
+    g = seen["free"] / (1e-6 * sp.density)
+    picks = np.concatenate((np.arange(200), np.arange(200, len(run.times), 61)))
+    ref = fugacity_series_g(sp, sc.alpha, k, run.times[picks])
+    assert np.abs(g[picks] - ref).max() <= 5e-14
 
 
 def test_volterra_takes_a_short_kernel(monkeypatch, weak_fermion, weak_fermion_scales):
@@ -581,7 +632,7 @@ def test_volterra_sixth_order(weak_fermion, weak_fermion_scales):
     sc = weak_fermion_scales
     k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
     traces = [
-        evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(n_v=512, dt=dt, t_end=20.0),
+        evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(dt=dt, t_end=20.0),
                     omega_guess=1.2 * sc.omega_p, fit=False).density
         for dt in (0.01, 0.005, 0.0025)
     ]
@@ -594,7 +645,7 @@ def test_zero_amplitude_gives_zero_trace(weak_fermion, weak_fermion_scales):
     sc = weak_fermion_scales
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
     run = evolve_mode(k, weak_fermion, sc.alpha,
-                      OracleConfig(n_v=512, dt=0.01, t_end=20.0), amplitude=0.0)
+                      OracleConfig(dt=0.01, t_end=20.0), amplitude=0.0)
     assert np.all(run.density == 0.0)
     assert run.omega_fit is None and run.eta_fit is None
 
@@ -603,7 +654,7 @@ def test_trace_starts_at_requested_amplitude(weak_fermion, weak_fermion_scales):
     sc = weak_fermion_scales
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
     run = evolve_mode(k, weak_fermion, sc.alpha,
-                      OracleConfig(n_v=512, dt=0.01, t_end=20.0),
+                      OracleConfig(dt=0.01, t_end=20.0),
                       amplitude=1e-6, fit=False)
     assert abs(run.density[0] - 1e-6 * R.N0) < 1e-13 * 1e-6 * R.N0
     assert len(run.density) == len(run.times) == 2001
@@ -615,7 +666,7 @@ def test_neutral_boson_free_streaming_decays():
     nb = SpeciesParams(mass=R.M_E, charge=0.0, spin_degeneracy=2, density=R.N0,
                        temperature=R.T_BOSE_02, statistics=Statistics.BOSE)
     alpha = fugacity_from_density(nb)
-    run = evolve_mode(1e9, nb, alpha, OracleConfig(n_v=1024, dt=0.01, t_end=20.0),
+    run = evolve_mode(1e9, nb, alpha, OracleConfig(dt=0.01, t_end=20.0),
                       bohm_term=False, fit=False)
     mags = np.abs(run.density)
     assert np.all(np.diff(mags) <= 1e-12 * mags[0])
@@ -626,32 +677,6 @@ def test_neutral_boson_free_streaming_decays():
 # guards
 # ---------------------------------------------------------------------------
 
-def test_recurrence_guard_reads_the_support(weak_fermion, weak_fermion_scales):
-    # the grid's first alias of g sits at 2 pi/(k dv) less t: the guard asks
-    # it to stay past twice the support's end, not past t_end.  Fermi 0.2
-    # keeps 1618 of 40 001 samples, so a 256-point grid (recurrence 2.8 t_L)
-    # runs and reads the 4096-point trace
-    sc = weak_fermion_scales
-    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    coarse, fine = (evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(n_v=n_v, dt=0.01, t_end=400.0))
-                    for n_v in (256, 4096))
-    assert coarse.support == fine.support < len(fine.times) / 20
-    assert np.abs(coarse.density - fine.density).max() <= 1e-9 * abs(fine.density[0])
-    assert rel(coarse.omega_fit, fine.omega_fit) < 1e-12
-    assert abs(coarse.eta_fit - fine.eta_fit) < 1e-12 * fine.omega_fit
-
-
-def test_recurrence_guard_fires():
-    # Bose 0.999 is never cut: at n_v = 2048 the grid recurs at 1.35 t_end,
-    # and its alias would move the trace by 6e-5 N_0
-    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
-                       temperature=R.T_BOSE_0999, statistics=Statistics.BOSE)
-    sc = derive_scales(sp)
-    k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    with pytest.raises(GridResonanceUnderresolved, match="phase-mixing"):
-        evolve_mode(k, sp, sc.alpha, OracleConfig(n_v=2048, t_end=200.0))
-
-
 def test_blowup_guard_fires(monkeypatch, weak_fermion, weak_fermion_scales):
     # a negated C1 reverses the restoring force, so the mode grows; plain RK4
     # at the same spacing first passes the bound at the same sample
@@ -660,7 +685,7 @@ def test_blowup_guard_fires(monkeypatch, weak_fermion, weak_fermion_scales):
     c1 = kinetic_oracle.coefficient_C1
     monkeypatch.setattr(kinetic_oracle, "coefficient_C1", lambda *args, **kwargs: -c1(*args, **kwargs))
     with pytest.raises(NumericalBlowup, match="grew past 1e6 times its start at sample 526$"):
-        evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(n_v=512, dt=0.005, t_end=20.0))
+        evolve_mode(k, weak_fermion, sc.alpha, OracleConfig(dt=0.005, t_end=20.0))
 
 
 @pytest.fixture(scope="session")
@@ -681,7 +706,6 @@ def fixture_gases(electron_degenerate, neutral_degenerate, weak_fermion, weak_bo
     gas=st.integers(0, 4),
     y=st.floats(0.2, 1.5),
     sign=st.sampled_from([1.0, -1.0]),
-    n_v=st.integers(128, 2048).map(lambda half: 2 * half),
     # 0.002 keeps a t_end = 80 trace at 40 001 samples
     dt=st.floats(0.002, 0.1 / (2.0 * math.pi), exclude_max=True),
     t_end=st.floats(20.0, 80.0),
@@ -689,10 +713,10 @@ def fixture_gases(electron_degenerate, neutral_degenerate, weak_fermion, weak_bo
     amplitude=st.sampled_from([0.0, 1e-6, 1.0]),
     fit=st.booleans(),
 )
-def test_evolve_mode_refuses_or_stays_finite(fixture_gases, gas, y, sign, n_v, dt, t_end,
+def test_evolve_mode_refuses_or_stays_finite(fixture_gases, gas, y, sign, dt, t_end,
                                              bohm_term, amplitude, fit):
     species, alpha, k_unit = fixture_gases[gas]
-    cfg = OracleConfig(n_v=n_v, dt=dt, t_end=t_end)
+    cfg = OracleConfig(dt=dt, t_end=t_end)
     try:
         run = evolve_mode(sign * y * k_unit, species, alpha, cfg, bohm_term=bohm_term,
                           amplitude=amplitude, fit=fit)
@@ -715,7 +739,7 @@ def test_classical_damping_matches_quadrature_root(classical_electron,
     sp, sc = classical_electron, classical_electron_scales
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
     root = converged_root(k, BranchId.ExactQuadrature, sp, sc)
-    run = evolve_mode(k, sp, sc.alpha, OracleConfig(n_v=4096, dt=0.005, t_end=60.0),
+    run = evolve_mode(k, sp, sc.alpha, OracleConfig(dt=0.005, t_end=60.0),
                       omega_guess=root.rate.omega)
     assert rel(run.omega_fit, root.rate.omega) < 1e-8
     assert root.rate.eta < 0.0 and run.eta_fit < 0.0
@@ -725,15 +749,15 @@ def test_classical_damping_matches_quadrature_root(classical_electron,
 def test_classical_refinement_is_converged(classical_electron,
                                            classical_electron_scales):
     # guess pinned to the root so both runs sample the same window; the
-    # damping here is ~1e-6 of omega, and the coarse grid moves it by ~2e-4
+    # damping here is ~1e-6 of omega, and the coarser dt moves it by ~2e-4
     sp, sc = classical_electron, classical_electron_scales
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
     guess = converged_root(k, BranchId.ExactQuadrature, sp, sc).rate.omega
     coarse = evolve_mode(k, sp, sc.alpha,
-                         OracleConfig(n_v=2048, dt=0.01, t_end=40.0),
+                         OracleConfig(dt=0.01, t_end=40.0),
                          omega_guess=guess)
     fine = evolve_mode(k, sp, sc.alpha,
-                       OracleConfig(n_v=4096, dt=0.005, t_end=40.0),
+                       OracleConfig(dt=0.005, t_end=40.0),
                        omega_guess=guess)
     assert rel(coarse.omega_fit, fine.omega_fit) < 1e-7
     assert rel(coarse.eta_fit, fine.eta_fit) < 1e-3
@@ -747,7 +771,7 @@ def test_weak_mode_matches_roots(weak_fermion, weak_fermion_scales):
     k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
     quad = converged_root(k, BranchId.ExactQuadrature, sp, sc)
     series = converged_root(k, BranchId.ExactWeak, sp, sc)
-    run = evolve_mode(k, sp, sc.alpha, OracleConfig(n_v=4096, dt=0.005, t_end=80.0),
+    run = evolve_mode(k, sp, sc.alpha, OracleConfig(dt=0.005, t_end=80.0),
                       omega_guess=quad.rate.omega)
     assert rel(run.omega_fit, quad.rate.omega) < 1e-8
     assert rel(run.eta_fit, quad.rate.eta) < 1e-6
@@ -765,7 +789,7 @@ def test_bose_near_condensation_mode_matches_quadrature_root():
     k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
     quad = converged_root(k, BranchId.ExactQuadrature, sp, sc)
     start = time.perf_counter()
-    run = evolve_mode(k, sp, sc.alpha, OracleConfig(n_v=4096, dt=0.005, t_end=20.0),
+    run = evolve_mode(k, sp, sc.alpha, OracleConfig(dt=0.005, t_end=20.0),
                       omega_guess=quad.rate.omega)
     assert time.perf_counter() - start < 1.0
     assert rel(run.omega_fit, quad.rate.omega) < 1e-8
@@ -786,6 +810,39 @@ def test_strongly_damped_mode_matches_quadrature_root(gas, y, weak_fermion):
     run = evolve_mode(k, sp, sc.alpha, OracleConfig(t_end=50.0), omega_guess=quad.rate.omega)
     assert rel(run.omega_fit, quad.rate.omega) < 1e-8
     assert rel(run.eta_fit, quad.rate.eta) < 1e-6
+
+
+@pytest.mark.parametrize("y, t_end", [(0.18, 50.0), (0.6, 200.0)])
+def test_bose_near_condensation_matches_dominant_root(y, t_end):
+    """Bose gas at fugacity 0.999, whose f0 peaks over about sqrt(1 - alpha)
+    thermal widths: the grid sized from the kernel's support resolves it, and
+    the oracle reads the root to 1e-9 omega, also over a trace long enough to
+    outlast the support bound (t_end = 200 at y = 0.6)."""
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=R.T_BOSE_0999, statistics=Statistics.BOSE)
+    sc = derive_scales(sp)
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    root = dominant_root(k, sp, sc)
+    run = evolve_mode(k, sp, sc.alpha, OracleConfig(t_end=t_end))
+    assert abs(run.omega_fit - root.rate.omega) <= 1e-9 * root.rate.omega
+    assert abs(run.eta_fit - root.rate.eta) <= 1e-9 * root.rate.omega
+
+
+@settings(max_examples=40, derandomize=True)
+@given(statistics=st.sampled_from([Statistics.FERMI, Statistics.BOSE]),
+       alpha=st.floats(0.01, 1.0 - 1e-4), y=st.floats(0.1, 0.6))
+def test_thermal_oracle_agrees_with_dominant_root(statistics, alpha, y):
+    # the temperature that puts the 3/2 occupation sum at alpha, so the gas
+    # derive_scales solves is the one drawn; t_end = 200 at every fugacity
+    lam = (R.N0 / (2 * zeta_pm(1.5, alpha, statistics))) ** (2.0 / 3.0)
+    temperature = PLANCK_H**2 * lam / (2.0 * math.pi * R.M_E * K_B)
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    sc = derive_scales(sp)
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    root = dominant_root(k, sp, sc)
+    run = evolve_mode(k, sp, sc.alpha, OracleConfig(t_end=200.0))
+    assert oracle_agrees(root.rate.omega, root.rate.eta, run.omega_fit, run.eta_fit)
 
 
 def test_fit_same_on_conjugate_mode(weak_boson, weak_boson_scales):
@@ -851,7 +908,7 @@ def test_degenerate_mode_matches_root_or_refuses(electron_degenerate, electron_d
 def test_fit_independent_of_omega_guess(weak_fermion, weak_fermion_scales):
     sp, sc = weak_fermion, weak_fermion_scales
     k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    cfg = OracleConfig(n_v=2048, dt=0.005, t_end=60.0)
+    cfg = OracleConfig(dt=0.005, t_end=60.0)
     mid = evolve_mode(k, sp, sc.alpha, cfg)
     lo = evolve_mode(k, sp, sc.alpha, cfg, omega_guess=0.8 * mid.omega_fit)
     hi = evolve_mode(k, sp, sc.alpha, cfg, omega_guess=1.2 * mid.omega_fit)
