@@ -29,7 +29,7 @@ import numpy as np
 from .dispersion_core import EXACT_BRANCHES, BranchId, check_wavenumber
 from .errors import DisperseError, SeedFailure
 from .kinetic_oracle import OracleConfig, evolve_mode
-from .quantum_stats import DerivedScales, SpeciesParams, Statistics, derive_scales
+from .quantum_stats import DerivedScales, SpeciesParams, Statistics, derive_scales, with_bohm_term
 from .root_solver import DispersionResult, SolverConfig, check_branch_species, sweep
 
 CSV_HEADER = "k,omega,eta,v_phase,r,epsilon,residual,iterations,converged,branch"
@@ -179,7 +179,7 @@ def load_config(path: str, output_dir: str | None = None) -> RunConfig:
         _fail("hooks.bohm_term", "off with a neutral species leaves no restoring force")
     unit_k = unit_omega / unit_v
     try:
-        check_wavenumber(sweep_values["k_max"] * unit_k, scales, bohm_term=bohm)
+        check_wavenumber(sweep_values["k_max"] * unit_k, with_bohm_term(scales, bohm))
     except ValueError as exc:
         _fail("sweep.k_max", str(exc))
     for branch in sweep_values["branches"]:

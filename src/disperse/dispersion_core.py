@@ -96,31 +96,28 @@ EXACT_BRANCHES = frozenset({BranchId.ExactDegenerate, BranchId.ExactWeak, Branch
 CLOSED_FORM_BRANCHES = frozenset(BranchId) - EXACT_BRANCHES
 
 
-def coefficient_C1(k: float, scales: DerivedScales, *, bohm_term: bool = True) -> float:
-    """Restoring coefficient Omega_p^2 + hbar^2 k^4 / (4 m^2); the quantum
-    term is controlled by the bohm_term hook."""
+def coefficient_C1(k: float, scales: DerivedScales) -> float:
+    """Restoring coefficient Omega_p^2 + hbar^2 k^4 / (4 m^2).  The quantum
+    term is scales.lambda_quantum k^4: the public entry points take
+    bohm_term, and with_bohm_term's scales hold 0.0 for it."""
     if not k > 0:
         raise ValueError("k must be positive")
-    hook = 1.0 if bohm_term else 0.0
-    return scales.omega_p**2 + hook * scales.lambda_quantum * k**4
+    return scales.omega_p**2 + scales.lambda_quantum * k**4
 
 
-def check_wavenumber(k: float, scales: DerivedScales, *, bohm_term: bool = True) -> None:
+def check_wavenumber(k: float, scales: DerivedScales) -> None:
     """Raise ValueError unless k is positive and finite and k^4 and the square
     of C1(k) + 2 k^2 max(v_ch^2, v_th^2), which bounds what the closed forms
     and seeds square, are finite doubles."""
     if not 0 < k < math.inf:
         raise ValueError("k must be positive and finite")
     k2 = k * k
-    hook = 1.0 if bohm_term else 0.0
-    scale = scales.omega_p**2 + hook * scales.lambda_quantum * k2 * k2 + 2.0 * k2 * max(scales.v_ch**2, scales.v_th_sq)
+    scale = scales.omega_p**2 + scales.lambda_quantum * k2 * k2 + 2.0 * k2 * max(scales.v_ch**2, scales.v_th_sq)
     if not (k2 * k2 < math.inf and scale * scale < math.inf):
         raise ValueError(f"k = {k:.6g} is too large: k^4 or the squared frequency scale overflows a double")
 
 
-def residual_degenerate(
-    r: float, epsilon: float, k: float, scales: DerivedScales, *, bohm_term: bool = True
-) -> complex:
+def residual_degenerate(r: float, epsilon: float, k: float, scales: DerivedScales) -> complex:
     """Fully degenerate residual in the scaled variables r = k v_F/omega and
     epsilon = eta/omega.
 
@@ -135,7 +132,7 @@ def residual_degenerate(
         raise ValueError("r must be positive")
     if r == 1.0 and epsilon == 0.0:
         raise SingularInput("phase velocity exactly at the edge velocity with no damping")
-    c1 = coefficient_C1(k, scales, bohm_term=bohm_term)
+    c1 = coefficient_C1(k, scales)
     v_f = scales.v_ch
     # two-argument arctangent of (2 r eps) over (1 + eps^2 - r^2): continuous
     # across the branch switch of arctan at r^2 + eps^2 = 1, and equal to the
@@ -172,15 +169,7 @@ def _weak_block(alpha: float, fermi: bool) -> tuple[np.ndarray, np.ndarray]:
     return sqrt_j, coef
 
 
-def residual_weak(
-    k: float,
-    s: complex,
-    species: SpeciesParams,
-    alpha: float,
-    scales: DerivedScales,
-    *,
-    bohm_term: bool = True,
-) -> complex:
+def residual_weak(k: float, s: complex, species: SpeciesParams, alpha: float, scales: DerivedScales) -> complex:
     """Thermal-gas residual as a fugacity series over scaled complementary
     error functions, plus the occupation-pole term, normalized by the
     density moment (2/3) v_ch^3.  Returns 1 - (response)/(normalization).
@@ -217,7 +206,7 @@ def residual_weak(
     g = scaled_erfc(sqrt_j * (-theta if reflect else theta))
     total = complex(np.sum(coef * (g - 1.0))) + (pole if reflect else 0.0)
 
-    c1 = coefficient_C1(k, scales, bohm_term=bohm_term)
+    c1 = coefficient_C1(k, scales)
     norm = (2.0 / 3.0) * scales.v_ch**3
     response = (c1 / (k * k)) * math.sqrt(math.pi / beta) * (total + pole)
     return 1.0 - response / norm
@@ -328,13 +317,7 @@ def _principal_log_ratio(p_hat: complex, eta_is_zero: bool) -> complex:
 
 
 def residual_quadrature(
-    k: float,
-    s: complex,
-    species: SpeciesParams,
-    alpha: float | None,
-    scales: DerivedScales,
-    *,
-    bohm_term: bool = True,
+    k: float, s: complex, species: SpeciesParams, alpha: float | None, scales: DerivedScales
 ) -> complex:
     """Velocity-space response integrated directly, with the pole handled by
     subtraction: integrate (g(u) - g(p))/(u - p) plus g(p) times the closed
@@ -412,7 +395,7 @@ def residual_quadrature(
 
     if add_residue:
         integral += 2.0j * math.pi * g_at_p
-    c1 = coefficient_C1(k, scales, bohm_term=bohm_term)
+    c1 = coefficient_C1(k, scales)
     # (1/n0) integral over w of f'(w)/(w - p) = integral(u) / w_scale^2 here
     return 1.0 - (c1 / (k * k * w_scale * w_scale)) * integral
 
@@ -421,32 +404,31 @@ def residual_quadrature(
 # closed-form branch frequencies
 # ---------------------------------------------------------------------------
 
-def omega_quantum_langmuir(k: float, scales: DerivedScales, *, bohm_term: bool = True) -> float:
+def omega_quantum_langmuir(k: float, scales: DerivedScales) -> float:
     """Dispersionless limit omega^2 = C1(k)."""
-    return math.sqrt(coefficient_C1(k, scales, bohm_term=bohm_term))
+    return math.sqrt(coefficient_C1(k, scales))
 
 
-def omega_c1_corrected(k: float, scales: DerivedScales, *, bohm_term: bool = True) -> float:
+def omega_c1_corrected(k: float, scales: DerivedScales) -> float:
     """First correction beyond the dispersionless limit for the degenerate
     gas: omega^2 = C1 (1 + sqrt(1 + 12 k^2 v_F^2 / (5 C1))) / 2."""
-    c1 = coefficient_C1(k, scales, bohm_term=bohm_term)
+    c1 = coefficient_C1(k, scales)
     if c1 <= 0:
         raise ValueError("no restoring force: C1 vanished (neutral gas with the quantum term off)")
     x = 12.0 * (k * scales.v_ch) ** 2 / (5.0 * c1)
     return math.sqrt(0.5 * c1 * (1.0 + math.sqrt(1.0 + x)))
 
 
-def omega_degenerate_bohm_gross(k: float, scales: DerivedScales, *, bohm_term: bool = True) -> float:
+def omega_degenerate_bohm_gross(k: float, scales: DerivedScales) -> float:
     """Small-k expansion for the degenerate gas:
     omega^2 = Omega_p^2 + (3/5) k^2 v_F^2 + hbar^2 k^4/(4 m^2)."""
     if not k > 0:
         raise ValueError("k must be positive")
-    hook = 1.0 if bohm_term else 0.0
-    om2 = scales.omega_p**2 + (0.6 * scales.v_ch**2) * k**2 + hook * scales.lambda_quantum * k**4
+    om2 = scales.omega_p**2 + (0.6 * scales.v_ch**2) * k**2 + scales.lambda_quantum * k**4
     return math.sqrt(om2)
 
 
-def omega_zero_sound(k: float, scales: DerivedScales, *, bohm_term: bool = True) -> float:
+def omega_zero_sound(k: float, scales: DerivedScales) -> float:
     """Acoustic-like branch with phase velocity just above the edge velocity.
 
     Derivation sketch, kept because the exponent grouping is easy to get
@@ -457,27 +439,23 @@ def omega_zero_sound(k: float, scales: DerivedScales, *, bohm_term: bool = True)
         d = 2 exp(-2 k^2 vF^2 / (3 C1) - 2),
     i.e. omega = k vF (1 + 2 exp(-(2/3) k^2 vF^2 / C1 - 2)) to leading order.
     """
-    c1 = coefficient_C1(k, scales, bohm_term=bohm_term)
+    c1 = coefficient_C1(k, scales)
     if c1 <= 0:
         raise ValueError("no restoring force: C1 vanished (neutral gas with the quantum term off)")
     x = (2.0 / 3.0) * (k * scales.v_ch) ** 2 / c1
     return k * scales.v_ch * (1.0 + 2.0 * math.exp(-x - 2.0))
 
 
-def omega_weak_biquadratic(
-    k: float, species: SpeciesParams, scales: DerivedScales, *, bohm_term: bool = True
-) -> float:
+def omega_weak_biquadratic(k: float, species: SpeciesParams, scales: DerivedScales) -> float:
     """Positive root of the thermal biquadratic
     omega^4 - C1 omega^2 - C1 k^2 v_th^2 = 0."""
     if not scales.v_th_sq > 0:
         raise ValueError("thermal branch needs v_th_sq > 0 (gas not fully degenerate)")
-    c1 = coefficient_C1(k, scales, bohm_term=bohm_term)
+    c1 = coefficient_C1(k, scales)
     return math.sqrt(0.5 * (c1 + math.sqrt(c1 * c1 + 4.0 * (k * k) * scales.v_th_sq * c1)))
 
 
-def omega_weak_simple(
-    k: float, species: SpeciesParams, scales: DerivedScales, *, bohm_term: bool = True
-) -> float:
+def omega_weak_simple(k: float, species: SpeciesParams, scales: DerivedScales) -> float:
     """Expanded thermal form omega^2 = Omega_p^2 + k^2 v_th^2 + hbar^2 k^4/(4 m^2).
 
     Evaluated with the same operation ordering as omega_degenerate_bohm_gross
@@ -487,6 +465,5 @@ def omega_weak_simple(
         raise ValueError("k must be positive")
     if not scales.v_th_sq > 0:
         raise ValueError("thermal branch needs v_th_sq > 0 (gas not fully degenerate)")
-    hook = 1.0 if bohm_term else 0.0
-    om2 = scales.omega_p**2 + scales.v_th_sq * k**2 + hook * scales.lambda_quantum * k**4
+    om2 = scales.omega_p**2 + scales.v_th_sq * k**2 + scales.lambda_quantum * k**4
     return math.sqrt(om2)

@@ -43,6 +43,7 @@ import numpy as np
 from .dispersion_core import (
     check_wavenumber,
     coefficient_C1,
+    omega_c1_corrected,
     omega_degenerate_bohm_gross,
     omega_weak_simple,
     omega_zero_sound,
@@ -50,7 +51,7 @@ from .dispersion_core import (
 from .errors import DegeneracyOutOfRange, FitAmbiguous, NumericalBlowup
 # unused here, reduced_fz_derivative stays importable: the benchmark's tracer patches it by this name
 from .quantum_stats import SpeciesParams, reduced_fz, reduced_fz_derivative, scales_at  # noqa: F401
-from .quantum_stats import Statistics, thermal_beta, zeta_pm
+from .quantum_stats import Statistics, thermal_beta, with_bohm_term, zeta_pm
 
 
 @dataclass(frozen=True)
@@ -319,25 +320,27 @@ def evolve_mode(
         raise ValueError("amplitude must be finite")
     k_abs = abs(k)
     degenerate = alpha is None
-    scales = scales_at(species, alpha)
-    check_wavenumber(k_abs, scales, bohm_term=bohm_term)
+    scales = with_bohm_term(scales_at(species, alpha), bohm_term)
+    check_wavenumber(k_abs, scales)
     v_ch = scales.v_ch
 
     if omega_guess is None:
         if degenerate:
             if species.charge != 0.0:
-                omega_guess = omega_degenerate_bohm_gross(k_abs, scales, bohm_term=bohm_term)
+                omega_guess = omega_degenerate_bohm_gross(k_abs, scales)
             else:
-                omega_guess = omega_zero_sound(k_abs, scales, bohm_term=bohm_term)
+                # zero sound hugs k v_F until the quantum term takes over
+                # near kappa = hbar k/(2 m v_F) ~ 0.9; past it C1 sets the mode
+                omega_guess = max(omega_zero_sound(k_abs, scales), omega_c1_corrected(k_abs, scales))
         else:
-            omega_guess = omega_weak_simple(k_abs, species, scales, bohm_term=bohm_term)
+            omega_guess = omega_weak_simple(k_abs, species, scales)
     if not 0 < omega_guess < math.inf:
         raise ValueError("omega_guess must be positive and finite")
 
     dt = config.dt * 2.0 * math.pi / omega_guess
     n_steps = int(round(config.t_end / config.dt))
     times = np.arange(n_steps + 1) * dt
-    c1 = coefficient_C1(k_abs, scales, bohm_term=bohm_term)
+    c1 = coefficient_C1(k_abs, scales)
     support = None
     if degenerate:
         # exact streaming of the sharp parabola
@@ -364,15 +367,17 @@ def evolve_mode(
     free[:len(g)] = amplitude * species.density * g
     kernel = -c1 * times[:len(g)] * g
 
-    density = _volterra(free, kernel, dt)
-    if _first_breach(density) is not None:
-        # the solve is causal: a shorter run is a prefix of this one that keeps
-        # the roundoff of a huge late tail out of the early samples
-        steps, breach = 16, None
-        while breach is None:
-            breach = _first_breach(_volterra(free[:steps + 1], kernel[:steps + 1], dt))
-            steps = min(2 * steps, n_steps)
-        raise NumericalBlowup(f"density grew past 1e6 times its start at sample {breach}")
+    # a growing trace may overflow to inf and NaN: _first_breach judges it
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = _volterra(free, kernel, dt)
+        if _first_breach(density) is not None:
+            # the solve is causal: a shorter run is a prefix of this one that keeps
+            # the roundoff of a huge late tail out of the early samples
+            steps, breach = 16, None
+            while breach is None:
+                breach = _first_breach(_volterra(free[:steps + 1], kernel[:steps + 1], dt))
+                steps = min(2 * steps, n_steps)
+            raise NumericalBlowup(f"density grew past 1e6 times its start at sample {breach}")
 
     run = OracleRun(k=k, omega_guess=omega_guess, times=times, density=density, support=support)
     if fit and density[0] != 0.0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -83,7 +83,10 @@ class DerivedScales:
 
     alpha == 1.0 together with v_th_sq == 0.0 marks the fully degenerate
     branch; for a thermal gas alpha is the solved fugacity in (0, 1).
-    Built by scales_at.
+    lambda_quantum = hbar^2/(4 m^2) weighs Bohm's quantum potential in C1(k)
+    and is the one switch for it: every function below the public entry
+    points reads it from here, and with_bohm_term returns the scales with it
+    0.0.  Built by scales_at.
     """
 
     omega_p: float
@@ -91,6 +94,12 @@ class DerivedScales:
     alpha: float
     v_th_sq: float
     lambda_quantum: float
+
+
+def with_bohm_term(scales: DerivedScales, bohm_term: bool) -> DerivedScales:
+    """The scales unchanged with the quantum-potential term on, or with
+    lambda_quantum = 0.0, the classical restoring force, with it off."""
+    return scales if bohm_term else replace(scales, lambda_quantum=0.0)
 
 
 def plasma_frequency(species: SpeciesParams) -> float:

@@ -58,7 +58,7 @@ from .dispersion_core import (
     residual_weak,
 )
 from .errors import NoConvergence, NonConvergent, QuadratureFailure, SeedFailure, SingularInput
-from .quantum_stats import SpeciesParams
+from .quantum_stats import SpeciesParams, with_bohm_term
 
 # forward-difference step along omega, relative to max(|Im z|, 0.1)
 _FD_STEP = 1e-7
@@ -169,14 +169,14 @@ def _newton(fun, z: complex, config: SolverConfig, reject):
     return z, norm, iterations, None
 
 
-# every closed form under one call shape (k, species, scales, bohm_term)
+# every closed form under one call shape (k, species, scales)
 _CLOSED_FORMS = {
-    BranchId.QuantumLangmuir: lambda k, sp, sc, bt: omega_quantum_langmuir(k, sc, bohm_term=bt),
-    BranchId.C1Corrected: lambda k, sp, sc, bt: omega_c1_corrected(k, sc, bohm_term=bt),
-    BranchId.DegenerateBohmGross: lambda k, sp, sc, bt: omega_degenerate_bohm_gross(k, sc, bohm_term=bt),
-    BranchId.ZeroSound: lambda k, sp, sc, bt: omega_zero_sound(k, sc, bohm_term=bt),
-    BranchId.WeakBiquadratic: lambda k, sp, sc, bt: omega_weak_biquadratic(k, sp, sc, bohm_term=bt),
-    BranchId.WeakSimple: lambda k, sp, sc, bt: omega_weak_simple(k, sp, sc, bohm_term=bt),
+    BranchId.QuantumLangmuir: lambda k, sp, sc: omega_quantum_langmuir(k, sc),
+    BranchId.C1Corrected: lambda k, sp, sc: omega_c1_corrected(k, sc),
+    BranchId.DegenerateBohmGross: lambda k, sp, sc: omega_degenerate_bohm_gross(k, sc),
+    BranchId.ZeroSound: lambda k, sp, sc: omega_zero_sound(k, sc),
+    BranchId.WeakBiquadratic: omega_weak_biquadratic,
+    BranchId.WeakSimple: omega_weak_simple,
 }
 
 
@@ -201,17 +201,18 @@ def solve_at_k(
     """One root at one wavenumber.  Closed-form branches evaluate their
     formula and report a back-substitution diagnostic; exact branches run
     damped Newton from the seed."""
-    check_wavenumber(k, scales, bohm_term=bohm_term)
+    scales = with_bohm_term(scales, bohm_term)
+    check_wavenumber(k, scales)
     check_branch_species(branch, species, scales)
 
     if branch in CLOSED_FORM_BRANCHES:
-        omega = _CLOSED_FORMS[branch](k, species, scales, bohm_term)
+        omega = _CLOSED_FORMS[branch](k, species, scales)
         rate = ComplexRate(eta=0.0, omega=omega)
         try:
             if branch in DEGENERATE_BRANCHES:
-                diag = abs(residual_degenerate(rate.r(k, scales.v_ch), 0.0, k, scales, bohm_term=bohm_term).real)
+                diag = abs(residual_degenerate(rate.r(k, scales.v_ch), 0.0, k, scales).real)
             else:
-                diag = abs(residual_weak(k, rate.s, species, scales.alpha, scales, bohm_term=bohm_term))
+                diag = abs(residual_weak(k, rate.s, species, scales.alpha, scales))
         except (SingularInput, NonConvergent):
             diag = math.inf
         return _result(k, branch, rate, scales, diag, converged=True)
@@ -222,20 +223,20 @@ def solve_at_k(
     if branch is BranchId.ExactDegenerate:
 
         def fun(z):
-            return residual_degenerate(r_ref / z.imag, z.real / z.imag, k, scales, bohm_term=bohm_term)
+            return residual_degenerate(r_ref / z.imag, z.real / z.imag, k, scales)
 
     elif branch is BranchId.ExactWeak:
 
         def fun(z):
             s = complex(z.real * omega_ref, z.imag * omega_ref)
-            return residual_weak(k, s, species, scales.alpha, scales, bohm_term=bohm_term)
+            return residual_weak(k, s, species, scales.alpha, scales)
 
     else:  # ExactQuadrature
         q_alpha = None if species.fully_degenerate else scales.alpha
 
         def fun(z):
             s = complex(z.real * omega_ref, z.imag * omega_ref)
-            return residual_quadrature(k, s, species, q_alpha, scales, bohm_term=bohm_term)
+            return residual_quadrature(k, s, species, q_alpha, scales)
 
     def reject(z):
         if z.imag <= 0.0:
@@ -254,17 +255,15 @@ def solve_at_k(
     return result
 
 
-def _matched_closed(
-    k: float, branch: BranchId, species: SpeciesParams, scales: DerivedScales, bohm_term: bool
-) -> float:
+def _matched_closed(k: float, branch: BranchId, species: SpeciesParams, scales: DerivedScales) -> float:
     """Closed-form frequency matching the branch's regime, used for seeding
     and for rescaling continuation guesses between k points."""
     degenerate = species.fully_degenerate
     if branch is BranchId.ExactDegenerate or (branch is BranchId.ExactQuadrature and degenerate):
         if species.charge != 0.0:
-            return omega_degenerate_bohm_gross(k, scales, bohm_term=bohm_term)
-        return omega_zero_sound(k, scales, bohm_term=bohm_term)
-    return omega_weak_biquadratic(k, species, scales, bohm_term=bohm_term)
+            return omega_degenerate_bohm_gross(k, scales)
+        return omega_zero_sound(k, scales)
+    return omega_weak_biquadratic(k, species, scales)
 
 
 def first_point_seeds(
@@ -277,12 +276,13 @@ def first_point_seeds(
 ) -> list[ComplexRate]:
     """Seed ladder for the first point of a sweep: the branch-matched closed
     form, then the dispersionless value, the expanded value, and 1.2x it."""
-    seeds: list[float] = [_matched_closed(k, branch, species, scales, bohm_term)]
+    scales = with_bohm_term(scales, bohm_term)
+    seeds: list[float] = [_matched_closed(k, branch, species, scales)]
     if species.fully_degenerate:
-        fallback = omega_degenerate_bohm_gross(k, scales, bohm_term=bohm_term)
+        fallback = omega_degenerate_bohm_gross(k, scales)
     else:
-        fallback = omega_weak_simple(k, species, scales, bohm_term=bohm_term)
-    seeds.append(omega_quantum_langmuir(k, scales, bohm_term=bohm_term))
+        fallback = omega_weak_simple(k, species, scales)
+    seeds.append(omega_quantum_langmuir(k, scales))
     seeds.append(fallback)
     seeds.append(1.2 * fallback)
     out = []
@@ -316,17 +316,17 @@ def sweep(
     if any(b >= a for a, b in zip(ks[1:], ks)):
         raise ValueError("k grid must be strictly increasing")
     check_branch_species(branch, species, scales)
+    scales = with_bohm_term(scales, bohm_term)
 
     if branch in CLOSED_FORM_BRANCHES:
-        return [solve_at_k(k, branch, species, scales, ComplexRate(0.0, 1.0), config, bohm_term=bohm_term)
-                for k in ks]
+        return [solve_at_k(k, branch, species, scales, ComplexRate(0.0, 1.0), config) for k in ks]
     if not ks:
         return []
-    check_wavenumber(ks[-1], scales, bohm_term=bohm_term)
+    check_wavenumber(ks[-1], scales)
 
-    for seed in first_point_seeds(ks[0], branch, species, scales, bohm_term=bohm_term):
+    for seed in first_point_seeds(ks[0], branch, species, scales):
         try:
-            first = solve_at_k(ks[0], branch, species, scales, seed, config, bohm_term=bohm_term)
+            first = solve_at_k(ks[0], branch, species, scales, seed, config)
             break
         except _SWEEP_POINT_ERRORS:
             continue
@@ -338,8 +338,7 @@ def sweep(
         # rescale the previous rate by the closed-form ratio between the
         # two k points; plain omega continuation pushes r = k v_ch/omega
         # across the r = 1 wall for branches that hug the resonance
-        ratio = (_matched_closed(k, branch, species, scales, bohm_term)
-                 / _matched_closed(k_prev, branch, species, scales, bohm_term))
+        ratio = _matched_closed(k, branch, species, scales) / _matched_closed(k_prev, branch, species, scales)
         seed = ComplexRate(eta=prev.eta * ratio, omega=prev.omega * ratio)
         # an undamped degenerate root has r < 1; a seed pushed across r = 1
         # starts beyond the jump of the residue term and cannot step back
@@ -348,7 +347,7 @@ def sweep(
         if species.fully_degenerate and prev.eta == 0.0 and r_prev < 1.0 <= seed.r(k, scales.v_ch):
             seed = ComplexRate(eta=0.0, omega=2.0 * k * scales.v_ch / (1.0 + r_prev))
         try:
-            res = solve_at_k(k, branch, species, scales, seed, config, bohm_term=bohm_term)
+            res = solve_at_k(k, branch, species, scales, seed, config)
         except _SWEEP_POINT_ERRORS as err:
             res = getattr(err, "result", None) or _result(k, branch, seed, scales, math.inf, False)
         results.append(res)
@@ -369,12 +368,13 @@ def dominant_root(
     at full degeneracy, ExactQuadrature for a thermal gas) from every seed in
     the ladder and return the distinct root with the largest eta (least
     damped).  Raises SeedFailure when nothing converges."""
-    check_wavenumber(k, scales, bohm_term=bohm_term)
+    scales = with_bohm_term(scales, bohm_term)
+    check_wavenumber(k, scales)
     branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactQuadrature
     roots: list[DispersionResult] = []
-    for seed in first_point_seeds(k, branch, species, scales, bohm_term=bohm_term):
+    for seed in first_point_seeds(k, branch, species, scales):
         try:
-            res = solve_at_k(k, branch, species, scales, seed, config, bohm_term=bohm_term)
+            res = solve_at_k(k, branch, species, scales, seed, config)
         except _SWEEP_POINT_ERRORS:
             continue
         if all(abs(res.rate.omega - other.rate.omega) > 1e-8 * res.rate.omega for other in roots):

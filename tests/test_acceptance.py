@@ -36,7 +36,7 @@ from disperse.dispersion_core import (
     residual_quadrature,
     residual_weak,
 )
-from disperse.quantum_stats import K_B, scaled_erfc, zeta_pm
+from disperse.quantum_stats import K_B, scaled_erfc, with_bohm_term, zeta_pm
 
 
 def rel(a, b):
@@ -77,21 +77,20 @@ def test_criterion_01_small_k_plasmon_limit(electron_degenerate,
     s9 = derive_scales(f9)
     k_deg = 1e-3 * dsc.omega_p / dsc.v_ch
     k_thm = 1e-3 * s9.omega_p / s9.v_ch
+    dsc_off, s9_off = with_bohm_term(dsc, False), with_bohm_term(s9, False)
 
     checks = [
-        ("QuantumLangmuir", omega_quantum_langmuir(k_deg, dsc, bohm_term=False), dsc),
-        ("C1Corrected", omega_c1_corrected(k_deg, dsc, bohm_term=False), dsc),
-        ("DegenerateBohmGross",
-         omega_degenerate_bohm_gross(k_deg, dsc, bohm_term=False), dsc),
+        ("QuantumLangmuir", omega_quantum_langmuir(k_deg, dsc_off), dsc),
+        ("C1Corrected", omega_c1_corrected(k_deg, dsc_off), dsc),
+        ("DegenerateBohmGross", omega_degenerate_bohm_gross(k_deg, dsc_off), dsc),
         ("ExactDegenerate",
          converged_root(k_deg, BranchId.ExactDegenerate, dsp, dsc, 1e-6,
                         bohm=False).rate.omega, dsc),
         ("ExactQuadrature/degenerate",
          converged_root(k_deg, BranchId.ExactQuadrature, dsp, dsc, 1e-8,
                         bohm=False).rate.omega, dsc),
-        ("WeakSimple", omega_weak_simple(k_thm, f9, s9, bohm_term=False), s9),
-        ("WeakBiquadratic",
-         omega_weak_biquadratic(k_thm, f9, s9, bohm_term=False), s9),
+        ("WeakSimple", omega_weak_simple(k_thm, f9, s9_off), s9),
+        ("WeakBiquadratic", omega_weak_biquadratic(k_thm, f9, s9_off), s9),
         ("ExactWeak",
          converged_root(k_thm, BranchId.ExactWeak, f9, s9, 1e-8,
                         bohm=False).rate.omega, s9),
@@ -113,8 +112,9 @@ def test_criterion_02_degenerate_bohm_gross_agreement(electron_degenerate,
                                                       electron_degenerate_scales):
     start = time.monotonic()
     sp, sc = electron_degenerate, electron_degenerate_scales
+    off = with_bohm_term(sc, False)
     for k in np.linspace(0.01, 0.2, 9) * R.K_REF:
-        closed = omega_degenerate_bohm_gross(float(k), sc, bohm_term=False)
+        closed = omega_degenerate_bohm_gross(float(k), off)
         literal = math.sqrt(sc.omega_p**2 + (0.6 * sc.v_ch**2) * float(k) ** 2)
         assert closed == literal  # the branch IS this formula
 
@@ -122,9 +122,7 @@ def test_criterion_02_degenerate_bohm_gross_agreement(electron_degenerate,
     results = sweep(ks, BranchId.ExactDegenerate, sp, sc,
                     SolverConfig(abs_tol=1e-8), bohm_term=False)
     assert all(res.converged for res in results)
-    worst = max(rel(res.rate.omega,
-                    omega_degenerate_bohm_gross(res.k, sc, bohm_term=False))
-                for res in results)
+    worst = max(rel(res.rate.omega, omega_degenerate_bohm_gross(res.k, off)) for res in results)
     assert worst < 0.01
     report(2, "degenerate Bohm-Gross agreement",
            f"50 points, worst rel {worst:.3e} < 1e-2",

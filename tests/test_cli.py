@@ -452,6 +452,15 @@ def test_compare_shipped_zero_sound_config_passes(tmp_path):
     assert len(rows) == 4 and all(float(row[2]) == 0.0 for row in rows)
 
 
+def test_compare_shipped_quantum_sound_config_passes(tmp_path):
+    # neutral T = 0 gas at kappa = 2-16, where the quantum term sets the mode:
+    # the oracle's default guess follows the C1 form and reads the undamped root
+    cfg = CONFIGS / "quantum_sound_compare.ini"
+    assert main(["compare", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"]) == 0
+    _, rows = read_rows(tmp_path / "compare.csv")
+    assert len(rows) == 4 and all(float(row[2]) == 0.0 and float(row[5]) <= 1e-9 for row in rows)
+
+
 def test_compare_shipped_small_k_config_passes(tmp_path):
     # Bose 0.2 at k v_th/Omega_p = 0.1-0.2: phase velocities up to 10 thermal
     # widths, past the oracle's velocity grid, still read to the solver

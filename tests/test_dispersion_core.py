@@ -38,7 +38,7 @@ from disperse.dispersion_core import (
     residual_weak,
 )
 from disperse.errors import NonConvergent, SingularInput
-from disperse.quantum_stats import DerivedScales, K_B, scaled_erfc, zeta_pm
+from disperse.quantum_stats import DerivedScales, K_B, scaled_erfc, with_bohm_term, zeta_pm
 
 
 def rel(a, b):
@@ -52,14 +52,14 @@ def rel(a, b):
 def test_coefficient_c1_frozen(electron_degenerate_scales):
     sc = electron_degenerate_scales
     assert rel(coefficient_C1(R.K_REF, sc), R.C1_AT_KREF) < 1e-14
-    quantum = coefficient_C1(R.K_REF, sc) - coefficient_C1(R.K_REF, sc, bohm_term=False)
+    quantum = coefficient_C1(R.K_REF, sc) - coefficient_C1(R.K_REF, with_bohm_term(sc, False))
     assert rel(quantum, R.QUANTUM_TERM_AT_KREF) < 1e-12
 
 
 def test_coefficient_c1_hook_off_is_plasma_term(electron_degenerate_scales):
     sc = electron_degenerate_scales
     for k in (1e7, R.K_REF, 5.0 * R.K_REF):
-        assert coefficient_C1(k, sc, bohm_term=False) == sc.omega_p**2
+        assert coefficient_C1(k, with_bohm_term(sc, False)) == sc.omega_p**2
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +550,7 @@ def test_quantum_langmuir_is_sqrt_c1(electron_degenerate_scales):
     sc = electron_degenerate_scales
     for k in (0.3 * R.K_REF, R.K_REF, 2.0 * R.K_REF):
         assert omega_quantum_langmuir(k, sc) == math.sqrt(coefficient_C1(k, sc))
-        assert omega_quantum_langmuir(k, sc, bohm_term=False) == sc.omega_p
+        assert omega_quantum_langmuir(k, with_bohm_term(sc, False)) == sc.omega_p
 
 
 def test_zero_sound_charged_small_k_limit(electron_degenerate_scales):
@@ -585,7 +585,7 @@ def test_zero_sound_neutral_back_substitution(neutral_degenerate_scales):
 
 def test_zero_sound_neutral_needs_restoring_force(neutral_degenerate_scales):
     with pytest.raises(ValueError, match="restoring"):
-        omega_zero_sound(1e9, neutral_degenerate_scales, bohm_term=False)
+        omega_zero_sound(1e9, with_bohm_term(neutral_degenerate_scales, False))
 
 
 def test_weak_biquadratic_solves_its_polynomial(weak_fermion, weak_fermion_scales):

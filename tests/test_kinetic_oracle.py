@@ -27,11 +27,12 @@ from disperse import (
     dominant_root,
     evolve_mode,
     first_point_seeds,
+    omega_zero_sound,
     solve_at_k,
 )
 from disperse import kinetic_oracle
 from disperse.cli import oracle_agrees
-from disperse.dispersion_core import coefficient_C1
+from disperse.dispersion_core import coefficient_C1, omega_c1_corrected
 from disperse.errors import DegeneracyOutOfRange
 from disperse.kinetic_oracle import OracleRun, fit_omega_eta
 from disperse.quantum_stats import (
@@ -888,6 +889,41 @@ def test_zero_sound_mode_is_undamped(neutral_degenerate, neutral_degenerate_scal
     run = evolve_mode(k, sp, None, OracleConfig(t_end=200.0), omega_guess=root.rate.omega)
     assert rel(run.omega_fit, root.rate.omega) <= 1e-8
     assert abs(run.eta_fit) <= 1e-8 * root.rate.omega
+
+
+@pytest.mark.parametrize("kappa", [0.6, 0.9, 0.95, 2.0, 60.0])
+def test_neutral_degenerate_default_guess_is_larger_form(kappa, neutral_degenerate,
+                                                        neutral_degenerate_scales):
+    # zero sound up to kappa = hbar k/(2 m v_F) ~ 0.9; past it the quantum
+    # term sets the mode, far above k v_F, and the C1 form is the larger
+    sp, sc = neutral_degenerate, neutral_degenerate_scales
+    k = kappa * sc.v_ch / math.sqrt(sc.lambda_quantum)
+    run = evolve_mode(k, sp, None, OracleConfig(t_end=20.0), fit=False)
+    form = omega_zero_sound if kappa <= 0.9 else omega_c1_corrected
+    assert run.omega_guess == form(k, sc) == max(omega_zero_sound(k, sc), omega_c1_corrected(k, sc))
+
+
+@pytest.mark.parametrize("kappa", [2.0, 4.0, 16.0, 35.0])
+def test_quantum_sound_mode_matches_root(kappa, neutral_degenerate, neutral_degenerate_scales):
+    # with a zero-sound guess these traces drew FitAmbiguous (kappa 2-16) or
+    # NumericalBlowup (35) at the default t_end
+    sp, sc = neutral_degenerate, neutral_degenerate_scales
+    k = kappa * sc.v_ch / math.sqrt(sc.lambda_quantum)
+    root = dominant_root(k, sp, sc)
+    run = evolve_mode(k, sp, None)
+    assert root.rate.eta == 0.0
+    assert rel(run.omega_fit, root.rate.omega) <= 1e-9
+    assert abs(run.eta_fit) <= 1e-10 * root.rate.omega
+
+
+def test_blowup_refused_without_numpy_warning(neutral_degenerate, neutral_degenerate_scales):
+    # a zero-sound guess at kappa 60 sets dt for a mode ~60 times slower than
+    # the true one: the trace overflows to inf and NaN, and the typed refusal
+    # must come out under the suite's error::RuntimeWarning filter
+    sp, sc = neutral_degenerate, neutral_degenerate_scales
+    k = 60.0 * sc.v_ch / math.sqrt(sc.lambda_quantum)
+    with pytest.raises(NumericalBlowup, match="grew past 1e6"):
+        evolve_mode(k, sp, None, omega_guess=omega_zero_sound(k, sc))
 
 
 @settings(max_examples=40, derandomize=True)

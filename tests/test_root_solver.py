@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import _refs as R
 from disperse import (
     BranchId,
+    OracleConfig,
     SolverConfig,
     SpeciesParams,
     Statistics,
@@ -21,9 +22,10 @@ from disperse import (
     solve_at_k,
     sweep,
 )
-from disperse import root_solver
-from disperse.dispersion_core import ComplexRate, residual_quadrature
+from disperse import kinetic_oracle, root_solver
+from disperse.dispersion_core import EXACT_BRANCHES, ComplexRate, residual_quadrature
 from disperse.errors import DisperseError, NoConvergence, SeedFailure, SingularInput
+from disperse.quantum_stats import HBAR, with_bohm_term
 from disperse.root_solver import check_branch_species
 
 
@@ -40,6 +42,11 @@ def converged_root(k, branch, species, scales, config=SolverConfig()):
         if res.converged:
             return res
     raise AssertionError(f"no converged root for {branch.name} at k = {k:.4e}")
+
+
+def same(a, b):
+    # repr round-trips every double, so equal reprs are equal bits
+    return repr(a) == repr(b)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +302,47 @@ def test_degenerate_seed_past_resonance_stays_off_growing_side(
         res = solve_at_k(k, branch, sp, sc, seed, bohm_term=False)
         assert res.converged and res.rate.eta == 0.0
         assert res.rate.r(k, sc.v_ch) < 1.0
+
+
+def test_bohm_switch_lives_in_the_scales(monkeypatch, electron_degenerate, electron_degenerate_scales,
+                                         weak_fermion, weak_fermion_scales):
+    # bohm_term=False on a public entry point is, to the bit, the default call
+    # on with_bohm_term's scales; derive_scales keeps lambda_quantum at
+    # hbar^2/(4 m^2), which benchmark inputs read as their kappa unit
+    scales_at = kinetic_oracle.scales_at
+    covered = set()
+    for sp, sc, k in [(electron_degenerate, electron_degenerate_scales, 0.5 * R.K_REF),
+                      (weak_fermion, weak_fermion_scales, 0.375 * R.OMEGA_P / math.sqrt(R.VTH2_FERMI_02))]:
+        off = with_bohm_term(sc, False)
+        assert sc.lambda_quantum == HBAR**2 / (4.0 * R.M_E**2) and off.lambda_quantum == 0.0
+        assert with_bohm_term(sc, True) is sc
+        for branch in BranchId:
+            try:
+                check_branch_species(branch, sp, sc)
+            except ValueError:
+                continue
+            covered.add(branch)
+            seed = ComplexRate(0.0, 1.0)  # closed forms take none
+            if branch in EXACT_BRANCHES:
+                seeds = first_point_seeds(k, branch, sp, sc, bohm_term=False)
+                assert same(seeds, first_point_seeds(k, branch, sp, off))
+                seed = seeds[0]
+            assert same(solve_at_k(k, branch, sp, sc, seed, bohm_term=False), solve_at_k(k, branch, sp, off, seed))
+            ks = k * np.array([0.8, 0.9, 1.0])
+            assert same(sweep(ks, branch, sp, sc, bohm_term=False), sweep(ks, branch, sp, off))
+        root = dominant_root(k, sp, sc, bohm_term=False)
+        assert same(root, dominant_root(k, sp, off))
+        assert root.rate.omega < dominant_root(k, sp, sc).rate.omega  # the switch bites
+
+        alpha = None if sp.fully_degenerate else sc.alpha
+        cfg = OracleConfig(t_end=20.0)
+        trace = evolve_mode(k, sp, alpha, cfg, bohm_term=False, fit=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(kinetic_oracle, "scales_at", lambda *args: with_bohm_term(scales_at(*args), False))
+            bare = evolve_mode(k, sp, alpha, cfg, fit=False)
+        assert trace.omega_guess == bare.omega_guess
+        assert trace.density.tobytes() == bare.density.tobytes()
+    assert covered == set(BranchId)
 
 
 # ---------------------------------------------------------------------------
