@@ -32,9 +32,11 @@ import numpy as np
 from .errors import NonConvergent, QuadratureFailure, SingularInput
 from .quantum_stats import (
     PLANCK_H,
+    _ASYM_COEFS,
     DerivedScales,
     SpeciesParams,
     Statistics,
+    _asymptotic_order,
     scaled_erfc,
     thermal_beta,
 )
@@ -149,13 +151,16 @@ def residual_degenerate(r: float, epsilon: float, k: float, scales: DerivedScale
 # residual_weak series: tail tolerance, which sizes the block, and term budget
 _WEAK_TOL = 1e-14
 _WEAK_MAX_TERMS = 10_000
+# the tail table's orders n = 1 .. the most _asymptotic_order returns
+_TAIL_ORDERS = np.arange(1, _ASYM_COEFS.size)
 
 
-@functools.lru_cache(maxsize=64)
-def _weak_block(alpha: float, fermi: bool) -> tuple[np.ndarray, np.ndarray]:
-    # sqrt(j) and the signed coefficients (-+1)^(j-1) alpha^j / sqrt(j),
-    # j = 1 .. J.  |G(z) - 1| <= 1 on Re z >= 0, so the occupation sums' tail
-    # bound on the coefficients sizes J for every rate.
+@functools.lru_cache(maxsize=16)
+def _weak_block(alpha: float, fermi: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # sqrt(j), the signed c_j = (-+1)^(j-1) alpha^j / sqrt(j), j = 1 .. J, and
+    # the tail table T[j0, n - 1] = A_n sum_{j > j0} c_j j^-n, since for |z| > 6
+    # G(sqrt(j) z) - 1 = sum_n A_n (2 z^2)^-n j^-n.  |G(z) - 1| <= 1 on
+    # Re z >= 0, so the occupation sums' tail bound sizes J for every rate.
     slack = 1.0 if fermi else 1.0 / (1.0 - alpha)
     n_terms = max(int(math.log(_WEAK_TOL / slack) / math.log(alpha)) + 2, 8)
     if n_terms > _WEAK_MAX_TERMS:
@@ -165,8 +170,11 @@ def _weak_block(alpha: float, fermi: bool) -> tuple[np.ndarray, np.ndarray]:
     coef = np.power(alpha, j) / sqrt_j
     if fermi:
         coef = coef * np.where(j % 2.0 == 1.0, 1.0, -1.0)
-    sqrt_j.flags.writeable = coef.flags.writeable = False
-    return sqrt_j, coef
+    # suffix sums, smallest terms first, over an empty row j0 = J
+    terms = np.append(coef[:, None] / j[:, None] ** _TAIL_ORDERS, np.zeros((1, _TAIL_ORDERS.size)), axis=0)
+    tail = np.cumsum(terms[::-1], axis=0)[::-1] * _ASYM_COEFS[_TAIL_ORDERS]
+    sqrt_j.flags.writeable = coef.flags.writeable = tail.flags.writeable = False
+    return sqrt_j, coef, tail
 
 
 def residual_weak(k: float, s: complex, species: SpeciesParams, alpha: float, scales: DerivedScales) -> complex:
@@ -179,8 +187,11 @@ def residual_weak(k: float, s: complex, species: SpeciesParams, alpha: float, sc
     e^(z^2), and the reflection parts sum, continued where they diverge, to
     the pole term, which stands in for them.  The pole term also enters
     unconditionally, matching the analytic form this implements; see
-    residual_quadrature for the contour-tracking variant.  NonConvergent
-    comes only from the term budget (fugacity about 0.997 and up).
+    residual_quadrature for the contour-tracking variant.  Terms with
+    sqrt(j) |theta| <= 6 go through scaled_erfc; the rest take G - 1 from
+    its asymptotic series, whose sums over j the gas's tail table holds.
+    NonConvergent comes only from the term budget (fugacity about 0.997 and
+    up).
     """
     if not k > 0:
         raise ValueError("k must be positive")
@@ -188,7 +199,7 @@ def residual_weak(k: float, s: complex, species: SpeciesParams, alpha: float, sc
     s = complex(s)
     theta = math.sqrt(beta) * s / k
     fermi = species.statistics is Statistics.FERMI
-    sqrt_j, coef = _weak_block(alpha, fermi)
+    sqrt_j, coef, tail = _weak_block(alpha, fermi)
 
     # pole of the occupation denominator at w = i s / k
     x = theta * theta
@@ -203,8 +214,16 @@ def residual_weak(k: float, s: complex, species: SpeciesParams, alpha: float, sc
         pole = 2.0 * _SQRT_PI * theta * t / den
 
     reflect = theta.real < 0.0
-    g = scaled_erfc(sqrt_j * (-theta if reflect else theta))
-    total = complex(np.sum(coef * (g - 1.0))) + (pole if reflect else 0.0)
+    z = -theta if reflect else theta
+    r2 = z.real * z.real + z.imag * z.imag
+    # the head, sqrt(j) |z| <= 6, takes scaled_erfc's rational fit
+    head = coef.size if coef.size * r2 <= 36.0 else int(36.0 / r2)
+    total = pole if reflect else 0.0
+    if head:
+        total += complex(np.dot(coef[:head], scaled_erfc(sqrt_j[:head] * z) - 1.0))
+    if head < coef.size:
+        order = _asymptotic_order((head + 1) * r2)
+        total += complex(np.dot(tail[head, :order], (0.5 / (z * z)) ** _TAIL_ORDERS[:order]))
 
     c1 = coefficient_C1(k, scales)
     norm = (2.0 / 3.0) * scales.v_ch**3
@@ -216,10 +235,11 @@ def residual_weak(k: float, s: complex, species: SpeciesParams, alpha: float, sc
 # direct quadrature of the velocity-space response
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre sizes per panel.  The subtracted integrand is analytic on
-# [-1, 1], so the error falls geometrically and squares at each doubling:
-# two sizes that agree to _GL_TOL leave the larger one good to ~_GL_TOL^2.
-_GL_SIZES = (64, 128, 256, 512)
+# Gauss-Legendre sizes per panel, by evaluation pass.  The subtracted
+# integrand is analytic on [-1, 1], so the error falls geometrically and
+# squares at each doubling: two sizes that agree to _GL_TOL leave the larger
+# one good to ~_GL_TOL^2.  The first two almost always agree: one pass.
+_GL_PASSES = ((64, 128), (256,), (512,))
 _GL_TOL = 1e-7
 
 
@@ -264,16 +284,18 @@ def _occupation_slope_at(p: complex, s_beta_w2: float, inv_alpha: float, fermi: 
 
 @functools.lru_cache(maxsize=64)
 def _panel_nodes(
-    n: int, cuts: tuple[float, ...], c_g: float, s_beta_w2: float, inv_alpha: float, fermi: bool
+    cuts: tuple[float, ...], c_g: float, s_beta_w2: float, inv_alpha: float, fermi: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # the n-point rule on every panel between cuts: nodes, weights and the
-    # scaled occupation slope at the nodes, none of which depends on the rate
+    # every rule size on every panel between cuts, one contiguous stretch per
+    # size in _GL_PASSES order: nodes, weights and the scaled occupation
+    # slope at the nodes, none of which depends on the rate
     edges = np.array(cuts)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    x, w = _legendre_rule(n)
-    u = mid + half * x
-    out = (u, half * w, c_g * _occupation_slope(u, s_beta_w2, inv_alpha, fermi))
+    rules = [_legendre_rule(n) for sizes in _GL_PASSES for n in sizes]
+    u = np.concatenate([(mid + half * x).ravel() for x, _ in rules])
+    weights = np.concatenate([(half * w).ravel() for _, w in rules])
+    out = (u, weights, c_g * _occupation_slope(u, s_beta_w2, inv_alpha, fermi))
     for a in out:
         a.flags.writeable = False
     return out
@@ -281,23 +303,29 @@ def _panel_nodes(
 
 def _gauss_legendre(p_hat: complex, g_at_p: complex, gas: tuple) -> complex:
     # integral of (g(u) - g(p))/(u - p) over [cuts[0], cuts[-1]], gas being
-    # _panel_nodes' arguments after n; every panel goes through one
-    # vectorised evaluation per rule size
+    # _panel_nodes' arguments; each pass is one vectorised evaluation over
+    # its sizes, then each size is summed over its own stretch
+    u, weights, g = _panel_nodes(*gas)
+    panels = len(gas[0]) - 1
+    start = 0
     previous = None
-    for n in _GL_SIZES:
-        u, weights, g = _panel_nodes(n, *gas)
-        d = u - p_hat
+    for sizes in _GL_PASSES:
+        stop = start + panels * sum(sizes)
+        d = u[start:stop] - p_hat
         # a node can only collide with a real pole; the subtracted numerator
         # vanishes there too, so 0 is the removable-limit value
-        weighted = weights * np.divide(g - g_at_p, d, out=np.zeros_like(d), where=d != 0)
-        estimate = complex(weighted.sum())
-        if previous is not None:
-            # relative to the integral of |integrand|, which cancellation
-            # cannot zero
-            gap = abs(estimate - previous)
-            if gap <= _GL_TOL * float(np.abs(weighted).sum()):
-                return estimate
-        previous = estimate
+        quotient = weights[start:stop] * np.divide(g[start:stop] - g_at_p, d, out=np.zeros_like(d), where=d != 0)
+        start = stop
+        for n in sizes:
+            weighted, quotient = quotient[: panels * n], quotient[panels * n :]
+            estimate = complex(weighted.sum())
+            if previous is not None:
+                # relative to the integral of |integrand|, which cancellation
+                # cannot zero
+                gap = abs(estimate - previous)
+                if gap <= _GL_TOL * float(np.abs(weighted).sum()):
+                    return estimate
+            previous = estimate
     raise QuadratureFailure(f"Gauss-Legendre rules of 256 and 512 nodes per panel differ by {gap:.3e}")
 
 

@@ -258,8 +258,7 @@ def solve_at_k(
 def _matched_closed(k: float, branch: BranchId, species: SpeciesParams, scales: DerivedScales) -> float:
     """Closed-form frequency matching the branch's regime, used for seeding
     and for rescaling continuation guesses between k points."""
-    degenerate = species.fully_degenerate
-    if branch is BranchId.ExactDegenerate or (branch is BranchId.ExactQuadrature and degenerate):
+    if branch in DEGENERATE_BRANCHES or (branch is BranchId.ExactQuadrature and species.fully_degenerate):
         if species.charge != 0.0:
             return omega_degenerate_bohm_gross(k, scales)
         return omega_zero_sound(k, scales)
@@ -275,7 +274,9 @@ def first_point_seeds(
     bohm_term: bool = True,
 ) -> list[ComplexRate]:
     """Seed ladder for the first point of a sweep: the branch-matched closed
-    form, then the dispersionless value, the expanded value, and 1.2x it."""
+    form, then the dispersionless value, the expanded value, and 1.2x it.
+    ValueError when the branch cannot apply to the species."""
+    check_branch_species(branch, species, scales)
     scales = with_bohm_term(scales, bohm_term)
     seeds: list[float] = [_matched_closed(k, branch, species, scales)]
     if species.fully_degenerate:

@@ -26,7 +26,7 @@ from disperse import (
     omega_quantum_langmuir,
     omega_zero_sound,
 )
-from disperse import dispersion_core
+from disperse import dispersion_core, quantum_stats
 from disperse.dispersion_core import (
     ComplexRate,
     coefficient_C1,
@@ -37,7 +37,7 @@ from disperse.dispersion_core import (
     residual_quadrature,
     residual_weak,
 )
-from disperse.errors import NonConvergent, SingularInput
+from disperse.errors import NonConvergent, QuadratureFailure, SingularInput
 from disperse.quantum_stats import DerivedScales, K_B, scaled_erfc, with_bohm_term, zeta_pm
 
 
@@ -273,7 +273,7 @@ def _gauss_legendre_uncached(p_hat, g_at_p, gas):
     mid = 0.5 * (cuts[1:] + cuts[:-1])[:, None]
     half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
     previous = None
-    for n in dispersion_core._GL_SIZES:
+    for n in (n for sizes in dispersion_core._GL_PASSES for n in sizes):
         x, w = dispersion_core._legendre_rule(n)
         u = mid + half * x
         d = u - p_hat
@@ -290,7 +290,8 @@ def _gauss_legendre_uncached(p_hat, g_at_p, gas):
     (R.T_FERMI_02, Statistics.FERMI), (R.T_BOSE_02, Statistics.BOSE), (R.T_BOSE_09, Statistics.BOSE),
     (R.T_CLASSICAL, Statistics.FERMI), (R.T_BOSE_0999, Statistics.BOSE)])
 def test_quadrature_matches_uncached_rule_bitwise(monkeypatch, temperature, statistics):
-    # on and off the real-s axis, damped and growing
+    # on and off the real-s axis, damped and growing; the Bose gases cut
+    # [-1, 1] into three panels at their occupation poles
     sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
                        temperature=temperature, statistics=statistics)
     sc = derive_scales(sp)
@@ -298,9 +299,17 @@ def test_quadrature_matches_uncached_rule_bitwise(monkeypatch, temperature, stat
     points = [(float(rng.uniform(0.1, 0.6)) * sc.omega_p / math.sqrt(sc.v_th_sq),
                complex(float(rng.choice([0.0, rng.uniform(-0.3, 0.05)])), float(rng.uniform(0.8, 1.6)))
                * sc.omega_p) for _ in range(40)]
+    assert any(s.real == 0.0 for _, s in points)
     got = [residual_quadrature(k, s, sp, sc.alpha, sc) for k, s in points]
-    monkeypatch.setattr(dispersion_core, "_gauss_legendre", _gauss_legendre_uncached)
+    panels = set()
+
+    def uncached(p_hat, g_at_p, gas):
+        panels.add(len(gas[0]) - 1)
+        return _gauss_legendre_uncached(p_hat, g_at_p, gas)
+
+    monkeypatch.setattr(dispersion_core, "_gauss_legendre", uncached)
     assert got == [residual_quadrature(k, s, sp, sc.alpha, sc) for k, s in points]
+    assert panels == ({1} if statistics is Statistics.FERMI else {3})
 
 
 @pytest.mark.filterwarnings("error")
@@ -308,14 +317,35 @@ def test_quadrature_matches_uncached_rule_bitwise(monkeypatch, temperature, stat
 def test_quadrature_rate_on_a_node_takes_the_removable_limit(fermi):
     # a real phase velocity exactly on a node of the first rule: that node's
     # quotient is 0/0, must not be evaluated, and counts as 0, as in the
-    # uncached rule
+    # uncached rule.  The first rule's nodes lead the cached layout.
     gas = ((-1.0, 1.0), 1.0, 64.0, 5.0, fermi)
-    u = dispersion_core._panel_nodes(dispersion_core._GL_SIZES[0], *gas)[0]
-    p_hat = complex(u[0, np.argmin(abs(u[0] - 0.2))])
+    u = dispersion_core._panel_nodes(*gas)[0][: dispersion_core._GL_PASSES[0][0]]
+    p_hat = complex(u[np.argmin(abs(u - 0.2))])
     g_at_p = dispersion_core._occupation_slope_at(p_hat, *gas[2:])
     got = dispersion_core._gauss_legendre(p_hat, g_at_p, gas)
     assert cmath.isfinite(got)
     assert got == _gauss_legendre_uncached(p_hat, g_at_p, gas)
+
+
+@pytest.mark.parametrize("pole, cut", [(0.1, False), (0.03, False), (1e-3, True), (1e-4, True), (0.01, False)],
+                         ids=["uncut-256", "uncut-512", "cut-256", "cut-512", "uncut-fails"])
+def test_quadrature_larger_rules_match_uncached_bitwise(pole, cut):
+    # Bose occupation poles at u = +-i pole, close enough to [-1, 1] (or to
+    # the cuts at +-pole) that the 64- and 128-node rules disagree: the 256-
+    # or 512-node rule settles it, bit for bit as in the uncached rule, or
+    # no rule does and both refuse
+    cuts = (-1.0, -pole, pole, 1.0) if cut else (-1.0, 1.0)
+    gas = (cuts, 1.0, 64.0, math.exp(64.0 * pole * pole), False)
+    p_hat = complex(0.3, -0.05)
+    g_at_p = dispersion_core._occupation_slope_at(p_hat, *gas[2:])
+    try:
+        want = _gauss_legendre_uncached(p_hat, g_at_p, gas)
+    except AssertionError:
+        with pytest.raises(QuadratureFailure, match="256 and 512"):
+            dispersion_core._gauss_legendre(p_hat, g_at_p, gas)
+        assert pole == 0.01
+    else:
+        assert dispersion_core._gauss_legendre(p_hat, g_at_p, gas) == want
 
 
 def _clear_residual_caches():
@@ -499,12 +529,13 @@ def test_quadrature_overflow_guard_counts_the_fugacity(weak_boson, weak_boson_sc
 def test_weak_series_stays_on_the_right_half_plane(monkeypatch, weak_fermion, weak_fermion_scales):
     # s = (-3 + i) omega_p at k v_th / omega_p = 0.4: alpha exp(Re theta^2)
     # far above 1, where the reflection terms of G summed one by one
-    # overflow.  One scaled_erfc call takes the whole series, every argument
-    # on Re z >= 0, and the residual is finite.  Near fugacity 1 the term
-    # budget refuses before any call.
+    # overflow.  |theta| > 6 there, so the tail table takes every term and
+    # scaled_erfc is not called; at s = (-0.3 + i) omega_p one call takes
+    # the head, every argument on Re z >= 0 and |z| <= 6.  The residual is
+    # finite at both.  Near fugacity 1 the term budget refuses before any
+    # call.
     sp, sc = weak_fermion, weak_fermion_scales
     k = 0.4 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    s = complex(-3.0, 1.0) * sc.omega_p
     calls = []
 
     def counted(z):
@@ -512,11 +543,93 @@ def test_weak_series_stays_on_the_right_half_plane(monkeypatch, weak_fermion, we
         return scaled_erfc(z)
 
     monkeypatch.setattr(dispersion_core, "scaled_erfc", counted)
-    assert cmath.isfinite(residual_weak(k, s, sp, sc.alpha, sc))
-    assert len(calls) == 1 and np.all(calls[0].real >= 0.0)
+    assert cmath.isfinite(residual_weak(k, complex(-3.0, 1.0) * sc.omega_p, sp, sc.alpha, sc))
+    assert calls == []
+    assert cmath.isfinite(residual_weak(k, complex(-0.3, 1.0) * sc.omega_p, sp, sc.alpha, sc))
+    assert len(calls) == 1 and calls[0].size > 0
+    assert np.all(calls[0].real >= 0.0) and np.all(np.abs(calls[0]) <= 6.0)
     with pytest.raises(NonConvergent, match="terms"):
-        residual_weak(k, s, sp, 0.998, sc)
+        residual_weak(k, complex(-0.3, 1.0) * sc.omega_p, sp, 0.998, sc)
     assert len(calls) == 1
+
+
+def _weak_series_mpmath(k, s, species, alpha):
+    """residual_weak's response sum in 40-digit arithmetic from the same
+    doubles: the J terms of its block, c_j (G(sqrt(j) theta) - 1) with G
+    from mpmath's erfc, on -theta where Re theta < 0, plus the occupation
+    pole term, twice there.  Returns (the number of terms with
+    sqrt(j) |theta| <= 6, the sum rounded once); R.WEAK_SERIES_SUMS holds
+    its values."""
+    mp = pytest.importorskip("mpmath")
+    fermi = species.statistics is Statistics.FERMI
+    n_terms = dispersion_core._weak_block(alpha, fermi)[1].size
+    beta = species.mass / (2.0 * K_B * species.temperature)
+    theta = math.sqrt(beta) * s / k
+    with mp.workdps(40):
+        th = mp.mpc(theta)
+        z0 = -th if theta.real < 0.0 else th
+        t = alpha * mp.exp(th * th)
+        pole = 2 * mp.sqrt(mp.pi) * th * t / (1 + t if fermi else 1 - t)
+        total = pole * (2 if theta.real < 0.0 else 1)
+        head = 0
+        for j in range(1, n_terms + 1):
+            z = mp.sqrt(j) * z0
+            head += abs(z) <= 6
+            c = (-1 if fermi and j % 2 == 0 else 1) * mp.mpf(alpha) ** j / mp.sqrt(j)
+            total += c * (mp.sqrt(mp.pi) * z * mp.exp(z * z) * mp.erfc(z) - 1)
+        return head, complex(total)
+
+
+def test_weak_series_sums_come_from_the_mpmath_reference(classical_electron, classical_electron_scales):
+    # the classical gas's block has 8 terms, cheap enough to redo in 40 digits
+    sp, sc = classical_electron, classical_electron_scales
+    for k, s, head, want in R.WEAK_SERIES_SUMS[R.T_CLASSICAL, "FERMI"]:
+        got_head, got = _weak_series_mpmath(k, s, sp, sc.alpha)
+        assert got_head == head and abs(got - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("temperature, statistics", list(R.WEAK_SERIES_SUMS))
+def test_weak_series_matches_40_digit_sum(monkeypatch, temperature, statistics):
+    # heads of 0, 1, about J/2 and J terms: the tail table alone, then one
+    # term, half the terms and every term through scaled_erfc's rational
+    # fit.  Within 1e-14 of the response, plus 1e-15 per unit of head
+    # coefficient: the fit itself is good to ~5e-16 absolute up to |z| = 6,
+    # up to ~1.3e-14 of the response when the one head term has |z| ~ 5.
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=Statistics[statistics])
+    sc = derive_scales(sp)
+    coef = dispersion_core._weak_block(sc.alpha, statistics == "FERMI")[1]
+    heads = []
+
+    def counted(z):
+        heads.append(z.size)
+        return scaled_erfc(z)
+
+    monkeypatch.setattr(dispersion_core, "scaled_erfc", counted)
+    for k, s, head, want in R.WEAK_SERIES_SUMS[temperature, statistics]:
+        heads.clear()
+        _, _, factor = _weak_parts(k, s, sp, sc.alpha, sc)
+        got = (1.0 - residual_weak(k, s, sp, sc.alpha, sc)) / factor
+        assert heads == ([head] if head else [])
+        assert abs(got - want) <= 1e-14 * abs(want) + 1e-15 * float(np.abs(coef[:head]).sum())
+    covered = {head for _, _, head, _ in R.WEAK_SERIES_SUMS[temperature, statistics]}
+    assert {0, 1, coef.size} < covered
+
+
+def test_weak_block_entry_stays_bounded():
+    # the worst case sits just inside the term budget: a Bose gas at
+    # fugacity 0.9962 takes 9,932 terms.  Its entry holds sqrt(j), c_j and
+    # the tail table, one row per head and one column per asymptotic order
+    # _asymptotic_order can return, about 3.3 MB; the cache keeps 16.
+    sqrt_j, coef, tail = dispersion_core._weak_block(0.9962, False)
+    n_terms = coef.size
+    assert n_terms == 9932
+    assert tail.shape == (n_terms + 1, 39) == (n_terms + 1, quantum_stats._ASYM_COEFS.size - 1)
+    entry = sqrt_j.nbytes + coef.nbytes + tail.nbytes
+    assert entry == 8 * (2 * n_terms + 39 * (n_terms + 1)) < 3.3e6
+    assert dispersion_core._weak_block.cache_info().maxsize * entry < 53e6
+    with pytest.raises(NonConvergent, match="terms"):
+        dispersion_core._weak_block(0.9963, False)
 
 
 # ---------------------------------------------------------------------------

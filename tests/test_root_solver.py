@@ -23,7 +23,13 @@ from disperse import (
     sweep,
 )
 from disperse import kinetic_oracle, root_solver
-from disperse.dispersion_core import EXACT_BRANCHES, ComplexRate, residual_quadrature
+from disperse.dispersion_core import (
+    EXACT_BRANCHES,
+    ComplexRate,
+    omega_degenerate_bohm_gross,
+    omega_weak_biquadratic,
+    residual_quadrature,
+)
 from disperse.errors import DisperseError, NoConvergence, SeedFailure, SingularInput
 from disperse.quantum_stats import HBAR, with_bohm_term
 from disperse.root_solver import check_branch_species
@@ -359,6 +365,24 @@ def test_seed_ladder_is_deduplicated_and_undamped(
     assert len(set(omegas)) == len(omegas)
     assert all(s.eta == 0.0 for s in seeds)
     assert all(s.omega > 0.0 for s in seeds)
+
+
+@pytest.mark.parametrize("branch", list(BranchId))
+def test_seed_ladder_refuses_a_wrong_gas_by_the_branch_name(branch, electron_degenerate, electron_degenerate_scales,
+                                                            weak_fermion, weak_fermion_scales):
+    # every branch on a T = 0 gas and on a thermal one: a branch that cannot
+    # apply is refused with its own name, and one that can is seeded first
+    # from the closed form of its gas's regime
+    for sp, sc, k in [(electron_degenerate, electron_degenerate_scales, 0.5 * R.K_REF),
+                      (weak_fermion, weak_fermion_scales, 0.375 * R.OMEGA_P / math.sqrt(R.VTH2_FERMI_02))]:
+        try:
+            check_branch_species(branch, sp, sc)
+        except ValueError:
+            with pytest.raises(ValueError, match=f"^{branch.name} requires"):
+                first_point_seeds(k, branch, sp, sc)
+            continue
+        want = omega_degenerate_bohm_gross(k, sc) if sp.fully_degenerate else omega_weak_biquadratic(k, sp, sc)
+        assert first_point_seeds(k, branch, sp, sc)[0] == ComplexRate(eta=0.0, omega=want)
 
 
 def test_seed_failure_when_iteration_budget_is_tiny(weak_fermion, weak_fermion_scales):
