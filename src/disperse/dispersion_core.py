@@ -14,9 +14,11 @@ Landau damping rate.  Three residual evaluations are provided:
   degeneracy).  Shares no special functions with the other two, so it
   serves as the independent cross-check path.
 
-All three return one complex value, holomorphic in s away from their branch
-cuts, oriented as 1 - (normalized response).  The weak and quadrature
-values differ by the pole term alone; tests pin that relation.
+All three return the pair (f, df/ds): the value, holomorphic in s away
+from their branch cuts and oriented as 1 - (normalized response), and its
+complex derivative in closed form, which Newton takes as its slope.  The
+weak and quadrature values differ by the pole term alone; tests pin that
+relation.
 """
 
 from __future__ import annotations
@@ -119,16 +121,53 @@ def check_wavenumber(k: float, scales: DerivedScales) -> None:
         raise ValueError(f"k = {k:.6g} is too large: k^4 or the squared frequency scale overflows a double")
 
 
-def residual_degenerate(r: float, epsilon: float, k: float, scales: DerivedScales) -> complex:
+# |p| from which both degenerate residuals take the integral from its series
+# (r below about 0.1).  There the series needs at most ~9 terms; below it the
+# closed forms lose at most |p|^2 ~ 100 ulps to cancellation.
+_FAR_POLE = 10.0
+
+
+def _far_pole_series(p_hat: complex) -> tuple[complex, complex]:
+    # integral of -(3/2) u/(u - p) over [-1, 1] for |p| >= _FAR_POLE, and its
+    # p-derivative: expand 1/(u - p) in u/p, odd terms drop, and
+    #   integral = 3 q^2 sum_n q^(2n)/(2n + 3),  q = 1/p.
+    # The closed forms cancel two O(1) pieces down to O(1/p^2) out here; the
+    # series does not.  Same principal branch, since the pole stays off the
+    # segment.
+    q = 1.0 / p_hat
+    q2 = q**2
+    term = q2
+    integral = 0.0 + 0.0j
+    slope = 0.0 + 0.0j  # sum_n (2n + 2) contrib_n = q d(integral)/dq
+    for n in range(0, 200):
+        contrib = 3.0 * term / (2 * n + 3)
+        integral += contrib
+        slope += (2 * n + 2) * contrib
+        if abs(contrib) < 1e-18 * abs(integral):
+            break
+        term *= q2
+    return integral, -q * slope  # dq/dp = -q^2
+
+
+def _log_ratio_slope(p_hat: complex) -> complex:
+    # d/dp log((1 - p)/(-1 - p))
+    return -2.0 / ((1.0 - p_hat) * (1.0 + p_hat))
+
+
+def residual_degenerate(r: float, epsilon: float, k: float, scales: DerivedScales) -> tuple[complex, complex]:
     """Fully degenerate residual in the scaled variables r = k v_F/omega and
-    epsilon = eta/omega.
+    epsilon = eta/omega, and its derivative in s.
 
     The printed form splits into a real part and an imaginary part with the
     common prefactor pref = 3 C1 / (k^2 v_F^2 r) divided out; the value
     returned is real_part - i pref imag_part, holomorphic in s.  Its
     imaginary part is identically zero for epsilon = 0 inside r^2 < 1 (all
     three terms of imag_part vanish there), which is why the undamped branch
-    can be followed with epsilon pinned at exactly 0.0.
+    can be followed with epsilon pinned at exactly 0.0.  The value is
+    1 - (C1/(k^2 v_F^2)) I(p) with p = (-1 + i epsilon)/r and
+    I = -3 - (3/2) p log((1 - p)/(-1 - p)) - 3 pi i p step, the pole p
+    scaled by v_F, as residual_quadrature integrates it; for |p| >= 10,
+    where -lg/4 - r cancels to ~r^3/3, I comes from the same 1/p series.
     """
     if not r > 0:
         raise ValueError("r must be positive")
@@ -136,23 +175,35 @@ def residual_degenerate(r: float, epsilon: float, k: float, scales: DerivedScale
         raise SingularInput("phase velocity exactly at the edge velocity with no damping")
     c1 = coefficient_C1(k, scales)
     v_f = scales.v_ch
+    scale = c1 / (k * k * v_f * v_f)
+    p_hat = complex(-1.0, epsilon) / r
+    step = 1.0 if r * r + epsilon * epsilon >= 1.0 else 0.0
+    if abs(p_hat) >= _FAR_POLE:
+        integral, slope = _far_pole_series(p_hat)
+        if step:
+            integral -= 3.0j * math.pi * p_hat
+            slope -= 3.0j * math.pi
+        return 1.0 - scale * integral, -scale * slope * (1j / (k * v_f))
     # two-argument arctangent of (2 r eps) over (1 + eps^2 - r^2): continuous
     # across the branch switch of arctan at r^2 + eps^2 = 1, and equal to the
     # principal log form used by the quadrature path
     big_a = math.atan2(2.0 * r * epsilon, 1.0 + epsilon * epsilon - r * r)
     lg = math.log(((1.0 - r) ** 2 + epsilon * epsilon) / ((1.0 + r) ** 2 + epsilon * epsilon))
-    step = 1.0 if r * r + epsilon * epsilon >= 1.0 else 0.0
     pref = 3.0 * c1 / (k * k * v_f * v_f * r)
     real_part = 1.0 - pref * (0.5 * epsilon * big_a - 0.25 * lg - r + math.pi * epsilon * step)
     imag_part = 0.5 * big_a + 0.25 * epsilon * lg + math.pi * step
-    return complex(real_part, -pref * imag_part)
+    # dI/dp = -(3/2) log + 3 p/(1 - p^2) - 3 pi i step, the log being -lg/2 + i A
+    slope = -1.5 * complex(-0.5 * lg, big_a) - 1.5 * p_hat * _log_ratio_slope(p_hat) - 3.0j * math.pi * step
+    return complex(real_part, -pref * imag_part), -scale * slope * (1j / (k * v_f))
 
 
 # residual_weak series: tail tolerance, which sizes the block, and term budget
 _WEAK_TOL = 1e-14
 _WEAK_MAX_TERMS = 10_000
-# the tail table's orders n = 1 .. the most _asymptotic_order returns
+# the tail table's orders n = 1 .. the most _asymptotic_order returns, and
+# the weights -2n that turn a row's sum into z times its z-derivative
 _TAIL_ORDERS = np.arange(1, _ASYM_COEFS.size)
+_TAIL_SLOPES = -2.0 * _TAIL_ORDERS
 
 
 @functools.lru_cache(maxsize=16)
@@ -177,10 +228,13 @@ def _weak_block(alpha: float, fermi: bool) -> tuple[np.ndarray, np.ndarray, np.n
     return sqrt_j, coef, tail
 
 
-def residual_weak(k: float, s: complex, species: SpeciesParams, alpha: float, scales: DerivedScales) -> complex:
+def residual_weak(
+    k: float, s: complex, species: SpeciesParams, alpha: float, scales: DerivedScales
+) -> tuple[complex, complex]:
     """Thermal-gas residual as a fugacity series over scaled complementary
     error functions, plus the occupation-pole term, normalized by the
-    density moment (2/3) v_ch^3.  Returns 1 - (response)/(normalization).
+    density moment (2/3) v_ch^3.  Returns 1 - (response)/(normalization)
+    and its derivative in s.
 
     The series sum_j (-+1)^(j-1) (alpha^j / sqrt(j)) (G(sqrt(j) theta) - 1)
     runs on Re theta >= 0.  On Re theta < 0, G(z) = G(-z) + 2 sqrt(pi) z
@@ -190,8 +244,10 @@ def residual_weak(k: float, s: complex, species: SpeciesParams, alpha: float, sc
     residual_quadrature for the contour-tracking variant.  Terms with
     sqrt(j) |theta| <= 6 go through scaled_erfc; the rest take G - 1 from
     its asymptotic series, whose sums over j the gas's tail table holds.
-    NonConvergent comes only from the term budget (fugacity about 0.997 and
-    up).
+    The derivative takes d/dz G(sqrt(j) z) = (G + 2 j z^2 (G - 1))/z, from
+    G'(z) = G(z) (1/z + 2 z) - 2 z, on the head and the tail table's row
+    with weights -2n over z.  NonConvergent comes only from the term budget
+    (fugacity about 0.997 and up).
     """
     if not k > 0:
         raise ValueError("k must be positive")
@@ -201,17 +257,19 @@ def residual_weak(k: float, s: complex, species: SpeciesParams, alpha: float, sc
     fermi = species.statistics is Statistics.FERMI
     sqrt_j, coef, tail = _weak_block(alpha, fermi)
 
-    # pole of the occupation denominator at w = i s / k
+    # pole of the occupation denominator at w = i s / k, and its theta-derivative
     x = theta * theta
     if x.real > 700.0:
         # t = alpha e^(theta^2) overflows; t/(1 +- t) -> +-1
-        pole = (1.0 if fermi else -1.0) * 2.0 * _SQRT_PI * theta
+        d_pole = (1.0 if fermi else -1.0) * 2.0 * _SQRT_PI
+        pole = d_pole * theta
     else:
         t = alpha * cmath.exp(x)
         den = 1.0 + t if fermi else 1.0 - t
         if den == 0:
             raise SingularInput("rate sits exactly on an occupation pole")
         pole = 2.0 * _SQRT_PI * theta * t / den
+        d_pole = 2.0 * _SQRT_PI * (t / den) * (1.0 + 2.0 * x / den)
 
     reflect = theta.real < 0.0
     z = -theta if reflect else theta
@@ -219,16 +277,27 @@ def residual_weak(k: float, s: complex, species: SpeciesParams, alpha: float, sc
     # the head, sqrt(j) |z| <= 6, takes scaled_erfc's rational fit
     head = coef.size if coef.size * r2 <= 36.0 else int(36.0 / r2)
     total = pole if reflect else 0.0
+    d_series = 0.0  # d/dz of the head and tail sums
     if head:
-        total += complex(np.dot(coef[:head], scaled_erfc(sqrt_j[:head] * z) - 1.0))
+        w = sqrt_j[:head] * z
+        g = scaled_erfc(w)
+        g_minus_1 = g - 1.0
+        total += complex(np.dot(coef[:head], g_minus_1))
+        d_series += complex(np.dot(coef[:head], g + (2.0 * w * w) * g_minus_1)) / z
     if head < coef.size:
         order = _asymptotic_order((head + 1) * r2)
-        total += complex(np.dot(tail[head, :order], (0.5 / (z * z)) ** _TAIL_ORDERS[:order]))
+        powers = (0.5 / (z * z)) ** _TAIL_ORDERS[:order]
+        row = tail[head, :order]
+        total += complex(np.dot(row, powers))
+        d_series += complex(np.dot(row, powers * _TAIL_SLOPES[:order])) / z
+    # z = -theta on the reflected side, and the pole enters twice there
+    d_total = (2.0 * d_pole - d_series) if reflect else (d_series + d_pole)
 
     c1 = coefficient_C1(k, scales)
     norm = (2.0 / 3.0) * scales.v_ch**3
-    response = (c1 / (k * k)) * math.sqrt(math.pi / beta) * (total + pole)
-    return 1.0 - response / norm
+    factor = (c1 / (k * k)) * math.sqrt(math.pi / beta)
+    response = factor * (total + pole)
+    return 1.0 - response / norm, -(factor / norm) * d_total * (math.sqrt(beta) / k)
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +336,20 @@ def _occupation_slope(u: np.ndarray, s_beta_w2: float, inv_alpha: float, fermi: 
     return -u / (inv_alpha * np.exp(s_beta_w2 * u * u) + pm)
 
 
-def _occupation_slope_at(p: complex, s_beta_w2: float, inv_alpha: float, fermi: bool) -> complex:
-    # same function continued to a complex point; past the first guard
+def _occupation_slope_at(p: complex, s_beta_w2: float, inv_alpha: float, fermi: bool) -> tuple[complex, complex]:
+    # same function continued to a complex point, and its p-derivative
+    # -(1/den) (1 - 2 arg (1 - pm/den)); past the first guard
     # (1/alpha) exp(arg) would overflow, and the slope is below |p| e^-700
     pm = 1.0 if fermi else -1.0
     arg = s_beta_w2 * p * p
     if arg.real > 700.0 - math.log(inv_alpha):
-        return 0.0 + 0.0j
+        return 0.0 + 0.0j, 0.0 + 0.0j
     if arg.real < -700.0:
-        return -p / pm
+        return -p / pm, -1.0 / pm
     den = inv_alpha * cmath.exp(arg) + pm
     if den == 0:
         raise SingularInput("rate sits exactly on an occupation pole")
-    return -p / den
+    return -p / den, -(1.0 - 2.0 * arg * (1.0 - pm / den)) / den
 
 
 @functools.lru_cache(maxsize=64)
@@ -301,10 +371,11 @@ def _panel_nodes(
     return out
 
 
-def _gauss_legendre(p_hat: complex, g_at_p: complex, gas: tuple) -> complex:
+def _gauss_legendre(p_hat: complex, g_at_p: complex, slope_at_p: complex, gas: tuple) -> tuple[complex, complex]:
     # integral of (g(u) - g(p))/(u - p) over [cuts[0], cuts[-1]], gas being
-    # _panel_nodes' arguments; each pass is one vectorised evaluation over
-    # its sizes, then each size is summed over its own stretch
+    # _panel_nodes' arguments, and its p-derivative; each pass is one
+    # vectorised evaluation over its sizes, then each size is summed over
+    # its own stretch
     u, weights, g = _panel_nodes(*gas)
     panels = len(gas[0]) - 1
     start = 0
@@ -315,17 +386,30 @@ def _gauss_legendre(p_hat: complex, g_at_p: complex, gas: tuple) -> complex:
         # a node can only collide with a real pole; the subtracted numerator
         # vanishes there too, so 0 is the removable-limit value
         quotient = weights[start:stop] * np.divide(g[start:stop] - g_at_p, d, out=np.zeros_like(d), where=d != 0)
+        pass_weights = weights[start:stop]
         start = stop
+        lo = 0
         for n in sizes:
-            weighted, quotient = quotient[: panels * n], quotient[panels * n :]
+            hi = lo + panels * n
+            weighted = quotient[lo:hi]
             estimate = complex(weighted.sum())
             if previous is not None:
                 # relative to the integral of |integrand|, which cancellation
                 # cannot zero
                 gap = abs(estimate - previous)
                 if gap <= _GL_TOL * float(np.abs(weighted).sum()):
-                    return estimate
+                    # the derivative on the accepted rule alone: the quotient
+                    # subtracted once more, (Q - g'(p))/(u - p), is analytic too
+                    terms = weighted - slope_at_p * pass_weights[lo:hi]
+                    d_n = d[lo:hi]
+                    if p_hat.imag == 0.0 and not d_n.all():
+                        # a node on the pole counts 0, as in the value
+                        terms = np.divide(terms, d_n, out=np.zeros_like(terms), where=d_n != 0)
+                    else:
+                        terms /= d_n
+                    return estimate, complex(terms.sum())
             previous = estimate
+            lo = hi
     raise QuadratureFailure(f"Gauss-Legendre rules of 256 and 512 nodes per panel differ by {gap:.3e}")
 
 
@@ -346,11 +430,12 @@ def _principal_log_ratio(p_hat: complex, eta_is_zero: bool) -> complex:
 
 def residual_quadrature(
     k: float, s: complex, species: SpeciesParams, alpha: float | None, scales: DerivedScales
-) -> complex:
+) -> tuple[complex, complex]:
     """Velocity-space response integrated directly, with the pole handled by
     subtraction: integrate (g(u) - g(p))/(u - p) plus g(p) times the closed
     log of the end-point ratio.  Returns 1 - (C1/k^2 n0) * integral, so it
-    shares the orientation of residual_degenerate.
+    shares the orientation of residual_degenerate, and its derivative in s:
+    each piece differentiated in p, the rule's on the rule it accepted.
 
     alpha = None selects the fully degenerate path, integrated in closed
     form.  A thermal gas takes Gauss-Legendre rules of doubling size, with
@@ -382,26 +467,15 @@ def residual_quadrature(
             raise SingularInput("phase velocity exactly at the edge velocity with no damping")
         # scaled slope g(u) = W^2 f'(W u)/n0 = -(3/2) u exactly, by the
         # density normalization of the ground-state parabola
-        g_at_p = -1.5 * p_hat
+        g_at_p, d_g = -1.5 * p_hat, -1.5
         add_residue = (k * v_f) ** 2 + eta * eta - s.imag**2 >= 0.0
-        if abs(p_hat) >= 2.0:
-            # far pole: the subtraction scheme cancels two O(|p|) pieces and
-            # loses precision, but the integral collapses analytically to
-            #   integral = 3 q^2 sum_n q^(2n)/(2n + 3),  q = 1/p
-            # (expand 1/(u - p) in u/p; odd terms drop).  Same principal
-            # branch, since the pole stays off the segment.
-            q2 = (1.0 / p_hat) ** 2
-            term = q2
-            integral = 0.0 + 0.0j
-            for n in range(0, 200):
-                contrib = 3.0 * term / (2 * n + 3)
-                integral += contrib
-                if abs(contrib) < 1e-18 * abs(integral):
-                    break
-                term *= q2
+        if abs(p_hat) >= _FAR_POLE:
+            integral, d_integral = _far_pole_series(p_hat)
         else:
             # (g(u) - g(p))/(u - p) = -3/2 on all of [-1, 1]
-            integral = -3.0 + g_at_p * _principal_log_ratio(p_hat, eta == 0.0)
+            log_ratio = _principal_log_ratio(p_hat, eta == 0.0)
+            integral = -3.0 + g_at_p * log_ratio
+            d_integral = d_g * log_ratio + g_at_p * _log_ratio_slope(p_hat)
     else:
         beta = thermal_beta(species, alpha)
         w_scale = 8.0 / math.sqrt(beta)  # exp(-beta W^2) ~ 1e-28: tail negligible
@@ -411,21 +485,27 @@ def residual_quadrature(
         a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
         c_g = 2.0 * math.pi * a_w * w_scale**3 / species.density
         p_hat = p / w_scale
-        g_at_p = c_g * _occupation_slope_at(p_hat, s_beta_w2, inv_alpha, fermi)
+        slope, d_slope = _occupation_slope_at(p_hat, s_beta_w2, inv_alpha, fermi)
+        g_at_p, d_g = c_g * slope, c_g * d_slope
         add_residue = eta < 0.0
 
         # Bose occupation poles sit at u = +-i sqrt(-ln alpha / (beta W^2));
         # Fermi poles stay beyond |u| ~ sqrt(pi)/8 for every fugacity
         pole = math.sqrt(-math.log(alpha) / s_beta_w2)
         cuts = (-1.0, -pole, pole, 1.0) if not fermi and 2.0 * pole < 0.5 else (-1.0, 1.0)
-        integral = _gauss_legendre(p_hat, g_at_p, (cuts, c_g, s_beta_w2, inv_alpha, fermi))
-        integral += g_at_p * _principal_log_ratio(p_hat, eta == 0.0)
+        integral, d_integral = _gauss_legendre(p_hat, g_at_p, d_g, (cuts, c_g, s_beta_w2, inv_alpha, fermi))
+        log_ratio = _principal_log_ratio(p_hat, eta == 0.0)
+        integral += g_at_p * log_ratio
+        d_integral += d_g * log_ratio + g_at_p * _log_ratio_slope(p_hat)
 
     if add_residue:
         integral += 2.0j * math.pi * g_at_p
+        d_integral += 2.0j * math.pi * d_g
     c1 = coefficient_C1(k, scales)
-    # (1/n0) integral over w of f'(w)/(w - p) = integral(u) / w_scale^2 here
-    return 1.0 - (c1 / (k * k * w_scale * w_scale)) * integral
+    # (1/n0) integral over w of f'(w)/(w - p) = integral(u) / w_scale^2 here,
+    # and dp/ds = i/(k w_scale)
+    scale = c1 / (k * k * w_scale * w_scale)
+    return 1.0 - scale * integral, -scale * d_integral * (1j / (k * w_scale))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ Units are SI throughout.  Temperatures in K, densities in 1/m^3.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -337,19 +338,30 @@ def _g_rational(z: np.ndarray) -> np.ndarray:
 _ASYM_COEFS = np.cumprod(np.concatenate(([1.0], 1.0 - 2.0 * np.arange(1, 40))))
 
 
+# The cut of the asymptotic series at |z|^2 = r2 is the last index kept: the
+# smallest term, or the first term below 1e-17, whichever comes first.  A
+# larger |z| in the same batch only sees terms that are still shrinking, so
+# it loses nothing.  As r2 grows past 36 the smallest term moves out to
+# index 39 and then the 1e-17 cut moves back in, one index per step; each
+# entry below is the least double r2 at which the cut takes its next value,
+# found by bisection on the term-by-term loop (the tests keep that loop).
+_ORDER_BREAKS = (
+    36.50000000000001, 37.50000000000001, 38.50000000000001, 39.518998102087856, 39.57504861040931,
+    39.664067748077905, 39.789960265081426, 39.957259485827834, 40.17125666467395, 40.43816310364678,
+    40.76531498605434, 41.16143444162136, 41.63696540194327, 42.20451003795076, 42.87940208904073,
+    43.68046891824624, 44.63105741445079, 45.76043440636812, 47.10572754332388, 48.71466040112907,
+    50.64947819688664, 52.992698007931935, 55.85572392518288, 59.392084950100205, 63.81836314862428,
+    69.44836380248995, 76.75099945565066, 86.45259668733948, 99.72687655778343, 118.56888454088573,
+    146.58396057936616, 190.7990320213179, 266.2793957870695, 409.5692967910003, 725.2842858356885,
+    1591.3806996630892, 4943.748465473065, 28462.125488111084, 572357.121276666, 273861278.7525831,
+    5.000000000000001e16,
+)
+_ORDERS = (36, 37, 38, *range(39, 0, -1))
+
+
 def _asymptotic_order(r2: float) -> int:
-    # last index kept at |z|^2 = r2: the smallest term, or the first term
-    # below 1e-17, whichever comes first.  A larger |z| in the same batch
-    # only sees terms that are still shrinking, so it loses nothing.
-    term = 1.0
-    for k in range(1, len(_ASYM_COEFS)):
-        ratio = (2.0 * k - 1.0) / (2.0 * r2)
-        if ratio >= 1.0:
-            return k - 1
-        term *= ratio
-        if term < 1e-17:
-            return k
-    return len(_ASYM_COEFS) - 1
+    # valid for r2 > 35.5; every caller passes |z|^2 > 36
+    return _ORDERS[bisect.bisect_right(_ORDER_BREAKS, r2)]
 
 
 def _g_asymptotic(z: np.ndarray) -> np.ndarray:
@@ -374,9 +386,12 @@ def scaled_erfc(z):
     flat = np.atleast_1d(arr).ravel()
 
     refl = flat.real < 0.0
+    small = np.abs(flat) <= 6.0
+    if arr.ndim == 1 and small.all() and not refl.any():
+        # the right-half-plane disc, which residual_weak's head always is
+        return _g_rational(flat)
     zp = np.where(refl, -flat, flat)
     out = np.empty_like(zp)
-    small = np.abs(zp) <= 6.0
     if small.any():
         out[small] = _g_rational(zp[small])
     big = ~small

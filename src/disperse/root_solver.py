@@ -4,9 +4,10 @@ Every exact branch is solved in one frame, the scaled complex rate
 z = s / omega_ref with s = eta + i*omega and omega_ref = Omega_p for charged
 gases, k v_ch for neutral ones.  All three residuals are holomorphic in s
 away from their branch cuts and oriented as 1 - (normalized response); the
-solver looks them up as module globals at call time.  By Cauchy-Riemann one
-forward difference along omega therefore gives the complex derivative f'(z),
-and each Newton iteration costs two residual calls plus line-search trials.
+solver looks them up as module globals at call time.  Each returns its
+derivative in s with its value, so f'(z) = omega_ref df/ds comes with every
+accepted point, and each Newton iteration costs one residual call plus
+line-search trials.
 
 On the eta = 0 axis the residual is real up to roundoff or underflow: the
 resonance-free degenerate interior has an exactly zero imaginary part, and
@@ -60,9 +61,6 @@ from .dispersion_core import (
 from .errors import NoConvergence, NonConvergent, QuadratureFailure, SeedFailure, SingularInput
 from .quantum_stats import SpeciesParams, with_bohm_term
 
-# forward-difference step along omega, relative to max(|Im z|, 0.1)
-_FD_STEP = 1e-7
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -111,7 +109,7 @@ def _max_abs(f: complex) -> float:
 
 def _line_search(fun, reject, z: complex, dz: complex, norm: float):
     """Try z - dz, halving the step up to 20 times until the residual norm
-    falls; returns (z, f) or None."""
+    falls; returns (z, (f, f'(z))) or None."""
     step = 1.0
     for _ in range(20):
         zn = complex(z.real - step * dz.real, z.imag - step * dz.imag)
@@ -119,33 +117,28 @@ def _line_search(fun, reject, z: complex, dz: complex, norm: float):
         if reject(zn):
             continue
         try:
-            fn = fun(zn)
+            pair = fun(zn)
         except (SingularInput, NonConvergent):
             continue
-        if _max_abs(fn) < norm:
-            return zn, fn
+        if _max_abs(pair[0]) < norm:
+            return zn, pair
     return None
 
 
 def _newton(fun, z: complex, config: SolverConfig, reject):
-    """Damped Newton on a residual holomorphic in the scaled rate z.
+    """Damped Newton on a residual holomorphic in the scaled rate z; fun
+    returns the pair (f, f'(z)).
 
     Returns (z, norm, iterations, failure) of the last iterate; failure is
     None on convergence, else why the iteration stopped.
     """
-    f = fun(z)
+    f, slope = fun(z)
     norm = _max_abs(f)
     iterations = 0
     while not norm <= config.abs_tol:
         if iterations >= config.max_iter:
             return z, norm, iterations, f"no convergence after {iterations} iterations, residual {norm:.3e}"
-        h = _FD_STEP * max(abs(z.imag), 0.1)
-        try:
-            fp = fun(complex(z.real, z.imag + h))
-        except SingularInput:
-            h = -h
-            fp = fun(complex(z.real, z.imag + h))
-        df = (fp - f) / h  # df/d(Im z) = i f'(z)
+        df = 1j * slope  # df/d(Im z) = i f'(z)
         if df == 0 or not cmath.isfinite(df):
             return z, norm, iterations, f"vanishing or non-finite derivative at iterate {z}"
         # the Newton step f / f'(z) and the step along omega that zeroes Re f,
@@ -163,7 +156,7 @@ def _newton(fun, z: complex, config: SolverConfig, reject):
                 break
         else:
             return z, norm, iterations, f"step rejected 20 times at residual {norm:.3e}"
-        z, f = trial
+        z, (f, slope) = trial
         norm = _max_abs(f)
         iterations += 1
     return z, norm, iterations, None
@@ -210,9 +203,9 @@ def solve_at_k(
         rate = ComplexRate(eta=0.0, omega=omega)
         try:
             if branch in DEGENERATE_BRANCHES:
-                diag = abs(residual_degenerate(rate.r(k, scales.v_ch), 0.0, k, scales).real)
+                diag = abs(residual_degenerate(rate.r(k, scales.v_ch), 0.0, k, scales)[0].real)
             else:
-                diag = abs(residual_weak(k, rate.s, species, scales.alpha, scales))
+                diag = abs(residual_weak(k, rate.s, species, scales.alpha, scales)[0])
         except (SingularInput, NonConvergent):
             diag = math.inf
         return _result(k, branch, rate, scales, diag, converged=True)
@@ -220,23 +213,27 @@ def solve_at_k(
     omega_ref = scales.omega_p if species.charge != 0.0 else k * scales.v_ch
     r_ref = k * scales.v_ch / omega_ref  # r = k v_ch / omega = r_ref / Im z
 
+    # each fun returns (f, f'(z)), f'(z) = omega_ref df/ds
     if branch is BranchId.ExactDegenerate:
 
         def fun(z):
-            return residual_degenerate(r_ref / z.imag, z.real / z.imag, k, scales)
+            f, df_ds = residual_degenerate(r_ref / z.imag, z.real / z.imag, k, scales)
+            return f, omega_ref * df_ds
 
     elif branch is BranchId.ExactWeak:
 
         def fun(z):
             s = complex(z.real * omega_ref, z.imag * omega_ref)
-            return residual_weak(k, s, species, scales.alpha, scales)
+            f, df_ds = residual_weak(k, s, species, scales.alpha, scales)
+            return f, omega_ref * df_ds
 
     else:  # ExactQuadrature
         q_alpha = None if species.fully_degenerate else scales.alpha
 
         def fun(z):
             s = complex(z.real * omega_ref, z.imag * omega_ref)
-            return residual_quadrature(k, s, species, q_alpha, scales)
+            f, df_ds = residual_quadrature(k, s, species, q_alpha, scales)
+            return f, omega_ref * df_ds
 
     def reject(z):
         if z.imag <= 0.0:

@@ -177,7 +177,7 @@ def test_criterion_05_zero_sound_window(neutral_degenerate,
         k = float(kappa) * unit
         omega = omega_zero_sound(k, sc)
         ratios.append(omega / (k * sc.v_ch))
-        zd = residual_degenerate(k * sc.v_ch / omega, 0.0, k, sc)
+        zd = residual_degenerate(k * sc.v_ch / omega, 0.0, k, sc)[0]
         worst_back = max(worst_back, abs(zd.real))
     assert all(1.0 < ratio <= 1.3 for ratio in ratios)
     assert all(b > a for a, b in zip(ratios, ratios[1:]))  # falls as k -> 0
@@ -260,8 +260,8 @@ def test_criterion_07_dual_path_residual_equivalence(
             eps = math.copysign(0.02, eps or 1.0)
         k = float(rng.uniform(0.3, 1.5)) * R.K_REF
         omega = k * dsc.v_ch / r
-        zq = residual_quadrature(k, complex(eps * omega, omega), dsp, None, dsc)
-        zd = residual_degenerate(r, eps, k, dsc)
+        zq = residual_quadrature(k, complex(eps * omega, omega), dsp, None, dsc)[0]
+        zd = residual_degenerate(r, eps, k, dsc)[0]
         worst_deg = max(worst_deg, abs(zq - zd) / abs(zd))
         count += 1
     assert worst_deg < 1e-6
@@ -277,8 +277,8 @@ def test_criterion_07_dual_path_residual_equivalence(
         theta = mag * cmath.exp(1j * (math.pi / 2.0 - delta))
         k = float(rng.uniform(0.2, 0.5)) * wsc.omega_p / vth
         s = theta * k / math.sqrt(beta)
-        rw = residual_weak(k, s, wsp, wsc.alpha, wsc)
-        zq = residual_quadrature(k, s, wsp, wsc.alpha, wsc)
+        rw = residual_weak(k, s, wsp, wsc.alpha, wsc)[0]
+        zq = residual_quadrature(k, s, wsp, wsc.alpha, wsc)[0]
         worst_weak = max(worst_weak, abs(rw - zq) / max(abs(rw), abs(zq)))
     assert worst_weak < 1e-6
     report(7, "dual-path residual equivalence",

@@ -87,7 +87,7 @@ def test_branch_ids_are_stable():
 def test_degenerate_undamped_interior_imag_is_bitwise_zero(electron_degenerate_scales):
     sc = electron_degenerate_scales
     for r in np.linspace(0.05, 0.95, 19):
-        assert residual_degenerate(float(r), 0.0, R.K_REF, sc).imag == 0.0
+        assert residual_degenerate(float(r), 0.0, R.K_REF, sc)[0].imag == 0.0
 
 
 def test_degenerate_gapped_slice_imag_is_three_half_pi(electron_degenerate_scales):
@@ -97,7 +97,7 @@ def test_degenerate_gapped_slice_imag_is_three_half_pi(electron_degenerate_scale
     sc = electron_degenerate_scales
     for r in (1.2, 1.7, 2.1):
         pref = 3.0 * coefficient_C1(R.K_REF, sc) / (R.K_REF * R.K_REF * sc.v_ch * sc.v_ch * r)
-        assert residual_degenerate(r, 0.0, R.K_REF, sc).imag == -pref * (1.5 * math.pi)
+        assert residual_degenerate(r, 0.0, R.K_REF, sc)[0].imag == -pref * (1.5 * math.pi)
 
 
 def test_degenerate_input_validation(electron_degenerate_scales):
@@ -114,8 +114,8 @@ def test_degenerate_continuous_across_arctangent_midplane(electron_degenerate_sc
     # 1 + eps^2 - r^2 changes sign at r = sqrt(1.01) for eps = 0.1; the
     # two-argument arctangent passes through pi/2 without a branch jump
     sc = electron_degenerate_scales
-    below = residual_degenerate(math.sqrt(1.01) * (1 - 1e-9), 0.1, R.K_REF, sc)
-    above = residual_degenerate(math.sqrt(1.01) * (1 + 1e-9), 0.1, R.K_REF, sc)
+    below = residual_degenerate(math.sqrt(1.01) * (1 - 1e-9), 0.1, R.K_REF, sc)[0]
+    above = residual_degenerate(math.sqrt(1.01) * (1 + 1e-9), 0.1, R.K_REF, sc)[0]
     assert rel(below.real, above.real) < 1e-6
     assert rel(below.imag, above.imag) < 1e-6
 
@@ -132,8 +132,8 @@ def test_quadrature_matches_printed_on_undamped_interior(
     sp, sc = electron_degenerate, electron_degenerate_scales
     for r in (0.3, 0.6, 0.9):
         omega = R.K_REF * sc.v_ch / r
-        zq = residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)
-        zd = residual_degenerate(r, 0.0, R.K_REF, sc)
+        zq = residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)[0]
+        zd = residual_degenerate(r, 0.0, R.K_REF, sc)[0]
         assert zq.imag == 0.0
         assert abs(zq.real - zd.real) < 1e-7
 
@@ -146,8 +146,8 @@ def test_quadrature_matches_printed_on_gapped_slice(
         omega = 0.9 * sc.omega_p / r  # k fixed at 0.9 K_ref through r = k v/omega
         k = 0.9 * sc.omega_p / sc.v_ch
         omega = k * sc.v_ch / r
-        zq = residual_quadrature(k, complex(0.0, omega), sp, None, sc)
-        zd = residual_degenerate(r, 0.0, k, sc)
+        zq = residual_quadrature(k, complex(0.0, omega), sp, None, sc)[0]
+        zd = residual_degenerate(r, 0.0, k, sc)[0]
         assert abs(zq - zd) / abs(zd) < 1e-12
 
 
@@ -169,8 +169,8 @@ def test_quadrature_matches_printed_at_complex_rates(
         k = float(rng.uniform(0.3, 1.5)) * R.K_REF
         omega = k * sc.v_ch / r
         s = complex(eps * omega, omega)
-        zq = residual_quadrature(k, s, sp, None, sc)
-        zd = residual_degenerate(r, eps, k, sc)
+        zq = residual_quadrature(k, s, sp, None, sc)[0]
+        zd = residual_degenerate(r, eps, k, sc)[0]
         assert abs(zq - zd) / abs(zd) < 1e-9, (r, eps, k / R.K_REF)
         count += 1
 
@@ -178,14 +178,19 @@ def test_quadrature_matches_printed_at_complex_rates(
 def test_quadrature_continuous_across_far_pole_switch(
     electron_degenerate, electron_degenerate_scales
 ):
-    # the far-pole series takes over at |pole| = 2 (r = 0.5 on the undamped
-    # axis); both sides must land on the printed form
+    # the far-pole series takes over at |pole| = 10 (r = 0.1 on the undamped
+    # axis) in both degenerate residuals; both sides must land on the
+    # printed form, and the series on the closed form at the switch
     sp, sc = electron_degenerate, electron_degenerate_scales
-    for r in (0.5 - 1e-5, 0.5 + 1e-5):
+    for r in (0.1 - 1e-5, 0.1 + 1e-5):
         omega = R.K_REF * sc.v_ch / r
-        zq = residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)
-        zd = residual_degenerate(r, 0.0, R.K_REF, sc)
+        zq = residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)[0]
+        zd = residual_degenerate(r, 0.0, R.K_REF, sc)[0]
         assert abs(zq - zd) / abs(zd) < 1e-9
+    for p_hat in (-10.0 + 0.0j, 6.0 - 8.0j, -8.0 + 6.0j):
+        closed = -3.0 - 1.5 * p_hat * dispersion_core._principal_log_ratio(p_hat, False)
+        series = dispersion_core._far_pole_series(p_hat)[0]
+        assert abs(series - closed) <= 1e-12 * abs(series)
 
 
 def test_quadrature_real_on_positive_real_axis(
@@ -195,12 +200,12 @@ def test_quadrature_real_on_positive_real_axis(
     # real integrand against an imaginary pole offset: the odd part of the
     # kernel integrates to zero, leaving only panel-summation roundoff
     sp, sc = electron_degenerate, electron_degenerate_scales
-    z = residual_quadrature(R.K_REF, complex(0.4 * sc.omega_p, 0.0), sp, None, sc)
+    z = residual_quadrature(R.K_REF, complex(0.4 * sc.omega_p, 0.0), sp, None, sc)[0]
     assert abs(z.imag) < 5e-15 * abs(z.real)
     wsc = weak_fermion_scales
     k = 0.35 * wsc.omega_p / math.sqrt(wsc.v_th_sq)
     z = residual_quadrature(k, complex(0.4 * wsc.omega_p, 0.0), weak_fermion,
-                            wsc.alpha, wsc)
+                            wsc.alpha, wsc)[0]
     assert abs(z.imag) < 5e-15 * abs(z.real)
 
 
@@ -241,8 +246,8 @@ def test_weak_reconciliation_identity(statistics, temperature):
                                  (0.4, 1.0, -3.0)):
         k = y * sc.omega_p / vth
         s = complex(eta_frac * sc.omega_p, om_frac * sc.omega_p)
-        rw = residual_weak(k, s, sp, sc.alpha, sc)
-        rq = residual_quadrature(k, s, sp, sc.alpha, sc)
+        rw = residual_weak(k, s, sp, sc.alpha, sc)[0]
+        rq = residual_quadrature(k, s, sp, sc.alpha, sc)[0]
         pred = _pole_term(k, s, sp, sc.alpha, sc)
         scale = max(1.0, abs(rw), abs(rq), abs(pred))
         assert abs(rq - rw - pred) < 1e-12 * scale
@@ -259,7 +264,7 @@ def test_quadrature_near_condensation_against_references():
     assert abs(sc.alpha - 0.999) < 1e-9
     start = time.perf_counter()
     for (k, s), want in R.BOSE_0999_RESIDUALS.items():
-        got = residual_quadrature(k, s, sp, 0.999, sc)
+        got = residual_quadrature(k, s, sp, 0.999, sc)[0]
         assert abs(got - want) < 1e-12 * abs(want)
     assert time.perf_counter() - start < 3.0
 
@@ -300,15 +305,15 @@ def test_quadrature_matches_uncached_rule_bitwise(monkeypatch, temperature, stat
                complex(float(rng.choice([0.0, rng.uniform(-0.3, 0.05)])), float(rng.uniform(0.8, 1.6)))
                * sc.omega_p) for _ in range(40)]
     assert any(s.real == 0.0 for _, s in points)
-    got = [residual_quadrature(k, s, sp, sc.alpha, sc) for k, s in points]
+    got = [residual_quadrature(k, s, sp, sc.alpha, sc)[0] for k, s in points]
     panels = set()
 
-    def uncached(p_hat, g_at_p, gas):
+    def uncached(p_hat, g_at_p, slope_at_p, gas):
         panels.add(len(gas[0]) - 1)
-        return _gauss_legendre_uncached(p_hat, g_at_p, gas)
+        return _gauss_legendre_uncached(p_hat, g_at_p, gas), 0j
 
     monkeypatch.setattr(dispersion_core, "_gauss_legendre", uncached)
-    assert got == [residual_quadrature(k, s, sp, sc.alpha, sc) for k, s in points]
+    assert got == [residual_quadrature(k, s, sp, sc.alpha, sc)[0] for k, s in points]
     assert panels == ({1} if statistics is Statistics.FERMI else {3})
 
 
@@ -321,9 +326,9 @@ def test_quadrature_rate_on_a_node_takes_the_removable_limit(fermi):
     gas = ((-1.0, 1.0), 1.0, 64.0, 5.0, fermi)
     u = dispersion_core._panel_nodes(*gas)[0][: dispersion_core._GL_PASSES[0][0]]
     p_hat = complex(u[np.argmin(abs(u - 0.2))])
-    g_at_p = dispersion_core._occupation_slope_at(p_hat, *gas[2:])
-    got = dispersion_core._gauss_legendre(p_hat, g_at_p, gas)
-    assert cmath.isfinite(got)
+    g_at_p, slope_at_p = dispersion_core._occupation_slope_at(p_hat, *gas[2:])
+    got, slope = dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)
+    assert cmath.isfinite(got) and cmath.isfinite(slope)
     assert got == _gauss_legendre_uncached(p_hat, g_at_p, gas)
 
 
@@ -337,15 +342,15 @@ def test_quadrature_larger_rules_match_uncached_bitwise(pole, cut):
     cuts = (-1.0, -pole, pole, 1.0) if cut else (-1.0, 1.0)
     gas = (cuts, 1.0, 64.0, math.exp(64.0 * pole * pole), False)
     p_hat = complex(0.3, -0.05)
-    g_at_p = dispersion_core._occupation_slope_at(p_hat, *gas[2:])
+    g_at_p, slope_at_p = dispersion_core._occupation_slope_at(p_hat, *gas[2:])
     try:
         want = _gauss_legendre_uncached(p_hat, g_at_p, gas)
     except AssertionError:
         with pytest.raises(QuadratureFailure, match="256 and 512"):
-            dispersion_core._gauss_legendre(p_hat, g_at_p, gas)
+            dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)
         assert pole == 0.01
     else:
-        assert dispersion_core._gauss_legendre(p_hat, g_at_p, gas) == want
+        assert dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)[0] == want
 
 
 def _clear_residual_caches():
@@ -400,7 +405,7 @@ def test_quadrature_refuses_or_stays_finite(weak_fermion, weak_fermion_scales, w
         else (weak_boson, weak_boson_scales)
     k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
     try:
-        z = residual_quadrature(k, complex(eta_frac, om_frac) * sc.omega_p, sp, alpha, sc)
+        z = residual_quadrature(k, complex(eta_frac, om_frac) * sc.omega_p, sp, alpha, sc)[0]
     except DisperseError:
         return
     assert cmath.isfinite(z)
@@ -446,12 +451,12 @@ def test_weak_refuses_or_matches_quadrature(weak_fermion, weak_fermion_scales, w
     k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
     s = complex(eta_frac, om_frac) * sc.omega_p
     try:
-        rw = residual_weak(k, s, sp, alpha, sc)
+        rw = residual_weak(k, s, sp, alpha, sc)[0]
     except DisperseError:
         return
     assert cmath.isfinite(rw)
     try:
-        rq = residual_quadrature(k, s, sp, alpha, sc)
+        rq = residual_quadrature(k, s, sp, alpha, sc)[0]
     except DisperseError:
         return
     _, pole, factor = _weak_parts(k, s, sp, alpha, sc)
@@ -489,7 +494,7 @@ def test_weak_series_truncation_matches_fixed_sum(statistics, temperature, alpha
     for y, s_frac in ((0.2, 1.08j), (0.35, -0.05 + 1.05j), (0.45, -0.3 + 0.9j)):
         k = y * sc.omega_p / vth
         s = s_frac * sc.omega_p
-        got = residual_weak(k, s, sp, alpha, sc)
+        got = residual_weak(k, s, sp, alpha, sc)[0]
         want = _weak_fixed_sum(k, s, sp, alpha, sc)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
@@ -500,8 +505,8 @@ def test_weak_and_quadrature_conjugate_symmetry(weak_fermion, weak_fermion_scale
     k = 0.35 * sc.omega_p / vth
     s = complex(-3e-4 * sc.omega_p, 1.06 * sc.omega_p)
     for fn in (residual_weak, residual_quadrature):
-        plus = fn(k, s, sp, sc.alpha, sc)
-        minus = fn(k, s.conjugate(), sp, sc.alpha, sc)
+        plus = fn(k, s, sp, sc.alpha, sc)[0]
+        minus = fn(k, s.conjugate(), sp, sc.alpha, sc)[0]
         assert abs(minus - plus.conjugate()) < 1e-12 * abs(plus)
 
 
@@ -512,7 +517,7 @@ def test_weak_overflow_guard_stays_finite(weak_fermion, weak_fermion_scales):
     beta = sp.mass / (2.0 * K_B * sp.temperature)
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
     s = complex(40.0 * k / math.sqrt(beta), 0.0)
-    z = residual_weak(k, s, sp, sc.alpha, sc)
+    z = residual_weak(k, s, sp, sc.alpha, sc)[0]
     assert np.isfinite(z.real) and np.isfinite(z.imag)
 
 
@@ -522,7 +527,7 @@ def test_quadrature_overflow_guard_counts_the_fugacity(weak_boson, weak_boson_sc
     # at the pole must come out ~0, not NaN
     sp, sc = weak_boson, weak_boson_scales
     k = 0.05 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    z = residual_quadrature(k, complex(0.02, 1.1) * sc.omega_p, sp, 1e-6, sc)
+    z = residual_quadrature(k, complex(0.02, 1.1) * sc.omega_p, sp, 1e-6, sc)[0]
     assert cmath.isfinite(z)
 
 
@@ -543,9 +548,9 @@ def test_weak_series_stays_on_the_right_half_plane(monkeypatch, weak_fermion, we
         return scaled_erfc(z)
 
     monkeypatch.setattr(dispersion_core, "scaled_erfc", counted)
-    assert cmath.isfinite(residual_weak(k, complex(-3.0, 1.0) * sc.omega_p, sp, sc.alpha, sc))
+    assert cmath.isfinite(residual_weak(k, complex(-3.0, 1.0) * sc.omega_p, sp, sc.alpha, sc)[0])
     assert calls == []
-    assert cmath.isfinite(residual_weak(k, complex(-0.3, 1.0) * sc.omega_p, sp, sc.alpha, sc))
+    assert cmath.isfinite(residual_weak(k, complex(-0.3, 1.0) * sc.omega_p, sp, sc.alpha, sc)[0])
     assert len(calls) == 1 and calls[0].size > 0
     assert np.all(calls[0].real >= 0.0) and np.all(np.abs(calls[0]) <= 6.0)
     with pytest.raises(NonConvergent, match="terms"):
@@ -609,7 +614,7 @@ def test_weak_series_matches_40_digit_sum(monkeypatch, temperature, statistics):
     for k, s, head, want in R.WEAK_SERIES_SUMS[temperature, statistics]:
         heads.clear()
         _, _, factor = _weak_parts(k, s, sp, sc.alpha, sc)
-        got = (1.0 - residual_weak(k, s, sp, sc.alpha, sc)) / factor
+        got = (1.0 - residual_weak(k, s, sp, sc.alpha, sc)[0]) / factor
         assert heads == ([head] if head else [])
         assert abs(got - want) <= 1e-14 * abs(want) + 1e-15 * float(np.abs(coef[:head]).sum())
     covered = {head for _, _, head, _ in R.WEAK_SERIES_SUMS[temperature, statistics]}
@@ -630,6 +635,140 @@ def test_weak_block_entry_stays_bounded():
     assert dispersion_core._weak_block.cache_info().maxsize * entry < 53e6
     with pytest.raises(NonConvergent, match="terms"):
         dispersion_core._weak_block(0.9963, False)
+
+
+# ---------------------------------------------------------------------------
+# the derivative each residual returns with its value
+# ---------------------------------------------------------------------------
+
+def _thermal_gas(temperature, statistics):
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    return sp, derive_scales(sp)
+
+
+def _check_slope(fn, s):
+    # the returned df/ds against central differences of the value with
+    # h = 1e-6 |s|: along omega everywhere, and along eta off the real-s
+    # axis, where the T = 0 residuals jump across eta = 0
+    value, slope = fn(s)
+    assert cmath.isfinite(value) and cmath.isfinite(slope)
+    h = 1e-6 * abs(s)
+    steps = (1j * h,) if s.real == 0.0 else (1j * h, h)
+    for step in steps:
+        numeric = (fn(s + step)[0] - fn(s - step)[0]) / (2.0 * step)
+        assert abs(slope - numeric) <= 1e-6 * abs(slope), (s, step, slope, numeric)
+
+
+# the five thermal gases of the benchmark, all at n0 = 1e28
+_BENCHMARK_GASES = [(R.T_FERMI_02, Statistics.FERMI), (R.T_BOSE_02, Statistics.BOSE),
+                    (R.T_FERMI_09, Statistics.FERMI), (R.T_BOSE_09, Statistics.BOSE),
+                    (R.T_CLASSICAL, Statistics.FERMI)]
+
+
+@pytest.mark.parametrize("temperature, statistics", _BENCHMARK_GASES,
+                         ids=["fermion_0.2", "boson_0.2", "fermion_0.9", "boson_0.9", "classical"])
+def test_thermal_residual_slopes_match_central_differences(temperature, statistics):
+    # damped rates sit on the reflected side, Re theta < 0; the growing one
+    # on Re theta > 0
+    sp, sc = _thermal_gas(temperature, statistics)
+    for y in (0.1, 0.25, 0.45):
+        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+        omega = omega_weak_biquadratic(k, sp, sc)
+        for eta_frac in (0.0, -0.01, -0.2, 0.05):
+            s = complex(eta_frac * sc.omega_p, omega)
+            _check_slope(lambda s: residual_weak(k, s, sp, sc.alpha, sc), s)
+            _check_slope(lambda s: residual_quadrature(k, s, sp, sc.alpha, sc), s)
+
+
+def test_weak_slope_on_the_overflowed_pole_branch(weak_fermion, weak_fermion_scales):
+    # theta = 40 + 0.3i: Re theta^2 > 700, where t/(1 + t) is taken as 1
+    sp, sc = weak_fermion, weak_fermion_scales
+    beta = sp.mass / (2.0 * K_B * sp.temperature)
+    k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    s = complex(40.0, 0.3) * k / math.sqrt(beta)
+    assert (math.sqrt(beta) * s / k).real ** 2 > 700.0
+    _check_slope(lambda s: residual_weak(k, s, sp, sc.alpha, sc), s)
+
+
+def test_quadrature_slope_on_cut_panels():
+    # Bose 0.999: [-1, 1] cut into three panels at the occupation poles
+    sp, sc = _thermal_gas(R.T_BOSE_0999, Statistics.BOSE)
+    for y in (0.1, 0.3, 0.45):
+        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+        for eta_frac in (0.0, -0.01, -0.2, 0.05):
+            _check_slope(lambda s: residual_quadrature(k, s, sp, sc.alpha, sc),
+                         complex(eta_frac, 1.1) * sc.omega_p)
+
+
+def test_degenerate_residual_slopes_match_central_differences(electron_degenerate, electron_degenerate_scales):
+    # r = 0.05 is inside the 1/p series, 0.3 and 0.9 below the edge velocity,
+    # 1.5 above it; eps = -0.7 with r^2 + eps^2 > 1 switches the residue on
+    # inside the series
+    sp, sc = electron_degenerate, electron_degenerate_scales
+    k = R.K_REF
+    for r in (0.05, 0.3, 0.9, 1.5):
+        for eps in (0.0, -0.01, -0.3, -0.7, -1.5):
+            omega = k * sc.v_ch / r
+            s = complex(eps * omega, omega)
+            _check_slope(lambda s: residual_quadrature(k, s, sp, None, sc), s)
+            _check_slope(lambda s: residual_degenerate(k * sc.v_ch / s.imag, s.real / s.imag, k, sc), s)
+
+
+# values from before the residuals returned their slope, bit for bit: rates
+# as fractions of Omega_p at k v_th / Omega_p = 0.3, and (r, epsilon) at
+# k = K_REF for the T = 0 gas
+_FROZEN_THERMAL = {
+    Statistics.FERMI: [
+        (1.1j, (0.10278248534487355-8.010108439279346e-07j), (0.10278248534487-2.6700361113423923e-07j)),
+        ((-0.01+1.05j), (0.006706529379729043+0.02086635192999098j), (0.006707649967748419+0.020869402648400467j)),
+        ((0.05+1.2j), (0.2613721320552814-0.06621632434838068j), (0.261372121622095-0.06621632943361844j)),
+        ((-0.2+1.2j), (0.3259324531607427+0.24849277012244178j), (0.3259324749140027+0.24849276469005244j)),
+    ],
+    Statistics.BOSE: [
+        (1.1j, (0.09377393508370635-0.00017515602015105017j), (0.09377393508370857-5.8385340051139154e-05j)),
+        ((-0.01+1.05j), (-0.004691208024122373+0.020843908761120175j), (-0.004598304881392901+0.02122785574363372j)),
+        ((0.05+1.2j), (0.25523552587549025-0.0671829854346729j), (0.25522691860830504-0.06718122794272731j)),
+        ((-0.2+1.2j), (0.3213785500761497+0.25145122657461233j), (0.3213685885022183+0.25146081943748994j)),
+    ],
+}
+_FROZEN_DEGENERATE = [  # (r, epsilon, residual_degenerate, residual_quadrature or None)
+    (0.3, 0.0, (0.8761661593276185-0j), None),
+    (0.8, 0.0, (-0.4566640241324742-0j), (-0.45666402413247553+0j)),
+    (1.3, -0.1, (2.449224552033871-5.56151039586188j), (2.4492245520338716-5.5615103958618795j)),
+]
+
+
+def test_residual_values_are_unchanged_bitwise(electron_degenerate, electron_degenerate_scales):
+    for temperature, statistics in ((R.T_FERMI_02, Statistics.FERMI), (R.T_BOSE_09, Statistics.BOSE)):
+        sp, sc = _thermal_gas(temperature, statistics)
+        k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
+        for s_frac, weak, quad in _FROZEN_THERMAL[statistics]:
+            s = s_frac * sc.omega_p
+            assert residual_weak(k, s, sp, sc.alpha, sc)[0] == weak
+            assert residual_quadrature(k, s, sp, sc.alpha, sc)[0] == quad
+    sp, sc = electron_degenerate, electron_degenerate_scales
+    for r, eps, deg, quad in _FROZEN_DEGENERATE:
+        assert residual_degenerate(r, eps, R.K_REF, sc)[0] == deg
+        omega = R.K_REF * sc.v_ch / r
+        if quad is not None:
+            assert residual_quadrature(R.K_REF, complex(eps * omega, omega), sp, None, sc)[0] == quad
+
+
+def test_degenerate_residuals_share_the_far_pole_series(electron_degenerate, electron_degenerate_scales):
+    # small r: the printed bracket -lg/4 - r cancels to ~r^3/3, so both
+    # residuals take the integral from the same 1/p series at |p| >= 10.
+    # The quadrature path's series is unchanged bit for bit; the printed
+    # residual now matches it, and is real on the undamped axis
+    sp, sc = electron_degenerate, electron_degenerate_scales
+    omega = R.K_REF * sc.v_ch / 0.05
+    assert residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)[0] == (0.9967430388614023+0j)
+    for r in (0.09, 0.05, 1e-3, 3e-4):
+        omega = R.K_REF * sc.v_ch / r
+        zd = residual_degenerate(r, 0.0, R.K_REF, sc)[0]
+        zq = residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)[0]
+        assert zd.imag == 0.0
+        assert abs(zd - zq) <= 1e-15 * abs(zq)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +830,7 @@ def test_zero_sound_neutral_back_substitution(neutral_degenerate_scales):
     k = kappa * sc.v_ch / math.sqrt(sc.lambda_quantum)
     omega = omega_zero_sound(k, sc)
     r = k * sc.v_ch / omega
-    zd = residual_degenerate(r, 0.0, k, sc)
+    zd = residual_degenerate(r, 0.0, k, sc)[0]
     assert abs(zd.real) < 1e-3
     assert zd.imag == 0.0
 

@@ -425,6 +425,44 @@ def test_scaled_erfc_just_past_series_switch_matches_mpmath():
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
+@pytest.mark.parametrize("size", [1, 3, 40])
+def test_scaled_erfc_disc_batch_skips_only_the_masks(size):
+    # a 1-D batch on Re z >= 0 with |z| <= 6 returns the rational fit
+    # directly; the same values inside a mixed batch, which takes the masked
+    # path, come out bit for bit the same
+    rng = np.random.default_rng(size)
+    z = 6.0 * np.sqrt(rng.random(size)) * np.exp(0.5j * rng.uniform(-np.pi, np.pi, size))
+    z[0] = 6.0
+    mixed = np.concatenate([z, [-1.0 + 0.5j, 7.0 - 2.0j]])
+    assert np.array_equal(scaled_erfc(z), scaled_erfc(mixed)[:size])
+    assert np.array_equal(scaled_erfc(z), quantum_stats._g_rational(z))
+
+
+def _asymptotic_order_loop(r2):
+    # the cut term by term: the smallest term, or the first term below
+    # 1e-17, whichever comes first
+    term = 1.0
+    for k in range(1, len(quantum_stats._ASYM_COEFS)):
+        ratio = (2.0 * k - 1.0) / (2.0 * r2)
+        if ratio >= 1.0:
+            return k - 1
+        term *= ratio
+        if term < 1e-17:
+            return k
+    return len(quantum_stats._ASYM_COEFS) - 1
+
+
+def test_asymptotic_order_table_matches_the_term_by_term_loop():
+    grid = np.concatenate([np.linspace(36.0, 100.0, 20001), np.geomspace(100.0, 1e4, 20001)])
+    assert all(quantum_stats._asymptotic_order(r2) == _asymptotic_order_loop(r2) for r2 in grid.tolist())
+    for b in quantum_stats._ORDER_BREAKS:
+        for r2 in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)):
+            assert quantum_stats._asymptotic_order(float(r2)) == _asymptotic_order_loop(float(r2))
+        # each entry is where the cut moves, to the last double
+        assert _asymptotic_order_loop(float(np.nextafter(b, 0.0))) != _asymptotic_order_loop(b)
+    assert quantum_stats._asymptotic_order(1e300) == _asymptotic_order_loop(1e300) == 1
+
+
 # ---------------------------------------------------------------------------
 # reduced 1d distributions
 # ---------------------------------------------------------------------------
