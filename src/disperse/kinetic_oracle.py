@@ -427,9 +427,16 @@ def fit_omega_eta(run: OracleRun):
             v = np.linalg.svd(np.linalg.qr(hankel, mode="r"))[2][:_ORDER].T
             # complex, or a negative real eigenvalue of a real pencil logs to NaN
             log_z = np.log(np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:]).astype(complex))
-            # each term is scaled to 1 at its largest sample, so none overflows
-            powers = np.arange(len(z))[:, None] * log_z
-            terms = np.exp(powers - np.maximum(powers.real[-1], 0.0))
+            # each term is a running product from 1 at its largest sample, so
+            # none under- or overflows: a growing one runs back from the last.
+            # A zero, infinite or NaN pole makes its column NaN, as exp(0 log z)
+            # would, and the least squares below refuses it
+            grow = log_z.real > 0.0
+            terms = np.empty((len(z), _ORDER), complex)
+            terms[0] = np.where(np.isfinite(log_z), 1.0, np.nan)
+            terms[1:] = np.exp(np.where(grow, -log_z, log_z))
+            terms = np.cumprod(terms, axis=0)
+            terms[:, grow] = terms[::-1, grow]
             terms /= np.linalg.norm(terms, axis=0)
             coef = np.linalg.lstsq(terms, z, rcond=None)[0]
             misfit = np.linalg.norm(z - terms @ coef)

@@ -31,6 +31,10 @@ Closed-form branches skip the iteration entirely; their residual_norm is a
 back-substitution diagnostic into the matching exact residual, so the
 "converged implies residual_norm < abs_tol" reading applies to the
 iterative branches only.
+
+dominant_root does not run every seed of the ladder to convergence: a later
+seed stops before it evaluates a point within 1e-4 (relative) of a root an
+earlier seed found, since it would only find that root again.
 """
 
 from __future__ import annotations
@@ -125,6 +129,17 @@ def _line_search(fun, reject, z: complex, dz: complex, norm: float):
     return None
 
 
+# dominant_root stops a later seed once it is about to evaluate a point within
+# this relative distance of a root an earlier seed found: the square root of
+# the 1e-8 that calls two roots the same, since Newton contracts at C ~ 1-2
+# there and one more step would land ~1e-8 from the known root
+_KNOWN_ROOT_BALL = 1e-4
+
+
+class _ReachedKnownRoot(Exception):
+    """A seed is about to evaluate a point inside a known root's ball."""
+
+
 def _newton(fun, z: complex, config: SolverConfig, reject):
     """Damped Newton on a residual holomorphic in the scaled rate z; fun
     returns the pair (f, f'(z)).
@@ -190,10 +205,13 @@ def solve_at_k(
     config: SolverConfig = SolverConfig(),
     *,
     bohm_term: bool = True,
+    _known: tuple[ComplexRate, ...] = (),
 ) -> DispersionResult:
     """One root at one wavenumber.  Closed-form branches evaluate their
     formula and report a back-substitution diagnostic; exact branches run
-    damped Newton from the seed."""
+    damped Newton from the seed.  `_known` (dominant_root's roots so far)
+    makes an exact branch raise _ReachedKnownRoot instead of evaluating a
+    point inside any of their balls."""
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
     check_branch_species(branch, species, scales)
@@ -242,6 +260,15 @@ def solve_at_k(
         # the resonance residue on the growing side too, which gives them
         # spurious purely growing roots as omega -> 0: keep eta <= 0
         return species.fully_degenerate and (z.real > 0.0 or _resonance_gap(r_ref / z.imag, z.real / z.imag))
+
+    if _known:
+        centres = [complex(rate.eta / omega_ref, rate.omega / omega_ref) for rate in _known]
+        evaluate = fun
+
+        def fun(z):
+            if any(abs(z - c) <= _KNOWN_ROOT_BALL * abs(c) for c in centres):
+                raise _ReachedKnownRoot
+            return evaluate(z)
 
     z0 = complex(seed.eta / omega_ref, seed.omega / omega_ref)
     z, norm, iterations, failure = _newton(fun, z0, config, reject)
@@ -363,17 +390,21 @@ def dominant_root(
     bohm_term: bool = True,
 ) -> DispersionResult:
     """Library-side helper: launch the species' exact branch (ExactDegenerate
-    at full degeneracy, ExactQuadrature for a thermal gas) from every seed in
+    at full degeneracy, ExactQuadrature for a thermal gas) from each seed in
     the ladder and return the distinct root with the largest eta (least
-    damped).  Raises SeedFailure when nothing converges."""
+    damped).  A later seed stops, as a failed seed does, the moment it is
+    about to evaluate a point within _KNOWN_ROOT_BALL of a root an earlier
+    seed found: it would only find that root again.  Raises SeedFailure when
+    nothing converges."""
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
     branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactQuadrature
     roots: list[DispersionResult] = []
     for seed in first_point_seeds(k, branch, species, scales):
         try:
-            res = solve_at_k(k, branch, species, scales, seed, config)
-        except _SWEEP_POINT_ERRORS:
+            res = solve_at_k(k, branch, species, scales, seed, config,
+                             _known=tuple(root.rate for root in roots))
+        except (*_SWEEP_POINT_ERRORS, _ReachedKnownRoot):
             continue
         if all(abs(res.rate.omega - other.rate.omega) > 1e-8 * res.rate.omega for other in roots):
             roots.append(res)

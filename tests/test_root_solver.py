@@ -557,6 +557,115 @@ def test_dominant_root_seed_failure(weak_fermion, weak_fermion_scales):
         dominant_root(k, weak_fermion, sc, SolverConfig(abs_tol=1e-14, max_iter=1))
 
 
+def full_ladder(k, sp, sc):
+    """dominant_root as it was before seeds stopped at known roots: Newton to
+    convergence from every seed, then the least-damped distinct root."""
+    branch = BranchId.ExactDegenerate if sp.fully_degenerate else BranchId.ExactQuadrature
+    roots = []
+    for seed in first_point_seeds(k, branch, sp, sc):
+        try:
+            res = solve_at_k(k, branch, sp, sc, seed)
+        except DisperseError:
+            continue
+        if all(abs(res.rate.omega - other.rate.omega) > 1e-8 * res.rate.omega for other in roots):
+            roots.append(res)
+    return max(roots, key=lambda item: item.rate.eta)
+
+
+_THERMAL_TEST_GASES = {"fermi_0.2": (R.T_FERMI_02, Statistics.FERMI), "bose_0.2": (R.T_BOSE_02, Statistics.BOSE),
+                       "fermi_0.9": (R.T_FERMI_09, Statistics.FERMI), "bose_0.9": (R.T_BOSE_09, Statistics.BOSE),
+                       "classical": (R.T_CLASSICAL, Statistics.FERMI)}
+
+
+@pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES))
+def test_dominant_root_equals_full_ladder_thermal(gas):
+    temperature, statistics = _THERMAL_TEST_GASES[gas]
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    sc = derive_scales(sp)
+    for y in np.linspace(0.05, 0.6, 12):
+        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+        res, ref = dominant_root(k, sp, sc), full_ladder(k, sp, sc)
+        assert res == ref and same(res, ref), (gas, y)
+
+
+@pytest.mark.parametrize("gas, xs", [
+    ("electron_degenerate", [0.002, 0.01, 0.1, 0.5, 1.0, 2.5, 8.0]),  # k v_F / Omega_p
+    ("neutral_degenerate", [0.3, 0.45, 0.6, 0.8, 1.5, 3.0, 5.3]),     # kappa
+])
+def test_dominant_root_equals_full_ladder_degenerate(request, gas, xs):
+    sp = request.getfixturevalue(gas)
+    sc = request.getfixturevalue(gas + "_scales")
+    for x in xs:
+        k = x * sc.omega_p / sc.v_ch if sp.charge else x * sc.v_ch / math.sqrt(sc.lambda_quantum)
+        res, ref = dominant_root(k, sp, sc), full_ladder(k, sp, sc)
+        assert res == ref and same(res, ref), (gas, x)
+        assert res.rate.eta == 0.0 and math.copysign(1.0, res.rate.eta) == 1.0  # +0.0
+
+
+def test_dominant_root_does_not_cut_a_seed_heading_for_another_root(
+    monkeypatch, weak_fermion, weak_fermion_scales
+):
+    # a holomorphic toy residual with two roots, in units of Omega_p: a damped
+    # one at the third seed (within its ball) and a less damped one near the
+    # fourth.  The first two seeds reach the damped root, the third starts
+    # inside its ball and the fourth heads for the other root.
+    sp, sc = weak_fermion, weak_fermion_scales
+    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    wp = sc.omega_p
+    seeds = [seed.omega / wp for seed in first_point_seeds(k, BranchId.ExactQuadrature, sp, sc)]
+    assert len(seeds) == 4 and max(seeds[:3]) < 1.1 and seeds[3] > 1.2
+    damped = complex(-2e-5, seeds[2] * (1.0 + 5e-5))
+    less_damped = complex(-1e-6, 1.3)
+
+    calls, per_seed = [], []
+
+    def toy(k, s, species, alpha, scales):
+        calls.append(s)
+        p = s / wp
+        return (p - damped) * (p - less_damped), (2.0 * p - damped - less_damped) / wp
+
+    solve = root_solver.solve_at_k
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        try:
+            out = solve(*args, **kwargs)
+        except Exception as exc:
+            per_seed.append((len(calls) - before, exc))
+            raise
+        per_seed.append((len(calls) - before, complex(out.rate.eta, out.rate.omega) / wp))
+        return out
+
+    monkeypatch.setattr(root_solver, "residual_quadrature", toy)
+    monkeypatch.setattr(root_solver, "solve_at_k", counted)
+    res = dominant_root(k, sp, sc)
+    assert abs(complex(res.rate.eta, res.rate.omega) / wp - less_damped) < 1e-10
+    (_, first), _, (third_calls, third), (_, fourth) = per_seed
+    assert abs(first - damped) < 1e-10
+    assert third_calls == 0 and isinstance(third, root_solver._ReachedKnownRoot)
+    assert abs(fourth - less_damped) < 1e-10  # not cut on its way past the known root
+    assert same(res, full_ladder(k, sp, sc))
+
+
+def test_dominant_root_stops_seeds_at_the_known_root(monkeypatch, weak_fermion, weak_fermion_scales):
+    # the full ladder makes 18-19 residual calls here: four seeds to the
+    # same root
+    sc = weak_fermion_scales
+    k = 0.36 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    calls = []
+    original = root_solver.residual_quadrature
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(root_solver, "residual_quadrature", counted)
+    res = dominant_root(k, weak_fermion, sc)
+    assert res.converged and res.rate.eta < 0.0
+    assert len(calls) <= 12
+
+
 # ---------------------------------------------------------------------------
 # property: the charged degenerate branch converges across the band
 # ---------------------------------------------------------------------------
