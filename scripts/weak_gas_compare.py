@@ -10,14 +10,12 @@ import argparse
 import math
 
 from disperse import (
-    BranchId,
     OracleConfig,
     SpeciesParams,
     Statistics,
     derive_scales,
+    dominant_root,
     evolve_mode,
-    first_point_seeds,
-    solve_at_k,
 )
 
 M_E = 9.1093837015e-31
@@ -26,16 +24,6 @@ Q_E = 1.602176634e-19
 # temperatures that put an n0 = 1e28 electron-mass gas at fugacity 0.2
 T_FERMI = 49640.348706479899
 T_BOSE = 45138.866399788338
-
-
-def root_at(k, branch, gas, scales):
-    last = None
-    for seed in first_point_seeds(k, branch, gas, scales):
-        try:
-            return solve_at_k(k, branch, gas, scales, seed)
-        except Exception as exc:  # keep trying the seed ladder
-            last = exc
-    raise last
 
 
 def main() -> None:
@@ -54,7 +42,7 @@ def main() -> None:
         print("k*vth/Op   omega_root/Op  omega_kin/Op   eta_root/Op    eta_kin/Op")
         for frac in (0.36, 0.38, 0.40):
             k = frac * scales.omega_p / v_th
-            res = root_at(k, BranchId.ExactQuadrature, gas, scales)
+            res = dominant_root(k, gas, scales)
             run = evolve_mode(k, gas, scales.alpha, OracleConfig(t_end=args.periods))
             print(f"{frac:8.2f}  {res.rate.omega / scales.omega_p:13.9f}"
                   f"  {run.omega_fit / scales.omega_p:13.9f}"

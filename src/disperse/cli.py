@@ -310,13 +310,12 @@ def cmd_compare(cfg: RunConfig, quiet: bool) -> int:
         print(f"solver sweep failed: {error}", file=sys.stderr)
         return 2
 
-    alpha = None if cfg.species.fully_degenerate else cfg.scales.alpha
     scale = cfg.unit_omega
     all_ok = True
     lines = [COMPARE_HEADER]
     for res in results[:: cfg.subsample]:
         try:
-            run = evolve_mode(res.k, cfg.species, alpha, cfg.oracle, bohm_term=cfg.bohm_term)
+            run = evolve_mode(res.k, cfg.species, cfg.scales.alpha, cfg.oracle, bohm_term=cfg.bohm_term)
         except (DisperseError, ValueError) as exc:
             run = None
             if not quiet:

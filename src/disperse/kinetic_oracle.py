@@ -408,7 +408,8 @@ def fit_omega_eta(run: OracleRun):
     the fit reports the Im s > 0 member.  fit_residual is the relative misfit
     of the whole model.  FitAmbiguous: a second pole near the guess within
     3 dB of the mode, a misfit above _MAX_MISFIT of the mode's amplitude, no
-    pole near the guess, or a failed decomposition.
+    pole near the guess, a zero or non-finite pole, or a failed
+    decomposition.
     """
     dt = run.times[1] - run.times[0]
     step = max(1, int(2.0 * math.pi / (8.0 * run.omega_guess * dt)))
@@ -420,20 +421,21 @@ def fit_omega_eta(run: OracleRun):
             f"after the transient cut; need {3 * _PENCIL} samples and 10 periods"
         )
     try:
-        # a zero pole or a singular pencil is left to the checks below
         with np.errstate(all="ignore"):
             # the triangle of a QR has the Hankel matrix's right singular vectors
             hankel = np.lib.stride_tricks.sliding_window_view(z, _PENCIL)
             v = np.linalg.svd(np.linalg.qr(hankel, mode="r"))[2][:_ORDER].T
             # complex, or a negative real eigenvalue of a real pencil logs to NaN
-            log_z = np.log(np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:]).astype(complex))
+            poles = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
+            log_z = np.log(poles.astype(complex))
+            bad = ~np.isfinite(log_z)
+            if bad.any():
+                raise FitAmbiguous(f"matrix pencil pole {poles[bad][0]} is zero or not finite")
             # each term is a running product from 1 at its largest sample, so
-            # none under- or overflows: a growing one runs back from the last.
-            # A zero, infinite or NaN pole makes its column NaN, as exp(0 log z)
-            # would, and the least squares below refuses it
+            # none under- or overflows: a growing one runs back from the last
             grow = log_z.real > 0.0
             terms = np.empty((len(z), _ORDER), complex)
-            terms[0] = np.where(np.isfinite(log_z), 1.0, np.nan)
+            terms[0] = 1.0
             terms[1:] = np.exp(np.where(grow, -log_z, log_z))
             terms = np.cumprod(terms, axis=0)
             terms[:, grow] = terms[::-1, grow]

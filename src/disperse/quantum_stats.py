@@ -82,8 +82,9 @@ class SpeciesParams:
 class DerivedScales:
     """Scales computed once per species and threaded through the solvers.
 
-    alpha == 1.0 together with v_th_sq == 0.0 marks the fully degenerate
-    branch; for a thermal gas alpha is the solved fugacity in (0, 1).
+    alpha is None, with v_th_sq == 0.0, for the fully degenerate gas, as in
+    every call that takes an alpha; for a thermal gas alpha is the solved
+    fugacity in (0, 1).
     lambda_quantum = hbar^2/(4 m^2) weighs Bohm's quantum potential in C1(k)
     and is the one switch for it: every function below the public entry
     points reads it from here, and with_bohm_term returns the scales with it
@@ -92,7 +93,7 @@ class DerivedScales:
 
     omega_p: float
     v_ch: float
-    alpha: float
+    alpha: float | None
     v_th_sq: float
     lambda_quantum: float
 
@@ -281,7 +282,7 @@ def scales_at(species: SpeciesParams, alpha: float | None) -> DerivedScales:
     if alpha is None:
         if not species.fully_degenerate:
             raise ValueError("alpha = None requires a fully degenerate species")
-        alpha, v_th_sq = 1.0, 0.0
+        v_th_sq = 0.0
     else:
         v_th_sq = thermal_velocity_sq(species, alpha)
     return DerivedScales(omega_p=plasma_frequency(species), v_ch=characteristic_velocity(species),

@@ -1,17 +1,15 @@
 """Damped Newton iteration on the dispersion residuals, plus k sweeps.
 
-Every exact branch is solved in one frame, the scaled complex rate
-z = s / omega_ref with s = eta + i*omega and omega_ref = Omega_p for charged
-gases, k v_ch for neutral ones.  All three residuals are holomorphic in s
-away from their branch cuts and oriented as 1 - (normalized response); the
-solver looks them up as module globals at call time.  Each returns its
-derivative in s with its value, so f'(z) = omega_ref df/ds comes with every
-accepted point, and each Newton iteration costs one residual call plus
-line-search trials.
+Every exact branch is solved for the complex rate s = eta + i*omega itself.
+All three residuals are holomorphic in s away from their branch cuts and
+oriented as 1 - (normalized response); the solver looks them up as module
+globals at call time.  Each returns df/ds with its value, so the derivative
+comes with every accepted point, and each Newton iteration costs one
+residual call plus line-search trials.
 
 On the eta = 0 axis the residual is real up to roundoff or underflow: the
 resonance-free degenerate interior has an exactly zero imaginary part, and
-thermal Landau terms underflow at small k.  When Re z is exactly 0.0 and the
+thermal Landau terms underflow at small k.  When Re s is exactly 0.0 and the
 imaginary residual is within half the tolerance, the step is taken along
 omega only, which keeps eta == +0.0 bitwise on undamped roots.  If that step
 is rejected 20 times the full complex step is tried from the same iterate.
@@ -111,21 +109,21 @@ def _max_abs(f: complex) -> float:
     return max(abs(f.real), abs(f.imag))
 
 
-def _line_search(fun, reject, z: complex, dz: complex, norm: float):
-    """Try z - dz, halving the step up to 20 times until the residual norm
-    falls; returns (z, (f, f'(z))) or None."""
+def _line_search(fun, reject, s: complex, ds: complex, norm: float):
+    """Try s - ds, halving the step up to 20 times until the residual norm
+    falls; returns (s, (f, df/ds)) or None."""
     step = 1.0
     for _ in range(20):
-        zn = complex(z.real - step * dz.real, z.imag - step * dz.imag)
+        sn = complex(s.real - step * ds.real, s.imag - step * ds.imag)
         step *= 0.5
-        if reject(zn):
+        if reject(sn):
             continue
         try:
-            pair = fun(zn)
+            pair = fun(sn)
         except (SingularInput, NonConvergent):
             continue
         if _max_abs(pair[0]) < norm:
-            return zn, pair
+            return sn, pair
     return None
 
 
@@ -140,41 +138,41 @@ class _ReachedKnownRoot(Exception):
     """A seed is about to evaluate a point inside a known root's ball."""
 
 
-def _newton(fun, z: complex, config: SolverConfig, reject):
-    """Damped Newton on a residual holomorphic in the scaled rate z; fun
-    returns the pair (f, f'(z)).
+def _newton(fun, s: complex, config: SolverConfig, reject):
+    """Damped Newton on a residual holomorphic in the rate s; fun returns
+    the pair (f, df/ds).
 
-    Returns (z, norm, iterations, failure) of the last iterate; failure is
+    Returns (s, norm, iterations, failure) of the last iterate; failure is
     None on convergence, else why the iteration stopped.
     """
-    f, slope = fun(z)
+    f, slope = fun(s)
     norm = _max_abs(f)
     iterations = 0
     while not norm <= config.abs_tol:
         if iterations >= config.max_iter:
-            return z, norm, iterations, f"no convergence after {iterations} iterations, residual {norm:.3e}"
-        df = 1j * slope  # df/d(Im z) = i f'(z)
+            return s, norm, iterations, f"no convergence after {iterations} iterations, residual {norm:.3e}"
+        df = 1j * slope  # df/d(omega) = i df/ds
         if df == 0 or not cmath.isfinite(df):
-            return z, norm, iterations, f"vanishing or non-finite derivative at iterate {z}"
-        # the Newton step f / f'(z) and the step along omega that zeroes Re f,
-        # each the other's fallback; on the axis with a real residual the
-        # latter goes first, which keeps eta == +0.0 bitwise
+            return s, norm, iterations, f"vanishing or non-finite derivative at iterate {s}"
+        # the Newton step f / (df/ds) and the step along omega that zeroes
+        # Re f, each the other's fallback; on the axis with a real residual
+        # the latter goes first, which keeps eta == +0.0 bitwise
         newton = 1j * f / df
         steps = [newton]
         if df.real != 0.0:
             along = complex(0.0, f.real / df.real)
-            pinned = z.real == 0.0 and abs(f.imag) <= 0.5 * config.abs_tol
+            pinned = s.real == 0.0 and abs(f.imag) <= 0.5 * config.abs_tol
             steps = [along, newton] if pinned else [newton, along]
-        for dz in steps:
-            trial = _line_search(fun, reject, z, dz, norm)
+        for ds in steps:
+            trial = _line_search(fun, reject, s, ds, norm)
             if trial is not None:
                 break
         else:
-            return z, norm, iterations, f"step rejected 20 times at residual {norm:.3e}"
-        z, (f, slope) = trial
+            return s, norm, iterations, f"step rejected 20 times at residual {norm:.3e}"
+        s, (f, slope) = trial
         norm = _max_abs(f)
         iterations += 1
-    return z, norm, iterations, None
+    return s, norm, iterations, None
 
 
 # every closed form under one call shape (k, species, scales)
@@ -209,7 +207,7 @@ def solve_at_k(
 ) -> DispersionResult:
     """One root at one wavenumber.  Closed-form branches evaluate their
     formula and report a back-substitution diagnostic; exact branches run
-    damped Newton from the seed.  `_known` (dominant_root's roots so far)
+    damped Newton on the rate s = eta + i omega from seed.s.  `_known` (dominant_root's roots so far)
     makes an exact branch raise _ReachedKnownRoot instead of evaluating a
     point inside any of their balls."""
     scales = with_bohm_term(scales, bohm_term)
@@ -228,52 +226,42 @@ def solve_at_k(
             diag = math.inf
         return _result(k, branch, rate, scales, diag, converged=True)
 
-    omega_ref = scales.omega_p if species.charge != 0.0 else k * scales.v_ch
-    r_ref = k * scales.v_ch / omega_ref  # r = k v_ch / omega = r_ref / Im z
-
-    # each fun returns (f, f'(z)), f'(z) = omega_ref df/ds
+    # each fun returns the residual's pair (f, df/ds)
+    kv = k * scales.v_ch  # r = k v_ch / omega = kv / Im s
     if branch is BranchId.ExactDegenerate:
 
-        def fun(z):
-            f, df_ds = residual_degenerate(r_ref / z.imag, z.real / z.imag, k, scales)
-            return f, omega_ref * df_ds
+        def fun(s):
+            return residual_degenerate(kv / s.imag, s.real / s.imag, k, scales)
 
     elif branch is BranchId.ExactWeak:
 
-        def fun(z):
-            s = complex(z.real * omega_ref, z.imag * omega_ref)
-            f, df_ds = residual_weak(k, s, species, scales.alpha, scales)
-            return f, omega_ref * df_ds
+        def fun(s):
+            return residual_weak(k, s, species, scales.alpha, scales)
 
     else:  # ExactQuadrature
-        q_alpha = None if species.fully_degenerate else scales.alpha
 
-        def fun(z):
-            s = complex(z.real * omega_ref, z.imag * omega_ref)
-            f, df_ds = residual_quadrature(k, s, species, q_alpha, scales)
-            return f, omega_ref * df_ds
+        def fun(s):
+            return residual_quadrature(k, s, species, scales.alpha, scales)
 
-    def reject(z):
-        if z.imag <= 0.0:
+    def reject(s):
+        if s.imag <= 0.0:
             return True
         # the T = 0 Fermi sphere is stable, but both degenerate residuals add
         # the resonance residue on the growing side too, which gives them
         # spurious purely growing roots as omega -> 0: keep eta <= 0
-        return species.fully_degenerate and (z.real > 0.0 or _resonance_gap(r_ref / z.imag, z.real / z.imag))
+        return species.fully_degenerate and (s.real > 0.0 or _resonance_gap(kv / s.imag, s.real / s.imag))
 
     if _known:
-        centres = [complex(rate.eta / omega_ref, rate.omega / omega_ref) for rate in _known]
+        centres = [rate.s for rate in _known]
         evaluate = fun
 
-        def fun(z):
-            if any(abs(z - c) <= _KNOWN_ROOT_BALL * abs(c) for c in centres):
+        def fun(s):
+            if any(abs(s - c) <= _KNOWN_ROOT_BALL * abs(c) for c in centres):
                 raise _ReachedKnownRoot
-            return evaluate(z)
+            return evaluate(s)
 
-    z0 = complex(seed.eta / omega_ref, seed.omega / omega_ref)
-    z, norm, iterations, failure = _newton(fun, z0, config, reject)
-    rate = ComplexRate(eta=z.real * omega_ref, omega=z.imag * omega_ref)
-    result = _result(k, branch, rate, scales, norm, failure is None, iterations)
+    s, norm, iterations, failure = _newton(fun, seed.s, config, reject)
+    result = _result(k, branch, ComplexRate(eta=s.real, omega=s.imag), scales, norm, failure is None, iterations)
     if failure is not None:
         raise NoConvergence(failure, result)
     return result

@@ -229,6 +229,16 @@ max_iter = 1
      "branches = WeakSimple\n", "sweep.k_max: k must be positive and finite"),
     ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
      "branches = WeakSimple\n[oracle]\nsubsample = 0\n", "oracle.subsample"),
+    ("[sweep]\nk_min = 1e9\nk_max = 1e8\nn_points = 4\n"
+     "branches = WeakSimple\n", "sweep.k_min: need 0 < k_min < k_max"),
+    ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
+     "branches = ,\n", "sweep.branches: at least one branch required"),
+    ("[sweep]\nk_max = 1e9\nn_points = 4\n"
+     "branches = WeakSimple\n", "sweep.k_min: missing required field"),
+    ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
+     "branches = WeakSimple\n[solver]\nabs_tol = -1\n", "solver: abs_tol must be positive and finite"),
+    ("[sweep]\nk_min = 1e8\nk_max = 1e9\nn_points = 4\n"
+     "branches = WeakSimple\n[oracle]\ndt = 1\n", "oracle: dt (fraction of a period) must keep dt*omega below 0.1"),
 ])
 def test_config_errors(tmp_path, capsys, mutation, fragment):
     cfg = write_ini(tmp_path, WEAK_SPECIES + mutation)

@@ -316,6 +316,27 @@ def test_fit_refuses_trace_without_mode_near_guess():
     run.omega_guess = 5.0
     with pytest.raises(FitAmbiguous, match="misfit"):
         fit_omega_eta(run)
+    # a real tone at 7.3 has no pole at all within 30% of a guess of 20
+    run = synthetic_run(7.3, -0.02, real=True)
+    run.omega_guess = 20.0
+    with pytest.raises(FitAmbiguous, match="no pole within 30% of omega_guess"):
+        fit_omega_eta(run)
+
+
+def test_fit_names_a_zero_pencil_pole_quietly(monkeypatch, capfd):
+    # a zero pole logs to -inf; handed to the least squares as a NaN column
+    # it made LAPACK print to stderr before the refusal
+    eigvals = np.linalg.eigvals
+
+    def one_zero(matrix):
+        poles = eigvals(matrix)
+        poles[0] = 0.0
+        return poles
+
+    monkeypatch.setattr(np.linalg, "eigvals", one_zero)
+    with pytest.raises(FitAmbiguous, match=r"^matrix pencil pole 0j is zero or not finite$"):
+        fit_omega_eta(synthetic_run(7.3, -0.02, real=True))
+    assert capfd.readouterr().err == ""
 
 
 def test_fit_trace_length_requirements():

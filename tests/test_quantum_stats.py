@@ -81,7 +81,7 @@ def test_degeneracy_parameter_requires_positive_temperature(electron_degenerate)
 
 def test_derive_scales_degenerate_branch(electron_degenerate):
     sc = derive_scales(electron_degenerate)
-    assert sc.alpha == 1.0
+    assert sc.alpha is None
     assert sc.v_th_sq == 0.0
     assert sc.lambda_quantum == HBAR**2 / (4.0 * R.M_E**2)
     assert rel(sc.omega_p, R.OMEGA_P) < 1e-14

@@ -30,7 +30,7 @@ from disperse.dispersion_core import (
     omega_weak_biquadratic,
     residual_quadrature,
 )
-from disperse.errors import DisperseError, NoConvergence, SeedFailure, SingularInput
+from disperse.errors import DisperseError, NoConvergence, NonConvergent, SeedFailure, SingularInput
 from disperse.quantum_stats import HBAR, with_bohm_term
 from disperse.root_solver import check_branch_species
 
@@ -107,7 +107,6 @@ def test_entry_points_refuse_huge_k_by_name(request, gas, k):
     # infinite omega from 1e50 on
     sp = request.getfixturevalue("electron_degenerate" if gas == "degenerate" else "weak_fermion")
     sc = derive_scales(sp)
-    alpha = None if gas == "degenerate" else sc.alpha
     exact = BranchId.ExactDegenerate if gas == "degenerate" else BranchId.ExactWeak
     closed = BranchId.QuantumLangmuir if gas == "degenerate" else BranchId.WeakSimple
     named = "^" + re.escape(f"k = {k:.6g} is too large")
@@ -120,7 +119,7 @@ def test_entry_points_refuse_huge_k_by_name(request, gas, k):
         dominant_root(k, sp, sc)
     for signed in (k, -k):
         with pytest.raises(ValueError, match=named):
-            evolve_mode(signed, sp, alpha)
+            evolve_mode(signed, sp, sc.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +355,11 @@ def test_bohm_switch_lives_in_the_scales(monkeypatch, electron_degenerate, elect
         assert same(root, dominant_root(k, sp, off))
         assert root.rate.omega < dominant_root(k, sp, sc).rate.omega  # the switch bites
 
-        alpha = None if sp.fully_degenerate else sc.alpha
         cfg = OracleConfig(t_end=20.0)
-        trace = evolve_mode(k, sp, alpha, cfg, bohm_term=False, fit=False)
+        trace = evolve_mode(k, sp, sc.alpha, cfg, bohm_term=False, fit=False)
         with monkeypatch.context() as patch:
             patch.setattr(kinetic_oracle, "scales_at", lambda *args: with_bohm_term(scales_at(*args), False))
-            bare = evolve_mode(k, sp, alpha, cfg, fit=False)
+            bare = evolve_mode(k, sp, sc.alpha, cfg, fit=False)
         assert trace.omega_guess == bare.omega_guess
         assert trace.density.tobytes() == bare.density.tobytes()
     assert covered == set(BranchId)
@@ -430,6 +428,45 @@ def test_singular_input_at_exact_resonance_seed(
     seed = ComplexRate(eta=0.0, omega=R.K_REF * sc.v_ch)  # r = 1 exactly
     with pytest.raises(SingularInput):
         solve_at_k(R.K_REF, BranchId.ExactDegenerate, electron_degenerate, sc, seed)
+
+
+@pytest.mark.parametrize("error", [SingularInput, NonConvergent])
+def test_line_search_skips_a_trial_whose_residual_refuses(monkeypatch, weak_fermion, weak_fermion_scales, error):
+    # a linear toy residual, in units of Omega_p: the full first Newton step
+    # lands on the root, but that trial raises, so the line search tries the
+    # half step, and the next iteration finishes
+    sc = weak_fermion_scales
+    k, wp = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq), sc.omega_p
+    root = complex(-0.01, 1.2)
+    calls = []
+
+    def toy(k, s, species, alpha, scales):
+        calls.append(s / wp)
+        if len(calls) == 2:
+            raise error("toy refusal")
+        return s / wp - root, 1.0 / wp
+
+    monkeypatch.setattr(root_solver, "residual_quadrature", toy)
+    res = solve_at_k(k, BranchId.ExactQuadrature, weak_fermion, sc, ComplexRate(eta=0.0, omega=wp))
+    assert res.converged and res.iterations == 2
+    assert abs(res.rate.s / wp - root) < 1e-12
+    assert abs(calls[1] - root) < 1e-12 and abs(calls[2] - (1j + root) / 2) < 1e-12
+
+
+@pytest.mark.parametrize("slope", [0.0, math.nan, math.inf])
+def test_newton_stops_on_a_vanishing_or_non_finite_derivative(monkeypatch, weak_fermion, weak_fermion_scales,
+                                                              slope):
+    sc = weak_fermion_scales
+    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    seed = ComplexRate(eta=0.0, omega=sc.omega_p)
+
+    def toy(k, s, species, alpha, scales):
+        return s / sc.omega_p - 1.2j, slope
+
+    monkeypatch.setattr(root_solver, "residual_quadrature", toy)
+    with pytest.raises(NoConvergence, match="^vanishing or non-finite derivative at iterate") as err:
+        solve_at_k(k, BranchId.ExactQuadrature, weak_fermion, sc, seed)
+    assert err.value.result.iterations == 0 and err.value.result.rate == seed
 
 
 # ---------------------------------------------------------------------------
