@@ -355,61 +355,63 @@ def _occupation_slope_at(p: complex, s_beta_w2: float, inv_alpha: float, fermi: 
 @functools.lru_cache(maxsize=64)
 def _panel_nodes(
     cuts: tuple[float, ...], c_g: float, s_beta_w2: float, inv_alpha: float, fermi: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # every rule size on every panel between cuts, one contiguous stretch per
-    # size in _GL_PASSES order: nodes, weights and the scaled occupation
-    # slope at the nodes, none of which depends on the rate
+) -> tuple[np.ndarray, tuple]:
+    # the nodes of every rule size on every panel between cuts, one contiguous
+    # stretch per size in _GL_PASSES order, and each pass's nodes, weights and
+    # scaled occupation slope with its sizes' (lo, hi) bounds in that stretch:
+    # none of which depends on the rate
     edges = np.array(cuts)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     rules = [_legendre_rule(n) for sizes in _GL_PASSES for n in sizes]
     u = np.concatenate([(mid + half * x).ravel() for x, _ in rules])
     weights = np.concatenate([(half * w).ravel() for _, w in rules])
-    out = (u, weights, c_g * _occupation_slope(u, s_beta_w2, inv_alpha, fermi))
-    for a in out:
+    g = c_g * _occupation_slope(u, s_beta_w2, inv_alpha, fermi)
+    for a in (u, weights, g):
         a.flags.writeable = False
-    return out
+    passes, start = [], 0
+    for sizes in _GL_PASSES:
+        ends = (np.cumsum((0,) + sizes) * (len(cuts) - 1)).tolist()
+        stop = start + ends[-1]
+        passes.append((u[start:stop], weights[start:stop], g[start:stop], tuple(zip(ends, ends[1:]))))
+        start = stop
+    return u, tuple(passes)
 
 
 def _gauss_legendre(p_hat: complex, g_at_p: complex, slope_at_p: complex, gas: tuple) -> tuple[complex, complex]:
     # integral of (g(u) - g(p))/(u - p) over [cuts[0], cuts[-1]], gas being
     # _panel_nodes' arguments, and its p-derivative; each pass is one
     # vectorised evaluation over its sizes, then each size is summed over
-    # its own stretch
-    u, weights, g = _panel_nodes(*gas)
-    panels = len(gas[0]) - 1
-    start = 0
+    # its own stretch.  A node can only collide with a real pole; the
+    # subtracted numerator vanishes there too, so 0 is the removable-limit
+    # value, and only such a rate pays for the masked division.
+    on_axis = p_hat.imag == 0.0
     previous = None
-    for sizes in _GL_PASSES:
-        stop = start + panels * sum(sizes)
-        d = u[start:stop] - p_hat
-        # a node can only collide with a real pole; the subtracted numerator
-        # vanishes there too, so 0 is the removable-limit value
-        quotient = weights[start:stop] * np.divide(g[start:stop] - g_at_p, d, out=np.zeros_like(d), where=d != 0)
-        pass_weights = weights[start:stop]
-        start = stop
-        lo = 0
-        for n in sizes:
-            hi = lo + panels * n
+    for u, weights, g, bounds in _panel_nodes(*gas)[1]:
+        d = u - p_hat
+        if on_axis and not d.all():
+            quotient = weights * np.divide(g - g_at_p, d, out=np.zeros_like(d), where=d != 0)
+        else:
+            quotient = weights * ((g - g_at_p) / d)
+        for lo, hi in bounds:
             weighted = quotient[lo:hi]
-            estimate = complex(weighted.sum())
+            estimate = complex(np.add.reduce(weighted))
             if previous is not None:
                 # relative to the integral of |integrand|, which cancellation
                 # cannot zero
                 gap = abs(estimate - previous)
-                if gap <= _GL_TOL * float(np.abs(weighted).sum()):
+                if gap <= _GL_TOL * float(np.add.reduce(np.abs(weighted))):
                     # the derivative on the accepted rule alone: the quotient
                     # subtracted once more, (Q - g'(p))/(u - p), is analytic too
-                    terms = weighted - slope_at_p * pass_weights[lo:hi]
+                    terms = weighted - slope_at_p * weights[lo:hi]
                     d_n = d[lo:hi]
-                    if p_hat.imag == 0.0 and not d_n.all():
+                    if on_axis and not d_n.all():
                         # a node on the pole counts 0, as in the value
                         terms = np.divide(terms, d_n, out=np.zeros_like(terms), where=d_n != 0)
                     else:
                         terms /= d_n
-                    return estimate, complex(terms.sum())
+                    return estimate, complex(np.add.reduce(terms))
             previous = estimate
-            lo = hi
     raise QuadratureFailure(f"Gauss-Legendre rules of 256 and 512 nodes per panel differ by {gap:.3e}")
 
 
@@ -428,6 +430,23 @@ def _principal_log_ratio(p_hat: complex, eta_is_zero: bool) -> complex:
     return cmath.log(ratio)
 
 
+@functools.lru_cache(maxsize=64)
+def _thermal_gas(species: SpeciesParams, alpha: float) -> tuple[float, tuple]:
+    # what residual_quadrature needs of a thermal gas apart from k and s: the
+    # velocity scale W and _gauss_legendre's gas (cuts, c_g, beta W^2, 1/alpha, fermi)
+    beta = thermal_beta(species, alpha)
+    w_scale = 8.0 / math.sqrt(beta)  # exp(-beta W^2) ~ 1e-28: tail negligible
+    s_beta_w2 = beta * w_scale * w_scale
+    fermi = species.statistics is Statistics.FERMI
+    a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
+    c_g = 2.0 * math.pi * a_w * w_scale**3 / species.density
+    # Bose occupation poles sit at u = +-i sqrt(-ln alpha / (beta W^2));
+    # Fermi poles stay beyond |u| ~ sqrt(pi)/8 for every fugacity
+    pole = math.sqrt(-math.log(alpha) / s_beta_w2)
+    cuts = (-1.0, -pole, pole, 1.0) if not fermi and 2.0 * pole < 0.5 else (-1.0, 1.0)
+    return w_scale, (cuts, c_g, s_beta_w2, 1.0 / alpha, fermi)
+
+
 def residual_quadrature(
     k: float, s: complex, species: SpeciesParams, alpha: float | None, scales: DerivedScales
 ) -> tuple[complex, complex]:
@@ -440,6 +459,8 @@ def residual_quadrature(
     alpha = None selects the fully degenerate path, integrated in closed
     form.  A thermal gas takes Gauss-Legendre rules of doubling size, with
     [-1, 1] cut at the Bose occupation poles when they come close to it.
+    What does not depend on k or s (W, c_g, the cuts, every rule's nodes,
+    weights and occupation slopes) is built once per (species, alpha).
     Contour bookkeeping:
 
     * fully degenerate: a full residue term 2 pi i g(p) is added whenever
@@ -477,23 +498,13 @@ def residual_quadrature(
             integral = -3.0 + g_at_p * log_ratio
             d_integral = d_g * log_ratio + g_at_p * _log_ratio_slope(p_hat)
     else:
-        beta = thermal_beta(species, alpha)
-        w_scale = 8.0 / math.sqrt(beta)  # exp(-beta W^2) ~ 1e-28: tail negligible
-        s_beta_w2 = beta * w_scale * w_scale
-        inv_alpha = 1.0 / alpha
-        fermi = species.statistics is Statistics.FERMI
-        a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
-        c_g = 2.0 * math.pi * a_w * w_scale**3 / species.density
+        w_scale, gas = _thermal_gas(species, alpha)
         p_hat = p / w_scale
-        slope, d_slope = _occupation_slope_at(p_hat, s_beta_w2, inv_alpha, fermi)
+        c_g = gas[1]
+        slope, d_slope = _occupation_slope_at(p_hat, *gas[2:])
         g_at_p, d_g = c_g * slope, c_g * d_slope
         add_residue = eta < 0.0
-
-        # Bose occupation poles sit at u = +-i sqrt(-ln alpha / (beta W^2));
-        # Fermi poles stay beyond |u| ~ sqrt(pi)/8 for every fugacity
-        pole = math.sqrt(-math.log(alpha) / s_beta_w2)
-        cuts = (-1.0, -pole, pole, 1.0) if not fermi and 2.0 * pole < 0.5 else (-1.0, 1.0)
-        integral, d_integral = _gauss_legendre(p_hat, g_at_p, d_g, (cuts, c_g, s_beta_w2, inv_alpha, fermi))
+        integral, d_integral = _gauss_legendre(p_hat, g_at_p, d_g, gas)
         log_ratio = _principal_log_ratio(p_hat, eta == 0.0)
         integral += g_at_p * log_ratio
         d_integral += d_g * log_ratio + g_at_p * _log_ratio_slope(p_hat)

@@ -347,11 +347,13 @@ def sweep(
         raise SeedFailure(f"no seed converged at the first point k = {ks[0]:.6e}")
     results = [first]
     prev, k_prev = first.rate, ks[0]
+    closed_prev = _matched_closed(k_prev, branch, species, scales)
     for k in ks[1:]:
         # rescale the previous rate by the closed-form ratio between the
         # two k points; plain omega continuation pushes r = k v_ch/omega
         # across the r = 1 wall for branches that hug the resonance
-        ratio = _matched_closed(k, branch, species, scales) / _matched_closed(k_prev, branch, species, scales)
+        closed = _matched_closed(k, branch, species, scales)
+        ratio = closed / closed_prev
         seed = ComplexRate(eta=prev.eta * ratio, omega=prev.omega * ratio)
         # an undamped degenerate root has r < 1; a seed pushed across r = 1
         # starts beyond the jump of the residue term and cannot step back
@@ -365,7 +367,7 @@ def sweep(
             res = getattr(err, "result", None) or _result(k, branch, seed, scales, math.inf, False)
         results.append(res)
         if res.converged:
-            prev, k_prev = res.rate, k
+            prev, k_prev, closed_prev = res.rate, k, closed
     return results
 
 

@@ -8,6 +8,7 @@ tautology.
 """
 
 import cmath
+import dataclasses
 import math
 import time
 
@@ -354,22 +355,26 @@ def test_quadrature_larger_rules_match_uncached_bitwise(pole, cut):
 
 
 def _clear_residual_caches():
+    dispersion_core._thermal_gas.cache_clear()
     dispersion_core._panel_nodes.cache_clear()
     dispersion_core._weak_block.cache_clear()
 
 
 def test_thermal_residual_caches_are_keyed_on_every_input():
     # Both residuals cache rate-independent work per gas.  These gases take
-    # the same fugacity arguments but differ in temperature or statistics,
-    # and fugacities 0.2 and 0.21 give residual_weak the same block size, so
-    # a cache key that leaves out a field hands one call another's nodes or
-    # coefficients; every interleaved call must match the same call made
-    # with empty caches, bit for bit.
+    # the same fugacity arguments but differ in temperature, statistics,
+    # spin degeneracy, mass or density (the last three feed only the
+    # quadrature's beta and c_g), and fugacities 0.2 and 0.21 give
+    # residual_weak the same block size, so a cache key that leaves out a
+    # field hands one call another's scales, nodes or coefficients; every
+    # interleaved call must match the same call made with empty caches, bit
+    # for bit.
+    base = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                         temperature=R.T_FERMI_02, statistics=Statistics.FERMI)
     gases = []
-    for temperature, statistics in ((R.T_FERMI_02, Statistics.FERMI), (R.T_CLASSICAL, Statistics.FERMI),
-                                    (R.T_FERMI_02, Statistics.BOSE)):
-        sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
-                           temperature=temperature, statistics=statistics)
+    for sp in (base, dataclasses.replace(base, temperature=R.T_CLASSICAL),
+               dataclasses.replace(base, statistics=Statistics.BOSE), dataclasses.replace(base, spin_degeneracy=1),
+               dataclasses.replace(base, mass=2.0 * R.M_E), dataclasses.replace(base, density=2.0 * R.N0)):
         gases.append((sp, derive_scales(sp)))
     calls = []
     for y, s_frac in ((0.3, -0.01 + 1.05j), (0.45, -0.2 + 1.2j)):

@@ -22,7 +22,7 @@ from disperse import (
     solve_at_k,
     sweep,
 )
-from disperse import kinetic_oracle, root_solver
+from disperse import dispersion_core, kinetic_oracle, root_solver
 from disperse.dispersion_core import (
     EXACT_BRANCHES,
     ComplexRate,
@@ -701,6 +701,18 @@ def test_dominant_root_stops_seeds_at_the_known_root(monkeypatch, weak_fermion, 
     res = dominant_root(k, weak_fermion, sc)
     assert res.converged and res.rate.eta < 0.0
     assert len(calls) <= 12
+
+
+def test_quadrature_builds_a_thermal_gas_record_once(weak_boson, weak_boson_scales):
+    # the quadrature residual computes a gas's rate-independent scales once:
+    # a cache key that took in k or s would miss on every residual call
+    sc = weak_boson_scales
+    ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in (0.2, 0.3, 0.4)]
+    dispersion_core._thermal_gas.cache_clear()
+    assert all(res.converged for res in sweep(ks, BranchId.ExactQuadrature, weak_boson, sc))
+    dominant_root(1.1 * ks[-1], weak_boson, sc)
+    info = dispersion_core._thermal_gas.cache_info()
+    assert info.misses == 1 and info.hits > 10
 
 
 # ---------------------------------------------------------------------------
