@@ -41,6 +41,7 @@ from .quantum_stats import (
     _asymptotic_order,
     scaled_erfc,
     thermal_beta,
+    zeta_pm,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -572,6 +573,46 @@ def omega_weak_biquadratic(k: float, species: SpeciesParams, scales: DerivedScal
         raise ValueError("thermal branch needs v_th_sq > 0 (gas not fully degenerate)")
     c1 = coefficient_C1(k, scales)
     return math.sqrt(0.5 * (c1 + math.sqrt(c1 * c1 + 4.0 * (k * k) * scales.v_th_sq * c1)))
+
+
+@functools.lru_cache(maxsize=16)
+def _moment_table(alpha: float, statistics: Statistics) -> tuple[float, ...]:
+    # b_n = (2n - 1)!! zeta(n + 1/2) / zeta(3/2), n = 1 .. 39: the far-field
+    # moments of the thermal response, omega^2 = C1 sum_n b_n x^(n - 1) on the
+    # axis with x = k^2 / (2 beta omega^2); row 0 of _weak_block's tail table
+    # over (-1)^n zeta(3/2).  The first two terms are the biquadratic.
+    norm = zeta_pm(1.5, alpha, statistics)
+    return tuple(abs(float(_ASYM_COEFS[n])) * zeta_pm(n + 0.5, alpha, statistics) / norm
+                 for n in _TAIL_ORDERS.tolist())
+
+
+def _omega_fluid(k: float, species: SpeciesParams, scales: DerivedScales) -> float:
+    """Undamped root of the moment series summed to its smallest term at the
+    biquadratic root (two terms, the biquadratic itself, at least; at most 39,
+    the first below 1e-17 the last), by Newton in u = omega^2 from that root:
+    every term is positive, so Newton rises monotonically onto the longer
+    sum's root.  With no restoring force (C1 = 0) the biquadratic's 0 stays."""
+    omega = omega_weak_biquadratic(k, species, scales)
+    b = _moment_table(scales.alpha, species.statistics)
+    c1, u = coefficient_C1(k, scales), omega * omega
+    x_u = k * k / (2.0 * thermal_beta(species, scales.alpha))  # x = x_u / u
+    order, term = 2, b[1] * x_u / u if u > 0.0 else 0.0
+    while order < len(b) and term >= 1e-17:
+        following = term * (x_u / u) * b[order] / b[order - 1]
+        if following >= term:
+            break
+        order, term = order + 1, following
+    if order == 2:
+        return omega
+    for _ in range(20):
+        x, total, slope = x_u / u, 0.0, 0.0
+        for n in range(order, 0, -1):  # sum b_n x^(n-1) and x d/dx of it
+            total, slope = total * x + b[n - 1], slope * x + (n - 1) * b[n - 1]
+        step = (c1 * total - u) / (1.0 + c1 * slope / u)
+        if not u + step > u:
+            break
+        u += step
+    return math.sqrt(u)
 
 
 def omega_weak_simple(k: float, species: SpeciesParams, scales: DerivedScales) -> float:

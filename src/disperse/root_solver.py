@@ -49,6 +49,7 @@ from .dispersion_core import (
     BranchId,
     ComplexRate,
     DerivedScales,
+    _omega_fluid,
     check_wavenumber,
     omega_c1_corrected,
     omega_degenerate_bohm_gross,
@@ -268,13 +269,14 @@ def solve_at_k(
 
 
 def _matched_closed(k: float, branch: BranchId, species: SpeciesParams, scales: DerivedScales) -> float:
-    """Closed-form frequency matching the branch's regime, used for seeding
-    and for rescaling continuation guesses between k points."""
+    """Undamped frequency matching the branch's regime, used for seeding
+    and for rescaling continuation guesses between k points: the degenerate
+    closed form at T = 0, the thermal moment series' fluid root otherwise."""
     if branch in DEGENERATE_BRANCHES or (branch is BranchId.ExactQuadrature and species.fully_degenerate):
         if species.charge != 0.0:
             return omega_degenerate_bohm_gross(k, scales)
         return omega_zero_sound(k, scales)
-    return omega_weak_biquadratic(k, species, scales)
+    return _omega_fluid(k, species, scales)
 
 
 def first_point_seeds(
@@ -285,11 +287,13 @@ def first_point_seeds(
     *,
     bohm_term: bool = True,
 ) -> list[ComplexRate]:
-    """Seed ladder for the first point of a sweep: the branch-matched closed
-    form, then the dispersionless value, the expanded value, and 1.2x it.
-    ValueError when the branch cannot apply to the species."""
+    """Seed ladder for the first point of a sweep, all on the axis: the branch-matched
+    frequency (Bohm-Gross or zero sound at T = 0, the fluid root of a thermal gas), then
+    the dispersionless value, the expanded value, and 1.2x it.  ValueError when the
+    branch cannot apply to the species or k is too large (check_wavenumber)."""
     check_branch_species(branch, species, scales)
     scales = with_bohm_term(scales, bohm_term)
+    check_wavenumber(k, scales)
     seeds: list[float] = [_matched_closed(k, branch, species, scales)]
     if species.fully_degenerate:
         fallback = omega_degenerate_bohm_gross(k, scales)

@@ -855,6 +855,26 @@ def test_weak_biquadratic_solves_its_polynomial(weak_fermion, weak_fermion_scale
         assert abs(poly) < 1e-9 * c1 * c1
 
 
+@pytest.mark.parametrize("temperature, statistics", [
+    (R.T_FERMI_02, Statistics.FERMI), (R.T_FERMI_09, Statistics.FERMI), (R.T_BOSE_02, Statistics.BOSE),
+    (R.T_BOSE_09, Statistics.BOSE), (R.T_BOSE_099, Statistics.BOSE), (R.T_CLASSICAL, Statistics.FERMI),
+])
+def test_moment_table_is_row_zero_of_the_weak_tail_table(temperature, statistics):
+    # both tables hold the far-field moments A_n zeta(n + 1/2), one from
+    # zeta_pm and one summed over residual_weak's block:
+    # b_n = (-1)^n T[0, n - 1] / zeta(3/2), n = 1 .. 39
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    alpha = derive_scales(sp).alpha
+    table = dispersion_core._moment_table(alpha, statistics)
+    tail = dispersion_core._weak_block(alpha, statistics is Statistics.FERMI)[2]
+    norm = zeta_pm(1.5, alpha, statistics)
+    assert len(table) == tail.shape[1] == 39
+    assert table[0] == 1.0
+    for n, b in enumerate(table, start=1):
+        assert rel(b, (-1) ** n * tail[0, n - 1] / norm) <= 1e-15
+
+
 def test_weak_simple_classical_limit(classical_electron, classical_electron_scales):
     sp, sc = classical_electron, classical_electron_scales
     k = 0.2 * sc.omega_p / math.sqrt(sc.v_th_sq)

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from disperse import dispersion_core, kinetic_oracle, root_solver
 from disperse.dispersion_core import (
     EXACT_BRANCHES,
     ComplexRate,
+    _omega_fluid,
     omega_degenerate_bohm_gross,
     omega_weak_biquadratic,
     residual_quadrature,
 )
 from disperse.errors import DisperseError, NoConvergence, NonConvergent, SeedFailure, SingularInput
-from disperse.quantum_stats import HBAR, with_bohm_term
+from disperse.quantum_stats import HBAR, thermal_beta, with_bohm_term
 from disperse.root_solver import check_branch_species
 
 
@@ -120,6 +122,21 @@ def test_entry_points_refuse_huge_k_by_name(request, gas, k):
     for signed in (k, -k):
         with pytest.raises(ValueError, match=named):
             evolve_mode(signed, sp, sc.alpha)
+
+
+@pytest.mark.parametrize("gas", ["electron_degenerate", "weak_fermion"])
+def test_seed_ladder_refuses_huge_k_by_name(request, gas):
+    # the seed ladder is public too: k^4 raised a bare OverflowError there
+    sp = request.getfixturevalue(gas)
+    sc = derive_scales(sp)
+    for k in (1e60, 1e300):
+        for branch in (BranchId.ExactQuadrature, BranchId.ExactWeak, BranchId.QuantumLangmuir):
+            try:
+                check_branch_species(branch, sp, sc)
+            except ValueError:
+                continue
+            with pytest.raises(ValueError, match="^" + re.escape(f"k = {k:.6g} is too large")):
+                first_point_seeds(k, branch, sp, sc)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +403,8 @@ def test_seed_ladder_refuses_a_wrong_gas_by_the_branch_name(branch, electron_deg
                                                             weak_fermion, weak_fermion_scales):
     # every branch on a T = 0 gas and on a thermal one: a branch that cannot
     # apply is refused with its own name, and one that can is seeded first
-    # from the closed form of its gas's regime
+    # from its gas's regime: the degenerate closed form, or the thermal
+    # moment series' fluid root
     for sp, sc, k in [(electron_degenerate, electron_degenerate_scales, 0.5 * R.K_REF),
                       (weak_fermion, weak_fermion_scales, 0.375 * R.OMEGA_P / math.sqrt(R.VTH2_FERMI_02))]:
         try:
@@ -395,8 +413,67 @@ def test_seed_ladder_refuses_a_wrong_gas_by_the_branch_name(branch, electron_deg
             with pytest.raises(ValueError, match=f"^{branch.name} requires"):
                 first_point_seeds(k, branch, sp, sc)
             continue
-        want = omega_degenerate_bohm_gross(k, sc) if sp.fully_degenerate else omega_weak_biquadratic(k, sp, sc)
+        want = omega_degenerate_bohm_gross(k, sc) if sp.fully_degenerate else _omega_fluid(k, sp, sc)
         assert first_point_seeds(k, branch, sp, sc)[0] == ComplexRate(eta=0.0, omega=want)
+
+
+@pytest.mark.parametrize("temperature, statistics", [
+    (R.T_FERMI_02, Statistics.FERMI), (R.T_FERMI_09, Statistics.FERMI), (R.T_BOSE_01, Statistics.BOSE),
+    (R.T_BOSE_02, Statistics.BOSE), (R.T_BOSE_09, Statistics.BOSE), (R.T_BOSE_099, Statistics.BOSE),
+    (R.T_BOSE_0999, Statistics.BOSE), (R.T_CLASSICAL, Statistics.FERMI),
+])
+def test_thermal_seed_is_never_farther_from_the_root_than_the_biquadratic(temperature, statistics):
+    # the first thermal seed, the moment series summed to its smallest term,
+    # against the quadrature root seeded at the biquadratic (a root seeded at
+    # the fluid root would stop there after 0 iterations); far out, at
+    # |theta| >= 6, it sits within the solver's own resolution
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    sc = derive_scales(sp)
+    beta = thermal_beta(sp, sc.alpha)
+    for y in (0.05, 0.1, 0.2, 0.25, 0.3, 0.35, 0.45, 0.6, 0.8, 1.0, 1.5):
+        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+        biquadratic = omega_weak_biquadratic(k, sp, sc)
+        root = solve_at_k(k, BranchId.ExactQuadrature, sp, sc, ComplexRate(eta=0.0, omega=biquadratic)).rate.omega
+        seed = first_point_seeds(k, BranchId.ExactQuadrature, sp, sc)[0]
+        assert seed.eta == 0.0
+        assert abs(seed.omega - root) <= abs(biquadratic - root)
+        if math.sqrt(beta) * root / k >= 6.0:
+            assert rel(seed.omega, root) <= 1e-10
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    statistics=st.sampled_from(Statistics),
+    charged=st.booleans(),
+    log_mass=st.floats(-31.0, -25.0),
+    log_density=st.floats(18.0, 32.0),
+    log_temperature=st.floats(-3.0, 9.0),
+    frac=st.floats(0.0, 1.0),
+    bohm_term=st.booleans(),
+)
+def test_thermal_seeds_are_finite_or_refuse_the_wavenumber(statistics, charged, log_mass, log_density,
+                                                            log_temperature, frac, bohm_term):
+    # across the constructor's thermal domain, a gas that derive_scales
+    # accepts gets finite positive seeds on the axis, or a ValueError naming
+    # k, and no numpy warning; k v_th/Omega_p spans 1e-3 .. 10 on a charged
+    # gas, k spans 1e6 .. 1e12 1/m on a neutral one, which without the Bohm
+    # term has no restoring force
+    sp = SpeciesParams(mass=10.0**log_mass, charge=-R.Q_E if charged else 0.0, spin_degeneracy=2,
+                       density=10.0**log_density, temperature=10.0**log_temperature, statistics=statistics)
+    try:
+        sc = derive_scales(sp)
+    except DisperseError:
+        return
+    k = 10.0 ** (4.0 * frac - 3.0) * sc.omega_p / math.sqrt(sc.v_th_sq) if charged else 10.0 ** (6.0 * frac + 6.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            seeds = first_point_seeds(k, BranchId.ExactQuadrature, sp, sc, bohm_term=bohm_term)
+        except ValueError as err:
+            assert f"k = {k:.6g}" in str(err)
+            return
+    assert seeds and all(seed.eta == 0.0 and 0.0 < seed.omega < math.inf for seed in seeds)
 
 
 def test_seed_failure_when_iteration_budget_is_tiny(weak_fermion, weak_fermion_scales):
@@ -514,7 +591,7 @@ def test_sweep_keeps_stopped_points_at_their_last_iterate(weak_fermion, weak_fer
     # points past the first that run out of iterations are recorded as their
     # last Newton iterate instead of raising
     sc = weak_fermion_scales
-    ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in (0.3, 0.45, 0.6, 0.75)]
+    ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in (0.3, 0.45, 0.75, 0.9)]
     results = sweep(ks, BranchId.ExactQuadrature, weak_fermion, sc, SolverConfig(max_iter=3))
     assert [res.converged for res in results] == [True, True, False, False]
     for res in results[2:]:
