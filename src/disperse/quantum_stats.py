@@ -16,6 +16,7 @@ Units are SI throughout.  Temperatures in K, densities in 1/m^3.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -144,6 +145,12 @@ def _zeta_euler_maclaurin(r: float) -> float:
     return head + tail
 
 
+@functools.lru_cache(maxsize=64)
+def _robinson_zetas(order: float) -> tuple[float, ...]:
+    """zeta(order - k), k = 0..9: _bose_near_one's coefficients, fixed by the order."""
+    return tuple(_zeta_euler_maclaurin(order - k) for k in range(10))
+
+
 def _bose_near_one(order: float, mu: float) -> float:
     # Robinson's expansion of Li_s(e^-mu) about mu = 0 for non-integer s:
     # Gamma(1 - s) mu^(s-1) + sum_k zeta(s - k) (-mu)^k / k!.  Ten terms
@@ -152,8 +159,8 @@ def _bose_near_one(order: float, mu: float) -> float:
     # where mu^k / k! keeps that error below 1e-15 of the sum.
     total = math.gamma(1.0 - order) * mu ** (order - 1.0)
     term = 1.0
-    for k in range(10):
-        total += _zeta_euler_maclaurin(order - k) * term
+    for k, zeta in enumerate(_robinson_zetas(order)):
+        total += zeta * term
         term *= -mu / (k + 1)
     return total
 

@@ -359,6 +359,161 @@ def test_fit_recovers_mode_on_prime_cut_trace(eta):
     assert resid < 1e-10
 
 
+def full_matrix_fit(run):
+    """fit_omega_eta as it read with one QR of the whole Hankel matrix, and
+    the amplitudes and misfit from a least squares over the whole trace."""
+    dt = run.times[1] - run.times[0]
+    step = max(1, int(2.0 * math.pi / (8.0 * run.omega_guess * dt)))
+    z = run.density[len(run.density) // 20::step]
+    periods = (len(z) - 1) * step * dt * run.omega_guess / (2.0 * math.pi)
+    pencil, order, max_misfit = kinetic_oracle._PENCIL, kinetic_oracle._ORDER, kinetic_oracle._MAX_MISFIT
+    if periods < 10.0 or len(z) < 3 * pencil:
+        raise ValueError(
+            f"density trace too short to fit: {len(z)} samples over {periods:.1f} periods "
+            f"after the transient cut; need {3 * pencil} samples and 10 periods"
+        )
+    try:
+        with np.errstate(all="ignore"):
+            hankel = np.lib.stride_tricks.sliding_window_view(z, pencil)
+            v = np.linalg.svd(np.linalg.qr(hankel, mode="r"))[2][:order].T
+            poles = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
+            log_z = np.log(poles.astype(complex))
+            bad = ~np.isfinite(log_z)
+            if bad.any():
+                raise FitAmbiguous(f"matrix pencil pole {poles[bad][0]} is zero or not finite")
+            grow = log_z.real > 0.0
+            terms = np.empty((len(z), order), complex)
+            terms[0] = 1.0
+            terms[1:] = np.exp(np.where(grow, -log_z, log_z))
+            terms = np.cumprod(terms, axis=0)
+            terms[:, grow] = terms[::-1, grow]
+            terms /= np.linalg.norm(terms, axis=0)
+            coef = np.linalg.lstsq(terms, z, rcond=None)[0]
+            misfit = np.linalg.norm(z - terms @ coef)
+    except np.linalg.LinAlgError as exc:
+        raise FitAmbiguous(f"matrix pencil failed: {exc}") from exc
+    s, amp = log_z / (step * dt), np.abs(coef)
+    near = np.flatnonzero(np.abs(np.abs(s.imag) - run.omega_guess) <= 0.3 * run.omega_guess)
+    if not near.size:
+        raise FitAmbiguous("no pole within 30% of omega_guess")
+    best = near[np.argmax(amp[near])]
+    twin = near[np.argmin(np.abs(s[near] - s[best].conjugate()))]
+    pair = (best, twin) if abs(s[twin] - s[best].conjugate()) <= 1e-6 * abs(s[best]) else (best,)
+    rival = amp[np.setdiff1d(near, pair)]
+    if rival.size and rival.max() > amp[best] / math.sqrt(2.0):
+        raise FitAmbiguous(
+            f"second pole at {rival.max() / amp[best]:.2f} of the mode's amplitude within "
+            "30% of omega_guess; trace is not a single damped mode"
+        )
+    if not misfit <= max_misfit * amp[best]:
+        raise FitAmbiguous(
+            f"misfit {misfit / amp[best]:.3g} of the mode's amplitude, above {max_misfit:g}"
+        )
+    mode = s[max(pair, key=lambda i: s[i].imag)]
+    return abs(float(mode.imag)), float(mode.real), float(misfit / np.linalg.norm(z))
+
+
+def assert_fit_as_full_matrix(run):
+    """fit_omega_eta reads what full_matrix_fit reads, to 1e-13 in omega and
+    eta and 5e-11 in fit_residual, or refuses with the same message.
+
+    fit_residual on an oracle trace is rounding, 1e-12 to 3e-11, and
+    full_matrix_fit itself reads it up to 2.3e-11 apart on a criterion-06
+    trace and that trace times 1.1.  So is the figure in a misfit refusal
+    whose pole has a roundoff amplitude: full_matrix_fit reads 7.1 to 18 on
+    one pure tone scaled by 0.9 to 3.  Such a figure must agree within a
+    factor of 2, and the rest of the message exactly."""
+    try:
+        ref = full_matrix_fit(run)
+    except (FitAmbiguous, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            fit_omega_eta(run)
+        want, msg = str(exc).split(" ", 2), str(got.value).split(" ", 2)
+        if want[0] == "misfit":
+            assert 0.5 <= float(msg[1]) / float(want[1]) <= 2.0
+            want[1] = msg[1]
+        assert msg == want
+        return
+    omega, eta, resid = fit_omega_eta(run)
+    assert abs(omega - ref[0]) <= 1e-13 * ref[0]
+    assert abs(eta - ref[1]) <= 1e-13 * ref[0]
+    assert abs(resid - ref[2]) <= 5e-11
+
+
+def retuned(run, omega_guess):
+    run.omega_guess = omega_guess
+    return run
+
+
+def complex_cast(run):
+    run.density = run.density.astype(complex)
+    return run
+
+
+# every synthetic trace above, and traces of 200 and 544 decimated samples:
+# Hankel matrices of under one block of _triangle and of exactly two
+SYNTHETIC_TRACES = {
+    "damped": lambda: synthetic_run(7.3, -0.02),
+    "growing": lambda: synthetic_run(7.3, 0.015),
+    "real": lambda: synthetic_run(7.3, -0.02, real=True),
+    "complex_cast": lambda: complex_cast(synthetic_run(7.3, -0.02, real=True)),
+    "undamped": lambda: synthetic_run(7.3, 0.0),
+    "two_tone_near": lambda: two_tone_run(6.6),
+    "two_tone_far": lambda: two_tone_run(3.1),
+    "roundoff_pole": lambda: retuned(synthetic_run(7.3, 0.0), 5.0),
+    "no_pole": lambda: retuned(synthetic_run(7.3, -0.02, real=True), 20.0),
+    "too_few_samples": lambda: synthetic_run(7.3, 0.0, n=8),
+    "too_few_periods": lambda: synthetic_run(7.3, 0.0, n=1000, dt=0.001),
+    **{f"prime_cut_{eta}": (lambda eta=eta: synthetic_run(7.3, eta, n=PRIME_CUT))
+       for eta in (-0.02, 0.015, 0.0)},
+    "under_one_block": lambda: synthetic_run(7.3, -0.02, n=2105, real=True),
+    "two_blocks": lambda: synthetic_run(7.3, -0.02, n=5720, real=True),
+}
+
+
+@pytest.mark.parametrize("name", SYNTHETIC_TRACES)
+def test_fit_matches_full_matrix_fit_on_synthetic_traces(name):
+    run = SYNTHETIC_TRACES[name]()
+    # the fit decimates these traces by 10: the Hankel row counts the names claim
+    rows = {"under_one_block": 200 - kinetic_oracle._PENCIL + 1, "two_blocks": 2 * kinetic_oracle._QR_ROWS}
+    if name in rows:
+        assert len(run.density[len(run.density) // 20::10]) - kinetic_oracle._PENCIL + 1 == rows[name]
+    assert_fit_as_full_matrix(run)
+
+
+def test_fit_matches_full_matrix_fit_on_oracle_traces(weak_fermion, weak_fermion_scales, weak_boson,
+                                                      weak_boson_scales, electron_degenerate,
+                                                      electron_degenerate_scales):
+    # criterion 06's modes: ten damped thermal ones at t_end = 200, with the
+    # root as the guess, and five undamped T = 0 ones at the defaults
+    for sp, sc in ((weak_fermion, weak_fermion_scales), (weak_boson, weak_boson_scales)):
+        for y in np.linspace(0.36, 0.40, 5):
+            k = float(y) * sc.omega_p / math.sqrt(sc.v_th_sq)
+            omega = converged_root(k, BranchId.ExactQuadrature, sp, sc).rate.omega
+            assert_fit_as_full_matrix(evolve_mode(k, sp, sc.alpha, OracleConfig(t_end=200.0),
+                                                  omega_guess=omega, fit=False))
+    sc = electron_degenerate_scales
+    for x in (0.3, 0.6, 1.0, 1.5, 2.0):
+        assert_fit_as_full_matrix(evolve_mode(x * sc.omega_p / sc.v_ch, electron_degenerate, None,
+                                              fit=False))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_blocked_triangle_matches_one_qr(dtype):
+    # under one block, one block and a row, and several blocks with a short
+    # last one; R^H R = x^H x fixes R up to the phase of each row
+    rng = np.random.default_rng(33)
+    for rows in (40, kinetic_oracle._QR_ROWS + 1, 1489):
+        x = rng.normal(size=(rows, kinetic_oracle._PENCIL)).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.normal(size=x.shape)
+        got = kinetic_oracle._triangle(x)
+        ref = np.linalg.qr(x, mode="r")
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        gram = ref.conj().T @ ref
+        assert np.abs(got.conj().T @ got - gram).max() <= 1e-13 * np.abs(gram).max()
+
+
 # ---------------------------------------------------------------------------
 # Volterra building blocks against their direct sums
 # ---------------------------------------------------------------------------
@@ -386,10 +541,14 @@ def test_series_quotient_matches_forward_substitution():
 # with blocks that do not divide r, blocks of len(a) that do and do not
 # divide r, halves of a short r (w under 1024), and two halves against an a
 # longer than one of them, at odd and even len(r), past a quarter of r and
-# one short of it
+# one short of it.  An a within a block carries at _fft_size(w): equal to w
+# (2500, 1; 4097, 1024) and above it (1025, 1; 4400, 1100), with len(a) == w
+# (4400, 1100; 4097, 1024), and last blocks of one sample (2049, 1;
+# 3301, 1100; 4097, 1024)
 @pytest.mark.parametrize("n, m", [(2500, 1), (1025, 1), (4400, 1100), (4500, 1100),
                                   (130, 1), (130, 32), (1500, 800), (2049, 2049), (2048, 1025),
-                                  (2500, 626), (2500, 2499), (130, 129)])
+                                  (2500, 626), (2500, 2499), (130, 129), (2049, 1), (3301, 1100),
+                                  (4097, 1024)])
 def test_blocked_series_quotient_matches_forward_substitution(n, m):
     rng = np.random.default_rng(n + m)
     r = rng.normal(size=n)
@@ -398,6 +557,46 @@ def test_blocked_series_quotient_matches_forward_substitution(n, m):
     ref = forward_substitution(r, np.concatenate((a, np.zeros(n - m))))
     got = kinetic_oracle._series_quotient(r, a)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def unfolded_series_quotient(r, a):
+    """The blocked quotient with every carry a product at the full length
+    _fft_size(2w), as it read before short kernels carried at _fft_size(w)."""
+    n, m = len(r), len(a)
+    w = min(max(m, 1024), (n + 1) // 2)
+    size = kinetic_oracle._fft_size(2 * w)
+    times = kinetic_oracle._times
+    a_spec, inv = np.fft.rfft(a, size), kinetic_oracle._reciprocal(a, w)
+    inv_spec = np.fft.rfft(inv, size)
+    err = np.fft.irfft((a_spec if m <= w else np.fft.rfft(a[:w], size)) * inv_spec, size)[:w]
+    err[0] -= 1.0
+    inv_spec = np.fft.rfft(inv - times(inv_spec, err, size)[:w], size)
+    out = np.empty(n)
+    for lo in range(0, n, w):
+        block = r[lo:lo + w]
+        if lo:
+            block = block - times(a_spec, out[lo - w:lo], size)[w:w + len(block)]
+        out[lo:lo + w] = times(inv_spec, block, size)[:len(block)]
+    return out
+
+
+# criterion 06's thermal modes, and a 400 001-sample trace of ~180 blocks,
+# where the rounding each folded carry leaves must not build up
+@pytest.mark.parametrize("gas, y, t_end", [(g, float(y), 200.0) for g in ("fermi_0.2", "bose_0.2")
+                                           for y in np.linspace(0.36, 0.40, 5)]
+                         + [("fermi_0.2", 0.6, 2000.0)])
+def test_folded_carry_matches_full_length_carry(gas, y, t_end, monkeypatch, weak_fermion,
+                                                 weak_boson):
+    sp = weak_fermion if gas == "fermi_0.2" else weak_boson
+    sc = derive_scales(sp)
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    omega = converged_root(k, BranchId.ExactQuadrature, sp, sc).rate.omega
+    config = OracleConfig(t_end=t_end)
+    run = evolve_mode(k, sp, sc.alpha, config, omega_guess=omega, fit=False)
+    assert 2 * run.support <= len(run.times)  # the kernel fits in one block
+    monkeypatch.setattr(kinetic_oracle, "_series_quotient", unfolded_series_quotient)
+    ref = evolve_mode(k, sp, sc.alpha, config, omega_guess=omega, fit=False).density
+    assert np.abs(run.density - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def direct_chirp_z(x, theta, m, shift):

@@ -178,6 +178,28 @@ def test_zeta_matches_high_precision_polylog():
             assert rel(zeta_pm(order, alpha, Statistics.FERMI), fermi_ref) < 1e-12
 
 
+def uncached_bose_near_one(order, mu):
+    """Robinson's expansion as it read before its zetas were cached: each
+    call evaluates the ten Euler-Maclaurin zetas afresh."""
+    total = math.gamma(1.0 - order) * mu ** (order - 1.0)
+    term = 1.0
+    for k in range(10):
+        total += quantum_stats._zeta_euler_maclaurin(order - k) * term
+        term *= -mu / (k + 1)
+    return total
+
+
+def test_zeta_near_one_cache_is_bitwise(monkeypatch):
+    # the cached zetas are the same floats, summed in the same order; 0.951
+    # sits just past -ln alpha = 0.05, on the plain series
+    orders = np.arange(1.5, 40.0)
+    alphas = np.linspace(0.951, 0.999, 25)
+    cases = [(float(o), float(a), s) for o in orders for a in alphas for s in Statistics]
+    cached = [zeta_pm(*case) for case in cases]
+    monkeypatch.setattr(quantum_stats, "_bose_near_one", uncached_bose_near_one)
+    assert cached == [zeta_pm(*case) for case in cases]
+
+
 def test_zeta_boson_divergence_and_validation():
     with pytest.raises(NonConvergent, match="diverges"):
         zeta_pm(1.0, 1.0, Statistics.BOSE)
