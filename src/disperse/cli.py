@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -35,6 +36,8 @@ from .root_solver import DispersionResult, SolverConfig, check_branch_species, s
 CSV_HEADER = "k,omega,eta,v_phase,r,epsilon,residual,iterations,converged,branch"
 COMPARE_HEADER = "k,omega_solver,eta_solver,omega_oracle,eta_oracle,rel_err_omega,abs_err_eta"
 _FLOAT = "{:.16e}"  # 17 significant digits: every double prints distinctly
+# a run CSV row: seven float cells, then iterations, converged and branch
+_ROW = ",".join([_FLOAT] * 7 + ["{}"] * 3)
 
 
 class ConfigError(Exception):
@@ -218,11 +221,10 @@ def _k_grid(cfg: RunConfig) -> np.ndarray:
 def _format_row(cfg: RunConfig, res: DispersionResult) -> str:
     r = res.k * cfg.scales.v_ch / res.rate.omega
     eps = res.rate.eta / res.rate.omega
-    cells = (res.k * cfg.unit_v / cfg.unit_omega, res.rate.omega / cfg.unit_omega,
-             res.rate.eta / cfg.unit_omega, res.rate.omega / res.k / cfg.unit_v,
-             r, eps, res.residual_norm)
-    return ",".join([_FLOAT.format(val) for val in cells]
-                    + [str(res.iterations), "true" if res.converged else "false", res.branch.name])
+    return _ROW.format(res.k * cfg.unit_v / cfg.unit_omega, res.rate.omega / cfg.unit_omega,
+                       res.rate.eta / cfg.unit_omega, res.rate.omega / res.k / cfg.unit_v,
+                       r, eps, res.residual_norm,
+                       res.iterations, "true" if res.converged else "false", res.branch.name)
 
 
 def _sweep_branch(cfg: RunConfig, branch: BranchId, k_grid: np.ndarray):
@@ -240,9 +242,7 @@ def _sweep_branch(cfg: RunConfig, branch: BranchId, k_grid: np.ndarray):
 def _write_branch_csv(cfg: RunConfig, branch: BranchId, results) -> str:
     path = os.path.join(cfg.out_path, f"{branch.name}.csv")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(CSV_HEADER + "\n")
-        for res in results:
-            handle.write(_format_row(cfg, res) + "\n")
+        handle.write("\n".join([CSV_HEADER] + [_format_row(cfg, res) for res in results]) + "\n")
     return path
 
 
@@ -340,7 +340,9 @@ def cmd_compare(cfg: RunConfig, quiet: bool) -> int:
     return 0 if all_ok else 2
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once a process; parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="disperse",
         description="Dispersion and damping of charged quantum gases: branch sweeps and kinetic cross-checks.",
@@ -351,7 +353,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--output-dir", default=None, help="override [output] path")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config, args.output_dir)

@@ -195,6 +195,20 @@ def _result(k: float, branch: BranchId, rate: ComplexRate, scales: DerivedScales
     )
 
 
+def _closed_form(k: float, branch: BranchId, species: SpeciesParams, scales: DerivedScales) -> DispersionResult:
+    """A closed-form branch at a checked k, with its back-substitution
+    diagnostic; scales already carry the Bohm-term choice."""
+    rate = ComplexRate(eta=0.0, omega=_CLOSED_FORMS[branch](k, species, scales))
+    try:
+        if branch in DEGENERATE_BRANCHES:
+            diag = abs(residual_degenerate(rate.r(k, scales.v_ch), 0.0, k, scales)[0].real)
+        else:
+            diag = abs(residual_weak(k, rate.s, species, scales.alpha, scales)[0])
+    except (SingularInput, NonConvergent):
+        diag = math.inf
+    return _result(k, branch, rate, scales, diag, converged=True)
+
+
 def solve_at_k(
     k: float,
     branch: BranchId,
@@ -216,16 +230,7 @@ def solve_at_k(
     check_branch_species(branch, species, scales)
 
     if branch in CLOSED_FORM_BRANCHES:
-        omega = _CLOSED_FORMS[branch](k, species, scales)
-        rate = ComplexRate(eta=0.0, omega=omega)
-        try:
-            if branch in DEGENERATE_BRANCHES:
-                diag = abs(residual_degenerate(rate.r(k, scales.v_ch), 0.0, k, scales)[0].real)
-            else:
-                diag = abs(residual_weak(k, rate.s, species, scales.alpha, scales)[0])
-        except (SingularInput, NonConvergent):
-            diag = math.inf
-        return _result(k, branch, rate, scales, diag, converged=True)
+        return _closed_form(k, branch, species, scales)
 
     # each fun returns the residual's pair (f, df/ds)
     kv = k * scales.v_ch  # r = k v_ch / omega = kv / Im s
@@ -336,7 +341,11 @@ def sweep(
     scales = with_bohm_term(scales, bohm_term)
 
     if branch in CLOSED_FORM_BRANCHES:
-        return [solve_at_k(k, branch, species, scales, ComplexRate(0.0, 1.0), config) for k in ks]
+        results = []
+        for k in ks:
+            check_wavenumber(k, scales)
+            results.append(_closed_form(k, branch, species, scales))
+        return results
     if not ks:
         return []
     check_wavenumber(ks[-1], scales)

@@ -7,13 +7,16 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import _refs as R
-from disperse import SpeciesParams, Statistics, derive_scales
+from disperse import SpeciesParams, Statistics, derive_scales, sweep
+from disperse import cli
 from disperse.cli import COMPARE_HEADER, CSV_HEADER, load_config, main, oracle_agrees
+from disperse.dispersion_core import ComplexRate
 from disperse.quantum_stats import K_B, PLANCK_H
 
 VTH_F02 = math.sqrt(R.VTH2_FERMI_02)
@@ -60,17 +63,23 @@ def read_rows(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
-def run_module(cfg, out):
-    """`python -m disperse.cli run` in a fresh interpreter, so the exit
+def run_cli(args, cwd=None):
+    """`python -m disperse.cli ARGS` in a fresh interpreter, so the exit
     status and any traceback reach the caller even where the console script
     is not installed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "disperse.cli", "run", "--config", str(cfg),
-         "--output-dir", str(out), "--quiet"],
-        capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, "-m", "disperse.cli", *args],
+                          capture_output=True, text=True, timeout=120, env=env, cwd=cwd)
+
+
+def run_module(cfg, out):
+    return run_cli(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"])
+
+
+def tree_bytes(root):
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +195,57 @@ branches = QuantumLangmuir
     for row in rows:
         vp, r = float(row[3]), float(row[4])
         assert abs(vp * r - 1.0) < 1e-12               # both in v_ch units
+
+
+def per_cell_row(cfg, res):
+    """A run CSV row formatted one str.format call a cell, as the CLI once
+    did: the reference the one-call row must match byte for byte."""
+    r = res.k * cfg.scales.v_ch / res.rate.omega
+    eps = res.rate.eta / res.rate.omega
+    cells = (res.k * cfg.unit_v / cfg.unit_omega, res.rate.omega / cfg.unit_omega,
+             res.rate.eta / cfg.unit_omega, res.rate.omega / res.k / cfg.unit_v,
+             r, eps, res.residual_norm)
+    return ",".join(["{:.16e}".format(val) for val in cells]
+                    + [str(res.iterations), "true" if res.converged else "false", res.branch.name])
+
+
+def test_run_rows_match_the_per_cell_format(tmp_path):
+    path = write_ini(tmp_path, DEGENERATE_SPECIES + """
+[sweep]
+k_min = 0.01
+k_max = 2.5
+n_points = 12
+units = reduced
+branches = ExactDegenerate, ExactQuadrature, QuantumLangmuir, C1Corrected, DegenerateBohmGross, ZeroSound
+""")
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--output-dir", str(out), "--quiet"]) == 0
+    cfg = load_config(path, str(out))
+    for branch in cfg.branches:
+        results = sweep(cli._k_grid(cfg), branch, cfg.species, cfg.scales, cfg.solver, bohm_term=cfg.bohm_term)
+        rows = [per_cell_row(cfg, res) for res in results]
+        assert [cli._format_row(cfg, res) for res in results] == rows, branch.name
+        assert (out / f"{branch.name}.csv").read_bytes() == "".join(
+            line + "\n" for line in [CSV_HEADER] + rows).encode()
+
+    # cells at the edges of the 17-digit format: an infinite, a zero and a
+    # subnormal residual, a signed zero eta, no and many iterations
+    base = results[5]
+    synthetic = [
+        replace(base, residual_norm=math.inf, converged=False),
+        replace(base, residual_norm=0.0, iterations=0),
+        replace(base, residual_norm=5e-324, iterations=100),
+        replace(base, rate=ComplexRate(eta=-0.0, omega=base.rate.omega)),
+        replace(base, rate=ComplexRate(eta=0.0, omega=base.rate.omega)),
+    ]
+    rows = [per_cell_row(cfg, res) for res in synthetic]
+    assert [cli._format_row(cfg, res) for res in synthetic] == rows
+    assert "inf" in rows[0] and ",false," in rows[0] and ",100,true," in rows[2]
+    assert rows[3].split(",")[2].startswith("-0.0") and rows[4].split(",")[2].startswith("0.0")
+    for written in (synthetic, []):
+        csv = cli._write_branch_csv(cfg, base.branch, written)
+        assert Path(csv).read_bytes() == "".join(
+            line + "\n" for line in [CSV_HEADER] + [per_cell_row(cfg, res) for res in written]).encode()
 
 
 def test_run_unconverged_branch_exits_two(tmp_path, capsys):
@@ -347,6 +407,49 @@ def test_missing_config_file(tmp_path, capsys):
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # every call to main in a process parses with the same parser, so no
+    # option of an earlier call may carry over: the third run names no
+    # --output-dir and no --quiet, and must write to the config's own path
+    # and print its progress
+    cfg = write_ini(tmp_path, DEGENERATE_SPECIES + """
+[sweep]
+k_min = 0.1
+k_max = 1.5
+n_points = 6
+units = reduced
+branches = ExactDegenerate, DegenerateBohmGross
+
+[output]
+path = b
+""")
+    calls = [["run", "--config", cfg, "--quiet", "--output-dir", "a"], [], ["run", "--config", cfg],
+             ["compare", "--config", str(CONFIGS / "weak_boson_small_k_compare.ini"), "--output-dir", "c",
+              "--quiet"]]
+    inproc, fresh = tmp_path / "inproc", tmp_path / "fresh"
+    inproc.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(inproc)
+    stdouts = []
+    for argv in calls:
+        if argv:
+            code = main(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            code = exc.value.code
+        printed = capsys.readouterr()
+        proc = run_cli(argv, cwd=fresh)
+        assert (code, printed.out, printed.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert code == (2 if not argv else 0)
+        stdouts.append(printed.out)
+    assert stdouts[0] == stdouts[3] == "" and "summary -> b" in stdouts[2]
+    assert sorted(os.listdir(inproc)) == ["a", "b", "c"]
+    produced = tree_bytes(inproc)
+    assert produced == tree_bytes(fresh)
+    assert b"path = a\n" in produced["a/summary.txt"] and b"path = b\n" in produced["b/summary.txt"]
 
 
 # ---------------------------------------------------------------------------

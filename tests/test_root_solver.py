@@ -612,6 +612,30 @@ def test_closed_form_result_semantics(electron_degenerate, electron_degenerate_s
     assert res.branch is BranchId.QuantumLangmuir
 
 
+def test_closed_form_sweep_is_solve_at_k_point_by_point(electron_degenerate, electron_degenerate_scales,
+                                                       weak_fermion, weak_fermion_scales):
+    # sweep evaluates closed forms without going through solve_at_k; every
+    # point must still be solve_at_k's, to the bit and the sign of a zero
+    covered = set()
+    for sp, sc, k_unit in [(electron_degenerate, electron_degenerate_scales, R.K_REF),
+                           (weak_fermion, weak_fermion_scales, R.OMEGA_P / math.sqrt(R.VTH2_FERMI_02))]:
+        ks = (np.geomspace(0.01, 3.0, 12) * k_unit).tolist()
+        for branch in sorted(dispersion_core.CLOSED_FORM_BRANCHES, key=lambda b: b.name):
+            try:
+                check_branch_species(branch, sp, sc)
+            except ValueError:
+                continue
+            covered.add(branch)
+            for bohm_term in (True, False):  # both gases are charged
+                swept = sweep(ks, branch, sp, sc, bohm_term=bohm_term)
+                pointwise = [solve_at_k(k, branch, sp, sc, ComplexRate(0.0, 1.0), bohm_term=bohm_term)
+                             for k in ks]
+                assert swept == pointwise and same(swept, pointwise), (branch.name, bohm_term)
+            with pytest.raises(ValueError, match="^" + re.escape("k = 1e+60 is too large")):
+                sweep([1e9, 1e60, 1e80], branch, sp, sc)
+    assert covered == dispersion_core.CLOSED_FORM_BRANCHES
+
+
 def test_check_branch_species_messages(
     electron_degenerate, electron_degenerate_scales,
     weak_fermion, weak_fermion_scales,
