@@ -19,6 +19,10 @@ from their branch cuts and oriented as 1 - (normalized response), and its
 complex derivative in closed form, which Newton takes as its slope.  The
 weak and quadrature values differ by the pole term alone; tests pin that
 relation.
+
+The benchmark tracer (benchmark/tracing.py) wraps this module's global
+scaled_erfc, which residual_weak looks up at call time, and the three
+residuals by name where root_solver imports them; keep those lookups and names.
 """
 
 from __future__ import annotations
@@ -586,6 +590,13 @@ def _moment_table(alpha: float, statistics: Statistics) -> tuple[float, ...]:
                  for n in _TAIL_ORDERS.tolist())
 
 
+@functools.lru_cache(maxsize=16)
+def _fluid_table(alpha: float, statistics: Statistics) -> tuple[tuple[float, ...], tuple[tuple[float, float], ...]]:
+    # _moment_table's b_n and _omega_fluid's Horner pairs (b_n, (n - 1) b_n), n = 1 .. 39
+    b = _moment_table(alpha, statistics)
+    return b, tuple((bn, (n - 1) * bn) for n, bn in enumerate(b, start=1))
+
+
 def _omega_fluid(k: float, species: SpeciesParams, scales: DerivedScales) -> float:
     """Undamped root of the moment series summed to its smallest term at the
     biquadratic root (two terms, the biquadratic itself, at least; at most 39,
@@ -593,7 +604,7 @@ def _omega_fluid(k: float, species: SpeciesParams, scales: DerivedScales) -> flo
     every term is positive, so Newton rises monotonically onto the longer
     sum's root.  With no restoring force (C1 = 0) the biquadratic's 0 stays."""
     omega = omega_weak_biquadratic(k, species, scales)
-    b = _moment_table(scales.alpha, species.statistics)
+    b, pairs = _fluid_table(scales.alpha, species.statistics)
     c1, u = coefficient_C1(k, scales), omega * omega
     x_u = k * k / (2.0 * thermal_beta(species, scales.alpha))  # x = x_u / u
     order, term = 2, b[1] * x_u / u if u > 0.0 else 0.0
@@ -604,10 +615,11 @@ def _omega_fluid(k: float, species: SpeciesParams, scales: DerivedScales) -> flo
         order, term = order + 1, following
     if order == 2:
         return omega
+    horner = pairs[order - 1::-1]  # n = order .. 1
     for _ in range(20):
         x, total, slope = x_u / u, 0.0, 0.0
-        for n in range(order, 0, -1):  # sum b_n x^(n-1) and x d/dx of it
-            total, slope = total * x + b[n - 1], slope * x + (n - 1) * b[n - 1]
+        for bn, slope_n in horner:  # sum b_n x^(n-1) and x d/dx of it
+            total, slope = total * x + bn, slope * x + slope_n
         step = (c1 * total - u) / (1.0 + c1 * slope / u)
         if not u + step > u:
             break

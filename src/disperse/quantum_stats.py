@@ -322,6 +322,7 @@ def _weideman_coefficients(n: int = 54):
 
 
 _WEIDEMAN_L, _WEIDEMAN_COEFS = _weideman_coefficients()
+_WEIDEMAN_EXPONENTS = np.arange(_WEIDEMAN_COEFS.size - 1, -1, -1)
 
 
 def _g_rational(z: np.ndarray) -> np.ndarray:
@@ -334,7 +335,7 @@ def _g_rational(z: np.ndarray) -> np.ndarray:
     # a complex to a small integer power by repeated squaring), then each
     # row is reduced on its own by numpy's pairwise sum.  That keeps each
     # element's bits independent of the batch, which a BLAS product would not.
-    powers = ratio[:, None] ** np.arange(_WEIDEMAN_COEFS.size - 1, -1, -1)
+    powers = ratio[:, None] ** _WEIDEMAN_EXPONENTS
     poly = (powers * _WEIDEMAN_COEFS).sum(axis=1)
     w_iz = 2.0 * poly / (d * d) + (1.0 / _SQRT_PI) / d
     return _SQRT_PI * z * w_iz
@@ -390,14 +391,15 @@ def scaled_erfc(z):
     precision answer there.
     """
     arr = np.asarray(z, dtype=complex)
+    if arr.ndim == 1 and arr.size and np.abs(arr).max() <= 6.0 and arr.real.min() >= 0.0:
+        # the right-half-plane disc, which residual_weak's head always is; a
+        # NaN fails the |z| test and takes the masked path
+        return _g_rational(arr)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).ravel()
 
     refl = flat.real < 0.0
     small = np.abs(flat) <= 6.0
-    if arr.ndim == 1 and small.all() and not refl.any():
-        # the right-half-plane disc, which residual_weak's head always is
-        return _g_rational(flat)
     zp = np.where(refl, -flat, flat)
     out = np.empty_like(zp)
     if small.any():

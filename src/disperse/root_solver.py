@@ -33,6 +33,11 @@ iterative branches only.
 dominant_root does not run every seed of the ladder to convergence: a later
 seed stops before it evaluates a point within 1e-4 (relative) of a root an
 earlier seed found, since it would only find that root again.
+
+The benchmark tracer (benchmark/tracing.py) wraps these call-time lookups, so
+keep them: sweep and dominant_root enter every exact point through the module
+global solve_at_k (the branch its second positional argument), which reaches
+the three residuals through this module's globals of their names.
 """
 
 from __future__ import annotations
@@ -299,7 +304,12 @@ def first_point_seeds(
     check_branch_species(branch, species, scales)
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
-    seeds: list[float] = [_matched_closed(k, branch, species, scales)]
+    return _seed_ladder(k, species, scales, _matched_closed(k, branch, species, scales))
+
+
+def _seed_ladder(k: float, species: SpeciesParams, scales: DerivedScales, matched: float) -> list[ComplexRate]:
+    """The seed ladder from the branch-matched frequency, at a checked k on Bohm-adjusted scales."""
+    seeds = [matched]
     if species.fully_degenerate:
         fallback = omega_degenerate_bohm_gross(k, scales)
     else:
@@ -348,9 +358,10 @@ def sweep(
         return results
     if not ks:
         return []
-    check_wavenumber(ks[-1], scales)
+    check_wavenumber(ks[-1], scales)  # and so every smaller k
 
-    for seed in first_point_seeds(ks[0], branch, species, scales):
+    closed_prev = _matched_closed(ks[0], branch, species, scales)
+    for seed in _seed_ladder(ks[0], species, scales, closed_prev):
         try:
             first = solve_at_k(ks[0], branch, species, scales, seed, config)
             break
@@ -360,7 +371,6 @@ def sweep(
         raise SeedFailure(f"no seed converged at the first point k = {ks[0]:.6e}")
     results = [first]
     prev, k_prev = first.rate, ks[0]
-    closed_prev = _matched_closed(k_prev, branch, species, scales)
     for k in ks[1:]:
         # rescale the previous rate by the closed-form ratio between the
         # two k points; plain omega continuation pushes r = k v_ch/omega

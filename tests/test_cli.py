@@ -159,6 +159,25 @@ def test_summary_reruns_byte_identical(tmp_path, monkeypatch, config):
         assert (first / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def test_rerun_over_longer_files_leaves_no_stale_tail(tmp_path):
+    # a rerun into a directory whose files are longer than its output
+    # replaces them whole; files a run creates honour the umask
+    cfg = weak_sweep_ini(tmp_path)
+    out = tmp_path / "out"
+    old_umask = os.umask(0o027)
+    try:
+        assert main(["run", "--config", cfg, "--output-dir", str(out), "--quiet"]) == 0
+    finally:
+        os.umask(old_umask)
+    want = tree_bytes(out)
+    assert sorted(want) == ["ExactQuadrature.csv", "WeakSimple.csv", "summary.txt"]
+    assert all(path.stat().st_mode & 0o777 == 0o640 for path in out.iterdir())
+    for path in out.iterdir():
+        path.write_bytes(2 * path.read_bytes() + b"stale tail")
+    assert main(["run", "--config", cfg, "--output-dir", str(out), "--quiet"]) == 0
+    assert tree_bytes(out) == want
+
+
 def test_summary_echoes_config_text(tmp_path):
     cfg = write_ini(tmp_path, EVERY_FIELD)
     text = load_config(cfg).text

@@ -875,6 +875,63 @@ def test_moment_table_is_row_zero_of_the_weak_tail_table(temperature, statistics
         assert rel(b, (-1) ** n * tail[0, n - 1] / norm) <= 1e-15
 
 
+def _omega_fluid_loop(k, species, scales):
+    # the fluid root with its Newton sum indexing the moment table term by
+    # term, as first written; returns the root and the order it summed to
+    omega = omega_weak_biquadratic(k, species, scales)
+    b = dispersion_core._moment_table(scales.alpha, species.statistics)
+    c1, u = coefficient_C1(k, scales), omega * omega
+    x_u = k * k / (2.0 * dispersion_core.thermal_beta(species, scales.alpha))
+    order, term = 2, b[1] * x_u / u if u > 0.0 else 0.0
+    while order < len(b) and term >= 1e-17:
+        following = term * (x_u / u) * b[order] / b[order - 1]
+        if following >= term:
+            break
+        order, term = order + 1, following
+    if order == 2:
+        return omega, order
+    for _ in range(20):
+        x, total, slope = x_u / u, 0.0, 0.0
+        for n in range(order, 0, -1):
+            total, slope = total * x + b[n - 1], slope * x + (n - 1) * b[n - 1]
+        step = (c1 * total - u) / (1.0 + c1 * slope / u)
+        if not u + step > u:
+            break
+        u += step
+    return math.sqrt(u), order
+
+
+def test_omega_fluid_matches_the_term_by_term_loop_bitwise():
+    # the Horner table of pairs (b_n, (n - 1) b_n) runs the loop's floating
+    # point operations in its order: every test gas at y = 0.05-1.5, with
+    # orders from the early return at 2 up to the full 39
+    orders = set()
+    for temperature, statistics in [
+        (R.T_FERMI_02, Statistics.FERMI), (R.T_FERMI_09, Statistics.FERMI), (R.T_BOSE_01, Statistics.BOSE),
+        (R.T_BOSE_02, Statistics.BOSE), (R.T_BOSE_09, Statistics.BOSE), (R.T_BOSE_099, Statistics.BOSE),
+        (R.T_BOSE_0999, Statistics.BOSE), (R.T_CLASSICAL, Statistics.FERMI),
+    ]:
+        sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                           temperature=temperature, statistics=statistics)
+        sc = derive_scales(sp)
+        for y in [*np.linspace(0.05, 1.5, 59), 1e-9, 3.0]:
+            k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+            want, order = _omega_fluid_loop(k, sp, sc)
+            got = dispersion_core._omega_fluid(k, sp, sc)
+            assert got == want and got.hex() == want.hex(), (temperature, statistics, y)
+            orders.add(order)
+    assert {2, 39} <= orders and len(orders) > 20
+
+
+def test_omega_fluid_without_restoring_force_is_zero():
+    # a neutral gas with the Bohm term off has C1 = 0: the biquadratic's 0
+    sp = SpeciesParams(mass=R.M_E, charge=0.0, spin_degeneracy=2, density=R.N0,
+                       temperature=R.T_FERMI_02, statistics=Statistics.FERMI)
+    sc = with_bohm_term(derive_scales(sp), False)
+    for k in (1e6, 1e9, 1e11):
+        assert dispersion_core._omega_fluid(k, sp, sc) == 0.0 == _omega_fluid_loop(k, sp, sc)[0]
+
+
 def test_weak_simple_classical_limit(classical_electron, classical_electron_scales):
     sp, sc = classical_electron, classical_electron_scales
     k = 0.2 * sc.omega_p / math.sqrt(sc.v_th_sq)

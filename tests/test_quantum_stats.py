@@ -460,6 +460,45 @@ def test_scaled_erfc_disc_batch_skips_only_the_masks(size):
     assert np.array_equal(scaled_erfc(z), quantum_stats._g_rational(z))
 
 
+def _scaled_erfc_masked(z):
+    # scaled_erfc's masked path, taken for every input, disc or not
+    arr = np.asarray(z, dtype=complex)
+    flat = np.atleast_1d(arr).ravel()
+    refl = flat.real < 0.0
+    small = np.abs(flat) <= 6.0
+    zp = np.where(refl, -flat, flat)
+    out = np.empty_like(zp)
+    if small.any():
+        out[small] = quantum_stats._g_rational(zp[small])
+    if not small.all():
+        out[~small] = quantum_stats._g_asymptotic(zp[~small])
+    if refl.any():
+        zr = flat[refl]
+        out[refl] = out[refl] + 2.0 * math.sqrt(math.pi) * zr * np.exp(zr * zr)
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+@pytest.mark.parametrize("z", [
+    np.array([-0.0, 1.0 + 1.0j]), np.array([complex(-0.0, -0.0), complex(0.0, -6.0)]),
+    np.array([6.0, 6.0j, -6.0j]), np.array([math.nextafter(6.0, 7.0), 1.0]), np.array([-1e-300, 1.0]),
+    np.array([math.nan, 1.0]), np.array([complex(1.0, math.nan)]), np.array([complex(math.nan, 0.0)]),
+    np.array([math.inf, 1.0]), np.array([complex(0.0, math.inf)]), np.array([-math.inf]),
+    np.array([], dtype=complex), np.array(0.5 + 0.5j), np.array(-0.0), 0.5, -0.0,
+    np.array([[0.5, 1.0j], [2.0, 3.0 - 1.0j]]), np.zeros((0, 3)), [0.5, 6.0], np.arange(6.0)[::2],
+], ids=repr)
+def test_scaled_erfc_disc_check_matches_the_masked_path(z):
+    # the disc check before any mask is built sends -0.0, |z| = 6.0 and a
+    # clean 1-D disc to the rational fit and everything else (NaN, inf,
+    # Re z < 0, empty, 0-d, 2-D) to the masked path: bits, shape and type
+    # as if every input took the masked path
+    with np.errstate(all="ignore"):
+        got, want = scaled_erfc(z), _scaled_erfc_masked(z)
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == complex
+    assert got.tobytes() == want.tobytes()
+
+
 def _asymptotic_order_loop(r2):
     # the cut term by term: the smallest term, or the first term below
     # 1e-17, whichever comes first

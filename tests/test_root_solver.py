@@ -601,6 +601,26 @@ def test_sweep_keeps_stopped_points_at_their_last_iterate(weak_fermion, weak_fer
     assert sweep([], BranchId.ExactQuadrature, weak_fermion, sc) == []
 
 
+@pytest.mark.parametrize("branch, max_iter", [(BranchId.ExactWeak, 100), (BranchId.ExactQuadrature, 3)])
+def test_sweep_takes_one_fluid_root_per_k(monkeypatch, weak_fermion, weak_fermion_scales, branch, max_iter):
+    # the first point's seed ladder and the continuation ratio share one
+    # fluid root, and a stopped point takes one too; dominant_root takes one
+    sc = weak_fermion_scales
+    ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in (0.3, 0.45, 0.75, 0.9)]
+    want = sweep(ks, branch, weak_fermion, sc, SolverConfig(max_iter=max_iter))
+    calls = []
+
+    def counted(k, species, scales):
+        calls.append(k)
+        return _omega_fluid(k, species, scales)
+
+    monkeypatch.setattr(root_solver, "_omega_fluid", counted)
+    assert same(sweep(ks, branch, weak_fermion, sc, SolverConfig(max_iter=max_iter)), want)
+    assert calls == ks
+    dominant_root(ks[0], weak_fermion, sc)
+    assert calls == [*ks, ks[0]]
+
+
 def test_closed_form_result_semantics(electron_degenerate, electron_degenerate_scales):
     sp, sc = electron_degenerate, electron_degenerate_scales
     res = solve_at_k(R.K_REF, BranchId.QuantumLangmuir, sp, sc,
