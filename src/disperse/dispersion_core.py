@@ -27,8 +27,10 @@ residuals by name where root_solver imports them; keep those lookups and names.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -452,6 +454,24 @@ def _thermal_gas(species: SpeciesParams, alpha: float) -> tuple[float, tuple]:
     return w_scale, (cuts, c_g, s_beta_w2, 1.0 / alpha, fermi)
 
 
+def _thermal_response(p_hat: complex, gas: tuple) -> tuple[complex, complex]:
+    # J(p_hat), the thermal response residual_quadrature integrates, and
+    # dJ/dp_hat: depends on the gas alone, not on k.  The residue enters
+    # below the axis (Im p_hat < 0 is eta < 0), the continuation from the
+    # growing half-plane; on the axis the principal log supplies half of it
+    c_g = gas[1]
+    slope, d_slope = _occupation_slope_at(p_hat, *gas[2:])
+    g_at_p, d_g = c_g * slope, c_g * d_slope
+    integral, d_integral = _gauss_legendre(p_hat, g_at_p, d_g, gas)
+    log_ratio = _principal_log_ratio(p_hat, p_hat.imag == 0.0)
+    integral += g_at_p * log_ratio
+    d_integral += d_g * log_ratio + g_at_p * _log_ratio_slope(p_hat)
+    if p_hat.imag < 0.0:
+        integral += 2.0j * math.pi * g_at_p
+        d_integral += 2.0j * math.pi * d_g
+    return integral, d_integral
+
+
 def residual_quadrature(
     k: float, s: complex, species: SpeciesParams, alpha: float | None, scales: DerivedScales
 ) -> tuple[complex, complex]:
@@ -481,9 +501,9 @@ def residual_quadrature(
         raise ValueError("k must be positive")
     s = complex(s)
     p = 1j * s / k  # pole in velocity space: (-omega + i eta)/k
-    eta = s.real
 
     if alpha is None:
+        eta = s.real
         if not species.fully_degenerate:
             raise ValueError("alpha = None requires a fully degenerate species")
         v_f = scales.v_ch
@@ -502,26 +522,155 @@ def residual_quadrature(
             log_ratio = _principal_log_ratio(p_hat, eta == 0.0)
             integral = -3.0 + g_at_p * log_ratio
             d_integral = d_g * log_ratio + g_at_p * _log_ratio_slope(p_hat)
+        if add_residue:
+            integral += 2.0j * math.pi * g_at_p
+            d_integral += 2.0j * math.pi * d_g
     else:
         w_scale, gas = _thermal_gas(species, alpha)
-        p_hat = p / w_scale
-        c_g = gas[1]
-        slope, d_slope = _occupation_slope_at(p_hat, *gas[2:])
-        g_at_p, d_g = c_g * slope, c_g * d_slope
-        add_residue = eta < 0.0
-        integral, d_integral = _gauss_legendre(p_hat, g_at_p, d_g, gas)
-        log_ratio = _principal_log_ratio(p_hat, eta == 0.0)
-        integral += g_at_p * log_ratio
-        d_integral += d_g * log_ratio + g_at_p * _log_ratio_slope(p_hat)
-
-    if add_residue:
-        integral += 2.0j * math.pi * g_at_p
-        d_integral += 2.0j * math.pi * d_g
+        integral, d_integral = _thermal_response(p / w_scale, gas)
     c1 = coefficient_C1(k, scales)
     # (1/n0) integral over w of f'(w)/(w - p) = integral(u) / w_scale^2 here,
     # and dp/ds = i/(k w_scale)
     scale = c1 / (k * k * w_scale * w_scale)
     return 1.0 - scale * integral, -scale * d_integral * (1j / (k * w_scale))
+
+
+# ---------------------------------------------------------------------------
+# thermal roots in a box: argument-principle counts over the k-free response
+# ---------------------------------------------------------------------------
+
+# the box in p_hat = i s/(k W): Re p_hat in [-6, -0.01], Im p_hat in [-0.03, 0.1]
+_BOX_RE = (-6.0, -0.01)
+_BOX_IM = (-0.03, 0.1)
+# the boundary starts as 24 segments on each long edge, geometric in Re p_hat
+# since J turns fastest near 0, and 3 on each short edge; a segment whose tube
+# meets the positive real axis is halved, at most 12 times, until the tube's
+# radius is within 1e-3 of |J| at its ends
+_BOX_LONG, _BOX_SHORT = 24, 3
+_BOX_TOL = 1e-3
+_BOX_DEPTH = 12
+
+
+def _pole_near_box(gas: tuple) -> bool:
+    # J's poles are the occupation slope's below the axis, where the residue
+    # enters: s_beta_w2 p^2 = ln alpha + i phi, phi = 2 pi n (Bose) or
+    # pi (2n + 1) (Fermi).  True when one lies in the box or between it and
+    # Re p_hat = 0; |Im p^2| <= 2 |Re p| |Im p| bounds the n to try
+    s_beta_w2, inv_alpha, fermi = gas[2:]
+    n_max = int(2.0 * s_beta_w2 * -_BOX_RE[0] * -_BOX_IM[0] / (2.0 * math.pi)) + 1
+    for n in range(-n_max, n_max + 1):
+        phi = math.pi * (2 * n + 1) if fermi else 2.0 * math.pi * n
+        pole = cmath.sqrt(complex(-math.log(inv_alpha), phi) / s_beta_w2)
+        if any(_BOX_RE[0] <= p.real <= 0.0 and _BOX_IM[0] <= p.imag < 0.0 for p in (pole, -pole)):
+            return True
+    return False
+
+
+def _tube(a: tuple, b: tuple) -> float:
+    # how far J strays from its chord between two samples (p_hat, J, J'):
+    # |J''| h^2 / 8, with |J''| h^2 taken at the larger end of the cubic
+    # Hermite fit's second derivative (linear on the segment), and doubled
+    step = b[0] - a[0]
+    rise, d_a, d_b = b[1] - a[1], a[2] * step, b[2] * step
+    return max(abs(6.0 * rise - 4.0 * d_a - 2.0 * d_b), abs(6.0 * rise - 2.0 * d_a - 4.0 * d_b)) / 4.0
+
+
+def _tube_on_axis(z_a: complex, z_b: complex, radius: float) -> tuple[float, float] | None:
+    # the real interval the radius-tube around the chord z_a -> z_b covers, or None
+    rise = z_b.imag - z_a.imag
+    t_lo, t_hi = 0.0, 1.0
+    if rise:
+        t0, t1 = sorted(((-radius - z_a.imag) / rise, (radius - z_a.imag) / rise))
+        t_lo, t_hi = max(t0, 0.0), min(t1, 1.0)
+    elif abs(z_a.imag) > radius:
+        return None
+    if t_lo > t_hi:
+        return None
+    ends = (z_a.real + t_lo * (z_b.real - z_a.real), z_a.real + t_hi * (z_b.real - z_a.real))
+    return min(ends) - radius, max(ends) + radius
+
+
+@functools.lru_cache(maxsize=64)
+def _box_count_table(gas: tuple) -> tuple[tuple, tuple, tuple] | None:
+    # (lows, highs, counts): on each interval (lows[i], highs[i]) of X > 0 the
+    # winding number of J(box boundary) - X, which is the number of roots of
+    # J = X in the box, is certain and equal to counts[i].  The boundary is
+    # sampled with _thermal_response, and X is certain where it lies outside
+    # every segment's tube around its chord and above the far field's reach,
+    # |J| on the left edge: J ~ 1/p_hat^2 decreases in |p_hat| beyond it.
+    # None when a pole of J lies in or beside the box or a sample fails
+    if _pole_near_box(gas):
+        return None
+    (left, right), (bottom, top) = _BOX_RE, _BOX_IM
+    along = left * (right / left) ** (np.arange(_BOX_LONG + 1) / _BOX_LONG)
+    along[-1] = right
+    up = np.linspace(bottom, top, _BOX_SHORT + 1)
+    ring = ([complex(x, bottom) for x in along[:-1]] + [complex(right, y) for y in up[:-1]]
+            + [complex(x, top) for x in along[:0:-1]] + [complex(left, y) for y in up[:0:-1]])
+    chain, covers, far = [], [], 0.0
+    try:
+        samples = [(p, *_thermal_response(p, gas)) for p in ring]
+        for segment in zip(samples, samples[1:] + samples[:1]):
+            stack = [(*segment, 0)]
+            while stack:
+                a, b, depth = stack.pop()
+                radius = _tube(a, b)
+                cover = _tube_on_axis(a[1], b[1], radius)
+                if cover and depth < _BOX_DEPTH and radius > _BOX_TOL * max(abs(a[1]), abs(b[1])):
+                    p = 0.5 * (a[0] + b[0])
+                    mid = (p, *_thermal_response(p, gas))
+                    stack += [(mid, b, depth + 1), (a, mid, depth + 1)]
+                    continue
+                chain.append(a[1])
+                if cover:
+                    covers.append(cover)
+                if a[0].real == b[0].real == left:
+                    far = max(far, abs(a[1]) + radius, abs(b[1]) + radius)
+    except (QuadratureFailure, SingularInput):
+        return None
+    z = np.array(chain)
+    turns = np.roll(z, -1)
+
+    def winding(x: float) -> int:
+        return round(float(np.angle((turns - x) / (z - x)).sum()) / (2.0 * math.pi))
+
+    lows, highs, counts, start = [], [], [], far
+    for low, high in sorted(covers) + [(math.inf, math.inf)]:
+        if low > start:
+            lows.append(start)
+            highs.append(low)
+            counts.append(winding(0.5 * (start + low) if low < math.inf else 2.0 * start))
+        start = max(start, high)
+    return tuple(lows), tuple(highs), tuple(counts)
+
+
+@functools.lru_cache(maxsize=64)
+def _box_asks(gas: tuple) -> itertools.count:
+    # how often a gas's count has been asked for: its table is built at the
+    # second ask, so a gas asked once pays nothing
+    return itertools.count()
+
+
+def _box_root_count(k: float, s: complex, species: SpeciesParams, alpha: float,
+                    scales: DerivedScales) -> int | None:
+    """How many roots the thermal residual has at k in the box of
+    p_hat = i s/(k W), given s in it: one bisection on X(k) = k^2 W^2 / C1(k)
+    in the gas's table.  None when s lies outside the box, when the count is
+    not certain at X(k), when the gas has no table, and at a gas's first ask,
+    which builds nothing."""
+    w_scale, gas = _thermal_gas(species, alpha)
+    p_hat = 1j * s / k / w_scale
+    if not (_BOX_RE[0] <= p_hat.real <= _BOX_RE[1] and _BOX_IM[0] <= p_hat.imag <= _BOX_IM[1]):
+        return None
+    if not next(_box_asks(gas)):
+        return None
+    table = _box_count_table(gas)
+    if table is None:
+        return None
+    lows, highs, counts = table
+    x = (k * w_scale) ** 2 / coefficient_C1(k, scales)
+    i = bisect.bisect_right(lows, x) - 1
+    return counts[i] if i >= 0 and x < highs[i] else None
 
 
 # ---------------------------------------------------------------------------

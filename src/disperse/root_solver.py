@@ -32,7 +32,17 @@ iterative branches only.
 
 dominant_root does not run every seed of the ladder to convergence: a later
 seed stops before it evaluates a point within 1e-4 (relative) of a root an
-earlier seed found, since it would only find that root again.
+earlier seed found, since it would only find that root again.  On a thermal
+gas it usually runs one seed.  A root at k solves J(p_hat) = X(k) =
+k^2 W^2 / C1(k), with p_hat = i s/(k W) and J the gas's k-free response, so
+one table per gas counts the roots in the box Re p_hat in [-6, -0.01],
+Im p_hat in [-0.03, 0.1] at every k (dispersion_core._box_root_count).  The
+table is built at the gas's second call, from ~95 evaluations of J.  When
+the first root lies in the box and the count is 1, it is the answer.  The
+ladder runs as before on a gas's first call, when the first root lies
+outside the box, when the count is not 1 or not certain, for a Bose gas
+whose occupation pole sits beside the box (fugacity above ~0.944), and at
+T = 0, where the residual's step rule is not analytic across |p_hat| = 1.
 
 The benchmark tracer (benchmark/tracing.py) wraps these call-time lookups, so
 keep them: sweep and dominant_root enter every exact point through the module
@@ -54,6 +64,7 @@ from .dispersion_core import (
     BranchId,
     ComplexRate,
     DerivedScales,
+    _box_root_count,
     _omega_fluid,
     check_wavenumber,
     omega_c1_corrected,
@@ -408,17 +419,34 @@ def dominant_root(
     damped).  A later seed stops, as a failed seed does, the moment it is
     about to evaluate a point within _KNOWN_ROOT_BALL of a root an earlier
     seed found: it would only find that root again.  Raises SeedFailure when
-    nothing converges."""
+    nothing converges.
+
+    A thermal gas stops at its first root when that root lies in the box
+    Re p_hat in [-6, -0.01], Im p_hat in [-0.03, 0.1] of p_hat = i s/(k W)
+    and the gas's argument-principle count (_box_root_count) proves it the
+    only root there.  No root outside the box is less damped: below it every
+    root is more damped; above it a thermal gas has no growing mode (Penrose,
+    Phys. Fluids 3 (1960) 258); beyond Re p_hat = -6 the response is its
+    far-field moment series, ~1/p_hat^2, smaller in modulus than anywhere on
+    the box's left edge, while the count is only trusted above that edge's
+    |J|; and between Re p_hat = -0.01 and 0 it stays near its static value
+    J(0) < 0, while a root needs J = X(k) > 0 (the count refuses a gas with
+    an occupation pole there).  So the first root is what the whole ladder
+    would return, bit for bit.  T = 0 keeps the ladder.
+    """
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
     branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactQuadrature
     roots: list[DispersionResult] = []
-    for seed in first_point_seeds(k, branch, species, scales):
+    for seed in _seed_ladder(k, species, scales, _matched_closed(k, branch, species, scales)):
         try:
             res = solve_at_k(k, branch, species, scales, seed, config,
                              _known=tuple(root.rate for root in roots))
         except (*_SWEEP_POINT_ERRORS, _ReachedKnownRoot):
             continue
+        if (not roots and branch is BranchId.ExactQuadrature
+                and _box_root_count(k, res.rate.s, species, scales.alpha, scales) == 1):
+            return res
         if all(abs(res.rate.omega - other.rate.omega) > 1e-8 * res.rate.omega for other in roots):
             roots.append(res)
     if not roots:

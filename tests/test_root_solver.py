@@ -1,5 +1,6 @@
 """Newton iteration, seed ladder, sweeps, and result semantics."""
 
+import bisect
 import math
 import re
 import time
@@ -797,6 +798,9 @@ def test_dominant_root_does_not_cut_a_seed_heading_for_another_root(
 
     monkeypatch.setattr(root_solver, "residual_quadrature", toy)
     monkeypatch.setattr(root_solver, "solve_at_k", counted)
+    # the toy replaces the residual but not the gas's root count: take the
+    # ladder, which is what this test is about
+    monkeypatch.setattr(root_solver, "_box_root_count", lambda *args: None)
     res = dominant_root(k, sp, sc)
     assert abs(complex(res.rate.eta, res.rate.omega) / wp - less_damped) < 1e-10
     (_, first), _, (third_calls, third), (_, fourth) = per_seed
@@ -808,7 +812,8 @@ def test_dominant_root_does_not_cut_a_seed_heading_for_another_root(
 
 def test_dominant_root_stops_seeds_at_the_known_root(monkeypatch, weak_fermion, weak_fermion_scales):
     # the full ladder makes 18-19 residual calls here: four seeds to the
-    # same root
+    # same root.  Without the root count, so that the ball is what stops them
+    monkeypatch.setattr(root_solver, "_box_root_count", lambda *args: None)
     sc = weak_fermion_scales
     k = 0.36 * sc.omega_p / math.sqrt(sc.v_th_sq)
     calls = []
@@ -824,16 +829,158 @@ def test_dominant_root_stops_seeds_at_the_known_root(monkeypatch, weak_fermion, 
     assert len(calls) <= 12
 
 
-def test_quadrature_builds_a_thermal_gas_record_once(weak_boson, weak_boson_scales):
+def test_quadrature_builds_a_thermal_gas_record_once(monkeypatch, weak_boson, weak_boson_scales):
     # the quadrature residual computes a gas's rate-independent scales once:
-    # a cache key that took in k or s would miss on every residual call
+    # a cache key that took in k or s would miss on every residual call.
+    # Each residual call asks for the record once, and so does dominant_root's
+    # root count, once, for its first root
     sc = weak_boson_scales
     ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in (0.2, 0.3, 0.4)]
+    calls = []
+    original = root_solver.residual_quadrature
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(root_solver, "residual_quadrature", counted)
     dispersion_core._thermal_gas.cache_clear()
     assert all(res.converged for res in sweep(ks, BranchId.ExactQuadrature, weak_boson, sc))
     dominant_root(1.1 * ks[-1], weak_boson, sc)
     info = dispersion_core._thermal_gas.cache_info()
-    assert info.misses == 1 and info.hits > 10
+    assert len(calls) > 0
+    assert info.misses == 1 and info.hits == len(calls)
+
+
+# ---------------------------------------------------------------------------
+# the thermal root count that stops dominant_root at its first root
+# ---------------------------------------------------------------------------
+
+def _thermal_species(gas):
+    temperature, statistics = {**_THERMAL_TEST_GASES, "bose_0.999": (R.T_BOSE_0999, Statistics.BOSE)}[gas]
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    return sp, derive_scales(sp)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = root_solver.solve_at_k
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(root_solver, "solve_at_k", counted)
+    return calls
+
+
+def _table_count(k, sp, sc):
+    # the gas table's count at X(k) = k^2 W^2 / C1(k), which must be certain
+    w_scale, gas = dispersion_core._thermal_gas(sp, sc.alpha)
+    lows, highs, counts = dispersion_core._box_count_table(gas)
+    x = (k * w_scale) ** 2 / dispersion_core.coefficient_C1(k, sc)
+    i = bisect.bisect_right(lows, x) - 1
+    assert i >= 0 and x < highs[i]
+    return counts[i]
+
+
+def _dense_box_count(k, sp, sc):
+    # the argument principle on the exact residual f(k, s) itself: its
+    # winding around 0 along the box, p_hat = i s/(k W), sampled on a ring
+    # of its own, fine enough that no step turns a quarter turn
+    w_scale, _ = dispersion_core._thermal_gas(sp, sc.alpha)
+    (left, right), (bottom, top) = dispersion_core._BOX_RE, dispersion_core._BOX_IM
+    along = [left * (right / left) ** (i / 320) for i in range(320)] + [right]
+    up = np.linspace(bottom, top, 25).tolist()
+    ring = ([complex(x, bottom) for x in along[:-1]] + [complex(right, y) for y in up[:-1]]
+            + [complex(x, top) for x in along[:0:-1]] + [complex(left, y) for y in up[:0:-1]])
+    f = np.array([residual_quadrature(k, -1j * k * w_scale * p, sp, sc.alpha, sc)[0] for p in ring])
+    turns = np.angle(np.roll(f, -1) / f)
+    assert np.abs(turns).max() < 0.5 * math.pi
+    return round(float(turns.sum()) / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES))
+def test_dominant_root_certifies_its_first_thermal_root(monkeypatch, gas):
+    # on the full-ladder test's y-grid the box holds exactly one root at
+    # every k, so once the gas has been asked for its count a call runs one seed
+    sp, sc = _thermal_species(gas)
+    ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in np.linspace(0.05, 0.6, 12)]
+    dominant_root(ks[0], sp, sc)
+    calls = _count_solves(monkeypatch)
+    for k in ks:
+        res = dominant_root(k, sp, sc)
+        assert root_solver._box_root_count(k, res.rate.s, sp, sc.alpha, sc) == 1
+    assert calls == ks
+
+
+@pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES))
+def test_box_count_table_matches_a_dense_count_on_the_residual(gas):
+    sp, sc = _thermal_species(gas)
+    for y in (0.1, 0.35, 0.6):
+        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+        assert _table_count(k, sp, sc) == _dense_box_count(k, sp, sc) == 1, (gas, y)
+
+
+def test_a_gas_first_call_builds_no_table(monkeypatch):
+    # a temperature no other test uses: the first call pays for no table and
+    # runs the ladder; the second builds one and stops at its first seed
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=3.3e4, statistics=Statistics.FERMI)
+    sc = derive_scales(sp)
+    k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    before = dispersion_core._box_count_table.cache_info()
+    first = dominant_root(k, sp, sc)
+    assert dispersion_core._box_count_table.cache_info() == before
+    calls = _count_solves(monkeypatch)
+    second = dominant_root(k, sp, sc)
+    assert dispersion_core._box_count_table.cache_info().misses == before.misses + 1
+    assert calls == [k] and same(first, second)
+
+
+def test_dominant_root_takes_the_ladder_on_a_count_of_two(monkeypatch, weak_fermion, weak_fermion_scales):
+    sp, sc = weak_fermion, weak_fermion_scales
+    k = 0.36 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    monkeypatch.setattr(root_solver, "_box_root_count", lambda *args: 2)
+    calls = _count_solves(monkeypatch)
+    res = dominant_root(k, sp, sc)
+    assert len(calls) == len(first_point_seeds(k, BranchId.ExactQuadrature, sp, sc)) == 4
+    assert same(res, full_ladder(k, sp, sc))
+
+
+@pytest.mark.parametrize("y", [0.02, 1.0])  # left of the box; below it
+def test_dominant_root_takes_the_ladder_on_a_root_outside_the_box(monkeypatch, weak_fermion, weak_fermion_scales, y):
+    sp, sc = weak_fermion, weak_fermion_scales
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    dominant_root(k, sp, sc)  # the gas has been asked for its count
+    calls = _count_solves(monkeypatch)
+    res = dominant_root(k, sp, sc)
+    assert root_solver._box_root_count(k, res.rate.s, sp, sc.alpha, sc) is None
+    assert len(calls) == 4 and same(res, full_ladder(k, sp, sc))
+
+
+def test_box_root_count_refuses_a_rate_outside_the_box(weak_fermion, weak_fermion_scales):
+    # the same k, where the count is certainly 1, with the rate moved below the box
+    sp, sc = weak_fermion, weak_fermion_scales
+    k = 0.45 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    res = dominant_root(k, sp, sc)  # the gas has been asked for its count
+    w_scale, _ = dispersion_core._thermal_gas(sp, sc.alpha)
+    below = complex(-0.05 * k * w_scale, res.rate.omega)  # Im p_hat = -0.05
+    assert dispersion_core._box_root_count(k, res.rate.s, sp, sc.alpha, sc) == 1
+    assert dispersion_core._box_root_count(k, below, sp, sc.alpha, sc) is None
+
+
+def test_a_bose_gas_with_a_pole_beside_the_box_keeps_the_ladder():
+    # fugacity 0.999 puts an occupation pole at p_hat = -0.004i, between the
+    # box and Re p_hat = 0: no table, and the ladder as before
+    sp, sc = _thermal_species("bose_0.999")
+    _, gas = dispersion_core._thermal_gas(sp, sc.alpha)
+    assert dispersion_core._box_count_table(gas) is None
+    for y in np.linspace(0.05, 0.6, 6):
+        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+        res, ref = dominant_root(k, sp, sc), full_ladder(k, sp, sc)
+        assert res == ref and same(res, ref), y
 
 
 # ---------------------------------------------------------------------------
