@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -549,6 +548,8 @@ _BOX_IM = (-0.03, 0.1)
 _BOX_LONG, _BOX_SHORT = 24, 3
 _BOX_TOL = 1e-3
 _BOX_DEPTH = 12
+# about what a table costs in evaluations of J (95-97 on the benchmark gases)
+_BOX_BUILD_COST = 100
 
 
 def _pole_near_box(gas: tuple) -> bool:
@@ -567,9 +568,10 @@ def _pole_near_box(gas: tuple) -> bool:
 
 
 def _tube(a: tuple, b: tuple) -> float:
-    # how far J strays from its chord between two samples (p_hat, J, J'):
-    # |J''| h^2 / 8, with |J''| h^2 taken at the larger end of the cubic
-    # Hermite fit's second derivative (linear on the segment), and doubled
+    # an estimate of how far J strays from its chord between two samples
+    # (p_hat, J, J'): |J''| h^2 / 8, with |J''| h^2 the larger end value of
+    # the cubic Hermite fit's second derivative (linear on the segment),
+    # doubled.  Not a bound: nothing bounds J'' between the samples
     step = b[0] - a[0]
     rise, d_a, d_b = b[1] - a[1], a[2] * step, b[2] * step
     return max(abs(6.0 * rise - 4.0 * d_a - 2.0 * d_b), abs(6.0 * rise - 2.0 * d_a - 4.0 * d_b)) / 4.0
@@ -590,14 +592,13 @@ def _tube_on_axis(z_a: complex, z_b: complex, radius: float) -> tuple[float, flo
     return min(ends) - radius, max(ends) + radius
 
 
-@functools.lru_cache(maxsize=64)
 def _box_count_table(gas: tuple) -> tuple[tuple, tuple, tuple] | None:
     # (lows, highs, counts): on each interval (lows[i], highs[i]) of X > 0 the
-    # winding number of J(box boundary) - X, which is the number of roots of
-    # J = X in the box, is certain and equal to counts[i].  The boundary is
-    # sampled with _thermal_response, and X is certain where it lies outside
-    # every segment's tube around its chord and above the far field's reach,
-    # |J| on the left edge: J ~ 1/p_hat^2 decreases in |p_hat| beyond it.
+    # winding number of the sampled J(box boundary) - X, the number of roots
+    # of J = X in the box, is counts[i].  The boundary is sampled with
+    # _thermal_response, and X is counted where it lies outside every
+    # segment's estimated tube around its chord and above the far field's
+    # reach, |J| on the left edge: J ~ 1/p_hat^2 decreases in |p_hat| beyond it.
     # None when a pole of J lies in or beside the box or a sample fails
     if _pole_near_box(gas):
         return None
@@ -644,33 +645,57 @@ def _box_count_table(gas: tuple) -> tuple[tuple, tuple, tuple] | None:
     return tuple(lows), tuple(highs), tuple(counts)
 
 
+class _BoxRecord:
+    """A gas's count table once built (None for a gas that cannot have one),
+    and until then the residual evaluations that dominant_root's later
+    seeds spent on the gas at roots in the box: what a table would have saved."""
+
+    __slots__ = ("spent", "built", "table")
+
+    def __init__(self):
+        self.spent, self.built, self.table = 0, False, None
+
+
 @functools.lru_cache(maxsize=64)
-def _box_asks(gas: tuple) -> itertools.count:
-    # how often a gas's count has been asked for: its table is built at the
-    # second ask, so a gas asked once pays nothing
-    return itertools.count()
+def _box_record(gas: tuple) -> _BoxRecord:
+    return _BoxRecord()
+
+
+def _in_box(p_hat: complex) -> bool:
+    return _BOX_RE[0] <= p_hat.real <= _BOX_RE[1] and _BOX_IM[0] <= p_hat.imag <= _BOX_IM[1]
 
 
 def _box_root_count(k: float, s: complex, species: SpeciesParams, alpha: float,
                     scales: DerivedScales) -> int | None:
     """How many roots the thermal residual has at k in the box of
     p_hat = i s/(k W), given s in it: one bisection on X(k) = k^2 W^2 / C1(k)
-    in the gas's table.  None when s lies outside the box, when the count is
-    not certain at X(k), when the gas has no table, and at a gas's first ask,
-    which builds nothing."""
+    in the gas's table.  None when s lies outside the box, when the gas has
+    no table (not built yet, or a pole beside the box), and when X(k) falls
+    inside a segment's tube."""
     w_scale, gas = _thermal_gas(species, alpha)
-    p_hat = 1j * s / k / w_scale
-    if not (_BOX_RE[0] <= p_hat.real <= _BOX_RE[1] and _BOX_IM[0] <= p_hat.imag <= _BOX_IM[1]):
-        return None
-    if not next(_box_asks(gas)):
-        return None
-    table = _box_count_table(gas)
-    if table is None:
+    table = _box_record(gas).table
+    if table is None or not _in_box(1j * s / k / w_scale):
         return None
     lows, highs, counts = table
     x = (k * w_scale) ** 2 / coefficient_C1(k, scales)
     i = bisect.bisect_right(lows, x) - 1
     return counts[i] if i >= 0 and x < highs[i] else None
+
+
+def _box_spend(k: float, s: complex, species: SpeciesParams, alpha: float, evaluations: int) -> None:
+    """Charge a gas without a table the residual evaluations that a ladder's
+    later seeds made at k after its first root s, when s lies in the box:
+    a table would have saved them.  The table is built once the charges
+    reach _BOX_BUILD_COST, what a build takes.  So a gas asked for a few
+    roots never pays for a table, and one asked for many pays at most about
+    twice what building at once would have cost (the ski-rental rule)."""
+    w_scale, gas = _thermal_gas(species, alpha)
+    record = _box_record(gas)
+    if record.built or not _in_box(1j * s / k / w_scale):
+        return
+    record.spent += evaluations
+    if record.spent >= _BOX_BUILD_COST:
+        record.table, record.built = _box_count_table(gas), True
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,8 @@ iterative branches only.
 
 dominant_root does not run every seed of the ladder to convergence: a later
 seed stops before it evaluates a point within 1e-4 (relative) of a root an
-earlier seed found, since it would only find that root again.  On a thermal
-gas it usually runs one seed.  A root at k solves J(p_hat) = X(k) =
-k^2 W^2 / C1(k), with p_hat = i s/(k W) and J the gas's k-free response, so
-one table per gas counts the roots in the box Re p_hat in [-6, -0.01],
-Im p_hat in [-0.03, 0.1] at every k (dispersion_core._box_root_count).  The
-table is built at the gas's second call, from ~95 evaluations of J.  When
-the first root lies in the box and the count is 1, it is the answer.  The
-ladder runs as before on a gas's first call, when the first root lies
-outside the box, when the count is not 1 or not certain, for a Bose gas
-whose occupation pole sits beside the box (fugacity above ~0.944), and at
-T = 0, where the residual's step rule is not analytic across |p_hat| = 1.
+earlier seed found, and on a thermal gas a per-gas root count usually stops
+the ladder at its first root (see dominant_root).
 
 The benchmark tracer (benchmark/tracing.py) wraps these call-time lookups, so
 keep them: sweep and dominant_root enter every exact point through the module
@@ -65,6 +56,7 @@ from .dispersion_core import (
     ComplexRate,
     DerivedScales,
     _box_root_count,
+    _box_spend,
     _omega_fluid,
     check_wavenumber,
     omega_c1_corrected,
@@ -235,12 +227,14 @@ def solve_at_k(
     *,
     bohm_term: bool = True,
     _known: tuple[ComplexRate, ...] = (),
+    _spent: list[int] | None = None,
 ) -> DispersionResult:
     """One root at one wavenumber.  Closed-form branches evaluate their
     formula and report a back-substitution diagnostic; exact branches run
     damped Newton on the rate s = eta + i omega from seed.s.  `_known` (dominant_root's roots so far)
     makes an exact branch raise _ReachedKnownRoot instead of evaluating a
-    point inside any of their balls."""
+    point inside any of their balls, and adds the points it does evaluate
+    to `_spent[0]`."""
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
     check_branch_species(branch, species, scales)
@@ -280,6 +274,7 @@ def solve_at_k(
         def fun(s):
             if any(abs(s - c) <= _KNOWN_ROOT_BALL * abs(c) for c in centres):
                 raise _ReachedKnownRoot
+            _spent[0] += 1
             return evaluate(s)
 
     s, norm, iterations, failure = _newton(fun, seed.s, config, reject)
@@ -423,32 +418,48 @@ def dominant_root(
 
     A thermal gas stops at its first root when that root lies in the box
     Re p_hat in [-6, -0.01], Im p_hat in [-0.03, 0.1] of p_hat = i s/(k W)
-    and the gas's argument-principle count (_box_root_count) proves it the
-    only root there.  No root outside the box is less damped: below it every
-    root is more damped; above it a thermal gas has no growing mode (Penrose,
-    Phys. Fluids 3 (1960) 258); beyond Re p_hat = -6 the response is its
-    far-field moment series, ~1/p_hat^2, smaller in modulus than anywhere on
-    the box's left edge, while the count is only trusted above that edge's
-    |J|; and between Re p_hat = -0.01 and 0 it stays near its static value
-    J(0) < 0, while a root needs J = X(k) > 0 (the count refuses a gas with
-    an occupation pole there).  So the first root is what the whole ladder
-    would return, bit for bit.  T = 0 keeps the ladder.
+    and the gas's table (dispersion_core._box_root_count) counts one root
+    there.  A root at k solves J(p_hat) = X(k) = k^2 W^2 / C1(k), with J the
+    gas's k-free response, so one table serves every k: the winding number
+    of J around the box for each X, from ~95 samples of J.  It is an
+    estimate checked by sampling, not a proof: a segment's distance from its
+    chord comes from a Hermite fit of J'' at its two ends, doubled, and X is
+    counted only outside those tubes.  No root outside the box is less
+    damped: below it every root is more damped; above it a thermal gas has
+    no growing mode (Penrose, Phys. Fluids 3 (1960) 258); beyond
+    Re p_hat = -6 the response is its far-field moment series, ~1/p_hat^2,
+    smaller in modulus than on the box's left edge, and the count is only
+    taken above that edge's |J|; between Re p_hat = -0.01 and 0 it stays
+    near its static value J(0) < 0, while a root needs J = X(k) > 0 (a gas
+    with an occupation pole there gets no table).  So, as far as the
+    estimate holds, the first root is the one the whole ladder returns.
+    Tests check the count, and the strip to the right of the box, against
+    dense counts on the residual.
+
+    A gas gets its table once the ladder's later seeds have spent on it, at
+    first roots in the box, the residual calls a build takes (~100; each
+    such call spends ~7.5-8 of them).  Until then, for roots outside the box,
+    for a count other than 1, and at T = 0, where the residual's step rule
+    is not analytic across |p_hat| = 1, the whole ladder runs.
     """
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
     branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactQuadrature
+    thermal = branch is BranchId.ExactQuadrature
     roots: list[DispersionResult] = []
+    spent = [0]  # residual calls of the seeds after the first root
     for seed in _seed_ladder(k, species, scales, _matched_closed(k, branch, species, scales)):
         try:
             res = solve_at_k(k, branch, species, scales, seed, config,
-                             _known=tuple(root.rate for root in roots))
+                             _known=tuple(root.rate for root in roots), _spent=spent)
         except (*_SWEEP_POINT_ERRORS, _ReachedKnownRoot):
             continue
-        if (not roots and branch is BranchId.ExactQuadrature
-                and _box_root_count(k, res.rate.s, species, scales.alpha, scales) == 1):
+        if not roots and thermal and _box_root_count(k, res.rate.s, species, scales.alpha, scales) == 1:
             return res
         if all(abs(res.rate.omega - other.rate.omega) > 1e-8 * res.rate.omega for other in roots):
             roots.append(res)
     if not roots:
         raise SeedFailure(f"no seed converged at k = {k:.6e}")
+    if thermal:
+        _box_spend(k, roots[0].rate.s, species, scales.alpha, spent[0])
     return max(roots, key=lambda item: item.rate.eta)

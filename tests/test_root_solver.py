@@ -832,8 +832,9 @@ def test_dominant_root_stops_seeds_at_the_known_root(monkeypatch, weak_fermion, 
 def test_quadrature_builds_a_thermal_gas_record_once(monkeypatch, weak_boson, weak_boson_scales):
     # the quadrature residual computes a gas's rate-independent scales once:
     # a cache key that took in k or s would miss on every residual call.
-    # Each residual call asks for the record once, and so does dominant_root's
-    # root count, once, for its first root
+    # Each residual call asks for the record once, and so do dominant_root's
+    # root count, for its first root, and its charge toward the gas's table:
+    # the first ask misses and every later one hits
     sc = weak_boson_scales
     ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in (0.2, 0.3, 0.4)]
     calls = []
@@ -845,22 +846,38 @@ def test_quadrature_builds_a_thermal_gas_record_once(monkeypatch, weak_boson, we
 
     monkeypatch.setattr(root_solver, "residual_quadrature", counted)
     dispersion_core._thermal_gas.cache_clear()
+    dispersion_core._box_record.cache_clear()  # no table: the ladder runs and is charged
     assert all(res.converged for res in sweep(ks, BranchId.ExactQuadrature, weak_boson, sc))
     dominant_root(1.1 * ks[-1], weak_boson, sc)
     info = dispersion_core._thermal_gas.cache_info()
     assert len(calls) > 0
-    assert info.misses == 1 and info.hits == len(calls)
+    assert info.misses == 1 and info.hits == len(calls) + 1
 
 
 # ---------------------------------------------------------------------------
 # the thermal root count that stops dominant_root at its first root
 # ---------------------------------------------------------------------------
 
+_NEAR_POLE_GASES = {"bose_0.92": (R.T_BOSE_092, Statistics.BOSE), "bose_0.94": (R.T_BOSE_094, Statistics.BOSE),
+                    "bose_0.999": (R.T_BOSE_0999, Statistics.BOSE)}
+
+
 def _thermal_species(gas):
-    temperature, statistics = {**_THERMAL_TEST_GASES, "bose_0.999": (R.T_BOSE_0999, Statistics.BOSE)}[gas]
+    temperature, statistics = {**_THERMAL_TEST_GASES, **_NEAR_POLE_GASES}[gas]
     sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
                        temperature=temperature, statistics=statistics)
     return sp, derive_scales(sp)
+
+
+def _with_table(sp, sc):
+    # charge the gas what a build takes, as its ladder calls would at a
+    # rate in the box (p_hat = -1), which builds its table; returns it
+    w_scale, gas = dispersion_core._thermal_gas(sp, sc.alpha)
+    k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    dispersion_core._box_spend(k, 1j * k * w_scale, sp, sc.alpha, dispersion_core._BOX_BUILD_COST)
+    record = dispersion_core._box_record(gas)
+    assert record.built
+    return record.table
 
 
 def _count_solves(monkeypatch):
@@ -876,38 +893,56 @@ def _count_solves(monkeypatch):
 
 
 def _table_count(k, sp, sc):
-    # the gas table's count at X(k) = k^2 W^2 / C1(k), which must be certain
-    w_scale, gas = dispersion_core._thermal_gas(sp, sc.alpha)
-    lows, highs, counts = dispersion_core._box_count_table(gas)
+    # the gas table's count at X(k) = k^2 W^2 / C1(k), None where X(k) is
+    # inside a tube
+    w_scale, _ = dispersion_core._thermal_gas(sp, sc.alpha)
+    lows, highs, counts = _with_table(sp, sc)
     x = (k * w_scale) ** 2 / dispersion_core.coefficient_C1(k, sc)
     i = bisect.bisect_right(lows, x) - 1
-    assert i >= 0 and x < highs[i]
-    return counts[i]
+    return counts[i] if i >= 0 and x < highs[i] else None
 
 
-def _dense_box_count(k, sp, sc):
+def _dense_count(k, sp, sc, right):
     # the argument principle on the exact residual f(k, s) itself: its
-    # winding around 0 along the box, p_hat = i s/(k W), sampled on a ring
-    # of its own, fine enough that no step turns a quarter turn
+    # winding around 0 along the rectangle Re p_hat in [-6, right],
+    # Im p_hat in the box's range, p_hat = i s/(k W), on a ring of its own
+    # bisected wherever a step turns more than an eighth of a turn
     w_scale, _ = dispersion_core._thermal_gas(sp, sc.alpha)
-    (left, right), (bottom, top) = dispersion_core._BOX_RE, dispersion_core._BOX_IM
-    along = [left * (right / left) ** (i / 320) for i in range(320)] + [right]
-    up = np.linspace(bottom, top, 25).tolist()
-    ring = ([complex(x, bottom) for x in along[:-1]] + [complex(right, y) for y in up[:-1]]
-            + [complex(x, top) for x in along[:0:-1]] + [complex(left, y) for y in up[:0:-1]])
-    f = np.array([residual_quadrature(k, -1j * k * w_scale * p, sp, sc.alpha, sc)[0] for p in ring])
-    turns = np.angle(np.roll(f, -1) / f)
-    assert np.abs(turns).max() < 0.5 * math.pi
-    return round(float(turns.sum()) / (2.0 * math.pi))
+    left, (bottom, top) = dispersion_core._BOX_RE[0], dispersion_core._BOX_IM
+    # geometric in Re p_hat down to 0.01 (J turns fastest near 0), even beyond
+    along = [left * (0.01 / -left) ** (i / 160) for i in range(161)]
+    along += np.linspace(-0.01, right, 9)[1:].tolist() if right > -0.01 else []
+    along[-1] = right
+    up = np.linspace(bottom, top, 17).tolist()
+    corners = ([complex(x, bottom) for x in along[:-1]] + [complex(right, y) for y in up[:-1]]
+               + [complex(x, top) for x in along[:0:-1]] + [complex(left, y) for y in up[:0:-1]])
+
+    def f(p):
+        return residual_quadrature(k, -1j * k * w_scale * p, sp, sc.alpha, sc)[0]
+
+    total = 0.0
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        stack = [(a, f(a), b, f(b), 0)]
+        while stack:
+            a, fa, b, fb, depth = stack.pop()
+            turn = float(np.angle(fb / fa))
+            if abs(turn) > 0.25 * math.pi:
+                assert depth < 30, (a, b)
+                m = 0.5 * (a + b)
+                fm = f(m)
+                stack += [(a, fa, m, fm, depth + 1), (m, fm, b, fb, depth + 1)]
+            else:
+                total += turn
+    return round(total / (2.0 * math.pi))
 
 
 @pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES))
 def test_dominant_root_certifies_its_first_thermal_root(monkeypatch, gas):
     # on the full-ladder test's y-grid the box holds exactly one root at
-    # every k, so once the gas has been asked for its count a call runs one seed
+    # every k, so once the gas has its table a call runs one seed
     sp, sc = _thermal_species(gas)
     ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in np.linspace(0.05, 0.6, 12)]
-    dominant_root(ks[0], sp, sc)
+    _with_table(sp, sc)
     calls = _count_solves(monkeypatch)
     for k in ks:
         res = dominant_root(k, sp, sc)
@@ -915,28 +950,65 @@ def test_dominant_root_certifies_its_first_thermal_root(monkeypatch, gas):
     assert calls == ks
 
 
-@pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES))
+@pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES) + ["bose_0.92", "bose_0.94"])
 def test_box_count_table_matches_a_dense_count_on_the_residual(gas):
+    # the table against dense counts on the residual over the box, and over
+    # the box with the strip to its right, up to Re p_hat = 0: no root may
+    # hide there.  Bose 0.92 and 0.94 have their n = 0 occupation pole just
+    # below that strip, where J changes fastest
     sp, sc = _thermal_species(gas)
     for y in (0.1, 0.35, 0.6):
         k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
-        assert _table_count(k, sp, sc) == _dense_box_count(k, sp, sc) == 1, (gas, y)
+        assert _table_count(k, sp, sc) == _dense_count(k, sp, sc, -0.01) == _dense_count(k, sp, sc, 0.0) == 1, (gas, y)
 
 
-def test_a_gas_first_call_builds_no_table(monkeypatch):
-    # a temperature no other test uses: the first call pays for no table and
-    # runs the ladder; the second builds one and stops at its first seed
+@pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES) + ["bose_0.92", "bose_0.94"])
+def test_the_response_beyond_the_box_stays_below_the_counted_x(gas):
+    # the table counts X only above |J| on the box's left edge: left of the
+    # box, at the box's damping rates and above, |J| is smaller still
+    sp, sc = _thermal_species(gas)
+    _, table_gas = dispersion_core._thermal_gas(sp, sc.alpha)
+    lows = _with_table(sp, sc)[0]
+    bottom, top = dispersion_core._BOX_IM
+    far = max(abs(dispersion_core._thermal_response(complex(x, y), table_gas)[0])
+              for x in -np.geomspace(6.0, 1e3, 40) for y in np.linspace(bottom, top, 6))
+    assert far < lows[0]
+
+
+def test_a_gas_builds_its_table_once_the_ladder_has_spent_a_build(monkeypatch):
+    # a temperature no other test uses.  Each call runs the whole ladder and
+    # charges the gas the residual calls of the seeds after its first root,
+    # until they reach a build's cost; the table is built then, and the next
+    # call runs one seed
     sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
                        temperature=3.3e4, statistics=Statistics.FERMI)
     sc = derive_scales(sp)
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    before = dispersion_core._box_count_table.cache_info()
+    record = dispersion_core._box_record(dispersion_core._thermal_gas(sp, sc.alpha)[1])
+    per_solve = []
+    residual, solve = root_solver.residual_quadrature, root_solver.solve_at_k
+
+    def counted_residual(*args, **kwargs):
+        per_solve[-1] += 1
+        return residual(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        per_solve.append(0)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(root_solver, "residual_quadrature", counted_residual)
+    monkeypatch.setattr(root_solver, "solve_at_k", counted_solve)
     first = dominant_root(k, sp, sc)
-    assert dispersion_core._box_count_table.cache_info() == before
-    calls = _count_solves(monkeypatch)
-    second = dominant_root(k, sp, sc)
-    assert dispersion_core._box_count_table.cache_info().misses == before.misses + 1
-    assert calls == [k] and same(first, second)
+    while not record.built:
+        assert record.table is None
+        spent = record.spent
+        per_solve.clear()
+        assert same(dominant_root(k, sp, sc), first)
+        assert len(per_solve) == 4 and record.spent == spent + sum(per_solve[1:])
+        assert record.built == (spent + sum(per_solve[1:]) >= dispersion_core._BOX_BUILD_COST)
+    assert record.spent >= dispersion_core._BOX_BUILD_COST > spent
+    per_solve.clear()
+    assert same(dominant_root(k, sp, sc), first) and len(per_solve) == 1
 
 
 def test_dominant_root_takes_the_ladder_on_a_count_of_two(monkeypatch, weak_fermion, weak_fermion_scales):
@@ -953,7 +1025,7 @@ def test_dominant_root_takes_the_ladder_on_a_count_of_two(monkeypatch, weak_ferm
 def test_dominant_root_takes_the_ladder_on_a_root_outside_the_box(monkeypatch, weak_fermion, weak_fermion_scales, y):
     sp, sc = weak_fermion, weak_fermion_scales
     k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
-    dominant_root(k, sp, sc)  # the gas has been asked for its count
+    _with_table(sp, sc)
     calls = _count_solves(monkeypatch)
     res = dominant_root(k, sp, sc)
     assert root_solver._box_root_count(k, res.rate.s, sp, sc.alpha, sc) is None
@@ -964,19 +1036,31 @@ def test_box_root_count_refuses_a_rate_outside_the_box(weak_fermion, weak_fermio
     # the same k, where the count is certainly 1, with the rate moved below the box
     sp, sc = weak_fermion, weak_fermion_scales
     k = 0.45 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    res = dominant_root(k, sp, sc)  # the gas has been asked for its count
+    _with_table(sp, sc)
+    res = dominant_root(k, sp, sc)
     w_scale, _ = dispersion_core._thermal_gas(sp, sc.alpha)
     below = complex(-0.05 * k * w_scale, res.rate.omega)  # Im p_hat = -0.05
     assert dispersion_core._box_root_count(k, res.rate.s, sp, sc.alpha, sc) == 1
     assert dispersion_core._box_root_count(k, below, sp, sc.alpha, sc) is None
 
 
+@pytest.mark.parametrize("gas", ["bose_0.92", "bose_0.94"])
+def test_dominant_root_equals_full_ladder_beside_the_bose_pole(gas):
+    # the hardest gases that get a table: their n = 0 pole sits just below
+    # the strip right of the box
+    sp, sc = _thermal_species(gas)
+    _with_table(sp, sc)
+    for y in np.linspace(0.05, 0.6, 12):
+        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+        res, ref = dominant_root(k, sp, sc), full_ladder(k, sp, sc)
+        assert res == ref and same(res, ref), (gas, y)
+
+
 def test_a_bose_gas_with_a_pole_beside_the_box_keeps_the_ladder():
     # fugacity 0.999 puts an occupation pole at p_hat = -0.004i, between the
     # box and Re p_hat = 0: no table, and the ladder as before
     sp, sc = _thermal_species("bose_0.999")
-    _, gas = dispersion_core._thermal_gas(sp, sc.alpha)
-    assert dispersion_core._box_count_table(gas) is None
+    assert _with_table(sp, sc) is None
     for y in np.linspace(0.05, 0.6, 6):
         k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
         res, ref = dominant_root(k, sp, sc), full_ladder(k, sp, sc)
