@@ -902,17 +902,15 @@ def _table_count(k, sp, sc):
     return counts[i] if i >= 0 and x < highs[i] else None
 
 
-def _dense_count(k, sp, sc, right):
+def _dense_count(k, sp, sc, left, right, n):
     # the argument principle on the exact residual f(k, s) itself: its
-    # winding around 0 along the rectangle Re p_hat in [-6, right],
-    # Im p_hat in the box's range, p_hat = i s/(k W), on a ring of its own
-    # bisected wherever a step turns more than an eighth of a turn
+    # winding around 0 along the rectangle Re p_hat in [left, right],
+    # Im p_hat in the box's range, p_hat = i s/(k W), from n steps along
+    # Re p_hat (geometric left of 0, where J turns fastest near 0) and 16
+    # along Im p_hat, each bisected until it turns at most an eighth of a turn
     w_scale, _ = dispersion_core._thermal_gas(sp, sc.alpha)
-    left, (bottom, top) = dispersion_core._BOX_RE[0], dispersion_core._BOX_IM
-    # geometric in Re p_hat down to 0.01 (J turns fastest near 0), even beyond
-    along = [left * (0.01 / -left) ** (i / 160) for i in range(161)]
-    along += np.linspace(-0.01, right, 9)[1:].tolist() if right > -0.01 else []
-    along[-1] = right
+    bottom, top = dispersion_core._BOX_IM
+    along = (np.geomspace(left, right, n + 1) if right < 0.0 else np.linspace(left, right, n + 1)).tolist()
     up = np.linspace(bottom, top, 17).tolist()
     corners = ([complex(x, bottom) for x in along[:-1]] + [complex(right, y) for y in up[:-1]]
                + [complex(x, top) for x in along[:0:-1]] + [complex(left, y) for y in up[:0:-1]])
@@ -920,9 +918,10 @@ def _dense_count(k, sp, sc, right):
     def f(p):
         return residual_quadrature(k, -1j * k * w_scale * p, sp, sc.alpha, sc)[0]
 
+    values = [f(p) for p in corners]
     total = 0.0
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        stack = [(a, f(a), b, f(b), 0)]
+    for a, fa, b, fb in zip(corners, values, corners[1:] + corners[:1], values[1:] + values[:1]):
+        stack = [(a, fa, b, fb, 0)]
         while stack:
             a, fa, b, fb, depth = stack.pop()
             turn = float(np.angle(fb / fa))
@@ -952,14 +951,16 @@ def test_dominant_root_certifies_its_first_thermal_root(monkeypatch, gas):
 
 @pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES) + ["bose_0.92", "bose_0.94"])
 def test_box_count_table_matches_a_dense_count_on_the_residual(gas):
-    # the table against dense counts on the residual over the box, and over
-    # the box with the strip to its right, up to Re p_hat = 0: no root may
-    # hide there.  Bose 0.92 and 0.94 have their n = 0 occupation pole just
-    # below that strip, where J changes fastest
+    # the table against a dense count on the residual over the box, and no
+    # root in the strip between the box and Re p_hat = 0.  Bose 0.92 and 0.94
+    # have their n = 0 occupation pole just below that strip, where J
+    # changes fastest
     sp, sc = _thermal_species(gas)
+    (left, right), strip_end = dispersion_core._BOX_RE, 0.0
     for y in (0.1, 0.35, 0.6):
         k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
-        assert _table_count(k, sp, sc) == _dense_count(k, sp, sc, -0.01) == _dense_count(k, sp, sc, 0.0) == 1, (gas, y)
+        assert _table_count(k, sp, sc) == _dense_count(k, sp, sc, left, right, 40) == 1, (gas, y)
+        assert _dense_count(k, sp, sc, right, strip_end, 4) == 0, (gas, y)
 
 
 @pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES) + ["bose_0.92", "bose_0.94"])
