@@ -438,7 +438,7 @@ def dominant_root(
 
     A gas gets its table once the ladder's later seeds have spent on it, at
     first roots in the box, the residual calls a build takes (~100; each
-    such call spends ~7.5-8 of them).  Until then, for roots outside the box,
+    such call spends 4-10 of them, about 7).  Until then, for roots outside the box,
     for a count other than 1, and at T = 0, where the residual's step rule
     is not analytic across |p_hat| = 1, the whole ladder runs.
     """
