@@ -310,12 +310,21 @@ def residual_weak(
 # direct quadrature of the velocity-space response
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre sizes per panel, by evaluation pass.  The subtracted
-# integrand is analytic on [-1, 1], so the error falls geometrically and
-# squares at each doubling: two sizes that agree to _GL_TOL leave the larger
-# one good to ~_GL_TOL^2.  The first two almost always agree: one pass.
+# Gauss-Legendre sizes by evaluation pass.  The subtracted integrand is
+# analytic on [-1, 1], so the error falls geometrically and squares at each
+# doubling: two sizes that agree to _GL_TOL leave the larger one good to
+# ~_GL_TOL^2.  The first two almost always agree: one pass; the larger rules
+# are kept for poles nearer the segment (a Fermi gas above fugacity 1).
 _GL_PASSES = ((64, 128), (256,), (512,))
 _GL_TOL = 1e-7
+# A Bose gas whose occupation poles +-i a lie within this of [-1, 1] has them
+# subtracted (_ThermalGas).  Worst of 10 rates against 30-digit mpmath: the
+# plain panel needs 256 nodes from a ~ 0.137 (fugacity 0.3) and reads 1e-13
+# off at a = 0.128; the subtraction, whose closed form cancels more as the
+# poles move away, reads 1.5e-14 to 2.9e-14 off at a = 0.128-0.159, 5e-13 at
+# 0.27 (fugacity 0.01) and 2e-9 at 0.46 (fugacity 1e-6).  So Bose 0.2
+# (a = 0.159) stays plain and Bose 0.9 (a = 0.041) is subtracted.
+_NEAR_POLE = 0.15
 
 
 @functools.cache
@@ -358,42 +367,60 @@ def _occupation_slope_at(p: complex, s_beta_w2: float, inv_alpha: float, fermi: 
     return -p / den, -(1.0 - 2.0 * arg * (1.0 - pm / den)) / den
 
 
-@functools.lru_cache(maxsize=64)
-def _panel_nodes(
-    cuts: tuple[float, ...], c_g: float, s_beta_w2: float, inv_alpha: float, fermi: bool
-) -> tuple[np.ndarray, tuple]:
-    # the nodes of every rule size on every panel between cuts, one contiguous
-    # stretch per size in _GL_PASSES order, and each pass's nodes, weights and
-    # scaled occupation slope with its sizes' (lo, hi) bounds in that stretch:
-    # none of which depends on the rate
-    edges = np.array(cuts)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    rules = [_legendre_rule(n) for sizes in _GL_PASSES for n in sizes]
-    u = np.concatenate([(mid + half * x).ravel() for x, _ in rules])
-    weights = np.concatenate([(half * w).ravel() for _, w in rules])
-    g = c_g * _occupation_slope(u, s_beta_w2, inv_alpha, fermi)
-    for a in (u, weights, g):
-        a.flags.writeable = False
-    passes, start = [], 0
-    for sizes in _GL_PASSES:
-        ends = (np.cumsum((0,) + sizes) * (len(cuts) - 1)).tolist()
-        stop = start + ends[-1]
-        passes.append((u[start:stop], weights[start:stop], g[start:stop], tuple(zip(ends, ends[1:]))))
-        start = stop
-    return u, tuple(passes)
+class _ThermalGas:
+    """A thermal gas apart from k and s, in u = w/W: the slope's prefactor
+    c_g, B = beta W^2, the fugacity and statistics; the subtracted pole i a
+    (None on a plain panel) and L(i a) = log((1 - ia)/(-1 - ia)); each pass's
+    nodes, weights, node slopes and per-size bounds; the fluid seed's
+    moments; and the root count's state (spent, built, table).
+
+    A Bose slope g(u) = -c_g u/(e^(B u^2)/alpha - 1) has simple poles at
+    u = +-i a, a = sqrt(-ln alpha / B), with residue -c_g/(2B) each.  For
+    a < _NEAR_POLE the node slopes hold g - h, h(u) = -c_g u/(B (u^2 + a^2)),
+    analytic out to the next poles at |u| >= 0.31; Fermi poles stay beyond
+    |u| ~ sqrt(pi)/8 below fugacity 1."""
+
+    def __init__(self, c_g: float, s_beta_w2: float, alpha: float, statistics: Statistics):
+        self.c_g, self.s_beta_w2, self.alpha, self.statistics = c_g, s_beta_w2, alpha, statistics
+        self.inv_alpha, self.fermi = 1.0 / alpha, statistics is Statistics.FERMI
+        a = math.inf if self.fermi else math.sqrt(-math.log(alpha) / s_beta_w2)
+        self.pole = complex(0.0, a) if a < _NEAR_POLE else None
+        self.log_pole = None if self.pole is None else _principal_log_ratio(self.pole, False)
+        passes = []
+        for sizes in _GL_PASSES:
+            u, weights = (np.concatenate(column) for column in zip(*map(_legendre_rule, sizes)))
+            g = c_g * _occupation_slope(u, s_beta_w2, self.inv_alpha, self.fermi)
+            if self.pole is not None:
+                g -= c_g * (-u / (s_beta_w2 * (u * u + a * a)))
+            u.flags.writeable = weights.flags.writeable = g.flags.writeable = False
+            ends = np.cumsum((0,) + sizes).tolist()
+            passes.append((u, weights, g, tuple(zip(ends, ends[1:]))))
+        self.passes = tuple(passes)
+        self.spent, self.built, self.table = 0, False, None
+
+    @functools.cached_property
+    def fluid(self) -> tuple[tuple[float, ...], tuple[tuple[float, float], ...]]:
+        # b_n = (2n - 1)!! zeta(n + 1/2) / zeta(3/2), n = 1 .. 39: the far-field
+        # moments of the thermal response, omega^2 = C1 sum_n b_n x^(n - 1) on
+        # the axis with x = k^2 / (2 beta omega^2); row 0 of _weak_block's tail
+        # table over (-1)^n zeta(3/2), the first two the biquadratic; with
+        # _omega_fluid's Horner pairs (b_n, (n - 1) b_n)
+        norm = zeta_pm(1.5, self.alpha, self.statistics)
+        b = tuple(abs(float(_ASYM_COEFS[n])) * zeta_pm(n + 0.5, self.alpha, self.statistics) / norm
+                  for n in _TAIL_ORDERS.tolist())
+        return b, tuple((bn, (n - 1) * bn) for n, bn in enumerate(b, start=1))
 
 
-def _gauss_legendre(p_hat: complex, g_at_p: complex, slope_at_p: complex, gas: tuple) -> tuple[complex, complex]:
-    # integral of (g(u) - g(p))/(u - p) over [cuts[0], cuts[-1]], gas being
-    # _panel_nodes' arguments, and its p-derivative; each pass is one
-    # vectorised evaluation over its sizes, then each size is summed over
-    # its own stretch.  A node can only collide with a real pole; the
-    # subtracted numerator vanishes there too, so 0 is the removable-limit
-    # value, and only such a rate pays for the masked division.
+def _gauss_legendre(p_hat: complex, g_at_p: complex, slope_at_p: complex, gas: _ThermalGas) -> tuple[complex, complex]:
+    # integral of (g(u) - g(p))/(u - p) over [-1, 1], g being the gas's node
+    # slopes, and its p-derivative; each pass is one vectorised evaluation
+    # over its sizes, then each size is summed over its own stretch.  A node
+    # can only collide with a real pole; the subtracted numerator vanishes
+    # there too, so 0 is the removable-limit value, and only such a rate pays
+    # for the masked division.
     on_axis = p_hat.imag == 0.0
     previous = None
-    for u, weights, g, bounds in _panel_nodes(*gas)[1]:
+    for u, weights, g, bounds in gas.passes:
         d = u - p_hat
         if on_axis and not d.all():
             quotient = weights * np.divide(g - g_at_p, d, out=np.zeros_like(d), where=d != 0)
@@ -418,7 +445,7 @@ def _gauss_legendre(p_hat: complex, g_at_p: complex, slope_at_p: complex, gas: t
                         terms /= d_n
                     return estimate, complex(np.add.reduce(terms))
             previous = estimate
-    raise QuadratureFailure(f"Gauss-Legendre rules of 256 and 512 nodes per panel differ by {gap:.3e}")
+    raise QuadratureFailure(f"Gauss-Legendre rules of 256 and 512 nodes differ by {gap:.3e}")
 
 
 def _principal_log_ratio(p_hat: complex, eta_is_zero: bool) -> complex:
@@ -437,31 +464,37 @@ def _principal_log_ratio(p_hat: complex, eta_is_zero: bool) -> complex:
 
 
 @functools.lru_cache(maxsize=64)
-def _thermal_gas(species: SpeciesParams, alpha: float) -> tuple[float, tuple]:
-    # what residual_quadrature needs of a thermal gas apart from k and s: the
-    # velocity scale W and _gauss_legendre's gas (cuts, c_g, beta W^2, 1/alpha, fermi)
+def _thermal_gas(species: SpeciesParams, alpha: float) -> tuple[float, _ThermalGas]:
+    # the velocity scale W and the gas's record
     beta = thermal_beta(species, alpha)
     w_scale = 8.0 / math.sqrt(beta)  # exp(-beta W^2) ~ 1e-28: tail negligible
-    s_beta_w2 = beta * w_scale * w_scale
-    fermi = species.statistics is Statistics.FERMI
     a_w = species.spin_degeneracy * species.mass**3 / PLANCK_H**3
     c_g = 2.0 * math.pi * a_w * w_scale**3 / species.density
-    # Bose occupation poles sit at u = +-i sqrt(-ln alpha / (beta W^2));
-    # Fermi poles stay beyond |u| ~ sqrt(pi)/8 for every fugacity
-    pole = math.sqrt(-math.log(alpha) / s_beta_w2)
-    cuts = (-1.0, -pole, pole, 1.0) if not fermi and 2.0 * pole < 0.5 else (-1.0, 1.0)
-    return w_scale, (cuts, c_g, s_beta_w2, 1.0 / alpha, fermi)
+    return w_scale, _ThermalGas(c_g, beta * w_scale * w_scale, alpha, species.statistics)
 
 
-def _thermal_response(p_hat: complex, gas: tuple) -> tuple[complex, complex]:
+def _thermal_response(p_hat: complex, gas: _ThermalGas) -> tuple[complex, complex]:
     # J(p_hat), the thermal response residual_quadrature integrates, and
     # dJ/dp_hat: depends on the gas alone, not on k.  The residue enters
     # below the axis (Im p_hat < 0 is eta < 0), the continuation from the
     # growing half-plane; on the axis the principal log supplies half of it
-    c_g = gas[1]
-    slope, d_slope = _occupation_slope_at(p_hat, *gas[2:])
-    g_at_p, d_g = c_g * slope, c_g * d_slope
-    integral, d_integral = _gauss_legendre(p_hat, g_at_p, d_g, gas)
+    slope, d_slope = _occupation_slope_at(p_hat, gas.s_beta_w2, gas.inv_alpha, gas.fermi)
+    g_at_p, d_g = gas.c_g * slope, gas.c_g * d_slope
+    if gas.pole is None:
+        integral, d_integral = _gauss_legendre(p_hat, g_at_p, d_g, gas)
+    else:
+        # the nodes hold g - h, h(u) = -(c_g/2B) sum_c 1/(u - c) over c = +-i a;
+        # the integral of h/(u - p) adds (c_g/2B) sum_c L(c)/(p - c) to what
+        # g(p) L(p) gives, with L(-i a) the conjugate of L(i a)
+        if p_hat == gas.pole or p_hat == -gas.pole:
+            raise SingularInput("rate sits exactly on an occupation pole")
+        half = gas.c_g / (2.0 * gas.s_beta_w2)
+        q_up, q_down = 1.0 / (p_hat - gas.pole), 1.0 / (p_hat + gas.pole)
+        log_up, log_down = gas.log_pole, gas.log_pole.conjugate()
+        integral, d_integral = _gauss_legendre(p_hat, g_at_p + half * (q_up + q_down),
+                                               d_g - half * (q_up * q_up + q_down * q_down), gas)
+        integral += half * (log_up * q_up + log_down * q_down)
+        d_integral -= half * (log_up * q_up * q_up + log_down * q_down * q_down)
     log_ratio = _principal_log_ratio(p_hat, p_hat.imag == 0.0)
     integral += g_at_p * log_ratio
     d_integral += d_g * log_ratio + g_at_p * _log_ratio_slope(p_hat)
@@ -481,10 +514,12 @@ def residual_quadrature(
     each piece differentiated in p, the rule's on the rule it accepted.
 
     alpha = None selects the fully degenerate path, integrated in closed
-    form.  A thermal gas takes Gauss-Legendre rules of doubling size, with
-    [-1, 1] cut at the Bose occupation poles when they come close to it.
-    What does not depend on k or s (W, c_g, the cuts, every rule's nodes,
-    weights and occupation slopes) is built once per (species, alpha).
+    form.  A thermal gas integrates [-1, 1] as one panel by Gauss-Legendre
+    rules of doubling size (QuadratureFailure if 256 and 512 nodes still
+    disagree); a Bose gas near condensation first subtracts its occupation
+    poles' principal part and adds its integral in closed form, which
+    reaches fugacity 1 - 1e-12.  What does not depend on k or s is built
+    once per (species, alpha) in one record, _ThermalGas.
     Contour bookkeeping:
 
     * fully degenerate: a full residue term 2 pi i g(p) is added whenever
@@ -552,12 +587,12 @@ _BOX_DEPTH = 12
 _BOX_BUILD_COST = 100
 
 
-def _pole_near_box(gas: tuple) -> bool:
+def _pole_near_box(gas: _ThermalGas) -> bool:
     # J's poles are the occupation slope's below the axis, where the residue
     # enters: s_beta_w2 p^2 = ln alpha + i phi, phi = 2 pi n (Bose) or
     # pi (2n + 1) (Fermi).  True when one lies in the box or between it and
     # Re p_hat = 0; |Im p^2| <= 2 |Re p| |Im p| bounds the n to try
-    s_beta_w2, inv_alpha, fermi = gas[2:]
+    s_beta_w2, inv_alpha, fermi = gas.s_beta_w2, gas.inv_alpha, gas.fermi
     n_max = int(2.0 * s_beta_w2 * -_BOX_RE[0] * -_BOX_IM[0] / (2.0 * math.pi)) + 1
     for n in range(-n_max, n_max + 1):
         phi = math.pi * (2 * n + 1) if fermi else 2.0 * math.pi * n
@@ -592,7 +627,7 @@ def _tube_on_axis(z_a: complex, z_b: complex, radius: float) -> tuple[float, flo
     return min(ends) - radius, max(ends) + radius
 
 
-def _box_count_table(gas: tuple) -> tuple[tuple, tuple, tuple] | None:
+def _box_count_table(gas: _ThermalGas) -> tuple[tuple, tuple, tuple] | None:
     # (lows, highs, counts): on each interval (lows[i], highs[i]) of X > 0 the
     # winding number of the sampled J(box boundary) - X, the number of roots
     # of J = X in the box, is counts[i].  The boundary is sampled with
@@ -645,22 +680,6 @@ def _box_count_table(gas: tuple) -> tuple[tuple, tuple, tuple] | None:
     return tuple(lows), tuple(highs), tuple(counts)
 
 
-class _BoxRecord:
-    """A gas's count table once built (None for a gas that cannot have one),
-    and until then the residual evaluations that dominant_root's later
-    seeds spent on the gas at roots in the box: what a table would have saved."""
-
-    __slots__ = ("spent", "built", "table")
-
-    def __init__(self):
-        self.spent, self.built, self.table = 0, False, None
-
-
-@functools.lru_cache(maxsize=64)
-def _box_record(gas: tuple) -> _BoxRecord:
-    return _BoxRecord()
-
-
 def _in_box(p_hat: complex) -> bool:
     return _BOX_RE[0] <= p_hat.real <= _BOX_RE[1] and _BOX_IM[0] <= p_hat.imag <= _BOX_IM[1]
 
@@ -673,7 +692,7 @@ def _box_root_count(k: float, s: complex, species: SpeciesParams, alpha: float,
     no table (not built yet, or a pole beside the box), and when X(k) falls
     inside a segment's tube."""
     w_scale, gas = _thermal_gas(species, alpha)
-    table = _box_record(gas).table
+    table = gas.table
     if table is None or not _in_box(1j * s / k / w_scale):
         return None
     lows, highs, counts = table
@@ -690,12 +709,11 @@ def _box_spend(k: float, s: complex, species: SpeciesParams, alpha: float, evalu
     roots never pays for a table, and one asked for many pays at most about
     twice what building at once would have cost (the ski-rental rule)."""
     w_scale, gas = _thermal_gas(species, alpha)
-    record = _box_record(gas)
-    if record.built or not _in_box(1j * s / k / w_scale):
+    if gas.built or not _in_box(1j * s / k / w_scale):
         return
-    record.spent += evaluations
-    if record.spent >= _BOX_BUILD_COST:
-        record.table, record.built = _box_count_table(gas), True
+    gas.spent += evaluations
+    if gas.spent >= _BOX_BUILD_COST:
+        gas.table, gas.built = _box_count_table(gas), True
 
 
 # ---------------------------------------------------------------------------
@@ -753,24 +771,6 @@ def omega_weak_biquadratic(k: float, species: SpeciesParams, scales: DerivedScal
     return math.sqrt(0.5 * (c1 + math.sqrt(c1 * c1 + 4.0 * (k * k) * scales.v_th_sq * c1)))
 
 
-@functools.lru_cache(maxsize=16)
-def _moment_table(alpha: float, statistics: Statistics) -> tuple[float, ...]:
-    # b_n = (2n - 1)!! zeta(n + 1/2) / zeta(3/2), n = 1 .. 39: the far-field
-    # moments of the thermal response, omega^2 = C1 sum_n b_n x^(n - 1) on the
-    # axis with x = k^2 / (2 beta omega^2); row 0 of _weak_block's tail table
-    # over (-1)^n zeta(3/2).  The first two terms are the biquadratic.
-    norm = zeta_pm(1.5, alpha, statistics)
-    return tuple(abs(float(_ASYM_COEFS[n])) * zeta_pm(n + 0.5, alpha, statistics) / norm
-                 for n in _TAIL_ORDERS.tolist())
-
-
-@functools.lru_cache(maxsize=16)
-def _fluid_table(alpha: float, statistics: Statistics) -> tuple[tuple[float, ...], tuple[tuple[float, float], ...]]:
-    # _moment_table's b_n and _omega_fluid's Horner pairs (b_n, (n - 1) b_n), n = 1 .. 39
-    b = _moment_table(alpha, statistics)
-    return b, tuple((bn, (n - 1) * bn) for n, bn in enumerate(b, start=1))
-
-
 def _omega_fluid(k: float, species: SpeciesParams, scales: DerivedScales) -> float:
     """Undamped root of the moment series summed to its smallest term at the
     biquadratic root (two terms, the biquadratic itself, at least; at most 39,
@@ -778,7 +778,7 @@ def _omega_fluid(k: float, species: SpeciesParams, scales: DerivedScales) -> flo
     every term is positive, so Newton rises monotonically onto the longer
     sum's root.  With no restoring force (C1 = 0) the biquadratic's 0 stays."""
     omega = omega_weak_biquadratic(k, species, scales)
-    b, pairs = _fluid_table(scales.alpha, species.statistics)
+    b, pairs = _thermal_gas(species, scales.alpha)[1].fluid
     c1, u = coefficient_C1(k, scales), omega * omega
     x_u = k * k / (2.0 * thermal_beta(species, scales.alpha))  # x = x_u / u
     order, term = 2, b[1] * x_u / u if u > 0.0 else 0.0

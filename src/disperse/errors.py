@@ -24,7 +24,7 @@ class SingularInput(DisperseError):
 
 
 class QuadratureFailure(DisperseError):
-    """Gauss-Legendre rules of 256 and 512 nodes per panel still disagree."""
+    """Gauss-Legendre rules of 256 and 512 nodes on [-1, 1] still disagree."""
 
 
 class NoConvergence(DisperseError):

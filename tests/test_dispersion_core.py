@@ -254,37 +254,59 @@ def test_weak_reconciliation_identity(statistics, temperature):
         assert abs(rq - rw - pred) < 1e-12 * scale
 
 
+@pytest.mark.filterwarnings("error")
 def test_quadrature_near_condensation_against_references():
     """Bose gas at fugacity 0.999, where the fugacity series runs out of
-    terms and the contour route is the only exact one.  The occupation poles
-    sit 0.004 W from the real axis; the wall budget catches a rule that
-    refines around them without bound."""
+    terms and the contour route is the only exact one, and at 1 - 1e-8 and
+    1 - 1e-12.  The occupation poles sit 0.004 W, 1.25e-5 W and 1.25e-7 W
+    from the real axis; the wall budget catches a rule that refines around
+    them without bound."""
     sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
                        temperature=R.T_BOSE_0999, statistics=Statistics.BOSE)
     sc = derive_scales(sp)
     assert abs(sc.alpha - 0.999) < 1e-9
+    cases = {(0.999, k, s): want for (k, s), want in R.BOSE_0999_RESIDUALS.items()} | R.BOSE_NEAR_ONE_RESIDUALS
     start = time.perf_counter()
-    for (k, s), want in R.BOSE_0999_RESIDUALS.items():
-        got = residual_quadrature(k, s, sp, 0.999, sc)[0]
-        assert abs(got - want) < 1e-12 * abs(want)
+    for (alpha, k, s), want in cases.items():
+        got = residual_quadrature(k, s, sp, alpha, sc)[0]
+        assert abs(got - want) < 1e-13 * abs(want), (alpha, k, s)
     assert time.perf_counter() - start < 3.0
 
 
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(delta=st.floats(math.log(1e-8), math.log(1e-1)).map(math.exp), y=st.floats(0.05, 1.0),
+       eta_frac=st.just(0.0) | st.floats(-0.5, 0.1), om_frac=st.floats(0.3, 2.0))
+def test_quadrature_near_condensation_refuses_or_stays_finite(delta, y, eta_frac, om_frac):
+    # the Bose stratum T = T_c (1 + delta), delta log-uniform: a temperature
+    # drawn log-uniformly almost never lands this close to T_c.  A numpy
+    # warning fails the test
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=R.T_BOSE_C * (1.0 + delta), statistics=Statistics.BOSE)
+    try:
+        sc = derive_scales(sp)
+        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+        value, slope = residual_quadrature(k, complex(eta_frac, om_frac) * sc.omega_p, sp, sc.alpha, sc)
+    except DisperseError:
+        return
+    assert cmath.isfinite(value) and cmath.isfinite(slope)
+
+
 def _gauss_legendre_uncached(p_hat, g_at_p, gas):
-    """The thermal quadrature with every node, weight and occupation slope
-    computed on each call, in the order of operations the cached node data
-    must keep."""
-    cuts, c_g, s_beta_w2, inv_alpha, fermi = gas
-    cuts = np.array(cuts)
-    mid = 0.5 * (cuts[1:] + cuts[:-1])[:, None]
-    half = 0.5 * (cuts[1:] - cuts[:-1])[:, None]
+    """The thermal quadrature on one panel with every node, weight and node
+    slope, subtracted pole part included, computed on each call, in the
+    order of operations the record's node data must keep."""
+    c_g, s_beta_w2 = gas.c_g, gas.s_beta_w2
     previous = None
     for n in (n for sizes in dispersion_core._GL_PASSES for n in sizes):
-        x, w = dispersion_core._legendre_rule(n)
-        u = mid + half * x
+        u, w = dispersion_core._legendre_rule(n)
         d = u - p_hat
-        vals = c_g * dispersion_core._occupation_slope(u, s_beta_w2, inv_alpha, fermi) - g_at_p
-        weighted = (half * w) * np.where(d == 0, 0.0, vals / np.where(d == 0, 1.0, d))
+        g = c_g * dispersion_core._occupation_slope(u, s_beta_w2, gas.inv_alpha, gas.fermi)
+        if gas.pole is not None:
+            a = gas.pole.imag
+            g -= c_g * (-u / (s_beta_w2 * (u * u + a * a)))
+        vals = g - g_at_p
+        weighted = w * np.where(d == 0, 0.0, vals / np.where(d == 0, 1.0, d))
         estimate = complex(weighted.sum())
         if previous is not None and abs(estimate - previous) <= dispersion_core._GL_TOL * float(np.abs(weighted).sum()):
             return estimate
@@ -296,8 +318,8 @@ def _gauss_legendre_uncached(p_hat, g_at_p, gas):
     (R.T_FERMI_02, Statistics.FERMI), (R.T_BOSE_02, Statistics.BOSE), (R.T_BOSE_09, Statistics.BOSE),
     (R.T_CLASSICAL, Statistics.FERMI), (R.T_BOSE_0999, Statistics.BOSE)])
 def test_quadrature_matches_uncached_rule_bitwise(monkeypatch, temperature, statistics):
-    # on and off the real-s axis, damped and growing; the Bose gases cut
-    # [-1, 1] into three panels at their occupation poles
+    # on and off the real-s axis, damped and growing; every gas integrates
+    # one panel, and Bose 0.9 and 0.999, not Bose 0.2, subtract their poles
     sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
                        temperature=temperature, statistics=statistics)
     sc = derive_scales(sp)
@@ -307,15 +329,33 @@ def test_quadrature_matches_uncached_rule_bitwise(monkeypatch, temperature, stat
                * sc.omega_p) for _ in range(40)]
     assert any(s.real == 0.0 for _, s in points)
     got = [residual_quadrature(k, s, sp, sc.alpha, sc)[0] for k, s in points]
-    panels = set()
+    subtracted = set()
 
     def uncached(p_hat, g_at_p, slope_at_p, gas):
-        panels.add(len(gas[0]) - 1)
+        subtracted.add(gas.pole is not None)
         return _gauss_legendre_uncached(p_hat, g_at_p, gas), 0j
 
     monkeypatch.setattr(dispersion_core, "_gauss_legendre", uncached)
     assert got == [residual_quadrature(k, s, sp, sc.alpha, sc)[0] for k, s in points]
-    assert panels == ({1} if statistics is Statistics.FERMI else {3})
+    assert subtracted == {statistics is Statistics.BOSE and sc.alpha > 0.5}
+    # one panel: each size's stretch holds that size's nodes, on [-1, 1]
+    gas = dispersion_core._thermal_gas(sp, sc.alpha)[1]
+    stretches = [(bounds, u) for u, _, _, bounds in gas.passes]
+    assert [hi - lo for bounds, _ in stretches for lo, hi in bounds] == [
+        n for sizes in dispersion_core._GL_PASSES for n in sizes]
+    assert all(abs(u).max() < 1.0 for _, u in stretches)
+
+
+def _slope_at(p_hat, gas):
+    # the occupation slope at p_hat and its p-derivative, as the record's
+    # node slopes hold it: with the subtracted pole part taken off
+    slope, d_slope = dispersion_core._occupation_slope_at(p_hat, gas.s_beta_w2, gas.inv_alpha, gas.fermi)
+    g_at_p, d_g = gas.c_g * slope, gas.c_g * d_slope
+    if gas.pole is not None:
+        half = gas.c_g / (2.0 * gas.s_beta_w2)
+        q_up, q_down = 1.0 / (p_hat - gas.pole), 1.0 / (p_hat + gas.pole)
+        g_at_p, d_g = g_at_p + half * (q_up + q_down), d_g - half * (q_up * q_up + q_down * q_down)
+    return g_at_p, d_g
 
 
 @pytest.mark.filterwarnings("error")
@@ -323,40 +363,47 @@ def test_quadrature_matches_uncached_rule_bitwise(monkeypatch, temperature, stat
 def test_quadrature_rate_on_a_node_takes_the_removable_limit(fermi):
     # a real phase velocity exactly on a node of the first rule: that node's
     # quotient is 0/0, must not be evaluated, and counts as 0, as in the
-    # uncached rule.  The first rule's nodes lead the cached layout.
-    gas = ((-1.0, 1.0), 1.0, 64.0, 5.0, fermi)
-    u = dispersion_core._panel_nodes(*gas)[0][: dispersion_core._GL_PASSES[0][0]]
-    p_hat = complex(u[np.argmin(abs(u - 0.2))])
-    g_at_p, slope_at_p = dispersion_core._occupation_slope_at(p_hat, *gas[2:])
-    got, slope = dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)
-    assert cmath.isfinite(got) and cmath.isfinite(slope)
-    assert got == _gauss_legendre_uncached(p_hat, g_at_p, gas)
+    # uncached rule, on a plain panel and, for the Bose gas at fugacity 0.9,
+    # on a subtracted one.  The first rule's nodes lead the record's first pass.
+    for alpha in (0.2,) if fermi else (0.2, 0.9):
+        gas = dispersion_core._ThermalGas(1.0, 64.0, alpha, Statistics.FERMI if fermi else Statistics.BOSE)
+        assert (gas.pole is not None) == (alpha == 0.9)
+        u = gas.passes[0][0][: dispersion_core._GL_PASSES[0][0]]
+        p_hat = complex(u[np.argmin(abs(u - 0.2))])
+        g_at_p, slope_at_p = _slope_at(p_hat, gas)
+        got, slope = dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)
+        assert cmath.isfinite(got) and cmath.isfinite(slope)
+        assert got == _gauss_legendre_uncached(p_hat, g_at_p, gas)
 
 
-@pytest.mark.parametrize("pole, cut", [(0.1, False), (0.03, False), (1e-3, True), (1e-4, True), (0.01, False)],
-                         ids=["uncut-256", "uncut-512", "cut-256", "cut-512", "uncut-fails"])
-def test_quadrature_larger_rules_match_uncached_bitwise(pole, cut):
-    # Bose occupation poles at u = +-i pole, close enough to [-1, 1] (or to
-    # the cuts at +-pole) that the 64- and 128-node rules disagree: the 256-
-    # or 512-node rule settles it, bit for bit as in the uncached rule, or
-    # no rule does and both refuse
-    cuts = (-1.0, -pole, pole, 1.0) if cut else (-1.0, 1.0)
-    gas = (cuts, 1.0, 64.0, math.exp(64.0 * pole * pole), False)
+@pytest.mark.parametrize("s_beta_w2, mu, size", [(64.0, 10.0, 256), (64.0, 25.0, 512), (256.0, 64.0, None)],
+                         ids=["uncut-256", "uncut-512", "uncut-fails"])
+def test_quadrature_larger_rules_match_uncached_bitwise(s_beta_w2, mu, size):
+    # a Fermi gas above fugacity 1, 1/alpha = e^-mu: its occupation poles sit
+    # ~ pi/(2 mu) sqrt(mu/B) off the Fermi edge u = sqrt(mu/B), close enough
+    # that the 64- and 128-node rules disagree and the 256- or 512-node rule
+    # settles it, bit for bit as in the uncached rule, or, at B = 256 (edge at
+    # 0.5, poles 0.012 off), no rule does and both refuse
+    gas = dispersion_core._ThermalGas(1.0, s_beta_w2, math.exp(mu), Statistics.FERMI)
     p_hat = complex(0.3, -0.05)
-    g_at_p, slope_at_p = dispersion_core._occupation_slope_at(p_hat, *gas[2:])
-    try:
-        want = _gauss_legendre_uncached(p_hat, g_at_p, gas)
-    except AssertionError:
+    g_at_p, slope_at_p = _slope_at(p_hat, gas)
+    if size is None:
+        with pytest.raises(AssertionError, match="did not agree"):
+            _gauss_legendre_uncached(p_hat, g_at_p, gas)
         with pytest.raises(QuadratureFailure, match="256 and 512"):
             dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)
-        assert pole == 0.01
-    else:
-        assert dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)[0] == want
+        return
+    assert dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)[0] == \
+        _gauss_legendre_uncached(p_hat, g_at_p, gas)
+    # the pass before the accepting size's refuses
+    passes = gas.passes
+    gas.passes = passes[:[sizes[-1] for sizes in dispersion_core._GL_PASSES].index(size)]
+    with pytest.raises(QuadratureFailure):
+        dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)
 
 
 def _clear_residual_caches():
     dispersion_core._thermal_gas.cache_clear()
-    dispersion_core._panel_nodes.cache_clear()
     dispersion_core._weak_block.cache_clear()
 
 
@@ -696,14 +743,16 @@ def test_weak_slope_on_the_overflowed_pole_branch(weak_fermion, weak_fermion_sca
     _check_slope(lambda s: residual_weak(k, s, sp, sc.alpha, sc), s)
 
 
-def test_quadrature_slope_on_cut_panels():
-    # Bose 0.999: [-1, 1] cut into three panels at the occupation poles
+@pytest.mark.parametrize("alpha", [0.999, 1.0 - 1e-8])
+def test_quadrature_slope_on_subtracted_panels(alpha):
+    # the occupation poles 0.004 W and 1.25e-5 W from [-1, 1], subtracted:
+    # the closed form's slope joins the rule's
     sp, sc = _thermal_gas(R.T_BOSE_0999, Statistics.BOSE)
+    assert dispersion_core._thermal_gas(sp, alpha)[1].pole is not None
     for y in (0.1, 0.3, 0.45):
         k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
         for eta_frac in (0.0, -0.01, -0.2, 0.05):
-            _check_slope(lambda s: residual_quadrature(k, s, sp, sc.alpha, sc),
-                         complex(eta_frac, 1.1) * sc.omega_p)
+            _check_slope(lambda s: residual_quadrature(k, s, sp, alpha, sc), complex(eta_frac, 1.1) * sc.omega_p)
 
 
 def test_degenerate_residual_slopes_match_central_differences(electron_degenerate, electron_degenerate_scales):
@@ -722,7 +771,8 @@ def test_degenerate_residual_slopes_match_central_differences(electron_degenerat
 
 # values from before the residuals returned their slope, bit for bit: rates
 # as fractions of Omega_p at k v_th / Omega_p = 0.3, and (r, epsilon) at
-# k = K_REF for the T = 0 gas
+# k = K_REF for the T = 0 gas, but the Bose quadrature column: frozen with
+# the occupation poles subtracted, each within 1e-13 of R.BOSE_09_RESIDUALS
 _FROZEN_THERMAL = {
     Statistics.FERMI: [
         (1.1j, (0.10278248534487355-8.010108439279346e-07j), (0.10278248534487-2.6700361113423923e-07j)),
@@ -731,10 +781,10 @@ _FROZEN_THERMAL = {
         ((-0.2+1.2j), (0.3259324531607427+0.24849277012244178j), (0.3259324749140027+0.24849276469005244j)),
     ],
     Statistics.BOSE: [
-        (1.1j, (0.09377393508370635-0.00017515602015105017j), (0.09377393508370857-5.8385340051139154e-05j)),
-        ((-0.01+1.05j), (-0.004691208024122373+0.020843908761120175j), (-0.004598304881392901+0.02122785574363372j)),
-        ((0.05+1.2j), (0.25523552587549025-0.0671829854346729j), (0.25522691860830504-0.06718122794272731j)),
-        ((-0.2+1.2j), (0.3213785500761497+0.25145122657461233j), (0.3213685885022183+0.25146081943748994j)),
+        (1.1j, (0.09377393508370635-0.00017515602015105017j), (0.0937739350837079-5.8385340051139154e-05j)),
+        ((-0.01+1.05j), (-0.004691208024122373+0.020843908761120175j), (-0.0045983048813922345+0.02122785574363299j)),
+        ((0.05+1.2j), (0.25523552587549025-0.0671829854346729j), (0.2552269186083054-0.06718122794272799j)),
+        ((-0.2+1.2j), (0.3213785500761497+0.25145122657461233j), (0.3213685885022177+0.2514608194374906j)),
     ],
 }
 _FROZEN_DEGENERATE = [  # (r, epsilon, residual_degenerate, residual_quadrature or None)
@@ -752,6 +802,9 @@ def test_residual_values_are_unchanged_bitwise(electron_degenerate, electron_deg
             s = s_frac * sc.omega_p
             assert residual_weak(k, s, sp, sc.alpha, sc)[0] == weak
             assert residual_quadrature(k, s, sp, sc.alpha, sc)[0] == quad
+            if statistics is Statistics.BOSE:
+                want = R.BOSE_09_RESIDUALS[s_frac]
+                assert abs(quad - want) < 1e-13 * abs(want)
     sp, sc = electron_degenerate, electron_degenerate_scales
     for r, eps, deg, quad in _FROZEN_DEGENERATE:
         assert residual_degenerate(r, eps, R.K_REF, sc)[0] == deg
@@ -866,7 +919,7 @@ def test_moment_table_is_row_zero_of_the_weak_tail_table(temperature, statistics
     sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
                        temperature=temperature, statistics=statistics)
     alpha = derive_scales(sp).alpha
-    table = dispersion_core._moment_table(alpha, statistics)
+    table = dispersion_core._thermal_gas(sp, alpha)[1].fluid[0]
     tail = dispersion_core._weak_block(alpha, statistics is Statistics.FERMI)[2]
     norm = zeta_pm(1.5, alpha, statistics)
     assert len(table) == tail.shape[1] == 39
@@ -879,7 +932,7 @@ def _omega_fluid_loop(k, species, scales):
     # the fluid root with its Newton sum indexing the moment table term by
     # term, as first written; returns the root and the order it summed to
     omega = omega_weak_biquadratic(k, species, scales)
-    b = dispersion_core._moment_table(scales.alpha, species.statistics)
+    b = dispersion_core._thermal_gas(species, scales.alpha)[1].fluid[0]
     c1, u = coefficient_C1(k, scales), omega * omega
     x_u = k * k / (2.0 * dispersion_core.thermal_beta(species, scales.alpha))
     order, term = 2, b[1] * x_u / u if u > 0.0 else 0.0

@@ -414,8 +414,14 @@ def full_matrix_fit(run):
 
 
 def assert_fit_as_full_matrix(run):
-    """fit_omega_eta reads what full_matrix_fit reads, to 1e-13 in omega and
-    eta and 5e-11 in fit_residual, or refuses with the same message.
+    """fit_omega_eta reads what full_matrix_fit reads, to 1e-13 in omega,
+    3e-13 omega in eta and 5e-11 in fit_residual, or refuses with the same
+    message.
+
+    eta is read at rounding level too: on criterion 06's ten thermal modes,
+    with the trace scaled by 0.9 to 1.3 and omega_guess moved by up to 4 ulp,
+    full_matrix_fit's eta spreads over up to 1.3e-13 omega and fit_omega_eta's
+    over up to 1.8e-13 omega, so two readings may differ by their sum.
 
     fit_residual on an oracle trace is rounding, 1e-12 to 3e-11, and
     full_matrix_fit itself reads it up to 2.3e-11 apart on a criterion-06
@@ -436,7 +442,7 @@ def assert_fit_as_full_matrix(run):
         return
     omega, eta, resid = fit_omega_eta(run)
     assert abs(omega - ref[0]) <= 1e-13 * ref[0]
-    assert abs(eta - ref[1]) <= 1e-13 * ref[0]
+    assert abs(eta - ref[1]) <= 3e-13 * ref[0]
     assert abs(resid - ref[2]) <= 5e-11
 
 

@@ -832,26 +832,42 @@ def test_dominant_root_stops_seeds_at_the_known_root(monkeypatch, weak_fermion, 
 def test_quadrature_builds_a_thermal_gas_record_once(monkeypatch, weak_boson, weak_boson_scales):
     # the quadrature residual computes a gas's rate-independent scales once:
     # a cache key that took in k or s would miss on every residual call.
-    # Each residual call asks for the record once, and so do dominant_root's
-    # root count, for its first root, and its charge toward the gas's table:
-    # the first ask misses and every later one hits
+    # Each residual call and each fluid seed asks for the record once, and so
+    # do dominant_root's root count, for its first root, and its charge
+    # toward the gas's table: the first ask misses and every later one hits
     sc = weak_boson_scales
     ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in (0.2, 0.3, 0.4)]
-    calls = []
-    original = root_solver.residual_quadrature
+    calls, seeds = [], []
+    original, fluid = root_solver.residual_quadrature, root_solver._omega_fluid
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
+    def counted_fluid(*args):
+        seeds.append(args[0])
+        return fluid(*args)
+
     monkeypatch.setattr(root_solver, "residual_quadrature", counted)
-    dispersion_core._thermal_gas.cache_clear()
-    dispersion_core._box_record.cache_clear()  # no table: the ladder runs and is charged
+    monkeypatch.setattr(root_solver, "_omega_fluid", counted_fluid)
+    dispersion_core._thermal_gas.cache_clear()  # no table: the ladder runs and is charged
     assert all(res.converged for res in sweep(ks, BranchId.ExactQuadrature, weak_boson, sc))
     dominant_root(1.1 * ks[-1], weak_boson, sc)
     info = dispersion_core._thermal_gas.cache_info()
-    assert len(calls) > 0
-    assert info.misses == 1 and info.hits == len(calls) + 1
+    assert len(calls) > 0 and len(seeds) > 0
+    assert info.misses == 1 and info.hits == len(calls) + len(seeds) + 1
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-7, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3, 1e-2, 1e-1])
+def test_dominant_root_converges_just_above_bose_condensation(delta):
+    # T = T_c (1 + delta), fugacity 1 - 1.2 delta^2 down to 1 - 1.1e-16: the
+    # occupation poles as near the real axis as a double can put them
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=R.T_BOSE_C * (1.0 + delta), statistics=Statistics.BOSE)
+    sc = derive_scales(sp)
+    for y in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+        res = dominant_root(y * sc.omega_p / math.sqrt(sc.v_th_sq), sp, sc)
+        assert res.converged and res.rate.eta <= 0.0, (delta, y)
 
 
 # ---------------------------------------------------------------------------
@@ -875,9 +891,8 @@ def _with_table(sp, sc):
     w_scale, gas = dispersion_core._thermal_gas(sp, sc.alpha)
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
     dispersion_core._box_spend(k, 1j * k * w_scale, sp, sc.alpha, dispersion_core._BOX_BUILD_COST)
-    record = dispersion_core._box_record(gas)
-    assert record.built
-    return record.table
+    assert gas.built
+    return gas.table
 
 
 def _count_solves(monkeypatch):
@@ -985,7 +1000,7 @@ def test_a_gas_builds_its_table_once_the_ladder_has_spent_a_build(monkeypatch):
                        temperature=3.3e4, statistics=Statistics.FERMI)
     sc = derive_scales(sp)
     k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    record = dispersion_core._box_record(dispersion_core._thermal_gas(sp, sc.alpha)[1])
+    record = dispersion_core._thermal_gas(sp, sc.alpha)[1]
     per_solve = []
     residual, solve = root_solver.residual_quadrature, root_solver.solve_at_k
 
