@@ -371,8 +371,8 @@ class _ThermalGas:
     """A thermal gas apart from k and s, in u = w/W: the slope's prefactor
     c_g, B = beta W^2, the fugacity and statistics; the subtracted pole i a
     (None on a plain panel) and L(i a) = log((1 - ia)/(-1 - ia)); each pass's
-    nodes, weights, node slopes and per-size bounds; the fluid seed's
-    moments; and the root count's state (spent, built, table).
+    nodes, weights, node slopes and per-size bounds; and, built on first
+    use, the fluid seed's moments and the root count's table.
 
     A Bose slope g(u) = -c_g u/(e^(B u^2)/alpha - 1) has simple poles at
     u = +-i a, a = sqrt(-ln alpha / B), with residue -c_g/(2B) each.  For
@@ -396,7 +396,6 @@ class _ThermalGas:
             ends = np.cumsum((0,) + sizes).tolist()
             passes.append((u, weights, g, tuple(zip(ends, ends[1:]))))
         self.passes = tuple(passes)
-        self.spent, self.built, self.table = 0, False, None
 
     @functools.cached_property
     def fluid(self) -> tuple[tuple[float, ...], tuple[tuple[float, float], ...]]:
@@ -409,6 +408,10 @@ class _ThermalGas:
         b = tuple(abs(float(_ASYM_COEFS[n])) * zeta_pm(n + 0.5, self.alpha, self.statistics) / norm
                   for n in _TAIL_ORDERS.tolist())
         return b, tuple((bn, (n - 1) * bn) for n, bn in enumerate(b, start=1))
+
+    @functools.cached_property
+    def table(self) -> tuple[tuple, tuple, tuple] | None:
+        return _box_count_table(self)
 
 
 def _gauss_legendre(p_hat: complex, g_at_p: complex, slope_at_p: complex, gas: _ThermalGas) -> tuple[complex, complex]:
@@ -583,8 +586,6 @@ _BOX_IM = (-0.03, 0.1)
 _BOX_LONG, _BOX_SHORT = 24, 3
 _BOX_TOL = 1e-3
 _BOX_DEPTH = 12
-# about what a table costs in evaluations of J (95-97 on the benchmark gases)
-_BOX_BUILD_COST = 100
 
 
 def _pole_near_box(gas: _ThermalGas) -> bool:
@@ -688,32 +689,17 @@ def _box_root_count(k: float, s: complex, species: SpeciesParams, alpha: float,
                     scales: DerivedScales) -> int | None:
     """How many roots the thermal residual has at k in the box of
     p_hat = i s/(k W), given s in it: one bisection on X(k) = k^2 W^2 / C1(k)
-    in the gas's table.  None when s lies outside the box, when the gas has
-    no table (not built yet, or a pole beside the box), and when X(k) falls
-    inside a segment's tube."""
+    in the gas's table, which the gas builds here the first time it is
+    asked about a rate in the box (~100 evaluations of J).  None when s lies
+    outside the box, when the gas has no table (a pole beside the box), and
+    when X(k) falls inside a segment's tube."""
     w_scale, gas = _thermal_gas(species, alpha)
-    table = gas.table
-    if table is None or not _in_box(1j * s / k / w_scale):
+    if not _in_box(1j * s / k / w_scale) or gas.table is None:
         return None
-    lows, highs, counts = table
+    lows, highs, counts = gas.table
     x = (k * w_scale) ** 2 / coefficient_C1(k, scales)
     i = bisect.bisect_right(lows, x) - 1
     return counts[i] if i >= 0 and x < highs[i] else None
-
-
-def _box_spend(k: float, s: complex, species: SpeciesParams, alpha: float, evaluations: int) -> None:
-    """Charge a gas without a table the residual evaluations that a ladder's
-    later seeds made at k after its first root s, when s lies in the box:
-    a table would have saved them.  The table is built once the charges
-    reach _BOX_BUILD_COST, what a build takes.  So a gas asked for a few
-    roots never pays for a table, and one asked for many pays at most about
-    twice what building at once would have cost (the ski-rental rule)."""
-    w_scale, gas = _thermal_gas(species, alpha)
-    if gas.built or not _in_box(1j * s / k / w_scale):
-        return
-    gas.spent += evaluations
-    if gas.spent >= _BOX_BUILD_COST:
-        gas.table, gas.built = _box_count_table(gas), True
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .dispersion_core import (
     ComplexRate,
     DerivedScales,
     _box_root_count,
-    _box_spend,
     _omega_fluid,
     check_wavenumber,
     omega_c1_corrected,
@@ -94,10 +93,6 @@ class DispersionResult:
     converged: bool
     iterations: int
     region_flag: bool  # k^2 v_ch^2 + eta^2 >= omega^2, where the degenerate residue term is on
-
-    @property
-    def damped(self) -> bool:
-        return self.rate.eta < 0.0
 
 
 def check_branch_species(branch: BranchId, species: SpeciesParams, scales: DerivedScales) -> None:
@@ -227,14 +222,12 @@ def solve_at_k(
     *,
     bohm_term: bool = True,
     _known: tuple[ComplexRate, ...] = (),
-    _spent: list[int] | None = None,
 ) -> DispersionResult:
     """One root at one wavenumber.  Closed-form branches evaluate their
     formula and report a back-substitution diagnostic; exact branches run
     damped Newton on the rate s = eta + i omega from seed.s.  `_known` (dominant_root's roots so far)
     makes an exact branch raise _ReachedKnownRoot instead of evaluating a
-    point inside any of their balls, and adds the points it does evaluate
-    to `_spent[0]`."""
+    point inside any of their balls."""
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
     check_branch_species(branch, species, scales)
@@ -274,7 +267,6 @@ def solve_at_k(
         def fun(s):
             if any(abs(s - c) <= _KNOWN_ROOT_BALL * abs(c) for c in centres):
                 raise _ReachedKnownRoot
-            _spent[0] += 1
             return evaluate(s)
 
     s, norm, iterations, failure = _newton(fun, seed.s, config, reject)
@@ -436,22 +428,20 @@ def dominant_root(
     Tests check the count, and the strip to the right of the box, against
     dense counts on the residual.
 
-    A gas gets its table once the ladder's later seeds have spent on it, at
-    first roots in the box, the residual calls a build takes (~100; each
-    such call spends 4-10 of them, about 7).  Until then, for roots outside the box,
-    for a count other than 1, and at T = 0, where the residual's step rule
-    is not analytic across |p_hat| = 1, the whole ladder runs.
+    A gas builds its table at its first call whose first root lies in the
+    box (~100 evaluations of J, about 3 ms).  For roots outside the box, for
+    a count other than 1, and at T = 0, where the residual's step rule is
+    not analytic across |p_hat| = 1, the whole ladder runs.
     """
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
     branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactQuadrature
     thermal = branch is BranchId.ExactQuadrature
     roots: list[DispersionResult] = []
-    spent = [0]  # residual calls of the seeds after the first root
     for seed in _seed_ladder(k, species, scales, _matched_closed(k, branch, species, scales)):
         try:
             res = solve_at_k(k, branch, species, scales, seed, config,
-                             _known=tuple(root.rate for root in roots), _spent=spent)
+                             _known=tuple(root.rate for root in roots))
         except (*_SWEEP_POINT_ERRORS, _ReachedKnownRoot):
             continue
         if not roots and thermal and _box_root_count(k, res.rate.s, species, scales.alpha, scales) == 1:
@@ -460,6 +450,4 @@ def dominant_root(
             roots.append(res)
     if not roots:
         raise SeedFailure(f"no seed converged at k = {k:.6e}")
-    if thermal:
-        _box_spend(k, roots[0].rate.s, species, scales.alpha, spent[0])
     return max(roots, key=lambda item: item.rate.eta)

@@ -149,7 +149,7 @@ def test_degenerate_root_frozen(electron_degenerate, electron_degenerate_scales)
                          electron_degenerate, electron_degenerate_scales)
     assert rel(res.rate.omega, R.DEG_ROOT_OMEGA) < 1e-12
     assert res.rate.eta == 0.0  # undamped root stays bitwise on the axis
-    assert not res.damped
+    assert not res.rate.eta < 0.0
     assert res.residual_norm < 1e-10
 
 
@@ -286,7 +286,7 @@ def test_thermal_small_k_roots_stay_on_axis(request, gas, branch):
     res = converged_root(k, branch, sp, sc)
     assert res.residual_norm < 1e-10
     assert res.rate.eta == 0.0 and math.copysign(1.0, res.rate.eta) == 1.0
-    assert not res.damped
+    assert not res.rate.eta < 0.0
 
 
 def test_degenerate_from_damped_continuum_seed_matches_quadrature(
@@ -833,8 +833,9 @@ def test_quadrature_builds_a_thermal_gas_record_once(monkeypatch, weak_boson, we
     # the quadrature residual computes a gas's rate-independent scales once:
     # a cache key that took in k or s would miss on every residual call.
     # Each residual call and each fluid seed asks for the record once, and so
-    # do dominant_root's root count, for its first root, and its charge
-    # toward the gas's table: the first ask misses and every later one hits
+    # does dominant_root's root count, for its first root, which builds the
+    # gas's table without asking again: the first ask misses and every later
+    # one hits
     sc = weak_boson_scales
     ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in (0.2, 0.3, 0.4)]
     calls, seeds = [], []
@@ -850,12 +851,12 @@ def test_quadrature_builds_a_thermal_gas_record_once(monkeypatch, weak_boson, we
 
     monkeypatch.setattr(root_solver, "residual_quadrature", counted)
     monkeypatch.setattr(root_solver, "_omega_fluid", counted_fluid)
-    dispersion_core._thermal_gas.cache_clear()  # no table: the ladder runs and is charged
+    dispersion_core._thermal_gas.cache_clear()  # no table yet
     assert all(res.converged for res in sweep(ks, BranchId.ExactQuadrature, weak_boson, sc))
     dominant_root(1.1 * ks[-1], weak_boson, sc)
     info = dispersion_core._thermal_gas.cache_info()
     assert len(calls) > 0 and len(seeds) > 0
-    assert info.misses == 1 and info.hits == len(calls) + len(seeds) + 1
+    assert info.misses == 1 and info.misses + info.hits == len(calls) + len(seeds) + 1
 
 
 @pytest.mark.parametrize("delta", [1e-8, 1e-7, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3, 1e-2, 1e-1])
@@ -886,13 +887,8 @@ def _thermal_species(gas):
 
 
 def _with_table(sp, sc):
-    # charge the gas what a build takes, as its ladder calls would at a
-    # rate in the box (p_hat = -1), which builds its table; returns it
-    w_scale, gas = dispersion_core._thermal_gas(sp, sc.alpha)
-    k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    dispersion_core._box_spend(k, 1j * k * w_scale, sp, sc.alpha, dispersion_core._BOX_BUILD_COST)
-    assert gas.built
-    return gas.table
+    # the gas's table, built on this first ask if no call has built it yet
+    return dispersion_core._thermal_gas(sp, sc.alpha)[1].table
 
 
 def _count_solves(monkeypatch):
@@ -991,40 +987,34 @@ def test_the_response_beyond_the_box_stays_below_the_counted_x(gas):
     assert far < lows[0]
 
 
-def test_a_gas_builds_its_table_once_the_ladder_has_spent_a_build(monkeypatch):
-    # a temperature no other test uses.  Each call runs the whole ladder and
-    # charges the gas the residual calls of the seeds after its first root,
-    # until they reach a build's cost; the table is built then, and the next
-    # call runs one seed
+def _fresh_fermi_gas(temperature):
+    # the record cache is emptied first, so the gas's record is new and has
+    # built no table
     sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
-                       temperature=3.3e4, statistics=Statistics.FERMI)
+                       temperature=temperature, statistics=Statistics.FERMI)
     sc = derive_scales(sp)
-    k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    dispersion_core._thermal_gas.cache_clear()
     record = dispersion_core._thermal_gas(sp, sc.alpha)[1]
-    per_solve = []
-    residual, solve = root_solver.residual_quadrature, root_solver.solve_at_k
+    assert "table" not in vars(record)
+    return sp, sc, record
 
-    def counted_residual(*args, **kwargs):
-        per_solve[-1] += 1
-        return residual(*args, **kwargs)
 
-    def counted_solve(*args, **kwargs):
-        per_solve.append(0)
-        return solve(*args, **kwargs)
+def test_a_gas_builds_its_table_at_its_first_call_in_the_box(monkeypatch):
+    # the first call's first root lies in the box: the call builds the
+    # table, which counts one root there, and runs one seed
+    sp, sc, record = _fresh_fermi_gas(3.3e4)
+    k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
+    calls = _count_solves(monkeypatch)
+    res = dominant_root(k, sp, sc)
+    assert calls == [k] and vars(record)["table"] is not None
+    assert same(res, full_ladder(k, sp, sc))
 
-    monkeypatch.setattr(root_solver, "residual_quadrature", counted_residual)
-    monkeypatch.setattr(root_solver, "solve_at_k", counted_solve)
-    first = dominant_root(k, sp, sc)
-    while not record.built:
-        assert record.table is None
-        spent = record.spent
-        per_solve.clear()
-        assert same(dominant_root(k, sp, sc), first)
-        assert len(per_solve) == 4 and record.spent == spent + sum(per_solve[1:])
-        assert record.built == (spent + sum(per_solve[1:]) >= dispersion_core._BOX_BUILD_COST)
-    assert record.spent >= dispersion_core._BOX_BUILD_COST > spent
-    per_solve.clear()
-    assert same(dominant_root(k, sp, sc), first) and len(per_solve) == 1
+
+def test_roots_outside_the_box_build_no_table():
+    sp, sc, record = _fresh_fermi_gas(3.4e4)
+    for y in (0.02, 1.0):  # left of the box; below it
+        dominant_root(y * sc.omega_p / math.sqrt(sc.v_th_sq), sp, sc)
+    assert "table" not in vars(record)
 
 
 def test_dominant_root_takes_the_ladder_on_a_count_of_two(monkeypatch, weak_fermion, weak_fermion_scales):
