@@ -371,8 +371,9 @@ class _ThermalGas:
     """A thermal gas apart from k and s, in u = w/W: the slope's prefactor
     c_g, B = beta W^2, the fugacity and statistics; the subtracted pole i a
     (None on a plain panel) and L(i a) = log((1 - ia)/(-1 - ia)); each pass's
-    nodes, weights, node slopes and per-size bounds; and, built on first
-    use, the fluid seed's moments and the root count's table.
+    nodes, rows of weights (one per size, zero past that size's nodes) and
+    node slopes; and, built on first use, the fluid seed's moments and the
+    root count's table.
 
     A Bose slope g(u) = -c_g u/(e^(B u^2)/alpha - 1) has simple poles at
     u = +-i a, a = sqrt(-ln alpha / B), with residue -c_g/(2B) each.  For
@@ -388,13 +389,17 @@ class _ThermalGas:
         self.log_pole = None if self.pole is None else _principal_log_ratio(self.pole, False)
         passes = []
         for sizes in _GL_PASSES:
-            u, weights = (np.concatenate(column) for column in zip(*map(_legendre_rule, sizes)))
+            # one row per size, padded to the pass's largest by repeating its
+            # nodes at weight 0; held complex, as numpy casts them on each call
+            rules, width = [_legendre_rule(n) for n in sizes], max(sizes)
+            u = np.array([np.resize(x, width) for x, _ in rules])
+            rows = np.array([np.resize(w, width) * (np.arange(width) < n) for n, (_, w) in zip(sizes, rules)])
             g = c_g * _occupation_slope(u, s_beta_w2, self.inv_alpha, self.fermi)
             if self.pole is not None:
                 g -= c_g * (-u / (s_beta_w2 * (u * u + a * a)))
-            u.flags.writeable = weights.flags.writeable = g.flags.writeable = False
-            ends = np.cumsum((0,) + sizes).tolist()
-            passes.append((u, weights, g, tuple(zip(ends, ends[1:]))))
+            u, rows, g = (np.array(x, dtype=complex) for x in (u, rows, g))
+            u.flags.writeable = rows.flags.writeable = g.flags.writeable = False
+            passes.append((u, rows, g))
         self.passes = tuple(passes)
 
     @functools.cached_property
@@ -417,30 +422,30 @@ class _ThermalGas:
 def _gauss_legendre(p_hat: complex, g_at_p: complex, slope_at_p: complex, gas: _ThermalGas) -> tuple[complex, complex]:
     # integral of (g(u) - g(p))/(u - p) over [-1, 1], g being the gas's node
     # slopes, and its p-derivative; each pass is one vectorised evaluation
-    # over its sizes, then each size is summed over its own stretch.  A node
-    # can only collide with a real pole; the subtracted numerator vanishes
-    # there too, so 0 is the removable-limit value, and only such a rate pays
-    # for the masked division.
+    # over its rows, one per size, then numpy's pairwise sum along each row,
+    # where the zeros padding a shorter row leave each size's bits as over
+    # its own nodes.  A node can only collide with a real pole; the
+    # subtracted numerator vanishes there too, so 0 is the removable-limit
+    # value, and only such a rate pays for the masked division.
     on_axis = p_hat.imag == 0.0
     previous = None
-    for u, weights, g, bounds in gas.passes:
+    for u, rows, g in gas.passes:
         d = u - p_hat
         if on_axis and not d.all():
-            quotient = weights * np.divide(g - g_at_p, d, out=np.zeros_like(d), where=d != 0)
+            quotient = rows * np.divide(g - g_at_p, d, out=np.zeros_like(d), where=d != 0)
         else:
-            quotient = weights * ((g - g_at_p) / d)
-        for lo, hi in bounds:
-            weighted = quotient[lo:hi]
-            estimate = complex(np.add.reduce(weighted))
+            quotient = rows * ((g - g_at_p) / d)
+        for i, estimate in enumerate(np.add.reduce(quotient, axis=1).tolist()):
             if previous is not None:
                 # relative to the integral of |integrand|, which cancellation
-                # cannot zero
+                # cannot zero; |estimate| bounds it from below, so the
+                # integral is formed only when that bound does not settle it
                 gap = abs(estimate - previous)
-                if gap <= _GL_TOL * float(np.add.reduce(np.abs(weighted))):
+                if gap <= _GL_TOL * abs(estimate) or gap <= _GL_TOL * float(np.add.reduce(np.abs(quotient[i]))):
                     # the derivative on the accepted rule alone: the quotient
                     # subtracted once more, (Q - g'(p))/(u - p), is analytic too
-                    terms = weighted - slope_at_p * weights[lo:hi]
-                    d_n = d[lo:hi]
+                    terms = quotient[i] - slope_at_p * rows[i]
+                    d_n = d[i]
                     if on_axis and not d_n.all():
                         # a node on the pole counts 0, as in the value
                         terms = np.divide(terms, d_n, out=np.zeros_like(terms), where=d_n != 0)

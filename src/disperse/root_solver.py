@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .dispersion_core import (
@@ -302,24 +303,26 @@ def first_point_seeds(
     check_branch_species(branch, species, scales)
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
-    return _seed_ladder(k, species, scales, _matched_closed(k, branch, species, scales))
+    return list(_seed_ladder(k, species, scales, _matched_closed(k, branch, species, scales)))
 
 
-def _seed_ladder(k: float, species: SpeciesParams, scales: DerivedScales, matched: float) -> list[ComplexRate]:
-    """The seed ladder from the branch-matched frequency, at a checked k on Bohm-adjusted scales."""
-    seeds = [matched]
-    if species.fully_degenerate:
-        fallback = omega_degenerate_bohm_gross(k, scales)
-    else:
-        fallback = omega_weak_simple(k, species, scales)
-    seeds.append(omega_quantum_langmuir(k, scales))
-    seeds.append(fallback)
-    seeds.append(1.2 * fallback)
-    out = []
-    for omega in seeds:
-        if omega > 0 and all(abs(omega - prev.omega) > 1e-12 * omega for prev in out):
-            out.append(ComplexRate(eta=0.0, omega=omega))
-    return out
+def _seed_ladder(k: float, species: SpeciesParams, scales: DerivedScales, matched: float) -> Iterator[ComplexRate]:
+    """The seed ladder from the branch-matched frequency, at a checked k on Bohm-adjusted
+    scales: positive, deduplicated, and each seed built once the one before it is tried."""
+    taken: list[float] = []
+    for omega in _ladder_frequencies(k, species, scales, matched):
+        if omega > 0 and all(abs(omega - prev) > 1e-12 * omega for prev in taken):
+            taken.append(omega)
+            yield ComplexRate(eta=0.0, omega=omega)
+
+
+def _ladder_frequencies(k: float, species: SpeciesParams, scales: DerivedScales, matched: float) -> Iterator[float]:
+    yield matched
+    yield omega_quantum_langmuir(k, scales)
+    fallback = (omega_degenerate_bohm_gross(k, scales) if species.fully_degenerate
+                else omega_weak_simple(k, species, scales))
+    yield fallback
+    yield 1.2 * fallback
 
 
 _SWEEP_POINT_ERRORS = (NoConvergence, SingularInput, QuadratureFailure, NonConvergent)
@@ -429,9 +432,11 @@ def dominant_root(
     dense counts on the residual.
 
     A gas builds its table at its first call whose first root lies in the
-    box (~100 evaluations of J, about 3 ms).  For roots outside the box, for
-    a count other than 1, and at T = 0, where the residual's step rule is
-    not analytic across |p_hat| = 1, the whole ladder runs.
+    box (~100 evaluations of J, 1.6-1.7 ms on the benchmark gases).  The
+    ladder builds each seed only when the one before it has been tried, so a
+    call the table serves builds its first seed alone.  For roots outside
+    the box, for a count other than 1, and at T = 0, where the residual's
+    step rule is not analytic across |p_hat| = 1, the whole ladder runs.
     """
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)

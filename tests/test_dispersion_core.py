@@ -292,12 +292,12 @@ def test_quadrature_near_condensation_refuses_or_stays_finite(delta, y, eta_frac
     assert cmath.isfinite(value) and cmath.isfinite(slope)
 
 
-def _gauss_legendre_uncached(p_hat, g_at_p, gas):
-    """The thermal quadrature on one panel with every node, weight and node
-    slope, subtracted pole part included, computed on each call, in the
-    order of operations the record's node data must keep."""
+def _rule_estimates(p_hat, g_at_p, gas):
+    """Each rule size of the thermal quadrature on one panel, in pass order,
+    with its estimate and its integral of |integrand|.  Every node, weight
+    and node slope, subtracted pole part included, is computed on each
+    call, in the order of operations the record's node data must keep."""
     c_g, s_beta_w2 = gas.c_g, gas.s_beta_w2
-    previous = None
     for n in (n for sizes in dispersion_core._GL_PASSES for n in sizes):
         u, w = dispersion_core._legendre_rule(n)
         d = u - p_hat
@@ -307,9 +307,17 @@ def _gauss_legendre_uncached(p_hat, g_at_p, gas):
             g -= c_g * (-u / (s_beta_w2 * (u * u + a * a)))
         vals = g - g_at_p
         weighted = w * np.where(d == 0, 0.0, vals / np.where(d == 0, 1.0, d))
-        estimate = complex(weighted.sum())
-        if previous is not None and abs(estimate - previous) <= dispersion_core._GL_TOL * float(np.abs(weighted).sum()):
-            return estimate
+        yield n, complex(weighted.sum()), float(np.abs(weighted).sum())
+
+
+def _gauss_legendre_uncached(p_hat, g_at_p, gas):
+    """The accept rule stated explicitly: the first size whose estimate
+    agrees with the size before it to _GL_TOL of its integral of
+    |integrand|; that estimate and the size."""
+    previous = None
+    for n, estimate, magnitude in _rule_estimates(p_hat, g_at_p, gas):
+        if previous is not None and abs(estimate - previous) <= dispersion_core._GL_TOL * magnitude:
+            return estimate, n
         previous = estimate
     raise AssertionError("reference rules did not agree")
 
@@ -333,17 +341,20 @@ def test_quadrature_matches_uncached_rule_bitwise(monkeypatch, temperature, stat
 
     def uncached(p_hat, g_at_p, slope_at_p, gas):
         subtracted.add(gas.pole is not None)
-        return _gauss_legendre_uncached(p_hat, g_at_p, gas), 0j
+        return _gauss_legendre_uncached(p_hat, g_at_p, gas)[0], 0j
 
     monkeypatch.setattr(dispersion_core, "_gauss_legendre", uncached)
     assert got == [residual_quadrature(k, s, sp, sc.alpha, sc)[0] for k, s in points]
     assert subtracted == {statistics is Statistics.BOSE and sc.alpha > 0.5}
-    # one panel: each size's stretch holds that size's nodes, on [-1, 1]
+    # one panel: each size's row of weights is nonzero on that size's nodes
+    # alone, leading the row, on [-1, 1], and sums to the panel's length
     gas = dispersion_core._thermal_gas(sp, sc.alpha)[1]
-    stretches = [(bounds, u) for u, _, _, bounds in gas.passes]
-    assert [hi - lo for bounds, _ in stretches for lo, hi in bounds] == [
-        n for sizes in dispersion_core._GL_PASSES for n in sizes]
-    assert all(abs(u).max() < 1.0 for _, u in stretches)
+    sizes = [n for sizes in dispersion_core._GL_PASSES for n in sizes]
+    rows = [(u, row) for u, rows, _ in gas.passes for u, row in zip(u, rows)]
+    assert [np.count_nonzero(row[:n]) for (_, row), n in zip(rows, sizes)] == sizes
+    assert [np.count_nonzero(row) for _, row in rows] == sizes
+    assert all(abs(u).max() < 1.0 and u.imag.max() == 0.0 for u, _ in rows)
+    assert all(abs(row.sum() - 2.0) < 1e-14 for _, row in rows)
 
 
 def _slope_at(p_hat, gas):
@@ -368,12 +379,12 @@ def test_quadrature_rate_on_a_node_takes_the_removable_limit(fermi):
     for alpha in (0.2,) if fermi else (0.2, 0.9):
         gas = dispersion_core._ThermalGas(1.0, 64.0, alpha, Statistics.FERMI if fermi else Statistics.BOSE)
         assert (gas.pole is not None) == (alpha == 0.9)
-        u = gas.passes[0][0][: dispersion_core._GL_PASSES[0][0]]
+        u = gas.passes[0][0][0][: dispersion_core._GL_PASSES[0][0]].real
         p_hat = complex(u[np.argmin(abs(u - 0.2))])
         g_at_p, slope_at_p = _slope_at(p_hat, gas)
         got, slope = dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)
         assert cmath.isfinite(got) and cmath.isfinite(slope)
-        assert got == _gauss_legendre_uncached(p_hat, g_at_p, gas)
+        assert got == _gauss_legendre_uncached(p_hat, g_at_p, gas)[0]
 
 
 @pytest.mark.parametrize("s_beta_w2, mu, size", [(64.0, 10.0, 256), (64.0, 25.0, 512), (256.0, 64.0, None)],
@@ -394,12 +405,73 @@ def test_quadrature_larger_rules_match_uncached_bitwise(s_beta_w2, mu, size):
             dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)
         return
     assert dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)[0] == \
-        _gauss_legendre_uncached(p_hat, g_at_p, gas)
+        _gauss_legendre_uncached(p_hat, g_at_p, gas)[0]
+    assert _gauss_legendre_uncached(p_hat, g_at_p, gas)[1] == size
     # the pass before the accepting size's refuses
     passes = gas.passes
     gas.passes = passes[:[sizes[-1] for sizes in dispersion_core._GL_PASSES].index(size)]
     with pytest.raises(QuadratureFailure):
         dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)
+
+
+def _record(gas):
+    # the five benchmark thermal gases by (temperature, statistics), or a
+    # Fermi gas above fugacity 1 by (B, mu) as in the uncut tests above
+    if isinstance(gas[1], Statistics):
+        sp, sc = _thermal_gas(*gas)
+        return dispersion_core._thermal_gas(sp, sc.alpha)[1]
+    return dispersion_core._ThermalGas(1.0, gas[0], math.exp(gas[1]), Statistics.FERMI)
+
+
+@pytest.mark.parametrize("gas, reached", [
+    ((R.T_FERMI_02, Statistics.FERMI), {128}), ((R.T_BOSE_02, Statistics.BOSE), {128}),
+    ((R.T_FERMI_09, Statistics.FERMI), {128}), ((R.T_BOSE_09, Statistics.BOSE), {128}),
+    ((R.T_CLASSICAL, Statistics.FERMI), {128}), ((64.0, 10.0), {256}), ((64.0, 25.0), {256, 512}),
+    ((256.0, 64.0), {None})],
+    ids=["fermi-0.2", "bose-0.2", "fermi-0.9", "bose-0.9", "classical", "uncut-256", "uncut-512", "uncut-fails"])
+def test_quadrature_accepts_the_size_the_explicit_rule_accepts(gas, reached):
+    # the quadrature accepts a size on |estimate|, a lower bound on the
+    # integral of |integrand|, before it forms that integral; on random rates,
+    # on and off the real axis, it must accept the size, and return the
+    # estimate, that the rule on the integral itself accepts, and refuse
+    # (None) where that rule refuses.  The sizes each gas reaches are
+    # pinned, so the rates exercise the rule at every size and the refusal.
+    # The accepted size is the first one after the first rule whose estimate
+    # is the returned one: a size whose estimate equals the one before it
+    # bit for bit is accepted at once, as the classical gas's 128 nodes are
+    gas = _record(gas)
+    rng = np.random.default_rng(37)
+    sizes = set()
+    for _ in range(120):
+        p_hat = complex(rng.uniform(-1.2, 1.2), rng.choice([0.0, rng.uniform(-0.2, 0.2)]))
+        g_at_p, slope_at_p = _slope_at(p_hat, gas)
+        try:
+            want, size = _gauss_legendre_uncached(p_hat, g_at_p, gas)
+        except AssertionError:
+            with pytest.raises(QuadratureFailure):
+                dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)
+            sizes.add(None)
+            continue
+        got = dispersion_core._gauss_legendre(p_hat, g_at_p, slope_at_p, gas)[0]
+        assert got == want
+        estimates = list(_rule_estimates(p_hat, g_at_p, gas))[1:]
+        assert [n for n, estimate, _ in estimates if estimate == got][0] == size
+        sizes.add(size)
+    assert sizes == reached
+
+
+@pytest.mark.parametrize("gap, accepted", [(0.8e-7, True), (1.2e-7, False)])
+def test_quadrature_accept_rule_at_its_threshold(gap, accepted):
+    # an integrand of one sign, where |estimate| is the integral of
+    # |integrand| itself: two sizes just inside _GL_TOL of each other are
+    # accepted, two just outside refused, as the rule on the integral does
+    gas = _record((64.0, 10.0))
+    gas.passes = ((np.ones((2, 1), complex), np.ones((2, 1), complex), np.array([[1.0], [1.0 + gap]], complex)),)
+    if accepted:
+        assert dispersion_core._gauss_legendre(0j, 0j, 0j, gas) == (1.0 + gap, 1.0 + gap)
+    else:
+        with pytest.raises(QuadratureFailure):
+            dispersion_core._gauss_legendre(0j, 0j, 0j, gas)
 
 
 def _clear_residual_caches():
@@ -772,7 +844,12 @@ def test_degenerate_residual_slopes_match_central_differences(electron_degenerat
 # values from before the residuals returned their slope, bit for bit: rates
 # as fractions of Omega_p at k v_th / Omega_p = 0.3, and (r, epsilon) at
 # k = K_REF for the T = 0 gas, but the Bose quadrature column: frozen with
-# the occupation poles subtracted, each within 1e-13 of R.BOSE_09_RESIDUALS
+# the occupation poles subtracted, each within 1e-13 of R.BOSE_09_RESIDUALS.
+# Both thermal columns were frozen under OpenBLAS's SkylakeX kernel.  Under
+# its Haswell kernel np.dot sums in another order: derive_scales' v_th_sq
+# on the Fermi gas moves by 1 ulp, and all eight Fermi values with it, and
+# residual_weak's series moves the Bose weak value at -0.01+1.05j (the
+# thread count changes none)
 _FROZEN_THERMAL = {
     Statistics.FERMI: [
         (1.1j, (0.10278248534487355-8.010108439279346e-07j), (0.10278248534487-2.6700361113423923e-07j)),

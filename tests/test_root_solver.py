@@ -960,6 +960,70 @@ def test_dominant_root_certifies_its_first_thermal_root(monkeypatch, gas):
     assert calls == ks
 
 
+def _record_seeds(monkeypatch):
+    seeds = []
+    solve = root_solver.solve_at_k
+
+    def counted(*args, **kwargs):
+        seeds.append(args[4])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(root_solver, "solve_at_k", counted)
+    return seeds
+
+
+@pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES))
+def test_a_served_thermal_call_builds_only_its_first_seed(monkeypatch, gas):
+    # a call the gas's table serves at the fluid seed makes one solve_at_k
+    # call, from that seed, and builds none of the ladder's later seeds: the
+    # dispersionless and the expanded value are never computed
+    sp, sc = _thermal_species(gas)
+    ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in np.linspace(0.05, 0.6, 12)]
+    ladders = [first_point_seeds(k, BranchId.ExactQuadrature, sp, sc) for k in ks]
+    _with_table(sp, sc)
+
+    def later_seed(*args):
+        raise AssertionError("a served call built a later seed")
+
+    monkeypatch.setattr(root_solver, "omega_quantum_langmuir", later_seed)
+    monkeypatch.setattr(root_solver, "omega_weak_simple", later_seed)
+    seeds = _record_seeds(monkeypatch)
+    for k, ladder in zip(ks, ladders):
+        seeds.clear()
+        dominant_root(k, sp, sc)
+        assert seeds == ladder[:1]
+
+
+@pytest.mark.parametrize("gas, ys", [
+    ("fermi_0.2", [0.02, 1.0]),  # roots left of the box and below it
+    ("bose_0.999", [0.1, 0.35, 0.6]),  # a pole beside the box: no table
+])
+def test_unserved_thermal_calls_try_the_whole_ladder_in_order(monkeypatch, gas, ys):
+    sp, sc = _thermal_species(gas)
+    seeds = _record_seeds(monkeypatch)
+    for y in ys:
+        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+        seeds.clear()
+        res = dominant_root(k, sp, sc)
+        assert root_solver._box_root_count(k, res.rate.s, sp, sc.alpha, sc) is None
+        assert seeds == first_point_seeds(k, BranchId.ExactQuadrature, sp, sc), (gas, y)
+
+
+@pytest.mark.parametrize("gas, xs", [
+    ("electron_degenerate", [0.002, 0.1, 1.0, 8.0]),  # k v_F / Omega_p
+    ("neutral_degenerate", [0.3, 0.6, 3.0]),          # kappa
+])
+def test_degenerate_calls_try_the_whole_ladder_in_order(monkeypatch, request, gas, xs):
+    sp = request.getfixturevalue(gas)
+    sc = request.getfixturevalue(gas + "_scales")
+    seeds = _record_seeds(monkeypatch)
+    for x in xs:
+        k = x * sc.omega_p / sc.v_ch if sp.charge else x * sc.v_ch / math.sqrt(sc.lambda_quantum)
+        seeds.clear()
+        dominant_root(k, sp, sc)
+        assert seeds == first_point_seeds(k, BranchId.ExactDegenerate, sp, sc), (gas, x)
+
+
 @pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES) + ["bose_0.92", "bose_0.94"])
 def test_box_count_table_matches_a_dense_count_on_the_residual(gas):
     # the table against a dense count on the residual over the box, and no
