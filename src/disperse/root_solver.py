@@ -30,10 +30,10 @@ back-substitution diagnostic into the matching exact residual, so the
 "converged implies residual_norm < abs_tol" reading applies to the
 iterative branches only.
 
-dominant_root does not run every seed of the ladder to convergence: a later
-seed stops before it evaluates a point within 1e-4 (relative) of a root an
-earlier seed found, and on a thermal gas a per-gas root count usually stops
-the ladder at its first root (see dominant_root).
+dominant_root stops the seed ladder at its first root when no other root can
+be less damped: when that root is undamped, or on a thermal gas when a
+per-gas root count finds it alone in a box (see dominant_root); otherwise
+every seed runs to convergence.
 
 The benchmark tracer (benchmark/tracing.py) wraps these call-time lookups, so
 keep them: sweep and dominant_root enter every exact point through the module
@@ -132,17 +132,6 @@ def _line_search(fun, reject, s: complex, ds: complex, norm: float):
     return None
 
 
-# dominant_root stops a later seed once it is about to evaluate a point within
-# this relative distance of a root an earlier seed found: the square root of
-# the 1e-8 that calls two roots the same, since Newton contracts at C ~ 1-2
-# there and one more step would land ~1e-8 from the known root
-_KNOWN_ROOT_BALL = 1e-4
-
-
-class _ReachedKnownRoot(Exception):
-    """A seed is about to evaluate a point inside a known root's ball."""
-
-
 def _newton(fun, s: complex, config: SolverConfig, reject):
     """Damped Newton on a residual holomorphic in the rate s; fun returns
     the pair (f, df/ds).
@@ -222,13 +211,10 @@ def solve_at_k(
     config: SolverConfig = SolverConfig(),
     *,
     bohm_term: bool = True,
-    _known: tuple[ComplexRate, ...] = (),
 ) -> DispersionResult:
     """One root at one wavenumber.  Closed-form branches evaluate their
     formula and report a back-substitution diagnostic; exact branches run
-    damped Newton on the rate s = eta + i omega from seed.s.  `_known` (dominant_root's roots so far)
-    makes an exact branch raise _ReachedKnownRoot instead of evaluating a
-    point inside any of their balls."""
+    damped Newton on the rate s = eta + i omega from seed.s."""
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
     check_branch_species(branch, species, scales)
@@ -261,15 +247,6 @@ def solve_at_k(
         # spurious purely growing roots as omega -> 0: keep eta <= 0
         return species.fully_degenerate and (s.real > 0.0 or _resonance_gap(kv / s.imag, s.real / s.imag))
 
-    if _known:
-        centres = [rate.s for rate in _known]
-        evaluate = fun
-
-        def fun(s):
-            if any(abs(s - c) <= _KNOWN_ROOT_BALL * abs(c) for c in centres):
-                raise _ReachedKnownRoot
-            return evaluate(s)
-
     s, norm, iterations, failure = _newton(fun, seed.s, config, reject)
     result = _result(k, branch, ComplexRate(eta=s.real, omega=s.imag), scales, norm, failure is None, iterations)
     if failure is not None:
@@ -277,11 +254,13 @@ def solve_at_k(
     return result
 
 
-def _matched_closed(k: float, branch: BranchId, species: SpeciesParams, scales: DerivedScales) -> float:
-    """Undamped frequency matching the branch's regime, used for seeding
-    and for rescaling continuation guesses between k points: the degenerate
-    closed form at T = 0, the thermal moment series' fluid root otherwise."""
-    if branch in DEGENERATE_BRANCHES or (branch is BranchId.ExactQuadrature and species.fully_degenerate):
+def _matched_closed(k: float, species: SpeciesParams, scales: DerivedScales) -> float:
+    """Undamped frequency matching the gas's regime, used for seeding and
+    for rescaling continuation guesses between k points: the degenerate
+    closed form at T = 0, the thermal moment series' fluid root otherwise.
+    check_branch_species admits degenerate branches at T = 0 only and weak
+    branches above it, so the gas decides for every branch."""
+    if species.fully_degenerate:
         if species.charge != 0.0:
             return omega_degenerate_bohm_gross(k, scales)
         return omega_zero_sound(k, scales)
@@ -296,33 +275,32 @@ def first_point_seeds(
     *,
     bohm_term: bool = True,
 ) -> list[ComplexRate]:
-    """Seed ladder for the first point of a sweep, all on the axis: the branch-matched
+    """Seed ladder for the first point of a sweep, all on the axis: the gas-matched
     frequency (Bohm-Gross or zero sound at T = 0, the fluid root of a thermal gas), then
     the dispersionless value, the expanded value, and 1.2x it.  ValueError when the
     branch cannot apply to the species or k is too large (check_wavenumber)."""
     check_branch_species(branch, species, scales)
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
-    return list(_seed_ladder(k, species, scales, _matched_closed(k, branch, species, scales)))
+    return list(_seed_ladder(k, species, scales, _matched_closed(k, species, scales)))
 
 
 def _seed_ladder(k: float, species: SpeciesParams, scales: DerivedScales, matched: float) -> Iterator[ComplexRate]:
-    """The seed ladder from the branch-matched frequency, at a checked k on Bohm-adjusted
+    """The seed ladder from the gas-matched frequency, at a checked k on Bohm-adjusted
     scales: positive, deduplicated, and each seed built once the one before it is tried."""
     taken: list[float] = []
-    for omega in _ladder_frequencies(k, species, scales, matched):
+
+    def fresh(omega: float) -> Iterator[ComplexRate]:
         if omega > 0 and all(abs(omega - prev) > 1e-12 * omega for prev in taken):
             taken.append(omega)
             yield ComplexRate(eta=0.0, omega=omega)
 
-
-def _ladder_frequencies(k: float, species: SpeciesParams, scales: DerivedScales, matched: float) -> Iterator[float]:
-    yield matched
-    yield omega_quantum_langmuir(k, scales)
-    fallback = (omega_degenerate_bohm_gross(k, scales) if species.fully_degenerate
+    yield from fresh(matched)
+    yield from fresh(omega_quantum_langmuir(k, scales))
+    expanded = (omega_degenerate_bohm_gross(k, scales) if species.fully_degenerate
                 else omega_weak_simple(k, species, scales))
-    yield fallback
-    yield 1.2 * fallback
+    yield from fresh(expanded)
+    yield from fresh(1.2 * expanded)
 
 
 _SWEEP_POINT_ERRORS = (NoConvergence, SingularInput, QuadratureFailure, NonConvergent)
@@ -361,7 +339,7 @@ def sweep(
         return []
     check_wavenumber(ks[-1], scales)  # and so every smaller k
 
-    closed_prev = _matched_closed(ks[0], branch, species, scales)
+    closed_prev = _matched_closed(ks[0], species, scales)
     for seed in _seed_ladder(ks[0], species, scales, closed_prev):
         try:
             first = solve_at_k(ks[0], branch, species, scales, seed, config)
@@ -376,7 +354,7 @@ def sweep(
         # rescale the previous rate by the closed-form ratio between the
         # two k points; plain omega continuation pushes r = k v_ch/omega
         # across the r = 1 wall for branches that hug the resonance
-        closed = _matched_closed(k, branch, species, scales)
+        closed = _matched_closed(k, species, scales)
         ratio = closed / closed_prev
         seed = ComplexRate(eta=prev.eta * ratio, omega=prev.omega * ratio)
         # an undamped degenerate root has r < 1; a seed pushed across r = 1
@@ -406,22 +384,22 @@ def dominant_root(
     """Library-side helper: launch the species' exact branch (ExactDegenerate
     at full degeneracy, ExactQuadrature for a thermal gas) from each seed in
     the ladder and return the distinct root with the largest eta (least
-    damped).  A later seed stops, as a failed seed does, the moment it is
-    about to evaluate a point within _KNOWN_ROOT_BALL of a root an earlier
-    seed found: it would only find that root again.  Raises SeedFailure when
-    nothing converges.
+    damped).  Raises SeedFailure when nothing converges.
 
-    A thermal gas stops at its first root when that root lies in the box
-    Re p_hat in [-6, -0.01], Im p_hat in [-0.03, 0.1] of p_hat = i s/(k W)
-    and the gas's table (dispersion_core._box_root_count) counts one root
-    there.  A root at k solves J(p_hat) = X(k) = k^2 W^2 / C1(k), with J the
-    gas's k-free response, so one table serves every k: the winding number
-    of J around the box for each X, from ~95 samples of J.  It is an
-    estimate checked by sampling, not a proof: a segment's distance from its
-    chord comes from a Hermite fit of J'' at its two ends, doubled, and X is
-    counted only outside those tubes.  No root outside the box is less
-    damped: below it every root is more damped; above it a thermal gas has
-    no growing mode (Penrose, Phys. Fluids 3 (1960) 258); beyond
+    The ladder stops at its first root when no other root can be less damped.
+    An equilibrium gas has no growing mode (Penrose, Phys. Fluids 3 (1960)
+    258), and Newton rejects eta > 0 at T = 0, so an undamped first root
+    (eta == 0.0, on either gas) is the answer.  A damped thermal first root
+    is the answer when it lies in the box Re p_hat in [-6, -0.01],
+    Im p_hat in [-0.03, 0.1] of p_hat = i s/(k W) and the gas's table
+    (dispersion_core._box_root_count) counts one root there.  A root at k
+    solves J(p_hat) = X(k) = k^2 W^2 / C1(k), with J the gas's k-free
+    response, so one table serves every k: the winding number of J around
+    the box for each X, from ~95 samples of J.  It is an estimate checked by
+    sampling, not a proof: a segment's distance from its chord comes from a
+    Hermite fit of J'' at its two ends, doubled, and X is counted only
+    outside those tubes.  No root outside the box is less damped: below it
+    every root is more damped; above it lies no growing mode; beyond
     Re p_hat = -6 the response is its far-field moment series, ~1/p_hat^2,
     smaller in modulus than on the box's left edge, and the count is only
     taken above that edge's |J|; between Re p_hat = -0.01 and 0 it stays
@@ -431,25 +409,26 @@ def dominant_root(
     Tests check the count, and the strip to the right of the box, against
     dense counts on the residual.
 
-    A gas builds its table at its first call whose first root lies in the
-    box (~100 evaluations of J, 1.6-1.7 ms on the benchmark gases).  The
+    A gas builds its table at its first call whose damped first root lies in
+    the box (~100 evaluations of J, 1.6-1.7 ms on the benchmark gases).  The
     ladder builds each seed only when the one before it has been tried, so a
-    call the table serves builds its first seed alone.  For roots outside
-    the box, for a count other than 1, and at T = 0, where the residual's
-    step rule is not analytic across |p_hat| = 1, the whole ladder runs.
+    served call builds its first seed alone.  Otherwise (a damped root
+    outside the box, a count other than 1, or a damped first root at T = 0,
+    where the residual's step rule is not analytic across |p_hat| = 1) every
+    seed runs to convergence.
     """
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
     branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactQuadrature
     thermal = branch is BranchId.ExactQuadrature
     roots: list[DispersionResult] = []
-    for seed in _seed_ladder(k, species, scales, _matched_closed(k, branch, species, scales)):
+    for seed in _seed_ladder(k, species, scales, _matched_closed(k, species, scales)):
         try:
-            res = solve_at_k(k, branch, species, scales, seed, config,
-                             _known=tuple(root.rate for root in roots))
-        except (*_SWEEP_POINT_ERRORS, _ReachedKnownRoot):
+            res = solve_at_k(k, branch, species, scales, seed, config)
+        except _SWEEP_POINT_ERRORS:
             continue
-        if not roots and thermal and _box_root_count(k, res.rate.s, species, scales.alpha, scales) == 1:
+        if not roots and (res.rate.eta == 0.0 or thermal and _box_root_count(
+                k, res.rate.s, species, scales.alpha, scales) == 1):
             return res
         if all(abs(res.rate.omega - other.rate.omega) > 1e-8 * res.rate.omega for other in roots):
             roots.append(res)

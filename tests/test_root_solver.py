@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import _refs as R
 from disperse import (
@@ -33,7 +33,8 @@ from disperse.dispersion_core import (
     omega_weak_biquadratic,
     residual_quadrature,
 )
-from disperse.errors import DisperseError, NoConvergence, NonConvergent, SeedFailure, SingularInput
+from disperse.errors import (DegeneracyOutOfRange, DisperseError, NoConvergence, NonConvergent, SeedFailure,
+                             SingularInput)
 from disperse.quantum_stats import HBAR, thermal_beta, with_bohm_term
 from disperse.root_solver import check_branch_species
 
@@ -717,8 +718,8 @@ def test_dominant_root_seed_failure(weak_fermion, weak_fermion_scales):
 
 
 def full_ladder(k, sp, sc):
-    """dominant_root as it was before seeds stopped at known roots: Newton to
-    convergence from every seed, then the least-damped distinct root."""
+    """dominant_root without its stop rules: Newton to convergence from every
+    seed, then the least-damped distinct root."""
     branch = BranchId.ExactDegenerate if sp.fully_degenerate else BranchId.ExactQuadrature
     roots = []
     for seed in first_point_seeds(k, branch, sp, sc):
@@ -751,6 +752,7 @@ def test_dominant_root_equals_full_ladder_thermal(gas):
 @pytest.mark.parametrize("gas, xs", [
     ("electron_degenerate", [0.002, 0.01, 0.1, 0.5, 1.0, 2.5, 8.0]),  # k v_F / Omega_p
     ("neutral_degenerate", [0.3, 0.45, 0.6, 0.8, 1.5, 3.0, 5.3]),     # kappa
+    ("electron_degenerate", np.geomspace(0.01, 2.5, 16)),              # the degenerate_run window
 ])
 def test_dominant_root_equals_full_ladder_degenerate(request, gas, xs):
     sp = request.getfixturevalue(gas)
@@ -766,9 +768,9 @@ def test_dominant_root_does_not_cut_a_seed_heading_for_another_root(
     monkeypatch, weak_fermion, weak_fermion_scales
 ):
     # a holomorphic toy residual with two roots, in units of Omega_p: a damped
-    # one at the third seed (within its ball) and a less damped one near the
-    # fourth.  The first two seeds reach the damped root, the third starts
-    # inside its ball and the fourth heads for the other root.
+    # one beside the third seed and a less damped one near the fourth.  The
+    # first three seeds reach the damped root and the fourth, which passes
+    # it, heads for the other root.
     sp, sc = weak_fermion, weak_fermion_scales
     k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
     wp = sc.omega_p
@@ -803,30 +805,10 @@ def test_dominant_root_does_not_cut_a_seed_heading_for_another_root(
     monkeypatch.setattr(root_solver, "_box_root_count", lambda *args: None)
     res = dominant_root(k, sp, sc)
     assert abs(complex(res.rate.eta, res.rate.omega) / wp - less_damped) < 1e-10
-    (_, first), _, (third_calls, third), (_, fourth) = per_seed
-    assert abs(first - damped) < 1e-10
-    assert third_calls == 0 and isinstance(third, root_solver._ReachedKnownRoot)
-    assert abs(fourth - less_damped) < 1e-10  # not cut on its way past the known root
+    (_, first), (_, second), (_, third), (_, fourth) = per_seed
+    assert max(abs(first - damped), abs(second - damped), abs(third - damped)) < 1e-10
+    assert abs(fourth - less_damped) < 1e-10  # not cut on its way past the damped root
     assert same(res, full_ladder(k, sp, sc))
-
-
-def test_dominant_root_stops_seeds_at_the_known_root(monkeypatch, weak_fermion, weak_fermion_scales):
-    # the full ladder makes 18-19 residual calls here: four seeds to the
-    # same root.  Without the root count, so that the ball is what stops them
-    monkeypatch.setattr(root_solver, "_box_root_count", lambda *args: None)
-    sc = weak_fermion_scales
-    k = 0.36 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    calls = []
-    original = root_solver.residual_quadrature
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(root_solver, "residual_quadrature", counted)
-    res = dominant_root(k, weak_fermion, sc)
-    assert res.converged and res.rate.eta < 0.0
-    assert len(calls) <= 12
 
 
 def test_quadrature_builds_a_thermal_gas_record_once(monkeypatch, weak_boson, weak_boson_scales):
@@ -995,8 +977,8 @@ def test_a_served_thermal_call_builds_only_its_first_seed(monkeypatch, gas):
 
 
 @pytest.mark.parametrize("gas, ys", [
-    ("fermi_0.2", [0.02, 1.0]),  # roots left of the box and below it
-    ("bose_0.999", [0.1, 0.35, 0.6]),  # a pole beside the box: no table
+    ("fermi_0.2", [1.0]),  # a root below the box
+    ("bose_0.999", [0.35, 0.6]),  # a pole beside the box: no table
 ])
 def test_unserved_thermal_calls_try_the_whole_ladder_in_order(monkeypatch, gas, ys):
     sp, sc = _thermal_species(gas)
@@ -1005,6 +987,7 @@ def test_unserved_thermal_calls_try_the_whole_ladder_in_order(monkeypatch, gas, 
         k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
         seeds.clear()
         res = dominant_root(k, sp, sc)
+        assert res.rate.eta < 0.0
         assert root_solver._box_root_count(k, res.rate.s, sp, sc.alpha, sc) is None
         assert seeds == first_point_seeds(k, BranchId.ExactQuadrature, sp, sc), (gas, y)
 
@@ -1012,16 +995,47 @@ def test_unserved_thermal_calls_try_the_whole_ladder_in_order(monkeypatch, gas, 
 @pytest.mark.parametrize("gas, xs", [
     ("electron_degenerate", [0.002, 0.1, 1.0, 8.0]),  # k v_F / Omega_p
     ("neutral_degenerate", [0.3, 0.6, 3.0]),          # kappa
+    ("fermi_0.2", [0.02]),                            # y: a root left of the box
+    ("bose_0.999", [0.1]),                            # y: a pole beside the box
 ])
-def test_degenerate_calls_try_the_whole_ladder_in_order(monkeypatch, request, gas, xs):
-    sp = request.getfixturevalue(gas)
-    sc = request.getfixturevalue(gas + "_scales")
+def test_an_undamped_first_root_builds_only_its_first_seed(monkeypatch, request, gas, xs):
+    # no root is less damped than an undamped one: the call makes one
+    # solve_at_k call, from the first seed, and builds no later seed
+    if gas in _THERMAL_TEST_GASES or gas in _NEAR_POLE_GASES:
+        sp, sc = _thermal_species(gas)
+        ks = [x * sc.omega_p / math.sqrt(sc.v_th_sq) for x in xs]
+    else:
+        sp = request.getfixturevalue(gas)
+        sc = request.getfixturevalue(gas + "_scales")
+        ks = [x * sc.omega_p / sc.v_ch if sp.charge else x * sc.v_ch / math.sqrt(sc.lambda_quantum) for x in xs]
+    refs = [full_ladder(k, sp, sc) for k in ks]
+    branch = BranchId.ExactDegenerate if sp.fully_degenerate else BranchId.ExactQuadrature
+    ladders = [first_point_seeds(k, branch, sp, sc) for k in ks]
+
+    def later_seed(*args):
+        raise AssertionError("an undamped first root built a later seed")
+
+    monkeypatch.setattr(root_solver, "omega_quantum_langmuir", later_seed)
+    monkeypatch.setattr(root_solver, "omega_weak_simple", later_seed)
     seeds = _record_seeds(monkeypatch)
-    for x in xs:
-        k = x * sc.omega_p / sc.v_ch if sp.charge else x * sc.v_ch / math.sqrt(sc.lambda_quantum)
+    for x, k, ref, ladder in zip(xs, ks, refs, ladders):
         seeds.clear()
+        res = dominant_root(k, sp, sc)
+        assert seeds == ladder[:1], (gas, x)
+        assert res.rate.eta == 0.0 and same(res, ref), (gas, x)
+
+
+def test_a_degenerate_call_with_no_root_tries_the_whole_ladder_in_order(
+    monkeypatch, neutral_degenerate, neutral_degenerate_scales
+):
+    # kappa = 0.1, below the window where the exact residual resolves the
+    # sound root: every seed fails, in ladder order
+    sp, sc = neutral_degenerate, neutral_degenerate_scales
+    k = 0.1 * sc.v_ch / math.sqrt(sc.lambda_quantum)
+    seeds = _record_seeds(monkeypatch)
+    with pytest.raises(SeedFailure):
         dominant_root(k, sp, sc)
-        assert seeds == first_point_seeds(k, BranchId.ExactDegenerate, sp, sc), (gas, x)
+    assert seeds == first_point_seeds(k, BranchId.ExactDegenerate, sp, sc)
 
 
 @pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES) + ["bose_0.92", "bose_0.94"])
@@ -1091,13 +1105,14 @@ def test_dominant_root_takes_the_ladder_on_a_count_of_two(monkeypatch, weak_ferm
     assert same(res, full_ladder(k, sp, sc))
 
 
-@pytest.mark.parametrize("y", [0.02, 1.0])  # left of the box; below it
+@pytest.mark.parametrize("y", [1.0])  # a damped root below the box
 def test_dominant_root_takes_the_ladder_on_a_root_outside_the_box(monkeypatch, weak_fermion, weak_fermion_scales, y):
     sp, sc = weak_fermion, weak_fermion_scales
     k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
     _with_table(sp, sc)
     calls = _count_solves(monkeypatch)
     res = dominant_root(k, sp, sc)
+    assert res.rate.eta < 0.0
     assert root_solver._box_root_count(k, res.rate.s, sp, sc.alpha, sc) is None
     assert len(calls) == 4 and same(res, full_ladder(k, sp, sc))
 
@@ -1151,6 +1166,30 @@ def test_degenerate_branch_converges_at_random_k(
     assert res.converged
     assert res.rate.omega >= electron_degenerate_scales.omega_p
     assert res.rate.eta == 0.0
+
+
+# ---------------------------------------------------------------------------
+# property: on a random thermal gas dominant_root returns the full ladder's root
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, derandomize=True)
+@given(
+    statistics=st.sampled_from([Statistics.FERMI, Statistics.BOSE]),
+    log_t=st.floats(math.log10(4e3), 8.0),
+    log_n0=st.floats(26.0, 30.0),
+    y=st.floats(0.01, 2.0),
+)
+def test_dominant_root_equals_full_ladder_on_random_thermal_gases(statistics, log_t, log_n0, y):
+    # served or not, undamped or not, the result is the full ladder's bit for bit
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=10.0**log_n0,
+                       temperature=10.0**log_t, statistics=statistics)
+    try:
+        sc = derive_scales(sp)
+    except DegeneracyOutOfRange:
+        assume(False)  # a Bose gas this cold and dense condenses
+    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+    res, ref = dominant_root(k, sp, sc), full_ladder(k, sp, sc)
+    assert res == ref and same(res, ref)
 
 
 # ---------------------------------------------------------------------------
