@@ -2,23 +2,26 @@
 
 Roots of the residuals in the complex rate s = eta + i*omega are the
 dispersion branches: omega(k) is the oscillation frequency, eta(k) < 0 the
-Landau damping rate.  Three residual evaluations are provided:
+Landau damping rate.  Three residual evaluations are provided, and the
+fully degenerate gas has one coding, residual_degenerate:
 
-* residual_degenerate: the fully degenerate gas, written in the scaled
-  variables r = k v_F / omega and epsilon = eta / omega.
+* residual_degenerate: the fully degenerate gas, its velocity integral in
+  closed form (the paper's printed form in r = k v_F/omega and
+  epsilon = eta/omega, coded in s).
 * residual_weak: the thermal gas above degeneracy, as a fugacity series over
   scaled complementary error functions on Re theta >= 0 plus the closed-form
   occupation-pole term, which also stands in for the reflection terms.
 * residual_quadrature: direct integration of the velocity-space response
-  with pole subtraction, by Gauss-Legendre rules (closed form at full
-  degeneracy).  Shares no special functions with the other two, so it
-  serves as the independent cross-check path.
+  with pole subtraction, by Gauss-Legendre rules; at full degeneracy
+  (alpha = None) it is residual_degenerate.  Shares no special functions
+  with residual_weak, so it serves as the independent cross-check path.
 
 All three return the pair (f, df/ds): the value, holomorphic in s away
 from their branch cuts and oriented as 1 - (normalized response), and its
 complex derivative in closed form, which Newton takes as its slope.  The
 weak and quadrature values differ by the pole term alone; tests pin that
-relation.
+relation, and tests/_refs.py holds the printed (r, epsilon) coding of the
+degenerate residual as its independent reference.
 
 The benchmark tracer (benchmark/tracing.py) wraps this module's global
 scaled_erfc, which residual_weak looks up at call time, and the three
@@ -160,47 +163,59 @@ def _log_ratio_slope(p_hat: complex) -> complex:
     return -2.0 / ((1.0 - p_hat) * (1.0 + p_hat))
 
 
-def residual_degenerate(r: float, epsilon: float, k: float, scales: DerivedScales) -> tuple[complex, complex]:
-    """Fully degenerate residual in the scaled variables r = k v_F/omega and
-    epsilon = eta/omega, and its derivative in s.
+def _principal_log_ratio(p_hat: complex, eta_is_zero: bool) -> complex:
+    # log((1 - p)/(-1 - p)): the integral of 1/(u - p) over [-1, 1].  For a
+    # rate exactly on the real-s axis the ratio can land on the negative real
+    # axis with a -0.0 imaginary part; force +0.0 so the branch agrees with
+    # the eta -> 0- limit (principal value plus i pi times the slope).
+    num = 1.0 - p_hat
+    den = -1.0 - p_hat
+    if den == 0:
+        raise SingularInput("phase velocity exactly at the integration edge")
+    ratio = num / den
+    if eta_is_zero and ratio.imag == 0.0:
+        ratio = complex(ratio.real, 0.0)
+    return cmath.log(ratio)
 
-    The printed form splits into a real part and an imaginary part with the
-    common prefactor pref = 3 C1 / (k^2 v_F^2 r) divided out; the value
-    returned is real_part - i pref imag_part, holomorphic in s.  Its
-    imaginary part is identically zero for epsilon = 0 inside r^2 < 1 (all
-    three terms of imag_part vanish there), which is why the undamped branch
-    can be followed with epsilon pinned at exactly 0.0.  The value is
-    1 - (C1/(k^2 v_F^2)) I(p) with p = (-1 + i epsilon)/r and
-    I = -3 - (3/2) p log((1 - p)/(-1 - p)) - 3 pi i p step, the pole p
-    scaled by v_F, as residual_quadrature integrates it; for |p| >= 10,
-    where -lg/4 - r cancels to ~r^3/3, I comes from the same 1/p series.
+
+def residual_degenerate(k: float, s: complex, scales: DerivedScales) -> tuple[complex, complex]:
+    """Fully degenerate residual 1 - (C1/(k^2 v_F^2)) I(p), integrated in
+    closed form, and its derivative in s: the pole p = i s/(k v_F), scaled by
+    v_F, and I = -3 - (3/2) p log((1 - p)/(-1 - p)) - 3 pi i p step, the
+    paper's printed form in r = k v_F/omega and epsilon = eta/omega.  The
+    step, a full residue term, is on where k^2 v_F^2 + eta^2 >= omega^2
+    (r^2 + epsilon^2 >= 1, step convention U(0) = 1).  On the undamped axis
+    inside r < 1 the value's imaginary part is exactly 0.0, so the undamped
+    branch keeps eta == +0.0.  For |p| >= 10 the integral comes from its 1/p
+    series, where the closed form cancels.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
-    if r == 1.0 and epsilon == 0.0:
-        raise SingularInput("phase velocity exactly at the edge velocity with no damping")
-    c1 = coefficient_C1(k, scales)
+    if not k > 0:
+        raise ValueError("k must be positive")
+    s = complex(s)
+    p = 1j * s / k  # pole in velocity space: (-omega + i eta)/k
+    eta = s.real
     v_f = scales.v_ch
-    scale = c1 / (k * k * v_f * v_f)
-    p_hat = complex(-1.0, epsilon) / r
-    step = 1.0 if r * r + epsilon * epsilon >= 1.0 else 0.0
+    p_hat = p / v_f
+    if p_hat.imag == 0.0 and abs(p_hat.real) == 1.0:
+        raise SingularInput("phase velocity exactly at the edge velocity with no damping")
+    # scaled slope g(u) = v_F^2 f'(v_F u)/n0 = -(3/2) u exactly, by the
+    # density normalization of the ground-state parabola
+    g_at_p, d_g = -1.5 * p_hat, -1.5
+    add_residue = (k * v_f) ** 2 + eta * eta - s.imag**2 >= 0.0
     if abs(p_hat) >= _FAR_POLE:
-        integral, slope = _far_pole_series(p_hat)
-        if step:
-            integral -= 3.0j * math.pi * p_hat
-            slope -= 3.0j * math.pi
-        return 1.0 - scale * integral, -scale * slope * (1j / (k * v_f))
-    # two-argument arctangent of (2 r eps) over (1 + eps^2 - r^2): continuous
-    # across the branch switch of arctan at r^2 + eps^2 = 1, and equal to the
-    # principal log form used by the quadrature path
-    big_a = math.atan2(2.0 * r * epsilon, 1.0 + epsilon * epsilon - r * r)
-    lg = math.log(((1.0 - r) ** 2 + epsilon * epsilon) / ((1.0 + r) ** 2 + epsilon * epsilon))
-    pref = 3.0 * c1 / (k * k * v_f * v_f * r)
-    real_part = 1.0 - pref * (0.5 * epsilon * big_a - 0.25 * lg - r + math.pi * epsilon * step)
-    imag_part = 0.5 * big_a + 0.25 * epsilon * lg + math.pi * step
-    # dI/dp = -(3/2) log + 3 p/(1 - p^2) - 3 pi i step, the log being -lg/2 + i A
-    slope = -1.5 * complex(-0.5 * lg, big_a) - 1.5 * p_hat * _log_ratio_slope(p_hat) - 3.0j * math.pi * step
-    return complex(real_part, -pref * imag_part), -scale * slope * (1j / (k * v_f))
+        integral, d_integral = _far_pole_series(p_hat)
+    else:
+        # (g(u) - g(p))/(u - p) = -3/2 on all of [-1, 1]
+        log_ratio = _principal_log_ratio(p_hat, eta == 0.0)
+        integral = -3.0 + g_at_p * log_ratio
+        d_integral = d_g * log_ratio + g_at_p * _log_ratio_slope(p_hat)
+    if add_residue:
+        integral += 2.0j * math.pi * g_at_p
+        d_integral += 2.0j * math.pi * d_g
+    c1 = coefficient_C1(k, scales)
+    # dp_hat/ds = i/(k v_F)
+    scale = c1 / (k * k * v_f * v_f)
+    return 1.0 - scale * integral, -scale * d_integral * (1j / (k * v_f))
 
 
 # residual_weak series: tail tolerance, which sizes the block, and term budget
@@ -456,21 +471,6 @@ def _gauss_legendre(p_hat: complex, g_at_p: complex, slope_at_p: complex, gas: _
     raise QuadratureFailure(f"Gauss-Legendre rules of 256 and 512 nodes differ by {gap:.3e}")
 
 
-def _principal_log_ratio(p_hat: complex, eta_is_zero: bool) -> complex:
-    # log((1 - p)/(-1 - p)): the integral of 1/(u - p) over [-1, 1].  For a
-    # rate exactly on the real-s axis the ratio can land on the negative real
-    # axis with a -0.0 imaginary part; force +0.0 so the branch agrees with
-    # the eta -> 0- limit (principal value plus i pi times the slope).
-    num = 1.0 - p_hat
-    den = -1.0 - p_hat
-    if den == 0:
-        raise SingularInput("phase velocity exactly at the integration edge")
-    ratio = num / den
-    if eta_is_zero and ratio.imag == 0.0:
-        ratio = complex(ratio.real, 0.0)
-    return cmath.log(ratio)
-
-
 @functools.lru_cache(maxsize=64)
 def _thermal_gas(species: SpeciesParams, alpha: float) -> tuple[float, _ThermalGas]:
     # the velocity scale W and the gas's record
@@ -521,55 +521,26 @@ def residual_quadrature(
     shares the orientation of residual_degenerate, and its derivative in s:
     each piece differentiated in p, the rule's on the rule it accepted.
 
-    alpha = None selects the fully degenerate path, integrated in closed
-    form.  A thermal gas integrates [-1, 1] as one panel by Gauss-Legendre
+    alpha = None selects the fully degenerate gas, residual_degenerate.  A
+    thermal gas integrates [-1, 1] as one panel by Gauss-Legendre
     rules of doubling size (QuadratureFailure if 256 and 512 nodes still
     disagree); a Bose gas near condensation first subtracts its occupation
     poles' principal part and adds its integral in closed form, which
     reaches fugacity 1 - 1e-12.  What does not depend on k or s is built
     once per (species, alpha) in one record, _ThermalGas.
-    Contour bookkeeping:
-
-    * fully degenerate: a full residue term 2 pi i g(p) is added whenever
-      k^2 v_F^2 + eta^2 - omega^2 >= 0 (step convention U(0) = 1), matching
-      the printed combination of principal value and residue for that gas.
-    * thermal: the residue is added for eta < 0 only, i.e. the integral is
-      the analytic continuation from the growing half-plane.
-
-    On the eta = 0 line the principal-branch log supplies the half residue
-    by itself; nothing further is added there in the thermal case.
+    The thermal residue is added for eta < 0 only, i.e. the integral is the
+    analytic continuation from the growing half-plane; on the eta = 0 line
+    the principal-branch log supplies the half residue by itself.
     """
-    if not k > 0:
-        raise ValueError("k must be positive")
-    s = complex(s)
-    p = 1j * s / k  # pole in velocity space: (-omega + i eta)/k
-
     if alpha is None:
-        eta = s.real
         if not species.fully_degenerate:
             raise ValueError("alpha = None requires a fully degenerate species")
-        v_f = scales.v_ch
-        w_scale = v_f
-        p_hat = p / w_scale
-        if p_hat.imag == 0.0 and abs(p_hat.real) == 1.0:
-            raise SingularInput("phase velocity exactly at the edge velocity with no damping")
-        # scaled slope g(u) = W^2 f'(W u)/n0 = -(3/2) u exactly, by the
-        # density normalization of the ground-state parabola
-        g_at_p, d_g = -1.5 * p_hat, -1.5
-        add_residue = (k * v_f) ** 2 + eta * eta - s.imag**2 >= 0.0
-        if abs(p_hat) >= _FAR_POLE:
-            integral, d_integral = _far_pole_series(p_hat)
-        else:
-            # (g(u) - g(p))/(u - p) = -3/2 on all of [-1, 1]
-            log_ratio = _principal_log_ratio(p_hat, eta == 0.0)
-            integral = -3.0 + g_at_p * log_ratio
-            d_integral = d_g * log_ratio + g_at_p * _log_ratio_slope(p_hat)
-        if add_residue:
-            integral += 2.0j * math.pi * g_at_p
-            d_integral += 2.0j * math.pi * d_g
-    else:
-        w_scale, gas = _thermal_gas(species, alpha)
-        integral, d_integral = _thermal_response(p / w_scale, gas)
+        return residual_degenerate(k, s, scales)
+    if not k > 0:
+        raise ValueError("k must be positive")
+    p = 1j * complex(s) / k  # pole in velocity space: (-omega + i eta)/k
+    w_scale, gas = _thermal_gas(species, alpha)
+    integral, d_integral = _thermal_response(p / w_scale, gas)
     c1 = coefficient_C1(k, scales)
     # (1/n0) integral over w of f'(w)/(w - p) = integral(u) / w_scale^2 here,
     # and dp/ds = i/(k w_scale)

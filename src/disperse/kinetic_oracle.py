@@ -254,7 +254,7 @@ def _support(species, alpha, k, dt):
     lo = 9  # bisect for the first m in [lo, hi) below tol, else hi
     while lo < hi:
         mid = (lo + hi) // 2
-        if np.dot(weights, np.exp(-rate * float(mid * mid))) >= tol:
+        if (weights * np.exp(-rate * float(mid * mid))).sum() >= tol:
             lo = mid + 1
         else:
             hi = mid

@@ -209,7 +209,7 @@ def zeta_pm(order: float, alpha: float, statistics: Statistics) -> float:
     j = np.arange(1, n_terms + 1, dtype=float)
     terms = np.exp(j * log_a - order * np.log(j))
     if fermi:
-        return float(np.dot(np.where(j % 2.0 == 1.0, 1.0, -1.0), terms))
+        return float((np.where(j % 2.0 == 1.0, 1.0, -1.0) * terms).sum())
     return float(terms.sum())
 
 

@@ -7,26 +7,24 @@ globals at call time.  Each returns df/ds with its value, so the derivative
 comes with every accepted point, and each Newton iteration costs one
 residual call plus line-search trials.
 
-On the eta = 0 axis the residual is real up to roundoff or underflow: the
-resonance-free degenerate interior has an exactly zero imaginary part, and
-thermal Landau terms underflow at small k.  When Re s is exactly 0.0 and the
-imaginary residual is within half the tolerance, the step is taken along
-omega only, which keeps eta == +0.0 bitwise on undamped roots.  If that step
-is rejected 20 times the full complex step is tried from the same iterate.
-Off the axis the order is reversed: when the full step is rejected 20 times,
-the step along omega that zeroes the real residual is tried.  That takes a
-damped seed inside the degenerate continuum, where the printed residual
-jumps across eta = 0, back to the undamped root.
+Each iteration tries the Newton step first.  When it is rejected 20 times,
+the step along omega that zeroes the real residual is tried from the same
+iterate.  That takes a damped seed inside the degenerate continuum, where
+the degenerate residual jumps across eta = 0, back to the undamped root.
+On the eta = 0 axis inside the resonance-free degenerate interior the
+residual is exactly real and its slope exactly imaginary, so the Newton
+step's real part is a zero and eta stays +0.0 bitwise on undamped roots.
 Convergence is always judged on the full complex residual, so a root that
 needs eta != 0 cannot converge falsely on the axis.
 
 For a fully degenerate species trial points with eta > 0 are rejected.  The
-T = 0 Fermi sphere has no growing mode, but both degenerate residuals add
-the resonance residue on the growing side too, and that gives them a
+T = 0 Fermi sphere has no growing mode, but the degenerate residual adds
+the resonance residue on the growing side too, and that gives it a
 spurious purely growing root as omega -> 0.
 
 Closed-form branches skip the iteration entirely; their residual_norm is a
-back-substitution diagnostic into the matching exact residual, so the
+back-substitution diagnostic, max(|Re f|, |Im f|) of residual_quadrature at
+the closed-form rate (inf where that cannot be evaluated), so the
 "converged implies residual_norm < abs_tol" reading applies to the
 iterative branches only.
 
@@ -148,15 +146,11 @@ def _newton(fun, s: complex, config: SolverConfig, reject):
         df = 1j * slope  # df/d(omega) = i df/ds
         if df == 0 or not cmath.isfinite(df):
             return s, norm, iterations, f"vanishing or non-finite derivative at iterate {s}"
-        # the Newton step f / (df/ds) and the step along omega that zeroes
-        # Re f, each the other's fallback; on the axis with a real residual
-        # the latter goes first, which keeps eta == +0.0 bitwise
-        newton = 1j * f / df
-        steps = [newton]
+        # the Newton step f / (df/ds), and as its fallback the step along
+        # omega that zeroes Re f
+        steps = [1j * f / df]
         if df.real != 0.0:
-            along = complex(0.0, f.real / df.real)
-            pinned = s.real == 0.0 and abs(f.imag) <= 0.5 * config.abs_tol
-            steps = [along, newton] if pinned else [newton, along]
+            steps.append(complex(0.0, f.real / df.real))
         for ds in steps:
             trial = _line_search(fun, reject, s, ds, norm)
             if trial is not None:
@@ -193,11 +187,8 @@ def _closed_form(k: float, branch: BranchId, species: SpeciesParams, scales: Der
     diagnostic; scales already carry the Bohm-term choice."""
     rate = ComplexRate(eta=0.0, omega=_CLOSED_FORMS[branch](k, species, scales))
     try:
-        if branch in DEGENERATE_BRANCHES:
-            diag = abs(residual_degenerate(rate.r(k, scales.v_ch), 0.0, k, scales)[0].real)
-        else:
-            diag = abs(residual_weak(k, rate.s, species, scales.alpha, scales)[0])
-    except (SingularInput, NonConvergent):
+        diag = _max_abs(residual_quadrature(k, rate.s, species, scales.alpha, scales)[0])
+    except (SingularInput, NonConvergent, QuadratureFailure):
         diag = math.inf
     return _result(k, branch, rate, scales, diag, converged=True)
 
@@ -227,7 +218,7 @@ def solve_at_k(
     if branch is BranchId.ExactDegenerate:
 
         def fun(s):
-            return residual_degenerate(kv / s.imag, s.real / s.imag, k, scales)
+            return residual_degenerate(k, s, scales)
 
     elif branch is BranchId.ExactWeak:
 
@@ -242,8 +233,8 @@ def solve_at_k(
     def reject(s):
         if s.imag <= 0.0:
             return True
-        # the T = 0 Fermi sphere is stable, but both degenerate residuals add
-        # the resonance residue on the growing side too, which gives them
+        # the T = 0 Fermi sphere is stable, but the degenerate residual adds
+        # the resonance residue on the growing side too, which gives it
         # spurious purely growing roots as omega -> 0: keep eta <= 0
         return species.fully_degenerate and (s.real > 0.0 or _resonance_gap(kv / s.imag, s.real / s.imag))
 

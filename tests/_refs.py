@@ -5,8 +5,15 @@ for the special functions, closed-form limits for the zeta family, bisection
 at tightened tolerance for the reference temperatures, and rehearsal runs of
 the iterative solvers at settings far stricter than the ones under test.
 Tests compare against these literals instead of re-deriving them, so a
-regression in the shipping code cannot silently move the target.
+regression in the shipping code cannot silently move the target.  One
+reference is code: the fully degenerate residual in the paper's printed
+variables, written apart from the package's s-coded closed form.
 """
+
+import math
+
+from disperse.dispersion_core import _FAR_POLE, _far_pole_series, _log_ratio_slope, coefficient_C1
+from disperse.errors import SingularInput
 
 M_E = 9.1093837015e-31   # kg
 Q_E = 1.602176634e-19    # C
@@ -200,3 +207,54 @@ WEAK_SERIES_SUMS = {
         (3399038121.3244286, (-25674064787447.2+162099665439609.78j), 3667, (-8.710083671446286+27.84934500069512j)),
     ],
 }
+
+
+def printed_degenerate_residual(r, epsilon, k, scales):
+    """Fully degenerate residual in the scaled variables r = k v_F/omega and
+    epsilon = eta/omega, and its derivative in s.
+
+    The printed form splits into a real part and an imaginary part with the
+    common prefactor pref = 3 C1 / (k^2 v_F^2 r) divided out; the value
+    returned is real_part - i pref imag_part, holomorphic in s.  Its
+    imaginary part is identically zero for epsilon = 0 inside r^2 < 1 (all
+    three terms of imag_part vanish there).  The value is
+    1 - (C1/(k^2 v_F^2)) I(p) with p = (-1 + i epsilon)/r and
+    I = -3 - (3/2) p log((1 - p)/(-1 - p)) - 3 pi i p step, the pole p
+    scaled by v_F; for |p| >= 10, where -lg/4 - r cancels to ~r^3/3, I comes
+    from the package's 1/p series.
+    """
+    if not r > 0:
+        raise ValueError("r must be positive")
+    if r == 1.0 and epsilon == 0.0:
+        raise SingularInput("phase velocity exactly at the edge velocity with no damping")
+    c1 = coefficient_C1(k, scales)
+    v_f = scales.v_ch
+    scale = c1 / (k * k * v_f * v_f)
+    p_hat = complex(-1.0, epsilon) / r
+    step = 1.0 if r * r + epsilon * epsilon >= 1.0 else 0.0
+    if abs(p_hat) >= _FAR_POLE:
+        integral, slope = _far_pole_series(p_hat)
+        if step:
+            integral -= 3.0j * math.pi * p_hat
+            slope -= 3.0j * math.pi
+        return 1.0 - scale * integral, -scale * slope * (1j / (k * v_f))
+    # two-argument arctangent of (2 r eps) over (1 + eps^2 - r^2): continuous
+    # across the branch switch of arctan at r^2 + eps^2 = 1, and equal to the
+    # principal log form of the s-coded residual
+    big_a = math.atan2(2.0 * r * epsilon, 1.0 + epsilon * epsilon - r * r)
+    lg = math.log(((1.0 - r) ** 2 + epsilon * epsilon) / ((1.0 + r) ** 2 + epsilon * epsilon))
+    pref = 3.0 * c1 / (k * k * v_f * v_f * r)
+    real_part = 1.0 - pref * (0.5 * epsilon * big_a - 0.25 * lg - r + math.pi * epsilon * step)
+    imag_part = 0.5 * big_a + 0.25 * epsilon * lg + math.pi * step
+    # dI/dp = -(3/2) log + 3 p/(1 - p^2) - 3 pi i step, the log being -lg/2 + i A
+    slope = -1.5 * complex(-0.5 * lg, big_a) - 1.5 * p_hat * _log_ratio_slope(p_hat) - 3.0j * math.pi * step
+    return complex(real_part, -pref * imag_part), -scale * slope * (1j / (k * v_f))
+
+
+# printed_degenerate_residual and residual_quadrature (None: not frozen) for
+# the charged T = 0 gas at k = K_REF, keyed by (r, epsilon), bit for bit
+FROZEN_DEGENERATE = [
+    (0.3, 0.0, (0.8761661593276185-0j), None),
+    (0.8, 0.0, (-0.4566640241324742-0j), (-0.45666402413247553+0j)),
+    (1.3, -0.1, (2.449224552033871-5.56151039586188j), (2.4492245520338716-5.5615103958618795j)),
+]

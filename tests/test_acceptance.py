@@ -32,7 +32,6 @@ from disperse.dispersion_core import (
     omega_c1_corrected,
     omega_weak_biquadratic,
     omega_weak_simple,
-    residual_degenerate,
     residual_quadrature,
     residual_weak,
 )
@@ -177,7 +176,7 @@ def test_criterion_05_zero_sound_window(neutral_degenerate,
         k = float(kappa) * unit
         omega = omega_zero_sound(k, sc)
         ratios.append(omega / (k * sc.v_ch))
-        zd = residual_degenerate(k * sc.v_ch / omega, 0.0, k, sc)[0]
+        zd = R.printed_degenerate_residual(k * sc.v_ch / omega, 0.0, k, sc)[0]
         worst_back = max(worst_back, abs(zd.real))
     assert all(1.0 < ratio <= 1.3 for ratio in ratios)
     assert all(b > a for a, b in zip(ratios, ratios[1:]))  # falls as k -> 0
@@ -241,7 +240,8 @@ def test_criterion_07_dual_path_residual_equivalence(
     electron_degenerate, electron_degenerate_scales,
     weak_fermion, weak_fermion_scales,
 ):
-    """Quadrature vs printed degenerate form at 50 random complex rates, and
+    """The package's degenerate residual (residual_quadrature at alpha = None)
+    vs the printed form (the reference in _refs) at 50 random complex rates, and
     quadrature vs fugacity series at 50 random rates chosen where the
     occupation-pole term is below 1e-12 relative (all three residuals share
     the orientation 1 - response, so the comparison is rw - rq against
@@ -261,7 +261,7 @@ def test_criterion_07_dual_path_residual_equivalence(
         k = float(rng.uniform(0.3, 1.5)) * R.K_REF
         omega = k * dsc.v_ch / r
         zq = residual_quadrature(k, complex(eps * omega, omega), dsp, None, dsc)[0]
-        zd = residual_degenerate(r, eps, k, dsc)[0]
+        zd = R.printed_degenerate_residual(r, eps, k, dsc)[0]
         worst_deg = max(worst_deg, abs(zq - zd) / abs(zd))
         count += 1
     assert worst_deg < 1e-6

@@ -1,8 +1,9 @@
 """Residual functions and closed-form branches.
 
 The heavy cross-checks here are the dual-route ones: the printed degenerate
-form against the contour quadrature, and the series form against the same
-quadrature through an exact reconciliation identity.  Each route was written
+form (the test reference in _refs) against the s-coded closed form the
+package solves on, and the series form against the contour quadrature
+through an exact reconciliation identity.  Each route was written
 against the source equations independently, so agreement is evidence, not
 tautology.
 """
@@ -82,43 +83,63 @@ def test_branch_ids_are_stable():
 
 
 # ---------------------------------------------------------------------------
-# printed degenerate residual
+# degenerate residual: the s-coded closed form and the printed reference
 # ---------------------------------------------------------------------------
+
+def _on_axis(r, k, sc):
+    # the undamped rate at r = k v_F / omega
+    return complex(0.0, k * sc.v_ch / r)
+
 
 def test_degenerate_undamped_interior_imag_is_bitwise_zero(electron_degenerate_scales):
     sc = electron_degenerate_scales
     for r in np.linspace(0.05, 0.95, 19):
-        assert residual_degenerate(float(r), 0.0, R.K_REF, sc)[0].imag == 0.0
+        assert R.printed_degenerate_residual(float(r), 0.0, R.K_REF, sc)[0].imag == 0.0
+        assert residual_degenerate(R.K_REF, _on_axis(float(r), R.K_REF, sc), sc)[0].imag == 0.0
 
 
 def test_degenerate_gapped_slice_imag_is_three_half_pi(electron_degenerate_scales):
     # outside the resonance circle on the undamped axis the arctangent sits
     # at pi and the step contributes another pi/2-free full pi: the printed
     # imaginary part is 3 pi/2, times -pref = -3 C1 / (k^2 v_F^2 r)
+    # (the s-coded form sums the log's i pi and the residue apart: to rounding)
     sc = electron_degenerate_scales
     for r in (1.2, 1.7, 2.1):
         pref = 3.0 * coefficient_C1(R.K_REF, sc) / (R.K_REF * R.K_REF * sc.v_ch * sc.v_ch * r)
-        assert residual_degenerate(r, 0.0, R.K_REF, sc)[0].imag == -pref * (1.5 * math.pi)
+        assert R.printed_degenerate_residual(r, 0.0, R.K_REF, sc)[0].imag == -pref * (1.5 * math.pi)
+        imag = residual_degenerate(R.K_REF, _on_axis(r, R.K_REF, sc), sc)[0].imag
+        assert abs(imag + pref * (1.5 * math.pi)) <= 1e-15 * pref * (1.5 * math.pi)
 
 
 def test_degenerate_input_validation(electron_degenerate_scales):
     sc = electron_degenerate_scales
     with pytest.raises(ValueError):
-        residual_degenerate(0.0, 0.0, R.K_REF, sc)
+        R.printed_degenerate_residual(0.0, 0.0, R.K_REF, sc)
     with pytest.raises(ValueError):
-        residual_degenerate(-0.5, 0.0, R.K_REF, sc)
+        R.printed_degenerate_residual(-0.5, 0.0, R.K_REF, sc)
     with pytest.raises(SingularInput):
-        residual_degenerate(1.0, 0.0, R.K_REF, sc)
+        R.printed_degenerate_residual(1.0, 0.0, R.K_REF, sc)
+    # the s-coded form refuses k <= 0 and the undamped rate at the edge
+    # velocity, omega = +-k v_F
+    for k in (0.0, -R.K_REF):
+        with pytest.raises(ValueError):
+            residual_degenerate(k, _on_axis(1.0, R.K_REF, sc), sc)
+    for omega in (R.K_REF * sc.v_ch, -R.K_REF * sc.v_ch):
+        with pytest.raises(SingularInput):
+            residual_degenerate(R.K_REF, complex(0.0, omega), sc)
 
 
 def test_degenerate_continuous_across_arctangent_midplane(electron_degenerate_scales):
     # 1 + eps^2 - r^2 changes sign at r = sqrt(1.01) for eps = 0.1; the
     # two-argument arctangent passes through pi/2 without a branch jump
+    # in the printed form; the s-coded form's principal log has no cut there
     sc = electron_degenerate_scales
-    below = residual_degenerate(math.sqrt(1.01) * (1 - 1e-9), 0.1, R.K_REF, sc)[0]
-    above = residual_degenerate(math.sqrt(1.01) * (1 + 1e-9), 0.1, R.K_REF, sc)[0]
-    assert rel(below.real, above.real) < 1e-6
-    assert rel(below.imag, above.imag) < 1e-6
+    for residual in (lambda r: R.printed_degenerate_residual(r, 0.1, R.K_REF, sc)[0],
+                     lambda r: residual_degenerate(R.K_REF, complex(0.1, 1.0) * (R.K_REF * sc.v_ch / r), sc)[0]):
+        below = residual(math.sqrt(1.01) * (1 - 1e-9))
+        above = residual(math.sqrt(1.01) * (1 + 1e-9))
+        assert rel(below.real, above.real) < 1e-6
+        assert rel(below.imag, above.imag) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +155,7 @@ def test_quadrature_matches_printed_on_undamped_interior(
     for r in (0.3, 0.6, 0.9):
         omega = R.K_REF * sc.v_ch / r
         zq = residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)[0]
-        zd = residual_degenerate(r, 0.0, R.K_REF, sc)[0]
+        zd = R.printed_degenerate_residual(r, 0.0, R.K_REF, sc)[0]
         assert zq.imag == 0.0
         assert abs(zq.real - zd.real) < 1e-7
 
@@ -148,7 +169,7 @@ def test_quadrature_matches_printed_on_gapped_slice(
         k = 0.9 * sc.omega_p / sc.v_ch
         omega = k * sc.v_ch / r
         zq = residual_quadrature(k, complex(0.0, omega), sp, None, sc)[0]
-        zd = residual_degenerate(r, 0.0, k, sc)[0]
+        zd = R.printed_degenerate_residual(r, 0.0, k, sc)[0]
         assert abs(zq - zd) / abs(zd) < 1e-12
 
 
@@ -171,7 +192,7 @@ def test_quadrature_matches_printed_at_complex_rates(
         omega = k * sc.v_ch / r
         s = complex(eps * omega, omega)
         zq = residual_quadrature(k, s, sp, None, sc)[0]
-        zd = residual_degenerate(r, eps, k, sc)[0]
+        zd = R.printed_degenerate_residual(r, eps, k, sc)[0]
         assert abs(zq - zd) / abs(zd) < 1e-9, (r, eps, k / R.K_REF)
         count += 1
 
@@ -180,13 +201,14 @@ def test_quadrature_continuous_across_far_pole_switch(
     electron_degenerate, electron_degenerate_scales
 ):
     # the far-pole series takes over at |pole| = 10 (r = 0.1 on the undamped
-    # axis) in both degenerate residuals; both sides must land on the
-    # printed form, and the series on the closed form at the switch
+    # axis) in the degenerate residual and its printed reference; both sides
+    # must land on the printed form, and the series on the closed form at
+    # the switch
     sp, sc = electron_degenerate, electron_degenerate_scales
     for r in (0.1 - 1e-5, 0.1 + 1e-5):
         omega = R.K_REF * sc.v_ch / r
         zq = residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)[0]
-        zd = residual_degenerate(r, 0.0, R.K_REF, sc)[0]
+        zd = R.printed_degenerate_residual(r, 0.0, R.K_REF, sc)[0]
         assert abs(zq - zd) / abs(zd) < 1e-9
     for p_hat in (-10.0 + 0.0j, 6.0 - 8.0j, -8.0 + 6.0j):
         closed = -3.0 - 1.5 * p_hat * dispersion_core._principal_log_ratio(p_hat, False)
@@ -827,35 +849,37 @@ def test_quadrature_slope_on_subtracted_panels(alpha):
             _check_slope(lambda s: residual_quadrature(k, s, sp, alpha, sc), complex(eta_frac, 1.1) * sc.omega_p)
 
 
-def test_degenerate_residual_slopes_match_central_differences(electron_degenerate, electron_degenerate_scales):
+def test_degenerate_residual_slopes_match_central_differences(electron_degenerate_scales):
     # r = 0.05 is inside the 1/p series, 0.3 and 0.9 below the edge velocity,
     # 1.5 above it; eps = -0.7 with r^2 + eps^2 > 1 switches the residue on
     # inside the series
-    sp, sc = electron_degenerate, electron_degenerate_scales
+    sc = electron_degenerate_scales
     k = R.K_REF
     for r in (0.05, 0.3, 0.9, 1.5):
         for eps in (0.0, -0.01, -0.3, -0.7, -1.5):
             omega = k * sc.v_ch / r
             s = complex(eps * omega, omega)
-            _check_slope(lambda s: residual_quadrature(k, s, sp, None, sc), s)
-            _check_slope(lambda s: residual_degenerate(k * sc.v_ch / s.imag, s.real / s.imag, k, sc), s)
+            _check_slope(lambda s: residual_degenerate(k, s, sc), s)
+            _check_slope(lambda s: R.printed_degenerate_residual(k * sc.v_ch / s.imag, s.real / s.imag, k, sc), s)
 
 
 # values from before the residuals returned their slope, bit for bit: rates
 # as fractions of Omega_p at k v_th / Omega_p = 0.3, and (r, epsilon) at
-# k = K_REF for the T = 0 gas, but the Bose quadrature column: frozen with
-# the occupation poles subtracted, each within 1e-13 of R.BOSE_09_RESIDUALS.
-# Both thermal columns were frozen under OpenBLAS's SkylakeX kernel.  Under
-# its Haswell kernel np.dot sums in another order: derive_scales' v_th_sq
-# on the Fermi gas moves by 1 ulp, and all eight Fermi values with it, and
-# residual_weak's series moves the Bose weak value at -0.01+1.05j (the
-# thread count changes none)
+# k = K_REF for the T = 0 gas (R.FROZEN_DEGENERATE), but the Bose quadrature
+# column: frozen with the occupation poles subtracted, each within 1e-13 of
+# R.BOSE_09_RESIDUALS.  The Fermi values were re-frozen once when zeta_pm's
+# Fermi sum left np.dot, whose order is the BLAS kernel's, for numpy's own
+# sum: derive_scales' Fermi v_th_sq now reads 0x1.0f6d51bfa416bp+41 under
+# OpenBLAS's Haswell and SkylakeX kernels alike, and all eight Fermi values
+# with it.  The Bose weak value at -0.2+1.2j still depends on the kernel:
+# residual_weak's series sums with np.dot, and under Haswell it reads
+# 0.32137855007614957 in its real part (the thread count changes none)
 _FROZEN_THERMAL = {
     Statistics.FERMI: [
-        (1.1j, (0.10278248534487355-8.010108439279346e-07j), (0.10278248534487-2.6700361113423923e-07j)),
-        ((-0.01+1.05j), (0.006706529379729043+0.02086635192999098j), (0.006707649967748419+0.020869402648400467j)),
-        ((0.05+1.2j), (0.2613721320552814-0.06621632434838068j), (0.261372121622095-0.06621632943361844j)),
-        ((-0.2+1.2j), (0.3259324531607427+0.24849277012244178j), (0.3259324749140027+0.24849276469005244j)),
+        (1.1j, (0.102782485344874-8.010108315373339e-07j), (0.10278248534486989-2.6700361113424087e-07j)),
+        ((-0.01+1.05j), (0.006706529379745696+0.020866351929992824j), (0.006707649967748863+0.02086940264840045j)),
+        ((0.05+1.2j), (0.26137213205528165-0.06621632434837404j), (0.2613721216220948-0.06621632943361842j)),
+        ((-0.2+1.2j), (0.32593245316074293+0.24849277012243798j), (0.3259324749140027+0.24849276469005246j)),
     ],
     Statistics.BOSE: [
         (1.1j, (0.09377393508370635-0.00017515602015105017j), (0.0937739350837079-5.8385340051139154e-05j)),
@@ -864,11 +888,6 @@ _FROZEN_THERMAL = {
         ((-0.2+1.2j), (0.3213785500761497+0.25145122657461233j), (0.3213685885022177+0.2514608194374906j)),
     ],
 }
-_FROZEN_DEGENERATE = [  # (r, epsilon, residual_degenerate, residual_quadrature or None)
-    (0.3, 0.0, (0.8761661593276185-0j), None),
-    (0.8, 0.0, (-0.4566640241324742-0j), (-0.45666402413247553+0j)),
-    (1.3, -0.1, (2.449224552033871-5.56151039586188j), (2.4492245520338716-5.5615103958618795j)),
-]
 
 
 def test_residual_values_are_unchanged_bitwise(electron_degenerate, electron_degenerate_scales):
@@ -883,27 +902,54 @@ def test_residual_values_are_unchanged_bitwise(electron_degenerate, electron_deg
                 want = R.BOSE_09_RESIDUALS[s_frac]
                 assert abs(quad - want) < 1e-13 * abs(want)
     sp, sc = electron_degenerate, electron_degenerate_scales
-    for r, eps, deg, quad in _FROZEN_DEGENERATE:
-        assert residual_degenerate(r, eps, R.K_REF, sc)[0] == deg
+    for r, eps, printed, quad in R.FROZEN_DEGENERATE:
+        assert R.printed_degenerate_residual(r, eps, R.K_REF, sc)[0] == printed
         omega = R.K_REF * sc.v_ch / r
         if quad is not None:
-            assert residual_quadrature(R.K_REF, complex(eps * omega, omega), sp, None, sc)[0] == quad
+            s = complex(eps * omega, omega)
+            assert residual_quadrature(R.K_REF, s, sp, None, sc)[0] == quad
+            assert residual_degenerate(R.K_REF, s, sc)[0] == quad
 
 
 def test_degenerate_residuals_share_the_far_pole_series(electron_degenerate, electron_degenerate_scales):
-    # small r: the printed bracket -lg/4 - r cancels to ~r^3/3, so both
-    # residuals take the integral from the same 1/p series at |p| >= 10.
-    # The quadrature path's series is unchanged bit for bit; the printed
-    # residual now matches it, and is real on the undamped axis
+    # small r: the printed bracket -lg/4 - r cancels to ~r^3/3, so the
+    # residual and its printed reference take the integral from the same 1/p
+    # series at |p| >= 10.  The series is unchanged bit for bit; both match
+    # it, and are real on the undamped axis
     sp, sc = electron_degenerate, electron_degenerate_scales
     omega = R.K_REF * sc.v_ch / 0.05
     assert residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)[0] == (0.9967430388614023+0j)
     for r in (0.09, 0.05, 1e-3, 3e-4):
         omega = R.K_REF * sc.v_ch / r
-        zd = residual_degenerate(r, 0.0, R.K_REF, sc)[0]
+        zd = R.printed_degenerate_residual(r, 0.0, R.K_REF, sc)[0]
         zq = residual_quadrature(R.K_REF, complex(0.0, omega), sp, None, sc)[0]
-        assert zd.imag == 0.0
+        assert zd.imag == 0.0 and zq.imag == 0.0
         assert abs(zd - zq) <= 1e-15 * abs(zq)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(neutral=st.booleans(), k_frac=st.floats(0.01, 3.0), r=st.floats(0.01, 3.0),
+       eps=st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda x: -(10.0**x))))
+def test_degenerate_residual_matches_the_printed_form(neutral, k_frac, r, eps):
+    # the s-coded closed form against the printed (r, epsilon) reference on
+    # both T = 0 gases, at (r, epsilon) as read back from s: the values
+    # within 4.5e-13 of max(1, |f|), the slopes within 8.8e-13 relative; the
+    # worst of 80,000 random points over these ranges read 4.0e-13 and 6.3e-13
+    sp = SpeciesParams(mass=R.M_E, charge=0.0 if neutral else -R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=0.0, statistics=Statistics.FERMI)
+    sc = derive_scales(sp)
+    k = k_frac * R.K_REF
+    omega = k * sc.v_ch / r
+    s = complex(eps * omega, omega)
+    try:
+        want, want_slope = R.printed_degenerate_residual(k * sc.v_ch / s.imag, s.real / s.imag, k, sc)
+    except SingularInput:
+        with pytest.raises(SingularInput):
+            residual_degenerate(k, s, sc)
+        return
+    value, slope = residual_degenerate(k, s, sc)
+    assert abs(value - want) <= 4.5e-13 * max(1.0, abs(want))
+    assert abs(slope - want_slope) <= 8.8e-13 * abs(want_slope)
 
 
 # ---------------------------------------------------------------------------
@@ -965,9 +1011,9 @@ def test_zero_sound_neutral_back_substitution(neutral_degenerate_scales):
     k = kappa * sc.v_ch / math.sqrt(sc.lambda_quantum)
     omega = omega_zero_sound(k, sc)
     r = k * sc.v_ch / omega
-    zd = residual_degenerate(r, 0.0, k, sc)[0]
-    assert abs(zd.real) < 1e-3
-    assert zd.imag == 0.0
+    for zd in (R.printed_degenerate_residual(r, 0.0, k, sc)[0], residual_degenerate(k, complex(0.0, omega), sc)[0]):
+        assert abs(zd.real) < 1e-3
+        assert zd.imag == 0.0
 
 
 def test_zero_sound_neutral_needs_restoring_force(neutral_degenerate_scales):

@@ -634,6 +634,48 @@ def test_closed_form_result_semantics(electron_degenerate, electron_degenerate_s
     assert res.branch is BranchId.QuantumLangmuir
 
 
+@pytest.mark.parametrize("temperature, statistics", [
+    (0.0, Statistics.FERMI), (R.T_FERMI_02, Statistics.FERMI), (R.T_BOSE_09, Statistics.BOSE),
+    (R.T_BOSE_0999, Statistics.BOSE),
+])
+def test_closed_form_diagnostic_is_finite_where_the_quadrature_evaluates(temperature, statistics):
+    # a closed form's residual_norm is max(|Re f|, |Im f|) of residual_quadrature
+    # at its rate.  Near condensation (fugacity 0.999) residual_weak's series
+    # runs past its term budget, and a diagnostic taken from it read inf
+    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    sc = derive_scales(sp)
+    v = sc.v_ch if sp.fully_degenerate else math.sqrt(sc.v_th_sq)
+    ks = (np.geomspace(0.02, 2.5, 16) * sc.omega_p / v).tolist()
+    branches = [b for b in dispersion_core.CLOSED_FORM_BRANCHES
+                if (b in dispersion_core.DEGENERATE_BRANCHES) == sp.fully_degenerate]
+    for branch in sorted(branches, key=lambda b: b.name):
+        for res in sweep(ks, branch, sp, sc):
+            try:
+                f = residual_quadrature(res.k, res.rate.s, sp, sc.alpha, sc)[0]
+            except DisperseError:
+                continue
+            assert math.isfinite(res.residual_norm), (branch.name, res.k)
+            assert same(res.residual_norm, max(abs(f.real), abs(f.imag))), (branch.name, res.k)
+
+
+@pytest.mark.parametrize("gas, window", [("electron_degenerate", (0.01, 3.0)), ("neutral_degenerate", (0.45, 0.8))])
+def test_degenerate_and_quadrature_sweeps_agree_bitwise_at_t0(request, gas, window):
+    # at T = 0 ExactDegenerate and ExactQuadrature solve on one residual, so
+    # every point of their sweeps is the same, to the bit and the sign of a zero
+    sp = request.getfixturevalue(gas)
+    sc = request.getfixturevalue(gas + "_scales")
+    unit = R.K_REF if sp.charge else sc.v_ch / math.sqrt(sc.lambda_quantum)
+    ks = (np.geomspace(*window, 48) * unit).tolist()
+    for bohm_term in ((True, False) if sp.charge else (True,)):
+        deg, quad = (sweep(ks, branch, sp, sc, bohm_term=bohm_term)
+                     for branch in (BranchId.ExactDegenerate, BranchId.ExactQuadrature))
+        assert all(res.converged for res in deg)
+        fields = [[(r.k, r.rate, r.residual_norm, r.converged, r.iterations, r.region_flag) for r in results]
+                  for results in (deg, quad)]
+        assert same(*fields)
+
+
 def test_closed_form_sweep_is_solve_at_k_point_by_point(electron_degenerate, electron_degenerate_scales,
                                                        weak_fermion, weak_fermion_scales):
     # sweep evaluates closed forms without going through solve_at_k; every
