@@ -103,23 +103,21 @@ def check_branch_species(branch: BranchId, species: SpeciesParams, scales: Deriv
             raise ValueError(f"{branch.name} requires a thermal gas with fugacity in (0, 1)")
 
 
-def _resonance_gap(r: float, epsilon: float) -> bool:
-    # keep Newton away from the non-removable point r = 1, epsilon = 0
-    return abs(r - 1.0) < 1e-6 and abs(epsilon) < 1e-6
-
-
 def _max_abs(f: complex) -> float:
     return max(abs(f.real), abs(f.imag))
 
 
-def _line_search(fun, reject, s: complex, ds: complex, norm: float):
+def _line_search(fun, degenerate: bool, s: complex, ds: complex, norm: float):
     """Try s - ds, halving the step up to 20 times until the residual norm
-    falls; returns (s, (f, df/ds)) or None."""
+    falls; returns (s, (f, df/ds)) or None.  A trial needs omega > 0, and
+    eta <= 0 on a fully degenerate species: the T = 0 Fermi sphere is stable,
+    but the degenerate residual adds the resonance residue on the growing
+    side too, which gives it spurious purely growing roots as omega -> 0."""
     step = 1.0
     for _ in range(20):
         sn = complex(s.real - step * ds.real, s.imag - step * ds.imag)
         step *= 0.5
-        if reject(sn):
+        if sn.imag <= 0.0 or degenerate and sn.real > 0.0:
             continue
         try:
             pair = fun(sn)
@@ -130,7 +128,7 @@ def _line_search(fun, reject, s: complex, ds: complex, norm: float):
     return None
 
 
-def _newton(fun, s: complex, config: SolverConfig, reject):
+def _newton(fun, s: complex, config: SolverConfig, degenerate: bool):
     """Damped Newton on a residual holomorphic in the rate s; fun returns
     the pair (f, df/ds).
 
@@ -152,7 +150,7 @@ def _newton(fun, s: complex, config: SolverConfig, reject):
         if df.real != 0.0:
             steps.append(complex(0.0, f.real / df.real))
         for ds in steps:
-            trial = _line_search(fun, reject, s, ds, norm)
+            trial = _line_search(fun, degenerate, s, ds, norm)
             if trial is not None:
                 break
         else:
@@ -214,7 +212,6 @@ def solve_at_k(
         return _closed_form(k, branch, species, scales)
 
     # each fun returns the residual's pair (f, df/ds)
-    kv = k * scales.v_ch  # r = k v_ch / omega = kv / Im s
     if branch is BranchId.ExactDegenerate:
 
         def fun(s):
@@ -230,15 +227,7 @@ def solve_at_k(
         def fun(s):
             return residual_quadrature(k, s, species, scales.alpha, scales)
 
-    def reject(s):
-        if s.imag <= 0.0:
-            return True
-        # the T = 0 Fermi sphere is stable, but the degenerate residual adds
-        # the resonance residue on the growing side too, which gives it
-        # spurious purely growing roots as omega -> 0: keep eta <= 0
-        return species.fully_degenerate and (s.real > 0.0 or _resonance_gap(kv / s.imag, s.real / s.imag))
-
-    s, norm, iterations, failure = _newton(fun, seed.s, config, reject)
+    s, norm, iterations, failure = _newton(fun, seed.s, config, species.fully_degenerate)
     result = _result(k, branch, ComplexRate(eta=s.real, omega=s.imag), scales, norm, failure is None, iterations)
     if failure is not None:
         raise NoConvergence(failure, result)

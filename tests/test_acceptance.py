@@ -182,13 +182,19 @@ def test_criterion_05_zero_sound_window(neutral_degenerate,
     assert all(b > a for a, b in zip(ratios, ratios[1:]))  # falls as k -> 0
     assert worst_back < 1e-2
 
-    # the same branch from the full residual, further up in k where the
-    # solver resolves it without the closed form's help
-    ks = np.linspace(0.45, 0.8, 8) * unit
+    # the same branch from the full residual, from kappa 0.21 (edge gap
+    # 1 - k v_F/omega = 7.4e-8) up, where the solver resolves it without the
+    # closed form's help; the quadrature branch reads the same bits
+    ks = np.linspace(0.21, 0.8, 8) * unit
     results = sweep(ks, BranchId.ExactDegenerate, neutral_degenerate, sc)
     assert all(res.converged for res in results)
-    assert all(res.rate.eta == 0.0 for res in results)
+    assert all(res.rate.eta == 0.0 and math.copysign(1.0, res.rate.eta) > 0 for res in results)
     assert all(res.rate.omega > res.k * sc.v_ch for res in results)
+    quadrature = sweep(ks, BranchId.ExactQuadrature, neutral_degenerate, sc)
+    # repr round-trips every double and the sign of a zero
+    bits = [[repr((r.k, r.rate, r.residual_norm, r.converged, r.iterations)) for r in rs]
+            for rs in (results, quadrature)]
+    assert bits[0] == bits[1]
     report(5, "zero-sound window",
            f"v_phase/v_ch in ({ratios[0]:.8f}, {ratios[-1]:.8f}], "
            f"back-substitution {worst_back:.3e} < 1e-2",

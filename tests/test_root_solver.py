@@ -29,6 +29,7 @@ from disperse.dispersion_core import (
     EXACT_BRANCHES,
     ComplexRate,
     _omega_fluid,
+    coefficient_C1,
     omega_degenerate_bohm_gross,
     omega_weak_biquadratic,
     residual_quadrature,
@@ -1080,6 +1081,39 @@ def test_a_degenerate_call_with_no_root_tries_the_whole_ladder_in_order(
     assert seeds == first_point_seeds(k, BranchId.ExactDegenerate, sp, sc)
 
 
+def _axis_root(k, scales):
+    """omega of the undamped T = 0 root in 60 digits: the axis equation
+    (C1/(k^2 v_F^2)) (-3 + (3/(2r)) ln((1 + r)/(1 - r))) = 1 solved in
+    L = ln(1 - r), which resolves r next to 1, from the closed form's L."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        kv = mp.mpf(k) * mp.mpf(scales.v_ch)
+        a = mp.mpf(coefficient_C1(k, scales)) / kv**2
+
+        def axis(L):
+            d = mp.exp(L)
+            return a * (-3 + 3 * (mp.log(2 - d) - L) / (2 * (1 - d))) - 1
+
+        L = mp.findroot(axis, mp.log(2) - 2 / (3 * a) - 2)
+        return float(kv / (1 - mp.exp(L)))
+
+
+@pytest.mark.parametrize("gas, x", [("neutral_degenerate", kappa) for kappa in (0.21, 0.215, 0.22, 0.225, 0.23)]
+                         + [("electron_degenerate", x) for x in (4.4, 4.5, 4.6, 4.7)])
+def test_dominant_root_resolves_undamped_roots_next_to_the_edge(request, gas, x):
+    # kappa on the neutral gas, k v_F/Omega_p with the Bohm term off on the
+    # charged one: edge gaps 1 - k v_F/omega of 7e-8 to 9e-7, so each root
+    # and Newton's last trials lie within 1e-6 of r = 1
+    sp = request.getfixturevalue(gas)
+    sc = request.getfixturevalue(gas + "_scales")
+    bohm = not sp.charge
+    k = x * sc.omega_p / sc.v_ch if sp.charge else x * sc.v_ch / math.sqrt(sc.lambda_quantum)
+    res = dominant_root(k, sp, sc, bohm_term=bohm)
+    assert res.converged
+    assert res.rate.eta == 0.0 and math.copysign(1.0, res.rate.eta) > 0
+    assert rel(res.rate.omega, _axis_root(k, with_bohm_term(sc, bohm))) < 1e-14
+
+
 @pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES) + ["bose_0.92", "bose_0.94"])
 def test_box_count_table_matches_a_dense_count_on_the_residual(gas):
     # the table against a dense count on the residual over the box, and no
@@ -1208,6 +1242,33 @@ def test_degenerate_branch_converges_at_random_k(
     assert res.converged
     assert res.rate.omega >= electron_degenerate_scales.omega_p
     assert res.rate.eta == 0.0
+
+
+# ---------------------------------------------------------------------------
+# property: on a random T = 0 gas dominant_root finds an undamped root or refuses
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    log_mass=st.floats(-31.0, -25.0),
+    log_density=st.floats(18.0, 32.0),
+    kind=st.sampled_from(["bohm_on", "bohm_off", "neutral"]),
+    log_x=st.floats(-3.0, 1.0),
+    log_k=st.floats(6.0, 12.0),
+)
+def test_t0_dominant_root_is_undamped_or_refuses(log_mass, log_density, kind, log_x, log_k):
+    # log_x is log10 k v_F/Omega_p on a charged gas, log_k log10 k in 1/m on
+    # a neutral one; a numpy warning fails the test (pyproject filterwarnings)
+    sp = SpeciesParams(mass=10.0**log_mass, charge=0.0 if kind == "neutral" else -R.Q_E, spin_degeneracy=2,
+                       density=10.0**log_density, temperature=0.0, statistics=Statistics.FERMI)
+    try:
+        sc = derive_scales(sp)
+        k = 10.0**log_k if kind == "neutral" else 10.0**log_x * sc.omega_p / sc.v_ch
+        res = dominant_root(k, sp, sc, bohm_term=kind != "bohm_off")
+    except (DisperseError, ValueError):
+        return
+    assert math.isfinite(res.rate.omega) and res.rate.omega > 0.0
+    assert res.rate.eta == 0.0 and math.copysign(1.0, res.rate.eta) > 0
 
 
 # ---------------------------------------------------------------------------
