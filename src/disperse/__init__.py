@@ -5,7 +5,7 @@ Library entry points:
 
 - quantum_stats: species description, statistics sums, equilibrium scales
 - dispersion_core: exact residuals and closed-form branch frequencies
-- root_solver: Newton root finding and k sweeps with continuation
+- root_solver: Newton root finding and k sweeps (continuation; at T = 0 all k at once)
 - kinetic_oracle: time-domain kinetic cross-check (independent of the above)
 - cli: the `disperse` command
 

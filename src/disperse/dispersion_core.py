@@ -7,7 +7,7 @@ fully degenerate gas has one coding, residual_degenerate:
 
 * residual_degenerate: the fully degenerate gas, its velocity integral in
   closed form (the paper's printed form in r = k v_F/omega and
-  epsilon = eta/omega, coded in s).
+  epsilon = eta/omega, coded in s); residual_degenerate_array is it on arrays.
 * residual_weak: the thermal gas above degeneracy, as a fugacity series over
   scaled complementary error functions on Re theta >= 0 plus the closed-form
   occupation-pole term, which also stands in for the reflection terms.
@@ -216,6 +216,37 @@ def residual_degenerate(k: float, s: complex, scales: DerivedScales) -> tuple[co
     # dp_hat/ds = i/(k v_F)
     scale = c1 / (k * k * v_f * v_f)
     return 1.0 - scale * integral, -scale * d_integral * (1j / (k * v_f))
+
+
+def residual_degenerate_array(k: np.ndarray, s: np.ndarray,
+                              scales: DerivedScales) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """residual_degenerate at every pair of the arrays k > 0 and s, to
+    rounding: (f, df/ds, singular), singular marking the rates it refuses
+    (p_hat = +-1 on the axis), where f and df/ds are nan.  The |p_hat| >= 10
+    points take _far_pole_series one by one.  As in residual_degenerate,
+    Im f is +0.0 on the undamped axis inside r < 1."""
+    kv = k * scales.v_ch
+    p_hat = -s.imag / k / scales.v_ch + 1j * (s.real / k / scales.v_ch)  # residual_degenerate's quotients
+    far = np.abs(p_hat) >= _FAR_POLE
+    singular = (p_hat == 1.0) | (p_hat == -1.0)
+    # the closed form on every point, the refused and far ones moved to p = 0
+    p = np.where(far | singular, 0.0, p_hat)
+    num, den = 1.0 - p, -1.0 - p
+    ratio = num / den
+    ratio.imag[(ratio.imag == 0.0) & (s.real == 0.0)] = 0.0  # see _principal_log_ratio
+    log_ratio = np.log(ratio)
+    g_at_p = -1.5 * p_hat
+    integral = g_at_p * log_ratio - 3.0
+    d_integral = 2.0 * g_at_p / (num * den) - 1.5 * log_ratio
+    for i in np.flatnonzero(far):
+        integral[i], d_integral[i] = _far_pole_series(complex(p_hat[i]))
+    integral[singular] = d_integral[singular] = np.nan
+    residue = kv * kv + s.real * s.real - s.imag * s.imag >= 0.0
+    integral[residue] += 2.0j * math.pi * g_at_p[residue]
+    d_integral[residue] -= 3.0j * math.pi
+    k2 = k * k  # k^4 as (k k)(k k): np.power's SIMD paths differ by CPU
+    scale = (scales.omega_p**2 + scales.lambda_quantum * (k2 * k2)) / (k2 * scales.v_ch**2)
+    return 1.0 - scale * integral, d_integral * (-1j * scale / kv), singular
 
 
 # residual_weak series: tail tolerance, which sizes the block, and term budget

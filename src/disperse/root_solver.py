@@ -33,8 +33,12 @@ be less damped: when that root is undamped, or on a thermal gas when a
 per-gas root count finds it alone in a box (see dominant_root); otherwise
 every seed runs to convergence.
 
+A T = 0 sweep on an exact branch first solves every k at once, by the
+Newton step on arrays from each k's closed-form seed (_lockstep_newton);
+the points it leaves unconverged take the scalar path.
+
 The benchmark tracer (benchmark/tracing.py) wraps these call-time lookups, so
-keep them: sweep and dominant_root enter every exact point through the module
+keep them: dominant_root and the scalar sweep points enter through the module
 global solve_at_k (the branch its second positional argument), which reaches
 the three residuals through this module's globals of their names.
 """
@@ -46,6 +50,8 @@ import math
 import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dispersion_core import (
     CLOSED_FORM_BRANCHES,
@@ -64,6 +70,7 @@ from .dispersion_core import (
     omega_weak_simple,
     omega_zero_sound,
     residual_degenerate,
+    residual_degenerate_array,
     residual_quadrature,
     residual_weak,
 )
@@ -286,6 +293,55 @@ def _seed_ladder(k: float, species: SpeciesParams, scales: DerivedScales, matche
 _SWEEP_POINT_ERRORS = (NoConvergence, SingularInput, QuadratureFailure, NonConvergent)
 
 
+def _array_norm(f: np.ndarray) -> np.ndarray:
+    return np.maximum(np.abs(f.real), np.abs(f.imag))
+
+
+def _lockstep_newton(ks: list[float], closed: list[float], scales: DerivedScales,
+                     config: SolverConfig) -> dict[int, tuple[complex, float, int]]:
+    """_newton's Newton step on every point of a T = 0 sweep at once, each
+    k from its own seed, omega = closed[i] on the axis, with _line_search's
+    halvings and trial rule.  A point drops out when its step is rejected 20
+    times, its slope vanishes or is not finite, or it runs out of
+    iterations; there is no step along omega.  Returns {index: (s, norm,
+    iterations)} for the points that converged."""
+    k = np.array(ks)
+    s = 1j * np.array(closed)
+    f, slope, singular = residual_degenerate_array(k, s, scales)
+    norm = _array_norm(f)
+    iterations = np.zeros(k.size, dtype=int)
+    done = ~singular & (norm <= config.abs_tol)
+    live = ~singular & ~done
+    for iteration in range(1, config.max_iter + 1):
+        at = np.flatnonzero(live & (slope != 0.0) & np.isfinite(slope))
+        if not at.size:
+            break
+        live[:] = False
+        ds, step = f[at] / slope[at], 1.0
+        # _line_search at every point at once: each halves its step until its norm falls
+        for _ in range(20):
+            trial = s[at] - step * ds
+            step *= 0.5
+            tried = np.flatnonzero((trial.imag > 0.0) & (trial.real <= 0.0))
+            f_t, slope_t, bad = residual_degenerate_array(k[at[tried]], trial[tried], scales)
+            norm_t = _array_norm(f_t)
+            won = ~bad & (norm_t < norm[at[tried]])
+            fell = tried[won]
+            moved = at[fell]
+            s[moved], f[moved], slope[moved], norm[moved] = trial[fell], f_t[won], slope_t[won], norm_t[won]
+            live[moved] = True
+            keep = np.ones(at.size, dtype=bool)
+            keep[fell] = False
+            at, ds = at[keep], ds[keep]
+            if not at.size:
+                break
+        iterations[live] = iteration
+        done |= live & (norm <= config.abs_tol)
+        live &= ~done
+    s_list, norms, counts = s.tolist(), norm.tolist(), iterations.tolist()
+    return {i: (s_list[i], norms[i], counts[i]) for i in np.flatnonzero(done).tolist()}
+
+
 def sweep(
     k_grid,
     branch: BranchId,
@@ -295,10 +351,12 @@ def sweep(
     *,
     bohm_term: bool = True,
 ) -> list[DispersionResult]:
-    """Solve the branch over an increasing k grid with continuation.
+    """Solve the branch over an increasing k grid.
 
-    The first point tries the whole seed ladder and raises SeedFailure if
-    nothing converges.  Later points seed from the last converged rate and
+    An exact branch on a fully degenerate gas first solves every k at once,
+    each from its own closed-form seed (_lockstep_newton).  The other points,
+    in k order: the first tries the whole seed ladder and raises SeedFailure
+    if nothing converges; later ones seed from the last converged rate and
     record non-converged results instead of raising.
     """
     ks = [float(k) for k in k_grid]
@@ -319,37 +377,41 @@ def sweep(
         return []
     check_wavenumber(ks[-1], scales)  # and so every smaller k
 
-    closed_prev = _matched_closed(ks[0], species, scales)
-    for seed in _seed_ladder(ks[0], species, scales, closed_prev):
-        try:
-            first = solve_at_k(ks[0], branch, species, scales, seed, config)
-            break
-        except _SWEEP_POINT_ERRORS:
-            continue
-    else:
-        raise SeedFailure(f"no seed converged at the first point k = {ks[0]:.6e}")
-    results = [first]
-    prev, k_prev = first.rate, ks[0]
-    for k in ks[1:]:
-        # rescale the previous rate by the closed-form ratio between the
-        # two k points; plain omega continuation pushes r = k v_ch/omega
-        # across the r = 1 wall for branches that hug the resonance
-        closed = _matched_closed(k, species, scales)
-        ratio = closed / closed_prev
-        seed = ComplexRate(eta=prev.eta * ratio, omega=prev.omega * ratio)
-        # an undamped degenerate root has r < 1; a seed pushed across r = 1
-        # starts beyond the jump of the residue term and cannot step back
-        # without eta > 0, so start halfway between the last r and 1
-        r_prev = prev.r(k_prev, scales.v_ch)
-        if species.fully_degenerate and prev.eta == 0.0 and r_prev < 1.0 <= seed.r(k, scales.v_ch):
-            seed = ComplexRate(eta=0.0, omega=2.0 * k * scales.v_ch / (1.0 + r_prev))
-        try:
-            res = solve_at_k(k, branch, species, scales, seed, config)
-        except _SWEEP_POINT_ERRORS as err:
-            res = getattr(err, "result", None) or _result(k, branch, seed, scales, math.inf, False)
+    closed = [_matched_closed(k, species, scales) for k in ks]
+    batch = _lockstep_newton(ks, closed, scales, config) if species.fully_degenerate else {}
+    results: list[DispersionResult] = []
+    for i, k in enumerate(ks):
+        if i in batch:
+            s, norm, iterations = batch[i]
+            res = _result(k, branch, ComplexRate(eta=s.real, omega=s.imag), scales, norm, True, iterations)
+        elif i == 0:
+            for seed in _seed_ladder(k, species, scales, closed[0]):
+                try:
+                    res = solve_at_k(k, branch, species, scales, seed, config)
+                    break
+                except _SWEEP_POINT_ERRORS:
+                    continue
+            else:
+                raise SeedFailure(f"no seed converged at the first point k = {k:.6e}")
+        else:
+            # rescale the previous rate by the closed-form ratio between the
+            # two k points; plain omega continuation pushes r = k v_ch/omega
+            # across the r = 1 wall for branches that hug the resonance
+            ratio = closed[i] / closed_prev
+            seed = ComplexRate(eta=prev.eta * ratio, omega=prev.omega * ratio)
+            # an undamped degenerate root has r < 1; a seed pushed across r = 1
+            # starts beyond the jump of the residue term and cannot step back
+            # without eta > 0, so start halfway between the last r and 1
+            r_prev = prev.r(k_prev, scales.v_ch)
+            if species.fully_degenerate and prev.eta == 0.0 and r_prev < 1.0 <= seed.r(k, scales.v_ch):
+                seed = ComplexRate(eta=0.0, omega=2.0 * k * scales.v_ch / (1.0 + r_prev))
+            try:
+                res = solve_at_k(k, branch, species, scales, seed, config)
+            except _SWEEP_POINT_ERRORS as err:
+                res = getattr(err, "result", None) or _result(k, branch, seed, scales, math.inf, False)
         results.append(res)
         if res.converged:
-            prev, k_prev, closed_prev = res.rate, k, closed
+            prev, k_prev, closed_prev = res.rate, k, closed[i]
     return results
 
 

@@ -952,6 +952,56 @@ def test_degenerate_residual_matches_the_printed_form(neutral, k_frac, r, eps):
     assert abs(slope - want_slope) <= 8.8e-13 * abs(want_slope)
 
 
+@pytest.mark.parametrize("gas", ["electron_degenerate", "neutral_degenerate"])
+def test_degenerate_residual_array_is_the_scalar_residual(request, gas):
+    # residual_degenerate_array, which sweeps solve on, against
+    # residual_degenerate at 5,000 random (k, s) a gas, half of them on the
+    # undamped axis, at r = k v_F / omega in 0.02-3 (|p_hat| on both sides of
+    # the far-pole switch at 10): the value within 1e-12 of max(1, |f|), and
+    # the slope, taken as s df/ds, within 1e-12 of max(1, |s df/ds|); over
+    # 60,000 such points the worst read 4.6e-13 and 1.8e-13, the value's next
+    # to the switch, where the closed form cancels.  A RuntimeWarning fails the
+    # test (pyproject's filterwarnings)
+    sp = request.getfixturevalue(gas)
+    sc = request.getfixturevalue(gas + "_scales")
+    unit = R.K_REF if sp.charge else sc.v_ch / math.sqrt(sc.lambda_quantum)
+    rng = np.random.default_rng(43)
+    n = 5000
+    k = np.exp(rng.uniform(math.log(0.01), math.log(3.0), n)) * unit
+    omega = k * sc.v_ch / np.exp(rng.uniform(math.log(0.02), math.log(3.0), n))
+    eta = np.where(np.arange(n) % 2 == 0, 0.0, -rng.uniform(0.0, 0.5, n) * omega)
+    values, slopes, singular = dispersion_core.residual_degenerate_array(k, eta + 1j * omega, sc)
+    assert not singular.any()
+    far = np.abs(omega / (k * sc.v_ch)) >= dispersion_core._FAR_POLE
+    assert 0 < far.sum() < n
+    for i in range(n):
+        s = complex(eta[i], omega[i])
+        value, slope = residual_degenerate(float(k[i]), s, sc)
+        assert abs(values[i] - value) <= 1e-12 * max(1.0, abs(value)), i
+        assert abs((slopes[i] - slope) * s) <= 1e-12 * max(1.0, abs(slope * s)), i
+        if eta[i] == 0.0 and k[i] * sc.v_ch < omega[i]:  # the undamped interior
+            assert values[i].imag == 0.0 and math.copysign(1.0, values[i].imag) == 1.0, i
+            assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0, i
+
+
+def test_degenerate_residual_array_masks_the_edge_velocity(electron_degenerate_scales):
+    # p_hat = -1 and +1 exactly on the axis, which residual_degenerate refuses,
+    # come back masked with nan, beside a point that evaluates; k is a power
+    # of two so that k v_F / k is v_F exactly
+    sc = electron_degenerate_scales
+    k = 2.0**30
+    kv = k * sc.v_ch
+    s = np.array([complex(0.0, kv), complex(0.0, -kv), complex(0.0, 2.0 * kv)])
+    for rate in s[:2]:
+        with pytest.raises(SingularInput):
+            residual_degenerate(k, complex(rate), sc)
+    values, slopes, singular = dispersion_core.residual_degenerate_array(np.full(3, k), s, sc)
+    assert singular.tolist() == [True, True, False]
+    assert np.isnan(values[:2]).all() and np.isnan(slopes[:2]).all()
+    value, slope = residual_degenerate(k, complex(s[2]), sc)
+    assert abs(values[2] - value) <= 1e-15 * abs(value) and abs(slopes[2] - slope) <= 1e-15 * abs(slope)
+
+
 # ---------------------------------------------------------------------------
 # closed-form branches
 # ---------------------------------------------------------------------------

@@ -677,6 +677,70 @@ def test_degenerate_and_quadrature_sweeps_agree_bitwise_at_t0(request, gas, wind
         assert same(*fields)
 
 
+def _ladder_root(k, species, scales, bohm_term):
+    for seed in first_point_seeds(k, BranchId.ExactDegenerate, species, scales, bohm_term=bohm_term):
+        try:
+            return solve_at_k(k, BranchId.ExactDegenerate, species, scales, seed, bohm_term=bohm_term)
+        except DisperseError:
+            continue
+    return None
+
+
+@pytest.mark.parametrize("gas, bohm_term, window, scalar_points", [
+    ("electron_degenerate", True, (0.001, 3.0), 0),  # across the far-pole switch at r = 0.1
+    ("electron_degenerate", False, (0.002, 3.0), 189),
+    ("neutral_degenerate", True, (0.2075, 1.5), 0),
+])
+def test_t0_sweep_is_solve_at_k_point_by_point(monkeypatch, request, gas, bohm_term, window, scalar_points):
+    # a T = 0 sweep solves its grid in one array Newton, each k from its own
+    # closed-form seed, and hands the points that leave it to the scalar
+    # continuation: with the Bohm term off, the seeds past k v_F/Omega_p ~ 1.59
+    # lie past r = 1, where the Newton step alone cannot return.  Every point
+    # is solve_at_k's root from the seed ladder: within 1e-10 relative as
+    # returned (5.5e-12 read), and within 2e-13 after one Newton step on
+    # each (8.5e-14 read), with the same convergence and the same eta == +0.0
+    sp = request.getfixturevalue(gas)
+    sc = request.getfixturevalue(gas + "_scales")
+    unit = sc.omega_p / sc.v_ch if sp.charge else sc.v_ch / math.sqrt(sc.lambda_quantum)
+    ks = (np.linspace(*window, 400) * unit).tolist()
+    scalar = []
+    original = root_solver.solve_at_k
+    monkeypatch.setattr(root_solver, "solve_at_k", lambda *args, **kwargs: scalar.append(args[0]) or
+                        original(*args, **kwargs))
+    swept = sweep(ks, BranchId.ExactDegenerate, sp, sc, bohm_term=bohm_term)
+    monkeypatch.undo()
+    assert len(scalar) == scalar_points
+    scales = with_bohm_term(sc, bohm_term)
+
+    def polished(res):
+        f, slope = root_solver.residual_degenerate(res.k, res.rate.s, scales)
+        return res.rate.s - f / slope
+
+    def on_axis(res):
+        return res.rate.eta == 0.0 and math.copysign(1.0, res.rate.eta) == 1.0
+
+    for res, k in zip(swept, ks):
+        assert [type(v) for v in (res.k, res.rate.eta, res.rate.omega, res.residual_norm, res.iterations,
+                                  res.converged, res.region_flag)] == [float] * 4 + [int, bool, bool]
+        ref = _ladder_root(k, sp, sc, bohm_term)
+        assert res.converged == (ref is not None), k
+        if ref is None:
+            continue
+        assert rel(res.rate.s, ref.rate.s) <= 1e-10, k
+        assert rel(polished(res), polished(ref)) <= 2e-13, k
+        assert on_axis(res) == on_axis(ref), k
+
+
+def test_t0_sweep_below_the_sound_window_raises_seed_failure(neutral_degenerate, neutral_degenerate_scales):
+    # kappa = 0.15 has no root from any seed, so the grid's first point fails
+    # as before, although later points would converge in the array Newton
+    sc = neutral_degenerate_scales
+    ks = (np.array([0.15, *np.linspace(0.21, 0.8, 15)]) * sc.v_ch / math.sqrt(sc.lambda_quantum)).tolist()
+    with pytest.raises(SeedFailure, match="first point"):
+        sweep(ks, BranchId.ExactDegenerate, neutral_degenerate, sc)
+    assert all(res.converged for res in sweep(ks[1:], BranchId.ExactDegenerate, neutral_degenerate, sc))
+
+
 def test_closed_form_sweep_is_solve_at_k_point_by_point(electron_degenerate, electron_degenerate_scales,
                                                        weak_fermion, weak_fermion_scales):
     # sweep evaluates closed forms without going through solve_at_k; every
