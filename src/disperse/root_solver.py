@@ -40,7 +40,12 @@ the points it leaves unconverged take the scalar path.
 The benchmark tracer (benchmark/tracing.py) wraps these call-time lookups, so
 keep them: dominant_root and the scalar sweep points enter through the module
 global solve_at_k (the branch its second positional argument), which reaches
-the three residuals through this module's globals of their names.
+the three residuals through this module's globals of their names.  The
+closed-form diagnostics must keep calling the module global
+residual_quadrature, one scalar call a point: at T = 0 they are its only
+callers, and the tracer's T = 0 residual_quadrature metric reads nothing
+without them until it is retired with the array points' metrics (ROADMAP
+item 1b).
 """
 
 from __future__ import annotations
@@ -179,20 +184,44 @@ _CLOSED_FORMS = {
 }
 
 
+# Every result is built here, without the frozen dataclasses' generated
+# __init__, whose keyword binding and per-field lookups cost as much per point
+# as a residual call.  object.__setattr__ stores each field as __init__ does;
+# filling __dict__ in one update would be cheaper still, but it gives every
+# result a separate dict for the garbage collector to track, which doubled
+# its collections over retained results.  __post_init__ keeps ComplexRate's
+# checks and their messages.
+_set_field = object.__setattr__
+
+
+def _rate(eta: float, omega: float) -> ComplexRate:
+    rate = object.__new__(ComplexRate)
+    _set_field(rate, "eta", eta)
+    _set_field(rate, "omega", omega)
+    rate.__post_init__()
+    return rate
+
+
 def _result(k: float, branch: BranchId, rate: ComplexRate, scales: DerivedScales,
             residual_norm: float, converged: bool, iterations: int = 0) -> DispersionResult:
-    return DispersionResult(
-        k=k, branch=branch, rate=rate, residual_norm=residual_norm, converged=converged,
-        iterations=iterations, region_flag=(k * scales.v_ch) ** 2 + rate.eta**2 - rate.omega**2 >= 0.0,
-    )
+    result = object.__new__(DispersionResult)
+    _set_field(result, "k", k)
+    _set_field(result, "branch", branch)
+    _set_field(result, "rate", rate)
+    _set_field(result, "residual_norm", residual_norm)
+    _set_field(result, "converged", converged)
+    _set_field(result, "iterations", iterations)
+    _set_field(result, "region_flag", (k * scales.v_ch) ** 2 + rate.eta**2 - rate.omega**2 >= 0.0)
+    return result
 
 
 def _closed_form(k: float, branch: BranchId, species: SpeciesParams, scales: DerivedScales) -> DispersionResult:
     """A closed-form branch at a checked k, with its back-substitution
     diagnostic; scales already carry the Bohm-term choice."""
-    rate = ComplexRate(eta=0.0, omega=_CLOSED_FORMS[branch](k, species, scales))
+    omega = _CLOSED_FORMS[branch](k, species, scales)
+    rate = _rate(0.0, omega)  # checked before the residual sees omega
     try:
-        diag = _max_abs(residual_quadrature(k, rate.s, species, scales.alpha, scales)[0])
+        diag = _max_abs(residual_quadrature(k, complex(0.0, omega), species, scales.alpha, scales)[0])
     except (SingularInput, NonConvergent, QuadratureFailure):
         diag = math.inf
     return _result(k, branch, rate, scales, diag, converged=True)
@@ -235,7 +264,7 @@ def solve_at_k(
             return residual_quadrature(k, s, species, scales.alpha, scales)
 
     s, norm, iterations, failure = _newton(fun, seed.s, config, species.fully_degenerate)
-    result = _result(k, branch, ComplexRate(eta=s.real, omega=s.imag), scales, norm, failure is None, iterations)
+    result = _result(k, branch, _rate(s.real, s.imag), scales, norm, failure is None, iterations)
     if failure is not None:
         raise NoConvergence(failure, result)
     return result
@@ -246,11 +275,14 @@ def _matched_closed(k: float, species: SpeciesParams, scales: DerivedScales) -> 
     for rescaling continuation guesses between k points: the degenerate
     closed form at T = 0, the thermal moment series' fluid root otherwise.
     check_branch_species admits degenerate branches at T = 0 only and weak
-    branches above it, so the gas decides for every branch."""
+    branches above it, so the gas decides for every branch.  On the neutral
+    gas zero sound hugs k v_F until the quantum term takes over near
+    kappa = hbar k/(2 m v_F) ~ 0.9; past it C1 sets the mode, as in
+    kinetic_oracle.evolve_mode's guess."""
     if species.fully_degenerate:
         if species.charge != 0.0:
             return omega_degenerate_bohm_gross(k, scales)
-        return omega_zero_sound(k, scales)
+        return max(omega_zero_sound(k, scales), omega_c1_corrected(k, scales))
     return _omega_fluid(k, species, scales)
 
 
@@ -366,24 +398,24 @@ def sweep(
         raise ValueError("k grid must be strictly increasing")
     check_branch_species(branch, species, scales)
     scales = with_bohm_term(scales, bohm_term)
-
-    if branch in CLOSED_FORM_BRANCHES:
-        results = []
-        for k in ks:
-            check_wavenumber(k, scales)
-            results.append(_closed_form(k, branch, species, scales))
-        return results
     if not ks:
         return []
-    check_wavenumber(ks[-1], scales)  # and so every smaller k
+    try:
+        check_wavenumber(ks[-1], scales)  # and so every smaller k
+    except ValueError:
+        for k in ks:  # name the first k that is too large
+            check_wavenumber(k, scales)
+        raise
 
+    if branch in CLOSED_FORM_BRANCHES:
+        return [_closed_form(k, branch, species, scales) for k in ks]
     closed = [_matched_closed(k, species, scales) for k in ks]
     batch = _lockstep_newton(ks, closed, scales, config) if species.fully_degenerate else {}
     results: list[DispersionResult] = []
     for i, k in enumerate(ks):
         if i in batch:
             s, norm, iterations = batch[i]
-            res = _result(k, branch, ComplexRate(eta=s.real, omega=s.imag), scales, norm, True, iterations)
+            res = _result(k, branch, _rate(s.real, s.imag), scales, norm, True, iterations)
         elif i == 0:
             for seed in _seed_ladder(k, species, scales, closed[0]):
                 try:

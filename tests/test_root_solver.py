@@ -1,6 +1,7 @@
 """Newton iteration, seed ladder, sweeps, and result semantics."""
 
 import bisect
+import dataclasses
 import math
 import re
 import time
@@ -249,6 +250,16 @@ _RESIDUALS = {BranchId.ExactDegenerate: "residual_degenerate", BranchId.ExactWea
               BranchId.ExactQuadrature: "residual_quadrature"}
 
 
+def _count_residual_calls(monkeypatch):
+    calls = {name: [] for name in _RESIDUALS.values()}
+    for name, seen in calls.items():
+        def counted(*args, _original=getattr(root_solver, name), _seen=seen, **kwargs):
+            _seen.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(root_solver, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("branch, gas", [
     (BranchId.ExactDegenerate, "electron_degenerate"),
     (BranchId.ExactQuadrature, "electron_degenerate"),
@@ -262,18 +273,42 @@ def test_exact_branches_call_residuals_through_module_globals(monkeypatch, reque
     # positional argument must tell a degenerate call (None) from a thermal one
     sp = request.getfixturevalue(gas)
     sc = request.getfixturevalue(gas + "_scales")
-    calls = {name: [] for name in _RESIDUALS.values()}
-    for name, seen in calls.items():
-        def counted(*args, _original=getattr(root_solver, name), _seen=seen, **kwargs):
-            _seen.append(args)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(root_solver, name, counted)
+    calls = _count_residual_calls(monkeypatch)
     k = 0.5 * R.K_REF if sp.fully_degenerate else 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
     res = solve_at_k(k, branch, sp, sc, first_point_seeds(k, branch, sp, sc)[0])
     assert res.converged
     assert len(calls[_RESIDUALS[branch]]) >= 1 + res.iterations
     assert all(not seen for name, seen in calls.items() if name != _RESIDUALS[branch])
     assert all((args[3] is None) == sp.fully_degenerate for args in calls["residual_quadrature"])
+
+
+@pytest.mark.parametrize("gas", ["electron_degenerate", "neutral_degenerate", "weak_fermion", "weak_boson"])
+def test_closed_form_sweeps_call_the_quadrature_through_its_module_global(monkeypatch, request, gas):
+    # the tracer times the T = 0 residual_quadrature (fourth positional
+    # argument None) on the closed-form diagnostics alone, so a closed-form
+    # sweep makes one call a point through root_solver's global; a thermal
+    # one passes the gas's fugacity
+    sp = request.getfixturevalue(gas)
+    sc = request.getfixturevalue(gas + "_scales")
+    unit = (sc.omega_p / sc.v_ch if sp.charge else sc.v_ch / math.sqrt(sc.lambda_quantum)) if sp.fully_degenerate \
+        else sc.omega_p / math.sqrt(sc.v_th_sq)
+    ks = (np.linspace(0.45, 0.8, 6) * unit).tolist()
+    calls = _count_residual_calls(monkeypatch)
+    swept = 0
+    for branch in sorted(dispersion_core.CLOSED_FORM_BRANCHES, key=lambda b: b.name):
+        try:
+            check_branch_species(branch, sp, sc)
+        except ValueError:
+            continue
+        for seen in calls.values():
+            seen.clear()
+        sweep(ks, branch, sp, sc)
+        swept += 1
+        assert [args[0] for args in calls["residual_quadrature"]] == ks, branch.name
+        assert not calls["residual_degenerate"] and not calls["residual_weak"]
+        assert all(args[3] is None if sp.fully_degenerate else args[3] == sc.alpha
+                   for args in calls["residual_quadrature"])
+    assert swept >= 2
 
 
 @pytest.mark.parametrize("gas", ["weak_fermion", "weak_boson"])
@@ -563,17 +598,21 @@ def test_sweep_grid_validation(electron_degenerate, electron_degenerate_scales):
         sweep([2.0 * R.K_REF, R.K_REF], BranchId.ExactDegenerate, sp, sc)
 
 
-def test_neutral_zero_sound_exact_sweep(neutral_degenerate, neutral_degenerate_scales):
+@pytest.mark.parametrize("window, max_iterations", [((0.45, 0.8), 10), ((2.0, 16.0), 3)], ids=["sound", "quantum"])
+def test_neutral_zero_sound_exact_sweep(neutral_degenerate, neutral_degenerate_scales, window, max_iterations):
     # the exact branch follows the acoustic root of the neutral gas without
-    # losing the scent: few iterations, strictly undamped
+    # losing the scent: few iterations, strictly undamped.  Past kappa ~ 0.9
+    # the quantum term sets the mode, omega ~ sqrt(C1) far above k v_F, and
+    # a seed from the zero-sound form alone started a factor ~kappa low and
+    # took 7-12 iterations a point
     sc = neutral_degenerate_scales
-    kappas = np.linspace(0.45, 0.8, 8)
+    kappas = np.linspace(*window, 8)
     ks = kappas * sc.v_ch / math.sqrt(sc.lambda_quantum)
     results = sweep(ks, BranchId.ExactDegenerate, neutral_degenerate, sc)
     assert len(results) == 8
-    for res in results:
+    for res in [*results, *(dominant_root(k, neutral_degenerate, sc) for k in ks[::3])]:
         assert res.converged
-        assert res.iterations <= 10
+        assert res.iterations <= max_iterations
         assert res.rate.eta == 0.0
         assert res.rate.omega > res.k * sc.v_ch  # phase velocity above the edge
 
@@ -633,6 +672,48 @@ def test_closed_form_result_semantics(electron_degenerate, electron_degenerate_s
     assert res.rate.eta == 0.0
     assert math.isfinite(res.residual_norm)  # back-substitution diagnostic
     assert res.branch is BranchId.QuantumLangmuir
+
+
+@pytest.mark.parametrize("gas, closed", [("electron_degenerate", BranchId.QuantumLangmuir),
+                                         ("weak_fermion", BranchId.WeakSimple)])
+def test_results_are_what_the_dataclass_constructors_build(monkeypatch, request, gas, closed):
+    # the solver fills its frozen results without the dataclasses' generated
+    # __init__; every result must still be the object that __init__ builds,
+    # frozen and open to dataclasses.replace, and keep ComplexRate's checks
+    sp = request.getfixturevalue(gas)
+    sc = request.getfixturevalue(gas + "_scales")
+    unit = sc.omega_p / (sc.v_ch if sp.fully_degenerate else math.sqrt(sc.v_th_sq))
+    ks = (np.linspace(0.1, 0.45, 4) * unit).tolist()
+    results = [dominant_root(ks[1], sp, sc)]
+    for branch in BranchId:
+        try:
+            check_branch_species(branch, sp, sc)
+        except ValueError:
+            continue
+        results += sweep(ks, branch, sp, sc)
+        results.append(solve_at_k(ks[2], branch, sp, sc, first_point_seeds(ks[2], branch, sp, sc)[0]))
+    assert {res.branch for res in results} >= {closed, BranchId.ExactQuadrature}
+    for res in results:
+        built = root_solver.DispersionResult(
+            k=res.k, branch=res.branch, rate=ComplexRate(eta=res.rate.eta, omega=res.rate.omega),
+            residual_norm=res.residual_norm, converged=res.converged, iterations=res.iterations,
+            region_flag=res.region_flag)
+        assert res == built and same(res, built) and vars(res).keys() == vars(built).keys()
+        assert vars(res.rate) == vars(built.rate)
+        assert hash(res.rate) == hash(built.rate) and hash(res) == hash(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.iterations = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.rate.eta = 1.0
+        assert dataclasses.replace(res, iterations=7) == dataclasses.replace(built, iterations=7)
+        assert dataclasses.replace(res.rate, omega=2.0) == ComplexRate(eta=res.rate.eta, omega=2.0)
+    # a closed form off the rate's contract fails ComplexRate's check before
+    # the diagnostic's residual sees it
+    monkeypatch.setitem(root_solver._CLOSED_FORMS, closed, lambda k, species, scales: math.nan)
+    with pytest.raises(ValueError, match="^omega must be positive and finite"):
+        sweep(ks, closed, sp, sc)
+    with pytest.raises(ValueError, match="^omega must be positive and finite"):
+        solve_at_k(ks[0], closed, sp, sc, ComplexRate(eta=0.0, omega=1.0))
 
 
 @pytest.mark.parametrize("temperature, statistics", [
