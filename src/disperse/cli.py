@@ -31,13 +31,14 @@ from .dispersion_core import EXACT_BRANCHES, BranchId, check_wavenumber
 from .errors import DisperseError, SeedFailure
 from .kinetic_oracle import OracleConfig, evolve_mode
 from .quantum_stats import DerivedScales, SpeciesParams, Statistics, derive_scales, with_bohm_term
-from .root_solver import DispersionResult, SolverConfig, check_branch_species, sweep
+from .root_solver import SolverConfig, check_branch_species, sweep
 
 CSV_HEADER = "k,omega,eta,v_phase,r,epsilon,residual,iterations,converged,branch"
 COMPARE_HEADER = "k,omega_solver,eta_solver,omega_oracle,eta_oracle,rel_err_omega,abs_err_eta"
 _FLOAT = "{:.16e}"  # 17 significant digits: every double prints distinctly
-# a run CSV row: seven float cells, then iterations, converged and branch
-_ROW = ",".join([_FLOAT] * 7 + ["{}"] * 3)
+# a run CSV row's template: seven float cells as _FLOAT prints them, then
+# iterations and converged; the file's branch name closes it
+_ROW_CELLS = ",".join(["%.16e"] * 7 + ["%d", "%s", ""])
 
 
 class ConfigError(Exception):
@@ -218,15 +219,6 @@ def _k_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.k_min, cfg.k_max, cfg.n_points)
 
 
-def _format_row(cfg: RunConfig, res: DispersionResult) -> str:
-    r = res.k * cfg.scales.v_ch / res.rate.omega
-    eps = res.rate.eta / res.rate.omega
-    return _ROW.format(res.k * cfg.unit_v / cfg.unit_omega, res.rate.omega / cfg.unit_omega,
-                       res.rate.eta / cfg.unit_omega, res.rate.omega / res.k / cfg.unit_v,
-                       r, eps, res.residual_norm,
-                       res.iterations, "true" if res.converged else "false", res.branch.name)
-
-
 def _sweep_branch(cfg: RunConfig, branch: BranchId, k_grid: np.ndarray):
     """Returns (results, error_message); SeedFailure yields an empty sweep."""
     try:
@@ -240,9 +232,20 @@ def _sweep_branch(cfg: RunConfig, branch: BranchId, k_grid: np.ndarray):
 
 
 def _write_branch_csv(cfg: RunConfig, branch: BranchId, results) -> str:
+    """The branch's CSV: every row's cells gathered into one list, and the
+    file formatted by one % over the header and a row template per result
+    (every result of a sweep carries the sweep's branch)."""
     path = os.path.join(cfg.out_path, f"{branch.name}.csv")
+    unit_omega, unit_v, v_ch = cfg.unit_omega, cfg.unit_v, cfg.scales.v_ch
+    cells = []
+    for res in results:
+        k, omega, eta = res.k, res.rate.omega, res.rate.eta
+        cells += (k * unit_v / unit_omega, omega / unit_omega, eta / unit_omega, omega / k / unit_v,
+                  k * v_ch / omega, eta / omega, res.residual_norm,
+                  res.iterations, "true" if res.converged else "false")
+    text = "\n".join([CSV_HEADER] + [_ROW_CELLS + branch.name] * len(results)) % tuple(cells)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join([CSV_HEADER] + [_format_row(cfg, res) for res in results]) + "\n")
+        handle.write(text + "\n")
     return path
 
 

@@ -418,8 +418,8 @@ class _ThermalGas:
     c_g, B = beta W^2, the fugacity and statistics; the subtracted pole i a
     (None on a plain panel) and L(i a) = log((1 - ia)/(-1 - ia)); each pass's
     nodes, rows of weights (one per size, zero past that size's nodes) and
-    node slopes; and, built on first use, the fluid seed's moments and the
-    root count's table.
+    node slopes; and, built on first use, the fluid seed's moments, the
+    root count's table and, set by root_solver._locus_seed, the root locus.
 
     A Bose slope g(u) = -c_g u/(e^(B u^2)/alpha - 1) has simple poles at
     u = +-i a, a = sqrt(-ln alpha / B), with residue -c_g/(2B) each.  For

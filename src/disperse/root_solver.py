@@ -31,7 +31,11 @@ iterative branches only.
 dominant_root stops the seed ladder at its first root when no other root can
 be less damped: when that root is undamped, or on a thermal gas when a
 per-gas root count finds it alone in a box (see dominant_root); otherwise
-every seed runs to convergence.
+every seed runs to convergence.  On ExactQuadrature the ladder's first seed
+on a thermal gas comes from the gas's root locus where that covers k
+(_build_locus): the damped root read off a Chebyshev interpolant, which
+the residual accepts as it stands, so a served call there makes one
+residual call.
 
 A T = 0 sweep on an exact branch first solves every k at once, by the
 Newton step on arrays from each k's closed-form seed (_lockstep_newton);
@@ -59,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion_core import (
+    _BOX_RE,
     CLOSED_FORM_BRANCHES,
     DEGENERATE_BRANCHES,
     WEAK_BRANCHES,
@@ -66,8 +71,14 @@ from .dispersion_core import (
     ComplexRate,
     DerivedScales,
     _box_root_count,
+    _in_box,
+    _occupation_slope_at,
     _omega_fluid,
+    _thermal_gas,
+    _thermal_response,
+    _ThermalGas,
     check_wavenumber,
+    coefficient_C1,
     omega_c1_corrected,
     omega_degenerate_bohm_gross,
     omega_quantum_langmuir,
@@ -270,6 +281,132 @@ def solve_at_k(
     return result
 
 
+# ---------------------------------------------------------------------------
+# thermal root locus: the damped root of J(p_hat) = X as a function of X alone
+# ---------------------------------------------------------------------------
+
+# Chebyshev nodes (second kind) in log X over [X_lo, _LOCUS_SPAN X_lo], X_lo
+# where the first-order damping estimate reads _LOCUS_DAMPED of omega; on the
+# benchmark gases that is k v_th/Omega_p ~ 0.26-0.58 (0.22-0.5 at Bose
+# fugacity 0.9), and 28 nodes leave the last Chebyshev coefficients at
+# 0.8-1.4e-12 of the first on the benchmark and test gases
+_LOCUS_NODES = 28
+_LOCUS_SPAN = 5.0
+_LOCUS_DAMPED = 1e-8
+# the most the last four coefficients may reach, as a share of the first
+_LOCUS_TAIL = 1e-11
+# each node's Newton stops at this residual; one more step from its last
+# evaluation squares the error
+_LOCUS_STOP = SolverConfig(abs_tol=1e-8, max_iter=20)
+
+
+def _damping_estimate(p: float, gas: _ThermalGas) -> float:
+    # |eta|/omega to first order at the axis point p: on the axis Im J = pi g(p)
+    # and, far out, J' ~ -2/p^3
+    slope = _occupation_slope_at(complex(p), gas.s_beta_w2, gas.inv_alpha, gas.fermi)[0]
+    return 0.5 * math.pi * gas.c_g * abs(slope) * p * p
+
+
+def _build_locus(gas: _ThermalGas) -> tuple[float, float, float, float, list[complex]] | None:
+    """The gas's root locus: the damped root p_hat*(X) of J(p_hat) = X, which
+    is the thermal residual's root p_hat = i s/(k W) at every k with
+    X(k) = k^2 W^2/C1(k), as a Chebyshev series in log X.  Returns
+    (X_lo, X_hi, centre, scale, coefficients), the series' variable being
+    t = (log X - centre) scale, or None.
+
+    X_lo = Re J(p_lo) at the axis point p_lo where _damping_estimate reads
+    _LOCUS_DAMPED, found by bisection on the closed-form slope; it rises from
+    the far field to a peak near Re p_hat = -0.15, and the bracket stops at
+    -0.25.  Node 0 is solved from p_lo, the fluid root at X_lo; each later
+    node from the cubic Hermite extrapolation of the last two.  Every node is
+    solved by _newton on 1 - J/X in the rate s = -i p_hat (k W = 1).  The
+    build depends on the gas alone.  None when a node fails, leaves the box
+    or damps less than a tenth of _LOCUS_DAMPED, or the series' last
+    coefficients exceed _LOCUS_TAIL of its first."""
+    low, high = _BOX_RE[0], -0.25
+    if not _damping_estimate(high, gas) > _LOCUS_DAMPED:
+        return None
+    for _ in range(40):
+        mid = 0.5 * (low + high)
+        if _damping_estimate(mid, gas) < _LOCUS_DAMPED:
+            low = mid
+        else:
+            high = mid
+    last: list[complex] = []  # the pair (f, df/ds) of fun's last call
+    try:
+        x_lo = _thermal_response(complex(low), gas)[0].real
+        t_lo = math.log(x_lo)
+        centre, half = t_lo + 0.5 * math.log(_LOCUS_SPAN), 0.5 * math.log(_LOCUS_SPAN)
+        ts = [centre - half * math.cos(math.pi * j / (_LOCUS_NODES - 1)) for j in range(_LOCUS_NODES)]
+        ts[0] = t_lo
+        nodes: list[tuple[float, complex, complex]] = []  # (t, s, ds/dt)
+        for t in ts:
+            x = math.exp(t)
+
+            def fun(s, x=x):
+                value, slope = _thermal_response(1j * s, gas)
+                last[:] = 1.0 - value / x, -1j * slope / x
+                return tuple(last)
+
+            if not nodes:
+                seed = complex(0.0, -low)
+            elif len(nodes) == 1:
+                t0, s0, d0 = nodes[0]
+                seed = s0 + (t - t0) * d0
+            else:
+                (t0, s0, d0), (t1, s1, d1) = nodes[-2:]
+                h = t1 - t0
+                u = (t - t0) / h
+                seed = ((2 * u - 3) * u * u + 1) * s0 + ((u - 2) * u + 1) * u * h * d0 \
+                    + (3 - 2 * u) * u * u * s1 + (u - 1) * u * u * h * d1
+            s, _, _, failure = _newton(fun, seed, _LOCUS_STOP, False)
+            if failure is not None:
+                return None
+            f, slope = last
+            # ds/dt = -1/slope: X d/dX of f(s, X) = 1 - J/X is J/X = 1 - f
+            nodes.append((t, s - f / slope, (f - 1.0) / slope))
+    except (SingularInput, NonConvergent, QuadratureFailure):
+        return None
+    ps = np.array([1j * s for _, s, _ in nodes])
+    if not all(_in_box(p) and -p.imag >= 0.1 * _LOCUS_DAMPED * -p.real for p in ps.tolist()):
+        return None
+    # T_k at the nodes, x_j = -cos(pi j/N), and the trapezoid weights of the DCT
+    n = _LOCUS_NODES - 1
+    order = np.arange(n + 1)
+    weights = np.where((order == 0) | (order == n), 0.5, 1.0)
+    cos = np.cos(np.pi * np.outer(order, order) / n) * np.where(order % 2, -1.0, 1.0)[:, None]
+    coefs = (2.0 / n) * (cos @ (weights * ps))
+    coefs[0] *= 0.5
+    coefs[n] *= 0.5
+    if not np.abs(coefs[-4:]).max() <= _LOCUS_TAIL * abs(coefs[0]):
+        return None
+    return x_lo, math.exp(ts[-1]), centre, 1.0 / half, coefs.tolist()
+
+
+def _locus_seed(k: float, species: SpeciesParams, scales: DerivedScales) -> ComplexRate | None:
+    """The locus root at a checked k of a thermal gas, or None when X(k) lies
+    outside its domain or the gas has no locus.  The gas builds its locus at
+    its first ask and keeps it on its record."""
+    w_scale, gas = _thermal_gas(species, scales.alpha)
+    if "locus" not in vars(gas):
+        gas.locus = _build_locus(gas)
+    locus = gas.locus
+    if locus is None:
+        return None
+    x_lo, x_hi, centre, scale, coefs = locus
+    kw, c1 = float(k) * w_scale, coefficient_C1(k, scales)  # a numpy k gives float seeds too
+    if not x_lo * c1 <= kw * kw <= x_hi * c1:  # X = (k W)^2/C1 in the domain; C1 = 0 is not
+        return None
+    x = kw * kw / c1
+    t = min(max((math.log(x) - centre) * scale, -1.0), 1.0)
+    # Clenshaw's recurrence
+    b1 = b2 = 0j
+    for c in coefs[:0:-1]:
+        b1, b2 = 2.0 * t * b1 - b2 + c, b1
+    p = t * b1 - b2 + coefs[0]
+    return ComplexRate(eta=kw * p.imag, omega=-kw * p.real)
+
+
 def _matched_closed(k: float, species: SpeciesParams, scales: DerivedScales) -> float:
     """Undamped frequency matching the gas's regime, used for seeding and
     for rescaling continuation guesses between k points: the degenerate
@@ -294,19 +431,25 @@ def first_point_seeds(
     *,
     bohm_term: bool = True,
 ) -> list[ComplexRate]:
-    """Seed ladder for the first point of a sweep, all on the axis: the gas-matched
-    frequency (Bohm-Gross or zero sound at T = 0, the fluid root of a thermal gas), then
-    the dispersionless value, the expanded value, and 1.2x it.  ValueError when the
-    branch cannot apply to the species or k is too large (check_wavenumber)."""
+    """Seed ladder for the first point of a sweep: the gas-matched seed, then
+    on the axis the dispersionless value, the expanded value, and 1.2x it.
+    The gas-matched seed is the damped locus root on ExactQuadrature where the
+    thermal gas's root locus covers k (see _build_locus), and otherwise the
+    gas-matched frequency on the axis: Bohm-Gross or zero sound at T = 0, the
+    fluid root of a thermal gas.  ValueError when the branch cannot apply to
+    the species or k is too large (check_wavenumber)."""
     check_branch_species(branch, species, scales)
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
-    return list(_seed_ladder(k, species, scales, _matched_closed(k, species, scales)))
+    return list(_seed_ladder(k, branch, species, scales))
 
 
-def _seed_ladder(k: float, species: SpeciesParams, scales: DerivedScales, matched: float) -> Iterator[ComplexRate]:
-    """The seed ladder from the gas-matched frequency, at a checked k on Bohm-adjusted
-    scales: positive, deduplicated, and each seed built once the one before it is tried."""
+def _seed_ladder(k: float, branch: BranchId, species: SpeciesParams, scales: DerivedScales,
+                 matched: float | None = None) -> Iterator[ComplexRate]:
+    """The seed ladder at a checked k on Bohm-adjusted scales: positive,
+    deduplicated in omega, and each seed built once the one before it is
+    tried.  matched is the gas-matched frequency when the caller has it; it
+    is computed here only when the locus does not serve."""
     taken: list[float] = []
 
     def fresh(omega: float) -> Iterator[ComplexRate]:
@@ -314,7 +457,13 @@ def _seed_ladder(k: float, species: SpeciesParams, scales: DerivedScales, matche
             taken.append(omega)
             yield ComplexRate(eta=0.0, omega=omega)
 
-    yield from fresh(matched)
+    locus = (_locus_seed(k, species, scales)
+             if branch is BranchId.ExactQuadrature and not species.fully_degenerate else None)
+    if locus is not None:
+        taken.append(locus.omega)
+        yield locus
+    else:
+        yield from fresh(_matched_closed(k, species, scales) if matched is None else matched)
     yield from fresh(omega_quantum_langmuir(k, scales))
     expanded = (omega_degenerate_bohm_gross(k, scales) if species.fully_degenerate
                 else omega_weak_simple(k, species, scales))
@@ -417,7 +566,7 @@ def sweep(
             s, norm, iterations = batch[i]
             res = _result(k, branch, _rate(s.real, s.imag), scales, norm, True, iterations)
         elif i == 0:
-            for seed in _seed_ladder(k, species, scales, closed[0]):
+            for seed in _seed_ladder(k, branch, species, scales, closed[0]):
                 try:
                     res = solve_at_k(k, branch, species, scales, seed, config)
                     break
@@ -486,7 +635,9 @@ def dominant_root(
     A gas builds its table at its first call whose damped first root lies in
     the box (~100 evaluations of J, 1.6-1.7 ms on the benchmark gases).  The
     ladder builds each seed only when the one before it has been tried, so a
-    served call builds its first seed alone.  Otherwise (a damped root
+    served call builds its first seed alone; where the gas's root locus
+    covers k that seed is the locus root, which converges where it starts,
+    and no fluid root is taken.  Otherwise (a damped root
     outside the box, a count other than 1, or a damped first root at T = 0,
     where the residual's step rule is not analytic across |p_hat| = 1) every
     seed runs to convergence.
@@ -496,7 +647,7 @@ def dominant_root(
     branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactQuadrature
     thermal = branch is BranchId.ExactQuadrature
     roots: list[DispersionResult] = []
-    for seed in _seed_ladder(k, species, scales, _matched_closed(k, species, scales)):
+    for seed in _seed_ladder(k, branch, species, scales):
         try:
             res = solve_at_k(k, branch, species, scales, seed, config)
         except _SWEEP_POINT_ERRORS:

@@ -218,7 +218,7 @@ branches = QuantumLangmuir
 
 def per_cell_row(cfg, res):
     """A run CSV row formatted one str.format call a cell, as the CLI once
-    did: the reference the one-call row must match byte for byte."""
+    did: the reference the one-pass file must match byte for byte."""
     r = res.k * cfg.scales.v_ch / res.rate.omega
     eps = res.rate.eta / res.rate.omega
     cells = (res.k * cfg.unit_v / cfg.unit_omega, res.rate.omega / cfg.unit_omega,
@@ -243,7 +243,6 @@ branches = ExactDegenerate, ExactQuadrature, QuantumLangmuir, C1Corrected, Degen
     for branch in cfg.branches:
         results = sweep(cli._k_grid(cfg), branch, cfg.species, cfg.scales, cfg.solver, bohm_term=cfg.bohm_term)
         rows = [per_cell_row(cfg, res) for res in results]
-        assert [cli._format_row(cfg, res) for res in results] == rows, branch.name
         assert (out / f"{branch.name}.csv").read_bytes() == "".join(
             line + "\n" for line in [CSV_HEADER] + rows).encode()
 
@@ -258,7 +257,6 @@ branches = ExactDegenerate, ExactQuadrature, QuantumLangmuir, C1Corrected, Degen
         replace(base, rate=ComplexRate(eta=0.0, omega=base.rate.omega)),
     ]
     rows = [per_cell_row(cfg, res) for res in synthetic]
-    assert [cli._format_row(cfg, res) for res in synthetic] == rows
     assert "inf" in rows[0] and ",false," in rows[0] and ",100,true," in rows[2]
     assert rows[3].split(",")[2].startswith("-0.0") and rows[4].split(",")[2].startswith("0.0")
     for written in (synthetic, []):
@@ -268,16 +266,18 @@ branches = ExactDegenerate, ExactQuadrature, QuantumLangmuir, C1Corrected, Degen
 
 
 def test_run_unconverged_branch_exits_two(tmp_path, capsys):
+    # one iteration from ExactWeak's axis seeds cannot reach 1e-14, so its
+    # first point fails; ExactQuadrature's locus seed would reach it here
     cfg = weak_sweep_ini(tmp_path, extra="""
 [solver]
 abs_tol = 1e-14
 max_iter = 1
-""", branches="ExactQuadrature")
+""", branches="ExactWeak")
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
     assert "[INCOMPLETE]" in capsys.readouterr().out
     summary = (out / "summary.txt").read_text()
-    assert "# branch ExactQuadrature: failed" in summary
+    assert "# branch ExactWeak: failed" in summary
 
 
 # ---------------------------------------------------------------------------
