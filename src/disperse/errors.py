@@ -37,7 +37,7 @@ class NoConvergence(DisperseError):
 
 
 class SeedFailure(DisperseError):
-    """No initial guess converged at the first point of a sweep."""
+    """No initial guess converged at the first point of a sweep, or in dominant_root."""
 
 
 class NumericalBlowup(DisperseError):

@@ -28,13 +28,11 @@ the closed-form rate (inf where that cannot be evaluated), so the
 "converged implies residual_norm < abs_tol" reading applies to the
 iterative branches only.
 
-dominant_root stops the seed ladder at its first root when no other root can
-be less damped: when that root is undamped, or on a thermal gas when a
-per-gas root count finds it alone in a box (see dominant_root); otherwise
-every seed runs to convergence.  On ExactQuadrature the ladder's first seed
-on a thermal gas comes from the gas's root locus where that covers k
-(_build_locus): the damped root read off a Chebyshev interpolant, which
-the residual accepts as it stands, so a served call there makes one
+dominant_root and a sweep's first point walk one seed ladder of two rungs
+and stop at the first root a rung converges to.  On ExactQuadrature the
+first rung on a thermal gas comes from the gas's root locus where that
+covers k (_build_locus): the damped root read off a Chebyshev interpolant,
+which the residual accepts as it stands, so a call there makes one
 residual call.
 
 A T = 0 sweep on an exact branch first solves every k at once, by the
@@ -63,15 +61,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion_core import (
-    _BOX_RE,
     CLOSED_FORM_BRANCHES,
     DEGENERATE_BRANCHES,
     WEAK_BRANCHES,
     BranchId,
     ComplexRate,
     DerivedScales,
-    _box_root_count,
-    _in_box,
     _occupation_slope_at,
     _omega_fluid,
     _thermal_gas,
@@ -298,6 +293,14 @@ _LOCUS_TAIL = 1e-11
 # each node's Newton stops at this residual; one more step from its last
 # evaluation squares the error
 _LOCUS_STOP = SolverConfig(abs_tol=1e-8, max_iter=20)
+# every node's root must lie in this box of p_hat = i s/(k W):
+# Re p_hat in [-6, -0.01], Im p_hat in [-0.03, 0.1]
+_BOX_RE = (-6.0, -0.01)
+_BOX_IM = (-0.03, 0.1)
+
+
+def _in_box(p_hat: complex) -> bool:
+    return _BOX_RE[0] <= p_hat.real <= _BOX_RE[1] and _BOX_IM[0] <= p_hat.imag <= _BOX_IM[1]
 
 
 def _damping_estimate(p: float, gas: _ThermalGas) -> float:
@@ -431,13 +434,15 @@ def first_point_seeds(
     *,
     bohm_term: bool = True,
 ) -> list[ComplexRate]:
-    """Seed ladder for the first point of a sweep: the gas-matched seed, then
-    on the axis the dispersionless value, the expanded value, and 1.2x it.
-    The gas-matched seed is the damped locus root on ExactQuadrature where the
+    """Seed ladder for the first point of a sweep and for dominant_root: the
+    gas-matched seed, then the dispersionless value on the axis.  The
+    gas-matched seed is the damped locus root on ExactQuadrature where the
     thermal gas's root locus covers k (see _build_locus), and otherwise the
     gas-matched frequency on the axis: Bohm-Gross or zero sound at T = 0, the
-    fluid root of a thermal gas.  ValueError when the branch cannot apply to
-    the species or k is too large (check_wavenumber)."""
+    fluid root of a thermal gas.  A thermal neutral gas with the Bohm term
+    off (C1 = 0, where the residual is identically 1) gets an empty ladder.
+    ValueError when the branch cannot apply to the species or k is too
+    large (check_wavenumber)."""
     check_branch_species(branch, species, scales)
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
@@ -465,13 +470,21 @@ def _seed_ladder(k: float, branch: BranchId, species: SpeciesParams, scales: Der
     else:
         yield from fresh(_matched_closed(k, species, scales) if matched is None else matched)
     yield from fresh(omega_quantum_langmuir(k, scales))
-    expanded = (omega_degenerate_bohm_gross(k, scales) if species.fully_degenerate
-                else omega_weak_simple(k, species, scales))
-    yield from fresh(expanded)
-    yield from fresh(1.2 * expanded)
 
 
 _SWEEP_POINT_ERRORS = (NoConvergence, SingularInput, QuadratureFailure, NonConvergent)
+
+
+def _first_root(k: float, branch: BranchId, species: SpeciesParams, scales: DerivedScales,
+                config: SolverConfig, matched: float | None = None) -> DispersionResult | None:
+    """Newton from each rung of the seed ladder in turn (_seed_ladder's
+    arguments): the first root a seed converges to, or None."""
+    for seed in _seed_ladder(k, branch, species, scales, matched):
+        try:
+            return solve_at_k(k, branch, species, scales, seed, config)
+        except _SWEEP_POINT_ERRORS:
+            continue
+    return None
 
 
 def _array_norm(f: np.ndarray) -> np.ndarray:
@@ -566,13 +579,8 @@ def sweep(
             s, norm, iterations = batch[i]
             res = _result(k, branch, _rate(s.real, s.imag), scales, norm, True, iterations)
         elif i == 0:
-            for seed in _seed_ladder(k, branch, species, scales, closed[0]):
-                try:
-                    res = solve_at_k(k, branch, species, scales, seed, config)
-                    break
-                except _SWEEP_POINT_ERRORS:
-                    continue
-            else:
+            res = _first_root(k, branch, species, scales, config, closed[0])
+            if res is None:
                 raise SeedFailure(f"no seed converged at the first point k = {k:.6e}")
         else:
             # rescale the previous rate by the closed-form ratio between the
@@ -604,59 +612,24 @@ def dominant_root(
     *,
     bohm_term: bool = True,
 ) -> DispersionResult:
-    """Library-side helper: launch the species' exact branch (ExactDegenerate
-    at full degeneracy, ExactQuadrature for a thermal gas) from each seed in
-    the ladder and return the distinct root with the largest eta (least
-    damped).  Raises SeedFailure when nothing converges.
+    """Library-side helper: the species' exact branch (ExactDegenerate at full
+    degeneracy, ExactQuadrature for a thermal gas) at k, from the seed
+    ladder's first rung that converges, as at a sweep's first point.
+    Raises SeedFailure when no rung converges.
 
-    The ladder stops at its first root when no other root can be less damped.
-    An equilibrium gas has no growing mode (Penrose, Phys. Fluids 3 (1960)
-    258), and Newton rejects eta > 0 at T = 0, so an undamped first root
-    (eta == 0.0, on either gas) is the answer.  A damped thermal first root
-    is the answer when it lies in the box Re p_hat in [-6, -0.01],
-    Im p_hat in [-0.03, 0.1] of p_hat = i s/(k W) and the gas's table
-    (dispersion_core._box_root_count) counts one root there.  A root at k
-    solves J(p_hat) = X(k) = k^2 W^2 / C1(k), with J the gas's k-free
-    response, so one table serves every k: the winding number of J around
-    the box for each X, from ~95 samples of J.  It is an estimate checked by
-    sampling, not a proof: a segment's distance from its chord comes from a
-    Hermite fit of J'' at its two ends, doubled, and X is counted only
-    outside those tubes.  No root outside the box is less damped: below it
-    every root is more damped; above it lies no growing mode; beyond
-    Re p_hat = -6 the response is its far-field moment series, ~1/p_hat^2,
-    smaller in modulus than on the box's left edge, and the count is only
-    taken above that edge's |J|; between Re p_hat = -0.01 and 0 it stays
-    near its static value J(0) < 0, while a root needs J = X(k) > 0 (a gas
-    with an occupation pole there gets no table).  So, as far as the
-    estimate holds, the first root is the one the whole ladder returns.
-    Tests check the count, and the strip to the right of the box, against
-    dense counts on the residual.
-
-    A gas builds its table at its first call whose damped first root lies in
-    the box (~100 evaluations of J, 1.6-1.7 ms on the benchmark gases).  The
-    ladder builds each seed only when the one before it has been tried, so a
-    served call builds its first seed alone; where the gas's root locus
-    covers k that seed is the locus root, which converges where it starts,
-    and no fluid root is taken.  Otherwise (a damped root
-    outside the box, a count other than 1, or a damped first root at T = 0,
-    where the residual's step rule is not analytic across |p_hat| = 1) every
-    seed runs to convergence.
+    The first root found is taken as the least damped one, unchecked.  An
+    equilibrium gas has no growing mode (Penrose, Phys. Fluids 3 (1960) 258),
+    and Newton rejects eta > 0 at T = 0, so an undamped root is the answer.
+    A damped thermal root comes from the gas-matched rung: the root locus's
+    damped root where it covers k, which converges where it starts, or the
+    fluid root, from which Newton follows the mode off the axis.  Tests hold
+    the result to the least-damped root of a four-rung ladder (this one, the
+    expanded value and 1.2x it, each run to convergence), bit for bit.
     """
     scales = with_bohm_term(scales, bohm_term)
     check_wavenumber(k, scales)
     branch = BranchId.ExactDegenerate if species.fully_degenerate else BranchId.ExactQuadrature
-    thermal = branch is BranchId.ExactQuadrature
-    roots: list[DispersionResult] = []
-    for seed in _seed_ladder(k, branch, species, scales):
-        try:
-            res = solve_at_k(k, branch, species, scales, seed, config)
-        except _SWEEP_POINT_ERRORS:
-            continue
-        if not roots and (res.rate.eta == 0.0 or thermal and _box_root_count(
-                k, res.rate.s, species, scales.alpha, scales) == 1):
-            return res
-        if all(abs(res.rate.omega - other.rate.omega) > 1e-8 * res.rate.omega for other in roots):
-            roots.append(res)
-    if not roots:
+    res = _first_root(k, branch, species, scales, config)
+    if res is None:
         raise SeedFailure(f"no seed converged at k = {k:.6e}")
-    return max(roots, key=lambda item: item.rate.eta)
+    return res

@@ -927,29 +927,58 @@ def test_degenerate_residuals_share_the_far_pole_series(electron_degenerate, ele
         assert abs(zd - zq) <= 1e-15 * abs(zq)
 
 
+def _degenerate_residual_mpmath(k, s, scales, step):
+    """residual_degenerate's value and slope at the doubles k and s in
+    50-digit arithmetic, with the residue term on where step is true."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        kv = mp.mpf(k) * mp.mpf(scales.v_ch)
+        p = 1j * mp.mpc(s.real, s.imag) / kv
+        scale = (mp.mpf(scales.omega_p) ** 2 + mp.mpf(scales.lambda_quantum) * mp.mpf(k) ** 4) / kv**2
+        log_ratio = mp.log((1 - p) / (-1 - p))
+        integral, d_integral = -3 - 1.5 * p * log_ratio, -1.5 * log_ratio + 3 * p / (1 - p * p)
+        if step:
+            integral, d_integral = integral - 3j * mp.pi * p, d_integral - 3j * mp.pi
+        return complex(1 - scale * integral), complex(-scale * d_integral * 1j / kv)
+
+
 @settings(max_examples=300, derandomize=True)
 @given(neutral=st.booleans(), k_frac=st.floats(0.01, 3.0), r=st.floats(0.01, 3.0),
        eps=st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda x: -(10.0**x))))
 def test_degenerate_residual_matches_the_printed_form(neutral, k_frac, r, eps):
-    # the s-coded closed form against the printed (r, epsilon) reference on
-    # both T = 0 gases, at (r, epsilon) as read back from s: the values
-    # within 4.5e-13 of max(1, |f|), the slopes within 8.8e-13 relative; the
-    # worst of 80,000 random points over these ranges read 4.0e-13 and 6.3e-13
+    # the s-coded closed form and the printed (r, epsilon) reference, at
+    # (r, epsilon) as read back from s, on both T = 0 gases, each against
+    # 50-digit mpmath at s with the residue term on by the coding's own rule
+    # (the two rules can part within rounding of r^2 + epsilon^2 = 1, where
+    # the residual jumps).  Near the edge velocity, at d = |p_hat -+ 1| from
+    # it, the log turns the rounding of p_hat into ~eps/d, so the values must
+    # lie within (4.5e-13 + 4 eps/d) max(1, |f|) and the slopes within
+    # (8.8e-13 + 4 eps/d) |f'|.  Of 80,000 random points, two fifths of them
+    # within 1e-2 of r = 1, the worst read 2.0e-13 and 1.8e-13 for d > 1e-3,
+    # and 0.23 eps/d and 1.2 eps/d for d < 1e-3
     sp = SpeciesParams(mass=R.M_E, charge=0.0 if neutral else -R.Q_E, spin_degeneracy=2, density=R.N0,
                        temperature=0.0, statistics=Statistics.FERMI)
     sc = derive_scales(sp)
     k = k_frac * R.K_REF
     omega = k * sc.v_ch / r
     s = complex(eps * omega, omega)
-    try:
-        want, want_slope = R.printed_degenerate_residual(k * sc.v_ch / s.imag, s.real / s.imag, k, sc)
-    except SingularInput:
+    p_hat = 1j * s / k / sc.v_ch  # as residual_degenerate forms it
+    if p_hat.imag == 0.0 and abs(p_hat.real) == 1.0:
         with pytest.raises(SingularInput):
             residual_degenerate(k, s, sc)
         return
-    value, slope = residual_degenerate(k, s, sc)
-    assert abs(value - want) <= 4.5e-13 * max(1.0, abs(want))
-    assert abs(slope - want_slope) <= 8.8e-13 * abs(want_slope)
+    conditioning = 4.0 * 2.0**-52 / min(abs(p_hat - 1.0), abs(p_hat + 1.0))
+    codings = [(residual_degenerate(k, s, sc), (k * sc.v_ch) ** 2 + s.real * s.real - s.imag**2 >= 0.0)]
+    r_back, eps_back = k * sc.v_ch / s.imag, s.real / s.imag
+    try:  # the printed form refuses r = 1 on the axis, as read back
+        codings.append((R.printed_degenerate_residual(r_back, eps_back, k, sc),
+                        r_back * r_back + eps_back * eps_back >= 1.0))
+    except SingularInput:
+        pass
+    for (value, slope), step in codings:
+        want, want_slope = _degenerate_residual_mpmath(k, s, sc, step)
+        assert abs(value - want) <= (4.5e-13 + conditioning) * max(1.0, abs(want))
+        assert abs(slope - want_slope) <= (8.8e-13 + conditioning) * abs(want_slope)
 
 
 @pytest.mark.parametrize("gas", ["electron_degenerate", "neutral_degenerate"])

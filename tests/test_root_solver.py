@@ -1,6 +1,5 @@
 """Newton iteration, seed ladder, sweeps, and result semantics."""
 
-import bisect
 import dataclasses
 import math
 import re
@@ -33,6 +32,7 @@ from disperse.dispersion_core import (
     coefficient_C1,
     omega_degenerate_bohm_gross,
     omega_weak_biquadratic,
+    omega_weak_simple,
     residual_quadrature,
 )
 from disperse.errors import (DegeneracyOutOfRange, DisperseError, NoConvergence, NonConvergent, SeedFailure,
@@ -518,7 +518,8 @@ def test_thermal_seeds_are_finite_or_refuse_the_wavenumber(statistics, charged, 
     # accepts gets finite positive seeds, or a ValueError naming k, and no
     # numpy warning; k v_th/Omega_p spans 1e-3 .. 10 on a charged gas, k
     # spans 1e6 .. 1e12 1/m on a neutral one, which without the Bohm term
-    # has no restoring force.  Every seed lies on the axis but a first one
+    # has no restoring force: there C1(k) = 0, the residual is identically 1,
+    # and the ladder is empty.  Every seed lies on the axis but a first one
     # from the gas's root locus, which is damped
     sp = SpeciesParams(mass=10.0**log_mass, charge=-R.Q_E if charged else 0.0, spin_degeneracy=2,
                        density=10.0**log_density, temperature=10.0**log_temperature, statistics=statistics)
@@ -534,7 +535,8 @@ def test_thermal_seeds_are_finite_or_refuse_the_wavenumber(statistics, charged, 
         except ValueError as err:
             assert f"k = {k:.6g}" in str(err)
             return
-    assert seeds and all(0.0 < seed.omega < math.inf for seed in seeds)
+    assert bool(seeds) == (coefficient_C1(k, with_bohm_term(sc, bohm_term)) > 0.0)
+    assert all(0.0 < seed.omega < math.inf for seed in seeds)
     located = root_solver._locus_seed(k, sp, with_bohm_term(sc, bohm_term))
     if located is not None:
         assert seeds[0] == located and -math.inf < located.eta < 0.0
@@ -942,11 +944,18 @@ def test_dominant_root_seed_failure(weak_fermion, weak_fermion_scales):
 
 
 def full_ladder(k, sp, sc):
-    """dominant_root without its stop rules: Newton to convergence from every
-    seed, then the least-damped distinct root."""
+    """The four-rung ladder dominant_root once walked, as a reference: the
+    seed ladder's two rungs, then on the axis the expanded value and 1.2x
+    it, each new to 1e-12 in omega; Newton to convergence from every seed,
+    then the least-damped distinct root."""
     branch = BranchId.ExactDegenerate if sp.fully_degenerate else BranchId.ExactQuadrature
+    seeds = first_point_seeds(k, branch, sp, sc)
+    expanded = omega_degenerate_bohm_gross(k, sc) if sp.fully_degenerate else omega_weak_simple(k, sp, sc)
+    for omega in (expanded, 1.2 * expanded):
+        if all(abs(omega - seed.omega) > 1e-12 * omega for seed in seeds):
+            seeds.append(ComplexRate(eta=0.0, omega=omega))
     roots = []
-    for seed in first_point_seeds(k, branch, sp, sc):
+    for seed in seeds:
         try:
             res = solve_at_k(k, branch, sp, sc, seed)
         except DisperseError:
@@ -988,61 +997,37 @@ def test_dominant_root_equals_full_ladder_degenerate(request, gas, xs):
         assert res.rate.eta == 0.0 and math.copysign(1.0, res.rate.eta) == 1.0  # +0.0
 
 
-def test_dominant_root_does_not_cut_a_seed_heading_for_another_root(
-    monkeypatch, weak_fermion, weak_fermion_scales
-):
-    # a holomorphic toy residual with two roots, in units of Omega_p: a damped
-    # one beside the third seed and a less damped one near the fourth.  The
-    # first three seeds reach the damped root and the fourth, which passes
-    # it, heads for the other root.
+def test_dominant_root_and_a_sweeps_first_point_walk_one_ladder(monkeypatch, weak_fermion, weak_fermion_scales):
+    # both stop at the first rung that converges: with the first rung
+    # refused, both try the two rungs in order and return the second rung's
+    # root, the same bits from either call
     sp, sc = weak_fermion, weak_fermion_scales
-    k = 0.375 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    wp = sc.omega_p
-    seeds = [seed.omega / wp for seed in first_point_seeds(k, BranchId.ExactQuadrature, sp, sc)]
-    assert len(seeds) == 4 and max(seeds[:3]) < 1.1 and seeds[3] > 1.2
-    damped = complex(-2e-5, seeds[2] * (1.0 + 5e-5))
-    less_damped = complex(-1e-6, 1.3)
+    k = 0.2 * sc.omega_p / math.sqrt(sc.v_th_sq)  # below the root locus: both rungs on the axis
+    ladder = first_point_seeds(k, BranchId.ExactQuadrature, sp, sc)
+    assert len(ladder) == 2
+    solve, seeds = root_solver.solve_at_k, []
 
-    calls, per_seed = [], []
+    def first_refused(*args, **kwargs):
+        seeds.append(args[4])
+        if args[4] == ladder[0]:
+            raise NoConvergence("refused")
+        return solve(*args, **kwargs)
 
-    def toy(k, s, species, alpha, scales):
-        calls.append(s)
-        p = s / wp
-        return (p - damped) * (p - less_damped), (2.0 * p - damped - less_damped) / wp
-
-    solve = root_solver.solve_at_k
-
-    def counted(*args, **kwargs):
-        before = len(calls)
-        try:
-            out = solve(*args, **kwargs)
-        except Exception as exc:
-            per_seed.append((len(calls) - before, exc))
-            raise
-        per_seed.append((len(calls) - before, complex(out.rate.eta, out.rate.omega) / wp))
-        return out
-
-    monkeypatch.setattr(root_solver, "residual_quadrature", toy)
-    monkeypatch.setattr(root_solver, "solve_at_k", counted)
-    # the toy replaces the residual but not the gas's root count: take the
-    # ladder, which is what this test is about
-    monkeypatch.setattr(root_solver, "_box_root_count", lambda *args: None)
+    monkeypatch.setattr(root_solver, "solve_at_k", first_refused)
     res = dominant_root(k, sp, sc)
-    assert abs(complex(res.rate.eta, res.rate.omega) / wp - less_damped) < 1e-10
-    (_, first), (_, second), (_, third), (_, fourth) = per_seed
-    assert max(abs(first - damped), abs(second - damped), abs(third - damped)) < 1e-10
-    assert abs(fourth - less_damped) < 1e-10  # not cut on its way past the damped root
-    assert same(res, full_ladder(k, sp, sc))
+    assert seeds == ladder
+    seeds.clear()
+    assert same(sweep([k], BranchId.ExactQuadrature, sp, sc), [res])
+    assert seeds == ladder
+    assert same(res, solve(k, BranchId.ExactQuadrature, sp, sc, ladder[1]))
 
 
 def test_quadrature_builds_a_thermal_gas_record_once(monkeypatch, weak_boson, weak_boson_scales):
     # the quadrature residual computes a gas's rate-independent scales once:
     # a cache key that took in k or s would miss on every residual call.
     # Each residual call, each fluid seed and each locus seed asks for the
-    # record once, and so does dominant_root's root count, for its first
-    # root, which builds the gas's table without asking again; the locus seed
-    # builds the gas's locus without asking again either: the first ask
-    # misses and every later one hits
+    # record once, and the locus seed builds the gas's locus without asking
+    # again: the first ask misses and every later one hits
     sc = weak_boson_scales
     ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in (0.2, 0.3, 0.4)]
     calls, seeds, located = [], [], []
@@ -1063,12 +1048,12 @@ def test_quadrature_builds_a_thermal_gas_record_once(monkeypatch, weak_boson, we
 
     monkeypatch.setattr(root_solver, "_omega_fluid", counted_fluid)
     monkeypatch.setattr(root_solver, "_locus_seed", counted_locus)
-    dispersion_core._thermal_gas.cache_clear()  # no table and no locus yet
+    dispersion_core._thermal_gas.cache_clear()  # no locus yet
     assert all(res.converged for res in sweep(ks, BranchId.ExactQuadrature, weak_boson, sc))
     dominant_root(1.1 * ks[-1], weak_boson, sc)
     info = dispersion_core._thermal_gas.cache_info()
     assert len(calls) > 0 and len(seeds) > 0 and located == [ks[0], 1.1 * ks[-1]]
-    assert info.misses == 1 and info.misses + info.hits == len(calls) + len(seeds) + len(located) + 1
+    assert info.misses == 1 and info.misses + info.hits == len(calls) + len(seeds) + len(located)
 
 
 @pytest.mark.parametrize("delta", [1e-8, 1e-7, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3, 1e-2, 1e-1])
@@ -1084,7 +1069,7 @@ def test_dominant_root_converges_just_above_bose_condensation(delta):
 
 
 # ---------------------------------------------------------------------------
-# the thermal root count that stops dominant_root at its first root
+# the first thermal root that ends dominant_root's ladder
 # ---------------------------------------------------------------------------
 
 _NEAR_POLE_GASES = {"bose_0.92": (R.T_BOSE_092, Statistics.BOSE), "bose_0.94": (R.T_BOSE_094, Statistics.BOSE),
@@ -1098,41 +1083,14 @@ def _thermal_species(gas):
     return sp, derive_scales(sp)
 
 
-def _with_table(sp, sc):
-    # the gas's table, built on this first ask if no call has built it yet
-    return dispersion_core._thermal_gas(sp, sc.alpha)[1].table
-
-
-def _count_solves(monkeypatch):
-    calls = []
-    solve = root_solver.solve_at_k
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(root_solver, "solve_at_k", counted)
-    return calls
-
-
-def _table_count(k, sp, sc):
-    # the gas table's count at X(k) = k^2 W^2 / C1(k), None where X(k) is
-    # inside a tube
-    w_scale, _ = dispersion_core._thermal_gas(sp, sc.alpha)
-    lows, highs, counts = _with_table(sp, sc)
-    x = (k * w_scale) ** 2 / dispersion_core.coefficient_C1(k, sc)
-    i = bisect.bisect_right(lows, x) - 1
-    return counts[i] if i >= 0 and x < highs[i] else None
-
-
 def _dense_count(k, sp, sc, left, right, n):
     # the argument principle on the exact residual f(k, s) itself: its
     # winding around 0 along the rectangle Re p_hat in [left, right],
-    # Im p_hat in the box's range, p_hat = i s/(k W), from n steps along
+    # Im p_hat in the locus box's range, p_hat = i s/(k W), from n steps along
     # Re p_hat (geometric left of 0, where J turns fastest near 0) and 16
     # along Im p_hat, each bisected until it turns at most an eighth of a turn
     w_scale, _ = dispersion_core._thermal_gas(sp, sc.alpha)
-    bottom, top = dispersion_core._BOX_IM
+    bottom, top = root_solver._BOX_IM
     along = (np.geomspace(left, right, n + 1) if right < 0.0 else np.linspace(left, right, n + 1)).tolist()
     up = np.linspace(bottom, top, 17).tolist()
     corners = ([complex(x, bottom) for x in along[:-1]] + [complex(right, y) for y in up[:-1]]
@@ -1158,20 +1116,6 @@ def _dense_count(k, sp, sc, left, right, n):
     return round(total / (2.0 * math.pi))
 
 
-@pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES))
-def test_dominant_root_certifies_its_first_thermal_root(monkeypatch, gas):
-    # on the full-ladder test's y-grid the box holds exactly one root at
-    # every k, so once the gas has its table a call runs one seed
-    sp, sc = _thermal_species(gas)
-    ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in np.linspace(0.05, 0.6, 12)]
-    _with_table(sp, sc)
-    calls = _count_solves(monkeypatch)
-    for k in ks:
-        res = dominant_root(k, sp, sc)
-        assert root_solver._box_root_count(k, res.rate.s, sp, sc.alpha, sc) == 1
-    assert calls == ks
-
-
 def _record_seeds(monkeypatch):
     seeds = []
     solve = root_solver.solve_at_k
@@ -1184,42 +1128,25 @@ def _record_seeds(monkeypatch):
     return seeds
 
 
-@pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES))
-def test_a_served_thermal_call_builds_only_its_first_seed(monkeypatch, gas):
-    # a call the gas's table serves at the fluid seed makes one solve_at_k
-    # call, from that seed, and builds none of the ladder's later seeds: the
-    # dispersionless and the expanded value are never computed
+@pytest.mark.parametrize("gas, ys", [(gas, np.linspace(0.05, 0.6, 12)) for gas in sorted(_THERMAL_TEST_GASES)]
+                         + [("fermi_0.2", [1.0]),  # a root below the locus box
+                            ("bose_0.999", [0.35, 0.6])])  # an occupation pole beside it
+def test_a_thermal_call_builds_only_its_first_seed(monkeypatch, gas, ys):
+    # the first rung converges, so a call makes one solve_at_k call, from
+    # that seed, and never computes the dispersionless value
     sp, sc = _thermal_species(gas)
-    ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in np.linspace(0.05, 0.6, 12)]
+    ks = [y * sc.omega_p / math.sqrt(sc.v_th_sq) for y in ys]
     ladders = [first_point_seeds(k, BranchId.ExactQuadrature, sp, sc) for k in ks]
-    _with_table(sp, sc)
 
     def later_seed(*args):
-        raise AssertionError("a served call built a later seed")
+        raise AssertionError("a call built a later seed")
 
     monkeypatch.setattr(root_solver, "omega_quantum_langmuir", later_seed)
-    monkeypatch.setattr(root_solver, "omega_weak_simple", later_seed)
     seeds = _record_seeds(monkeypatch)
     for k, ladder in zip(ks, ladders):
         seeds.clear()
         dominant_root(k, sp, sc)
         assert seeds == ladder[:1]
-
-
-@pytest.mark.parametrize("gas, ys", [
-    ("fermi_0.2", [1.0]),  # a root below the box
-    ("bose_0.999", [0.35, 0.6]),  # a pole beside the box: no table
-])
-def test_unserved_thermal_calls_try_the_whole_ladder_in_order(monkeypatch, gas, ys):
-    sp, sc = _thermal_species(gas)
-    seeds = _record_seeds(monkeypatch)
-    for y in ys:
-        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
-        seeds.clear()
-        res = dominant_root(k, sp, sc)
-        assert res.rate.eta < 0.0
-        assert root_solver._box_root_count(k, res.rate.s, sp, sc.alpha, sc) is None
-        assert seeds == first_point_seeds(k, BranchId.ExactQuadrature, sp, sc), (gas, y)
 
 
 # ---------------------------------------------------------------------------
@@ -1257,14 +1184,12 @@ def test_the_locus_seed_meets_the_tolerance_across_its_domain(gas):
     assert covered[0] <= 0.3 * unit and covered[-1] >= 0.43 * unit
 
 
-@pytest.mark.parametrize("gas", sorted(set(_LOCUS_TEST_GASES) - {"bose_0.99"}))
+@pytest.mark.parametrize("gas", sorted(_LOCUS_TEST_GASES))
 def test_a_served_call_in_the_locus_makes_one_residual_call(monkeypatch, gas):
-    # the locus seed converges where it starts and the table counts its
-    # root alone in the box: one residual_quadrature call, and no fluid root
-    # (Bose 0.99 has a pole beside the box, so no table, and runs the ladder)
+    # the locus seed converges where it starts, and its root ends the
+    # ladder: one residual_quadrature call, and no fluid root
     sp, sc = _thermal_species(gas)
     ks = [k for k in _locus_ks(sp, sc) if root_solver._locus_seed(k, sp, sc) is not None]
-    _with_table(sp, sc)
     calls = _count_residual_calls(monkeypatch)
 
     def no_fluid_root(*args):
@@ -1372,6 +1297,20 @@ def test_a_degenerate_call_with_no_root_tries_the_whole_ladder_in_order(
     assert seeds == first_point_seeds(k, BranchId.ExactDegenerate, sp, sc)
 
 
+@pytest.mark.parametrize("kappa", [0.05, 0.1])
+def test_a_degenerate_call_with_no_root_stops_within_a_few_residual_calls(
+    monkeypatch, neutral_degenerate, neutral_degenerate_scales, kappa
+):
+    # both rungs fail at once here (3 residual calls in all); the four-rung
+    # ladder's expanded seeds each ran Newton to max_iter, 1,565 residual
+    # calls at kappa = 0.05 and 753 at 0.1
+    sp, sc = neutral_degenerate, neutral_degenerate_scales
+    calls = _count_residual_calls(monkeypatch)
+    with pytest.raises(SeedFailure):
+        dominant_root(kappa * sc.v_ch / math.sqrt(sc.lambda_quantum), sp, sc)
+    assert sum(len(seen) for seen in calls.values()) <= 5
+
+
 def _axis_root(k, scales):
     """omega of the undamped T = 0 root in 60 digits: the axis equation
     (C1/(k^2 v_F^2)) (-3 + (3/(2r)) ln((1 + r)/(1 - r))) = 1 solved in
@@ -1406,117 +1345,31 @@ def test_dominant_root_resolves_undamped_roots_next_to_the_edge(request, gas, x)
 
 
 @pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES) + ["bose_0.92", "bose_0.94"])
-def test_box_count_table_matches_a_dense_count_on_the_residual(gas):
-    # the table against a dense count on the residual over the box, and no
-    # root in the strip between the box and Re p_hat = 0.  Bose 0.92 and 0.94
-    # have their n = 0 occupation pole just below that strip, where J
-    # changes fastest
+def test_the_returned_root_is_alone_in_the_box_by_a_dense_count(gas):
+    # the returned root lies in the locus box of p_hat = i s/(k W), and a
+    # dense count on the residual finds it alone there, with no root in the
+    # strip between the box and Re p_hat = 0.  Bose 0.92 and 0.94 have their
+    # n = 0 occupation pole just below that strip, where J changes fastest
     sp, sc = _thermal_species(gas)
-    (left, right), strip_end = dispersion_core._BOX_RE, 0.0
+    w_scale, _ = dispersion_core._thermal_gas(sp, sc.alpha)
+    (left, right), strip_end = root_solver._BOX_RE, 0.0
     for y in (0.1, 0.35, 0.6):
         k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
-        assert _table_count(k, sp, sc) == _dense_count(k, sp, sc, left, right, 40) == 1, (gas, y)
+        assert root_solver._in_box(1j * dominant_root(k, sp, sc).rate.s / (k * w_scale)), (gas, y)
+        assert _dense_count(k, sp, sc, left, right, 40) == 1, (gas, y)
         assert _dense_count(k, sp, sc, right, strip_end, 4) == 0, (gas, y)
 
 
-@pytest.mark.parametrize("gas", sorted(_THERMAL_TEST_GASES) + ["bose_0.92", "bose_0.94"])
-def test_the_response_beyond_the_box_stays_below_the_counted_x(gas):
-    # the table counts X only above |J| on the box's left edge: left of the
-    # box, at the box's damping rates and above, |J| is smaller still
-    sp, sc = _thermal_species(gas)
-    _, table_gas = dispersion_core._thermal_gas(sp, sc.alpha)
-    lows = _with_table(sp, sc)[0]
-    bottom, top = dispersion_core._BOX_IM
-    far = max(abs(dispersion_core._thermal_response(complex(x, y), table_gas)[0])
-              for x in -np.geomspace(6.0, 1e3, 40) for y in np.linspace(bottom, top, 6))
-    assert far < lows[0]
-
-
-def _fresh_fermi_gas(temperature):
-    # the record cache is emptied first, so the gas's record is new and has
-    # built no table
-    sp = SpeciesParams(mass=R.M_E, charge=-R.Q_E, spin_degeneracy=2, density=R.N0,
-                       temperature=temperature, statistics=Statistics.FERMI)
-    sc = derive_scales(sp)
-    dispersion_core._thermal_gas.cache_clear()
-    record = dispersion_core._thermal_gas(sp, sc.alpha)[1]
-    assert "table" not in vars(record)
-    return sp, sc, record
-
-
-def test_a_gas_builds_its_table_at_its_first_call_in_the_box(monkeypatch):
-    # the first call's first root lies in the box: the call builds the
-    # table, which counts one root there, and runs one seed
-    sp, sc, record = _fresh_fermi_gas(3.3e4)
-    k = 0.3 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    calls = _count_solves(monkeypatch)
-    res = dominant_root(k, sp, sc)
-    assert calls == [k] and vars(record)["table"] is not None
-    assert same(res, full_ladder(k, sp, sc))
-
-
-def test_roots_outside_the_box_build_no_table():
-    sp, sc, record = _fresh_fermi_gas(3.4e4)
-    for y in (0.02, 1.0):  # left of the box; below it
-        dominant_root(y * sc.omega_p / math.sqrt(sc.v_th_sq), sp, sc)
-    assert "table" not in vars(record)
-
-
-def test_dominant_root_takes_the_ladder_on_a_count_of_two(monkeypatch, weak_fermion, weak_fermion_scales):
-    sp, sc = weak_fermion, weak_fermion_scales
-    k = 0.36 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    monkeypatch.setattr(root_solver, "_box_root_count", lambda *args: 2)
-    calls = _count_solves(monkeypatch)
-    res = dominant_root(k, sp, sc)
-    assert len(calls) == len(first_point_seeds(k, BranchId.ExactQuadrature, sp, sc)) == 4
-    assert same(res, full_ladder(k, sp, sc))
-
-
-@pytest.mark.parametrize("y", [1.0])  # a damped root below the box
-def test_dominant_root_takes_the_ladder_on_a_root_outside_the_box(monkeypatch, weak_fermion, weak_fermion_scales, y):
-    sp, sc = weak_fermion, weak_fermion_scales
-    k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
-    _with_table(sp, sc)
-    calls = _count_solves(monkeypatch)
-    res = dominant_root(k, sp, sc)
-    assert res.rate.eta < 0.0
-    assert root_solver._box_root_count(k, res.rate.s, sp, sc.alpha, sc) is None
-    assert len(calls) == 4 and same(res, full_ladder(k, sp, sc))
-
-
-def test_box_root_count_refuses_a_rate_outside_the_box(weak_fermion, weak_fermion_scales):
-    # the same k, where the count is certainly 1, with the rate moved below the box
-    sp, sc = weak_fermion, weak_fermion_scales
-    k = 0.45 * sc.omega_p / math.sqrt(sc.v_th_sq)
-    _with_table(sp, sc)
-    res = dominant_root(k, sp, sc)
-    w_scale, _ = dispersion_core._thermal_gas(sp, sc.alpha)
-    below = complex(-0.05 * k * w_scale, res.rate.omega)  # Im p_hat = -0.05
-    assert dispersion_core._box_root_count(k, res.rate.s, sp, sc.alpha, sc) == 1
-    assert dispersion_core._box_root_count(k, below, sp, sc.alpha, sc) is None
-
-
-@pytest.mark.parametrize("gas", ["bose_0.92", "bose_0.94"])
+@pytest.mark.parametrize("gas", sorted(_NEAR_POLE_GASES))
 def test_dominant_root_equals_full_ladder_beside_the_bose_pole(gas):
-    # the hardest gases that get a table: their n = 0 pole sits just below
-    # the strip right of the box
+    # the n = 0 occupation pole sits just below the strip right of the locus
+    # box at fugacity 0.92 and 0.94, and between the box and Re p_hat = 0
+    # (p_hat = -0.004i) at 0.999
     sp, sc = _thermal_species(gas)
-    _with_table(sp, sc)
     for y in np.linspace(0.05, 0.6, 12):
         k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
         res, ref = dominant_root(k, sp, sc), full_ladder(k, sp, sc)
         assert res == ref and same(res, ref), (gas, y)
-
-
-def test_a_bose_gas_with_a_pole_beside_the_box_keeps_the_ladder():
-    # fugacity 0.999 puts an occupation pole at p_hat = -0.004i, between the
-    # box and Re p_hat = 0: no table, and the ladder as before
-    sp, sc = _thermal_species("bose_0.999")
-    assert _with_table(sp, sc) is None
-    for y in np.linspace(0.05, 0.6, 6):
-        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
-        res, ref = dominant_root(k, sp, sc), full_ladder(k, sp, sc)
-        assert res == ref and same(res, ref), y
 
 
 # ---------------------------------------------------------------------------
