@@ -1022,6 +1022,50 @@ def test_dominant_root_and_a_sweeps_first_point_walk_one_ladder(monkeypatch, wea
     assert same(res, solve(k, BranchId.ExactQuadrature, sp, sc, ladder[1]))
 
 
+@pytest.mark.parametrize("first_damped", [True, False])
+def test_dominant_root_returns_its_first_rungs_root_unchecked(monkeypatch, weak_fermion, weak_fermion_scales,
+                                                              first_damped):
+    # a holomorphic toy residual with two roots, in units of Omega_p, one
+    # beside each rung: whichever is the less damped, the call returns the
+    # first rung's root and never tries the second rung
+    sp, sc = weak_fermion, weak_fermion_scales
+    k = 0.2 * sc.omega_p / math.sqrt(sc.v_th_sq)  # below the root locus: both rungs on the axis
+    wp = sc.omega_p
+    ladder = first_point_seeds(k, BranchId.ExactQuadrature, sp, sc)
+    assert len(ladder) == 2 and abs(ladder[0].omega - ladder[1].omega) > 1e-2 * wp
+    damped, less_damped = -2e-5, -1e-6
+    near_first, near_second = ((damped, less_damped) if first_damped else (less_damped, damped))
+    roots = [complex(near_first, ladder[0].omega / wp * (1.0 + 5e-5)),
+             complex(near_second, ladder[1].omega / wp * (1.0 + 5e-5))]
+
+    def toy(k, s, species, alpha, scales):
+        p = s / wp
+        return (p - roots[0]) * (p - roots[1]), (2.0 * p - roots[0] - roots[1]) / wp
+
+    monkeypatch.setattr(root_solver, "residual_quadrature", toy)
+    seeds = _record_seeds(monkeypatch)
+    res = dominant_root(k, sp, sc)
+    assert seeds == ladder[:1]
+    assert abs(complex(res.rate.eta, res.rate.omega) / wp - roots[0]) < 1e-10
+
+
+@pytest.mark.parametrize("statistics", [Statistics.FERMI, Statistics.BOSE])
+def test_a_neutral_thermal_gas_without_the_bohm_term_has_no_seed(monkeypatch, statistics):
+    # with no restoring force C1(k) = 0 and the residual is identically 1:
+    # the ladder is empty, and dominant_root refuses without a residual call
+    temperature = R.T_FERMI_02 if statistics is Statistics.FERMI else R.T_BOSE_02
+    sp = SpeciesParams(mass=R.M_E, charge=0.0, spin_degeneracy=2, density=R.N0,
+                       temperature=temperature, statistics=statistics)
+    sc = derive_scales(sp)
+    calls = _count_residual_calls(monkeypatch)
+    for k in (1e6, 1e8, 1e9):
+        assert first_point_seeds(k, BranchId.ExactQuadrature, sp, sc, bohm_term=False) == []
+        assert first_point_seeds(k, BranchId.ExactQuadrature, sp, sc)  # the Bohm term restores it
+        with pytest.raises(SeedFailure, match="no seed converged"):
+            dominant_root(k, sp, sc, bohm_term=False)
+    assert all(not seen for seen in calls.values())
+
+
 def test_quadrature_builds_a_thermal_gas_record_once(monkeypatch, weak_boson, weak_boson_scales):
     # the quadrature residual computes a gas's rate-independent scales once:
     # a cache key that took in k or s would miss on every residual call.
@@ -1297,11 +1341,11 @@ def test_a_degenerate_call_with_no_root_tries_the_whole_ladder_in_order(
     assert seeds == first_point_seeds(k, BranchId.ExactDegenerate, sp, sc)
 
 
-@pytest.mark.parametrize("kappa", [0.05, 0.1])
+@pytest.mark.parametrize("kappa", [0.02, 0.05, 0.1])
 def test_a_degenerate_call_with_no_root_stops_within_a_few_residual_calls(
     monkeypatch, neutral_degenerate, neutral_degenerate_scales, kappa
 ):
-    # both rungs fail at once here (3 residual calls in all); the four-rung
+    # both rungs fail at once here, below the sound root's window (3 residual calls in all); the four-rung
     # ladder's expanded seeds each ran Newton to max_iter, 1,565 residual
     # calls at kappa = 0.05 and 753 at 0.1
     sp, sc = neutral_degenerate, neutral_degenerate_scales
@@ -1367,6 +1411,18 @@ def test_dominant_root_equals_full_ladder_beside_the_bose_pole(gas):
     # (p_hat = -0.004i) at 0.999
     sp, sc = _thermal_species(gas)
     for y in np.linspace(0.05, 0.6, 12):
+        k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
+        res, ref = dominant_root(k, sp, sc), full_ladder(k, sp, sc)
+        assert res == ref and same(res, ref), (gas, y)
+
+
+@pytest.mark.parametrize("gas", sorted({**_LOCUS_TEST_GASES, **_NEAR_POLE_GASES}))
+def test_dominant_root_equals_full_ladder_past_the_locus_box(gas):
+    # the full-ladder grids above end at y = 0.6; here undamped roots left
+    # of the locus box (y <= 0.02) and damped roots past the locus, which
+    # some gases have below the box (y >= 0.7)
+    sp, sc = _thermal_species(gas)
+    for y in (0.01, 0.02, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2):
         k = y * sc.omega_p / math.sqrt(sc.v_th_sq)
         res, ref = dominant_root(k, sp, sc), full_ladder(k, sp, sc)
         assert res == ref and same(res, ref), (gas, y)
